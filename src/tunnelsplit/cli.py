@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -29,17 +30,6 @@ from .runconfig import RunConfig, parse_config
 from .splitting import build_decomposition
 from .stationary import EnergyMode, solve_full
 from .tolerances import ORACLE_L2
-
-SUBCOMMANDS = (
-    "stationary",
-    "decompose",
-    "evolve",
-    "diagnostics",
-    "oracle-check",
-    "clock",
-    "hartman-sweep",
-)
-
 
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -104,15 +94,19 @@ def _need_packet(cfg: RunConfig):
         raise SchemaError("packet", "this subcommand needs a packet section")
 
 
-def _table_grid(cfg: RunConfig) -> np.ndarray | None:
-    if cfg.x_grid_spec is None:
-        return None
-    g = cfg.x_grid_spec
-    n = int(round((g["x_max"] - g["x_min"]) / g["dx"])) + 1
-    return g["x_min"] + g["dx"] * np.arange(n)
+def _mode_table(cfg: RunConfig, pmap):
+    _need_packet(cfg)
+    x_grid = None
+    if cfg.x_grid_spec is not None:
+        g = cfg.x_grid_spec
+        n = int(round((g["x_max"] - g["x_min"]) / g["dx"])) + 1
+        x_grid = g["x_min"] + g["dx"] * np.arange(n)
+    return build_mode_table(cfg.potential, cfg.packet, x_grid,
+                            n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas,
+                            map_fn=pmap, n_chunks=4 * cfg.workers)
 
 
-def cmd_stationary(cfg: RunConfig, out: Path) -> dict:
+def cmd_stationary(cfg: RunConfig, out: Path, pmap) -> dict:
     rows = []
     for E in _energies(cfg):
         mode = EnergyMode(float(E))
@@ -131,7 +125,7 @@ def cmd_stationary(cfg: RunConfig, out: Path) -> dict:
     return {"max_unitarity_residual": worst, "rows": len(rows)}
 
 
-def cmd_decompose(cfg: RunConfig, out: Path) -> dict:
+def cmd_decompose(cfg: RunConfig, out: Path, pmap) -> dict:
     if cfg.mode is None:
         raise SchemaError("energy.E", "decompose needs one energy")
     spec = cfg.potential
@@ -172,12 +166,7 @@ def cmd_decompose(cfg: RunConfig, out: Path) -> dict:
 
 
 def cmd_evolve(cfg: RunConfig, out: Path, pmap) -> dict:
-    _need_packet(cfg)
-    table = build_mode_table(
-        cfg.potential, cfg.packet, _table_grid(cfg),
-        n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas,
-        map_fn=pmap, n_chunks=4 * cfg.workers,
-    )
+    table = _mode_table(cfg, pmap)
     stride = max(1, cfg.evolve_x_stride)
     rows = []
     worst_identity = 0.0
@@ -202,12 +191,7 @@ def cmd_evolve(cfg: RunConfig, out: Path, pmap) -> dict:
 
 
 def cmd_diagnostics(cfg: RunConfig, out: Path, pmap) -> dict:
-    _need_packet(cfg)
-    table = build_mode_table(
-        cfg.potential, cfg.packet, _table_grid(cfg),
-        n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas,
-        map_fn=pmap, n_chunks=4 * cfg.workers,
-    )
+    table = _mode_table(cfg, pmap)
     series = diagnostics_series(table, cfg.times, fd_dt=cfg.fd_dt)
     rows = zip(
         series.t, series.T, series.R,
@@ -239,7 +223,7 @@ def cmd_diagnostics(cfg: RunConfig, out: Path, pmap) -> dict:
     }
 
 
-def cmd_oracle_check(cfg: RunConfig, out: Path) -> dict:
+def cmd_oracle_check(cfg: RunConfig, out: Path, pmap) -> dict:
     _need_packet(cfg)
     spec, packet = cfg.potential, cfg.packet
     oracle = cfg.oracle
@@ -253,16 +237,14 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> dict:
         float(oracle["dt"]),
         t_max,
     )
-    x = grid.x()
-    initial = synthesize(spec, packet, "full", 0.0, x,
-                         n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)
+    initial, *spectral = synthesize(spec, packet, "full", [0.0] + checkpoints, grid.x(),
+                                    n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)
+    spectral_at = dict(zip(checkpoints, spectral))
     result = crank_nicolson_propagate(spec, initial, grid, sample_times=checkpoints)
     l2_max = linf_max = 0.0
     per_checkpoint = {}
     for sample in result.samples:
-        spectral = synthesize(spec, packet, "full", sample.t, x,
-                              n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)
-        l2, linf = compare_fields(spectral, sample)
+        l2, linf = compare_fields(spectral_at[sample.t], sample)
         per_checkpoint[str(sample.t)] = {"l2": l2, "linf": linf}
         l2_max, linf_max = max(l2_max, l2), max(linf_max, linf)
     passed = l2_max < ORACLE_L2
@@ -289,7 +271,7 @@ def _clock_row(res) -> tuple:
             res.tau_larmor_tr, res.tau_larmor_ref, res.omega_min, res.residual)
 
 
-def cmd_clock(cfg: RunConfig, out: Path) -> dict:
+def cmd_clock(cfg: RunConfig, out: Path, pmap) -> dict:
     if cfg.mode is None:
         raise SchemaError("energy.E", "clock needs one energy")
     res = compute_clock(cfg.potential, cfg.mode, cfg.clock_config,
@@ -324,27 +306,25 @@ def cmd_hartman_sweep(cfg: RunConfig, out: Path, pmap) -> dict:
     return {"dwell_tr_strictly_increasing": bool(monotonic)}
 
 
+COMMANDS = {
+    "stationary": cmd_stationary,
+    "decompose": cmd_decompose,
+    "evolve": cmd_evolve,
+    "diagnostics": cmd_diagnostics,
+    "oracle-check": cmd_oracle_check,
+    "clock": cmd_clock,
+    "hartman-sweep": cmd_hartman_sweep,
+}
+
+
 def run(subcommand: str, cfg: RunConfig, out_dir: str | None = None) -> int:
     started = time.monotonic()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if subcommand not in COMMANDS:
+        raise SchemaError("", f"unknown subcommand {subcommand!r}")
     with WorkerMap(cfg.workers) as pmap:
-        if subcommand == "stationary":
-            extra = cmd_stationary(cfg, out)
-        elif subcommand == "decompose":
-            extra = cmd_decompose(cfg, out)
-        elif subcommand == "evolve":
-            extra = cmd_evolve(cfg, out, pmap)
-        elif subcommand == "diagnostics":
-            extra = cmd_diagnostics(cfg, out, pmap)
-        elif subcommand == "oracle-check":
-            extra = cmd_oracle_check(cfg, out)
-        elif subcommand == "clock":
-            extra = cmd_clock(cfg, out)
-        elif subcommand == "hartman-sweep":
-            extra = cmd_hartman_sweep(cfg, out, pmap)
-        else:
-            raise SchemaError("", f"unknown subcommand {subcommand!r}")
+        extra = COMMANDS[subcommand](cfg, out, pmap)
     _write_run_files(out, cfg, subcommand, started, extra)
     return 0
 
@@ -370,7 +350,7 @@ def main(argv=None) -> int:
         prog="tunnelsplit",
         description="1D barrier scattering split into transmitted/reflected sub-waves",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=tuple(COMMANDS))
     parser.add_argument("config", help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--workers", type=int, default=None, help="worker count override")
@@ -402,6 +382,11 @@ def main(argv=None) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         _error_record(out_dir, exc, 3)
         return 3
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _error_record(out_dir, exc, 4)
+        return 4
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
-from .packets import PacketSpec, default_x_grid, synthesize
+from .packets import PacketSpec, default_x_grid, simpson_weights, synthesize
 from .potential import PotentialSpec
 from .splitting import StationaryDecomposition, build_decomposition
 from .stationary import EnergyMode, solve_full
@@ -120,13 +120,6 @@ class ClockResult:
         return self.larmor_ref.extrapolated if self.larmor_ref is not None else math.nan
 
 
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * h / 3.0
-
-
 def dwell_time(dec: StationaryDecomposition, subprocess: str, n_quad: int = 2049) -> float:
     """Flux-normalized time spent in the barrier region by one sub-process."""
     if subprocess not in SUBPROCESSES:
@@ -147,8 +140,8 @@ def dwell_time(dec: StationaryDecomposition, subprocess: str, n_quad: int = 2049
         dens_l = np.abs(dec.tr_state.values(xl)) ** 2
         dens_r = np.abs(dec.full_state.values(xr)) ** 2
         number = float(
-            np.sum(_simpson_weights(half, xl[1] - xl[0]) * dens_l)
-            + np.sum(_simpson_weights(half, xr[1] - xr[0]) * dens_r)
+            np.sum(simpson_weights(half, xl[1] - xl[0]) * dens_l)
+            + np.sum(simpson_weights(half, xr[1] - xr[0]) * dens_r)
         )
     else:
         weight = dec.amplitudes.R
@@ -156,7 +149,7 @@ def dwell_time(dec: StationaryDecomposition, subprocess: str, n_quad: int = 2049
             raise ZeroFlux(f"reflection weight {weight:.3e} below {ZERO_FLUX}")
         xl = np.linspace(spec.a, spec.x_c, n_quad)
         dens = np.abs(dec.ref_state.values(xl)) ** 2
-        number = float(np.sum(_simpson_weights(n_quad, xl[1] - xl[0]) * dens))
+        number = float(np.sum(simpson_weights(n_quad, xl[1] - xl[0]) * dens))
     return number / (k * weight)
 
 
@@ -320,8 +313,8 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
     config.validate_against(EnergyMode.from_k(packet.k0), spec)
     x = default_x_grid(spec, packet) if x_grid is None else np.asarray(x_grid, float)
 
-    tr0 = synthesize(spec, packet, "tr", t, x, n_k).values
-    ref0 = synthesize(spec, packet, "ref", t, x, n_k).values
+    tr0 = synthesize(spec, packet, "tr", [t], x, n_k)[0].values
+    ref0 = synthesize(spec, packet, "ref", [t], x, n_k)[0].values
     t_w = float(np.trapezoid(np.abs(tr0) ** 2, x))
     r_w = float(np.trapezoid(np.abs(ref0) ** 2, x))
     ov = abs(np.trapezoid(np.conj(tr0) * ref0, x))
@@ -336,8 +329,10 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
     raw = np.empty(omegas.size)
     out_of_plane = np.empty(omegas.size)
     for i, omega in enumerate(omegas):
-        up = synthesize(zeeman_shifted(spec, -0.5 * omega), packet, subprocess, t, x, n_k).values
-        down = synthesize(zeeman_shifted(spec, +0.5 * omega), packet, subprocess, t, x, n_k).values
+        up, down = (
+            synthesize(zeeman_shifted(spec, s * omega), packet, subprocess, [t], x, n_k)[0].values
+            for s in (-0.5, +0.5)
+        )
         peak = int(np.argmax(np.abs(up) ** 2 + np.abs(down) ** 2))
         raw[i] = cmath.phase(up[peak] * down[peak].conjugate()) / omega
         out_of_plane[i] = math.log(abs(up[peak]) / abs(down[peak])) / omega

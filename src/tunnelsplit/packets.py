@@ -21,6 +21,12 @@ probability through the derivative cut while the packet straddles the
 barrier, by the same flux identity that makes the tr/ref overlap purely
 imaginary at launch and again once the sub-packets separate. The sum
 rule T + R + 2 Re<tr|ref> = total holds at every instant.
+
+Every field comes from one evaluator: `_superpose` multiplies the
+coefficients of a batch of times into the mode rows of full, tr_state and
+ref_state, one matrix product each, and `splitting.sub_waves` cuts the
+result. `ModeTable` caches value and derivative rows; `synthesize` builds
+value rows chunk by chunk.
 """
 
 import math
@@ -31,7 +37,7 @@ import numpy as np
 
 from .errors import GridTooCoarse, SpectrumDomainError, ZeroNorm
 from .potential import PotentialSpec
-from .splitting import build_decomposition
+from .splitting import build_decomposition, sub_waves
 from .stationary import ComponentField, EnergyMode
 from .tolerances import QUADRATURE_ERROR, ZERO_NORM
 
@@ -79,6 +85,14 @@ class PacketSpec:
             )
 
 
+def simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite-Simpson weights for n (odd) points spaced h apart."""
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (h / 3.0)
+
+
 def spectral_grid(packet: PacketSpec, n_k: int = DEFAULT_N_K,
                   span_sigmas: float = DEFAULT_SPAN_SIGMAS):
     """Uniform k grid with composite-Simpson weights."""
@@ -94,12 +108,7 @@ def spectral_grid(packet: PacketSpec, n_k: int = DEFAULT_N_K,
             "narrow the span or move k0 up"
         )
     k = np.linspace(k_min, k_max, n_k)
-    h = k[1] - k[0]
-    w = np.ones(n_k)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= h / 3.0
-    return k, w
+    return k, simpson_weights(n_k, k[1] - k[0])
 
 
 def spectrum_norm(packet: PacketSpec, n_k: int = 4097,
@@ -119,34 +128,49 @@ def default_x_grid(spec: PotentialSpec, packet: PacketSpec,
     return spec.x_c + dx * np.arange(-n_side, n_side + 1)
 
 
-def _mode_rows(spec: PotentialSpec, x_grid: np.ndarray, k: float):
-    """Stationary full/tr_state/ref_state samples and exact derivatives
-    for one wavenumber."""
-    dec = build_decomposition(spec, EnergyMode.from_k(float(k)), x_grid)
-    return (
-        dec.amplitudes.T, dec.amplitudes.R,
-        dec.full, dec.tr_solution, dec.ref_solution,
-        dec.full_state.derivative(x_grid),
-        dec.tr_state.derivative(x_grid),
-        dec.ref_state.derivative(x_grid),
-    )
+def _rows_chunk(spec: PotentialSpec, x_grid: np.ndarray, k_chunk, deriv: bool):
+    """T, R and the mode rows of a chunk of wavenumbers, stacked as
+    (3, n_chunk, n_x): full, tr_state, ref_state samples, followed by
+    their exact derivatives, (6, n_chunk, n_x), when `deriv` is set."""
+    T = np.empty(len(k_chunk))
+    R = np.empty(len(k_chunk))
+    rows = np.empty((6 if deriv else 3, len(k_chunk), x_grid.size), dtype=complex)
+    for j, k in enumerate(k_chunk):
+        dec = build_decomposition(spec, EnergyMode.from_k(float(k)), x_grid)
+        T[j], R[j] = dec.amplitudes.T, dec.amplitudes.R
+        rows[:3, j] = dec.full, dec.tr_solution, dec.ref_solution
+        if deriv:
+            states = (dec.full_state, dec.tr_state, dec.ref_state)
+            rows[3:, j] = [s.derivative(x_grid) for s in states]
+    return T, R, rows
 
 
-def _rows_chunk(spec, x_grid, k_chunk):
-    out = [_mode_rows(spec, x_grid, k) for k in k_chunk]
-    T = np.array([r[0] for r in out])
-    R = np.array([r[1] for r in out])
-    mats = tuple(np.vstack([r[i] for r in out]) for i in range(2, 8))
-    return (T, R) + mats
+def _superpose(k, weights, f_k, times, mats) -> np.ndarray:
+    """Multiply the (n_t, n_k) coefficients w_j f(k_j) exp(-i k_j^2 t/2)
+    / sqrt(2 pi) of a batch of times into each (n_k, n_x) matrix of the
+    stack `mats`, giving (3, n_t, n_x): full, tr_state, ref_state."""
+    phase = np.exp(-0.5j * k ** 2 * np.asarray(times, dtype=float)[:, None])
+    coeff = weights * f_k * phase / math.sqrt(2.0 * math.pi)
+    return coeff @ mats
+
+
+def _component(name: str, left: np.ndarray, full, tr_state, ref_state) -> np.ndarray:
+    """One of COMPONENTS from the three smooth states."""
+    if name not in COMPONENTS:
+        raise ValueError(f"unknown component {name!r}; pick one of {COMPONENTS}")
+    tr, ref = sub_waves(left, full, tr_state, ref_state)
+    return dict(zip(COMPONENTS, (full, tr, ref, tr_state, ref_state)))[name]
 
 
 @dataclass
 class ModeTable:
     """Cached per-mode stationary fields on a fixed x grid.
 
-    Row-major (n_k, n_x) matrices make a time slice one short mat-vec.
-    Derivative matrices hold the analytic mode derivatives, so currents
-    and momentum moments never difference across the potential steps.
+    `rows` stacks the (n_k, n_x) mode-row matrices of full, tr_state and
+    ref_state, so the fields at a batch of times are one matrix product
+    per matrix (`states`). `drows` holds the analytic mode derivatives, so
+    currents and momentum moments never difference across the potential
+    steps.
     """
 
     spec: PotentialSpec
@@ -157,12 +181,8 @@ class ModeTable:
     f_k: np.ndarray
     T_k: np.ndarray
     R_k: np.ndarray
-    full_mat: np.ndarray
-    tr_mat: np.ndarray
-    ref_mat: np.ndarray
-    dfull_mat: np.ndarray
-    dtr_mat: np.ndarray
-    dref_mat: np.ndarray
+    rows: np.ndarray
+    drows: np.ndarray
     x_c: float = field(init=False)
     _left_mask: np.ndarray = field(init=False)
 
@@ -170,28 +190,14 @@ class ModeTable:
         self.x_c = self.spec.x_c
         self._left_mask = self.x <= self.x_c
 
-    def coefficients(self, t: float) -> np.ndarray:
-        phase = np.exp(-0.5j * self.k ** 2 * t)
-        return self.weights * self.f_k * phase / math.sqrt(2.0 * math.pi)
+    def states(self, times, deriv: bool = False) -> np.ndarray:
+        """(full, tr_state, ref_state), or their x derivatives, at every
+        time, as a (3, n_t, n_x) stack."""
+        return _superpose(self.k, self.weights, self.f_k, times,
+                          self.drows if deriv else self.rows)
 
     def state_slice(self, component: str, t: float, deriv: bool = False) -> np.ndarray:
-        c = self.coefficients(t)
-        full_m, tr_m, ref_m = (
-            (self.dfull_mat, self.dtr_mat, self.dref_mat)
-            if deriv
-            else (self.full_mat, self.tr_mat, self.ref_mat)
-        )
-        if component == "full":
-            return c @ full_m
-        if component == "tr_state":
-            return c @ tr_m
-        if component == "ref_state":
-            return c @ ref_m
-        if component == "tr":
-            return np.where(self._left_mask, c @ tr_m, c @ full_m)
-        if component == "ref":
-            return np.where(self._left_mask, c @ ref_m, 0.0)
-        raise ValueError(f"unknown component {component!r}; pick one of {COMPONENTS}")
+        return _component(component, self._left_mask, *self.states([t], deriv))[0]
 
     def spectral_transmission(self) -> float:
         """Channel weight integral sum_k w_k T(k) |f(k)|^2."""
@@ -210,9 +216,9 @@ def build_mode_table(spec: PotentialSpec, packet: PacketSpec,
     x = default_x_grid(spec, packet, span_sigmas) if x_grid is None else np.asarray(x_grid, float)
     k, w = spectral_grid(packet, n_k, span_sigmas)
     chunks = np.array_split(k, max(1, n_chunks))
-    worker = partial(_rows_chunk, spec, x)
+    worker = partial(_rows_chunk, spec, x, deriv=True)
     parts = list(map_fn(worker, chunks))
-    mats = [np.vstack([p[i] for p in parts]) for i in range(2, 8)]
+    mats = np.concatenate([p[2] for p in parts], axis=1)
     return ModeTable(
         spec=spec,
         packet=packet,
@@ -222,12 +228,8 @@ def build_mode_table(spec: PotentialSpec, packet: PacketSpec,
         f_k=packet.spectrum(k),
         T_k=np.concatenate([p[0] for p in parts]),
         R_k=np.concatenate([p[1] for p in parts]),
-        full_mat=mats[0],
-        tr_mat=mats[1],
-        ref_mat=mats[2],
-        dfull_mat=mats[3],
-        dtr_mat=mats[4],
-        dref_mat=mats[5],
+        rows=mats[:3],
+        drows=mats[3:],
     )
 
 
@@ -261,61 +263,50 @@ class EvolvedField:
         return getattr(self, "d" + name)
 
 
-def fields_at(table: ModeTable, t: float) -> EvolvedField:
-    c = table.coefficients(t)
-    full = c @ table.full_mat
-    tr_state = c @ table.tr_mat
-    ref_state = c @ table.ref_mat
-    dfull = c @ table.dfull_mat
-    dtr_state = c @ table.dtr_mat
-    dref_state = c @ table.dref_mat
+def _fields(table: ModeTable, times) -> list[EvolvedField]:
+    """EvolvedField at each time, from one batched product per mode matrix."""
     left = table._left_mask
-    return EvolvedField(
-        x=table.x,
-        t=t,
-        full=full,
-        tr=np.where(left, tr_state, full),
-        ref=np.where(left, ref_state, 0.0),
-        dfull=dfull,
-        dtr=np.where(left, dtr_state, dfull),
-        dref=np.where(left, dref_state, 0.0),
-        x_c=table.x_c,
-    )
+    full, tr_state, ref_state = table.states(times)
+    dfull, dtr_state, dref_state = table.states(times, deriv=True)
+    tr, ref = sub_waves(left, full, tr_state, ref_state)
+    dtr, dref = sub_waves(left, dfull, dtr_state, dref_state)
+    return [
+        EvolvedField(x=table.x, t=float(t), full=full[i], tr=tr[i], ref=ref[i],
+                     dfull=dfull[i], dtr=dtr[i], dref=dref[i], x_c=table.x_c)
+        for i, t in enumerate(times)
+    ]
 
 
-def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, t: float,
+def fields_at(table: ModeTable, t: float) -> EvolvedField:
+    return _fields(table, [t])[0]
+
+
+def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
                x_grid: np.ndarray, n_k: int = DEFAULT_N_K,
                span_sigmas: float = DEFAULT_SPAN_SIGMAS,
-               chunk: int = 64) -> ComponentField:
-    """One-shot synthesis without caching a mode table.
+               chunk: int = 64) -> list[ComponentField]:
+    """One-shot synthesis at each of `times` without caching a mode table.
 
-    Memory stays O(n_x); prefer build_mode_table + state_slice when many
-    times are needed on the same grid.
+    One pass over the modes builds value rows `chunk` modes at a time and
+    sums the three smooth states; the cut is applied once to the sums.
+    Memory stays O(n_t n_x); prefer build_mode_table when many times are
+    needed on the same grid.
     """
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}; pick one of {COMPONENTS}")
     packet.check_separation(spec)
     x = np.asarray(x_grid, dtype=float)
+    times = np.asarray(times, dtype=float)
     k, w = spectral_grid(packet, n_k, span_sigmas)
     f = packet.spectrum(k)
-    coeff = w * f * np.exp(-0.5j * k ** 2 * t) / math.sqrt(2.0 * math.pi)
-    left_mask = x <= spec.x_c
-    out = np.zeros(x.shape, dtype=complex)
+    sums = np.zeros((3, times.size, x.size), dtype=complex)
     for lo in range(0, k.size, chunk):
-        hi = min(lo + chunk, k.size)
-        _, _, full_b, tr_b, ref_b, _, _, _ = _rows_chunk(spec, x, k[lo:hi])
-        c = coeff[lo:hi]
-        if component == "full":
-            out += c @ full_b
-        elif component == "tr_state":
-            out += c @ tr_b
-        elif component == "ref_state":
-            out += c @ ref_b
-        elif component == "tr":
-            out += np.where(left_mask, c @ tr_b, c @ full_b)
-        else:
-            out += np.where(left_mask, c @ ref_b, 0.0)
-    return ComponentField(x=x, values=out, label=component, t=t)
+        part = slice(lo, lo + chunk)
+        _, _, rows = _rows_chunk(spec, x, k[part], deriv=False)
+        sums += _superpose(k[part], w[part], f[part], times, rows)
+    values = _component(component, x <= spec.x_c, *sums)
+    return [ComponentField(x=x, values=v, label=component, t=float(t))
+            for v, t in zip(values, times)]
 
 
 # --- diagnostics ------------------------------------------------------------
@@ -425,27 +416,14 @@ def current_density(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     return np.imag(np.conj(psi) * dpsi)
 
 
-def continuity_residual(table: ModeTable, component: str, t: float, dt: float,
-                        x_window: tuple[float, float] | None = None) -> float:
-    """max |d rho/d t + d j/d x| over the window.
-
-    The density rate uses a centered difference in t; the current uses the
-    analytic mode derivatives, so d j/d x differencing meets only the mild
-    j'''-kinks at the potential steps. For the piecewise components a
-    strip of half-width 2 dx around the cut is always excluded.
-    """
-    x = table.x
+def _continuity(x: np.ndarray, cut: float | None, psi_minus: np.ndarray, psi: np.ndarray,
+                psi_plus: np.ndarray, dpsi: np.ndarray, dt: float,
+                x_window: tuple[float, float] | None = None) -> float:
+    """max |d rho/d t + d j/d x| from samples at t - dt, t, t + dt and the
+    exact derivative at t; see continuity_residual."""
     dx = x[1] - x[0]
-    cut = table.x_c if component in ("tr", "ref") else None
-
-    psi_minus = table.state_slice(component, t - dt)
-    psi_plus = table.state_slice(component, t + dt)
     drho = (np.abs(psi_plus) ** 2 - np.abs(psi_minus) ** 2) / (2.0 * dt)
-
-    j = current_density(
-        table.state_slice(component, t), table.state_slice(component, t, deriv=True)
-    )
-    dj = _gradient_with_cut(j, x, cut)
+    dj = _gradient_with_cut(current_density(psi, dpsi), x, cut)
 
     resid = np.abs(drho + dj)
     keep = np.ones(x.shape, dtype=bool)
@@ -459,10 +437,20 @@ def continuity_residual(table: ModeTable, component: str, t: float, dt: float,
     return float(np.max(resid[keep]))
 
 
-def interference_field(table: ModeTable, t: float) -> np.ndarray:
-    """Cross density 2 Re(conj(tr) ref); integrates to 2 Re <tr|ref> ~ 0."""
-    fld = fields_at(table, t)
-    return 2.0 * np.real(np.conj(fld.tr) * fld.ref)
+def continuity_residual(table: ModeTable, component: str, t: float, dt: float,
+                        x_window: tuple[float, float] | None = None) -> float:
+    """max |d rho/d t + d j/d x| over the window.
+
+    The density rate uses a centered difference in t; the current uses the
+    analytic mode derivatives, so d j/d x differencing meets only the mild
+    j'''-kinks at the potential steps. For the piecewise components a
+    strip of half-width 2 dx around the cut is always excluded.
+    """
+    left = table._left_mask
+    psi = _component(component, left, *table.states([t - dt, t, t + dt]))
+    dpsi = _component(component, left, *table.states([t], deriv=True))[0]
+    cut = table.x_c if component in ("tr", "ref") else None
+    return _continuity(table.x, cut, psi[0], psi[1], psi[2], dpsi, dt, x_window)
 
 
 @dataclass
@@ -489,6 +477,9 @@ class DiagnosticsSeries:
 
 
 def diagnostics_series(table: ModeTable, times, fd_dt: float = 1e-2) -> DiagnosticsSeries:
+    """Diagnostics at every time, from batched fields plus the values at
+    t -/+ fd_dt for the continuity residual. A batch holds at most n_k / 4
+    times, so its arrays stay smaller than the table."""
     times = np.asarray(times, dtype=float)
     n = times.size
     cols = {
@@ -502,28 +493,32 @@ def diagnostics_series(table: ModeTable, times, fd_dt: float = 1e-2) -> Diagnost
         )
     }
     ov = np.zeros(n, dtype=complex)
-    x = table.x
-    i_left = int(np.searchsorted(x, table.x_c, side="left")) - 1
+    x, x_c, left = table.x, table.x_c, table._left_mask
+    i_left = int(np.searchsorted(x, x_c, side="left")) - 1
+    batch = max(1, table.k.size // 4)
 
-    for i, t in enumerate(times):
-        fld = fields_at(table, float(t))
-        cols["T"][i], cols["R"][i], cols["total"][i] = norms(fld)
-        ov[i] = overlap(fld)
-        cols["identity_residual"][i] = fld.identity_residual
-        for comp in ("full", "tr", "ref"):
-            try:
-                m = moments(fld, comp)
-            except ZeroNorm:
-                continue
-            cols[f"xbar_{comp}"][i] = m.xbar
-            cols[f"pbar_{comp}"][i] = m.pbar
-            cols[f"varx_{comp}"][i] = m.var_x
-        resid = max(
-            continuity_residual(table, "tr", float(t), fd_dt),
-            continuity_residual(table, "ref", float(t), fd_dt),
-        )
-        cols["continuity"][i] = resid
-        j_ref = current_density(fld.ref, fld.dref)
-        cols["ref_cut_flux"][i] = j_ref[i_left]
+    for lo in range(0, n, batch):
+        ts = times[lo:lo + batch]
+        tr_minus, ref_minus = sub_waves(left, *table.states(ts - fd_dt))
+        tr_plus, ref_plus = sub_waves(left, *table.states(ts + fd_dt))
+        for j, fld in enumerate(_fields(table, ts)):
+            i = lo + j
+            cols["T"][i], cols["R"][i], cols["total"][i] = norms(fld)
+            ov[i] = overlap(fld)
+            cols["identity_residual"][i] = fld.identity_residual
+            for comp in ("full", "tr", "ref"):
+                try:
+                    m = moments(fld, comp)
+                except ZeroNorm:
+                    continue
+                cols[f"xbar_{comp}"][i] = m.xbar
+                cols[f"pbar_{comp}"][i] = m.pbar
+                cols[f"varx_{comp}"][i] = m.var_x
+            cols["continuity"][i] = max(
+                _continuity(x, x_c, tr_minus[j], fld.tr, tr_plus[j], fld.dtr, fd_dt),
+                _continuity(x, x_c, ref_minus[j], fld.ref, ref_plus[j], fld.dref, fd_dt),
+            )
+            j_ref = current_density(fld.ref, fld.dref)
+            cols["ref_cut_flux"][i] = j_ref[i_left]
 
     return DiagnosticsSeries(t=times, overlap=ov, **cols)

@@ -178,9 +178,7 @@ def build_decomposition(spec: PotentialSpec, mode: EnergyMode, x_grid) -> Statio
     full = full_state.values(x)
     tr_solution = tr_state.values(x)
     ref_solution = ref_state.values(x)
-    left_mask = x <= x_c
-    tr_component = np.where(left_mask, tr_solution, full)
-    ref_component = np.where(left_mask, ref_solution, 0.0)
+    tr_component, ref_component = sub_waves(x <= x_c, full, tr_solution, ref_solution)
 
     identity_residual = float(np.max(np.abs(tr_solution + ref_solution - full)))
     if identity_residual > IDENTITY_STATIONARY:
@@ -258,6 +256,26 @@ def derivative_jump(dec: StationaryDecomposition) -> tuple[complex, complex]:
     return jump_tr, jump_ref
 
 
-def interference_density(dec: StationaryDecomposition) -> np.ndarray:
-    """Cross term 2 Re(conj(tr_component) * ref_component) on the grid."""
-    return 2.0 * np.real(np.conj(dec.tr_component) * dec.ref_component)
+def sub_waves(left, full, tr_state, ref_state):
+    """The cut at x_c: (tr, ref) from the full state and the two smooth
+    sub-solutions, sampled on the same grid.
+
+    tr is tr_state where `left` (the mask x <= x_c) holds and full beyond;
+    ref is ref_state where `left` holds and 0 beyond. The arrays may carry
+    leading axes (one row per time); `left` matches their last axis. The
+    cut is an elementwise select, so it commutes with any linear
+    superposition of the states.
+    """
+    return np.where(left, tr_state, full), np.where(left, ref_state, 0.0)
+
+
+def interference_density(tr: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Cross density 2 Re(conj(tr) ref) of the two sub-waves; it integrates
+    to 2 Re<tr|ref>.
+
+    For packets that integral is ~0 only at launch and once the
+    sub-packets separate: while the packet straddles x_c it balances the
+    transmission norm's transient (|Re<tr|ref>| reaches 3.1e-3 on the
+    canonical run).
+    """
+    return 2.0 * np.real(np.conj(tr) * ref)

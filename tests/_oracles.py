@@ -106,10 +106,8 @@ def cut_flux_integral(table, times):
     assert hits.size == 1, "the table's x grid has no point at the cut x_c"
     i = int(hits[0])
     times = np.asarray(times, dtype=float)
-    phi = np.array([
-        np.imag(np.conj(table.state_slice("full", t)[i])
-                * table.state_slice("ref_state", t, deriv=True)[i])
-        for t in times
-    ])
+    full = table.states(times)[0][:, i]
+    dref_state = table.states(times, deriv=True)[2][:, i]
+    phi = np.imag(np.conj(full) * dref_state)
     steps = 0.5 * (phi[1:] + phi[:-1]) * np.diff(times)
     return np.concatenate(([0.0], np.cumsum(steps)))

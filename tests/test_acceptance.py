@@ -183,15 +183,15 @@ def test_criterion_5_cross_method_oracle(canonical_spec, canonical_packet):
         canonical_spec.b + 100.0,
         dx=0.01, dt=0.01, t_max=80.0,
     )
-    x = grid.x()
-    initial = synthesize(canonical_spec, canonical_packet, "full", 0.0, x)
-    result = crank_nicolson_propagate(
-        canonical_spec, initial, grid, sample_times=[0.0, 40.0, 80.0]
+    checkpoints = [0.0, 40.0, 80.0]
+    initial, *spectral = synthesize(
+        canonical_spec, canonical_packet, "full", [0.0] + checkpoints, grid.x()
     )
+    result = crank_nicolson_propagate(canonical_spec, initial, grid, sample_times=checkpoints)
     distances = {}
-    for sample in result.samples:
-        spectral = synthesize(canonical_spec, canonical_packet, "full", sample.t, x)
-        l2, _ = compare_fields(spectral, sample)
+    for sample, spectral_field in zip(result.samples, spectral):
+        assert sample.t == spectral_field.t
+        l2, _ = compare_fields(spectral_field, sample)
         distances[sample.t] = l2
     ok = max(distances.values()) < 1e-3 and result.norm_drift < 1e-10
     report(

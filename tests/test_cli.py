@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from tunnelsplit import cli
 from tunnelsplit.cli import main
 
 # compact setup so CLI round trips stay fast: moderate barrier, wide packet
@@ -69,6 +74,17 @@ class TestExitCodes:
         assert run_cli("diagnostics", cfg, out) == 3
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "GridTooCoarse"
+
+    def test_unexpected_exception_is_4(self, tmp_path, monkeypatch):
+        def broken(cfg, out, pmap):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setitem(cli.COMMANDS, "stationary", broken)
+        out = tmp_path / "out"
+        assert run_cli("stationary", write_config(tmp_path), out) == 4
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 4
+        assert record["error"] == "RuntimeError"
 
 
 class TestOutputs:
@@ -181,3 +197,39 @@ def test_csv_floats_round_trip(tmp_path):
     lines = (out / "stationary.csv").read_text().splitlines()
     values = [float(v) for v in lines[1].split(",")]
     assert repr(values[2]) in lines[1]
+
+
+_TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import spans
+from tunnelsplit.cli import main
+
+tracer = spans.Tracer()
+spans.install(tracer)
+codes = [main([sub, sys.argv[2], "--out", sys.argv[3] + "/" + sub])
+         for sub in ("diagnostics", "oracle-check")]
+print(json.dumps({"codes": codes, "summary": tracer.summary()}))
+"""
+
+
+def test_benchmark_spans_install_on_package(tmp_path):
+    """perfbench/spans.py rebinds the package's layer entry points and reads
+    their arguments by position; a traced run must still work and count."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(root / "perfbench"),
+         write_config(tmp_path), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    summary = result["summary"]
+    assert summary["packets.diagnostics_series"]["count"] == FAST["times"]["num"]
+    # one pass over the modes per table build and per oracle synthesis
+    assert summary["splitting.build_decomposition"]["calls"] == 2 * FAST["n_k"]
+    assert summary["packets.synthesize"]["calls"] == 1
+    assert summary["packets.synthesize"]["count"] > 0
+    assert summary["cranknicolson.propagate"]["count"] > 0
+    assert summary["cli.write_csv"]["count"] > 0

@@ -9,7 +9,6 @@ from tunnelsplit.packets import (
     default_x_grid,
     diagnostics_series,
     fields_at,
-    interference_field,
     moments,
     norms,
     overlap,
@@ -18,6 +17,7 @@ from tunnelsplit.packets import (
     synthesize,
 )
 from tunnelsplit.potential import make_rectangular
+from tunnelsplit.splitting import interference_density
 from tunnelsplit.tolerances import NORM_DRIFT
 
 from _oracles import cut_flux_integral, free_gaussian
@@ -95,14 +95,17 @@ class TestFreePacket:
 class TestSynthesizeOneShot:
     def test_matches_table_slice(self, canonical_table, canonical_spec, canonical_packet):
         x = canonical_table.x[::16]
+        times = [0.0, 40.0, 70.0]
         for component in ("full", "tr", "ref"):
-            one = synthesize(canonical_spec, canonical_packet, component, 40.0, x)
-            ref = canonical_table.state_slice(component, 40.0)[::16]
-            np.testing.assert_allclose(one.values, ref, rtol=0, atol=1e-12)
+            fields = synthesize(canonical_spec, canonical_packet, component, times, x)
+            assert [f.t for f in fields] == times
+            for one, t in zip(fields, times):
+                ref = canonical_table.state_slice(component, t)[::16]
+                np.testing.assert_allclose(one.values, ref, rtol=0, atol=1e-12)
 
     def test_rejects_unknown_component(self, canonical_spec, canonical_packet):
         with pytest.raises(ValueError):
-            synthesize(canonical_spec, canonical_packet, "fish", 0.0, np.array([0.0]))
+            synthesize(canonical_spec, canonical_packet, "fish", [0.0], np.array([0.0]))
 
 
 class TestCanonicalRun:
@@ -160,8 +163,8 @@ class TestCanonicalRun:
 
     def test_interference_integrates_to_overlap(self, canonical_table):
         t = 55.0
-        cross = interference_field(canonical_table, t)
         fld = fields_at(canonical_table, t)
+        cross = interference_density(fld.tr, fld.ref)
         lhs = float(np.trapezoid(cross, canonical_table.x))
         assert lhs == pytest.approx(2.0 * overlap(fld).real, abs=1e-10)
 
@@ -255,3 +258,30 @@ def test_diagnostics_series_shapes(canonical_series):
     assert canonical_series.T.shape == (n,)
     assert np.all(np.isfinite(canonical_series.varx_full))
     assert np.all(canonical_series.identity_residual < 1e-8)
+
+
+def test_diagnostics_series_matches_per_time_recomputation():
+    """The batched series equals fields_at plus continuity_residual per time,
+    column by column; a batch that mixed up times or components would not."""
+    spec = make_rectangular(1.0, 1.0, -2.0)
+    packet = PacketSpec(k0=1.5, sigma_k=0.25, x0=-12.5)
+    x = np.arange(-30.0, 26.0 + 1e-9, 0.05)
+    table = build_mode_table(spec, packet, x, n_k=65, span_sigmas=5.5)
+    times = np.array([0.0, 3.0, 6.0, 9.0, 12.0])
+    fd_dt = 1e-2
+    series = diagnostics_series(table, times, fd_dt=fd_dt)
+    i_left = int(np.searchsorted(x, table.x_c, side="left")) - 1
+    for i, t in enumerate(times):
+        fld = fields_at(table, t)
+        want = dict(zip(("T", "R", "total"), norms(fld)))
+        want["overlap"] = overlap(fld)
+        for comp in ("full", "tr", "ref"):
+            m = moments(fld, comp)
+            want.update({f"xbar_{comp}": m.xbar, f"pbar_{comp}": m.pbar,
+                         f"varx_{comp}": m.var_x})
+        want["continuity"] = max(continuity_residual(table, c, t, fd_dt) for c in ("tr", "ref"))
+        want["ref_cut_flux"] = np.imag(np.conj(fld.ref) * fld.dref)[i_left]
+        want["identity_residual"] = fld.identity_residual
+        for name, value in want.items():
+            got = getattr(series, name)[i]
+            assert abs(got - value) <= 1e-12, (name, t, got, value)

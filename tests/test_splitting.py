@@ -216,7 +216,7 @@ class TestDerivativeJump:
 def test_interference_density_integrates_to_overlap():
     x = grid_for(CANONICAL, pad=8.0, n=4001)
     dec = build_decomposition(CANONICAL, EnergyMode(0.5), x)
-    cross = interference_density(dec)
+    cross = interference_density(dec.tr_component, dec.ref_component)
     lhs = np.trapezoid(cross, x)
     inner = np.trapezoid(np.conj(dec.tr_component) * dec.ref_component, x)
     assert lhs == pytest.approx(2.0 * inner.real, abs=1e-10)
