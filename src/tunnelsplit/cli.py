@@ -26,7 +26,7 @@ from .clocks import sweep_barrier_width, compute_clock
 from .errors import INTERNAL_ERRORS, SchemaError, TunnelSplitError
 from .packets import build_mode_table, diagnostics_series, fields_at, synthesize
 from .parallel import WorkerMap
-from .runconfig import RunConfig, parse_config
+from .runconfig import RunConfig, bound_workers, parse_config
 from .splitting import build_decomposition
 from .stationary import EnergyMode, solve_full
 from .tolerances import ORACLE_L2
@@ -94,7 +94,7 @@ def _need_packet(cfg: RunConfig):
         raise SchemaError("packet", "this subcommand needs a packet section")
 
 
-def _mode_table(cfg: RunConfig, pmap):
+def _mode_table(cfg: RunConfig):
     _need_packet(cfg)
     x_grid = None
     if cfg.x_grid_spec is not None:
@@ -102,11 +102,10 @@ def _mode_table(cfg: RunConfig, pmap):
         n = int(round((g["x_max"] - g["x_min"]) / g["dx"])) + 1
         x_grid = g["x_min"] + g["dx"] * np.arange(n)
     return build_mode_table(cfg.potential, cfg.packet, x_grid,
-                            n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas,
-                            map_fn=pmap, n_chunks=4 * cfg.workers)
+                            n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)
 
 
-def cmd_stationary(cfg: RunConfig, out: Path, pmap) -> dict:
+def cmd_stationary(cfg: RunConfig, out: Path) -> dict:
     rows = []
     for E in _energies(cfg):
         mode = EnergyMode(float(E))
@@ -125,7 +124,7 @@ def cmd_stationary(cfg: RunConfig, out: Path, pmap) -> dict:
     return {"max_unitarity_residual": worst, "rows": len(rows)}
 
 
-def cmd_decompose(cfg: RunConfig, out: Path, pmap) -> dict:
+def cmd_decompose(cfg: RunConfig, out: Path) -> dict:
     if cfg.mode is None:
         raise SchemaError("energy.E", "decompose needs one energy")
     spec = cfg.potential
@@ -165,8 +164,8 @@ def cmd_decompose(cfg: RunConfig, out: Path, pmap) -> dict:
     return {"invariants": report}
 
 
-def cmd_evolve(cfg: RunConfig, out: Path, pmap) -> dict:
-    table = _mode_table(cfg, pmap)
+def cmd_evolve(cfg: RunConfig, out: Path) -> dict:
+    table = _mode_table(cfg)
     stride = max(1, cfg.evolve_x_stride)
     rows = []
     worst_identity = 0.0
@@ -190,8 +189,8 @@ def cmd_evolve(cfg: RunConfig, out: Path, pmap) -> dict:
     return {"max_identity_residual": worst_identity, "snapshots": len(cfg.snapshot_times)}
 
 
-def cmd_diagnostics(cfg: RunConfig, out: Path, pmap) -> dict:
-    table = _mode_table(cfg, pmap)
+def cmd_diagnostics(cfg: RunConfig, out: Path) -> dict:
+    table = _mode_table(cfg)
     series = diagnostics_series(table, cfg.times, fd_dt=cfg.fd_dt)
     rows = zip(
         series.t, series.T, series.R,
@@ -223,7 +222,7 @@ def cmd_diagnostics(cfg: RunConfig, out: Path, pmap) -> dict:
     }
 
 
-def cmd_oracle_check(cfg: RunConfig, out: Path, pmap) -> dict:
+def cmd_oracle_check(cfg: RunConfig, out: Path) -> dict:
     _need_packet(cfg)
     spec, packet = cfg.potential, cfg.packet
     oracle = cfg.oracle
@@ -271,7 +270,7 @@ def _clock_row(res) -> tuple:
             res.tau_larmor_tr, res.tau_larmor_ref, res.omega_min, res.residual)
 
 
-def cmd_clock(cfg: RunConfig, out: Path, pmap) -> dict:
+def cmd_clock(cfg: RunConfig, out: Path) -> dict:
     if cfg.mode is None:
         raise SchemaError("energy.E", "clock needs one energy")
     res = compute_clock(cfg.potential, cfg.mode, cfg.clock_config,
@@ -285,16 +284,17 @@ def cmd_clock(cfg: RunConfig, out: Path, pmap) -> dict:
     }
 
 
-def cmd_hartman_sweep(cfg: RunConfig, out: Path, pmap) -> dict:
+def cmd_hartman_sweep(cfg: RunConfig, out: Path) -> dict:
     sw = cfg.sweep
     kappa_ls = np.linspace(float(sw["kappa_l_min"]), float(sw["kappa_l_max"]), int(sw["num"]))
-    results = sweep_barrier_width(
-        float(sw["v0"]), float(sw["energy_ratio"]), kappa_ls,
-        config_factors=tuple(cfg.clock_raw["omega_factors"]),
-        extrapolation_order=int(cfg.clock_raw["extrapolation_order"]),
-        n_quad=int(cfg.clock_raw["n_quad"]),
-        map_fn=pmap,
-    )
+    with WorkerMap(cfg.workers) as pmap:
+        results = sweep_barrier_width(
+            float(sw["v0"]), float(sw["energy_ratio"]), kappa_ls,
+            config_factors=tuple(cfg.clock_raw["omega_factors"]),
+            extrapolation_order=int(cfg.clock_raw["extrapolation_order"]),
+            n_quad=int(cfg.clock_raw["n_quad"]),
+            map_fn=pmap,
+        )
     taus = [r.tau_dwell_tr for r in results]
     monotonic = all(b > a for a, b in zip(taus, taus[1:]))
     write_csv(
@@ -323,8 +323,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir: str | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if subcommand not in COMMANDS:
         raise SchemaError("", f"unknown subcommand {subcommand!r}")
-    with WorkerMap(cfg.workers) as pmap:
-        extra = COMMANDS[subcommand](cfg, out, pmap)
+    extra = COMMANDS[subcommand](cfg, out)
     _write_run_files(out, cfg, subcommand, started, extra)
     return 0
 
@@ -353,15 +352,14 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=tuple(COMMANDS))
     parser.add_argument("config", help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--workers", type=int, default=None, help="worker count override")
+    parser.add_argument("--workers", type=int, default=None, help="hartman-sweep worker count")
     args = parser.parse_args(argv)
 
     out_dir = args.out or "out"
     try:
         cfg = parse_config(args.config)
         if args.workers is not None:
-            cfg.workers = max(1, args.workers)
-            cfg.raw["workers"] = cfg.workers
+            cfg.workers = cfg.raw["workers"] = bound_workers(args.workers)
         if args.out is not None:
             cfg.raw["out_dir"] = args.out
         out_dir = args.out or cfg.out_dir

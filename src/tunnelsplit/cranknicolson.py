@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
 
 from .errors import BoundaryContamination, GridMismatch, SolveSingular
 from .potential import PotentialSpec, evaluate
@@ -67,6 +65,8 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
     reported. Walls are hard zeros; more than CN_WALL_MASS probability
     within 5 points of a wall aborts the run.
     """
+    from scipy.sparse import diags  # imported here: no other code needs scipy.sparse
+    from scipy.sparse.linalg import splu
     x = grid.x()
     if initial.x.shape != x.shape or not np.allclose(initial.x, x, rtol=0, atol=1e-12):
         raise GridMismatch("initial field is not sampled on the propagation grid")

@@ -25,13 +25,12 @@ rule T + R + 2 Re<tr|ref> = total holds at every instant.
 Every field comes from one evaluator: `_superpose` multiplies the
 coefficients of a batch of times into the mode rows of full, tr_state and
 ref_state, one matrix product each, and `splitting.sub_waves` cuts the
-result. `ModeTable` caches value and derivative rows; `synthesize` builds
-value rows chunk by chunk.
+result. `build_mode_table` fills one stack of value and derivative rows
+in one serial pass; `synthesize` sums value rows SYNTH_CHUNK modes at a time.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -47,6 +46,7 @@ COMPONENTS = ("full", "tr", "ref", "tr_state", "ref_state")
 # (~1e-15) never shows up against the 1e-8 normalization contract
 DEFAULT_SPAN_SIGMAS = 8.0
 DEFAULT_N_K = 513
+SYNTH_CHUNK = 64  # modes per block of value rows in one-shot synthesis
 
 
 @dataclass(frozen=True)
@@ -128,14 +128,14 @@ def default_x_grid(spec: PotentialSpec, packet: PacketSpec,
     return spec.x_c + dx * np.arange(-n_side, n_side + 1)
 
 
-def _rows_chunk(spec: PotentialSpec, x_grid: np.ndarray, k_chunk, deriv: bool):
-    """T, R and the mode rows of a chunk of wavenumbers, stacked as
-    (3, n_chunk, n_x): full, tr_state, ref_state samples, followed by
-    their exact derivatives, (6, n_chunk, n_x), when `deriv` is set."""
-    T = np.empty(len(k_chunk))
-    R = np.empty(len(k_chunk))
-    rows = np.empty((6 if deriv else 3, len(k_chunk), x_grid.size), dtype=complex)
-    for j, k in enumerate(k_chunk):
+def _mode_rows(spec: PotentialSpec, x_grid: np.ndarray, ks, deriv: bool):
+    """T, R and the mode rows of the wavenumbers `ks`, stacked as
+    (3, n_k, n_x): full, tr_state, ref_state samples, followed by their
+    exact derivatives, (6, n_k, n_x), when `deriv` is set."""
+    T = np.empty(len(ks))
+    R = np.empty(len(ks))
+    rows = np.empty((6 if deriv else 3, len(ks), x_grid.size), dtype=complex)
+    for j, k in enumerate(ks):
         dec = build_decomposition(spec, EnergyMode.from_k(float(k)), x_grid)
         T[j], R[j] = dec.amplitudes.T, dec.amplitudes.R
         rows[:3, j] = dec.full, dec.tr_solution, dec.ref_solution
@@ -210,15 +210,11 @@ class ModeTable:
 def build_mode_table(spec: PotentialSpec, packet: PacketSpec,
                      x_grid: np.ndarray | None = None,
                      n_k: int = DEFAULT_N_K,
-                     span_sigmas: float = DEFAULT_SPAN_SIGMAS,
-                     map_fn=map, n_chunks: int = 1) -> ModeTable:
+                     span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> ModeTable:
     packet.check_separation(spec)
     x = default_x_grid(spec, packet, span_sigmas) if x_grid is None else np.asarray(x_grid, float)
     k, w = spectral_grid(packet, n_k, span_sigmas)
-    chunks = np.array_split(k, max(1, n_chunks))
-    worker = partial(_rows_chunk, spec, x, deriv=True)
-    parts = list(map_fn(worker, chunks))
-    mats = np.concatenate([p[2] for p in parts], axis=1)
+    T, R, mats = _mode_rows(spec, x, k, deriv=True)
     return ModeTable(
         spec=spec,
         packet=packet,
@@ -226,8 +222,8 @@ def build_mode_table(spec: PotentialSpec, packet: PacketSpec,
         k=k,
         weights=w,
         f_k=packet.spectrum(k),
-        T_k=np.concatenate([p[0] for p in parts]),
-        R_k=np.concatenate([p[1] for p in parts]),
+        T_k=T,
+        R_k=R,
         rows=mats[:3],
         drows=mats[3:],
     )
@@ -283,11 +279,10 @@ def fields_at(table: ModeTable, t: float) -> EvolvedField:
 
 def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
                x_grid: np.ndarray, n_k: int = DEFAULT_N_K,
-               span_sigmas: float = DEFAULT_SPAN_SIGMAS,
-               chunk: int = 64) -> list[ComponentField]:
+               span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> list[ComponentField]:
     """One-shot synthesis at each of `times` without caching a mode table.
 
-    One pass over the modes builds value rows `chunk` modes at a time and
+    One pass over the modes builds value rows SYNTH_CHUNK modes at a time and
     sums the three smooth states; the cut is applied once to the sums.
     Memory stays O(n_t n_x); prefer build_mode_table when many times are
     needed on the same grid.
@@ -300,9 +295,9 @@ def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
     k, w = spectral_grid(packet, n_k, span_sigmas)
     f = packet.spectrum(k)
     sums = np.zeros((3, times.size, x.size), dtype=complex)
-    for lo in range(0, k.size, chunk):
-        part = slice(lo, lo + chunk)
-        _, _, rows = _rows_chunk(spec, x, k[part], deriv=False)
+    for lo in range(0, k.size, SYNTH_CHUNK):
+        part = slice(lo, lo + SYNTH_CHUNK)
+        _, _, rows = _mode_rows(spec, x, k[part], deriv=False)
         sums += _superpose(k[part], w[part], f[part], times, rows)
     values = _component(component, x <= spec.x_c, *sums)
     return [ComponentField(x=x, values=v, label=component, t=float(t))

@@ -1,8 +1,8 @@
-"""Worker-pool capability handed to the numerical modules.
+"""Worker-pool capability handed to the barrier-width sweep.
 
-Modules stay policy-free: they accept a map-like callable and reduce its
-results in submission order, so outputs are identical for any worker
-count.
+`clocks.sweep_barrier_width` stays policy-free: it accepts a map-like
+callable and keeps its results in submission order, so outputs are
+identical for any worker count.
 """
 
 from concurrent.futures import ProcessPoolExecutor

@@ -7,6 +7,7 @@ error's name.
 """
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -87,6 +88,13 @@ def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, f"expected an integer, got {value!r}")
     return value
+
+
+def bound_workers(value) -> int:
+    """The `workers` key or --workers flag, >= 1 and capped at the CPU count."""
+    if _integer(value, "workers") < 1:
+        raise SchemaError("workers", "must be >= 1")
+    return min(value, os.cpu_count() or 1)
 
 
 @dataclass
@@ -280,9 +288,7 @@ def parse_config_text(text: str) -> RunConfig:
     if not (0.0 < _number(sweep["energy_ratio"], "sweep.energy_ratio") < 1.0):
         raise SchemaError("sweep.energy_ratio", "must lie in (0, 1)")
 
-    workers = _integer(cfg["workers"], "workers")
-    if workers < 1:
-        raise SchemaError("workers", "must be >= 1")
+    workers = cfg["workers"] = bound_workers(cfg["workers"])
 
     return RunConfig(
         raw=cfg,

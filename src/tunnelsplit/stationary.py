@@ -305,11 +305,9 @@ class PiecewiseState:
 
         def plane(mask, pair):
             cp, cm = pair
-            xm = x[mask]
-            if deriv:
-                out[mask] = 1j * k * (cp * np.exp(1j * k * xm) - cm * np.exp(-1j * k * xm))
-            else:
-                out[mask] = cp * np.exp(1j * k * xm) + cm * np.exp(-1j * k * xm)
+            # k and x are real, so exp(-ikx) is the conjugate of exp(ikx)
+            e = np.exp(1j * k * x[mask])
+            out[mask] = 1j * k * (cp * e - cm * e.conj()) if deriv else cp * e + cm * e.conj()
 
         plane(x < a, self.left)
         plane(x >= b, self.right)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tunnelsplit import cli
 from tunnelsplit.cli import main
 
@@ -75,8 +77,15 @@ class TestExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "GridTooCoarse"
 
+    def test_workers_flag_below_one_is_2(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["stationary", write_config(tmp_path), "--out", str(out),
+                     "--workers", "0"]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 2
+
     def test_unexpected_exception_is_4(self, tmp_path, monkeypatch):
-        def broken(cfg, out, pmap):
+        def broken(cfg, out):
             raise RuntimeError("unexpected")
 
         monkeypatch.setitem(cli.COMMANDS, "stationary", broken)
@@ -173,12 +182,16 @@ class TestDeterminism:
             assert run_cli(sub, cfg, b) == 0
             assert (a / name).read_bytes() == (b / name).read_bytes(), sub
 
-    def test_worker_count_does_not_change_values(self, tmp_path):
+    @pytest.mark.parametrize("subcommand, name", [
+        ("evolve", "evolve.csv"),
+        ("hartman-sweep", "hartman_sweep.csv"),
+    ])
+    def test_worker_count_does_not_change_values(self, tmp_path, subcommand, name):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
-        assert main(["evolve", cfg, "--out", str(out1), "--workers", "1"]) == 0
-        assert main(["evolve", cfg, "--out", str(out2), "--workers", "2"]) == 0
-        assert (out1 / "evolve.csv").read_bytes() == (out2 / "evolve.csv").read_bytes()
+        assert main([subcommand, cfg, "--out", str(out1), "--workers", "1"]) == 0
+        assert main([subcommand, cfg, "--out", str(out2), "--workers", "2"]) == 0
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_echo_allows_exact_replay(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -207,8 +220,9 @@ from tunnelsplit.cli import main
 
 tracer = spans.Tracer()
 spans.install(tracer)
-codes = [main([sub, sys.argv[2], "--out", sys.argv[3] + "/" + sub])
-         for sub in ("diagnostics", "oracle-check")]
+runs = (["diagnostics"], ["oracle-check"], ["evolve", "--workers", "2"])
+codes = [main([sub, sys.argv[2], "--out", sys.argv[3] + "/" + sub, *flags])
+         for sub, *flags in runs]
 print(json.dumps({"codes": codes, "summary": tracer.summary()}))
 """
 
@@ -224,12 +238,28 @@ def test_benchmark_spans_install_on_package(tmp_path):
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
     summary = result["summary"]
     assert summary["packets.diagnostics_series"]["count"] == FAST["times"]["num"]
-    # one pass over the modes per table build and per oracle synthesis
-    assert summary["splitting.build_decomposition"]["calls"] == 2 * FAST["n_k"]
+    # one pass over the modes per table build (diagnostics, evolve) and per
+    # oracle synthesis
+    assert summary["splitting.build_decomposition"]["calls"] == 3 * FAST["n_k"]
+    # the table is built in this process whatever the worker count
+    assert "parallel.map" not in summary
     assert summary["packets.synthesize"]["calls"] == 1
     assert summary["packets.synthesize"]["count"] > 0
     assert summary["cranknicolson.propagate"]["count"] > 0
     assert summary["cli.write_csv"]["count"] > 0
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    """Only the Crank-Nicolson propagator needs scipy.sparse, and it imports
+    it when called, so the other subcommands never load it."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tunnelsplit.cli; print('scipy.sparse' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"

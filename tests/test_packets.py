@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -285,3 +287,20 @@ def test_diagnostics_series_matches_per_time_recomputation():
         for name, value in want.items():
             got = getattr(series, name)[i]
             assert abs(got - value) <= 1e-12, (name, t, got, value)
+
+
+def test_mode_table_build_holds_one_table():
+    """The build writes every mode's rows into the table itself, so its
+    traced peak stays close to the table; holding the rows twice (say,
+    per-chunk parts plus their concatenation) would double it."""
+    spec = make_rectangular(1.0, 1.0, -2.0)
+    packet = PacketSpec(k0=1.5, sigma_k=0.25, x0=-12.5)
+    x = np.arange(-30.0, 26.0 + 1e-9, 0.05)
+    tracemalloc.start()
+    try:
+        table = build_mode_table(spec, packet, x, n_k=65, span_sigmas=5.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table_bytes = table.rows.nbytes + table.drows.nbytes
+    assert peak < 1.25 * table_bytes, (peak, table_bytes)

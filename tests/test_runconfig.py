@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -102,6 +103,13 @@ def test_span_interacts_with_packet():
 def test_workers_validated():
     with pytest.raises(SchemaError):
         parse(workers=0)
+
+
+def test_workers_capped_at_cpu_count():
+    # validation only: no pool is started
+    cfg = parse(workers=10**6)
+    assert cfg.workers == os.cpu_count()
+    assert cfg.echo()["workers"] == os.cpu_count()
 
 
 def test_config_echo_replays(tmp_path):
