@@ -255,6 +255,8 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> dict:
     return {
         "per_checkpoint": per_checkpoint,
         "norm_drift": result.norm_drift,
+        "wall_mass": result.wall_mass,
+        "cn_steps": grid.n_t,
         "pass": bool(passed),
     }
 

@@ -24,10 +24,10 @@ from functools import partial
 import numpy as np
 
 from .errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
-from .packets import PacketSpec, default_x_grid, simpson_weights, synthesize
+from .packets import PacketSpec, _smooth_sums, default_x_grid, simpson_weights, synthesize
 from .potential import PotentialSpec
-from .splitting import StationaryDecomposition, build_decomposition
-from .stationary import EnergyMode, solve_full
+from .splitting import StationaryDecomposition, build_decomposition, sub_waves
+from .stationary import EnergyMode, ScatteringAmplitudes, solve_full
 from .tolerances import OMEGA_FRACTION, OVERLAP_FINAL_FRACTION, ZERO_FLUX
 
 SUBPROCESSES = ("tr", "ref")
@@ -158,12 +158,27 @@ def zeeman_shifted(spec: PotentialSpec, delta: float) -> PotentialSpec:
     return PotentialSpec(a=spec.a, segments=tuple((w, h + delta) for w, h in spec.segments))
 
 
-def _outgoing_amplitude(spec: PotentialSpec, mode: EnergyMode, subprocess: str) -> complex:
+def _outgoing(amps: ScatteringAmplitudes, subprocess: str) -> complex:
     # beyond x_c the transmission sub-wave equals the full solution, so its
     # right-side amplitude is A_T; the reflection sub-wave owns the entire
     # left-outgoing wave A_R
-    amps = solve_full(spec, mode)
     return amps.A_T if subprocess == "tr" else amps.A_R
+
+
+def _require_channel(amps: ScatteringAmplitudes, mode: EnergyMode, subprocess: str):
+    # an absent channel has no clock: the shifted problems would still
+    # return tiny amplitudes whose phase carries no time information
+    if abs(_outgoing(amps, subprocess)) ** 2 < ZERO_FLUX:
+        raise ZeroFlux(f"{subprocess} channel absent at E = {mode.E:.4g}")
+
+
+def _zeeman_solves(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig):
+    """(spin up, spin down) solutions, shifted by -omega/2 and +omega/2,
+    for each omega; both sub-process readings are taken from them."""
+    return [
+        tuple(solve_full(zeeman_shifted(spec, s * omega), mode) for s in (-0.5, +0.5))
+        for omega in config.omegas
+    ]
 
 
 def _extrapolate_to_zero(omegas: np.ndarray, values: np.ndarray, order: int) -> float:
@@ -185,24 +200,14 @@ def _extrapolate_to_zero(omegas: np.ndarray, values: np.ndarray, order: int) -> 
     return float(tab[0])
 
 
-def larmor_times(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig,
-                 subprocess: str) -> LarmorReading:
-    """Weak-field precession times for one sub-process, extrapolated to
-    zero field."""
-    if subprocess not in SUBPROCESSES:
-        raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
-    spec.require_symmetric()
-    config.validate_against(mode, spec)
-    # an absent channel has no clock: the shifted problems would still
-    # return tiny amplitudes whose phase carries no time information
-    if abs(_outgoing_amplitude(spec, mode, subprocess)) ** 2 < ZERO_FLUX:
-        raise ZeroFlux(f"{subprocess} channel absent at E = {mode.E:.4g}")
+def _larmor_reading(shifted, config: ClockConfig, subprocess: str) -> LarmorReading:
+    """Precession times of one sub-process from the Zeeman-shifted
+    solutions, extrapolated to zero field."""
     omegas = np.array(config.omegas, dtype=float)
     raw = np.empty(omegas.size)
     out_of_plane = np.empty(omegas.size)
-    for i, omega in enumerate(omegas):
-        up = _outgoing_amplitude(zeeman_shifted(spec, -0.5 * omega), mode, subprocess)
-        down = _outgoing_amplitude(zeeman_shifted(spec, +0.5 * omega), mode, subprocess)
+    for i, (omega, (up_amps, down_amps)) in enumerate(zip(omegas, shifted)):
+        up, down = _outgoing(up_amps, subprocess), _outgoing(down_amps, subprocess)
         if min(abs(up), abs(down)) ** 2 < ZERO_FLUX:
             raise ZeroFlux(f"{subprocess} amplitude vanishes at omega = {omega:.3g}")
         raw[i] = cmath.phase(up * down.conjugate()) / omega
@@ -217,6 +222,18 @@ def larmor_times(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig,
         residuals=residuals,
         out_of_plane=out_of_plane,
     )
+
+
+def larmor_times(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig,
+                 subprocess: str) -> LarmorReading:
+    """Weak-field precession times for one sub-process, extrapolated to
+    zero field."""
+    if subprocess not in SUBPROCESSES:
+        raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
+    spec.require_symmetric()
+    config.validate_against(mode, spec)
+    _require_channel(solve_full(spec, mode), mode, subprocess)
+    return _larmor_reading(_zeeman_solves(spec, mode, config), config, subprocess)
 
 
 def probe_noninvasiveness(spec: PotentialSpec, mode: EnergyMode,
@@ -251,9 +268,14 @@ def compute_clock(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig,
         tau_ref = dwell_time(dec, "ref", n_quad)
     except ZeroFlux:
         tau_ref = math.nan
-    reading_tr = larmor_times(spec, mode, config, "tr")
+    # one set of Zeeman solves serves both readings; the base solution is
+    # the decomposition's, and dwell_time has already required the tr channel
+    config.validate_against(mode, spec)
+    shifted = _zeeman_solves(spec, mode, config)
+    reading_tr = _larmor_reading(shifted, config, "tr")
     try:
-        reading_ref = larmor_times(spec, mode, config, "ref")
+        _require_channel(dec.amplitudes, mode, "ref")
+        reading_ref = _larmor_reading(shifted, config, "ref")
     except ZeroFlux:
         reading_ref = None
     return ClockResult(
@@ -313,8 +335,8 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
     config.validate_against(EnergyMode.from_k(packet.k0), spec)
     x = default_x_grid(spec, packet) if x_grid is None else np.asarray(x_grid, float)
 
-    tr0 = synthesize(spec, packet, "tr", [t], x, n_k)[0].values
-    ref0 = synthesize(spec, packet, "ref", [t], x, n_k)[0].values
+    full, tr_state, ref_state = _smooth_sums(spec, packet, [t], x, n_k)
+    tr0, ref0 = (c[0] for c in sub_waves(x <= spec.x_c, full, tr_state, ref_state))
     t_w = float(np.trapezoid(np.abs(tr0) ** 2, x))
     r_w = float(np.trapezoid(np.abs(ref0) ** 2, x))
     ov = abs(np.trapezoid(np.conj(tr0) * ref0, x))

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import GridTooCoarse, SpectrumDomainError, ZeroNorm
 from .potential import PotentialSpec
 from .splitting import build_decomposition, sub_waves
-from .stationary import ComponentField, EnergyMode
+from .stationary import ComponentField, EnergyMode, sample_states
 from .tolerances import QUADRATURE_ERROR, ZERO_NORM
 
 COMPONENTS = ("full", "tr", "ref", "tr_state", "ref_state")
@@ -141,7 +141,7 @@ def _mode_rows(spec: PotentialSpec, x_grid: np.ndarray, ks, deriv: bool):
         rows[:3, j] = dec.full, dec.tr_solution, dec.ref_solution
         if deriv:
             states = (dec.full_state, dec.tr_state, dec.ref_state)
-            rows[3:, j] = [s.derivative(x_grid) for s in states]
+            rows[3:, j] = sample_states(states, x_grid, deriv=True)
     return T, R, rows
 
 
@@ -282,15 +282,27 @@ def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
                span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> list[ComponentField]:
     """One-shot synthesis at each of `times` without caching a mode table.
 
-    One pass over the modes builds value rows SYNTH_CHUNK modes at a time and
-    sums the three smooth states; the cut is applied once to the sums.
+    One pass over the modes (`_smooth_sums`) builds value rows SYNTH_CHUNK
+    modes at a time and sums the three smooth states; the cut is applied
+    once to the sums.
     Memory stays O(n_t n_x); prefer build_mode_table when many times are
     needed on the same grid.
     """
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}; pick one of {COMPONENTS}")
-    packet.check_separation(spec)
     x = np.asarray(x_grid, dtype=float)
+    sums = _smooth_sums(spec, packet, times, x, n_k, span_sigmas)
+    values = _component(component, x <= spec.x_c, *sums)
+    return [ComponentField(x=x, values=v, label=component, t=float(t))
+            for v, t in zip(values, times)]
+
+
+def _smooth_sums(spec: PotentialSpec, packet: PacketSpec, times, x: np.ndarray,
+                 n_k: int = DEFAULT_N_K,
+                 span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> np.ndarray:
+    """The body of `synthesize`: full, tr_state and ref_state at every
+    time, as a (3, n_t, n_x) stack, before any cut."""
+    packet.check_separation(spec)
     times = np.asarray(times, dtype=float)
     k, w = spectral_grid(packet, n_k, span_sigmas)
     f = packet.spectrum(k)
@@ -299,9 +311,7 @@ def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
         part = slice(lo, lo + SYNTH_CHUNK)
         _, _, rows = _mode_rows(spec, x, k[part], deriv=False)
         sums += _superpose(k[part], w[part], f[part], times, rows)
-    values = _component(component, x <= spec.x_c, *sums)
-    return [ComponentField(x=x, values=v, label=component, t=float(t))
-            for v, t in zip(values, times)]
+    return sums
 
 
 # --- diagnostics ------------------------------------------------------------

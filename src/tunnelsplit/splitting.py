@@ -33,6 +33,7 @@ from .stationary import (
     EnergyMode,
     PiecewiseState,
     ScatteringAmplitudes,
+    sample_states,
     solve_full,
     state_from_left,
     state_from_midpoint,
@@ -175,9 +176,7 @@ def build_decomposition(spec: PotentialSpec, mode: EnergyMode, x_grid) -> Statio
             f"backward-built full state has incidence {full_state.left[0]!r}, expected 1"
         )
 
-    full = full_state.values(x)
-    tr_solution = tr_state.values(x)
-    ref_solution = ref_state.values(x)
+    full, tr_solution, ref_solution = sample_states((full_state, tr_state, ref_state), x)
     tr_component, ref_component = sub_waves(x <= x_c, full, tr_solution, ref_solution)
 
     identity_residual = float(np.max(np.abs(tr_solution + ref_solution - full)))

@@ -297,40 +297,50 @@ class PiecewiseState:
             ],
         )
 
-    def _eval(self, x, deriv: bool) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        k = self.mode.k
-        a, b = self.spec.a, self.spec.b
-
-        def plane(mask, pair):
-            cp, cm = pair
-            # k and x are real, so exp(-ikx) is the conjugate of exp(ikx)
-            e = np.exp(1j * k * x[mask])
-            out[mask] = 1j * k * (cp * e - cm * e.conj()) if deriv else cp * e + cm * e.conj()
-
-        plane(x < a, self.left)
-        plane(x >= b, self.right)
-        interior = (x >= a) & (x < b)
-        if interior.any():
-            xi = x[interior]
-            vals = np.empty(xi.shape, dtype=complex)
-            # right-open assignment: a point on an interior edge belongs to
-            # the segment to its right
-            breaks = np.array([p.xl for p in self.pieces[1:]])
-            idx = np.searchsorted(breaks, xi, side="right")
-            for j, piece in enumerate(self.pieces):
-                m = idx == j
-                if m.any():
-                    vals[m] = piece.derivative(xi[m]) if deriv else piece.values(xi[m])
-            out[interior] = vals
-        return out
-
     def values(self, x) -> np.ndarray:
-        return self._eval(x, deriv=False)
+        return sample_states([self], x)[0]
 
     def derivative(self, x) -> np.ndarray:
-        return self._eval(x, deriv=True)
+        return sample_states([self], x, deriv=True)[0]
+
+
+def sample_states(states, x, deriv: bool = False) -> np.ndarray:
+    """Values (or x derivatives) of several states of one spec and mode,
+    as an (n_states, *x.shape) array.
+
+    One exp(ikx) per plane-wave region serves every state; exp(-ikx) is
+    its conjugate, exact for real k and x. On an ascending grid the left
+    region, the interior and each state's segments are contiguous slices;
+    a point on an edge belongs to the segment on its right (x = a is
+    interior, x = b is right). Any other grid goes through its sort
+    permutation.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty((len(states), flat.size), dtype=complex)
+    if flat.size > 1 and np.any(flat[1:] < flat[:-1]):
+        order = np.argsort(flat, kind="stable")
+        out[:, order] = sample_states(states, flat[order], deriv)
+        return out.reshape((len(states),) + x.shape)
+    first = states[0]
+    k = first.mode.k
+    i_a, i_b = np.searchsorted(flat, (first.spec.a, first.spec.b))
+    for lo, hi, side in ((0, i_a, "left"), (i_b, flat.size, "right")):
+        if hi == lo:
+            continue
+        e = np.exp(1j * k * flat[lo:hi])
+        ec = e.conj()
+        for s, state in enumerate(states):
+            cp, cm = getattr(state, side)
+            out[s, lo:hi] = 1j * k * (cp * e - cm * ec) if deriv else cp * e + cm * ec
+    xi = flat[i_a:i_b]
+    for s, state in enumerate(states):
+        edges = [0, *np.searchsorted(xi, [p.xl for p in state.pieces[1:]]), xi.size]
+        for piece, lo, hi in zip(state.pieces, edges[:-1], edges[1:]):
+            if hi > lo:
+                part = xi[lo:hi]
+                out[s, i_a + lo:i_a + hi] = piece.derivative(part) if deriv else piece.values(part)
+    return out.reshape((len(states),) + x.shape)
 
 
 def _segments_q2(spec: PotentialSpec, mode: EnergyMode):

@@ -8,6 +8,7 @@ import pytest
 
 from tunnelsplit import cli
 from tunnelsplit.cli import main
+from tunnelsplit.tolerances import CN_WALL_MASS
 
 # compact setup so CLI round trips stay fast: moderate barrier, wide packet
 FAST = {
@@ -154,6 +155,10 @@ class TestOutputs:
         assert float(t_max) == 12.0
         assert passed == "1"
         assert float(drift) < 1e-10
+        # the CN run's step count and peak wall mass go to the metadata, not the CSV
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert meta["cn_steps"] == 1200
+        assert 0.0 <= meta["wall_mass"] < CN_WALL_MASS
 
     def test_clock_and_sweep_schema(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -253,13 +258,15 @@ def test_benchmark_spans_install_on_package(tmp_path):
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    """Only the Crank-Nicolson propagator needs scipy.sparse, and it imports
-    it when called, so the other subcommands never load it."""
+    """Only the Crank-Nicolson propagator needs scipy.linalg (and no code
+    needs scipy.sparse); it imports LAPACK when called, so the other
+    subcommands load neither."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, tunnelsplit.cli; print('scipy.sparse' in sys.modules)"],
+         "import sys, tunnelsplit.cli; "
+         "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules))"],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"

@@ -8,7 +8,7 @@ from tunnelsplit.cranknicolson import (
     staggered_grid,
 )
 from tunnelsplit.errors import BoundaryContamination, GridMismatch
-from tunnelsplit.potential import make_rectangular
+from tunnelsplit.potential import evaluate, make_rectangular
 from tunnelsplit.stationary import ComponentField
 
 from _oracles import free_gaussian
@@ -69,6 +69,36 @@ class TestPropagation:
         initial = gaussian_field(np.linspace(-10.0, 10.0, 400), 0.0)
         with pytest.raises(GridMismatch):
             crank_nicolson_propagate(FREE, initial, grid)
+
+    def test_steps_match_dense_crank_nicolson(self):
+        # the Cayley form psi' = 2 L^-1 psi - psi against a dense solve of
+        # (I + i dt/2 H) psi' = (I - i dt/2 H) psi, barrier included
+        spec = make_rectangular(1.5, 2.0, -1.0)
+        grid = GridSpec(x_min=-12.0, x_max=12.0, n_x=241, dt=0.05, n_t=4)
+        x = grid.x()
+        initial = gaussian_field(x, 0.0, k0=1.2, sigma_k=0.4, x0=-4.0)
+        result = crank_nicolson_propagate(spec, initial, grid, sample_times=[0.1, 0.2])
+
+        n = x.size - 2
+        H = (np.diag(1.0 / grid.dx ** 2 + evaluate(spec, x)[1:-1])
+             + np.diag(np.full(n - 1, -0.5 / grid.dx ** 2), 1)
+             + np.diag(np.full(n - 1, -0.5 / grid.dx ** 2), -1))
+        lhs = np.eye(n) + 0.5j * grid.dt * H
+        rhs = np.eye(n) - 0.5j * grid.dt * H
+        inner = initial.values[1:-1].astype(complex)
+        for sample in result.samples:
+            for _ in range(2):
+                inner = np.linalg.solve(lhs, rhs @ inner)
+            assert sample.values[0] == sample.values[-1] == 0.0
+            assert np.max(np.abs(sample.values[1:-1] - inner)) < 1e-12
+
+    def test_smallest_grid(self):
+        with pytest.raises(ValueError):
+            GridSpec(x_min=-1.0, x_max=1.0, n_x=4, dt=0.1, n_t=1)
+        grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=5, dt=0.1, n_t=3)
+        initial = ComponentField(x=grid.x(), values=np.zeros(5, dtype=complex))
+        result = crank_nicolson_propagate(FREE, initial, grid, sample_times=[0.3])
+        assert np.all(result.samples[0].values == 0.0)
 
     def test_sample_time_must_hit_a_step(self):
         grid = GridSpec(x_min=-10.0, x_max=10.0, n_x=401, dt=0.01, n_t=100)

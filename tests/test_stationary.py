@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from tunnelsplit.errors import OpacityOverflow
 from tunnelsplit.potential import PotentialSpec, make_piecewise, make_rectangular
+from tunnelsplit.splitting import build_decomposition
 from tunnelsplit.stationary import (
     BoundaryAmplitudes,
     EnergyMode,
     ScatteringAmplitudes,
     evaluate_state,
+    sample_states,
     segment_wavevector,
     solve_full,
     state_from_left,
@@ -199,6 +201,56 @@ class TestStateCascades:
         h = 1e-6
         fd = (state.values(x + h) - state.values(x - h)) / (2 * h)
         np.testing.assert_allclose(state.derivative(x), fd, rtol=1e-8, atol=1e-8)
+
+
+def _masked_reference(state, x, deriv):
+    """Per-state evaluation by boolean masks: plane waves left of a and from
+    b on, each interior segment on [its left edge, the next one's)."""
+    k = state.mode.k
+    out = np.full(x.shape, np.nan, dtype=complex)
+    for mask, (cp, cm) in ((x < state.spec.a, state.left), (x >= state.spec.b, state.right)):
+        e = np.exp(1j * k * x[mask])
+        out[mask] = 1j * k * (cp * e - cm * e.conj()) if deriv else cp * e + cm * e.conj()
+    ends = [p.xl for p in state.pieces[1:]] + [state.spec.b]
+    for piece, end in zip(state.pieces, ends):
+        m = (x >= piece.xl) & (x < end)
+        out[m] = piece.derivative(x[m]) if deriv else piece.values(x[m])
+    return out
+
+
+class TestSampleStates:
+    # E equals the middle height, so that segment takes the pair form
+    SPEC = make_piecewise(-1.5, [(1.0, 2.0), (1.0, 0.5), (1.0, 2.0)])
+    EDGES = [-1.5, -0.5, 0.0, 0.5, 1.5]  # a, interior edge, x_c, interior edge, b
+
+    def _states_and_grid(self):
+        x = np.sort(np.concatenate([np.linspace(-3.05, 3.05, 62), self.EDGES]))
+        dec = build_decomposition(self.SPEC, EnergyMode(0.5), x)
+        states = (dec.full_state, dec.tr_state, dec.ref_state, dec.even_ref_state)
+        return states, x
+
+    def test_setup_covers_pair_form_and_split_middle(self):
+        states, x = self._states_and_grid()
+        assert "pair" in [p.kind for p in states[0].pieces]
+        # the midpoint cascades split the middle segment at x_c
+        assert [p.xl for p in states[2].pieces] == [-1.5, -0.5, 0.0, 0.5]
+        assert np.all(np.isin(self.EDGES, x))
+
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_rows_equal_one_state_calls_bitwise(self, deriv):
+        states, x = self._states_and_grid()
+        rows = sample_states(states, x, deriv=deriv)
+        assert rows.shape == (len(states), x.size)
+        for row, state in zip(rows, states):
+            single = state.derivative(x) if deriv else state.values(x)
+            assert np.array_equal(row, single)
+            assert np.array_equal(row, _masked_reference(state, x, deriv))
+
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_reversed_grid_reverses_output(self, deriv):
+        states, x = self._states_and_grid()
+        rows = sample_states(states, x, deriv=deriv)
+        assert np.array_equal(sample_states(states, x[::-1], deriv=deriv), rows[:, ::-1])
 
 
 @settings(deadline=None, max_examples=60)
