@@ -96,12 +96,7 @@ def _need_packet(cfg: RunConfig):
 
 def _mode_table(cfg: RunConfig):
     _need_packet(cfg)
-    x_grid = None
-    if cfg.x_grid_spec is not None:
-        g = cfg.x_grid_spec
-        n = int(round((g["x_max"] - g["x_min"]) / g["dx"])) + 1
-        x_grid = g["x_min"] + g["dx"] * np.arange(n)
-    return build_mode_table(cfg.potential, cfg.packet, x_grid,
+    return build_mode_table(cfg.potential, cfg.packet, cfg.x_grid,
                             n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)
 
 

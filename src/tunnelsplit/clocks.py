@@ -24,9 +24,10 @@ from functools import partial
 import numpy as np
 
 from .errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
-from .packets import PacketSpec, _smooth_sums, default_x_grid, simpson_weights, synthesize
+from .packets import (COMPONENTS, PacketSpec, _mode_table, build_mode_table, default_x_grid,
+                      simpson_weights)
 from .potential import PotentialSpec
-from .splitting import StationaryDecomposition, build_decomposition, sub_waves
+from .splitting import StationaryDecomposition, build_decomposition
 from .stationary import EnergyMode, ScatteringAmplitudes, solve_full
 from .tolerances import OMEGA_FRACTION, OVERLAP_FINAL_FRACTION, ZERO_FLUX
 
@@ -200,14 +201,17 @@ def _extrapolate_to_zero(omegas: np.ndarray, values: np.ndarray, order: int) -> 
     return float(tab[0])
 
 
-def _larmor_reading(shifted, config: ClockConfig, subprocess: str) -> LarmorReading:
-    """Precession times of one sub-process from the Zeeman-shifted
-    solutions, extrapolated to zero field."""
+def _outgoing_pairs(shifted, subprocess: str) -> list[tuple[complex, complex]]:
+    return [(_outgoing(up, subprocess), _outgoing(down, subprocess)) for up, down in shifted]
+
+
+def _larmor_reading(pairs, config: ClockConfig, subprocess: str) -> LarmorReading:
+    """Precession times of one sub-process from its (spin up, spin down)
+    outgoing amplitudes at each omega, extrapolated to zero field."""
     omegas = np.array(config.omegas, dtype=float)
     raw = np.empty(omegas.size)
     out_of_plane = np.empty(omegas.size)
-    for i, (omega, (up_amps, down_amps)) in enumerate(zip(omegas, shifted)):
-        up, down = _outgoing(up_amps, subprocess), _outgoing(down_amps, subprocess)
+    for i, (omega, (up, down)) in enumerate(zip(omegas, pairs)):
         if min(abs(up), abs(down)) ** 2 < ZERO_FLUX:
             raise ZeroFlux(f"{subprocess} amplitude vanishes at omega = {omega:.3g}")
         raw[i] = cmath.phase(up * down.conjugate()) / omega
@@ -233,7 +237,8 @@ def larmor_times(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig,
     spec.require_symmetric()
     config.validate_against(mode, spec)
     _require_channel(solve_full(spec, mode), mode, subprocess)
-    return _larmor_reading(_zeeman_solves(spec, mode, config), config, subprocess)
+    shifted = _zeeman_solves(spec, mode, config)
+    return _larmor_reading(_outgoing_pairs(shifted, subprocess), config, subprocess)
 
 
 def probe_noninvasiveness(spec: PotentialSpec, mode: EnergyMode,
@@ -272,10 +277,10 @@ def compute_clock(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig,
     # the decomposition's, and dwell_time has already required the tr channel
     config.validate_against(mode, spec)
     shifted = _zeeman_solves(spec, mode, config)
-    reading_tr = _larmor_reading(shifted, config, "tr")
+    reading_tr = _larmor_reading(_outgoing_pairs(shifted, "tr"), config, "tr")
     try:
         _require_channel(dec.amplitudes, mode, "ref")
-        reading_ref = _larmor_reading(shifted, config, "ref")
+        reading_ref = _larmor_reading(_outgoing_pairs(shifted, "ref"), config, "ref")
     except ZeroFlux:
         reading_ref = None
     return ClockResult(
@@ -325,9 +330,9 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
     """Packet-level Larmor reading taken after the sub-packets separate.
 
     The spin-up/down packets are synthesized with the shifted barriers,
-    their relative phase is read at the sub-packet peak and divided by
-    omega, then extrapolated like the stationary reading. Readout before
-    the overlap threshold is met raises PrematureReadout.
+    which share the base table's exp(ikx); their amplitudes at the
+    sub-packet peak give the reading as in the stationary case. Readout
+    before the overlap threshold is met raises PrematureReadout.
     """
     if subprocess not in SUBPROCESSES:
         raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
@@ -335,8 +340,8 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
     config.validate_against(EnergyMode.from_k(packet.k0), spec)
     x = default_x_grid(spec, packet) if x_grid is None else np.asarray(x_grid, float)
 
-    full, tr_state, ref_state = _smooth_sums(spec, packet, [t], x, n_k)
-    tr0, ref0 = (c[0] for c in sub_waves(x <= spec.x_c, full, tr_state, ref_state))
+    base = build_mode_table(spec, packet, x, n_k)
+    _, tr0, ref0 = base.states([t])[:, 0]
     t_w = float(np.trapezoid(np.abs(tr0) ** 2, x))
     r_w = float(np.trapezoid(np.abs(ref0) ** 2, x))
     ov = abs(np.trapezoid(np.conj(tr0) * ref0, x))
@@ -347,23 +352,14 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
             f"> {threshold:.3e}"
         )
 
-    omegas = np.array(config.omegas, dtype=float)
-    raw = np.empty(omegas.size)
-    out_of_plane = np.empty(omegas.size)
-    for i, omega in enumerate(omegas):
-        up, down = (
-            synthesize(zeeman_shifted(spec, s * omega), packet, subprocess, [t], x, n_k)[0].values
-            for s in (-0.5, +0.5)
-        )
+    def shifted_packet(delta):
+        table = _mode_table(zeeman_shifted(spec, delta), packet, x, base.k, base.weights)
+        table.e = base.e
+        return table.states([t])[COMPONENTS.index(subprocess), 0]
+
+    pairs = []
+    for omega in config.omegas:
+        up, down = (shifted_packet(s * omega) for s in (-0.5, +0.5))
         peak = int(np.argmax(np.abs(up) ** 2 + np.abs(down) ** 2))
-        raw[i] = cmath.phase(up[peak] * down[peak].conjugate()) / omega
-        out_of_plane[i] = math.log(abs(up[peak]) / abs(down[peak])) / omega
-    limit = _extrapolate_to_zero(omegas, raw, config.extrapolation_order)
-    return LarmorReading(
-        subprocess=subprocess,
-        omegas=omegas,
-        raw_times=raw,
-        extrapolated=limit,
-        residuals=np.abs(raw - limit),
-        out_of_plane=out_of_plane,
-    )
+        pairs.append((up[peak], down[peak]))
+    return _larmor_reading(pairs, config, subprocess)

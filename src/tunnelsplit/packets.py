@@ -7,12 +7,11 @@ A packet is a Simpson-weighted superposition of stationary solutions,
 so time is a parameter, not an evolution variable: any t can be sampled
 directly. Components:
 
-    full       unit-incidence scattering state
-    tr_state   transmission sub-solution (smooth, defined on the whole line)
-    ref_state  reflection sub-solution (smooth, antisymmetric about x_c)
-    tr         piecewise sub-process wave: tr_state left of x_c, full beyond
-    ref        piecewise sub-process wave: ref_state left of x_c, 0 beyond
+    full   unit-incidence scattering state
+    tr     piecewise sub-process wave: tr_state left of x_c, full beyond
+    ref    piecewise sub-process wave: ref_state left of x_c, 0 beyond
 
+with tr_state and ref_state the smooth sub-solutions of `splitting`.
 The piecewise pair carries the channel probabilities. The reflection
 norm is conserved exactly (every reflection mode vanishes at x_c, so no
 flux crosses the cut); the transmission norm matches its spectral weight
@@ -22,15 +21,19 @@ barrier, by the same flux identity that makes the tr/ref overlap purely
 imaginary at launch and again once the sub-packets separate. The sum
 rule T + R + 2 Re<tr|ref> = total holds at every instant.
 
-Every field comes from one evaluator: `_superpose` multiplies the
-coefficients of a batch of times into the mode rows of full, tr_state and
-ref_state, one matrix product each, and `splitting.sub_waves` cuts the
-result. `build_mode_table` fills one stack of value and derivative rows
-in one serial pass; `synthesize` sums value rows SYNTH_CHUNK modes at a time.
+Modes are kept as coefficients. With e = exp(ikx), the cut leaves
+
+    left of a:   full = c+ e + c- conj(e),   tr = A_tr_in e,   ref = full - tr
+    right of b:  full = A_T e,               tr = full,        ref = 0
+
+and derivatives scale the pairs by +/- ik; inside [a, b) a table keeps
+value and derivative rows at its grid points. `ModeTable.states` is the
+one evaluator, for a batch of times and an exp(ikx) shared by every
+time; `synthesize` evaluates its grid X_CHUNK points at a time.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,13 +43,13 @@ from .splitting import build_decomposition, sub_waves
 from .stationary import ComponentField, EnergyMode, sample_states
 from .tolerances import QUADRATURE_ERROR, ZERO_NORM
 
-COMPONENTS = ("full", "tr", "ref", "tr_state", "ref_state")
+COMPONENTS = ("full", "tr", "ref")
 
 # spectral span in units of sigma_k; wide enough that the truncated tail
 # (~1e-15) never shows up against the 1e-8 normalization contract
 DEFAULT_SPAN_SIGMAS = 8.0
 DEFAULT_N_K = 513
-SYNTH_CHUNK = 64  # modes per block of value rows in one-shot synthesis
+X_CHUNK = 2048  # grid points per exp(ikx) block in one-shot synthesis
 
 
 @dataclass(frozen=True)
@@ -117,60 +120,47 @@ def spectrum_norm(packet: PacketSpec, n_k: int = 4097,
     return float(np.sum(w * np.abs(packet.spectrum(k)) ** 2))
 
 
+def default_grid_step(spec: PotentialSpec, packet: PacketSpec,
+                      span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> tuple[float, int]:
+    """Spacing of default_x_grid and its number of points on each side of x_c."""
+    k_max = packet.k0 + span_sigmas * packet.sigma_k
+    dx = min(2.0 * np.pi / (8.0 * k_max), spec.width / 64.0)
+    x_min = packet.x0 - 10.0 * packet.position_sigma()
+    return dx, int(math.ceil((spec.x_c - x_min) / dx))
+
+
 def default_x_grid(spec: PotentialSpec, packet: PacketSpec,
                    span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> np.ndarray:
     """Uniform grid resolving the fastest mode and the barrier, symmetric
     about x_c, wide enough to hold the packet through a canonical run."""
-    k_max = packet.k0 + span_sigmas * packet.sigma_k
-    dx = min(2.0 * np.pi / (8.0 * k_max), spec.width / 64.0)
-    x_min = packet.x0 - 10.0 * packet.position_sigma()
-    n_side = int(math.ceil((spec.x_c - x_min) / dx))
+    dx, n_side = default_grid_step(spec, packet, span_sigmas)
     return spec.x_c + dx * np.arange(-n_side, n_side + 1)
 
 
-def _mode_rows(spec: PotentialSpec, x_grid: np.ndarray, ks, deriv: bool):
-    """T, R and the mode rows of the wavenumbers `ks`, stacked as
-    (3, n_k, n_x): full, tr_state, ref_state samples, followed by their
-    exact derivatives, (6, n_k, n_x), when `deriv` is set."""
-    T = np.empty(len(ks))
-    R = np.empty(len(ks))
-    rows = np.empty((6 if deriv else 3, len(ks), x_grid.size), dtype=complex)
-    for j, k in enumerate(ks):
-        dec = build_decomposition(spec, EnergyMode.from_k(float(k)), x_grid)
-        T[j], R[j] = dec.amplitudes.T, dec.amplitudes.R
-        rows[:3, j] = dec.full, dec.tr_solution, dec.ref_solution
-        if deriv:
-            states = (dec.full_state, dec.tr_state, dec.ref_state)
-            rows[3:, j] = sample_states(states, x_grid, deriv=True)
-    return T, R, rows
+def _plane_waves(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(i k x) as an (n_k, n_x) matrix, built without temporaries."""
+    e = np.zeros((k.size, x.size), dtype=complex)
+    np.multiply.outer(k, x, out=e.imag)
+    return np.exp(e, out=e)
 
 
-def _superpose(k, weights, f_k, times, mats) -> np.ndarray:
-    """Multiply the (n_t, n_k) coefficients w_j f(k_j) exp(-i k_j^2 t/2)
-    / sqrt(2 pi) of a batch of times into each (n_k, n_x) matrix of the
-    stack `mats`, giving (3, n_t, n_x): full, tr_state, ref_state."""
-    phase = np.exp(-0.5j * k ** 2 * np.asarray(times, dtype=float)[:, None])
-    coeff = weights * f_k * phase / math.sqrt(2.0 * math.pi)
-    return coeff @ mats
-
-
-def _component(name: str, left: np.ndarray, full, tr_state, ref_state) -> np.ndarray:
-    """One of COMPONENTS from the three smooth states."""
-    if name not in COMPONENTS:
-        raise ValueError(f"unknown component {name!r}; pick one of {COMPONENTS}")
-    tr, ref = sub_waves(left, full, tr_state, ref_state)
-    return dict(zip(COMPONENTS, (full, tr, ref, tr_state, ref_state)))[name]
+def _index(component: str) -> int:
+    if component not in COMPONENTS:
+        raise ValueError(f"unknown component {component!r}; pick one of {COMPONENTS}")
+    return COMPONENTS.index(component)
 
 
 @dataclass
 class ModeTable:
-    """Cached per-mode stationary fields on a fixed x grid.
+    """Per-mode coefficients of full, tr_state and ref_state on one barrier
+    and x grid.
 
-    `rows` stacks the (n_k, n_x) mode-row matrices of full, tr_state and
-    ref_state, so the fields at a batch of times are one matrix product
-    per matrix (`states`). `drows` holds the analytic mode derivatives, so
-    currents and momentum moments never difference across the potential
-    steps.
+    `full_left` is full's plane-wave pair left of a, where tr_state has
+    only its incoming wave `tr_in`; beyond b full is `A_T` exp(ikx).
+    `inner` holds the values and x derivatives of full, tr_state and
+    ref_state at the grid points inside [a, b), as (2, 3, n_k, n_inside),
+    and `e` holds exp(ikx) at the points outside. One-shot synthesis
+    leaves `e` unset on its whole-grid table and evaluates windows of it.
     """
 
     spec: PotentialSpec
@@ -179,54 +169,88 @@ class ModeTable:
     k: np.ndarray
     weights: np.ndarray
     f_k: np.ndarray
-    T_k: np.ndarray
-    R_k: np.ndarray
-    rows: np.ndarray
-    drows: np.ndarray
+    full_left: np.ndarray
+    tr_in: np.ndarray
+    A_T: np.ndarray
+    inner: np.ndarray
+    e: np.ndarray | None = None
     x_c: float = field(init=False)
-    _left_mask: np.ndarray = field(init=False)
+    _inside: slice = field(init=False)
 
     def __post_init__(self):
         self.x_c = self.spec.x_c
-        self._left_mask = self.x <= self.x_c
+        if np.any(self.x[1:] < self.x[:-1]):
+            raise ValueError("the x grid must be ascending")
+        i_a, i_b = np.searchsorted(self.x, (self.spec.a, self.spec.b))
+        self._inside = slice(int(i_a), int(i_b))
 
     def states(self, times, deriv: bool = False) -> np.ndarray:
-        """(full, tr_state, ref_state), or their x derivatives, at every
+        """(full, tr, ref), cut at x_c, or their x derivatives, at every
         time, as a (3, n_t, n_x) stack."""
-        return _superpose(self.k, self.weights, self.f_k, times,
-                          self.drows if deriv else self.rows)
+        t = np.asarray(times, dtype=float)
+        coeff = (self.weights * self.f_k * np.exp(-0.5j * self.k ** 2 * t[:, None])
+                 / math.sqrt(2.0 * math.pi))
+        out = np.empty((3, t.size, self.x.size), dtype=complex)
+        i_a, i_b = self._inside.start, self._inside.stop
+        full, tr_state, ref_state = coeff @ self.inner[int(deriv)]
+        out[0, :, i_a:i_b] = full
+        out[1:, :, i_a:i_b] = sub_waves(self.x[i_a:i_b] <= self.x_c, full, tr_state, ref_state)
+
+        up, down = (1j * self.k, -1j * self.k) if deriv else (1.0, 1.0)
+        e_left, e_right = self.e[:, :i_a], self.e[:, i_a:]
+        full = ((coeff * (up * self.full_left[0])) @ e_left
+                + np.conj(np.conj(coeff * (down * self.full_left[1])) @ e_left))
+        tr = (coeff * (up * self.tr_in)) @ e_left
+        out[0, :, :i_a], out[1, :, :i_a], out[2, :, :i_a] = full, tr, full - tr
+        full = (coeff * (up * self.A_T)) @ e_right
+        out[0, :, i_b:], out[1, :, i_b:], out[2, :, i_b:] = full, full, 0.0
+        return out
 
     def state_slice(self, component: str, t: float, deriv: bool = False) -> np.ndarray:
-        return _component(component, self._left_mask, *self.states([t], deriv))[0]
+        return self.states([t], deriv)[_index(component)][0]
 
-    def spectral_transmission(self) -> float:
-        """Channel weight integral sum_k w_k T(k) |f(k)|^2."""
-        return float(np.sum(self.weights * self.T_k * np.abs(self.f_k) ** 2))
+    def _window(self, lo: int, hi: int) -> "ModeTable":
+        """The table on x[lo:hi], with exp(ikx) evaluated there."""
+        i_a = self._inside.start
+        part = replace(self, x=self.x[lo:hi],
+                       inner=self.inner[..., max(lo - i_a, 0):max(hi - i_a, 0)])
+        part.e = _plane_waves(self.k, np.delete(part.x, part._inside))
+        return part
 
-    def spectral_reflection(self) -> float:
-        return float(np.sum(self.weights * self.R_k * np.abs(self.f_k) ** 2))
+
+def _mode_table(spec: PotentialSpec, packet: PacketSpec, x: np.ndarray,
+                k: np.ndarray, weights: np.ndarray) -> ModeTable:
+    """The coefficients of every mode, without exp(ikx). Each mode is
+    decomposed once, on the grid points within half the longest
+    wavelength of the barrier, whose interior samples are its rows."""
+    packet.check_separation(spec)
+    reach = math.pi / k[0]
+    x_dec = x[(x >= spec.a - reach) & (x <= spec.b + reach)]
+    inside = (x_dec >= spec.a) & (x_dec < spec.b)
+    full_left = np.empty((2, k.size), dtype=complex)
+    tr_in = np.empty(k.size, dtype=complex)
+    A_T = np.empty(k.size, dtype=complex)
+    inner = np.empty((2, 3, k.size, np.count_nonzero(inside)), dtype=complex)
+    for j, kj in enumerate(k):
+        dec = build_decomposition(spec, EnergyMode.from_k(float(kj)), x_dec)
+        states = (dec.full_state, dec.tr_state, dec.ref_state)
+        full_left[:, j] = dec.full_state.left
+        tr_in[j] = dec.tr_state.left[0]
+        A_T[j] = dec.full_state.right[0]
+        inner[0, :, j] = (dec.full[inside], dec.tr_solution[inside], dec.ref_solution[inside])
+        inner[1, :, j] = sample_states(states, x_dec[inside], deriv=True)
+    return ModeTable(spec=spec, packet=packet, x=x, k=k, weights=weights,
+                     f_k=packet.spectrum(k), full_left=full_left, tr_in=tr_in, A_T=A_T,
+                     inner=inner)
 
 
 def build_mode_table(spec: PotentialSpec, packet: PacketSpec,
                      x_grid: np.ndarray | None = None,
                      n_k: int = DEFAULT_N_K,
                      span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> ModeTable:
-    packet.check_separation(spec)
     x = default_x_grid(spec, packet, span_sigmas) if x_grid is None else np.asarray(x_grid, float)
-    k, w = spectral_grid(packet, n_k, span_sigmas)
-    T, R, mats = _mode_rows(spec, x, k, deriv=True)
-    return ModeTable(
-        spec=spec,
-        packet=packet,
-        x=x,
-        k=k,
-        weights=w,
-        f_k=packet.spectrum(k),
-        T_k=T,
-        R_k=R,
-        rows=mats[:3],
-        drows=mats[3:],
-    )
+    table = _mode_table(spec, packet, x, *spectral_grid(packet, n_k, span_sigmas))
+    return table._window(0, x.size)
 
 
 @dataclass
@@ -249,23 +273,17 @@ class EvolvedField:
         self.identity_residual = float(np.max(np.abs(self.tr + self.ref - self.full)))
 
     def component(self, name: str) -> np.ndarray:
-        if name not in ("full", "tr", "ref"):
-            raise ValueError(f"unknown component {name!r}")
-        return getattr(self, name)
+        return getattr(self, COMPONENTS[_index(name)])
 
     def derivative(self, name: str) -> np.ndarray:
-        if name not in ("full", "tr", "ref"):
-            raise ValueError(f"unknown component {name!r}")
-        return getattr(self, "d" + name)
+        return getattr(self, "d" + COMPONENTS[_index(name)])
 
 
 def _fields(table: ModeTable, times) -> list[EvolvedField]:
-    """EvolvedField at each time, from one batched product per mode matrix."""
-    left = table._left_mask
-    full, tr_state, ref_state = table.states(times)
-    dfull, dtr_state, dref_state = table.states(times, deriv=True)
-    tr, ref = sub_waves(left, full, tr_state, ref_state)
-    dtr, dref = sub_waves(left, dfull, dtr_state, dref_state)
+    """EvolvedField at each time, from one batched evaluation of the
+    values and one of the derivatives."""
+    full, tr, ref = table.states(times)
+    dfull, dtr, dref = table.states(times, deriv=True)
     return [
         EvolvedField(x=table.x, t=float(t), full=full[i], tr=tr[i], ref=ref[i],
                      dfull=dfull[i], dtr=dtr[i], dref=dref[i], x_c=table.x_c)
@@ -280,38 +298,18 @@ def fields_at(table: ModeTable, t: float) -> EvolvedField:
 def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
                x_grid: np.ndarray, n_k: int = DEFAULT_N_K,
                span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> list[ComponentField]:
-    """One-shot synthesis at each of `times` without caching a mode table.
-
-    One pass over the modes (`_smooth_sums`) builds value rows SYNTH_CHUNK
-    modes at a time and sums the three smooth states; the cut is applied
-    once to the sums.
-    Memory stays O(n_t n_x); prefer build_mode_table when many times are
-    needed on the same grid.
-    """
-    if component not in COMPONENTS:
-        raise ValueError(f"unknown component {component!r}; pick one of {COMPONENTS}")
+    """One-shot synthesis at each of `times`: the mode coefficients are
+    built once and the grid is evaluated X_CHUNK points at a time, so
+    exp(ikx) never spans it. Prefer build_mode_table when many times are
+    needed on the same grid."""
+    i = _index(component)
     x = np.asarray(x_grid, dtype=float)
-    sums = _smooth_sums(spec, packet, times, x, n_k, span_sigmas)
-    values = _component(component, x <= spec.x_c, *sums)
+    table = _mode_table(spec, packet, x, *spectral_grid(packet, n_k, span_sigmas))
+    values = np.empty((len(times), x.size), dtype=complex)
+    for lo in range(0, x.size, X_CHUNK):
+        values[:, lo:lo + X_CHUNK] = table._window(lo, lo + X_CHUNK).states(times)[i]
     return [ComponentField(x=x, values=v, label=component, t=float(t))
             for v, t in zip(values, times)]
-
-
-def _smooth_sums(spec: PotentialSpec, packet: PacketSpec, times, x: np.ndarray,
-                 n_k: int = DEFAULT_N_K,
-                 span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> np.ndarray:
-    """The body of `synthesize`: full, tr_state and ref_state at every
-    time, as a (3, n_t, n_x) stack, before any cut."""
-    packet.check_separation(spec)
-    times = np.asarray(times, dtype=float)
-    k, w = spectral_grid(packet, n_k, span_sigmas)
-    f = packet.spectrum(k)
-    sums = np.zeros((3, times.size, x.size), dtype=complex)
-    for lo in range(0, k.size, SYNTH_CHUNK):
-        part = slice(lo, lo + SYNTH_CHUNK)
-        _, _, rows = _mode_rows(spec, x, k[part], deriv=False)
-        sums += _superpose(k[part], w[part], f[part], times, rows)
-    return sums
 
 
 # --- diagnostics ------------------------------------------------------------
@@ -451,9 +449,9 @@ def continuity_residual(table: ModeTable, component: str, t: float, dt: float,
     j'''-kinks at the potential steps. For the piecewise components a
     strip of half-width 2 dx around the cut is always excluded.
     """
-    left = table._left_mask
-    psi = _component(component, left, *table.states([t - dt, t, t + dt]))
-    dpsi = _component(component, left, *table.states([t], deriv=True))[0]
+    i = _index(component)
+    psi = table.states([t - dt, t, t + dt])[i]
+    dpsi = table.states([t], deriv=True)[i][0]
     cut = table.x_c if component in ("tr", "ref") else None
     return _continuity(table.x, cut, psi[0], psi[1], psi[2], dpsi, dt, x_window)
 
@@ -483,8 +481,9 @@ class DiagnosticsSeries:
 
 def diagnostics_series(table: ModeTable, times, fd_dt: float = 1e-2) -> DiagnosticsSeries:
     """Diagnostics at every time, from batched fields plus the values at
-    t -/+ fd_dt for the continuity residual. A batch holds at most n_k / 4
-    times, so its arrays stay smaller than the table."""
+    t -/+ fd_dt for the continuity residual. A batch holds at most n_k / 12
+    times, so its twelve (n_t, n_x) arrays (four evaluations of three
+    components) together stay about the size of the exp(ikx) cache."""
     times = np.asarray(times, dtype=float)
     n = times.size
     cols = {
@@ -498,14 +497,14 @@ def diagnostics_series(table: ModeTable, times, fd_dt: float = 1e-2) -> Diagnost
         )
     }
     ov = np.zeros(n, dtype=complex)
-    x, x_c, left = table.x, table.x_c, table._left_mask
+    x, x_c = table.x, table.x_c
     i_left = int(np.searchsorted(x, x_c, side="left")) - 1
-    batch = max(1, table.k.size // 4)
+    batch = max(1, table.k.size // 12)
 
     for lo in range(0, n, batch):
         ts = times[lo:lo + batch]
-        tr_minus, ref_minus = sub_waves(left, *table.states(ts - fd_dt))
-        tr_plus, ref_plus = sub_waves(left, *table.states(ts + fd_dt))
+        _, tr_minus, ref_minus = table.states(ts - fd_dt)
+        _, tr_plus, ref_plus = table.states(ts + fd_dt)
         for j, fld in enumerate(_fields(table, ts)):
             i = lo + j
             cols["T"][i], cols["R"][i], cols["total"][i] = norms(fld)

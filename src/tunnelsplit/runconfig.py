@@ -15,7 +15,7 @@ import numpy as np
 
 from .clocks import ClockConfig
 from .errors import SchemaError, TunnelSplitError
-from .packets import DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, PacketSpec
+from .packets import DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec, default_grid_step
 from .potential import PotentialSpec, make_piecewise
 from .stationary import EnergyMode
 
@@ -52,6 +52,10 @@ _DEFAULTS: dict[str, Any] = {
 }
 
 _TOP_KEYS = {"potential", "energy", "packet"} | set(_DEFAULTS)
+
+# Largest estimated array bytes a config may ask for, checked before any
+# array is allocated; the canonical config asks for about 0.16 GB.
+MEMORY_BUDGET = 2e9
 
 _SECTION_KEYS = {
     "potential": {"a", "segments"},
@@ -90,6 +94,30 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _x_grid_points(grid: dict) -> int:
+    """Points of an x_grid section, x_min + dx * arange(n)."""
+    return int(round((grid["x_max"] - grid["x_min"]) / grid["dx"])) + 1
+
+
+def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, span: float,
+                     x_grid: dict | None, oracle: dict) -> float:
+    """Bytes of a packet run's large complex arrays, as packets lays them
+    out: exp(ikx), a diagnostics batch about as large and the rows inside
+    the barrier on the table grid; the synthesis blocks, the rows inside
+    the barrier and the CN vectors and snapshots on the oracle grid."""
+    if x_grid is None:
+        dx, n_side = default_grid_step(spec, packet, span)
+        n_x = 2 * n_side + 1
+    else:
+        dx, n_x = x_grid["dx"], _x_grid_points(x_grid)
+    table = n_k * (2 * n_x + 6 * (spec.width / dx + 1))
+    length = spec.b + oracle["margin_right"] - packet.x0 + oracle["margin_left"]
+    n_times = len(oracle["checkpoints"]) + 1
+    cn = ((4 * n_times + 8) * (length / oracle["dx"] + 2)
+          + n_k * (X_CHUNK + 6 * (spec.width / oracle["dx"] + 1)))
+    return 16.0 * max(table, cn)
+
+
 def bound_workers(value) -> int:
     """The `workers` key or --workers flag, >= 1 and capped at the CPU count."""
     if _integer(value, "workers") < 1:
@@ -108,7 +136,7 @@ class RunConfig:
     packet: PacketSpec | None
     n_k: int
     k_span_sigmas: float
-    x_grid_spec: dict | None
+    x_grid: np.ndarray | None
     times: np.ndarray
     snapshot_times: list[float]
     fd_dt: float
@@ -265,6 +293,9 @@ def parse_config_text(text: str) -> RunConfig:
         for key in ("x_min", "x_max", "dx"):
             if key not in x_grid_spec:
                 raise SchemaError(f"x_grid.{key}", "required when x_grid is given")
+            _number(x_grid_spec[key], f"x_grid.{key}")
+        if x_grid_spec["dx"] <= 0 or x_grid_spec["x_max"] <= x_grid_spec["x_min"]:
+            raise SchemaError("x_grid", "need dx > 0 and x_max > x_min")
 
     clock_raw = cfg["clock"]
     factors = clock_raw["omega_factors"]
@@ -283,6 +314,20 @@ def parse_config_text(text: str) -> RunConfig:
     oracle = cfg["oracle"]
     if _number(oracle["dx"], "oracle.dx") <= 0 or _number(oracle["dt"], "oracle.dt") <= 0:
         raise SchemaError("oracle", "dx and dt must be positive")
+    for key in ("margin_left", "margin_right"):
+        _number(oracle[key], f"oracle.{key}")
+    if not isinstance(oracle["checkpoints"], list) or not oracle["checkpoints"]:
+        raise SchemaError("oracle.checkpoints", "expected a non-empty list of times")
+
+    x_grid = None
+    if packet is not None:
+        need = _estimated_bytes(spec, packet, n_k, span, x_grid_spec, oracle)
+        if need > MEMORY_BUDGET:
+            raise SchemaError("", f"the run would need about {need:.3g} bytes of arrays, "
+                                  f"more than the budget of {MEMORY_BUDGET:.3g}")
+        if x_grid_spec is not None:
+            n_x = _x_grid_points(x_grid_spec)
+            x_grid = x_grid_spec["x_min"] + x_grid_spec["dx"] * np.arange(n_x)
 
     sweep = cfg["sweep"]
     if not (0.0 < _number(sweep["energy_ratio"], "sweep.energy_ratio") < 1.0):
@@ -298,7 +343,7 @@ def parse_config_text(text: str) -> RunConfig:
         packet=packet,
         n_k=n_k,
         k_span_sigmas=span,
-        x_grid_spec=x_grid_spec,
+        x_grid=x_grid,
         times=times,
         snapshot_times=snapshot,
         fd_dt=_number(cfg["fd_dt"], "fd_dt"),

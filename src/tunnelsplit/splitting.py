@@ -22,6 +22,7 @@ Their first derivatives jump at x_c (only the sum solves the stationary
 equation there), but each obeys the continuity equation on its own.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -178,8 +179,10 @@ def build_decomposition(spec: PotentialSpec, mode: EnergyMode, x_grid) -> Statio
 
     full, tr_solution, ref_solution = sample_states((full_state, tr_state, ref_state), x)
     tr_component, ref_component = sub_waves(x <= x_c, full, tr_solution, ref_solution)
+    ref_scale = float(np.max(np.abs(ref_solution), initial=0.0))
+    _check_exterior(full_state, tr_state, ref_state, x_c, ref_scale)
 
-    identity_residual = float(np.max(np.abs(tr_solution + ref_solution - full)))
+    identity_residual = float(np.max(np.abs(tr_solution + ref_solution - full), initial=0.0))
     if identity_residual > IDENTITY_STATIONARY:
         raise SolveSingular(
             f"sub-solution sum deviates from the full state by {identity_residual:.3e}"
@@ -191,8 +194,8 @@ def build_decomposition(spec: PotentialSpec, mode: EnergyMode, x_grid) -> Statio
         if abs(got - want) > SPLIT_NORM:
             raise SolveSingular(f"{label} deviates from its channel weight by {got - want:.3e}")
 
-    parity_residual = _parity_residual(ref_state, x_c, span=max(x_c - x[0], x[-1] - x_c))
-    ref_scale = float(np.max(np.abs(ref_solution))) if ref_solution.size else 0.0
+    span = max(x_c - x[0], x[-1] - x_c) if x.size else 0.0
+    parity_residual = _parity_residual(ref_state, x_c, span)
     if ref_scale > 0 and parity_residual > PARITY_RELATIVE * ref_scale:
         raise OddSelectionFailed(
             f"selected root is not antisymmetric: residual {parity_residual:.3e} "
@@ -221,6 +224,30 @@ def build_decomposition(spec: PotentialSpec, mode: EnergyMode, x_grid) -> Statio
         identity_residual=identity_residual,
         parity_residual=parity_residual,
     )
+
+
+def _check_exterior(full_state: PiecewiseState, tr_state: PiecewiseState,
+                    ref_state: PiecewiseState, x_c: float, ref_scale: float):
+    """Checks on the plane-wave pairs, covering every x outside [a, b].
+
+    With (c+, c-), (d+, d-) the left and right pairs of ref and E =
+    exp(ikx_c), ref(x_c + d) + ref(x_c - d) = exp(ikd) (d+ E + c- / E)
+    + exp(-ikd) (d- / E + c+ E); on each side the pair of full - tr - ref
+    bounds |tr + ref - full|. Antisymmetry goes first, so that a fault in
+    ref alone reads as a failed selection.
+    """
+    (c_plus, c_minus), (d_plus, d_minus) = ref_state.left, ref_state.right
+    e_c = cmath.exp(1j * ref_state.mode.k * x_c)
+    residual = abs(d_plus * e_c + c_minus / e_c) + abs(d_minus / e_c + c_plus * e_c)
+    if ref_scale > 0 and residual > PARITY_RELATIVE * ref_scale:
+        raise OddSelectionFailed(f"selected root is not antisymmetric outside the barrier: "
+                                 f"residual {residual:.3e} vs scale {ref_scale:.3e}")
+    for side in ("left", "right"):
+        pairs = (getattr(state, side) for state in (full_state, tr_state, ref_state))
+        residual = sum(abs(f - t - r) for f, t, r in zip(*pairs))
+        if residual > IDENTITY_STATIONARY:
+            raise SolveSingular(f"sub-solution pairs deviate from the full state {side} "
+                                f"of the barrier by {residual:.3e}")
 
 
 def _parity_residual(ref_state: PiecewiseState, x_c: float, span: float, n: int = 33) -> float:

@@ -1,15 +1,21 @@
 """Independent reference computations used as test oracles.
 
 Everything here is coded from closed forms or generic numerics, never by
-calling the code under test, except `cut_flux_integral`: it reads a mode
+calling the code under test, except two. `cut_flux_integral` reads a mode
 table at the single grid point x_c, so it shares no x quadrature with the
-packet norms it is checked against.
+packet norms it is checked against. `per_mode_fields` is the per-mode
+row algorithm that packets replaced: every mode decomposed and sampled on
+the whole grid, then summed.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from tunnelsplit.packets import spectral_grid
+from tunnelsplit.splitting import build_decomposition
+from tunnelsplit.stationary import EnergyMode, sample_states
 
 
 def rectangular_transmission(E: float, V0: float, L: float) -> float:
@@ -100,14 +106,33 @@ def cut_flux_integral(table, times):
     tr is tr_state left of x_c and full beyond, and ref_state vanishes at
     x_c, so Phi is the current jump j_full - j_tr_state there and
     d/dt ||tr||^2 = Phi: the integral equals T(t) - T(times[0]). The grid
-    must hold x_c itself; the default x grid is symmetric about it.
+    must hold x_c itself; the default x grid is symmetric about it. The
+    cut ref is ref_state at x_c, which lies on its left side.
     """
     hits = np.flatnonzero(table.x == table.x_c)
     assert hits.size == 1, "the table's x grid has no point at the cut x_c"
     i = int(hits[0])
     times = np.asarray(times, dtype=float)
     full = table.states(times)[0][:, i]
-    dref_state = table.states(times, deriv=True)[2][:, i]
-    phi = np.imag(np.conj(full) * dref_state)
+    dref = table.states(times, deriv=True)[2][:, i]
+    phi = np.imag(np.conj(full) * dref)
     steps = 0.5 * (phi[1:] + phi[:-1]) * np.diff(times)
     return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def per_mode_fields(spec, packet, x, times, n_k, span_sigmas):
+    """(full, tr, ref) and their x derivatives at every time, as a
+    (2, 3, n_t, n_x) stack, from value and derivative rows of every mode
+    sampled on the whole grid, summed and then cut at x_c."""
+    k, w = spectral_grid(packet, n_k, span_sigmas)
+    rows = np.empty((2, 3, k.size, x.size), dtype=complex)
+    for j, kj in enumerate(k):
+        dec = build_decomposition(spec, EnergyMode.from_k(float(kj)), x)
+        rows[0, :, j] = dec.full, dec.tr_solution, dec.ref_solution
+        rows[1, :, j] = sample_states((dec.full_state, dec.tr_state, dec.ref_state), x,
+                                      deriv=True)
+    phase = np.exp(-0.5j * k ** 2 * np.asarray(times, dtype=float)[:, None])
+    full, tr_state, ref_state = np.moveaxis(
+        (w * packet.spectrum(k) * phase / math.sqrt(2.0 * math.pi)) @ rows, 1, 0)
+    left = x <= spec.x_c
+    return np.stack((full, np.where(left, tr_state, full), np.where(left, ref_state, 0.0)), axis=1)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,30 @@ class TestExitCodes:
                      "--workers", "0"]) == 2
         record = json.loads((out / "error.json").read_text())
         assert record["exit_code"] == 2
+
+    @pytest.mark.parametrize("x_grid", [
+        {"x_min": -150.0, "x_max": 134.0, "dx": 0},
+        {"x_min": -150.0, "x_max": 134.0, "dx": "a"},
+        {"x_min": -150.0, "x_max": 134.0, "dx": -0.1},
+        {"x_min": 134.0, "x_max": -150.0, "dx": 0.1},
+        # about 2.8e9 points: exp(ikx) alone would take 23 TB
+        {"x_min": -150.0, "x_max": 134.0, "dx": 1e-7},
+    ])
+    def test_bad_x_grid_is_2_before_any_allocation(self, tmp_path, x_grid):
+        canonical = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                                / "canonical.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(canonical, x_grid=x_grid)))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = run_cli("diagnostics", str(path), out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
+        assert peak < 10_000_000
 
     def test_unexpected_exception_is_4(self, tmp_path, monkeypatch):
         def broken(cfg, out):

@@ -215,6 +215,7 @@ class TestPacketReadout:
             mode_k = EnergyMode.from_k(float(k))
             taus[i] = larmor_times(CANONICAL, mode_k,
                                    ClockConfig.for_energy(mode_k.E), "tr").extrapolated
-        w = canonical_table.weights * np.abs(canonical_table.f_k) ** 2 * canonical_table.T_k
+        w = (canonical_table.weights * np.abs(canonical_table.f_k) ** 2
+             * np.abs(canonical_table.A_T) ** 2)
         want = float(np.sum(w * taus) / np.sum(w))
         assert reading.extrapolated == pytest.approx(want, rel=0.05)

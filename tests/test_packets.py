@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tunnelsplit import packets
 from tunnelsplit.errors import GridTooCoarse, SpectrumDomainError, ZeroNorm
 from tunnelsplit.packets import (
     PacketSpec,
@@ -18,11 +19,12 @@ from tunnelsplit.packets import (
     spectrum_norm,
     synthesize,
 )
-from tunnelsplit.potential import make_rectangular
-from tunnelsplit.splitting import interference_density
+from tunnelsplit.potential import make_piecewise, make_rectangular
+from tunnelsplit.splitting import build_decomposition, interference_density
+from tunnelsplit.stationary import EnergyMode, solve_full
 from tunnelsplit.tolerances import NORM_DRIFT
 
-from _oracles import cut_flux_integral, free_gaussian
+from _oracles import cut_flux_integral, free_gaussian, per_mode_fields
 
 
 class TestPacketSpec:
@@ -116,6 +118,20 @@ class TestCanonicalRun:
             fld = fields_at(canonical_table, t)
             assert fld.identity_residual < 1e-8
 
+    def test_grid_clear_of_the_barrier(self, canonical_table, canonical_spec, canonical_packet):
+        """A grid that stops more than half a wavelength short of the barrier
+        leaves every decomposition without samples; its fields are the
+        canonical table's at the same points."""
+        far = canonical_table.x < -60.0
+        table = build_mode_table(canonical_spec, canonical_packet, canonical_table.x[far])
+        for t in (0.0, 60.0):
+            got, want = fields_at(table, t), fields_at(canonical_table, t)
+            for name in ("full", "tr", "ref"):
+                np.testing.assert_allclose(got.component(name), want.component(name)[far],
+                                           rtol=0, atol=1e-15)
+                np.testing.assert_allclose(got.derivative(name), want.derivative(name)[far],
+                                           rtol=0, atol=1e-15)
+
     def test_piecewise_cut(self, canonical_table):
         fld = fields_at(canonical_table, 55.0)
         right = fld.x > canonical_table.x_c
@@ -124,9 +140,12 @@ class TestCanonicalRun:
 
     def test_initial_norms_match_spectral_weights(self, canonical_table):
         T_t, R_t, total = norms(fields_at(canonical_table, 0.0))
+        density = canonical_table.weights * np.abs(canonical_table.f_k) ** 2
+        amps = [solve_full(canonical_table.spec, EnergyMode.from_k(float(k)))
+                for k in canonical_table.k]
         assert total == pytest.approx(1.0, abs=1e-8)
-        assert T_t == pytest.approx(canonical_table.spectral_transmission(), abs=1e-4)
-        assert R_t == pytest.approx(canonical_table.spectral_reflection(), abs=1e-4)
+        assert T_t == pytest.approx(np.sum(density * [a.T for a in amps]), abs=1e-4)
+        assert R_t == pytest.approx(np.sum(density * [a.R for a in amps]), abs=1e-4)
 
     def test_reflection_norm_constant(self, canonical_series):
         """The reflection sub-wave vanishes at the cut for every mode, so
@@ -156,7 +175,8 @@ class TestCanonicalRun:
     def test_late_momentum_matches_transmission_filter(self, canonical_table):
         fld = fields_at(canonical_table, 80.0)
         m = moments(fld, "tr")
-        w = canonical_table.weights * np.abs(canonical_table.f_k) ** 2 * canonical_table.T_k
+        w = (canonical_table.weights * np.abs(canonical_table.f_k) ** 2
+             * np.abs(canonical_table.A_T) ** 2)
         want = float(np.sum(w * canonical_table.k) / np.sum(w))
         assert m.pbar == pytest.approx(want, rel=5e-3)
 
@@ -290,9 +310,9 @@ def test_diagnostics_series_matches_per_time_recomputation():
 
 
 def test_mode_table_build_holds_one_table():
-    """The build writes every mode's rows into the table itself, so its
-    traced peak stays close to the table; holding the rows twice (say,
-    per-chunk parts plus their concatenation) would double it."""
+    """The build writes every mode's coefficients and rows into the table
+    and fills exp(ikx) in place, so its traced peak stays close to the
+    table's own arrays; a temporary the size of exp(ikx) would double it."""
     spec = make_rectangular(1.0, 1.0, -2.0)
     packet = PacketSpec(k0=1.5, sigma_k=0.25, x0=-12.5)
     x = np.arange(-30.0, 26.0 + 1e-9, 0.05)
@@ -302,5 +322,49 @@ def test_mode_table_build_holds_one_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    table_bytes = table.rows.nbytes + table.drows.nbytes
+    table_bytes = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
     assert peak < 1.25 * table_bytes, (peak, table_bytes)
+
+
+class TestAgainstPerModeRows:
+    """Coefficient fields against the per-mode row algorithm, on a
+    3-segment barrier whose middle segment takes the pair form at the
+    central mode and a grid holding a, b and x_c."""
+
+    PACKET = PacketSpec(k0=1.5, sigma_k=0.25, x0=-12.5)
+    N_K, SPAN = 65, 5.5
+    TIMES = [0.0, 6.0, 12.0]
+    X = np.arange(-30.0, 26.0 + 1e-9, 0.0625)
+
+    @classmethod
+    def spec(cls):
+        k_mid = float(spectral_grid(cls.PACKET, cls.N_K, cls.SPAN)[0][cls.N_K // 2])
+        return make_piecewise(-2.0, [(0.5, 1.0), (1.0, 0.5 * k_mid * k_mid), (0.5, 1.0)])
+
+    def test_setup_covers_pair_form_and_edges(self):
+        spec = self.spec()
+        k_mid = spectral_grid(self.PACKET, self.N_K, self.SPAN)[0][self.N_K // 2]
+        dec = build_decomposition(spec, EnergyMode.from_k(float(k_mid)), self.X)
+        assert "pair" in [p.kind for p in dec.full_state.pieces]
+        assert np.all(np.isin([spec.a, spec.x_c, spec.b], self.X))
+
+    def test_fields_at_matches(self):
+        spec = self.spec()
+        table = build_mode_table(spec, self.PACKET, self.X, n_k=self.N_K, span_sigmas=self.SPAN)
+        want = per_mode_fields(spec, self.PACKET, self.X, self.TIMES, self.N_K, self.SPAN)
+        for i, t in enumerate(self.TIMES):
+            fld = fields_at(table, t)
+            for c, name in enumerate(("full", "tr", "ref")):
+                np.testing.assert_allclose(fld.component(name), want[0, c, i], rtol=0, atol=1e-13)
+                np.testing.assert_allclose(fld.derivative(name), want[1, c, i], rtol=0, atol=1e-13)
+
+    def test_synthesize_matches(self, monkeypatch):
+        # a block boundary inside the barrier, which spans grid points 448-480
+        monkeypatch.setattr(packets, "X_CHUNK", 460)
+        spec = self.spec()
+        want = per_mode_fields(spec, self.PACKET, self.X, self.TIMES, self.N_K, self.SPAN)
+        for c, name in enumerate(("full", "tr", "ref")):
+            got = synthesize(spec, self.PACKET, name, self.TIMES, self.X,
+                             n_k=self.N_K, span_sigmas=self.SPAN)
+            for i, fld in enumerate(got):
+                np.testing.assert_allclose(fld.values, want[0, c, i], rtol=0, atol=1e-13)

@@ -100,6 +100,23 @@ def test_span_interacts_with_packet():
     assert err.value.cause_name == "SpectrumDomainError"
 
 
+def test_run_size_over_budget_rejected():
+    packet = {"k0": 1.0, "sigma_k": 0.05, "x0": -60.0}
+    assert parse(packet=packet).x_grid is None
+    # exp(ikx) on the default grid's 10241 points, 2 * 10**6 + 1 modes
+    with pytest.raises(SchemaError, match="budget"):
+        parse(packet=packet, n_k=2 * 10**6 + 1)
+    # a 3-point table grid, but exp(ikx) blocks of 10**6 modes on the oracle grid
+    with pytest.raises(SchemaError, match="budget"):
+        parse(packet=packet, n_k=10**6 + 1, x_grid={"x_min": -70.0, "x_max": 10.0, "dx": 40.0})
+
+
+def test_oracle_checkpoints_must_be_a_list():
+    for bad in ([], 40.0):
+        with pytest.raises(SchemaError):
+            parse(oracle={"checkpoints": bad})
+
+
 def test_workers_validated():
     with pytest.raises(SchemaError):
         parse(workers=0)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tunnelsplit.errors import AsymmetricPotential, NotNormalized
+from tunnelsplit import splitting
+from tunnelsplit.errors import (AsymmetricPotential, NotNormalized, OddSelectionFailed,
+                                SolveSingular)
 from tunnelsplit.potential import PotentialSpec, make_piecewise, make_rectangular
 from tunnelsplit.stationary import EnergyMode, solve_full
 from tunnelsplit.splitting import (
@@ -174,6 +176,40 @@ class TestBuildDecomposition:
                     assert odd_mid < 1e-8
                     assert even_mid > 1e-8
                     assert dec.identity_residual < 1e-10
+
+
+class TestExteriorCoefficientChecks:
+    """A 1e-9 fault in one right-side plane-wave pair, on a grid within
+    1e-3 of x_c: no grid point lies outside the barrier, so only the
+    coefficient checks can see it, and there max |ref| is about 1e-3 of
+    the pairs' size."""
+
+    MODE = EnergyMode(0.5)
+    X = CANONICAL.x_c + np.linspace(-1e-3, 1e-3, 5)
+
+    @staticmethod
+    def _fault(monkeypatch, cascade_name):
+        cascade = getattr(splitting, cascade_name)
+
+        def faulty(*args):
+            state = cascade(*args)
+            state.right = (state.right[0] + 1e-9, state.right[1])
+            return state
+
+        monkeypatch.setattr(splitting, cascade_name, faulty)
+
+    def test_unperturbed_passes(self):
+        assert build_decomposition(CANONICAL, self.MODE, self.X).identity_residual < 1e-10
+
+    def test_tr_pair_fault_fails_identity(self, monkeypatch):
+        self._fault(monkeypatch, "state_from_left")
+        with pytest.raises(SolveSingular, match="pairs deviate"):
+            build_decomposition(CANONICAL, self.MODE, self.X)
+
+    def test_ref_pair_fault_fails_antisymmetry(self, monkeypatch):
+        self._fault(monkeypatch, "state_from_midpoint")
+        with pytest.raises(OddSelectionFailed, match="outside the barrier"):
+            build_decomposition(CANONICAL, self.MODE, self.X)
 
 
 class TestDerivativeJump:
