@@ -14,9 +14,12 @@ The transmission readout uses the right-side amplitude of the
 transmission sub-wave (the full transmitted amplitude, since both waves
 coincide beyond x_c); reflection uses the left outgoing amplitude of the
 reflection sub-wave (the full reflected amplitude).
+
+`clock_block` times a block of problems at once; `compute_clock` is a
+block of one, and `sweep_barrier_width` hands its widths to `map_fn` in
+blocks of SWEEP_BLOCK.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -27,11 +30,16 @@ from .errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
 from .packets import (COMPONENTS, PacketSpec, _mode_table, build_mode_table, default_x_grid,
                       simpson_weights)
 from .potential import PotentialSpec
-from .splitting import StationaryDecomposition, build_decomposition
-from .stationary import EnergyMode, ScatteringAmplitudes, solve_full
+from .splitting import StationaryDecomposition, decompose_block
+from .stationary import EnergyMode, ProblemBlock, sample_density, solve_block, solve_full
 from .tolerances import OMEGA_FRACTION, OVERLAP_FINAL_FRACTION, ZERO_FLUX
 
 SUBPROCESSES = ("tr", "ref")
+
+# Widths per block in sweep_barrier_width. A block holds its dwell
+# densities, SWEEP_BLOCK x n_quad samples per sub-wave, at once; 64 keeps
+# the sweep's peak memory at that of one width at a time.
+SWEEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -57,14 +65,18 @@ class ClockConfig:
         return cls(omegas=tuple(f * E for f in factors), extrapolation_order=order)
 
     def validate_against(self, mode: EnergyMode, spec: PotentialSpec):
+        self.validate_block(ProblemBlock.of(spec, mode.E))
+
+    def validate_block(self, problems: ProblemBlock):
+        """The checks of validate_against on every row of a block."""
         # inclusive: the canonical sequence tops out at exactly 1e-2 E
-        if max(self.omegas) > OMEGA_FRACTION * mode.E * (1.0 + 1e-12):
-            raise ValueError(
-                f"omega = {max(self.omegas):.3g} is not infinitesimal against E = {mode.E:.3g}"
-            )
+        too_big = max(self.omegas) > OMEGA_FRACTION * problems.E * (1.0 + 1e-12)
+        if too_big.any():
+            raise ValueError(f"omega = {max(self.omegas):.3g} is not infinitesimal against "
+                             f"E = {problems.E[np.argmax(too_big)]:.3g}")
         if self.region is not None:
             a, b = self.region
-            if abs(a - spec.a) > 1e-12 or abs(b - spec.b) > 1e-12:
+            if np.any(np.abs(a - problems.a) > 1e-12) or np.any(np.abs(b - problems.b) > 1e-12):
                 raise ValueError("clock region must coincide with the barrier support")
 
 
@@ -121,37 +133,51 @@ class ClockResult:
         return self.larmor_ref.extrapolated if self.larmor_ref is not None else math.nan
 
 
+def _require_weight(weight: np.ndarray, subprocess: str):
+    """ZeroFlux for the first row whose channel weight is below ZERO_FLUX."""
+    absent = weight < ZERO_FLUX
+    if absent.any():
+        name = "transmission" if subprocess == "tr" else "reflection"
+        raise ZeroFlux(f"{name} weight {weight[np.argmax(absent)]:.3e} below {ZERO_FLUX}")
+
+
+def _density_integral(state, lo, hi, n: int) -> np.ndarray:
+    """Simpson integral of |state|^2 over n points from lo to hi, per row:
+    elementwise products summed along each row, so a row's sum does not
+    depend on the rows beside it."""
+    x = np.linspace(lo, hi, n, axis=-1)
+    dens = sample_density(state, x)
+    dens *= simpson_weights(n, x[:, 1] - x[:, 0])
+    return np.sum(dens, axis=-1)
+
+
+def _dwell_block(dec, weight: np.ndarray, subprocess: str, n_quad: int) -> np.ndarray:
+    """Dwell time of one sub-process on every row of a decomposition
+    block (or a one-row decomposition), NaN where its weight is below
+    ZERO_FLUX."""
+    problems = dec.full_state.problems
+    if n_quad % 2 == 0:
+        n_quad += 1
+    if subprocess == "tr":
+        # the sub-process wave switches from tr_state to the full solution
+        # at x_c; integrate each half so the kink sits on a panel edge
+        half = (n_quad - 1) // 2 + 1
+        number = (_density_integral(dec.tr_state, problems.a, problems.x_c, half)
+                  + _density_integral(dec.full_state, problems.x_c, problems.b, half))
+    else:
+        number = _density_integral(dec.ref_state, problems.a, problems.x_c, n_quad)
+    present = weight >= ZERO_FLUX
+    return np.where(present, number / (problems.k * np.where(present, weight, 1.0)), math.nan)
+
+
 def dwell_time(dec: StationaryDecomposition, subprocess: str, n_quad: int = 2049) -> float:
     """Flux-normalized time spent in the barrier region by one sub-process."""
     if subprocess not in SUBPROCESSES:
         raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
-    spec, mode = dec.spec, dec.mode
-    k = mode.k
-    if n_quad % 2 == 0:
-        n_quad += 1
-    if subprocess == "tr":
-        weight = dec.amplitudes.T
-        if weight < ZERO_FLUX:
-            raise ZeroFlux(f"transmission weight {weight:.3e} below {ZERO_FLUX}")
-        # the sub-process wave switches from tr_state to the full solution
-        # at x_c; integrate each half so the kink sits on a panel edge
-        half = (n_quad - 1) // 2 + 1
-        xl = np.linspace(spec.a, spec.x_c, half)
-        xr = np.linspace(spec.x_c, spec.b, half)
-        dens_l = np.abs(dec.tr_state.values(xl)) ** 2
-        dens_r = np.abs(dec.full_state.values(xr)) ** 2
-        number = float(
-            np.sum(simpson_weights(half, xl[1] - xl[0]) * dens_l)
-            + np.sum(simpson_weights(half, xr[1] - xr[0]) * dens_r)
-        )
-    else:
-        weight = dec.amplitudes.R
-        if weight < ZERO_FLUX:
-            raise ZeroFlux(f"reflection weight {weight:.3e} below {ZERO_FLUX}")
-        xl = np.linspace(spec.a, spec.x_c, n_quad)
-        dens = np.abs(dec.ref_state.values(xl)) ** 2
-        number = float(np.sum(simpson_weights(n_quad, xl[1] - xl[0]) * dens))
-    return number / (k * weight)
+    amps = dec.amplitudes
+    weight = np.array([amps.T if subprocess == "tr" else amps.R])
+    _require_weight(weight, subprocess)
+    return float(_dwell_block(dec, weight, subprocess, n_quad)[0])
 
 
 def zeeman_shifted(spec: PotentialSpec, delta: float) -> PotentialSpec:
@@ -159,73 +185,59 @@ def zeeman_shifted(spec: PotentialSpec, delta: float) -> PotentialSpec:
     return PotentialSpec(a=spec.a, segments=tuple((w, h + delta) for w, h in spec.segments))
 
 
-def _outgoing(amps: ScatteringAmplitudes, subprocess: str) -> complex:
-    # beyond x_c the transmission sub-wave equals the full solution, so its
-    # right-side amplitude is A_T; the reflection sub-wave owns the entire
-    # left-outgoing wave A_R
-    return amps.A_T if subprocess == "tr" else amps.A_R
+def _zeeman_solves(problems: ProblemBlock, config: ClockConfig):
+    """(A_T, A_R) of the spin-up and spin-down problems, shifted by
+    -omega/2 and +omega/2, at each omega: each (n, n_omega, 2), from one
+    block of 2 n_omega rows per problem. Both sub-process readings are
+    taken from them."""
+    omegas = np.array(config.omegas, dtype=float)
+    A_T, A_R = solve_block(problems.shifted((np.array([-0.5, 0.5]) * omegas[:, None]).ravel()))
+    shape = (problems.n, omegas.size, 2)
+    return A_T.reshape(shape), A_R.reshape(shape)
 
 
-def _require_channel(amps: ScatteringAmplitudes, mode: EnergyMode, subprocess: str):
-    # an absent channel has no clock: the shifted problems would still
-    # return tiny amplitudes whose phase carries no time information
-    if abs(_outgoing(amps, subprocess)) ** 2 < ZERO_FLUX:
-        raise ZeroFlux(f"{subprocess} channel absent at E = {mode.E:.4g}")
-
-
-def _zeeman_solves(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig):
-    """(spin up, spin down) solutions, shifted by -omega/2 and +omega/2,
-    for each omega; both sub-process readings are taken from them."""
-    return [
-        tuple(solve_full(zeeman_shifted(spec, s * omega), mode) for s in (-0.5, +0.5))
-        for omega in config.omegas
-    ]
-
-
-def _extrapolate_to_zero(omegas: np.ndarray, values: np.ndarray, order: int) -> float:
-    """Neville extrapolation in u = omega^2 to u = 0.
+def _extrapolate_to_zero(omegas: np.ndarray, values: np.ndarray, order: int) -> np.ndarray:
+    """Neville extrapolation in u = omega^2 to u = 0, per row of values
+    (n, n_omega).
 
     The readings are even in omega (opposite spins swap), so the error
     series runs in omega^2; `order` is the polynomial degree used.
     """
-    n_pts = min(order + 1, values.size)
+    n_pts = min(order + 1, values.shape[-1])
     u = (omegas ** 2)[-n_pts:]
-    tab = list(values[-n_pts:].astype(float))
+    tab = values[:, -n_pts:].astype(float)
     for level in range(1, n_pts):
-        nxt = []
-        for i in range(len(tab) - level):
-            num = u[i] * tab[i + 1] - u[i + level] * tab[i]
-            nxt.append(num / (u[i] - u[i + level]))
-        for i, v in enumerate(nxt):
-            tab[i] = v
-    return float(tab[0])
+        for i in range(n_pts - level):
+            tab[:, i] = (u[i] * tab[:, i + 1] - u[i + level] * tab[:, i]) / (u[i] - u[i + level])
+    return tab[:, 0]
 
 
-def _outgoing_pairs(shifted, subprocess: str) -> list[tuple[complex, complex]]:
-    return [(_outgoing(up, subprocess), _outgoing(down, subprocess)) for up, down in shifted]
-
-
-def _larmor_reading(pairs, config: ClockConfig, subprocess: str) -> LarmorReading:
+def _larmor_readings(up: np.ndarray, down: np.ndarray, config: ClockConfig, subprocess: str,
+                     present: np.ndarray | None = None) -> list[LarmorReading | None]:
     """Precession times of one sub-process from its (spin up, spin down)
-    outgoing amplitudes at each omega, extrapolated to zero field."""
+    outgoing amplitudes, (n, n_omega) each, extrapolated to zero field.
+    A row whose amplitude vanishes at some omega raises ZeroFlux. Given
+    `present`, the rows whose channel exists, such a row and every row
+    not present read None instead."""
     omegas = np.array(config.omegas, dtype=float)
-    raw = np.empty(omegas.size)
-    out_of_plane = np.empty(omegas.size)
-    for i, (omega, (up, down)) in enumerate(zip(omegas, pairs)):
-        if min(abs(up), abs(down)) ** 2 < ZERO_FLUX:
-            raise ZeroFlux(f"{subprocess} amplitude vanishes at omega = {omega:.3g}")
-        raw[i] = cmath.phase(up * down.conjugate()) / omega
-        out_of_plane[i] = math.log(abs(up) / abs(down)) / omega
+    vanish = np.minimum(np.abs(up), np.abs(down)) ** 2 < ZERO_FLUX
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = np.angle(up * np.conj(down)) / omegas
+        out_of_plane = np.log(np.abs(up) / np.abs(down)) / omegas
     limit = _extrapolate_to_zero(omegas, raw, config.extrapolation_order)
-    residuals = np.abs(raw - limit)
-    return LarmorReading(
-        subprocess=subprocess,
-        omegas=omegas,
-        raw_times=raw,
-        extrapolated=limit,
-        residuals=residuals,
-        out_of_plane=out_of_plane,
-    )
+    residuals = np.abs(raw - limit[:, None])
+    readings = []
+    for i, row_vanish in enumerate(vanish):
+        if present is not None and (row_vanish.any() or not present[i]):
+            readings.append(None)
+            continue
+        if row_vanish.any():
+            raise ZeroFlux(f"{subprocess} amplitude vanishes at "
+                           f"omega = {omegas[np.argmax(row_vanish)]:.3g}")
+        readings.append(LarmorReading(subprocess=subprocess, omegas=omegas, raw_times=raw[i],
+                                      extrapolated=float(limit[i]), residuals=residuals[i],
+                                      out_of_plane=out_of_plane[i]))
+    return readings
 
 
 def larmor_times(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig,
@@ -236,9 +248,14 @@ def larmor_times(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig,
         raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
     spec.require_symmetric()
     config.validate_against(mode, spec)
-    _require_channel(solve_full(spec, mode), mode, subprocess)
-    shifted = _zeeman_solves(spec, mode, config)
-    return _larmor_reading(_outgoing_pairs(shifted, subprocess), config, subprocess)
+    amps = solve_full(spec, mode)
+    # an absent channel has no clock: the shifted problems would still
+    # return tiny amplitudes whose phase carries no time information
+    if (amps.T if subprocess == "tr" else amps.R) < ZERO_FLUX:
+        raise ZeroFlux(f"{subprocess} channel absent at E = {mode.E:.4g}")
+    A_T, A_R = _zeeman_solves(ProblemBlock.of(spec, mode.E), config)
+    out = A_T if subprocess == "tr" else A_R
+    return _larmor_readings(out[..., 0], out[..., 1], config, subprocess)[0]
 
 
 def probe_noninvasiveness(spec: PotentialSpec, mode: EnergyMode,
@@ -249,12 +266,10 @@ def probe_noninvasiveness(spec: PotentialSpec, mode: EnergyMode,
     should come out >= 2 up to fit noise.
     """
     T0 = solve_full(spec, mode).T
+    A_T, _ = _zeeman_solves(ProblemBlock.of(spec, mode.E), config)
+    T_up, T_down = (np.abs(A_T[0]) ** 2).T
     omegas = np.array(config.omegas, dtype=float)
-    depart = np.empty(omegas.size)
-    for i, omega in enumerate(omegas):
-        T_up = solve_full(zeeman_shifted(spec, -0.5 * omega), mode).T
-        T_down = solve_full(zeeman_shifted(spec, +0.5 * omega), mode).T
-        depart[i] = abs(0.5 * (T_up + T_down) - T0)
+    depart = np.abs(0.5 * (T_up + T_down) - T0)
     good = depart > 1e-14
     if good.sum() < 2:
         return math.inf  # departure at the noise floor everywhere
@@ -262,44 +277,49 @@ def probe_noninvasiveness(spec: PotentialSpec, mode: EnergyMode,
     return float(slope)
 
 
+def clock_block(problems: ProblemBlock, config: ClockConfig,
+                n_quad: int = 2049) -> list[ClockResult]:
+    """Dwell plus Larmor times for both sub-processes on every row of a
+    block, all rows read with one config. Rows without a reflection
+    channel get a NaN reflection dwell time and no reflection reading;
+    any other failure raises for the first failing row."""
+    pad = 1.0
+    x_probe = np.linspace(problems.a - pad, problems.b + pad, 65, axis=-1)
+    dec = decompose_block(problems, x_probe)
+    T, R = np.abs(dec.A_T) ** 2, np.abs(dec.A_R) ** 2
+    _require_weight(T, "tr")
+    tau_tr = _dwell_block(dec, T, "tr", n_quad)
+    tau_ref = _dwell_block(dec, R, "ref", n_quad)
+    # one set of Zeeman solves serves both readings; the base solution is
+    # the decomposition's, and the tr channel is already required
+    config.validate_block(problems)
+    A_T, A_R = _zeeman_solves(problems, config)
+    readings_tr = _larmor_readings(A_T[..., 0], A_T[..., 1], config, "tr")
+    readings_ref = _larmor_readings(A_R[..., 0], A_R[..., 1], config, "ref",
+                                    present=R >= ZERO_FLUX)
+    lengths = problems.b - problems.a
+    return [
+        ClockResult(E=float(problems.E[i]), barrier_length=float(lengths[i]),
+                    tau_dwell_tr=float(tau_tr[i]), tau_dwell_ref=float(tau_ref[i]),
+                    larmor_tr=readings_tr[i], larmor_ref=readings_ref[i])
+        for i in range(problems.n)
+    ]
+
+
 def compute_clock(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig,
                   n_quad: int = 2049) -> ClockResult:
-    """Dwell plus Larmor times for both sub-processes at one energy."""
-    pad = 1.0
-    x_probe = np.linspace(spec.a - pad, spec.b + pad, 65)
-    dec = build_decomposition(spec, mode, x_probe)
-    tau_tr = dwell_time(dec, "tr", n_quad)
-    try:
-        tau_ref = dwell_time(dec, "ref", n_quad)
-    except ZeroFlux:
-        tau_ref = math.nan
-    # one set of Zeeman solves serves both readings; the base solution is
-    # the decomposition's, and dwell_time has already required the tr channel
-    config.validate_against(mode, spec)
-    shifted = _zeeman_solves(spec, mode, config)
-    reading_tr = _larmor_reading(_outgoing_pairs(shifted, "tr"), config, "tr")
-    try:
-        _require_channel(dec.amplitudes, mode, "ref")
-        reading_ref = _larmor_reading(_outgoing_pairs(shifted, "ref"), config, "ref")
-    except ZeroFlux:
-        reading_ref = None
-    return ClockResult(
-        E=mode.E,
-        barrier_length=spec.width,
-        tau_dwell_tr=tau_tr,
-        tau_dwell_ref=tau_ref,
-        larmor_tr=reading_tr,
-        larmor_ref=reading_ref,
-    )
+    """Dwell plus Larmor times for both sub-processes at one energy: a
+    block of one."""
+    return clock_block(ProblemBlock.of(spec, mode.E), config, n_quad)[0]
 
 
-def _sweep_point(v0: float, energy_ratio: float, config_factors,
-                 extrapolation_order: int, n_quad: int, kl: float) -> ClockResult:
+def _sweep_block(v0: float, energy_ratio: float, config_factors, extrapolation_order: int,
+                 n_quad: int, kappa_lengths) -> list[ClockResult]:
     E = energy_ratio * v0
     kappa = math.sqrt(2.0 * (v0 - E))
-    spec = make_centered_rectangular(v0, kl / kappa)
+    specs = [make_centered_rectangular(v0, kl / kappa) for kl in kappa_lengths]
     config = ClockConfig.for_energy(E, tuple(config_factors), extrapolation_order)
-    return compute_clock(spec, EnergyMode(E), config, n_quad)
+    return clock_block(ProblemBlock.of(specs, E), config, n_quad)
 
 
 def sweep_barrier_width(v0: float, energy_ratio: float, kappa_lengths,
@@ -310,14 +330,17 @@ def sweep_barrier_width(v0: float, energy_ratio: float, kappa_lengths,
 
     Barriers are centered at the origin with E = energy_ratio * v0 fixed,
     so kappa is constant and the width L = kappa_L / kappa sweeps the
-    requested opacity range. Emitted for monotonicity inspection; the
-    ordering itself is an empirical output, not a contract.
+    requested opacity range. `map_fn` maps over blocks of SWEEP_BLOCK
+    widths. Emitted for monotonicity inspection; the ordering itself is
+    an empirical output, not a contract.
     """
     if not (0.0 < energy_ratio < 1.0):
         raise ValueError("energy ratio must lie in (0, 1) for a tunneling sweep")
-    worker = partial(_sweep_point, v0, energy_ratio, tuple(config_factors),
+    worker = partial(_sweep_block, v0, energy_ratio, tuple(config_factors),
                      extrapolation_order, n_quad)
-    return list(map_fn(worker, [float(kl) for kl in kappa_lengths]))
+    kls = [float(kl) for kl in kappa_lengths]
+    blocks = [kls[lo:lo + SWEEP_BLOCK] for lo in range(0, len(kls), SWEEP_BLOCK)]
+    return [res for block in map_fn(worker, blocks) for res in block]
 
 
 def make_centered_rectangular(v0: float, length: float) -> PotentialSpec:
@@ -357,9 +380,9 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
         table.e = base.e
         return table.states([t])[COMPONENTS.index(subprocess), 0]
 
-    pairs = []
-    for omega in config.omegas:
-        up, down = (shifted_packet(s * omega) for s in (-0.5, +0.5))
-        peak = int(np.argmax(np.abs(up) ** 2 + np.abs(down) ** 2))
-        pairs.append((up[peak], down[peak]))
-    return _larmor_reading(pairs, config, subprocess)
+    up, down = np.empty((2, 1, len(config.omegas)), dtype=complex)
+    for j, omega in enumerate(config.omegas):
+        spin_up, spin_down = (shifted_packet(s * omega) for s in (-0.5, +0.5))
+        peak = int(np.argmax(np.abs(spin_up) ** 2 + np.abs(spin_down) ** 2))
+        up[0, j], down[0, j] = spin_up[peak], spin_down[peak]
+    return _larmor_readings(up, down, config, subprocess)[0]

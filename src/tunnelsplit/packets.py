@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import GridTooCoarse, SpectrumDomainError, ZeroNorm
 from .potential import PotentialSpec
-from .splitting import build_decomposition, sub_waves
-from .stationary import ComponentField, EnergyMode, sample_states
+from .splitting import decompose_block, sub_waves
+from .stationary import ComponentField, ProblemBlock, sample_states
 from .tolerances import QUADRATURE_ERROR, ZERO_NORM
 
 COMPONENTS = ("full", "tr", "ref")
@@ -88,12 +88,13 @@ class PacketSpec:
             )
 
 
-def simpson_weights(n: int, h: float) -> np.ndarray:
-    """Composite-Simpson weights for n (odd) points spaced h apart."""
+def simpson_weights(n: int, h) -> np.ndarray:
+    """Composite-Simpson weights for n (odd) points spaced h apart; an
+    array of spacings gives one row of weights per spacing."""
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+    return w * (np.expand_dims(h, -1) / 3.0)
 
 
 def spectral_grid(packet: PacketSpec, n_k: int = DEFAULT_N_K,
@@ -220,28 +221,22 @@ class ModeTable:
 
 def _mode_table(spec: PotentialSpec, packet: PacketSpec, x: np.ndarray,
                 k: np.ndarray, weights: np.ndarray) -> ModeTable:
-    """The coefficients of every mode, without exp(ikx). Each mode is
-    decomposed once, on the grid points within half the longest
-    wavelength of the barrier, whose interior samples are its rows."""
+    """The coefficients of every mode, without exp(ikx). The modes are
+    decomposed as one block, on the grid points within half the longest
+    wavelength of the barrier, whose interior samples are their rows."""
     packet.check_separation(spec)
     reach = math.pi / k[0]
     x_dec = x[(x >= spec.a - reach) & (x <= spec.b + reach)]
     inside = (x_dec >= spec.a) & (x_dec < spec.b)
-    full_left = np.empty((2, k.size), dtype=complex)
-    tr_in = np.empty(k.size, dtype=complex)
-    A_T = np.empty(k.size, dtype=complex)
+    dec = decompose_block(ProblemBlock.of(spec, 0.5 * k * k), x_dec)
+    states = (dec.full_state, dec.tr_state, dec.ref_state)
     inner = np.empty((2, 3, k.size, np.count_nonzero(inside)), dtype=complex)
-    for j, kj in enumerate(k):
-        dec = build_decomposition(spec, EnergyMode.from_k(float(kj)), x_dec)
-        states = (dec.full_state, dec.tr_state, dec.ref_state)
-        full_left[:, j] = dec.full_state.left
-        tr_in[j] = dec.tr_state.left[0]
-        A_T[j] = dec.full_state.right[0]
-        inner[0, :, j] = (dec.full[inside], dec.tr_solution[inside], dec.ref_solution[inside])
-        inner[1, :, j] = sample_states(states, x_dec[inside], deriv=True)
+    for deriv in (0, 1):
+        for i, state in enumerate(states):
+            inner[deriv, i] = sample_states(state, x_dec[inside], bool(deriv))
     return ModeTable(spec=spec, packet=packet, x=x, k=k, weights=weights,
-                     f_k=packet.spectrum(k), full_left=full_left, tr_in=tr_in, A_T=A_T,
-                     inner=inner)
+                     f_k=packet.spectrum(k), full_left=np.array(dec.full_state.left),
+                     tr_in=dec.tr_state.left[0], A_T=dec.full_state.right[0], inner=inner)
 
 
 def build_mode_table(spec: PotentialSpec, packet: PacketSpec,

@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .clocks import ClockConfig
+from .clocks import SWEEP_BLOCK, ClockConfig
 from .errors import SchemaError, TunnelSplitError
 from .packets import DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec, default_grid_step
 from .potential import PotentialSpec, make_piecewise
@@ -56,6 +56,16 @@ _TOP_KEYS = {"potential", "energy", "packet"} | set(_DEFAULTS)
 # Largest estimated array bytes a config may ask for, checked before any
 # array is allocated; the canonical config asks for about 0.16 GB.
 MEMORY_BUDGET = 2e9
+
+# Bytes that one unit of each count costs at most, as the code lays out
+# what it allocates per unit
+_BYTES_PER = {
+    "times.num": 8 * 20,  # the time grid and the diagnostics columns of one time
+    "decompose_grid.n": 512,  # one point's five sampled waves and its CSV line
+    "energy.grid.n": 512,  # one energy's transfer matrices and its CSV line
+    "sweep.num": 4096,  # one width's ClockResult, its readings and its CSV line
+    "clock.n_quad": 32 * SWEEP_BLOCK,  # a sweep block's grid, densities and weights
+}
 
 _SECTION_KEYS = {
     "potential": {"a", "segments"},
@@ -116,6 +126,17 @@ def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, span: fl
     cn = ((4 * n_times + 8) * (length / oracle["dx"] + 2)
           + n_k * (X_CHUNK + 6 * (spec.width / oracle["dx"] + 1)))
     return 16.0 * max(table, cn)
+
+
+def _count(value, path: str, least: int = 0) -> int:
+    """An integer count of at least `least` whose arrays fit the budget."""
+    if _integer(value, path) < least:
+        raise SchemaError(path, f"must be >= {least}, got {value}")
+    need = value * _BYTES_PER[path]
+    if need > MEMORY_BUDGET:
+        raise SchemaError(path, f"{value} would need about {need:.3g} bytes of arrays, "
+                                f"more than the budget of {MEMORY_BUDGET:.3g}")
+    return value
 
 
 def bound_workers(value) -> int:
@@ -229,7 +250,7 @@ def parse_config_text(text: str) -> RunConfig:
                     raise SchemaError(f"energy.grid.{key}", "required")
             lo = _number(grid["min"], "energy.grid.min")
             hi = _number(grid["max"], "energy.grid.max")
-            n = _integer(grid["n"], "energy.grid.n")
+            n = _count(grid["n"], "energy.grid.n")
             scale = grid.get("scale", "log")
             if scale not in ("log", "linear"):
                 raise SchemaError("energy.grid.scale", f"expected log|linear, got {scale!r}")
@@ -280,7 +301,7 @@ def parse_config_text(text: str) -> RunConfig:
         times = np.linspace(
             _number(times_cfg["start"], "times.start"),
             _number(times_cfg["stop"], "times.stop"),
-            _integer(times_cfg["num"], "times.num"),
+            _count(times_cfg["num"], "times.num"),
         )
 
     snapshot = [
@@ -297,7 +318,9 @@ def parse_config_text(text: str) -> RunConfig:
         if x_grid_spec["dx"] <= 0 or x_grid_spec["x_max"] <= x_grid_spec["x_min"]:
             raise SchemaError("x_grid", "need dx > 0 and x_max > x_min")
 
+    _count(cfg["decompose_grid"]["n"], "decompose_grid.n")
     clock_raw = cfg["clock"]
+    _count(clock_raw["n_quad"], "clock.n_quad", least=2)
     factors = clock_raw["omega_factors"]
     if not isinstance(factors, list) or not factors:
         raise SchemaError("clock.omega_factors", "expected a non-empty list")
@@ -330,6 +353,7 @@ def parse_config_text(text: str) -> RunConfig:
             x_grid = x_grid_spec["x_min"] + x_grid_spec["dx"] * np.arange(n_x)
 
     sweep = cfg["sweep"]
+    _count(sweep["num"], "sweep.num")
     if not (0.0 < _number(sweep["energy_ratio"], "sweep.energy_ratio") < 1.0):
         raise SchemaError("sweep.energy_ratio", "must lie in (0, 1)")
 

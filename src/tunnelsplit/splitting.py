@@ -22,8 +22,6 @@ Their first derivatives jump at x_c (only the sum solves the stationary
 equation there), but each obeys the continuity equation on its own.
 """
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +31,11 @@ from .potential import PotentialSpec
 from .stationary import (
     EnergyMode,
     PiecewiseState,
+    ProblemBlock,
     ScatteringAmplitudes,
+    column_slices,
     sample_states,
-    solve_full,
+    solve_block,
     state_from_left,
     state_from_midpoint,
     state_from_right,
@@ -55,7 +55,8 @@ _MATCH_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SplitAmplitudes:
-    """One root of the incoming-amplitude constraint system."""
+    """One root of the incoming-amplitude constraint system (or one per
+    row of a block, as arrays)."""
 
     A_tr_in: complex
     A_ref_in: complex
@@ -66,17 +67,21 @@ class SplitAmplitudes:
         return SplitAmplitudes(self.A_tr_in, self.A_ref_in, self.root_sign, parity)
 
 
-def split_amplitude_candidates(T: float, R: float) -> tuple[SplitAmplitudes, SplitAmplitudes]:
-    """Both exact solutions of {A_tr + A_ref = 1, |A_tr|^2 = T, |A_ref|^2 = R}.
+def split_amplitude_candidates(T, R) -> tuple[SplitAmplitudes, SplitAmplitudes]:
+    """Both exact solutions of {A_tr + A_ref = 1, |A_tr|^2 = T, |A_ref|^2 = R},
+    for scalar weights or arrays of them.
 
     Expanding |1 - A_tr|^2 = R with T + R = 1 forces Re A_tr = T, so the
     roots are A_tr = T +/- i sqrt(TR), A_ref = R -/+ i sqrt(TR).
     """
-    if abs(T + R - 1.0) > UNITARITY:
-        raise NotNormalized(f"T + R - 1 = {T + R - 1.0:.3e} beyond tolerance")
-    s = math.sqrt(max(T * R, 0.0))
-    plus = SplitAmplitudes(complex(T, s), complex(R, -s), +1)
-    minus = SplitAmplitudes(complex(T, -s), complex(R, s), -1)
+    T, R = np.asarray(T, dtype=float), np.asarray(R, dtype=float)
+    excess = T + R - 1.0
+    if np.any(np.abs(excess) > UNITARITY):
+        worst = excess.flat[np.argmax(np.abs(excess) > UNITARITY)]
+        raise NotNormalized(f"T + R - 1 = {worst:.3e} beyond tolerance")
+    s = np.sqrt(np.maximum(T * R, 0.0))
+    plus = SplitAmplitudes(T + 1j * s, R - 1j * s, +1)
+    minus = SplitAmplitudes(T - 1j * s, R + 1j * s, -1)
     return plus, minus
 
 
@@ -109,125 +114,194 @@ class StationaryDecomposition:
     parity_residual: float
 
 
-def _ref_candidate(spec, mode, amps, psi_c, dpsi_c):
-    """Sub-solution carrying the reflected wave, built from midpoint data.
+@dataclass
+class DecompositionBlock:
+    """The decomposition of every row of a block: the states, amplitudes
+    and residuals of StationaryDecomposition with a leading row axis, and
+    ref_scale = max |ref_solution| on the row's grid. `split` and
+    `even_split` hold one entry per row; `midpoint_residuals` is (n, 2).
+    The grid is checked, not kept: sample the states where needed."""
 
-    Returns (state, solved incoming amplitude). Scaling is fixed by the
+    problems: ProblemBlock
+    A_T: np.ndarray
+    A_R: np.ndarray
+    split: SplitAmplitudes
+    even_split: SplitAmplitudes
+    full_state: PiecewiseState
+    tr_state: PiecewiseState
+    ref_state: PiecewiseState
+    even_ref_state: PiecewiseState
+    midpoint_residuals: np.ndarray
+    identity_residual: np.ndarray
+    parity_residual: np.ndarray
+    ref_scale: np.ndarray
+
+
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first row flagged in `bad`, or None."""
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _ref_candidate(problems: ProblemBlock, A_R, psi_c, dpsi_c):
+    """Sub-solutions carrying the reflected wave, built from midpoint data.
+
+    Returns (states, solved incoming amplitudes). Scaling is fixed by the
     known left-outgoing amplitude A_R; a vanishing A_R means the
-    reflection channel is absent and the candidate is identically zero.
+    reflection channel is absent and that row's candidate is identically
+    zero.
     """
-    chi = state_from_midpoint(spec, mode, psi_c, dpsi_c)
-    if abs(amps.A_R) == 0.0:
-        return chi.scaled(0.0), 0.0 + 0.0j
-    if abs(chi.left[1]) == 0.0:
-        raise SolveSingular("midpoint construction has no left-outgoing wave")
-    s = amps.A_R / chi.left[1]
-    state = chi.scaled(s)
-    return state, state.left[0]
+    chi = state_from_midpoint(problems, None, psi_c, dpsi_c)
+    absent = np.abs(A_R) == 0.0
+    outgoing = chi.left[1]
+    i = _first(~absent & (np.abs(outgoing) == 0.0))
+    if i is not None:
+        raise SolveSingular(f"midpoint construction has no left-outgoing wave "
+                            f"at E = {problems.E[i]:.6g}")
+    state = chi.scaled(np.where(absent, 0.0, A_R / np.where(absent, 1.0, outgoing)))
+    return state, np.where(absent, 0.0, state.left[0])
 
 
-def build_decomposition(spec: PotentialSpec, mode: EnergyMode, x_grid) -> StationaryDecomposition:
-    """Construct and validate the decomposition at one energy.
+def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
+    """Construct and validate the decomposition on every row of a block,
+    sampled on one grid x (m,) or on one grid per row (n, m).
 
     Both amplitude roots are realized (midpoint value pinned to zero for
     the odd candidate, midpoint derivative pinned to zero for the even
     one), matched to the algebraic candidates, and the root whose
-    ref_solution vanishes at x_c is selected.
+    ref_solution vanishes at x_c is selected. Each check runs on every
+    row, and the first failing row raises.
     """
-    spec.require_symmetric()
+    problems.require_symmetric()
+    E, x_c = problems.E, problems.x_c
     x = np.asarray(x_grid, dtype=float)
-    x_c = spec.x_c
-    amps = solve_full(spec, mode)
-    cand_plus, cand_minus = split_amplitude_candidates(amps.T, amps.R)
+    A_T, A_R = solve_block(problems)
+    T, R = np.abs(A_T) ** 2, np.abs(A_R) ** 2
+    cand_plus, cand_minus = split_amplitude_candidates(T, R)
 
-    odd_state, odd_A = _ref_candidate(spec, mode, amps, 0.0, 1.0)
-    even_state, even_A = _ref_candidate(spec, mode, amps, 1.0, 0.0)
+    odd_state, odd_A = _ref_candidate(problems, A_R, 0.0, 1.0)
+    even_state, even_A = _ref_candidate(problems, A_R, 1.0, 0.0)
 
     # pair each construction with the algebraic root it reproduces
-    def best_match(solved_A):
-        d_plus = abs(solved_A - cand_plus.A_ref_in)
-        d_minus = abs(solved_A - cand_minus.A_ref_in)
-        return (cand_plus, d_plus) if d_plus <= d_minus else (cand_minus, d_minus)
+    def best_match(solved_A, parity):
+        d_plus = np.abs(solved_A - cand_plus.A_ref_in)
+        d_minus = np.abs(solved_A - cand_minus.A_ref_in)
+        plus = d_plus <= d_minus
+        split = SplitAmplitudes(np.where(plus, cand_plus.A_tr_in, cand_minus.A_tr_in),
+                                np.where(plus, cand_plus.A_ref_in, cand_minus.A_ref_in),
+                                np.where(plus, 1, -1), parity)
+        return split, np.where(plus, d_plus, d_minus)
 
-    odd_cand, odd_dist = best_match(odd_A)
-    even_cand, even_dist = best_match(even_A)
-    scale = 1.0 + abs(amps.A_R)
-    if max(odd_dist, even_dist) > _MATCH_TOL * scale:
+    split, odd_dist = best_match(odd_A, "odd")
+    even_split, even_dist = best_match(even_A, "even")
+    i = _first(np.maximum(odd_dist, even_dist) > _MATCH_TOL * (1.0 + np.abs(A_R)))
+    if i is not None:
         raise OddSelectionFailed(
-            "parity constructions do not reproduce the amplitude roots "
-            f"(odd mismatch {odd_dist:.3e}, even mismatch {even_dist:.3e})"
+            f"parity constructions do not reproduce the amplitude roots at E = {E[i]:.6g} "
+            f"(odd mismatch {odd_dist[i]:.3e}, even mismatch {even_dist[i]:.3e})"
         )
 
-    odd_mid = abs(odd_state.values(np.array([x_c]))[0])
-    even_mid = abs(even_state.values(np.array([x_c]))[0])
-    if odd_mid >= PARITY_MIDPOINT:
+    if x.shape[-1]:
+        span = np.maximum(x_c - x[..., 0], x[..., -1] - x_c)
+    else:
+        span = np.zeros(problems.n)
+    odd_mid, parity_residual = _midpoint_and_parity(odd_state, span)
+    mids = np.column_stack((odd_mid, np.abs(sample_states(even_state, x_c[:, None])[:, 0])))
+    i = _first(mids[:, 0] >= PARITY_MIDPOINT)
+    if i is not None:
         raise OddSelectionFailed(
-            f"no root vanishes at the midpoint (|ref({x_c})| = {odd_mid:.3e})",
-            residuals=(odd_mid, even_mid),
+            f"no root vanishes at the midpoint (|ref({x_c[i]})| = {mids[i, 0]:.3e})",
+            residuals=tuple(mids[i]),
         )
 
-    split = odd_cand.with_parity("odd")
-    even_split = even_cand.with_parity("even")
     ref_state = odd_state
+    tr_state = state_from_left(problems, None, split.A_tr_in, 0.0)
+    full_state = state_from_right(problems, None, A_T, 0.0)
+    i = _first(np.abs(full_state.left[0] - 1.0) > 1e-8)
+    if i is not None:
+        raise SolveSingular(f"backward-built full state has incidence "
+                            f"{full_state.left[0][i]!r}, expected 1")
 
-    tr_state = state_from_left(spec, mode, split.A_tr_in, 0.0)
-    full_state = state_from_right(spec, mode, amps.A_T, 0.0)
-    if abs(full_state.left[0] - 1.0) > 1e-8:
-        raise SolveSingular(
-            f"backward-built full state has incidence {full_state.left[0]!r}, expected 1"
-        )
+    # the grid checks reduce one slice of columns at a time, so a block
+    # never holds its samples on the whole grid
+    identity_residual = np.zeros(problems.n)
+    ref_scale = np.zeros(problems.n)
+    for cols in column_slices(problems.n, x.shape[-1]):
+        part = sample_states(ref_state, x[..., cols])
+        ref_scale = np.maximum(ref_scale, np.max(np.abs(part), axis=-1))
+        part += sample_states(tr_state, x[..., cols])
+        part -= sample_states(full_state, x[..., cols])
+        identity_residual = np.maximum(identity_residual, np.max(np.abs(part), axis=-1))
+    _check_exterior(full_state, tr_state, ref_state, ref_scale)
 
-    full, tr_solution, ref_solution = sample_states((full_state, tr_state, ref_state), x)
-    tr_component, ref_component = sub_waves(x <= x_c, full, tr_solution, ref_solution)
-    ref_scale = float(np.max(np.abs(ref_solution), initial=0.0))
-    _check_exterior(full_state, tr_state, ref_state, x_c, ref_scale)
-
-    identity_residual = float(np.max(np.abs(tr_solution + ref_solution - full), initial=0.0))
-    if identity_residual > IDENTITY_STATIONARY:
-        raise SolveSingular(
-            f"sub-solution sum deviates from the full state by {identity_residual:.3e}"
-        )
+    i = _first(identity_residual > IDENTITY_STATIONARY)
+    if i is not None:
+        raise SolveSingular(f"sub-solution sum deviates from the full state by "
+                            f"{identity_residual[i]:.3e} at E = {E[i]:.6g}")
     for label, got, want in (
-        ("|A_tr_in|^2", abs(split.A_tr_in) ** 2, amps.T),
-        ("|A_ref_in|^2", abs(split.A_ref_in) ** 2, amps.R),
+        ("|A_tr_in|^2", np.abs(split.A_tr_in) ** 2, T),
+        ("|A_ref_in|^2", np.abs(split.A_ref_in) ** 2, R),
     ):
-        if abs(got - want) > SPLIT_NORM:
-            raise SolveSingular(f"{label} deviates from its channel weight by {got - want:.3e}")
+        i = _first(np.abs(got - want) > SPLIT_NORM)
+        if i is not None:
+            raise SolveSingular(f"{label} deviates from its channel weight by "
+                                f"{got[i] - want[i]:.3e} at E = {E[i]:.6g}")
 
-    span = max(x_c - x[0], x[-1] - x_c) if x.size else 0.0
-    parity_residual = _parity_residual(ref_state, x_c, span)
-    if ref_scale > 0 and parity_residual > PARITY_RELATIVE * ref_scale:
+    i = _first((ref_scale > 0) & (parity_residual > PARITY_RELATIVE * ref_scale))
+    if i is not None:
         raise OddSelectionFailed(
-            f"selected root is not antisymmetric: residual {parity_residual:.3e} "
-            f"vs scale {ref_scale:.3e}",
-            residuals=(odd_mid, even_mid),
+            f"selected root is not antisymmetric: residual {parity_residual[i]:.3e} "
+            f"vs scale {ref_scale[i]:.3e} at E = {E[i]:.6g}",
+            residuals=tuple(mids[i]),
         )
 
+    return DecompositionBlock(
+        problems=problems, A_T=A_T, A_R=A_R, split=split, even_split=even_split,
+        full_state=full_state, tr_state=tr_state, ref_state=ref_state,
+        even_ref_state=even_state, midpoint_residuals=mids,
+        identity_residual=identity_residual, parity_residual=parity_residual,
+        ref_scale=ref_scale,
+    )
+
+
+def build_decomposition(spec: PotentialSpec, mode: EnergyMode, x_grid) -> StationaryDecomposition:
+    """Construct and validate the decomposition at one energy: a block of
+    one (see decompose_block)."""
+    x = np.asarray(x_grid, dtype=float)
+    blk = decompose_block(ProblemBlock.of(spec, mode.E), x)
+
+    def row_split(s: SplitAmplitudes) -> SplitAmplitudes:
+        return SplitAmplitudes(complex(s.A_tr_in[0]), complex(s.A_ref_in[0]),
+                               int(s.root_sign[0]), s.parity)
+
+    full, tr_solution, ref_solution = sample_states(
+        (blk.full_state, blk.tr_state, blk.ref_state), x)
+    tr_component, ref_component = sub_waves(x <= spec.x_c, full, tr_solution,
+                                            ref_solution)
     return StationaryDecomposition(
         spec=spec,
         mode=mode,
-        amplitudes=amps,
-        split=split,
+        amplitudes=ScatteringAmplitudes(A_T=complex(blk.A_T[0]), A_R=complex(blk.A_R[0])),
+        split=row_split(blk.split),
         x=x,
-        x_c=x_c,
+        x_c=spec.x_c,
         full=full,
         tr_solution=tr_solution,
         ref_solution=ref_solution,
         tr_component=tr_component,
         ref_component=ref_component,
-        full_state=full_state,
-        tr_state=tr_state,
-        ref_state=ref_state,
-        even_split=even_split,
-        even_ref_state=even_state,
-        midpoint_residuals=(odd_mid, even_mid),
-        identity_residual=identity_residual,
-        parity_residual=parity_residual,
+        full_state=blk.full_state,
+        tr_state=blk.tr_state,
+        ref_state=blk.ref_state,
+        even_split=row_split(blk.even_split),
+        even_ref_state=blk.even_ref_state,
+        midpoint_residuals=tuple(float(v) for v in blk.midpoint_residuals[0]),
+        identity_residual=float(blk.identity_residual[0]),
+        parity_residual=float(blk.parity_residual[0]),
     )
 
 
 def _check_exterior(full_state: PiecewiseState, tr_state: PiecewiseState,
-                    ref_state: PiecewiseState, x_c: float, ref_scale: float):
+                    ref_state: PiecewiseState, ref_scale: np.ndarray):
     """Checks on the plane-wave pairs, covering every x outside [a, b].
 
     With (c+, c-), (d+, d-) the left and right pairs of ref and E =
@@ -236,28 +310,34 @@ def _check_exterior(full_state: PiecewiseState, tr_state: PiecewiseState,
     bounds |tr + ref - full|. Antisymmetry goes first, so that a fault in
     ref alone reads as a failed selection.
     """
+    problems = ref_state.problems
     (c_plus, c_minus), (d_plus, d_minus) = ref_state.left, ref_state.right
-    e_c = cmath.exp(1j * ref_state.mode.k * x_c)
-    residual = abs(d_plus * e_c + c_minus / e_c) + abs(d_minus / e_c + c_plus * e_c)
-    if ref_scale > 0 and residual > PARITY_RELATIVE * ref_scale:
+    e_c = np.exp(1j * problems.k * problems.x_c)
+    residual = np.abs(d_plus * e_c + c_minus / e_c) + np.abs(d_minus / e_c + c_plus * e_c)
+    i = _first((ref_scale > 0) & (residual > PARITY_RELATIVE * ref_scale))
+    if i is not None:
         raise OddSelectionFailed(f"selected root is not antisymmetric outside the barrier: "
-                                 f"residual {residual:.3e} vs scale {ref_scale:.3e}")
+                                 f"residual {residual[i]:.3e} vs scale {ref_scale[i]:.3e} "
+                                 f"at E = {problems.E[i]:.6g}")
     for side in ("left", "right"):
-        pairs = (getattr(state, side) for state in (full_state, tr_state, ref_state))
-        residual = sum(abs(f - t - r) for f, t, r in zip(*pairs))
-        if residual > IDENTITY_STATIONARY:
+        f, t, r = (getattr(state, side) for state in (full_state, tr_state, ref_state))
+        residual = np.abs(f[0] - t[0] - r[0]) + np.abs(f[1] - t[1] - r[1])
+        i = _first(residual > IDENTITY_STATIONARY)
+        if i is not None:
             raise SolveSingular(f"sub-solution pairs deviate from the full state {side} "
-                                f"of the barrier by {residual:.3e}")
+                                f"of the barrier by {residual[i]:.3e} at E = {problems.E[i]:.6g}")
 
 
-def _parity_residual(ref_state: PiecewiseState, x_c: float, span: float, n: int = 33) -> float:
-    """max_d |ref(x_c - d) + ref(x_c + d)| over sampled offsets."""
-    if span <= 0:
-        span = 1.0
-    d = np.linspace(0.0, span, n)[1:]
-    left = ref_state.values(x_c - d)
-    right = ref_state.values(x_c + d)
-    return float(np.max(np.abs(left + right)))
+def _midpoint_and_parity(ref_state: PiecewiseState, span: np.ndarray,
+                         n: int = 33) -> tuple[np.ndarray, np.ndarray]:
+    """|ref(x_c)| and max_d |ref(x_c - d) + ref(x_c + d)| per row, over
+    n - 1 offsets up to the row's span (1 where the span is not positive),
+    from one ascending sampling per row."""
+    d = np.linspace(0.0, np.where(span > 0, span, 1.0), n, axis=-1)[:, 1:]
+    x_c = ref_state.problems.x_c[:, None]
+    values = sample_states(ref_state, np.concatenate((x_c - d[:, ::-1], x_c, x_c + d), axis=1))
+    left, right = values[:, n - 2::-1], values[:, n:]
+    return np.abs(values[:, n - 1]), np.max(np.abs(left + right), axis=-1)
 
 
 def derivative_jump(dec: StationaryDecomposition) -> tuple[complex, complex]:

@@ -45,8 +45,8 @@ from tunnelsplit.packets import (
     synthesize,
 )
 from tunnelsplit.potential import make_rectangular
-from tunnelsplit.splitting import build_decomposition
-from tunnelsplit.stationary import EnergyMode, solve_full
+from tunnelsplit.splitting import build_decomposition, decompose_block
+from tunnelsplit.stationary import EnergyMode, ProblemBlock, solve_block, solve_full
 from tunnelsplit.tolerances import (
     NORM_DRIFT,
     OVERLAP_FINAL_FRACTION,
@@ -67,14 +67,22 @@ def report(number, name, ok, detail):
     print(f"\nACCEPTANCE {number} ({name}): {'PASS' if ok else 'FAIL'} — {detail}")
 
 
+def _problem_grid():
+    """Each (V0, L) barrier with its energy grid, as one block, and the
+    index of the row that is also solved on its own."""
+    for i, V0 in enumerate(V0_GRID):
+        for j, L in enumerate(L_GRID):
+            yield (make_rectangular(float(V0), float(L), 0.0), float(V0), float(L),
+                   (i * L_GRID.size + j) % E_GRID.size)
+
+
 def test_criterion_1_stationary_unitarity():
     worst = 0.0
-    for V0 in V0_GRID:
-        for L in L_GRID:
-            spec = make_rectangular(float(V0), float(L), 0.0)
-            for E in E_GRID:
-                amps = solve_full(spec, EnergyMode(float(E)))
-                worst = max(worst, abs(amps.T + amps.R - 1.0))
+    for spec, _, _, row in _problem_grid():
+        A_T, A_R = solve_block(ProblemBlock.of(spec, E_GRID))
+        worst = max(worst, float(np.max(np.abs(np.abs(A_T) ** 2 + np.abs(A_R) ** 2 - 1.0))))
+        amps = solve_full(spec, EnergyMode(float(E_GRID[row])))
+        assert (amps.A_T, amps.A_R) == (A_T[row], A_R[row])
     ok = worst < 1e-10
     report(1, "stationary unitarity", ok, f"max |T+R-1| = {worst:.3e} (bound 1e-10)")
     assert ok
@@ -82,13 +90,12 @@ def test_criterion_1_stationary_unitarity():
 
 def test_criterion_2_closed_form_oracle():
     worst = 0.0
-    for V0 in V0_GRID:
-        for L in L_GRID:
-            spec = make_rectangular(float(V0), float(L), 0.0)
-            for E in list(E_GRID) + [float(V0)]:  # degenerate row included
-                T = solve_full(spec, EnergyMode(float(E))).T
-                T_ref = rectangular_transmission(float(E), float(V0), float(L))
-                worst = max(worst, abs(T - T_ref) / T_ref)
+    for spec, V0, L, row in _problem_grid():
+        energies = np.append(E_GRID, V0)  # degenerate row included
+        T = np.abs(solve_block(ProblemBlock.of(spec, energies))[0]) ** 2
+        T_ref = np.array([rectangular_transmission(float(E), V0, L) for E in energies])
+        worst = max(worst, float(np.max(np.abs(T - T_ref) / T_ref)))
+        assert solve_full(spec, EnergyMode(float(energies[row]))).T == T[row]
     ok = worst < 1e-12
     report(2, "closed-form transmission", ok, f"max rel dev = {worst:.3e} (bound 1e-12)")
     assert ok
@@ -100,24 +107,29 @@ def test_criterion_3_decomposition_invariants():
     worst_identity = 0.0
     worst_weight = 0.0
     worst_parity = 0.0
-    for V0 in V0_GRID:
-        for L in L_GRID:
-            spec = make_rectangular(float(V0), float(L), 0.0)
-            x = spec.x_c + np.linspace(-(L / 2 + 2.0), L / 2 + 2.0, 129)
-            for E in E_GRID:
-                dec = build_decomposition(spec, EnergyMode(float(E)), x)
-                odd, even = dec.midpoint_residuals
-                worst_odd = max(worst_odd, odd)
-                best_even = min(best_even, even)
-                worst_identity = max(worst_identity, dec.identity_residual)
-                worst_weight = max(
-                    worst_weight,
-                    abs(abs(dec.split.A_tr_in) ** 2 - dec.amplitudes.T),
-                    abs(abs(dec.split.A_ref_in) ** 2 - dec.amplitudes.R),
-                )
-                scale = float(np.max(np.abs(dec.ref_solution)))
-                if scale > 0:
-                    worst_parity = max(worst_parity, dec.parity_residual / scale)
+    for spec, _, L, row in _problem_grid():
+        x = spec.x_c + np.linspace(-(L / 2 + 2.0), L / 2 + 2.0, 129)
+        dec = decompose_block(ProblemBlock.of(spec, E_GRID), x)
+        odd, even = dec.midpoint_residuals.T
+        worst_odd = max(worst_odd, float(np.max(odd)))
+        best_even = min(best_even, float(np.min(even)))
+        worst_identity = max(worst_identity, float(np.max(dec.identity_residual)))
+        worst_weight = max(
+            worst_weight,
+            float(np.max(np.abs(np.abs(dec.split.A_tr_in) ** 2 - np.abs(dec.A_T) ** 2))),
+            float(np.max(np.abs(np.abs(dec.split.A_ref_in) ** 2 - np.abs(dec.A_R) ** 2))),
+        )
+        scaled = dec.ref_scale > 0
+        if scaled.any():
+            worst_parity = max(worst_parity, float(np.max(dec.parity_residual[scaled]
+                                                          / dec.ref_scale[scaled])))
+        one = build_decomposition(spec, EnergyMode(float(E_GRID[row])), x)
+        assert one.midpoint_residuals == tuple(dec.midpoint_residuals[row])
+        assert (one.split.A_tr_in, one.split.A_ref_in, one.split.root_sign) == (
+            dec.split.A_tr_in[row], dec.split.A_ref_in[row], dec.split.root_sign[row])
+        assert (one.identity_residual, one.parity_residual) == (
+            dec.identity_residual[row], dec.parity_residual[row])
+        assert float(np.max(np.abs(one.ref_solution))) == dec.ref_scale[row]
     exactly_one = worst_odd < 1e-8 and best_even > 1e-8
     ok = (
         exactly_one

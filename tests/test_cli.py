@@ -110,6 +110,30 @@ class TestExitCodes:
         assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
         assert peak < 10_000_000
 
+    @pytest.mark.parametrize("subcommand, override", [
+        ("diagnostics", {"times": {"start": 0.0, "stop": 80.0, "num": 10**12}}),
+        ("decompose", {"decompose_grid": {"pad": 5.0, "n": 10**12}}),
+        ("stationary", {"energy": {"grid": {"min": 0.1, "max": 1.0, "n": 10**12}}}),
+        ("hartman-sweep", {"sweep": {"v0": 1.0, "energy_ratio": 0.5, "kappa_l_min": 1.0,
+                                     "kappa_l_max": 14.0, "num": 10**12}}),
+        ("clock", {"clock": {"n_quad": 10**12}}),
+    ])
+    def test_oversized_count_is_2_before_any_allocation(self, tmp_path, subcommand, override):
+        canonical = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                                / "canonical.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(canonical, **override)))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = run_cli(subcommand, str(path), out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
+        assert peak < 10_000_000
+
     def test_unexpected_exception_is_4(self, tmp_path, monkeypatch):
         def broken(cfg, out):
             raise RuntimeError("unexpected")
@@ -271,9 +295,9 @@ def test_benchmark_spans_install_on_package(tmp_path):
     assert result["codes"] == [0, 0, 0]
     summary = result["summary"]
     assert summary["packets.diagnostics_series"]["count"] == FAST["times"]["num"]
-    # one pass over the modes per table build (diagnostics, evolve) and per
-    # oracle synthesis
-    assert summary["splitting.build_decomposition"]["calls"] == 3 * FAST["n_k"]
+    # the table builds (diagnostics, evolve, oracle synthesis) decompose
+    # their modes as one block each, never one mode at a time
+    assert "splitting.build_decomposition" not in summary
     # the table is built in this process whatever the worker count
     assert "parallel.map" not in summary
     assert summary["packets.synthesize"]["calls"] == 1

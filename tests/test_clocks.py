@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from tunnelsplit import clocks
 from tunnelsplit.clocks import (
     ClockConfig,
     LarmorReading,
+    clock_block,
     compute_clock,
     dwell_time,
     larmor_packet_readout,
@@ -19,7 +21,7 @@ from tunnelsplit.errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
 from tunnelsplit.packets import PacketSpec
 from tunnelsplit.potential import make_rectangular
 from tunnelsplit.splitting import build_decomposition
-from tunnelsplit.stationary import EnergyMode
+from tunnelsplit.stationary import EnergyMode, ProblemBlock
 
 CANONICAL = make_rectangular(1.0, 2.0, -9.0)
 MODE = EnergyMode(0.5)
@@ -188,6 +190,49 @@ class TestSweep:
     def test_centered_helper(self):
         spec = make_centered_rectangular(2.0, 3.0)
         assert spec.x_c == 0.0 and spec.a == -1.5
+
+
+def _clock_fields(res):
+    """Every number a ClockResult carries, for bitwise comparison."""
+    readings = [r for r in (res.larmor_tr, res.larmor_ref) if r is not None]
+    return [res.E, res.barrier_length, res.tau_dwell_tr, res.tau_dwell_ref, res.omega_min,
+            res.residual, len(readings)] + [
+        np.concatenate(([r.extrapolated], r.raw_times, r.residuals, r.out_of_plane))
+        for r in readings]
+
+
+def _same_clocks(a, b) -> bool:
+    return all(np.array_equal(u, v, equal_nan=True)
+               for u, v in zip(_clock_fields(a), _clock_fields(b)))
+
+
+class TestOnePath:
+    KAPPA_LS = np.linspace(1.0, 14.0, 20)
+
+    def test_compute_clock_is_its_sweep_row(self):
+        rows = sweep_barrier_width(1.0, 0.5, self.KAPPA_LS)
+        for i in (0, 7, 19):
+            spec = make_centered_rectangular(1.0, self.KAPPA_LS[i])  # kappa = 1
+            one = compute_clock(spec, EnergyMode(0.5), ClockConfig.for_energy(0.5))
+            assert _same_clocks(one, rows[i])
+
+    def test_sweep_rows_do_not_depend_on_the_block_size(self, monkeypatch):
+        runs = []
+        for size in (1, 7, 64):
+            monkeypatch.setattr(clocks, "SWEEP_BLOCK", size)
+            runs.append(sweep_barrier_width(1.0, 0.5, self.KAPPA_LS))
+        for rows in runs[1:]:
+            assert all(_same_clocks(a, b) for a, b in zip(runs[0], rows))
+
+    def test_absent_reflection_marks_its_row_only(self):
+        specs = [make_centered_rectangular(1.0, 2.0), make_centered_rectangular(0.0, 2.0),
+                 make_centered_rectangular(1.0, 3.0)]
+        rows = clock_block(ProblemBlock.of(specs, 0.5), ClockConfig.for_energy(0.5))
+        assert [math.isnan(r.tau_dwell_ref) for r in rows] == [False, True, False]
+        assert [r.larmor_ref is None for r in rows] == [False, True, False]
+        for spec, row in zip(specs, rows):
+            assert _same_clocks(compute_clock(spec, EnergyMode(0.5), ClockConfig.for_energy(0.5)),
+                                row)
 
 
 class TestPacketReadout:

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tunnelsplit import stationary
 from tunnelsplit.errors import OpacityOverflow
 from tunnelsplit.potential import PotentialSpec, make_piecewise, make_rectangular
 from tunnelsplit.splitting import build_decomposition
 from tunnelsplit.stationary import (
     BoundaryAmplitudes,
     EnergyMode,
+    ProblemBlock,
     ScatteringAmplitudes,
     evaluate_state,
     sample_states,
     segment_wavevector,
+    solve_block,
     solve_full,
     state_from_left,
     state_from_right,
@@ -116,6 +119,38 @@ class TestSolveFull:
             for E in np.geomspace(0.01, 100.0, 40):
                 amps = solve_full(spec, EnergyMode(float(E)))
                 assert abs(amps.T + amps.R - 1.0) < 1e-10
+
+
+class TestBlock:
+    # (V0, L, E): oscillating, pair-form (E = V0) and evanescent rows, the
+    # last down to T ~ 1e-29
+    ROWS = [(2.0, 3.0, 6.0), (5.0, 1.5, 5.5), (1.0, 2.0, 1.0), (4.0, 1.0, 4.0),
+            (2.0, 3.0, 0.4), (1.0, 2.0, 0.5), (8.0, 8.0, 0.02)]
+
+    def block(self):
+        return ProblemBlock.of([make_rectangular(V0, L, 0.0) for V0, L, _ in self.ROWS],
+                               [E for _, _, E in self.ROWS])
+
+    def test_mixed_kinds_match_closed_form(self):
+        problems = self.block()
+        kinds = state_from_left(problems, None, 1.0, 0.0).kind[:, 0]
+        assert set(kinds) == {stationary.PAIR, stationary.OSC, stationary.EVAN}
+        T = np.abs(solve_block(problems)[0]) ** 2
+        want = np.array([rectangular_transmission(E, V0, L) for V0, L, E in self.ROWS])
+        assert np.min(want) < 1e-28
+        np.testing.assert_allclose(T, want, rtol=1e-12, atol=0)
+
+    def test_rows_equal_blocks_of_one(self):
+        A_T, A_R = solve_block(self.block())
+        for i, (V0, L, E) in enumerate(self.ROWS):
+            amps = solve_full(make_rectangular(V0, L, 0.0), EnergyMode(E))
+            assert (amps.A_T, amps.A_R) == (A_T[i], A_R[i])
+
+    def test_opacity_overflow_names_its_row(self):
+        specs = [make_rectangular(1.0, 2.0, 0.0), make_rectangular(900.0, 10.0, 0.0),
+                 make_rectangular(1.0, 2.0, 0.0)]
+        with pytest.raises(OpacityOverflow, match="at E = 0.1:"):
+            solve_block(ProblemBlock.of(specs, [0.5, 0.1, 0.7]))
 
 
 class TestEvaluateState:
