@@ -33,6 +33,8 @@ from .stationary import ProblemBlock, solve_block
 from .tolerances import ORACLE_L2
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return repr(value)  # already "nan", "inf" and "-0.0"
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -159,12 +161,14 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> dict:
     stride = max(1, cfg.evolve_x_stride)
     full, tr, ref = table.states(cfg.snapshot_times)
     worst_identity = float(np.max(np.abs(tr + ref - full), initial=0.0))
-    xs = table.x[::stride]
-    # rows are generated while the CSV is written, never held as a list
+    xs = table.x[::stride].tolist()
+    # rows are generated while the CSV is written, one snapshot's Python
+    # floats at a time, never held as one list
     rows = (row for t, f, r_tr, r_ref in zip(cfg.snapshot_times, full[:, ::stride],
                                              tr[:, ::stride], ref[:, ::stride])
-            for row in zip(itertools.repeat(t), xs, f.real, f.imag, r_tr.real, r_tr.imag,
-                           r_ref.real, r_ref.imag))
+            for row in zip(itertools.repeat(t), xs, *(
+                part.tolist() for part in (f.real, f.imag, r_tr.real, r_tr.imag,
+                                           r_ref.real, r_ref.imag))))
     write_csv(
         out / "evolve.csv",
         ["t", "x", "re_full", "im_full", "re_tr", "im_tr", "re_ref", "im_ref"],
@@ -220,10 +224,10 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> dict:
         float(oracle["dt"]),
         t_max,
     )
-    initial, *spectral = synthesize(spec, packet, "full", [0.0] + checkpoints, grid.x(),
-                                    n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)
-    spectral_at = dict(zip(checkpoints, spectral))
-    result = crank_nicolson_propagate(spec, initial, grid, sample_times=checkpoints)
+    times = sorted({0.0, *checkpoints})
+    spectral_at = dict(zip(times, synthesize(spec, packet, "full", times, grid.x(),
+                                             n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)))
+    result = crank_nicolson_propagate(spec, spectral_at[0.0], grid, sample_times=checkpoints)
     l2_max = linf_max = 0.0
     per_checkpoint = {}
     for sample in result.samples:

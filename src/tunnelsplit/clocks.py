@@ -353,7 +353,7 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
     """Packet-level Larmor reading taken after the sub-packets separate.
 
     The spin-up/down packets are synthesized with the shifted barriers,
-    which share the base table's exp(ikx); their amplitudes at the
+    which share the base table's cos/sin table; their amplitudes at the
     sub-packet peak give the reading as in the stationary case. Readout
     before the overlap threshold is met raises PrematureReadout.
     """
@@ -377,7 +377,7 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
 
     def shifted_packet(delta):
         table = _mode_table(zeeman_shifted(spec, delta), packet, x, base.k, base.weights)
-        table.e = base.e
+        table.waves = base.waves
         return table.states([t])[COMPONENTS.index(subprocess), 0]
 
     up, down = np.empty((2, 1, len(config.omegas)), dtype=complex)

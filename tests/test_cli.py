@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tunnelsplit import cli
@@ -266,6 +267,18 @@ def test_csv_floats_round_trip(tmp_path):
     assert repr(values[2]) in lines[1]
 
 
+def test_csv_cells_golden():
+    """Python floats take repr directly; numpy scalars, bools and ints
+    give the same cells as before."""
+    cells = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 0.1,
+             np.float64("nan"), np.float64("-inf"), np.float64(-0.0), np.float64(1e16),
+             True, False, np.bool_(True), 7, np.int64(-3), np.int32(12)]
+    assert [cli._fmt(v) for v in cells] == [
+        "nan", "inf", "-inf", "-0.0", "5e-324", "1e+16", "0.1",
+        "nan", "-inf", "-0.0", "1e+16",
+        "1", "0", "1", "7", "-3", "12"]
+
+
 _TRACED_RUN = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -309,13 +322,15 @@ def test_benchmark_spans_install_on_package(tmp_path):
 def test_cli_import_leaves_scipy_sparse_unloaded():
     """Only the Crank-Nicolson propagator needs scipy.linalg (and no code
     needs scipy.sparse); it imports LAPACK when called, so the other
-    subcommands load neither."""
+    subcommands load neither. Likewise only an open worker pool loads the
+    process-pool modules."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, tunnelsplit.cli; "
-         "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules))"],
+         "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg', "
+         "'concurrent.futures.process', 'multiprocessing') if m in sys.modules))"],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.strip() == "[]"

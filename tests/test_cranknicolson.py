@@ -11,7 +11,7 @@ from tunnelsplit.errors import BoundaryContamination, GridMismatch
 from tunnelsplit.potential import evaluate, make_rectangular
 from tunnelsplit.stationary import ComponentField
 
-from _oracles import free_gaussian
+from _oracles import cayley_steps, free_gaussian
 
 FREE = make_rectangular(0.0, 1.0, 0.0)
 
@@ -91,6 +91,15 @@ class TestPropagation:
                 inner = np.linalg.solve(lhs, rhs @ inner)
             assert sample.values[0] == sample.values[-1] == 0.0
             assert np.max(np.abs(sample.values[1:-1] - inner)) < 1e-12
+
+    def test_steps_equal_unhalved_cayley_steps(self):
+        # the factored L/2 solves psi to exactly what L solves against 2 psi
+        spec = make_rectangular(1.5, 2.0, -1.0)
+        grid = GridSpec(x_min=-30.0, x_max=30.0, n_x=601, dt=0.01, n_t=250)
+        initial = gaussian_field(grid.x(), 0.0, k0=1.2, sigma_k=0.4, x0=-4.0)
+        result = crank_nicolson_propagate(spec, initial, grid, sample_times=[grid.t_final])
+        want = cayley_steps(spec, initial.values, grid, grid.n_t)
+        np.testing.assert_array_equal(result.samples[0].values, want)
 
     def test_smallest_grid(self):
         with pytest.raises(ValueError):

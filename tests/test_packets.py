@@ -309,6 +309,42 @@ def test_diagnostics_series_matches_per_time_recomputation():
             assert abs(got - value) <= 1e-12, (name, t, got, value)
 
 
+def _small_table():
+    spec = make_rectangular(1.0, 1.0, -2.0)
+    packet = PacketSpec(k0=1.5, sigma_k=0.25, x0=-12.5)
+    x = np.arange(-30.0, 26.0 + 1e-9, 0.05)
+    return build_mode_table(spec, packet, x, n_k=65, span_sigmas=5.5)
+
+
+def test_diagnostics_series_holds_one_batch():
+    """A batch's evaluations are released before the next batch is made,
+    so the traced peak over three batches stays below four (3, n_t, n_x)
+    evaluations of one batch plus one real product against the table."""
+    table = _small_table()
+    batch = packets._times_per_batch(table.k.size)
+    times = np.linspace(0.0, 12.0, 3 * batch)
+    stack = 3 * batch * table.x.size * 16
+    product = 2 * 2 * batch * table.x.size * 8
+    tracemalloc.start()
+    try:
+        diagnostics_series(table, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (4 * stack + product), (peak, stack, product)
+
+
+def test_diagnostics_series_does_not_depend_on_the_batch(monkeypatch):
+    table = _small_table()
+    times = np.linspace(0.0, 12.0, 13)
+    want = diagnostics_series(table, times)
+    monkeypatch.setattr(packets, "_times_per_batch", lambda n_k: 1)
+    got = diagnostics_series(table, times)
+    for name in vars(want):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                   rtol=0, atol=1e-14, err_msg=name)
+
+
 def test_mode_table_build_holds_one_table():
     """The build writes every mode's coefficients and rows into the table
     and fills exp(ikx) in place, so its traced peak stays close to the
