@@ -5,21 +5,11 @@ dwell / Larmor clock times."""
 __version__ = "0.1.0"
 
 from .potential import PotentialSpec, evaluate, make_piecewise, make_rectangular
-from .stationary import (
-    BoundaryAmplitudes,
-    ComponentField,
-    EnergyMode,
-    ScatteringAmplitudes,
-    evaluate_state,
-    segment_wavevector,
-    solve_full,
-    total_transfer,
-)
+from .stationary import ComponentField, EnergyMode, ScatteringAmplitudes, solve_full
 from .splitting import (
     SplitAmplitudes,
     StationaryDecomposition,
     build_decomposition,
-    derivative_jump,
     split_amplitude_candidates,
 )
 
@@ -30,15 +20,10 @@ __all__ = [
     "evaluate",
     "EnergyMode",
     "ScatteringAmplitudes",
-    "BoundaryAmplitudes",
     "ComponentField",
-    "segment_wavevector",
-    "total_transfer",
     "solve_full",
-    "evaluate_state",
     "SplitAmplitudes",
     "split_amplitude_candidates",
     "StationaryDecomposition",
     "build_decomposition",
-    "derivative_jump",
 ]

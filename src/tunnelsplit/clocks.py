@@ -27,8 +27,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
-from .packets import (COMPONENTS, PacketSpec, _mode_table, build_mode_table, default_x_grid,
-                      simpson_weights)
+from .packets import (COMPONENTS, PacketSpec, _mode_table, _norm_sums, _overlap, _quadrature,
+                      build_mode_table, default_x_grid, simpson_weights)
 from .potential import PotentialSpec
 from .splitting import StationaryDecomposition, decompose_block
 from .stationary import EnergyMode, ProblemBlock, sample_density, solve_block, solve_full
@@ -48,7 +48,6 @@ class ClockConfig:
 
     omegas: tuple[float, ...] = ()
     extrapolation_order: int = 2
-    region: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not self.omegas:
@@ -64,20 +63,13 @@ class ClockConfig:
     def for_energy(cls, E: float, factors=(1e-2, 1e-3, 1e-4), order: int = 2) -> "ClockConfig":
         return cls(omegas=tuple(f * E for f in factors), extrapolation_order=order)
 
-    def validate_against(self, mode: EnergyMode, spec: PotentialSpec):
-        self.validate_block(ProblemBlock.of(spec, mode.E))
-
     def validate_block(self, problems: ProblemBlock):
-        """The checks of validate_against on every row of a block."""
+        """Every omega infinitesimal against the energy of every row."""
         # inclusive: the canonical sequence tops out at exactly 1e-2 E
         too_big = max(self.omegas) > OMEGA_FRACTION * problems.E * (1.0 + 1e-12)
         if too_big.any():
             raise ValueError(f"omega = {max(self.omegas):.3g} is not infinitesimal against "
                              f"E = {problems.E[np.argmax(too_big)]:.3g}")
-        if self.region is not None:
-            a, b = self.region
-            if np.any(np.abs(a - problems.a) > 1e-12) or np.any(np.abs(b - problems.b) > 1e-12):
-                raise ValueError("clock region must coincide with the barrier support")
 
 
 @dataclass
@@ -247,13 +239,14 @@ def larmor_times(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig,
     if subprocess not in SUBPROCESSES:
         raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
     spec.require_symmetric()
-    config.validate_against(mode, spec)
+    problems = ProblemBlock.of(spec, mode.E)
+    config.validate_block(problems)
     amps = solve_full(spec, mode)
     # an absent channel has no clock: the shifted problems would still
     # return tiny amplitudes whose phase carries no time information
     if (amps.T if subprocess == "tr" else amps.R) < ZERO_FLUX:
         raise ZeroFlux(f"{subprocess} channel absent at E = {mode.E:.4g}")
-    A_T, A_R = _zeeman_solves(ProblemBlock.of(spec, mode.E), config)
+    A_T, A_R = _zeeman_solves(problems, config)
     out = A_T if subprocess == "tr" else A_R
     return _larmor_readings(out[..., 0], out[..., 1], config, subprocess)[0]
 
@@ -355,19 +348,21 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
     The spin-up/down packets are synthesized with the shifted barriers,
     which share the base table's cos/sin table; their amplitudes at the
     sub-packet peak give the reading as in the stationary case. Readout
-    before the overlap threshold is met raises PrematureReadout.
+    before the overlap threshold is met raises PrematureReadout; the
+    sub-packet weights and overlap take the quadrature of `norms`, so a
+    grid too coarse for it raises GridTooCoarse.
     """
     if subprocess not in SUBPROCESSES:
         raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
     spec.require_symmetric()
-    config.validate_against(EnergyMode.from_k(packet.k0), spec)
+    config.validate_block(ProblemBlock.of(spec, EnergyMode.from_k(packet.k0).E))
     x = default_x_grid(spec, packet) if x_grid is None else np.asarray(x_grid, float)
 
     base = build_mode_table(spec, packet, x, n_k)
-    _, tr0, ref0 = base.states([t])[:, 0]
-    t_w = float(np.trapezoid(np.abs(tr0) ** 2, x))
-    r_w = float(np.trapezoid(np.abs(ref0) ** 2, x))
-    ov = abs(np.trapezoid(np.conj(tr0) * ref0, x))
+    values = base.states([t])[:, 0]
+    q = _quadrature(x)
+    _, t_w, r_w = _norm_sums(q, values)[:, 0]
+    ov = abs(_overlap(q, values[1], values[2]))
     threshold = OVERLAP_FINAL_FRACTION * math.sqrt(t_w * r_w)
     if ov > threshold:
         raise PrematureReadout(

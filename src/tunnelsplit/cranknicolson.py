@@ -52,9 +52,13 @@ class GridSpec:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / (self.n_x - 1)
 
-    @property
-    def t_final(self) -> float:
-        return self.n_t * self.dt
+
+def step_index(t: float, dt: float) -> int | None:
+    """The step at which time t falls in steps of dt, or None when t is no
+    multiple of dt (more than 1e-9 of a step off the nearest one)."""
+    step = t / dt
+    step_i = int(round(step))
+    return step_i if abs(step - step_i) <= 1e-9 else None
 
 
 @dataclass
@@ -80,9 +84,8 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
     dx = grid.dx
     sample_steps = {}
     for t in sample_times:
-        step = t / grid.dt
-        step_i = int(round(step))
-        if abs(step - step_i) > 1e-9 or not (0 <= step_i <= grid.n_t):
+        step_i = step_index(t, grid.dt)
+        if step_i is None or not (0 <= step_i <= grid.n_t):
             raise ValueError(f"sample time {t} is not a multiple of dt within the run")
         sample_steps.setdefault(step_i, float(t))
 

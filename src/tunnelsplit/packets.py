@@ -118,12 +118,6 @@ def spectral_grid(packet: PacketSpec, n_k: int = DEFAULT_N_K,
     return k, simpson_weights(n_k, k[1] - k[0])
 
 
-def spectrum_norm(packet: PacketSpec, n_k: int = 4097,
-                  span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> float:
-    k, w = spectral_grid(packet, n_k, span_sigmas)
-    return float(np.sum(w * np.abs(packet.spectrum(k)) ** 2))
-
-
 def default_grid_step(spec: PotentialSpec, packet: PacketSpec,
                       span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> tuple[float, int]:
     """Spacing of default_x_grid and its number of points on each side of x_c."""

@@ -78,18 +78,6 @@ def make_piecewise(a: float, segments) -> PotentialSpec:
     return spec
 
 
-def discretize(a: float, b: float, profile, n_segments: int) -> PotentialSpec:
-    """Uniform staircase approximation of a smooth profile on [a, b].
-
-    Heights are midpoint samples; accuracy is the caller's responsibility.
-    """
-    if n_segments < 1:
-        raise NonPositiveWidth("need at least one segment")
-    w = (b - a) / n_segments
-    mids = a + w * (np.arange(n_segments) + 0.5)
-    return PotentialSpec(a=float(a), segments=tuple((w, float(profile(x))) for x in mids))
-
-
 def evaluate(spec: PotentialSpec, x) -> np.ndarray | float:
     """V(x); zero outside [a, b], right-open at interior boundaries."""
     x_arr = np.asarray(x, dtype=float)

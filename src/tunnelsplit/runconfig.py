@@ -7,6 +7,7 @@ error's name.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any
@@ -14,10 +15,11 @@ from typing import Any
 import numpy as np
 
 from .clocks import SWEEP_BLOCK, ClockConfig
+from .cranknicolson import step_index
 from .errors import SchemaError, TunnelSplitError
 from .packets import DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec, default_grid_step
 from .potential import PotentialSpec, make_piecewise
-from .stationary import EnergyMode
+from .stationary import EnergyMode, ProblemBlock
 
 _DEFAULTS: dict[str, Any] = {
     "n_k": DEFAULT_N_K,
@@ -331,6 +333,8 @@ def parse_config_text(text: str) -> RunConfig:
             tuple(_number(f, "clock.omega_factors") for f in factors),
             _integer(clock_raw["extrapolation_order"], "clock.extrapolation_order"),
         )
+        # the factors scale every energy alike, so one energy checks them all
+        clock_config.validate_block(ProblemBlock.of(spec, base_E))
     except ValueError as exc:
         raise SchemaError("clock", str(exc), cause_name="ValueError") from exc
 
@@ -341,6 +345,11 @@ def parse_config_text(text: str) -> RunConfig:
         _number(oracle[key], f"oracle.{key}")
     if not isinstance(oracle["checkpoints"], list) or not oracle["checkpoints"]:
         raise SchemaError("oracle.checkpoints", "expected a non-empty list of times")
+    for i, t in enumerate(oracle["checkpoints"]):
+        path = f"oracle.checkpoints[{i}]"
+        if not (math.isfinite(_number(t, path)) and t >= 0) or step_index(t, oracle["dt"]) is None:
+            raise SchemaError(path, f"must be a multiple of oracle.dt = {oracle['dt']} "
+                                    f"and >= 0, got {t}")
 
     x_grid = None
     if packet is not None:

@@ -63,9 +63,6 @@ class SplitAmplitudes:
     root_sign: int
     parity: str = "undetermined"  # odd | even | undetermined
 
-    def with_parity(self, parity: str) -> "SplitAmplitudes":
-        return SplitAmplitudes(self.A_tr_in, self.A_ref_in, self.root_sign, parity)
-
 
 def split_amplitude_candidates(T, R) -> tuple[SplitAmplitudes, SplitAmplitudes]:
     """Both exact solutions of {A_tr + A_ref = 1, |A_tr|^2 = T, |A_ref|^2 = R},
@@ -150,7 +147,7 @@ def _ref_candidate(problems: ProblemBlock, A_R, psi_c, dpsi_c):
     reflection channel is absent and that row's candidate is identically
     zero.
     """
-    chi = state_from_midpoint(problems, None, psi_c, dpsi_c)
+    chi = state_from_midpoint(problems, psi_c, dpsi_c)
     absent = np.abs(A_R) == 0.0
     outgoing = chi.left[1]
     i = _first(~absent & (np.abs(outgoing) == 0.0))
@@ -214,8 +211,8 @@ def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
         )
 
     ref_state = odd_state
-    tr_state = state_from_left(problems, None, split.A_tr_in, 0.0)
-    full_state = state_from_right(problems, None, A_T, 0.0)
+    tr_state = state_from_left(problems, split.A_tr_in, 0.0)
+    full_state = state_from_right(problems, A_T, 0.0)
     i = _first(np.abs(full_state.left[0] - 1.0) > 1e-8)
     if i is not None:
         raise SolveSingular(f"backward-built full state has incidence "
@@ -340,28 +337,6 @@ def _midpoint_and_parity(ref_state: PiecewiseState, span: np.ndarray,
     return np.abs(values[:, n - 1]), np.max(np.abs(left + right), axis=-1)
 
 
-def derivative_jump(dec: StationaryDecomposition) -> tuple[complex, complex]:
-    """One-sided finite-difference estimates of the sub-wave derivative jumps
-    at x_c; the two jumps cancel to discretization error because the summed
-    wave is smooth there.
-    """
-    x = dec.x
-    i_cut = int(np.searchsorted(x, dec.x_c, side="right"))
-    if i_cut < 3 or i_cut > x.size - 3:
-        raise ValueError("grid must bracket x_c with at least 3 points per side")
-
-    def one_sided(values, idx):
-        xs = x[idx] - dec.x_c
-        coeffs = np.polyfit(xs, values[idx], 2)
-        return complex(coeffs[1])
-
-    left_idx = [i_cut - 3, i_cut - 2, i_cut - 1]
-    right_idx = [i_cut, i_cut + 1, i_cut + 2]
-    jump_tr = one_sided(dec.tr_component, right_idx) - one_sided(dec.tr_component, left_idx)
-    jump_ref = one_sided(dec.ref_component, right_idx) - one_sided(dec.ref_component, left_idx)
-    return jump_tr, jump_ref
-
-
 def sub_waves(left, full, tr_state, ref_state):
     """The cut at x_c: (tr, ref) from the full state and the two smooth
     sub-solutions, sampled on the same grid.
@@ -373,15 +348,3 @@ def sub_waves(left, full, tr_state, ref_state):
     superposition of the states.
     """
     return np.where(left, tr_state, full), np.where(left, ref_state, 0.0)
-
-
-def interference_density(tr: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Cross density 2 Re(conj(tr) ref) of the two sub-waves; it integrates
-    to 2 Re<tr|ref>.
-
-    For packets that integral is ~0 only at launch and once the
-    sub-packets separate: while the packet straddles x_c it balances the
-    transmission norm's transient (|Re<tr|ref>| reaches 3.1e-3 on the
-    canonical run).
-    """
-    return 2.0 * np.real(np.conj(tr) * ref)

@@ -18,13 +18,12 @@ for the components where that matters.
 Every function works on a `ProblemBlock`, one problem per row, with the
 rows of a block sharing a segment count. Each row's arithmetic depends
 on that row alone, so a row's results do not depend on the block it is
-computed in. `solve_full`, the cascades and `PiecewiseState.values` on a
-single (spec, mode) are blocks of one.
+computed in. `solve_full` solves a block of one, and
+`PiecewiseState.values` reads a one-row state.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +37,6 @@ _PAIRFORM_Z2 = 1e-10
 
 # piece kinds as stored in a state's `kind` array
 PAIR, OSC, EVAN = range(3)
-KIND_NAMES = ("pair", "osc", "evan")
 
 
 @dataclass(frozen=True)
@@ -56,21 +54,6 @@ class EnergyMode:
     @classmethod
     def from_k(cls, k: float) -> "EnergyMode":
         return cls(E=0.5 * k * k)
-
-
-class SegmentWave(NamedTuple):
-    q: complex
-    degenerate: bool
-
-
-def segment_wavevector(E: float, V: float) -> SegmentWave:
-    """Local wavenumber: real above the segment, i*kappa below, 0 at E = V."""
-    q2 = 2.0 * (E - V)
-    if abs(q2) <= 1e-12 * max(1.0, 2.0 * abs(E), 2.0 * abs(V)):
-        return SegmentWave(0j, True)
-    if q2 > 0:
-        return SegmentWave(complex(math.sqrt(q2)), False)
-    return SegmentWave(1j * math.sqrt(-q2), False)
 
 
 @dataclass(frozen=True)
@@ -94,19 +77,6 @@ class ScatteringAmplitudes:
             raise SolveSingular(
                 f"flux not conserved: T + R - 1 = {self.T + self.R - 1.0:.3e}"
             )
-
-
-@dataclass(frozen=True)
-class BoundaryAmplitudes:
-    """Plane-wave pair fixing a solution on one side of the barrier."""
-
-    incoming: complex
-    outgoing: complex
-    side: str = "left"
-
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
 
 
 @dataclass
@@ -196,12 +166,6 @@ def _rows(value, n: int, dtype=None) -> np.ndarray:
     return arr if arr.ndim and len(arr) == n else np.broadcast_to(arr, (n,) + arr.shape[1:])
 
 
-def _problems(spec, mode) -> ProblemBlock:
-    """The block a (spec, mode) pair names: a ProblemBlock as given (mode
-    None), or one PotentialSpec at one EnergyMode."""
-    return spec if isinstance(spec, ProblemBlock) else ProblemBlock.of(spec, mode.E)
-
-
 def _raise_first(bad: np.ndarray, E: np.ndarray, error, message: str):
     """Raise error(message) naming the energy of the first row in `bad`."""
     if bad.any():
@@ -268,11 +232,6 @@ def _transfer(problems: ProblemBlock) -> np.ndarray:
     return _matmul(_matmul(W_b_inv, P), W_a)
 
 
-def total_transfer(spec: PotentialSpec, mode: EnergyMode) -> np.ndarray:
-    """Plane-wave-basis transfer matrix from x = a to x = b; det M = 1."""
-    return _transfer(ProblemBlock.of(spec, mode.E))[0]
-
-
 def solve_block(problems: ProblemBlock) -> tuple[np.ndarray, np.ndarray]:
     """(A_T, A_R), each (n,), of the unit wave incident from the left on
     every row. The first row whose transfer matrix is singular or
@@ -301,7 +260,12 @@ def solve_full(spec: PotentialSpec, mode: EnergyMode) -> ScatteringAmplitudes:
 
 def _piece_field(kind: int, d, dr, q2, c1, c2, deriv: bool):
     """A piece's field (or x derivative) at offsets d = x - xl, dr = xr - x
-    from its edges, in the basis SegmentPiece describes."""
+    from its edges, in the bounded basis of its kind:
+
+    OSC:  c1 exp(iq d) + c2 exp(-iq d),        q = sqrt(q2) > 0
+    EVAN: c1 exp(-kp d) + c2 exp(-kp dr),      kp = sqrt(-q2) > 0
+    PAIR: c1 cos(q d) + c2 d sinc(q d)         (near-degenerate q)
+    """
     if kind == OSC:
         q = np.sqrt(q2)
         e_plus, e_minus = np.exp(1j * q * d), np.exp(-1j * q * d)
@@ -318,31 +282,6 @@ def _piece_field(kind: int, d, dr, q2, c1, c2, deriv: bool):
     if deriv:
         return -q2 * d * _sinc(z) * c1 + np.cos(z) * c2
     return c1 * np.cos(z) + c2 * d * _sinc(z)
-
-
-@dataclass
-class SegmentPiece:
-    """One segment's solution in a basis of bounded functions.
-
-    osc:  c1 exp(iq(x-xl)) + c2 exp(-iq(x-xl)),      q = sqrt(q2) > 0
-    evan: c1 exp(-kp(x-xl)) + c2 exp(-kp(xr-x)),     kp = sqrt(-q2) > 0
-    pair: c1 cos(q d) + c2 d sinc(q d), d = x - xl   (near-degenerate q)
-    """
-
-    xl: float
-    xr: float
-    q2: float
-    kind: str
-    c1: complex
-    c2: complex
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return _piece_field(KIND_NAMES.index(self.kind), x - self.xl, self.xr - x,
-                            self.q2, self.c1, self.c2, False)
-
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        return _piece_field(KIND_NAMES.index(self.kind), x - self.xl, self.xr - x,
-                            self.q2, self.c1, self.c2, True)
 
 
 def _segment_kind(q2: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -402,8 +341,8 @@ class PiecewiseState:
 
     `left` = (c+, c-) and `right` = (d+, d-) are the plane-wave pairs, each
     entry (n,); the piece arrays are (n, p), with `kind` holding PAIR, OSC
-    or EVAN. `spec`, `mode`, `pieces`, `values` and `derivative` read a
-    one-row state.
+    or EVAN. `values` and `derivative` read a one-row state; sample_states
+    reads a block.
     """
 
     problems: ProblemBlock
@@ -415,29 +354,6 @@ class PiecewiseState:
     kind: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
-
-    def _one_row(self) -> ProblemBlock:
-        if self.problems.n != 1:
-            raise ValueError("this reads a one-row state; use sample_states for a block")
-        return self.problems
-
-    @property
-    def spec(self) -> PotentialSpec:
-        p = self._one_row()
-        return PotentialSpec(a=float(p.a[0]),
-                             segments=tuple(zip(p.widths[0].tolist(), p.heights[0].tolist())))
-
-    @property
-    def mode(self) -> EnergyMode:
-        return EnergyMode(float(self._one_row().E[0]))
-
-    @property
-    def pieces(self) -> list[SegmentPiece]:
-        self._one_row()
-        return [SegmentPiece(float(xl), float(xr), float(q2), KIND_NAMES[kind], complex(c1),
-                             complex(c2))
-                for xl, xr, q2, kind, c1, c2 in zip(self.xl[0], self.xr[0], self.q2[0],
-                                                    self.kind[0], self.c1[0], self.c2[0])]
 
     def scaled(self, s) -> "PiecewiseState":
         """Every row times its factor in s (a scalar or one per row)."""
@@ -454,7 +370,8 @@ class PiecewiseState:
         return self._sample_one(x, True)
 
     def _sample_one(self, x, deriv: bool) -> np.ndarray:
-        self._one_row()
+        if self.problems.n != 1:
+            raise ValueError("this reads a one-row state; use sample_states for a block")
         x = np.asarray(x, dtype=float)
         return sample_states(self, x.ravel(), deriv)[0].reshape(x.shape)
 
@@ -597,10 +514,9 @@ def _plane_values(c_plus, c_minus, k, e):
     return c_plus * e + c_minus / e, 1j * k * (c_plus * e - c_minus / e)
 
 
-def state_from_left(spec, mode, c_plus, c_minus) -> PiecewiseState:
-    """Forward cascade from the left plane-wave pair. `spec, mode` is one
-    problem, or a ProblemBlock and None with one pair per row."""
-    P = _problems(spec, mode)
+def state_from_left(P: ProblemBlock, c_plus, c_minus) -> PiecewiseState:
+    """Forward cascade from the left plane-wave pair, one pair per row of
+    P or one for every row."""
     _check_opacity(P)
     k = P.k
     ea = np.exp(1j * k * P.a)
@@ -613,10 +529,9 @@ def state_from_left(spec, mode, c_plus, c_minus) -> PiecewiseState:
     return _assemble(P, (c_plus, c_minus), right, pieces)
 
 
-def state_from_right(spec, mode, d_plus, d_minus) -> PiecewiseState:
+def state_from_right(P: ProblemBlock, d_plus, d_minus) -> PiecewiseState:
     """Backward cascade from the right plane-wave pair; arguments as for
     state_from_left."""
-    P = _problems(spec, mode)
     _check_opacity(P)
     k = P.k
     eb = np.exp(1j * k * P.b)
@@ -653,14 +568,13 @@ def _split_segments_at_center(P: ProblemBlock):
     return left, right
 
 
-def state_from_midpoint(spec, mode, psi_c, dpsi_c) -> PiecewiseState:
+def state_from_midpoint(P: ProblemBlock, psi_c, dpsi_c) -> PiecewiseState:
     """Outward cascades from (psi, psi') prescribed at the barrier midpoint;
     arguments as for state_from_left.
 
     Growth directions point away from x_c on both wings, so the result is
     relatively accurate at any admissible opacity.
     """
-    P = _problems(spec, mode)
     _check_opacity(P)
     k = P.k
     left_segs, right_segs = _split_segments_at_center(P)
@@ -682,18 +596,3 @@ def state_from_midpoint(spec, mode, psi_c, dpsi_c) -> PiecewiseState:
     right = _plane_pair(psi, dpsi, k, np.exp(1j * k * P.b))
 
     return _assemble(P, left, right, pieces_left + pieces_right)
-
-
-def evaluate_state(spec: PotentialSpec, mode: EnergyMode,
-                   left_boundary: BoundaryAmplitudes, x_grid) -> ComponentField:
-    """Samples of the unique solution fixed by its left plane-wave pair.
-
-    Absolute error grows like exp(kappa * depth) where the true solution
-    decays under the barrier; use the decomposition builder for fields
-    that must stay accurate in that regime.
-    """
-    if left_boundary.side != "left":
-        raise ValueError("evaluate_state expects left-side boundary amplitudes")
-    state = state_from_left(spec, mode, left_boundary.incoming, left_boundary.outgoing)
-    x = np.asarray(x_grid, dtype=float)
-    return ComponentField(x=x, values=state.values(x))

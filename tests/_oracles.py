@@ -1,7 +1,10 @@
 """Independent reference computations used as test oracles.
 
 Everything here is coded from closed forms or generic numerics, never by
-calling the code under test, except two. `cut_flux_integral` reads a mode
+calling the code under test, except as follows. `derivative_jump`
+estimates the sub-wave derivative jumps at x_c by finite differences of
+a decomposition's sampled cut waves, which the analytic derivatives are
+checked against. `cut_flux_integral` reads a mode
 table at the single grid point x_c, so it shares no x quadrature with the
 packet norms it is checked against. `per_mode_fields` is the per-mode
 row algorithm that packets replaced: every mode decomposed and sampled on
@@ -99,6 +102,25 @@ def integrate_stationary(spec_a, spec_b, segment_table, E, psi0, dpsi0, x_eval):
             out[np.where(x_eval == xv)] = vals[xv]
         state = sol.y[:, -1]
     return out
+
+
+def derivative_jump(dec):
+    """One-sided finite-difference estimates of the derivative jumps of the
+    sub-waves tr and ref at x_c, from quadratic fits to the three grid
+    points on each side; the two jumps cancel to discretization error
+    because the summed wave is smooth there."""
+    x = dec.x
+    i_cut = int(np.searchsorted(x, dec.x_c, side="right"))
+    if i_cut < 3 or i_cut > x.size - 3:
+        raise ValueError("grid must bracket x_c with at least 3 points per side")
+
+    def one_sided(values, idx):
+        return complex(np.polyfit(x[idx] - dec.x_c, values[idx], 2)[1])
+
+    left_idx = [i_cut - 3, i_cut - 2, i_cut - 1]
+    right_idx = [i_cut, i_cut + 1, i_cut + 2]
+    return tuple(one_sided(values, right_idx) - one_sided(values, left_idx)
+                 for values in (dec.tr_component, dec.ref_component))
 
 
 def cut_flux_integral(table, times):

@@ -196,9 +196,8 @@ def test_criterion_5_cross_method_oracle(canonical_spec, canonical_packet):
         dx=0.01, dt=0.01, t_max=80.0,
     )
     checkpoints = [0.0, 40.0, 80.0]
-    initial, *spectral = synthesize(
-        canonical_spec, canonical_packet, "full", [0.0] + checkpoints, grid.x()
-    )
+    spectral = synthesize(canonical_spec, canonical_packet, "full", checkpoints, grid.x())
+    initial = spectral[0]  # the first checkpoint is t = 0
     result = crank_nicolson_propagate(canonical_spec, initial, grid, sample_times=checkpoints)
     distances = {}
     for sample, spectral_field in zip(result.samples, spectral):

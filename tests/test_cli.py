@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tunnelsplit import cli
+from tunnelsplit import cli, clocks
 from tunnelsplit.cli import main
 from tunnelsplit.tolerances import CN_WALL_MASS
 
@@ -134,6 +134,24 @@ class TestExitCodes:
         assert code == 2
         assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
         assert peak < 10_000_000
+
+    @pytest.mark.parametrize("subcommand, override", [
+        ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=[0.0, 6.005])}),
+        ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=["a"])}),
+        ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=[-1.0])}),
+        ("clock", {"clock": {"omega_factors": [5e-2, 1e-3, 1e-4]}}),
+        ("hartman-sweep", {"clock": {"omega_factors": [5e-2, 1e-3, 1e-4]}}),
+    ])
+    def test_bad_oracle_or_clock_setting_is_2_before_any_work(self, tmp_path, monkeypatch,
+                                                              subcommand, override):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was rejected")
+
+        monkeypatch.setattr(cli, "synthesize", no_work)
+        monkeypatch.setattr(clocks, "decompose_block", no_work)
+        out = tmp_path / "out"
+        assert run_cli(subcommand, write_config(tmp_path, **override), out) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
 
     def test_unexpected_exception_is_4(self, tmp_path, monkeypatch):
         def broken(cfg, out):

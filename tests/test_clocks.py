@@ -17,8 +17,8 @@ from tunnelsplit.clocks import (
     sweep_barrier_width,
     zeeman_shifted,
 )
-from tunnelsplit.errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
-from tunnelsplit.packets import PacketSpec
+from tunnelsplit.errors import ExtrapolationDiverged, GridTooCoarse, PrematureReadout, ZeroFlux
+from tunnelsplit.packets import PacketSpec, build_mode_table, fields_at, norms
 from tunnelsplit.potential import make_rectangular
 from tunnelsplit.splitting import build_decomposition
 from tunnelsplit.stationary import EnergyMode, ProblemBlock
@@ -47,12 +47,7 @@ class TestClockConfig:
     def test_field_must_be_infinitesimal(self):
         cfg = ClockConfig(omegas=(0.1,))
         with pytest.raises(ValueError):
-            cfg.validate_against(MODE, CANONICAL)
-
-    def test_region_must_match_barrier(self):
-        cfg = ClockConfig(omegas=(1e-3,), region=(0.0, 2.0))
-        with pytest.raises(ValueError):
-            cfg.validate_against(MODE, CANONICAL)
+            cfg.validate_block(ProblemBlock.of(CANONICAL, MODE.E))
 
 
 class TestZeemanShift:
@@ -241,6 +236,17 @@ class TestPacketReadout:
         cfg = ClockConfig.for_energy(0.5)
         with pytest.raises(PrematureReadout):
             larmor_packet_readout(CANONICAL, packet, cfg, "tr", t=0.0, n_k=129)
+
+    def test_coarse_grid_fails_as_norms_do(self):
+        # the readout's sub-packet weights take the quadrature of norms,
+        # with its error estimate
+        packet = PacketSpec(k0=1.0, sigma_k=0.05, x0=-60.0)
+        x = CANONICAL.x_c + 1.6 * np.arange(-87, 88)
+        with pytest.raises(GridTooCoarse):
+            norms(fields_at(build_mode_table(CANONICAL, packet, x, n_k=129), 80.0))
+        with pytest.raises(GridTooCoarse):
+            larmor_packet_readout(CANONICAL, packet, ClockConfig.for_energy(0.5), "tr",
+                                  t=80.0, x_grid=x, n_k=129)
 
     def test_free_flight_reading(self):
         spec = make_rectangular(0.0, 2.0, -1.0)

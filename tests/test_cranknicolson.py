@@ -32,7 +32,7 @@ class TestGridSpec:
     def test_spacing(self):
         grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=201, dt=0.01, n_t=5)
         assert grid.dx == pytest.approx(0.01)
-        assert grid.t_final == pytest.approx(0.05)
+        assert grid.n_t * grid.dt == pytest.approx(0.05)
 
 
 class TestPropagation:
@@ -97,7 +97,7 @@ class TestPropagation:
         spec = make_rectangular(1.5, 2.0, -1.0)
         grid = GridSpec(x_min=-30.0, x_max=30.0, n_x=601, dt=0.01, n_t=250)
         initial = gaussian_field(grid.x(), 0.0, k0=1.2, sigma_k=0.4, x0=-4.0)
-        result = crank_nicolson_propagate(spec, initial, grid, sample_times=[grid.t_final])
+        result = crank_nicolson_propagate(spec, initial, grid, sample_times=[grid.n_t * grid.dt])
         want = cayley_steps(spec, initial.values, grid, grid.n_t)
         np.testing.assert_array_equal(result.samples[0].values, want)
 

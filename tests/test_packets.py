@@ -16,11 +16,11 @@ from tunnelsplit.packets import (
     norms,
     overlap,
     spectral_grid,
-    spectrum_norm,
     synthesize,
 )
 from tunnelsplit.potential import make_piecewise, make_rectangular
-from tunnelsplit.splitting import build_decomposition, interference_density
+from tunnelsplit import stationary
+from tunnelsplit.splitting import build_decomposition
 from tunnelsplit.stationary import EnergyMode, solve_full
 from tunnelsplit.tolerances import NORM_DRIFT
 
@@ -37,7 +37,9 @@ class TestPacketSpec:
             PacketSpec(k0=0.4, sigma_k=0.1, x0=-10.0)
 
     def test_spectrum_normalized(self, canonical_packet):
-        assert spectrum_norm(canonical_packet) == pytest.approx(1.0, abs=1e-8)
+        k, w = spectral_grid(canonical_packet, n_k=4097)
+        norm = np.sum(w * np.abs(canonical_packet.spectrum(k)) ** 2)
+        assert norm == pytest.approx(1.0, abs=1e-8)
 
     def test_position_width(self, canonical_packet):
         assert canonical_packet.position_sigma() == 10.0
@@ -186,7 +188,7 @@ class TestCanonicalRun:
     def test_interference_integrates_to_overlap(self, canonical_table):
         t = 55.0
         fld = fields_at(canonical_table, t)
-        cross = interference_density(fld.tr, fld.ref)
+        cross = 2.0 * np.real(np.conj(fld.tr) * fld.ref)
         lhs = float(np.trapezoid(cross, canonical_table.x))
         assert lhs == pytest.approx(2.0 * overlap(fld).real, abs=1e-10)
 
@@ -381,7 +383,7 @@ class TestAgainstPerModeRows:
         spec = self.spec()
         k_mid = spectral_grid(self.PACKET, self.N_K, self.SPAN)[0][self.N_K // 2]
         dec = build_decomposition(spec, EnergyMode.from_k(float(k_mid)), self.X)
-        assert "pair" in [p.kind for p in dec.full_state.pieces]
+        assert stationary.PAIR in dec.full_state.kind[0]
         assert np.all(np.isin([spec.a, spec.x_c, spec.b], self.X))
 
     def test_fields_at_matches(self):

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from tunnelsplit.errors import AsymmetricPotential, NonPositiveWidth
 from tunnelsplit.potential import (
     PotentialSpec,
-    discretize,
     evaluate,
     make_piecewise,
     make_rectangular,
@@ -83,18 +82,6 @@ def test_reconstruction_identity():
     spec = make_piecewise(-2.0, [(1, 0.2), (2, 1.7), (1, 0.2)])
     rebuilt = PotentialSpec(a=spec.a, segments=spec.segments)
     assert rebuilt == spec
-
-
-def test_discretize_constant_profile():
-    spec = discretize(0.0, 4.0, lambda x: 1.5, 8)
-    assert len(spec.segments) == 8
-    assert all(h == 1.5 for _, h in spec.segments)
-    assert spec.symmetric
-
-
-def test_discretize_symmetric_profile():
-    spec = discretize(-2.0, 2.0, lambda x: np.exp(-x * x), 16)
-    assert spec.symmetric
 
 
 @given(

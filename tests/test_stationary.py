@@ -9,18 +9,14 @@ from tunnelsplit.errors import OpacityOverflow
 from tunnelsplit.potential import PotentialSpec, make_piecewise, make_rectangular
 from tunnelsplit.splitting import build_decomposition
 from tunnelsplit.stationary import (
-    BoundaryAmplitudes,
     EnergyMode,
     ProblemBlock,
     ScatteringAmplitudes,
-    evaluate_state,
     sample_states,
-    segment_wavevector,
     solve_block,
     solve_full,
     state_from_left,
     state_from_right,
-    total_transfer,
 )
 
 from _oracles import integrate_stationary, rectangular_transmission
@@ -42,23 +38,14 @@ class TestEnergyMode:
         assert mode.E == 0.5
 
 
-class TestSegmentWavevector:
-    def test_propagating(self):
-        q, degenerate = segment_wavevector(2.0, 0.0)
-        assert q == 2.0 and not degenerate
-
-    def test_evanescent(self):
-        q, degenerate = segment_wavevector(0.5, 2.5)
-        assert q == 2j and not degenerate
-
-    def test_degenerate(self):
-        q, degenerate = segment_wavevector(1.0, 1.0)
-        assert q == 0 and degenerate
+def transfer(spec, E):
+    """The plane-wave-basis transfer matrix of one problem."""
+    return stationary._transfer(ProblemBlock.of(spec, E))[0]
 
 
 class TestTransferMatrix:
     def test_free_is_identity(self):
-        M = total_transfer(make_rectangular(0.0, 2.0, 0.0), EnergyMode(2.0))
+        M = transfer(make_rectangular(0.0, 2.0, 0.0), 2.0)
         assert abs(M[0, 0]) == pytest.approx(1.0, abs=1e-12)
         assert abs(M[0, 1]) < 1e-12 and abs(M[1, 0]) < 1e-12
 
@@ -69,13 +56,13 @@ class TestTransferMatrix:
             PotentialSpec(a=-1.0, segments=((0.7, 1.3), (1.1, -0.4))),
         ):
             for E in np.geomspace(0.01, 100.0, 25):
-                M = total_transfer(spec, EnergyMode(float(E)))
+                M = transfer(spec, E)
                 det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
                 assert abs(det - 1.0) < 1e-10
 
     def test_overflow_reported(self):
         with pytest.raises(OpacityOverflow):
-            total_transfer(make_rectangular(900.0, 10.0, 0.0), EnergyMode(0.1))
+            transfer(make_rectangular(900.0, 10.0, 0.0), 0.1)
 
 
 class TestSolveFull:
@@ -133,7 +120,7 @@ class TestBlock:
 
     def test_mixed_kinds_match_closed_form(self):
         problems = self.block()
-        kinds = state_from_left(problems, None, 1.0, 0.0).kind[:, 0]
+        kinds = state_from_left(problems, 1.0, 0.0).kind[:, 0]
         assert set(kinds) == {stationary.PAIR, stationary.OSC, stationary.EVAN}
         T = np.abs(solve_block(problems)[0]) ** 2
         want = np.array([rectangular_transmission(E, V0, L) for V0, L, E in self.ROWS])
@@ -153,21 +140,26 @@ class TestBlock:
             solve_block(ProblemBlock.of(specs, [0.5, 0.1, 0.7]))
 
 
+def from_left(spec, mode, c_plus, c_minus, x):
+    """Samples on x of the solution with left plane-wave pair (c+, c-)."""
+    return state_from_left(ProblemBlock.of(spec, mode.E), c_plus, c_minus).values(x)
+
+
 class TestEvaluateState:
     def test_free_plane_wave_exact(self):
         spec = make_rectangular(0.0, 2.0, 0.0)
         mode = EnergyMode(2.0)
         x = np.linspace(-3.0, 4.0, 257)
-        field = evaluate_state(spec, mode, BoundaryAmplitudes(1.0, 0.0), x)
-        np.testing.assert_allclose(field.values, np.exp(1j * mode.k * x), rtol=0, atol=1e-13)
+        values = from_left(spec, mode, 1.0, 0.0, x)
+        np.testing.assert_allclose(values, np.exp(1j * mode.k * x), rtol=0, atol=1e-13)
 
     def test_solve_consistency_right_side(self):
         mode = EnergyMode(0.5)
         amps = solve_full(CANONICAL, mode)
         x = np.linspace(1.0, 6.0, 101)
-        field = evaluate_state(CANONICAL, mode, BoundaryAmplitudes(1.0, amps.A_R), x)
+        values = from_left(CANONICAL, mode, 1.0, amps.A_R, x)
         np.testing.assert_allclose(
-            field.values, amps.A_T * np.exp(1j * mode.k * x), rtol=0, atol=1e-10
+            values, amps.A_T * np.exp(1j * mode.k * x), rtol=0, atol=1e-10
         )
 
     def test_linearity(self):
@@ -176,17 +168,11 @@ class TestEvaluateState:
         x = np.linspace(-4.0, 5.0, 301)
         for _ in range(5):
             a1, a2 = rng.normal(size=2) + 1j * rng.normal(size=2)
-            b1 = BoundaryAmplitudes(a1, a2)
-            b2 = BoundaryAmplitudes(a2, a1)
             alpha, beta = rng.normal(size=2) + 1j * rng.normal(size=2)
-            combined = BoundaryAmplitudes(
-                alpha * b1.incoming + beta * b2.incoming,
-                alpha * b1.outgoing + beta * b2.outgoing,
-            )
-            lhs = evaluate_state(CANONICAL, mode, combined, x).values
+            lhs = from_left(CANONICAL, mode, alpha * a1 + beta * a2, alpha * a2 + beta * a1, x)
             rhs = (
-                alpha * evaluate_state(CANONICAL, mode, b1, x).values
-                + beta * evaluate_state(CANONICAL, mode, b2, x).values
+                alpha * from_left(CANONICAL, mode, a1, a2, x)
+                + beta * from_left(CANONICAL, mode, a2, a1, x)
             )
             np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
 
@@ -205,7 +191,7 @@ class TestEvaluateState:
             mode = EnergyMode(E)
             amps = solve_full(spec, mode)
             x = np.linspace(spec.a - 5.0, spec.b + 5.0, 601)
-            got = evaluate_state(spec, mode, BoundaryAmplitudes(1.0, amps.A_R), x).values
+            got = from_left(spec, mode, 1.0, amps.A_R, x)
 
             k = mode.k
             psi0 = np.exp(1j * k * x[0]) + amps.A_R * np.exp(-1j * k * x[0])
@@ -222,16 +208,15 @@ class TestEvaluateState:
 
 class TestStateCascades:
     def test_backward_matches_forward(self):
-        mode = EnergyMode(0.7)
-        fwd = state_from_left(CANONICAL, mode, 1.0, 0.25 - 0.1j)
-        back = state_from_right(CANONICAL, mode, fwd.right[0], fwd.right[1])
+        problems = ProblemBlock.of(CANONICAL, 0.7)
+        fwd = state_from_left(problems, 1.0, 0.25 - 0.1j)
+        back = state_from_right(problems, fwd.right[0], fwd.right[1])
         x = np.linspace(-4.0, 4.0, 401)
         np.testing.assert_allclose(back.values(x), fwd.values(x), rtol=0, atol=1e-12)
         assert back.left[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_derivative_consistent_with_fd(self):
-        mode = EnergyMode(0.9)
-        state = state_from_left(CANONICAL, mode, 1.0, 0.3j)
+        state = state_from_left(ProblemBlock.of(CANONICAL, 0.9), 1.0, 0.3j)
         x = np.linspace(-0.9, 0.9, 11)
         h = 1e-6
         fd = (state.values(x + h) - state.values(x - h)) / (2 * h)
@@ -239,17 +224,23 @@ class TestStateCascades:
 
 
 def _masked_reference(state, x, deriv):
-    """Per-state evaluation by boolean masks: plane waves left of a and from
-    b on, each interior segment on [its left edge, the next one's)."""
-    k = state.mode.k
+    """Per-state evaluation of a one-row state by boolean masks: plane
+    waves left of a and from b on, each interior piece on [its left edge,
+    the next one's)."""
+    P = state.problems
+    k, a, b = P.k[0], P.a[0], P.b[0]
     out = np.full(x.shape, np.nan, dtype=complex)
-    for mask, (cp, cm) in ((x < state.spec.a, state.left), (x >= state.spec.b, state.right)):
+    for mask, (cp, cm) in ((x < a, state.left), (x >= b, state.right)):
         e = np.exp(1j * k * x[mask])
-        out[mask] = 1j * k * (cp * e - cm * e.conj()) if deriv else cp * e + cm * e.conj()
-    ends = [p.xl for p in state.pieces[1:]] + [state.spec.b]
-    for piece, end in zip(state.pieces, ends):
-        m = (x >= piece.xl) & (x < end)
-        out[m] = piece.derivative(x[m]) if deriv else piece.values(x[m])
+        out[mask] = (1j * k * (cp[0] * e - cm[0] * e.conj()) if deriv
+                     else cp[0] * e + cm[0] * e.conj())
+    xl, xr, q2, kind, c1, c2 = (v[0] for v in (state.xl, state.xr, state.q2, state.kind,
+                                                state.c1, state.c2))
+    ends = list(xl[1:]) + [b]
+    for j, end in enumerate(ends):
+        m = (x >= xl[j]) & (x < end)
+        out[m] = stationary._piece_field(kind[j], x[m] - xl[j], xr[j] - x[m], q2[j], c1[j],
+                                         c2[j], deriv)
     return out
 
 
@@ -266,9 +257,9 @@ class TestSampleStates:
 
     def test_setup_covers_pair_form_and_split_middle(self):
         states, x = self._states_and_grid()
-        assert "pair" in [p.kind for p in states[0].pieces]
+        assert stationary.PAIR in states[0].kind[0]
         # the midpoint cascades split the middle segment at x_c
-        assert [p.xl for p in states[2].pieces] == [-1.5, -0.5, 0.0, 0.5]
+        assert states[2].xl[0].tolist() == [-1.5, -0.5, 0.0, 0.5]
         assert np.all(np.isin(self.EDGES, x))
 
     @pytest.mark.parametrize("deriv", [False, True])
