@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__, tolerances
-from .cranknicolson import compare_fields, crank_nicolson_propagate, staggered_grid
+from .cranknicolson import compare_fields, crank_nicolson_propagate
 from .clocks import sweep_barrier_width, compute_clock
 from .errors import INTERNAL_ERRORS, SchemaError, TunnelSplitError
 from .packets import build_mode_table, diagnostics_series, synthesize
@@ -120,10 +120,8 @@ def cmd_decompose(cfg: RunConfig, out: Path) -> dict:
     if cfg.mode is None:
         raise SchemaError("energy.E", "decompose needs one energy")
     spec = cfg.potential
-    pad = float(cfg.decompose_grid["pad"])
-    n = int(cfg.decompose_grid["n"])
-    half = spec.width / 2.0 + pad
-    x = spec.x_c + np.linspace(-half, half, n)
+    half = spec.width / 2.0 + cfg.decompose_grid["pad"]
+    x = spec.x_c + np.linspace(-half, half, cfg.decompose_grid["n"])
     dec = build_decomposition(spec, cfg.mode, x)
     rows = zip(
         x,
@@ -158,7 +156,7 @@ def cmd_decompose(cfg: RunConfig, out: Path) -> dict:
 
 def cmd_evolve(cfg: RunConfig, out: Path) -> dict:
     table = _mode_table(cfg)
-    stride = max(1, cfg.evolve_x_stride)
+    stride = cfg.evolve_x_stride
     full, tr, ref = table.states(cfg.snapshot_times)
     worst_identity = float(np.max(np.abs(tr + ref - full), initial=0.0))
     xs = table.x[::stride].tolist()
@@ -213,17 +211,8 @@ def cmd_diagnostics(cfg: RunConfig, out: Path) -> dict:
 def cmd_oracle_check(cfg: RunConfig, out: Path) -> dict:
     _need_packet(cfg)
     spec, packet = cfg.potential, cfg.packet
-    oracle = cfg.oracle
-    checkpoints = sorted(float(t) for t in oracle["checkpoints"])
+    grid, checkpoints = cfg.oracle_grid, cfg.checkpoints
     t_max = checkpoints[-1]
-    grid = staggered_grid(
-        spec,
-        packet.x0 - float(oracle["margin_left"]),
-        spec.b + float(oracle["margin_right"]),
-        float(oracle["dx"]),
-        float(oracle["dt"]),
-        t_max,
-    )
     times = sorted({0.0, *checkpoints})
     spectral_at = dict(zip(times, synthesize(spec, packet, "full", times, grid.x(),
                                              n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)))
@@ -263,8 +252,7 @@ def _clock_row(res) -> tuple:
 def cmd_clock(cfg: RunConfig, out: Path) -> dict:
     if cfg.mode is None:
         raise SchemaError("energy.E", "clock needs one energy")
-    res = compute_clock(cfg.potential, cfg.mode, cfg.clock_config,
-                        n_quad=int(cfg.clock_raw["n_quad"]))
+    res = compute_clock(cfg.potential, cfg.mode, cfg.clock_config, n_quad=cfg.n_quad)
     write_csv(out / "clock.csv", _CLOCK_HEADER, [_clock_row(res)])
     return {
         "tau_dwell_tr": res.tau_dwell_tr,
@@ -276,13 +264,13 @@ def cmd_clock(cfg: RunConfig, out: Path) -> dict:
 
 def cmd_hartman_sweep(cfg: RunConfig, out: Path) -> dict:
     sw = cfg.sweep
-    kappa_ls = np.linspace(float(sw["kappa_l_min"]), float(sw["kappa_l_max"]), int(sw["num"]))
+    kappa_ls = np.linspace(sw["kappa_l_min"], sw["kappa_l_max"], sw["num"])
     with WorkerMap(cfg.workers) as pmap:
         results = sweep_barrier_width(
-            float(sw["v0"]), float(sw["energy_ratio"]), kappa_ls,
-            config_factors=tuple(cfg.clock_raw["omega_factors"]),
-            extrapolation_order=int(cfg.clock_raw["extrapolation_order"]),
-            n_quad=int(cfg.clock_raw["n_quad"]),
+            sw["v0"], sw["energy_ratio"], kappa_ls,
+            config_factors=cfg.omega_factors,
+            extrapolation_order=cfg.clock_config.extrapolation_order,
+            n_quad=cfg.n_quad,
             map_fn=pmap,
         )
     taus = [r.tau_dwell_tr for r in results]
@@ -362,10 +350,6 @@ def main(argv=None) -> int:
         print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
         _error_record(out_dir, exc, 4)
         return 4
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        _error_record(out_dir, exc, 2)
-        return 2
     except TunnelSplitError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         _error_record(out_dir, exc, 3)

@@ -457,7 +457,7 @@ def _continuity_window(x: np.ndarray, cut: float | None):
         keep &= np.abs(x - cut) > 2.0 * (x[1] - x[0]) + 1e-12
         i_cut = int(np.searchsorted(x, cut, side="right"))
     if not keep.any():
-        raise ValueError("continuity window excludes every grid point")
+        raise GridTooCoarse("continuity window excludes every grid point")
     return keep, i_cut
 
 

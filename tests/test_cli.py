@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -135,23 +136,55 @@ class TestExitCodes:
         assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
         assert peak < 10_000_000
 
+    @staticmethod
+    def rejected_before_any_work(tmp_path, monkeypatch, subcommand, override):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was rejected")
+
+        for module, name in ((cli, "synthesize"), (cli, "build_decomposition"),
+                             (cli, "build_mode_table"), (clocks, "decompose_block")):
+            monkeypatch.setattr(module, name, no_work)
+        out = tmp_path / "out"
+        assert run_cli(subcommand, write_config(tmp_path, **override), out) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
+
     @pytest.mark.parametrize("subcommand, override", [
         ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=[0.0, 6.005])}),
         ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=["a"])}),
         ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=[-1.0])}),
         ("clock", {"clock": {"omega_factors": [5e-2, 1e-3, 1e-4]}}),
         ("hartman-sweep", {"clock": {"omega_factors": [5e-2, 1e-3, 1e-4]}}),
+        # 1e11 Crank-Nicolson steps: a parsed config must not hold a CPU for years
+        ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=[0.0, 1e9])}),
     ])
     def test_bad_oracle_or_clock_setting_is_2_before_any_work(self, tmp_path, monkeypatch,
                                                               subcommand, override):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before the config was rejected")
+        self.rejected_before_any_work(tmp_path, monkeypatch, subcommand, override)
 
-        monkeypatch.setattr(cli, "synthesize", no_work)
-        monkeypatch.setattr(clocks, "decompose_block", no_work)
+    @pytest.mark.parametrize("subcommand, override", [
+        ("hartman-sweep", {"sweep": dict(FAST["sweep"], v0=0)}),
+        ("hartman-sweep", {"sweep": dict(FAST["sweep"], v0=-1)}),
+        ("hartman-sweep", {"sweep": dict(FAST["sweep"], kappa_l_min=0)}),
+        ("decompose", {"decompose_grid": {"pad": [1]}}),
+        ("decompose", {"decompose_grid": {"pad": math.inf}}),
+        ("evolve", {"snapshot_times": 5}),
+        ("diagnostics", {"x_grid": dict(FAST["x_grid"], x_max=math.inf)}),
+        ("diagnostics", {"times": []}),
+        ("diagnostics", {"times": dict(FAST["times"], num=0)}),
+        ("diagnostics", {"fd_dt": 0}),
+        ("diagnostics", {"fd_dt": math.nan}),
+        ("evolve", {"evolve_x_stride": 0}),
+    ])
+    def test_bad_setting_is_2_before_any_work(self, tmp_path, monkeypatch, subcommand, override):
+        self.rejected_before_any_work(tmp_path, monkeypatch, subcommand, override)
+
+    def test_grid_without_continuity_points_is_3(self, tmp_path):
+        # dx 28 leaves three points, all of them in the edge cells that the
+        # continuity residual skips
+        cfg = write_config(tmp_path, x_grid=dict(FAST["x_grid"], dx=28.0))
         out = tmp_path / "out"
-        assert run_cli(subcommand, write_config(tmp_path, **override), out) == 2
-        assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
+        assert run_cli("diagnostics", cfg, out) == 3
+        assert json.loads((out / "error.json").read_text())["error"] == "GridTooCoarse"
 
     def test_unexpected_exception_is_4(self, tmp_path, monkeypatch):
         def broken(cfg, out):

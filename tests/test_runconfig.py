@@ -1,12 +1,19 @@
+import copy
 import json
+import math
 import os
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunnelsplit.errors import SchemaError
 from tunnelsplit.runconfig import parse_config, parse_config_text
 
 MINIMAL = {"potential": {"a": -1.0, "segments": [[2.0, 1.0]]}}
+CANONICAL = json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "canonical.json").read_text())
 
 
 def parse(extra=None, **overrides):
@@ -146,3 +153,29 @@ def test_parse_config_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SchemaError):
         parse_config(str(path))
+
+
+def _leaves(obj, path=()):
+    """Key paths of the values in nested objects that are not objects."""
+    if not isinstance(obj, dict):
+        return [path]
+    return [leaf for key, value in obj.items() for leaf in _leaves(value, path + (key,))]
+
+
+ECHO = parse_config_text(json.dumps(
+    dict(CANONICAL, x_grid={"x_min": -150.0, "x_max": 134.0, "dx": 0.1}))).echo()
+BAD_VALUES = [None, "a", [], {}, -1, 0, True, math.nan, math.inf, [1], 1e300]
+
+
+@settings(max_examples=len(_leaves(ECHO)) * len(BAD_VALUES), deadline=None, derandomize=True)
+@given(st.sampled_from(_leaves(ECHO)), st.sampled_from(BAD_VALUES))
+def test_any_leaf_value_parses_or_is_schema_error(path, value):
+    cfg = copy.deepcopy(ECHO)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        parse_config_text(json.dumps(cfg))
+    except SchemaError:
+        pass
