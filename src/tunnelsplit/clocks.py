@@ -27,8 +27,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
-from .packets import (COMPONENTS, PacketSpec, _mode_table, _norm_sums, _overlap, _quadrature,
-                      build_mode_table, default_x_grid, simpson_weights)
+from .packets import (COMPONENTS, PacketSpec, _density, _mode_table, _norm_sums, _overlap,
+                      _quadrature, build_mode_table, default_x_grid, simpson_weights)
 from .potential import PotentialSpec
 from .splitting import StationaryDecomposition, decompose_block
 from .stationary import EnergyMode, ProblemBlock, sample_density, solve_block, solve_full
@@ -361,7 +361,7 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
     base = build_mode_table(spec, packet, x, n_k)
     values = base.states([t])[:, 0]
     q = _quadrature(x)
-    _, t_w, r_w = _norm_sums(q, values)[:, 0]
+    _, t_w, r_w = _norm_sums(q, _density(values))[:, 0]
     ov = abs(_overlap(q, values[1], values[2]))
     threshold = OVERLAP_FINAL_FRACTION * math.sqrt(t_w * r_w)
     if ov > threshold:

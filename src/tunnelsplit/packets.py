@@ -324,9 +324,9 @@ def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
 # arrays stay in cache, where a whole batch's would stream from memory.
 
 def _quadrature(x: np.ndarray) -> np.ndarray:
-    """Trapezoid weights on x as four rows: the rule, the rule on every
+    """Trapezoid weights on x as three rows: the rule, the rule on every
     other point (zero between; the Richardson error estimate compares the
-    two) and the rule times x and times x^2 (the position moments)."""
+    two) and the rule times x (the position mean)."""
     def trapezoid(x):
         w = np.zeros_like(x)
         half = 0.5 * np.diff(x)
@@ -334,11 +334,10 @@ def _quadrature(x: np.ndarray) -> np.ndarray:
         w[1:] += half
         return w
 
-    q = np.zeros((4, x.size))
+    q = np.zeros((3, x.size))
     q[0] = trapezoid(x)
     q[1, ::2] = trapezoid(x[::2])
     q[2] = x * q[0]
-    q[3] = x * q[2]
     return q
 
 
@@ -355,11 +354,11 @@ def current_density(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     return j
 
 
-def _norm_sums(q: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The weighted sums (3, 4) of the densities of (full, tr, ref) at one
-    time; GridTooCoarse when the Richardson estimate of the norm quadrature
-    error is too large."""
-    sums = _density(values) @ q.T
+def _norm_sums(q: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The weighted sums (3, 3) of the densities rho of (full, tr, ref) at
+    one time; GridTooCoarse when the Richardson estimate of the norm
+    quadrature error is too large."""
+    sums = rho @ q.T
     err = np.max(np.abs(sums[:, 0] - sums[:, 1])) / 3.0
     if err > QUADRATURE_ERROR:
         raise GridTooCoarse(
@@ -368,13 +367,16 @@ def _norm_sums(q: np.ndarray, values: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _moments(sums: np.ndarray, flux: np.ndarray):
-    """(xbar, pbar, var_x) from weighted density sums (..., 4) and the
-    integrated current, normalized to the component's own weight; NaN
-    where that weight is below ZERO_NORM."""
+def _moments(q: np.ndarray, x: np.ndarray, rho: np.ndarray, sums: np.ndarray,
+             flux: np.ndarray):
+    """(xbar, pbar, var_x) from the densities rho (..., n_x), their weighted
+    sums (..., 3) and the integrated current, normalized to the component's
+    own weight; NaN where that weight is below ZERO_NORM. var_x is taken
+    about xbar, so it never cancels against xbar^2."""
     norm = np.where(sums[..., 0] < ZERO_NORM, np.nan, sums[..., 0])
     xbar = sums[..., 2] / norm
-    return xbar, flux / norm, sums[..., 3] / norm - xbar ** 2
+    var_x = (rho * (x - xbar[..., None]) ** 2) @ q[0] / norm
+    return xbar, flux / norm, var_x
 
 
 def _overlap(q: np.ndarray, tr: np.ndarray, ref: np.ndarray) -> complex:
@@ -384,7 +386,7 @@ def _overlap(q: np.ndarray, tr: np.ndarray, ref: np.ndarray) -> complex:
 def norms(fld: EvolvedField) -> tuple[float, float, float]:
     """(T_t, R_t, total) with a Richardson estimate of the quadrature error."""
     values = np.stack((fld.full, fld.tr, fld.ref))
-    total, T, R = _norm_sums(_quadrature(fld.x), values)[:, 0]
+    total, T, R = _norm_sums(_quadrature(fld.x), _density(values))[:, 0]
     return float(T), float(R), float(total)
 
 
@@ -406,10 +408,11 @@ def moments(fld: EvolvedField, component: str) -> Moments:
     position variance of one component, normalized to its own weight."""
     psi, dpsi = fld.component(component), fld.derivative(component)
     q = _quadrature(fld.x)
-    sums = _density(psi) @ q.T
+    rho = _density(psi)
+    sums = rho @ q.T
     if sums[0] < ZERO_NORM:
         raise ZeroNorm(f"component norm {sums[0]:.3e} too small for moments")
-    return Moments(*map(float, _moments(sums, current_density(psi, dpsi) @ q[0])))
+    return Moments(*map(float, _moments(q, fld.x, rho, sums, current_density(psi, dpsi) @ q[0])))
 
 
 def _gradient_uniform(values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -551,8 +554,9 @@ def diagnostics_series(table: ModeTable, times, fd_dt: float = 1e-2) -> Diagnost
         for i, rate in enumerate(rates):
             v, d = values[:, i], derivs[:, i]
             full, tr, ref = v
-            sums = _norm_sums(q, v)
-            xbar, pbar, var_x = _moments(sums, current_density(v, d) @ q[0])
+            rho = _density(v)
+            sums = _norm_sums(q, rho)
+            xbar, pbar, var_x = _moments(q, x, rho, sums, current_density(v, d) @ q[0])
             row = {
                 "T": sums[1, 0], "R": sums[2, 0], "total": sums[0, 0],
                 "overlap": _overlap(q, tr, ref),

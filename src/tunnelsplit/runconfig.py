@@ -137,7 +137,7 @@ _SCHEMA = {
         "grid": (_OMITTED, {
             "min": (_REQUIRED, _number),
             "max": (_REQUIRED, _number),
-            # one energy's transfer matrices and its CSV line
+            # one energy's cascade and its CSV line
             "n": (_REQUIRED, _count(512, least=1)),
             "scale": ("log", _rule(_string, lambda s: s in ("log", "linear"), "log or linear")),
         }),
@@ -148,7 +148,7 @@ _SCHEMA = {
                       _rule(_number, lambda s: s >= 5.0, ">= 5, to cover 5 sigma_k")),
     "x_grid": (None, _x_grid),
     "times": ({}, _times),
-    "snapshot_times": ([0.0, 20.0, 40.0, 60.0, 80.0], _list_of(_number)),
+    "snapshot_times": ([0.0, 20.0, 40.0, 60.0, 80.0], _list_of(_number, 1)),
     "fd_dt": (0.01, _POSITIVE),
     "decompose_grid": ({}, {
         "pad": (5.0, _number),
@@ -173,8 +173,9 @@ _SCHEMA = {
         "energy_ratio": (0.5, _rule(_number, lambda r: 0.0 < r < 1.0, "in (0, 1)")),
         "kappa_l_min": (2.0, _POSITIVE),
         "kappa_l_max": (10.0, _POSITIVE),
-        # one width's ClockResult, its readings and its CSV line
-        "num": (9, _count(4096)),
+        # one width's ClockResult, its readings and its CSV line; two
+        # widths at least, so that the monotonicity footer compares some
+        "num": (9, _count(4096, least=2)),
     }),
     "evolve_x_stride": (4, _AT_LEAST_ONE),
     "out_dir": ("out", _string),
@@ -314,6 +315,10 @@ def parse_config_text(text: str) -> RunConfig:
             raise SchemaError(f"oracle.checkpoints[{i}]", f"must be a multiple of "
                               f"oracle.dt = {oracle['dt']} and >= 0, got {t}")
     checkpoints = sorted(oracle["checkpoints"])
+    if step_index(checkpoints[-1], oracle["dt"]) < 1:
+        raise SchemaError("oracle.checkpoints", f"no checkpoint falls at step 1 or later of "
+                                                f"oracle.dt = {oracle['dt']}: the oracle "
+                                                f"would compare nothing after launch")
 
     x_grid = oracle_grid = None
     if packet is not None:

@@ -35,10 +35,9 @@ from .stationary import (
     ScatteringAmplitudes,
     column_slices,
     sample_states,
-    solve_block,
+    scattering_state,
     state_from_left,
     state_from_midpoint,
-    state_from_right,
 )
 from .tolerances import (
     IDENTITY_STATIONARY,
@@ -171,7 +170,7 @@ def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
     problems.require_symmetric()
     E, x_c = problems.E, problems.x_c
     x = np.asarray(x_grid, dtype=float)
-    A_T, A_R = solve_block(problems)
+    A_T, A_R, full_state = scattering_state(problems)
     T, R = np.abs(A_T) ** 2, np.abs(A_R) ** 2
     cand_plus, cand_minus = split_amplitude_candidates(T, R)
 
@@ -201,7 +200,7 @@ def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
         span = np.maximum(x_c - x[..., 0], x[..., -1] - x_c)
     else:
         span = np.zeros(problems.n)
-    odd_mid, parity_residual = _midpoint_and_parity(odd_state, span)
+    odd_mid, parity_residual, parity_scale = _midpoint_and_parity(odd_state, span)
     mids = np.column_stack((odd_mid, np.abs(sample_states(even_state, x_c[:, None])[:, 0])))
     i = _first(mids[:, 0] >= PARITY_MIDPOINT)
     if i is not None:
@@ -212,11 +211,7 @@ def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
 
     ref_state = odd_state
     tr_state = state_from_left(problems, split.A_tr_in, 0.0)
-    full_state = state_from_right(problems, A_T, 0.0)
-    i = _first(np.abs(full_state.left[0] - 1.0) > 1e-8)
-    if i is not None:
-        raise SolveSingular(f"backward-built full state has incidence "
-                            f"{full_state.left[0][i]!r}, expected 1")
+    _check_exterior(full_state, tr_state, ref_state)
 
     # the grid checks reduce one slice of columns at a time, so a block
     # never holds its samples on the whole grid
@@ -228,7 +223,6 @@ def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
         part += sample_states(tr_state, x[..., cols])
         part -= sample_states(full_state, x[..., cols])
         identity_residual = np.maximum(identity_residual, np.max(np.abs(part), axis=-1))
-    _check_exterior(full_state, tr_state, ref_state, ref_scale)
 
     i = _first(identity_residual > IDENTITY_STATIONARY)
     if i is not None:
@@ -243,11 +237,11 @@ def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
             raise SolveSingular(f"{label} deviates from its channel weight by "
                                 f"{got[i] - want[i]:.3e} at E = {E[i]:.6g}")
 
-    i = _first((ref_scale > 0) & (parity_residual > PARITY_RELATIVE * ref_scale))
+    i = _first((parity_scale > 0) & (parity_residual > PARITY_RELATIVE * parity_scale))
     if i is not None:
         raise OddSelectionFailed(
             f"selected root is not antisymmetric: residual {parity_residual[i]:.3e} "
-            f"vs scale {ref_scale[i]:.3e} at E = {E[i]:.6g}",
+            f"vs scale {parity_scale[i]:.3e} at E = {E[i]:.6g}",
             residuals=tuple(mids[i]),
         )
 
@@ -298,23 +292,25 @@ def build_decomposition(spec: PotentialSpec, mode: EnergyMode, x_grid) -> Statio
 
 
 def _check_exterior(full_state: PiecewiseState, tr_state: PiecewiseState,
-                    ref_state: PiecewiseState, ref_scale: np.ndarray):
+                    ref_state: PiecewiseState):
     """Checks on the plane-wave pairs, covering every x outside [a, b].
 
     With (c+, c-), (d+, d-) the left and right pairs of ref and E =
     exp(ikx_c), ref(x_c + d) + ref(x_c - d) = exp(ikd) (d+ E + c- / E)
-    + exp(-ikd) (d- / E + c+ E); on each side the pair of full - tr - ref
-    bounds |tr + ref - full|. Antisymmetry goes first, so that a fault in
-    ref alone reads as a failed selection.
+    + exp(-ikd) (d- / E + c+ E), relative to |c+| + |c-|, the largest
+    |ref| left of a; on each side the pair of full - tr - ref bounds
+    |tr + ref - full|. Antisymmetry goes first, so that a fault in ref
+    alone reads as a failed selection.
     """
     problems = ref_state.problems
     (c_plus, c_minus), (d_plus, d_minus) = ref_state.left, ref_state.right
     e_c = np.exp(1j * problems.k * problems.x_c)
     residual = np.abs(d_plus * e_c + c_minus / e_c) + np.abs(d_minus / e_c + c_plus * e_c)
-    i = _first((ref_scale > 0) & (residual > PARITY_RELATIVE * ref_scale))
+    scale = np.abs(c_plus) + np.abs(c_minus)
+    i = _first((scale > 0) & (residual > PARITY_RELATIVE * scale))
     if i is not None:
         raise OddSelectionFailed(f"selected root is not antisymmetric outside the barrier: "
-                                 f"residual {residual[i]:.3e} vs scale {ref_scale[i]:.3e} "
+                                 f"residual {residual[i]:.3e} vs scale {scale[i]:.3e} "
                                  f"at E = {problems.E[i]:.6g}")
     for side in ("left", "right"):
         f, t, r = (getattr(state, side) for state in (full_state, tr_state, ref_state))
@@ -325,16 +321,16 @@ def _check_exterior(full_state: PiecewiseState, tr_state: PiecewiseState,
                                 f"of the barrier by {residual[i]:.3e} at E = {problems.E[i]:.6g}")
 
 
-def _midpoint_and_parity(ref_state: PiecewiseState, span: np.ndarray,
-                         n: int = 33) -> tuple[np.ndarray, np.ndarray]:
-    """|ref(x_c)| and max_d |ref(x_c - d) + ref(x_c + d)| per row, over
-    n - 1 offsets up to the row's span (1 where the span is not positive),
-    from one ascending sampling per row."""
+def _midpoint_and_parity(ref_state: PiecewiseState, span: np.ndarray, n: int = 33):
+    """|ref(x_c)|, max_d |ref(x_c - d) + ref(x_c + d)| and max |ref| per
+    row, over n - 1 offsets up to the row's span (1 where the span is not
+    positive), from one ascending sampling per row."""
     d = np.linspace(0.0, np.where(span > 0, span, 1.0), n, axis=-1)[:, 1:]
     x_c = ref_state.problems.x_c[:, None]
     values = sample_states(ref_state, np.concatenate((x_c - d[:, ::-1], x_c, x_c + d), axis=1))
     left, right = values[:, n - 2::-1], values[:, n:]
-    return np.abs(values[:, n - 1]), np.max(np.abs(left + right), axis=-1)
+    return (np.abs(values[:, n - 1]), np.max(np.abs(left + right), axis=-1),
+            np.max(np.abs(values), axis=-1))
 
 
 def sub_waves(left, full, tr_state, ref_state):

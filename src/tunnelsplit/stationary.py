@@ -1,19 +1,24 @@
-"""Stationary scattering states via exact per-segment transfer matrices,
-computed for a block of problems (barrier_i, E_i) at a time.
+"""Stationary scattering states as cascades, computed for a block of
+problems (barrier_i, E_i) at a time.
 
-The plane-wave transfer matrix M maps the coefficient pair (c+, c-) of
-psi = c+ exp(ikx) + c- exp(-ikx) at x = a to the pair at x = b. Its
-Wronskian is exactly 1, which allows the reduction A_T = 1/M22,
-A_R = -M21/M22: both stay relatively accurate however opaque the
-barrier, because no growing exponential is ever differenced.
+Inside [a, b] a state is one piece per segment, in a basis of bounded
+functions (two decaying exponentials for evanescent segments; see
+_piece_field); outside it is a plane-wave pair. One walker, `_cascade`,
+builds every state: from (psi, psi') given at a cut (a, b or the
+midpoint x_c) it runs backward to a and forward to b, and each step
+solves the piece's two coefficients from its start edge and evaluates
+the piece at its far edge. `state_from_left`, `state_from_right` and
+`state_from_midpoint` cut at a, b and x_c.
 
-Interior fields are represented per segment in a basis of bounded
-functions (two decaying exponentials for evanescent segments), built by
-cascades that run along the local growth direction. `state_from_left`
-is the generic propagator for arbitrary boundary data; its absolute
-error grows like exp(kappa * depth) when the true solution decays, so
-the decomposition code uses `state_from_right` / `state_from_midpoint`
-for the components where that matters.
+The amplitudes come from the same walker. The unit transmitted wave
+exp(ikx), cascaded backward from b, has left pair (1/A_T, A_R/A_T): both
+amplitudes are quotients of that pair, relatively accurate however
+opaque the barrier, because the backward cascade runs along the growth
+direction and never differences a growing exponential. The full
+scattering state is that cascade scaled by A_T. `state_from_left`'s
+absolute error grows like exp(kappa * depth) where the true solution
+decays, so the decomposition builds only tr_state with it; the
+reflection sub-solution cascades outward from x_c.
 
 Every function works on a `ProblemBlock`, one problem per row, with the
 rows of a block sharing a segment count. Each row's arithmetic depends
@@ -172,7 +177,7 @@ def _raise_first(bad: np.ndarray, E: np.ndarray, error, message: str):
         raise error(f"{message} at E = {E[np.argmax(bad)]:.6g}")
 
 
-# --- transfer matrix and amplitudes ----------------------------------------
+# --- piecewise field representation -----------------------------------------
 
 def _sinc(z: np.ndarray) -> np.ndarray:
     """sin(z)/z for complex z, series-stabilized near zero."""
@@ -185,78 +190,6 @@ def _sinc(z: np.ndarray) -> np.ndarray:
     out[~small] = np.sin(zb) / zb
     return out
 
-
-def _mat(m00, m01, m10, m11) -> np.ndarray:
-    """(n, 2, 2) stack from its four (n,) entries."""
-    return np.moveaxis(np.array([[m00, m01], [m10, m11]]), (0, 1), (1, 2))
-
-
-def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise products of (n, 2, 2) stacks."""
-    return A[:, :, :1] * B[:, :1, :] + A[:, :, 1:] * B[:, 1:, :]
-
-
-def _pair_matrix(q2: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Maps (psi, psi') across segments of widths w, as (n, 2, 2); each
-    determinant is exactly 1."""
-    z = np.sqrt(q2.astype(complex)) * w
-    c = np.cos(z)
-    s = _sinc(z)
-    return _mat(c, w * s, -q2 * w * s, c)
-
-
-def _check_opacity(problems: ProblemBlock):
-    """Sum of kappa*width over evanescent segments: the overflow budget."""
-    q2 = problems.q2
-    opacity = np.where(q2 < 0, np.sqrt(np.abs(q2)) * problems.widths, 0.0).sum(axis=1)
-    bad = opacity > OPACITY_MAX
-    if bad.any():
-        i = np.argmax(bad)
-        raise OpacityOverflow(
-            f"evanescent decay budget exceeded at E = {problems.E[i]:.6g}: "
-            f"sum kappa*w = {opacity[i]:.1f} > {OPACITY_MAX}"
-        )
-
-
-def _transfer(problems: ProblemBlock) -> np.ndarray:
-    """Plane-wave-basis transfer matrices from x = a to x = b, (n, 2, 2)."""
-    _check_opacity(problems)
-    P = np.broadcast_to(np.eye(2, dtype=complex), (problems.n, 2, 2))
-    for q2, w in zip(problems.q2.T, problems.widths.T):
-        P = _matmul(_pair_matrix(q2, w), P)
-    k = problems.k
-    ea = np.exp(1j * k * problems.a)
-    eb = np.exp(1j * k * problems.b)
-    W_a = _mat(ea, 1 / ea, 1j * k * ea, -1j * k / ea)
-    W_b_inv = _mat(0.5 / eb, 1 / (2j * k * eb), 0.5 * eb, -eb / (2j * k))
-    return _matmul(_matmul(W_b_inv, P), W_a)
-
-
-def solve_block(problems: ProblemBlock) -> tuple[np.ndarray, np.ndarray]:
-    """(A_T, A_R), each (n,), of the unit wave incident from the left on
-    every row. The first row whose transfer matrix is singular or
-    non-finite, or whose flux is not conserved, raises SolveSingular."""
-    M = _transfer(problems)
-    E = problems.E
-    _raise_first(~np.isfinite(M).all(axis=(1, 2)) | (np.abs(M[:, 1, 1]) < 1e-150), E,
-                 SolveSingular, "transfer matrix singular or non-finite")
-    # det M = 1 exactly, so A_T = det M / M22 reduces to 1/M22.
-    A_T = 1.0 / M[:, 1, 1]
-    A_R = -M[:, 1, 0] / M[:, 1, 1]
-    T, R = np.abs(A_T) ** 2, np.abs(A_R) ** 2
-    _raise_first(~(np.isfinite(T) & np.isfinite(R)), E, SolveSingular,
-                 "non-finite scattering amplitudes")
-    _raise_first(np.abs(T + R - 1.0) > UNITARITY, E, SolveSingular, "flux not conserved")
-    return A_T, A_R
-
-
-def solve_full(spec: PotentialSpec, mode: EnergyMode) -> ScatteringAmplitudes:
-    """Unit wave incident from the left, nothing incoming from the right."""
-    A_T, A_R = solve_block(ProblemBlock.of(spec, mode.E))
-    return ScatteringAmplitudes(A_T=complex(A_T[0]), A_R=complex(A_R[0]))
-
-
-# --- piecewise field representation -----------------------------------------
 
 def _piece_field(kind: int, d, dr, q2, c1, c2, deriv: bool):
     """A piece's field (or x derivative) at offsets d = x - xl, dr = xr - x
@@ -288,48 +221,34 @@ def _segment_kind(q2: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(np.abs(q2) * w * w < _PAIRFORM_Z2, PAIR, np.where(q2 > 0, OSC, EVAN))
 
 
+# (c1, c2) of each basis function in turn, broadcast along a piece's rows
+_BASIS = np.eye(2)[:, :, None]
+
+
 def _step(q2, w, xl, psi, dpsi, forward: bool):
     """One segment of a cascade on every row: from (psi, psi') at its left
     edge (forward) or right edge (backward), its piece columns
-    (xl, xr, q2, kind, c1, c2) and (psi, psi') at its other edge."""
+    (xl, xr, q2, kind, c1, c2) and (psi, psi') at its other edge.
+
+    (c1, c2) solve the 2x2 system of the two basis functions of
+    _piece_field and their derivatives at the start edge, by Cramer's
+    rule; the far edge is then _piece_field itself."""
     kind = _segment_kind(q2, w)
+    zero = np.zeros_like(w)
+    start, far = (zero, w) if forward else (w, zero)  # offsets from the left edge
     out = np.empty((4,) + q2.shape, dtype=complex)  # c1, c2, psi, psi' at the far edge
     for code in (PAIR, OSC, EVAN):
         m = kind == code
         if not m.any():
             continue
-        p, dp, wm = psi[m], dpsi[m], w[m]
-        if code == PAIR:
-            mat = _pair_matrix(q2[m], wm)
-            if forward:
-                out[:, m] = (p, dp, mat[:, 0, 0] * p + mat[:, 0, 1] * dp,
-                             mat[:, 1, 0] * p + mat[:, 1, 1] * dp)
-            else:  # inverse of the det-1 pair matrix
-                p_l = mat[:, 1, 1] * p - mat[:, 0, 1] * dp
-                dp_l = -mat[:, 1, 0] * p + mat[:, 0, 0] * dp
-                out[:, m] = p_l, dp_l, p_l, dp_l
-        elif code == OSC:
-            q = np.sqrt(q2[m])
-            e = np.exp(1j * q * wm)
-            if forward:
-                u = 0.5 * (p + dp / (1j * q))
-                v = 0.5 * (p - dp / (1j * q))
-                out[:, m] = u, v, u * e + v / e, 1j * q * (u * e - v / e)
-            else:
-                u = 0.5 * (p + dp / (1j * q)) / e
-                v = 0.5 * (p - dp / (1j * q)) * e
-                out[:, m] = u, v, u + v, 1j * q * (u - v)
-        else:
-            kp = np.sqrt(-q2[m])
-            grow, eps = np.exp(kp * wm), np.exp(-kp * wm)
-            if forward:
-                u = 0.5 * (p - dp / kp)
-                v = grow * 0.5 * (p + dp / kp)
-                out[:, m] = u, v, u * eps + v, kp * (v - u * eps)
-            else:
-                v = 0.5 * (p + dp / kp)
-                u = grow * 0.5 * (p - dp / kp)
-                out[:, m] = u, v, u + v * eps, kp * (-u + v * eps)
+        q2m, wm, d0, d1 = q2[m], w[m], start[m], far[m]
+        (f1, f2), (g1, g2) = (_piece_field(code, d0, wm - d0, q2m, *_BASIS, deriv)
+                              for deriv in (False, True))
+        p, dp = psi[m], dpsi[m]
+        det = f1 * g2 - f2 * g1
+        c1, c2 = (p * g2 - f2 * dp) / det, (f1 * dp - g1 * p) / det
+        out[:, m] = c1, c2, *(_piece_field(code, d1, wm - d1, q2m, c1, c2, deriv)
+                              for deriv in (False, True))
     c1, c2, psi_far, dpsi_far = out
     return (xl, xl + w, q2, kind, c1, c2), psi_far, dpsi_far
 
@@ -514,47 +433,30 @@ def _plane_values(c_plus, c_minus, k, e):
     return c_plus * e + c_minus / e, 1j * k * (c_plus * e - c_minus / e)
 
 
-def state_from_left(P: ProblemBlock, c_plus, c_minus) -> PiecewiseState:
-    """Forward cascade from the left plane-wave pair, one pair per row of
-    P or one for every row."""
-    _check_opacity(P)
-    k = P.k
-    ea = np.exp(1j * k * P.a)
-    psi, dpsi = _plane_values(c_plus, c_minus, k, ea)
-    pieces = []
-    for xl, w, q2 in zip(P.edges.T, P.widths.T, P.q2.T):
-        piece, psi, dpsi = _step(q2, w, xl, psi, dpsi, forward=True)
-        pieces.append(piece)
-    right = _plane_pair(psi, dpsi, k, np.exp(1j * k * P.b))
-    return _assemble(P, (c_plus, c_minus), right, pieces)
+def _check_opacity(problems: ProblemBlock):
+    """Sum of kappa*width over evanescent segments: the overflow budget."""
+    q2 = problems.q2
+    opacity = np.where(q2 < 0, np.sqrt(np.abs(q2)) * problems.widths, 0.0).sum(axis=1)
+    bad = opacity > OPACITY_MAX
+    if bad.any():
+        i = np.argmax(bad)
+        raise OpacityOverflow(
+            f"evanescent decay budget exceeded at E = {problems.E[i]:.6g}: "
+            f"sum kappa*w = {opacity[i]:.1f} > {OPACITY_MAX}"
+        )
 
 
-def state_from_right(P: ProblemBlock, d_plus, d_minus) -> PiecewiseState:
-    """Backward cascade from the right plane-wave pair; arguments as for
-    state_from_left."""
-    _check_opacity(P)
-    k = P.k
-    eb = np.exp(1j * k * P.b)
-    psi, dpsi = _plane_values(d_plus, d_minus, k, eb)
-    pieces = []
-    for xl, w, q2 in reversed(list(zip(P.edges.T, P.widths.T, P.q2.T))):
-        piece, psi, dpsi = _step(q2, w, xl, psi, dpsi, forward=False)
-        pieces.append(piece)
-    pieces.reverse()
-    left = _plane_pair(psi, dpsi, k, np.exp(1j * k * P.a))
-    return _assemble(P, left, (d_plus, d_minus), pieces)
-
-
-def _split_segments_at_center(P: ProblemBlock):
-    """Segment columns (xl, w, q2) left and right of x_c, splitting the
-    middle segment when x_c falls inside one. Every row must place x_c
-    alike, as the barriers of one segment count do when symmetric."""
+def _split_segments(P: ProblemBlock, x_cut: np.ndarray):
+    """Segment columns (xl, w, q2) left and right of x_cut (one point per
+    row), splitting the segment x_cut falls inside. Every row must place
+    x_cut alike, as a, b and the x_c of symmetric barriers of one segment
+    count do."""
     xl, xr = P.edges[:, :-1], P.edges[:, 1:]
-    x_c = P.x_c[:, None]
+    cut = x_cut[:, None]
     tol = 1e-12 * np.maximum(1.0, P.b - P.a)[:, None]
-    side = np.where(xr <= x_c + tol, 0, np.where(xl >= x_c - tol, 1, 2))
+    side = np.where(xr <= cut + tol, 0, np.where(xl >= cut - tol, 1, 2))
     if (side != side[0]).any():
-        raise ValueError("the rows of a block place x_c in different segments")
+        raise ValueError("the rows of a block place the cut in different segments")
     left, right = [], []
     for j, where in enumerate(side[0]):
         lo, hi, q2 = xl[:, j], xr[:, j], P.q2[:, j]
@@ -563,36 +465,82 @@ def _split_segments_at_center(P: ProblemBlock):
         elif where == 1:
             right.append((lo, hi - lo, q2))
         else:
-            left.append((lo, P.x_c - lo, q2))
-            right.append((P.x_c, hi - P.x_c, q2))
+            left.append((lo, x_cut - lo, q2))
+            right.append((x_cut, hi - x_cut, q2))
     return left, right
 
 
-def state_from_midpoint(P: ProblemBlock, psi_c, dpsi_c) -> PiecewiseState:
-    """Outward cascades from (psi, psi') prescribed at the barrier midpoint;
-    arguments as for state_from_left.
-
-    Growth directions point away from x_c on both wings, so the result is
-    relatively accurate at any admissible opacity.
-    """
+def _cascade(P: ProblemBlock, x_cut: np.ndarray, psi, dpsi) -> PiecewiseState:
+    """The solution with (psi, psi') given at x_cut (a, b or x_c; a value
+    per row or one for every row), cascaded segment by segment backward to
+    a and forward to b. The plane-wave pairs are read off at a and b."""
     _check_opacity(P)
     k = P.k
-    left_segs, right_segs = _split_segments_at_center(P)
-    start = tuple(_rows(v, P.n, complex) for v in (psi_c, dpsi_c))
+    start = tuple(_rows(v, P.n, complex) for v in (psi, dpsi))
+    sides = []
+    for segments, forward in zip(_split_segments(P, x_cut), (False, True)):
+        psi, dpsi = start
+        pieces = []
+        for xl, w, q2 in segments if forward else reversed(segments):
+            piece, psi, dpsi = _step(q2, w, xl, psi, dpsi, forward)
+            pieces.append(piece)
+        sides.append((pieces if forward else pieces[::-1], psi, dpsi))
+    (left_pieces, *at_a), (right_pieces, *at_b) = sides
+    return _assemble(P, _plane_pair(*at_a, k, np.exp(1j * k * P.a)),
+                     _plane_pair(*at_b, k, np.exp(1j * k * P.b)), left_pieces + right_pieces)
 
-    pieces_left = []
-    psi, dpsi = start
-    for xl, w, q2 in reversed(left_segs):
-        piece, psi, dpsi = _step(q2, w, xl, psi, dpsi, forward=False)
-        pieces_left.append(piece)
-    pieces_left.reverse()
-    left = _plane_pair(psi, dpsi, k, np.exp(1j * k * P.a))
 
-    pieces_right = []
-    psi, dpsi = start
-    for xl, w, q2 in right_segs:
-        piece, psi, dpsi = _step(q2, w, xl, psi, dpsi, forward=True)
-        pieces_right.append(piece)
-    right = _plane_pair(psi, dpsi, k, np.exp(1j * k * P.b))
+def state_from_left(P: ProblemBlock, c_plus, c_minus) -> PiecewiseState:
+    """The solution with left plane-wave pair (c+, c-), one pair per row
+    of P or one for every row, cascaded forward from a."""
+    return _cascade(P, P.a, *_plane_values(c_plus, c_minus, P.k, np.exp(1j * P.k * P.a)))
 
-    return _assemble(P, left, right, pieces_left + pieces_right)
+
+def state_from_right(P: ProblemBlock, d_plus, d_minus) -> PiecewiseState:
+    """The solution with right plane-wave pair (d+, d-), cascaded backward
+    from b; arguments as for state_from_left."""
+    return _cascade(P, P.b, *_plane_values(d_plus, d_minus, P.k, np.exp(1j * P.k * P.b)))
+
+
+def state_from_midpoint(P: ProblemBlock, psi_c, dpsi_c) -> PiecewiseState:
+    """The solution with (psi, psi') prescribed at the barrier midpoint,
+    cascaded outward; arguments as for state_from_left. Growth directions
+    point away from x_c on both wings, so the result is relatively
+    accurate at any admissible opacity."""
+    return _cascade(P, P.x_c, psi_c, dpsi_c)
+
+
+# --- scattering amplitudes ---------------------------------------------------
+
+def scattering_state(problems: ProblemBlock):
+    """(A_T, A_R, full), each amplitude (n,), of the unit wave incident
+    from the left on every row, and full, that scattering state.
+
+    The unit transmitted wave exp(ikx), cascaded backward from b, has left
+    pair (1/A_T, A_R/A_T); full is it scaled by A_T. The first row whose
+    incident amplitude is zero or non-finite, or whose flux is not
+    conserved, raises SolveSingular."""
+    unit = state_from_right(problems, 1.0, 0.0)
+    incident, reflected = unit.left
+    E = problems.E
+    _raise_first(~(np.isfinite(incident) & np.isfinite(reflected)) | (incident == 0), E,
+                 SolveSingular, "incident amplitude zero or non-finite")
+    A_T = 1.0 / incident
+    A_R = reflected / incident
+    T, R = np.abs(A_T) ** 2, np.abs(A_R) ** 2
+    _raise_first(~(np.isfinite(T) & np.isfinite(R)), E, SolveSingular,
+                 "non-finite scattering amplitudes")
+    _raise_first(np.abs(T + R - 1.0) > UNITARITY, E, SolveSingular, "flux not conserved")
+    return A_T, A_R, unit.scaled(A_T)
+
+
+def solve_block(problems: ProblemBlock) -> tuple[np.ndarray, np.ndarray]:
+    """(A_T, A_R) of scattering_state."""
+    A_T, A_R, _ = scattering_state(problems)
+    return A_T, A_R
+
+
+def solve_full(spec: PotentialSpec, mode: EnergyMode) -> ScatteringAmplitudes:
+    """Unit wave incident from the left, nothing incoming from the right."""
+    A_T, A_R = solve_block(ProblemBlock.of(spec, mode.E))
+    return ScatteringAmplitudes(A_T=complex(A_T[0]), A_R=complex(A_R[0]))

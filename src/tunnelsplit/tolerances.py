@@ -1,11 +1,10 @@
 """Numerical contract bounds, pinned in one place.
 
-Stationary quantities carry transfer-matrix roundoff only; packet
-quantities compound k- and x-quadrature, so their bounds are looser.
+Stationary quantities carry cascade roundoff only; packet quantities
+compound k- and x-quadrature, so their bounds are looser.
 """
 
 UNITARITY = 1e-10            # |T + R - 1| for any spec and energy
-DET_TRANSFER = 1e-10         # |det M - 1| at desk-scale opacity
 IDENTITY_STATIONARY = 1e-10  # max_x |tr_solution + ref_solution - full|
 SPLIT_NORM = 1e-10           # ||A_in|^2 - coefficient| on the split amplitudes
 PARITY_MIDPOINT = 1e-8       # |ref_solution(x_c)| for the accepted root

@@ -156,6 +156,8 @@ class TestExitCodes:
         ("hartman-sweep", {"clock": {"omega_factors": [5e-2, 1e-3, 1e-4]}}),
         # 1e11 Crank-Nicolson steps: a parsed config must not hold a CPU for years
         ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=[0.0, 1e9])}),
+        # every checkpoint rounds to step 0: the oracle would compare nothing
+        ("oracle-check", {"oracle": dict(FAST["oracle"], dt=1e300)}),
     ])
     def test_bad_oracle_or_clock_setting_is_2_before_any_work(self, tmp_path, monkeypatch,
                                                               subcommand, override):
@@ -174,9 +176,19 @@ class TestExitCodes:
         ("diagnostics", {"fd_dt": 0}),
         ("diagnostics", {"fd_dt": math.nan}),
         ("evolve", {"evolve_x_stride": 0}),
+        ("hartman-sweep", {"sweep": dict(FAST["sweep"], num=0)}),
+        ("hartman-sweep", {"sweep": dict(FAST["sweep"], num=1)}),
+        ("evolve", {"snapshot_times": []}),
     ])
     def test_bad_setting_is_2_before_any_work(self, tmp_path, monkeypatch, subcommand, override):
         self.rejected_before_any_work(tmp_path, monkeypatch, subcommand, override)
+
+    @pytest.mark.parametrize("E", [0.3, 0.6])
+    def test_decompose_grid_inside_the_barrier_is_0(self, tmp_path, E):
+        # pad -0.5 puts every point at x_c of the width-1 barrier, where |ref|
+        # is roundoff; the parity checks are not scaled by the grid
+        cfg = write_config(tmp_path, energy={"E": E}, decompose_grid={"pad": -0.5})
+        assert run_cli("decompose", cfg, tmp_path / "out") == 0
 
     def test_grid_without_continuity_points_is_3(self, tmp_path):
         # dx 28 leaves three points, all of them in the edge cells that the

@@ -176,21 +176,23 @@ class TestBuildDecomposition:
 
 
 class TestExteriorCoefficientChecks:
-    """A 1e-9 fault in one right-side plane-wave pair, on a grid within
-    1e-3 of x_c: no grid point lies outside the barrier, so only the
-    coefficient checks can see it, and there max |ref| is about 1e-3 of
-    the pairs' size."""
+    """A fault in one right-side plane-wave pair, on a grid within 1e-3 of
+    x_c: no grid point lies outside the barrier, so only the coefficient
+    checks can see it. The identity of the pairs is absolute and sees a
+    1e-9 fault in tr. Antisymmetry is relative to ref's exterior amplitude
+    (about 1 here, not the grid's max |ref| of about 1e-3), so the fault in
+    ref is 1e-6, ten times PARITY_RELATIVE."""
 
     MODE = EnergyMode(0.5)
     X = CANONICAL.x_c + np.linspace(-1e-3, 1e-3, 5)
 
     @staticmethod
-    def _fault(monkeypatch, cascade_name):
+    def _fault(monkeypatch, cascade_name, size):
         cascade = getattr(splitting, cascade_name)
 
         def faulty(*args):
             state = cascade(*args)
-            state.right = (state.right[0] + 1e-9, state.right[1])
+            state.right = (state.right[0] + size, state.right[1])
             return state
 
         monkeypatch.setattr(splitting, cascade_name, faulty)
@@ -199,12 +201,12 @@ class TestExteriorCoefficientChecks:
         assert build_decomposition(CANONICAL, self.MODE, self.X).identity_residual < 1e-10
 
     def test_tr_pair_fault_fails_identity(self, monkeypatch):
-        self._fault(monkeypatch, "state_from_left")
+        self._fault(monkeypatch, "state_from_left", 1e-9)
         with pytest.raises(SolveSingular, match="pairs deviate"):
             build_decomposition(CANONICAL, self.MODE, self.X)
 
     def test_ref_pair_fault_fails_antisymmetry(self, monkeypatch):
-        self._fault(monkeypatch, "state_from_midpoint")
+        self._fault(monkeypatch, "state_from_midpoint", 1e-6)
         with pytest.raises(OddSelectionFailed, match="outside the barrier"):
             build_decomposition(CANONICAL, self.MODE, self.X)
 

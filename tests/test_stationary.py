@@ -38,33 +38,6 @@ class TestEnergyMode:
         assert mode.E == 0.5
 
 
-def transfer(spec, E):
-    """The plane-wave-basis transfer matrix of one problem."""
-    return stationary._transfer(ProblemBlock.of(spec, E))[0]
-
-
-class TestTransferMatrix:
-    def test_free_is_identity(self):
-        M = transfer(make_rectangular(0.0, 2.0, 0.0), 2.0)
-        assert abs(M[0, 0]) == pytest.approx(1.0, abs=1e-12)
-        assert abs(M[0, 1]) < 1e-12 and abs(M[1, 0]) < 1e-12
-
-    def test_determinant_one(self):
-        for spec in (
-            CANONICAL,
-            make_piecewise(0.0, [(1, 0.5), (1, 2.0), (1, 0.5)]),
-            PotentialSpec(a=-1.0, segments=((0.7, 1.3), (1.1, -0.4))),
-        ):
-            for E in np.geomspace(0.01, 100.0, 25):
-                M = transfer(spec, E)
-                det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-                assert abs(det - 1.0) < 1e-10
-
-    def test_overflow_reported(self):
-        with pytest.raises(OpacityOverflow):
-            transfer(make_rectangular(900.0, 10.0, 0.0), 0.1)
-
-
 class TestSolveFull:
     def test_free_particle(self):
         amps = solve_full(make_rectangular(0.0, 2.0, 0.0), EnergyMode(1.3))
@@ -90,6 +63,10 @@ class TestSolveFull:
             (2.0, 3.0, 6.0),
             (8.0, 8.0, 0.02),
             (5.0, 1.5, 5.0),
+            # kappa L = 50, 150 and 290, down to T ~ 1e-252 near the opacity budget
+            (1.0, 50.0, 0.5),
+            (1.0, 150.0, 0.5),
+            (1.0, 290.0, 0.5),
         ]:
             amps = solve_full(make_rectangular(V0, L, 0.0), EnergyMode(E))
             assert amps.T == pytest.approx(
@@ -101,6 +78,7 @@ class TestSolveFull:
             CANONICAL,
             make_piecewise(0.0, [(0.5, 0.9), (1.0, 3.1), (0.5, 0.9)]),
             PotentialSpec(a=0.0, segments=((1.0, 2.0), (0.5, -1.0), (0.25, 0.7))),
+            PotentialSpec(a=-1.0, segments=((0.7, 1.3), (1.1, -0.4))),
         ]
         for spec in specs:
             for E in np.geomspace(0.01, 100.0, 40):
