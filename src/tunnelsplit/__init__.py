@@ -5,10 +5,10 @@ dwell / Larmor clock times."""
 __version__ = "0.1.0"
 
 from .potential import PotentialSpec, evaluate, make_piecewise, make_rectangular
-from .stationary import ComponentField, EnergyMode, ScatteringAmplitudes, solve_full
+from .stationary import ComponentField, EnergyMode, solve_full
 from .splitting import (
+    DecompositionBlock,
     SplitAmplitudes,
-    StationaryDecomposition,
     build_decomposition,
     split_amplitude_candidates,
 )
@@ -19,11 +19,10 @@ __all__ = [
     "make_piecewise",
     "evaluate",
     "EnergyMode",
-    "ScatteringAmplitudes",
     "ComponentField",
     "solve_full",
     "SplitAmplitudes",
     "split_amplitude_candidates",
-    "StationaryDecomposition",
+    "DecompositionBlock",
     "build_decomposition",
 ]

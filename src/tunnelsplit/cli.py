@@ -28,8 +28,8 @@ from .errors import INTERNAL_ERRORS, SchemaError, TunnelSplitError
 from .packets import build_mode_table, diagnostics_series, synthesize
 from .parallel import WorkerMap
 from .runconfig import RunConfig, bound_workers, parse_config
-from .splitting import build_decomposition
-from .stationary import ProblemBlock, solve_block
+from .splitting import build_decomposition, sub_waves
+from .stationary import ProblemBlock, sample_states, solve_block
 from .tolerances import ORACLE_L2
 
 def _fmt(value) -> str:
@@ -123,22 +123,21 @@ def cmd_decompose(cfg: RunConfig, out: Path) -> dict:
     half = spec.width / 2.0 + cfg.decompose_grid["pad"]
     x = spec.x_c + np.linspace(-half, half, cfg.decompose_grid["n"])
     dec = build_decomposition(spec, cfg.mode, x)
-    rows = zip(
-        x,
-        dec.full.real, dec.full.imag,
-        dec.tr_solution.real, dec.tr_solution.imag,
-        dec.ref_solution.real, dec.ref_solution.imag,
-        dec.tr_component.real, dec.tr_component.imag,
-        dec.ref_component.real, dec.ref_component.imag,
-    )
+    full, tr_solution, ref_solution = sample_states(
+        (dec.full_state, dec.tr_state, dec.ref_state), x)
+    tr, ref = sub_waves(x <= spec.x_c, full, tr_solution, ref_solution)
+    rows = zip(x, *(part for wave in (full, tr_solution, ref_solution, tr, ref)
+                    for part in (wave.real, wave.imag)))
+    T, R = np.abs(np.concatenate((dec.A_T, dec.A_R))) ** 2
+    odd, even = dec.midpoint_residuals[0]
     report = {
-        "identity_residual": dec.identity_residual,
-        "parity_residual": dec.parity_residual,
-        "midpoint_odd": dec.midpoint_residuals[0],
-        "midpoint_even": dec.midpoint_residuals[1],
-        "T": dec.amplitudes.T,
-        "R": dec.amplitudes.R,
-        "root_sign": dec.split.root_sign,
+        "identity_residual": float(dec.identity_residual[0]),
+        "parity_residual": float(dec.parity_residual[0]),
+        "midpoint_odd": float(odd),
+        "midpoint_even": float(even),
+        "T": float(T),
+        "R": float(R),
+        "root_sign": int(dec.split.root_sign[0]),
     }
     write_csv(
         out / "decompose.csv",

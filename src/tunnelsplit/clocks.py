@@ -17,7 +17,11 @@ reflection sub-wave (the full reflected amplitude).
 
 `clock_block` times a block of problems at once; `compute_clock` is a
 block of one, and `sweep_barrier_width` hands its widths to `map_fn` in
-blocks of SWEEP_BLOCK.
+blocks of SWEEP_BLOCK. The one-problem readers take the one-row results
+of the block kernel: `dwell_time` a one-row `DecompositionBlock`, whose
+weights are |A_T|^2 and |A_R|^2, and `larmor_times` the (A_T, A_R) arrays
+of `solve_block`. The packet readout takes its sub-packet weights and
+overlap from `packets.diagnostics_series`.
 """
 
 import math
@@ -27,11 +31,11 @@ from functools import partial
 import numpy as np
 
 from .errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
-from .packets import (COMPONENTS, PacketSpec, _density, _mode_table, _norm_sums, _overlap,
-                      _quadrature, build_mode_table, default_x_grid, simpson_weights)
+from .packets import (COMPONENTS, PacketSpec, build_mode_table, default_x_grid,
+                      diagnostics_series, simpson_weights)
 from .potential import PotentialSpec
-from .splitting import StationaryDecomposition, decompose_block
-from .stationary import EnergyMode, ProblemBlock, sample_density, solve_block, solve_full
+from .splitting import DecompositionBlock, decompose_block
+from .stationary import EnergyMode, ProblemBlock, sample_density, solve_block
 from .tolerances import OMEGA_FRACTION, OVERLAP_FINAL_FRACTION, ZERO_FLUX
 
 SUBPROCESSES = ("tr", "ref")
@@ -143,10 +147,10 @@ def _density_integral(state, lo, hi, n: int) -> np.ndarray:
     return np.sum(dens, axis=-1)
 
 
-def _dwell_block(dec, weight: np.ndarray, subprocess: str, n_quad: int) -> np.ndarray:
+def _dwell_block(dec: DecompositionBlock, weight: np.ndarray, subprocess: str,
+                 n_quad: int) -> np.ndarray:
     """Dwell time of one sub-process on every row of a decomposition
-    block (or a one-row decomposition), NaN where its weight is below
-    ZERO_FLUX."""
+    block, NaN where its weight is below ZERO_FLUX."""
     problems = dec.full_state.problems
     if n_quad % 2 == 0:
         n_quad += 1
@@ -162,12 +166,12 @@ def _dwell_block(dec, weight: np.ndarray, subprocess: str, n_quad: int) -> np.nd
     return np.where(present, number / (problems.k * np.where(present, weight, 1.0)), math.nan)
 
 
-def dwell_time(dec: StationaryDecomposition, subprocess: str, n_quad: int = 2049) -> float:
-    """Flux-normalized time spent in the barrier region by one sub-process."""
+def dwell_time(dec: DecompositionBlock, subprocess: str, n_quad: int = 2049) -> float:
+    """Flux-normalized time spent in the barrier region by one sub-process,
+    on a one-row decomposition."""
     if subprocess not in SUBPROCESSES:
         raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
-    amps = dec.amplitudes
-    weight = np.array([amps.T if subprocess == "tr" else amps.R])
+    weight = np.abs(dec.A_T if subprocess == "tr" else dec.A_R) ** 2
     _require_weight(weight, subprocess)
     return float(_dwell_block(dec, weight, subprocess, n_quad)[0])
 
@@ -241,10 +245,10 @@ def larmor_times(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig,
     spec.require_symmetric()
     problems = ProblemBlock.of(spec, mode.E)
     config.validate_block(problems)
-    amps = solve_full(spec, mode)
+    A_T, A_R = solve_block(problems)
     # an absent channel has no clock: the shifted problems would still
     # return tiny amplitudes whose phase carries no time information
-    if (amps.T if subprocess == "tr" else amps.R) < ZERO_FLUX:
+    if (np.abs(A_T if subprocess == "tr" else A_R) ** 2)[0] < ZERO_FLUX:
         raise ZeroFlux(f"{subprocess} channel absent at E = {mode.E:.4g}")
     A_T, A_R = _zeeman_solves(problems, config)
     out = A_T if subprocess == "tr" else A_R
@@ -258,8 +262,9 @@ def probe_noninvasiveness(spec: PotentialSpec, mode: EnergyMode,
     The symmetric spin shift cancels the linear response, so the exponent
     should come out >= 2 up to fit noise.
     """
-    T0 = solve_full(spec, mode).T
-    A_T, _ = _zeeman_solves(ProblemBlock.of(spec, mode.E), config)
+    problems = ProblemBlock.of(spec, mode.E)
+    T0 = (np.abs(solve_block(problems)[0]) ** 2)[0]
+    A_T, _ = _zeeman_solves(problems, config)
     T_up, T_down = (np.abs(A_T[0]) ** 2).T
     omegas = np.array(config.omegas, dtype=float)
     depart = np.abs(0.5 * (T_up + T_down) - T0)
@@ -349,8 +354,9 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
     which share the base table's cos/sin table; their amplitudes at the
     sub-packet peak give the reading as in the stationary case. Readout
     before the overlap threshold is met raises PrematureReadout; the
-    sub-packet weights and overlap take the quadrature of `norms`, so a
-    grid too coarse for it raises GridTooCoarse.
+    sub-packet weights and overlap are the base table's
+    `diagnostics_series` at t, so a grid too coarse for its quadrature
+    raises GridTooCoarse.
     """
     if subprocess not in SUBPROCESSES:
         raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
@@ -359,11 +365,9 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
     x = default_x_grid(spec, packet) if x_grid is None else np.asarray(x_grid, float)
 
     base = build_mode_table(spec, packet, x, n_k)
-    values = base.states([t])[:, 0]
-    q = _quadrature(x)
-    _, t_w, r_w = _norm_sums(q, _density(values))[:, 0]
-    ov = abs(_overlap(q, values[1], values[2]))
-    threshold = OVERLAP_FINAL_FRACTION * math.sqrt(t_w * r_w)
+    series = diagnostics_series(base, [t])
+    ov = abs(series.overlap[0])
+    threshold = OVERLAP_FINAL_FRACTION * math.sqrt(series.T[0] * series.R[0])
     if ov > threshold:
         raise PrematureReadout(
             f"sub-packets still overlap at t = {t}: |<tr|ref>| = {ov:.3e} "
@@ -371,8 +375,7 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
         )
 
     def shifted_packet(delta):
-        table = _mode_table(zeeman_shifted(spec, delta), packet, x, base.k, base.weights)
-        table.waves = base.waves
+        table = base.on_barrier(zeeman_shifted(spec, delta))
         return table.states([t])[COMPONENTS.index(subprocess), 0]
 
     up, down = np.empty((2, 1, len(config.omegas)), dtype=complex)

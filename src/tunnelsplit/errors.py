@@ -69,10 +69,6 @@ class GridTooCoarse(TunnelSplitError):
     """Estimated quadrature error of a norm exceeds the contract bound."""
 
 
-class ZeroNorm(TunnelSplitError):
-    """Moments requested for a component with vanishing norm."""
-
-
 # --- time-domain oracle --------------------------------------------------
 
 class BoundaryContamination(TunnelSplitError):

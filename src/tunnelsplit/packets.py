@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import GridTooCoarse, SpectrumDomainError, ZeroNorm
+from .errors import GridTooCoarse, SpectrumDomainError
 from .potential import PotentialSpec
 from .splitting import decompose_block, sub_waves
 from .stationary import ComponentField, ProblemBlock, sample_states
@@ -227,6 +227,13 @@ class ModeTable:
     def state_slice(self, component: str, t: float, deriv: bool = False) -> np.ndarray:
         return self.states([t], deriv)[_index(component)][0]
 
+    def on_barrier(self, spec: PotentialSpec) -> "ModeTable":
+        """The same packet, grid and modes on another barrier over the same
+        [a, b], sharing this table's cos/sin table."""
+        table = _mode_table(spec, self.packet, self.x, self.k, self.weights)
+        table.waves = self.waves
+        return table
+
     def _window(self, lo: int, hi: int) -> "ModeTable":
         """The table on x[lo:hi], with cos(kx) and sin(kx) evaluated there."""
         i_a = self._inside.start
@@ -266,37 +273,10 @@ def build_mode_table(spec: PotentialSpec, packet: PacketSpec,
     return table._window(0, x.size)
 
 
-@dataclass
-class EvolvedField:
-    """All three sub-process components (and their exact spatial
-    derivatives) on the grid at one time."""
-
-    x: np.ndarray
-    t: float
-    full: np.ndarray
-    tr: np.ndarray
-    ref: np.ndarray
-    dfull: np.ndarray
-    dtr: np.ndarray
-    dref: np.ndarray
-    x_c: float
-    identity_residual: float = field(init=False)
-
-    def __post_init__(self):
-        self.identity_residual = float(np.max(np.abs(self.tr + self.ref - self.full)))
-
-    def component(self, name: str) -> np.ndarray:
-        return getattr(self, COMPONENTS[_index(name)])
-
-    def derivative(self, name: str) -> np.ndarray:
-        return getattr(self, "d" + COMPONENTS[_index(name)])
-
-
-def fields_at(table: ModeTable, t: float) -> EvolvedField:
-    full, tr, ref = table.states([t])[:, 0]
-    dfull, dtr, dref = table.states([t], deriv=True)[:, 0]
-    return EvolvedField(x=table.x, t=float(t), full=full, tr=tr, ref=ref,
-                        dfull=dfull, dtr=dtr, dref=dref, x_c=table.x_c)
+def fields_at(table: ModeTable, t: float) -> np.ndarray:
+    """The values and x derivatives of (full, tr, ref) at one time, as a
+    (2, 3, n_x) stack."""
+    return np.stack([table.states([t], deriv)[:, 0] for deriv in (False, True)])
 
 
 def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
@@ -319,9 +299,9 @@ def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
 # --- diagnostics ------------------------------------------------------------
 #
 # Every x integral is a dot product with trapezoid weights, computed once per
-# grid. The per-field functions below and diagnostics_series share the
-# helpers, which take one time's (n_x,) or (component, n_x) arrays: a time's
-# arrays stay in cache, where a whole batch's would stream from memory.
+# grid. diagnostics_series reduces one time's (component, n_x) arrays at a
+# time: a time's arrays stay in cache, where a whole batch's would stream
+# from memory.
 
 def _quadrature(x: np.ndarray) -> np.ndarray:
     """Trapezoid weights on x as three rows: the rule, the rule on every
@@ -352,67 +332,6 @@ def current_density(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     j = psi.real * dpsi.imag
     j -= psi.imag * dpsi.real
     return j
-
-
-def _norm_sums(q: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The weighted sums (3, 3) of the densities rho of (full, tr, ref) at
-    one time; GridTooCoarse when the Richardson estimate of the norm
-    quadrature error is too large."""
-    sums = rho @ q.T
-    err = np.max(np.abs(sums[:, 0] - sums[:, 1])) / 3.0
-    if err > QUADRATURE_ERROR:
-        raise GridTooCoarse(
-            f"estimated norm quadrature error {err:.3e} exceeds {QUADRATURE_ERROR}"
-        )
-    return sums
-
-
-def _moments(q: np.ndarray, x: np.ndarray, rho: np.ndarray, sums: np.ndarray,
-             flux: np.ndarray):
-    """(xbar, pbar, var_x) from the densities rho (..., n_x), their weighted
-    sums (..., 3) and the integrated current, normalized to the component's
-    own weight; NaN where that weight is below ZERO_NORM. var_x is taken
-    about xbar, so it never cancels against xbar^2."""
-    norm = np.where(sums[..., 0] < ZERO_NORM, np.nan, sums[..., 0])
-    xbar = sums[..., 2] / norm
-    var_x = (rho * (x - xbar[..., None]) ** 2) @ q[0] / norm
-    return xbar, flux / norm, var_x
-
-
-def _overlap(q: np.ndarray, tr: np.ndarray, ref: np.ndarray) -> complex:
-    return (np.conj(tr) * ref) @ q[0]
-
-
-def norms(fld: EvolvedField) -> tuple[float, float, float]:
-    """(T_t, R_t, total) with a Richardson estimate of the quadrature error."""
-    values = np.stack((fld.full, fld.tr, fld.ref))
-    total, T, R = _norm_sums(_quadrature(fld.x), _density(values))[:, 0]
-    return float(T), float(R), float(total)
-
-
-def overlap(fld: EvolvedField) -> complex:
-    """<tr | ref>; purely imaginary at launch, decaying as the sub-packets
-    separate, with a transient real part while the packet crosses the cut."""
-    return complex(_overlap(_quadrature(fld.x), fld.tr, fld.ref))
-
-
-@dataclass
-class Moments:
-    xbar: float
-    pbar: float
-    var_x: float
-
-
-def moments(fld: EvolvedField, component: str) -> Moments:
-    """Position mean, momentum mean (from the exact derivative) and
-    position variance of one component, normalized to its own weight."""
-    psi, dpsi = fld.component(component), fld.derivative(component)
-    q = _quadrature(fld.x)
-    rho = _density(psi)
-    sums = rho @ q.T
-    if sums[0] < ZERO_NORM:
-        raise ZeroNorm(f"component norm {sums[0]:.3e} too small for moments")
-    return Moments(*map(float, _moments(q, fld.x, rho, sums, current_density(psi, dpsi) @ q[0])))
 
 
 def _gradient_uniform(values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -452,13 +371,17 @@ def _continuity_window(x: np.ndarray, cut: float | None):
     """(keep, i_cut): the points where continuity is checked, all but three
     at each end and, for a piecewise component, outside a strip of
     half-width 2 dx about the cut; and the first point right of the cut
-    (None without one), where differences restart."""
+    (None without one), where differences restart. Each side of a cut
+    needs two points to difference."""
     keep = np.ones(x.shape, dtype=bool)
     keep[:3] = keep[-3:] = False
     i_cut = None
     if cut is not None:
         keep &= np.abs(x - cut) > 2.0 * (x[1] - x[0]) + 1e-12
         i_cut = int(np.searchsorted(x, cut, side="right"))
+        if min(i_cut, x.size - i_cut) < 2:
+            raise GridTooCoarse(f"the grid holds fewer than two points on one side "
+                                f"of the cut x_c = {cut:g}")
     if not keep.any():
         raise GridTooCoarse("continuity window excludes every grid point")
     return keep, i_cut
@@ -555,11 +478,21 @@ def diagnostics_series(table: ModeTable, times, fd_dt: float = 1e-2) -> Diagnost
             v, d = values[:, i], derivs[:, i]
             full, tr, ref = v
             rho = _density(v)
-            sums = _norm_sums(q, rho)
-            xbar, pbar, var_x = _moments(q, x, rho, sums, current_density(v, d) @ q[0])
+            sums = rho @ q.T
+            err = np.max(np.abs(sums[:, 0] - sums[:, 1])) / 3.0
+            if err > QUADRATURE_ERROR:
+                raise GridTooCoarse(f"estimated norm quadrature error {err:.3e} "
+                                    f"exceeds {QUADRATURE_ERROR}")
+            # moments of each component normalized to its own weight, NaN
+            # below ZERO_NORM; var_x is taken about xbar, so it never
+            # cancels against xbar^2
+            norm = np.where(sums[:, 0] < ZERO_NORM, np.nan, sums[:, 0])
+            xbar = sums[:, 2] / norm
+            pbar = current_density(v, d) @ q[0] / norm
+            var_x = (rho * (x - xbar[:, None]) ** 2) @ q[0] / norm
             row = {
                 "T": sums[1, 0], "R": sums[2, 0], "total": sums[0, 0],
-                "overlap": _overlap(q, tr, ref),
+                "overlap": (np.conj(tr) * ref) @ q[0],
                 "continuity": max(_continuity(x, window, rate[c - 1], v[c], d[c])
                                   for c in (1, 2)),
                 "ref_cut_flux": current_density(ref[i_left], d[2, i_left]),

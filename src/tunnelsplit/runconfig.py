@@ -301,6 +301,11 @@ def parse_config_text(text: str) -> RunConfig:
         raise SchemaError("k_span_sigmas", f"grid would reach k = "
                           f"{packet.k0 - span * packet.sigma_k:.4g} <= 0",
                           cause_name="SpectrumDomainError")
+    if packet is not None:
+        k_max = packet.k0 + span * packet.sigma_k
+        if not np.isfinite(0.5 * k_max * k_max):
+            raise SchemaError("packet.k0", f"grid would reach k = {k_max:.4g}, where the "
+                              f"energy overflows", cause_name="SpectrumDomainError")
 
     clock = cfg["clock"]
     base_E = mode.E if mode is not None else (packet.k0 ** 2 / 2 if packet else 1.0)

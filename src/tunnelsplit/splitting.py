@@ -20,6 +20,13 @@ The sub-process waves themselves are the piecewise cuts
 
 Their first derivatives jump at x_c (only the sum solves the stationary
 equation there), but each obeys the continuity equation on its own.
+
+`decompose_block` decomposes a block of problems into one
+`DecompositionBlock` of states, amplitudes and residuals, and
+`build_decomposition` returns that block for one energy. Neither keeps
+samples: on a grid x, `sample_states((dec.full_state, dec.tr_state,
+dec.ref_state), x)` gives the three smooth solutions and `sub_waves`
+cuts them.
 """
 
 from dataclasses import dataclass
@@ -32,7 +39,6 @@ from .stationary import (
     EnergyMode,
     PiecewiseState,
     ProblemBlock,
-    ScatteringAmplitudes,
     column_slices,
     sample_states,
     scattering_state,
@@ -82,41 +88,13 @@ def split_amplitude_candidates(T, R) -> tuple[SplitAmplitudes, SplitAmplitudes]:
 
 
 @dataclass
-class StationaryDecomposition:
-    """Full state, its two sub-solutions and the piecewise sub-waves on a grid.
-
-    `full_state`, `tr_state`, `ref_state` are evaluable everywhere; the
-    even-root construction is kept for diagnostics instead of discarded.
-    """
-
-    spec: PotentialSpec
-    mode: EnergyMode
-    amplitudes: ScatteringAmplitudes
-    split: SplitAmplitudes
-    x: np.ndarray
-    x_c: float
-    full: np.ndarray
-    tr_solution: np.ndarray
-    ref_solution: np.ndarray
-    tr_component: np.ndarray
-    ref_component: np.ndarray
-    full_state: PiecewiseState
-    tr_state: PiecewiseState
-    ref_state: PiecewiseState
-    even_split: SplitAmplitudes
-    even_ref_state: PiecewiseState
-    midpoint_residuals: tuple[float, float]  # (selected odd root, even root)
-    identity_residual: float
-    parity_residual: float
-
-
-@dataclass
 class DecompositionBlock:
-    """The decomposition of every row of a block: the states, amplitudes
-    and residuals of StationaryDecomposition with a leading row axis, and
-    ref_scale = max |ref_solution| on the row's grid. `split` and
-    `even_split` hold one entry per row; `midpoint_residuals` is (n, 2).
-    The grid is checked, not kept: sample the states where needed."""
+    """The decomposition of every row of a block, each field with a
+    leading row axis: the amplitudes A_T and A_R, the odd (selected) and
+    even root of the split with the even root's ref_state kept for
+    diagnostics, the states, evaluable everywhere, and the residuals.
+    `midpoint_residuals` is (n, 2), (selected odd root, even root). The
+    grid is checked, not kept: sample the states where needed."""
 
     problems: ProblemBlock
     A_T: np.ndarray
@@ -130,7 +108,6 @@ class DecompositionBlock:
     midpoint_residuals: np.ndarray
     identity_residual: np.ndarray
     parity_residual: np.ndarray
-    ref_scale: np.ndarray
 
 
 def _first(bad: np.ndarray) -> int | None:
@@ -197,7 +174,7 @@ def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
         )
 
     if x.shape[-1]:
-        span = np.maximum(x_c - x[..., 0], x[..., -1] - x_c)
+        span = np.maximum(x_c - x.min(axis=-1), x.max(axis=-1) - x_c)
     else:
         span = np.zeros(problems.n)
     odd_mid, parity_residual, parity_scale = _midpoint_and_parity(odd_state, span)
@@ -216,10 +193,8 @@ def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
     # the grid checks reduce one slice of columns at a time, so a block
     # never holds its samples on the whole grid
     identity_residual = np.zeros(problems.n)
-    ref_scale = np.zeros(problems.n)
     for cols in column_slices(problems.n, x.shape[-1]):
         part = sample_states(ref_state, x[..., cols])
-        ref_scale = np.maximum(ref_scale, np.max(np.abs(part), axis=-1))
         part += sample_states(tr_state, x[..., cols])
         part -= sample_states(full_state, x[..., cols])
         identity_residual = np.maximum(identity_residual, np.max(np.abs(part), axis=-1))
@@ -250,45 +225,13 @@ def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
         full_state=full_state, tr_state=tr_state, ref_state=ref_state,
         even_ref_state=even_state, midpoint_residuals=mids,
         identity_residual=identity_residual, parity_residual=parity_residual,
-        ref_scale=ref_scale,
     )
 
 
-def build_decomposition(spec: PotentialSpec, mode: EnergyMode, x_grid) -> StationaryDecomposition:
-    """Construct and validate the decomposition at one energy: a block of
-    one (see decompose_block)."""
-    x = np.asarray(x_grid, dtype=float)
-    blk = decompose_block(ProblemBlock.of(spec, mode.E), x)
-
-    def row_split(s: SplitAmplitudes) -> SplitAmplitudes:
-        return SplitAmplitudes(complex(s.A_tr_in[0]), complex(s.A_ref_in[0]),
-                               int(s.root_sign[0]), s.parity)
-
-    full, tr_solution, ref_solution = sample_states(
-        (blk.full_state, blk.tr_state, blk.ref_state), x)
-    tr_component, ref_component = sub_waves(x <= spec.x_c, full, tr_solution,
-                                            ref_solution)
-    return StationaryDecomposition(
-        spec=spec,
-        mode=mode,
-        amplitudes=ScatteringAmplitudes(A_T=complex(blk.A_T[0]), A_R=complex(blk.A_R[0])),
-        split=row_split(blk.split),
-        x=x,
-        x_c=spec.x_c,
-        full=full,
-        tr_solution=tr_solution,
-        ref_solution=ref_solution,
-        tr_component=tr_component,
-        ref_component=ref_component,
-        full_state=blk.full_state,
-        tr_state=blk.tr_state,
-        ref_state=blk.ref_state,
-        even_split=row_split(blk.even_split),
-        even_ref_state=blk.even_ref_state,
-        midpoint_residuals=tuple(float(v) for v in blk.midpoint_residuals[0]),
-        identity_residual=float(blk.identity_residual[0]),
-        parity_residual=float(blk.parity_residual[0]),
-    )
+def build_decomposition(spec: PotentialSpec, mode: EnergyMode, x_grid) -> DecompositionBlock:
+    """The decomposition at one energy: a block of one row (see
+    decompose_block)."""
+    return decompose_block(ProblemBlock.of(spec, mode.E), x_grid)
 
 
 def _check_exterior(full_state: PiecewiseState, tr_state: PiecewiseState,

@@ -23,8 +23,9 @@ reflection sub-solution cascades outward from x_c.
 Every function works on a `ProblemBlock`, one problem per row, with the
 rows of a block sharing a segment count. Each row's arithmetic depends
 on that row alone, so a row's results do not depend on the block it is
-computed in. `solve_full` solves a block of one, and
-`PiecewiseState.values` reads a one-row state.
+computed in. Amplitudes are (n,) arrays: `solve_full` solves a block of
+one and returns its one-row (A_T, A_R), and `PiecewiseState.values`
+reads a one-row state.
 """
 
 import math
@@ -59,29 +60,6 @@ class EnergyMode:
     @classmethod
     def from_k(cls, k: float) -> "EnergyMode":
         return cls(E=0.5 * k * k)
-
-
-@dataclass(frozen=True)
-class ScatteringAmplitudes:
-    """Transmission/reflection amplitudes of the unit-incidence solution."""
-
-    A_T: complex
-    A_R: complex
-    T: float = field(init=False)
-    R: float = field(init=False)
-
-    def __post_init__(self):
-        # moduli of an array, as solve_block takes them: Python's abs() and
-        # numpy's scalar modulus can differ from it in the last place
-        T, R = (np.abs(np.array([self.A_T, self.A_R])) ** 2).tolist()
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "R", R)
-        if not (math.isfinite(self.T) and math.isfinite(self.R)):
-            raise SolveSingular("non-finite scattering amplitudes")
-        if abs(self.T + self.R - 1.0) > UNITARITY:
-            raise SolveSingular(
-                f"flux not conserved: T + R - 1 = {self.T + self.R - 1.0:.3e}"
-            )
 
 
 @dataclass
@@ -540,7 +518,6 @@ def solve_block(problems: ProblemBlock) -> tuple[np.ndarray, np.ndarray]:
     return A_T, A_R
 
 
-def solve_full(spec: PotentialSpec, mode: EnergyMode) -> ScatteringAmplitudes:
-    """Unit wave incident from the left, nothing incoming from the right."""
-    A_T, A_R = solve_block(ProblemBlock.of(spec, mode.E))
-    return ScatteringAmplitudes(A_T=complex(A_T[0]), A_R=complex(A_R[0]))
+def solve_full(spec: PotentialSpec, mode: EnergyMode) -> tuple[np.ndarray, np.ndarray]:
+    """(A_T, A_R) of one problem: solve_block on a block of one row."""
+    return solve_block(ProblemBlock.of(spec, mode.E))

@@ -1,10 +1,10 @@
 """Independent reference computations used as test oracles.
 
 Everything here is coded from closed forms or generic numerics, never by
-calling the code under test, except as follows. `derivative_jump`
-estimates the sub-wave derivative jumps at x_c by finite differences of
-a decomposition's sampled cut waves, which the analytic derivatives are
-checked against. `cut_flux_integral` reads a mode
+calling the code under test, except as follows. `sampled` reads a
+one-row decomposition on a grid. `derivative_jump` estimates the
+sub-wave derivative jumps at x_c by finite differences of its sampled
+cut waves, which the analytic derivatives are checked against. `cut_flux_integral` reads a mode
 table at the single grid point x_c, so it shares no x quadrature with the
 packet norms it is checked against. `per_mode_fields` is the per-mode
 row algorithm that packets replaced: every mode decomposed and sampled on
@@ -21,7 +21,7 @@ from scipy.linalg import lapack
 
 from tunnelsplit.packets import spectral_grid
 from tunnelsplit.potential import evaluate
-from tunnelsplit.splitting import build_decomposition
+from tunnelsplit.splitting import build_decomposition, sub_waves
 from tunnelsplit.stationary import EnergyMode, sample_states
 
 
@@ -104,23 +104,33 @@ def integrate_stationary(spec_a, spec_b, segment_table, E, psi0, dpsi0, x_eval):
     return out
 
 
-def derivative_jump(dec):
+def sampled(dec, x):
+    """(full, tr_solution, ref_solution, tr, ref) of a one-row decomposition
+    on the grid x: the three smooth solutions, then the sub-waves cut at
+    x_c."""
+    full, tr_solution, ref_solution = sample_states(
+        (dec.full_state, dec.tr_state, dec.ref_state), x)
+    return (full, tr_solution, ref_solution,
+            *sub_waves(x <= dec.problems.x_c[0], full, tr_solution, ref_solution))
+
+
+def derivative_jump(dec, x):
     """One-sided finite-difference estimates of the derivative jumps of the
-    sub-waves tr and ref at x_c, from quadratic fits to the three grid
-    points on each side; the two jumps cancel to discretization error
+    sub-waves tr and ref at x_c, from quadratic fits to the three points on
+    each side of the grid x; the two jumps cancel to discretization error
     because the summed wave is smooth there."""
-    x = dec.x
-    i_cut = int(np.searchsorted(x, dec.x_c, side="right"))
+    x_c = dec.problems.x_c[0]
+    i_cut = int(np.searchsorted(x, x_c, side="right"))
     if i_cut < 3 or i_cut > x.size - 3:
         raise ValueError("grid must bracket x_c with at least 3 points per side")
 
     def one_sided(values, idx):
-        return complex(np.polyfit(x[idx] - dec.x_c, values[idx], 2)[1])
+        return complex(np.polyfit(x[idx] - x_c, values[idx], 2)[1])
 
     left_idx = [i_cut - 3, i_cut - 2, i_cut - 1]
     right_idx = [i_cut, i_cut + 1, i_cut + 2]
     return tuple(one_sided(values, right_idx) - one_sided(values, left_idx)
-                 for values in (dec.tr_component, dec.ref_component))
+                 for values in sampled(dec, x)[3:])
 
 
 def cut_flux_integral(table, times):
@@ -154,9 +164,9 @@ def per_mode_fields(spec, packet, x, times, n_k, span_sigmas):
     rows = np.empty((2, 3, k.size, x.size), dtype=complex)
     for j, kj in enumerate(k):
         dec = build_decomposition(spec, EnergyMode.from_k(float(kj)), x)
-        rows[0, :, j] = dec.full, dec.tr_solution, dec.ref_solution
-        rows[1, :, j] = sample_states((dec.full_state, dec.tr_state, dec.ref_state), x,
-                                      deriv=True)
+        for deriv in (0, 1):
+            rows[deriv, :, j] = sample_states((dec.full_state, dec.tr_state, dec.ref_state),
+                                              x, deriv=bool(deriv))
     phase = np.exp(-0.5j * k ** 2 * np.asarray(times, dtype=float)[:, None])
     full, tr_state, ref_state = np.moveaxis(
         (w * packet.spectrum(k) * phase / math.sqrt(2.0 * math.pi)) @ rows, 1, 0)

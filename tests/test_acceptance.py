@@ -39,14 +39,13 @@ from tunnelsplit.cranknicolson import (
 from tunnelsplit.packets import (
     build_mode_table,
     continuity_residual,
-    fields_at,
-    norms,
-    overlap,
+    diagnostics_series,
     synthesize,
 )
 from tunnelsplit.potential import make_rectangular
 from tunnelsplit.splitting import build_decomposition, decompose_block
-from tunnelsplit.stationary import EnergyMode, ProblemBlock, solve_block, solve_full
+from tunnelsplit.stationary import (EnergyMode, ProblemBlock, sample_states, solve_block,
+                                    solve_full)
 from tunnelsplit.tolerances import (
     NORM_DRIFT,
     OVERLAP_FINAL_FRACTION,
@@ -81,8 +80,8 @@ def test_criterion_1_stationary_unitarity():
     for spec, _, _, row in _problem_grid():
         A_T, A_R = solve_block(ProblemBlock.of(spec, E_GRID))
         worst = max(worst, float(np.max(np.abs(np.abs(A_T) ** 2 + np.abs(A_R) ** 2 - 1.0))))
-        amps = solve_full(spec, EnergyMode(float(E_GRID[row])))
-        assert (amps.A_T, amps.A_R) == (A_T[row], A_R[row])
+        one_T, one_R = solve_full(spec, EnergyMode(float(E_GRID[row])))
+        assert (one_T[0], one_R[0]) == (A_T[row], A_R[row])
     ok = worst < 1e-10
     report(1, "stationary unitarity", ok, f"max |T+R-1| = {worst:.3e} (bound 1e-10)")
     assert ok
@@ -95,7 +94,8 @@ def test_criterion_2_closed_form_oracle():
         T = np.abs(solve_block(ProblemBlock.of(spec, energies))[0]) ** 2
         T_ref = np.array([rectangular_transmission(float(E), V0, L) for E in energies])
         worst = max(worst, float(np.max(np.abs(T - T_ref) / T_ref)))
-        assert solve_full(spec, EnergyMode(float(energies[row]))).T == T[row]
+        one_T = np.abs(solve_full(spec, EnergyMode(float(energies[row])))[0]) ** 2
+        assert one_T[0] == T[row]
     ok = worst < 1e-12
     report(2, "closed-form transmission", ok, f"max rel dev = {worst:.3e} (bound 1e-12)")
     assert ok
@@ -119,17 +119,19 @@ def test_criterion_3_decomposition_invariants():
             float(np.max(np.abs(np.abs(dec.split.A_tr_in) ** 2 - np.abs(dec.A_T) ** 2))),
             float(np.max(np.abs(np.abs(dec.split.A_ref_in) ** 2 - np.abs(dec.A_R) ** 2))),
         )
-        scaled = dec.ref_scale > 0
+        ref_max = np.max(np.abs(sample_states(dec.ref_state, x)), axis=-1)
+        scaled = ref_max > 0
         if scaled.any():
             worst_parity = max(worst_parity, float(np.max(dec.parity_residual[scaled]
-                                                          / dec.ref_scale[scaled])))
+                                                          / ref_max[scaled])))
+        # a block of one equals its row in the larger block
         one = build_decomposition(spec, EnergyMode(float(E_GRID[row])), x)
-        assert one.midpoint_residuals == tuple(dec.midpoint_residuals[row])
-        assert (one.split.A_tr_in, one.split.A_ref_in, one.split.root_sign) == (
+        assert one.midpoint_residuals.tolist() == [dec.midpoint_residuals[row].tolist()]
+        assert (one.split.A_tr_in[0], one.split.A_ref_in[0], one.split.root_sign[0]) == (
             dec.split.A_tr_in[row], dec.split.A_ref_in[row], dec.split.root_sign[row])
-        assert (one.identity_residual, one.parity_residual) == (
+        assert (one.identity_residual[0], one.parity_residual[0]) == (
             dec.identity_residual[row], dec.parity_residual[row])
-        assert float(np.max(np.abs(one.ref_solution))) == dec.ref_scale[row]
+        assert np.max(np.abs(sample_states(one.ref_state, x))) == ref_max[row]
     exactly_one = worst_odd < 1e-8 and best_even > 1e-8
     ok = (
         exactly_one
@@ -158,9 +160,8 @@ def test_criterion_4_packet_suite(canonical_table, canonical_packet, canonical_s
     # far edge (6 position widths behind its centre) has crossed the cut
     p = canonical_packet
     t_sep = (canonical_table.x_c - p.x0 + 6.0 * p.position_sigma()) / p.k0
-    fld = fields_at(canonical_table, t_sep)
-    T_sep, R_sep, _ = norms(fld)
-    ov_sep = overlap(fld)
+    sep = diagnostics_series(canonical_table, [t_sep])
+    T_sep, R_sep, ov_sep = sep.T[0], sep.R[0], sep.overlap[0]
     unit_sum = max(abs(s.T[0] + s.R[0] - 1.0), abs(T_sep + R_sep - 1.0))
     re_overlap = max(abs(s.overlap[0].real), abs(ov_sep.real))
     settled = abs(T_sep - s.T[0])

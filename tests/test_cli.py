@@ -198,6 +198,19 @@ class TestExitCodes:
         assert run_cli("diagnostics", cfg, out) == 3
         assert json.loads((out / "error.json").read_text())["error"] == "GridTooCoarse"
 
+    @pytest.mark.parametrize("x_min, x_max", [(-120.0, -20.0), (-7.0, 120.0)])
+    def test_grid_on_one_side_of_the_cut_is_3(self, tmp_path, x_min, x_max):
+        # canonical x_c is -8: every point lies left of it, or right of it
+        canonical = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                                / "canonical.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(canonical, x_grid={"x_min": x_min, "x_max": x_max,
+                                                           "dx": 0.05})))
+        out = tmp_path / "out"
+        assert run_cli("diagnostics", str(path), out) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert (record["error"], record["exit_code"]) == ("GridTooCoarse", 3)
+
     def test_unexpected_exception_is_4(self, tmp_path, monkeypatch):
         def broken(cfg, out):
             raise RuntimeError("unexpected")

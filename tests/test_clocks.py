@@ -18,7 +18,7 @@ from tunnelsplit.clocks import (
     zeeman_shifted,
 )
 from tunnelsplit.errors import ExtrapolationDiverged, GridTooCoarse, PrematureReadout, ZeroFlux
-from tunnelsplit.packets import PacketSpec, build_mode_table, fields_at, norms
+from tunnelsplit.packets import PacketSpec, build_mode_table, diagnostics_series
 from tunnelsplit.potential import make_rectangular
 from tunnelsplit.splitting import build_decomposition
 from tunnelsplit.stationary import EnergyMode, ProblemBlock
@@ -238,13 +238,13 @@ class TestPacketReadout:
             larmor_packet_readout(CANONICAL, packet, cfg, "tr", t=0.0, n_k=129)
 
     def test_coarse_grid_fails_as_norms_do(self):
-        # the readout's sub-packet weights take the quadrature of norms,
-        # with its error estimate
+        # the readout's sub-packet weights are the diagnostics series' norms,
+        # with its quadrature error estimate
         packet = PacketSpec(k0=1.0, sigma_k=0.05, x0=-60.0)
         x = CANONICAL.x_c + 1.6 * np.arange(-87, 88)
-        with pytest.raises(GridTooCoarse):
-            norms(fields_at(build_mode_table(CANONICAL, packet, x, n_k=129), 80.0))
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(GridTooCoarse, match="quadrature error"):
+            diagnostics_series(build_mode_table(CANONICAL, packet, x, n_k=129), [80.0])
+        with pytest.raises(GridTooCoarse, match="quadrature error"):
             larmor_packet_readout(CANONICAL, packet, ClockConfig.for_energy(0.5), "tr",
                                   t=80.0, x_grid=x, n_k=129)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tunnelsplit import packets
-from tunnelsplit.errors import GridTooCoarse, SpectrumDomainError, ZeroNorm
+from tunnelsplit.errors import GridTooCoarse, SpectrumDomainError
 from tunnelsplit.packets import (
     PacketSpec,
     build_mode_table,
@@ -12,9 +12,6 @@ from tunnelsplit.packets import (
     default_x_grid,
     diagnostics_series,
     fields_at,
-    moments,
-    norms,
-    overlap,
     spectral_grid,
     synthesize,
 )
@@ -70,28 +67,27 @@ class TestSpectralGrid:
 
 class TestFreePacket:
     def test_initial_gaussian(self, free_table, canonical_packet):
-        fld = fields_at(free_table, 0.0)
-        T_t, R_t, total = norms(fld)
-        assert total == pytest.approx(1.0, abs=1e-8)
-        assert T_t == pytest.approx(1.0, abs=1e-8)
-        assert R_t < 1e-12
-        m = moments(fld, "full")
-        assert m.xbar == pytest.approx(canonical_packet.x0, abs=1e-6)
-        assert m.pbar == pytest.approx(canonical_packet.k0, abs=1e-6)
-        assert m.var_x == pytest.approx(1.0 / (4.0 * canonical_packet.sigma_k ** 2), abs=1e-6)
+        s = diagnostics_series(free_table, [0.0])
+        assert s.total[0] == pytest.approx(1.0, abs=1e-8)
+        assert s.T[0] == pytest.approx(1.0, abs=1e-8)
+        assert s.R[0] < 1e-12
+        assert s.xbar_full[0] == pytest.approx(canonical_packet.x0, abs=1e-6)
+        assert s.pbar_full[0] == pytest.approx(canonical_packet.k0, abs=1e-6)
+        assert s.varx_full[0] == pytest.approx(1.0 / (4.0 * canonical_packet.sigma_k ** 2),
+                                               abs=1e-6)
 
     def test_ref_component_vanishes(self, free_table):
-        fld = fields_at(free_table, 30.0)
-        assert np.max(np.abs(fld.ref)) < 1e-12
-        with pytest.raises(ZeroNorm):
-            moments(fld, "ref")
+        """A vanishing component has no moments: they read NaN."""
+        assert np.max(np.abs(fields_at(free_table, 30.0)[0, 2])) < 1e-12
+        s = diagnostics_series(free_table, [30.0])
+        assert np.isnan([s.xbar_ref[0], s.pbar_ref[0], s.varx_ref[0]]).all()
+        assert np.isfinite([s.xbar_tr[0], s.pbar_tr[0], s.varx_tr[0]]).all()
 
     def test_matches_closed_form_evolution(self, free_table, canonical_packet):
         for t in (0.0, 25.0):
-            fld = fields_at(free_table, t)
-            want = free_gaussian(fld.x, t, canonical_packet.k0,
+            want = free_gaussian(free_table.x, t, canonical_packet.k0,
                                  canonical_packet.sigma_k, canonical_packet.x0)
-            assert np.max(np.abs(fld.full - want)) < 1e-8
+            assert np.max(np.abs(fields_at(free_table, t)[0, 0] - want)) < 1e-8
 
     def test_free_continuity_residual_small(self, free_table):
         assert continuity_residual(free_table, "tr", 20.0, 0.01) < 1e-6
@@ -117,8 +113,8 @@ class TestSynthesizeOneShot:
 class TestCanonicalRun:
     def test_identity_everywhere(self, canonical_table):
         for t in (0.0, 30.0, 60.0, 80.0):
-            fld = fields_at(canonical_table, t)
-            assert fld.identity_residual < 1e-8
+            full, tr, ref = fields_at(canonical_table, t)[0]
+            assert np.max(np.abs(tr + ref - full)) < 1e-8
 
     def test_grid_clear_of_the_barrier(self, canonical_table, canonical_spec, canonical_packet):
         """A grid that stops more than half a wavelength short of the barrier
@@ -127,27 +123,25 @@ class TestCanonicalRun:
         far = canonical_table.x < -60.0
         table = build_mode_table(canonical_spec, canonical_packet, canonical_table.x[far])
         for t in (0.0, 60.0):
-            got, want = fields_at(table, t), fields_at(canonical_table, t)
-            for name in ("full", "tr", "ref"):
-                np.testing.assert_allclose(got.component(name), want.component(name)[far],
-                                           rtol=0, atol=1e-15)
-                np.testing.assert_allclose(got.derivative(name), want.derivative(name)[far],
-                                           rtol=0, atol=1e-15)
+            # values and derivatives of full, tr and ref
+            np.testing.assert_allclose(fields_at(table, t), fields_at(canonical_table, t)[..., far],
+                                       rtol=0, atol=1e-15)
 
     def test_piecewise_cut(self, canonical_table):
-        fld = fields_at(canonical_table, 55.0)
-        right = fld.x > canonical_table.x_c
-        assert np.all(fld.ref[right] == 0.0)
-        np.testing.assert_array_equal(fld.tr[right], fld.full[right])
+        full, tr, ref = fields_at(canonical_table, 55.0)[0]
+        right = canonical_table.x > canonical_table.x_c
+        assert np.all(ref[right] == 0.0)
+        np.testing.assert_array_equal(tr[right], full[right])
 
-    def test_initial_norms_match_spectral_weights(self, canonical_table):
-        T_t, R_t, total = norms(fields_at(canonical_table, 0.0))
+    def test_initial_norms_match_spectral_weights(self, canonical_table, canonical_series):
+        s = canonical_series  # s.t[0] is 0
         density = canonical_table.weights * np.abs(canonical_table.f_k) ** 2
-        amps = [solve_full(canonical_table.spec, EnergyMode.from_k(float(k)))
-                for k in canonical_table.k]
-        assert total == pytest.approx(1.0, abs=1e-8)
-        assert T_t == pytest.approx(np.sum(density * [a.T for a in amps]), abs=1e-4)
-        assert R_t == pytest.approx(np.sum(density * [a.R for a in amps]), abs=1e-4)
+        T_k, R_k = np.abs([np.concatenate(solve_full(canonical_table.spec,
+                                                     EnergyMode.from_k(float(k))))
+                           for k in canonical_table.k]).T ** 2
+        assert s.total[0] == pytest.approx(1.0, abs=1e-8)
+        assert s.T[0] == pytest.approx(np.sum(density * T_k), abs=1e-4)
+        assert s.R[0] == pytest.approx(np.sum(density * R_k), abs=1e-4)
 
     def test_reflection_norm_constant(self, canonical_series):
         """The reflection sub-wave vanishes at the cut for every mode, so
@@ -155,12 +149,11 @@ class TestCanonicalRun:
         drift = np.max(np.abs(canonical_series.R - canonical_series.R[0]))
         assert drift < 1e-8
 
-    def test_overlap_initially_imaginary_and_decaying(self, canonical_table):
-        ov0 = overlap(fields_at(canonical_table, 0.0))
+    def test_overlap_initially_imaginary_and_decaying(self, canonical_series):
+        s = canonical_series  # from t = 0 to 80
+        ov0, ov_end = s.overlap[0], s.overlap[-1]
         assert abs(ov0.real) < 1e-6
-        ov_end = overlap(fields_at(canonical_table, 80.0))
-        T_t, R_t, _ = norms(fields_at(canonical_table, 80.0))
-        assert abs(ov_end) < 0.05 * np.sqrt(T_t * R_t)
+        assert abs(ov_end) < 0.05 * np.sqrt(s.T[-1] * s.R[-1])
         assert abs(ov_end) < abs(ov0)
 
     def test_transmission_norm_transient_is_bounded(self, canonical_series):
@@ -174,23 +167,23 @@ class TestCanonicalRun:
         # settling: the final excursion is well below the peak
         assert abs(T[-1] - T[0]) < 0.5 * transient
 
-    def test_late_momentum_matches_transmission_filter(self, canonical_table):
-        fld = fields_at(canonical_table, 80.0)
-        m = moments(fld, "tr")
+    def test_late_momentum_matches_transmission_filter(self, canonical_table, canonical_series):
+        pbar_tr = canonical_series.pbar_tr[-1]  # at t = 80
         w = (canonical_table.weights * np.abs(canonical_table.f_k) ** 2
              * np.abs(canonical_table.A_T) ** 2)
         want = float(np.sum(w * canonical_table.k) / np.sum(w))
-        assert m.pbar == pytest.approx(want, rel=5e-3)
+        assert pbar_tr == pytest.approx(want, rel=5e-3)
 
     def test_ref_cut_flux_decays(self, canonical_series):
         assert abs(canonical_series.ref_cut_flux[-1]) < 1e-3
 
     def test_interference_integrates_to_overlap(self, canonical_table):
         t = 55.0
-        fld = fields_at(canonical_table, t)
-        cross = 2.0 * np.real(np.conj(fld.tr) * fld.ref)
+        _, tr, ref = fields_at(canonical_table, t)[0]
+        cross = 2.0 * np.real(np.conj(tr) * ref)
         lhs = float(np.trapezoid(cross, canonical_table.x))
-        assert lhs == pytest.approx(2.0 * overlap(fld).real, abs=1e-10)
+        overlap = diagnostics_series(canonical_table, [t]).overlap[0]
+        assert lhs == pytest.approx(2.0 * overlap.real, abs=1e-10)
 
     def test_variance_growth_dominated_by_separation(self, canonical_series):
         last = canonical_series.t >= 2.0 * canonical_series.t[-1] / 3.0
@@ -264,8 +257,8 @@ class TestGridDiagnostics:
         # interfere; a ~1.6-unit spacing cannot integrate that
         x = np.linspace(-150.0, 134.0, 180)
         table = build_mode_table(canonical_spec, canonical_packet, x, n_k=65)
-        with pytest.raises(GridTooCoarse):
-            norms(fields_at(table, 55.0))
+        with pytest.raises(GridTooCoarse, match="quadrature error"):
+            diagnostics_series(table, [55.0])
 
     def test_default_grid_contains_cut_and_packet(self, canonical_spec, canonical_packet):
         x = default_x_grid(canonical_spec, canonical_packet)
@@ -285,8 +278,9 @@ def test_diagnostics_series_shapes(canonical_series):
 
 
 def test_diagnostics_series_matches_per_time_recomputation():
-    """The batched series equals fields_at plus continuity_residual per time,
-    column by column; a batch that mixed up times or components would not."""
+    """The batched series equals trapezoid integrals of each time's fields_at
+    arrays, and continuity_residual per time, column by column; a batch that
+    mixed up times or components would not."""
     spec = make_rectangular(1.0, 1.0, -2.0)
     packet = PacketSpec(k0=1.5, sigma_k=0.25, x0=-12.5)
     x = np.arange(-30.0, 26.0 + 1e-9, 0.05)
@@ -296,16 +290,20 @@ def test_diagnostics_series_matches_per_time_recomputation():
     series = diagnostics_series(table, times, fd_dt=fd_dt)
     i_left = int(np.searchsorted(x, table.x_c, side="left")) - 1
     for i, t in enumerate(times):
-        fld = fields_at(table, t)
-        want = dict(zip(("T", "R", "total"), norms(fld)))
-        want["overlap"] = overlap(fld)
-        for comp in ("full", "tr", "ref"):
-            m = moments(fld, comp)
-            want.update({f"xbar_{comp}": m.xbar, f"pbar_{comp}": m.pbar,
-                         f"varx_{comp}": m.var_x})
+        (full, tr, ref), (_, _, dref) = waves = fields_at(table, t)
+        weight = np.trapezoid(np.abs(waves[0]) ** 2, x)
+        want = {"total": weight[0], "T": weight[1], "R": weight[2],
+                "overlap": np.trapezoid(np.conj(tr) * ref, x)}
+        for c, comp in enumerate(("full", "tr", "ref")):
+            psi, dpsi = waves[:, c]
+            rho = np.abs(psi) ** 2
+            xbar = np.trapezoid(rho * x, x) / weight[c]
+            want.update({f"xbar_{comp}": xbar,
+                         f"pbar_{comp}": np.trapezoid(np.imag(np.conj(psi) * dpsi), x) / weight[c],
+                         f"varx_{comp}": np.trapezoid(rho * (x - xbar) ** 2, x) / weight[c]})
         want["continuity"] = max(continuity_residual(table, c, t, fd_dt) for c in ("tr", "ref"))
-        want["ref_cut_flux"] = np.imag(np.conj(fld.ref) * fld.dref)[i_left]
-        want["identity_residual"] = fld.identity_residual
+        want["ref_cut_flux"] = np.imag(np.conj(ref) * dref)[i_left]
+        want["identity_residual"] = np.max(np.abs(tr + ref - full))
         for name, value in want.items():
             got = getattr(series, name)[i]
             assert abs(got - value) <= 1e-12, (name, t, got, value)
@@ -391,10 +389,8 @@ class TestAgainstPerModeRows:
         table = build_mode_table(spec, self.PACKET, self.X, n_k=self.N_K, span_sigmas=self.SPAN)
         want = per_mode_fields(spec, self.PACKET, self.X, self.TIMES, self.N_K, self.SPAN)
         for i, t in enumerate(self.TIMES):
-            fld = fields_at(table, t)
-            for c, name in enumerate(("full", "tr", "ref")):
-                np.testing.assert_allclose(fld.component(name), want[0, c, i], rtol=0, atol=1e-13)
-                np.testing.assert_allclose(fld.derivative(name), want[1, c, i], rtol=0, atol=1e-13)
+            # values and derivatives of full, tr and ref
+            np.testing.assert_allclose(fields_at(table, t), want[:, :, i], rtol=0, atol=1e-13)
 
     def test_synthesize_matches(self, monkeypatch):
         # a block boundary inside the barrier, which spans grid points 448-480

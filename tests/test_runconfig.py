@@ -2,12 +2,14 @@ import copy
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tunnelsplit.cli import main
 from tunnelsplit.errors import SchemaError
 from tunnelsplit.runconfig import parse_config, parse_config_text
 
@@ -60,6 +62,12 @@ def test_nonpositive_width_is_schema_error():
 def test_backward_spectrum_is_schema_error():
     with pytest.raises(SchemaError) as err:
         parse(packet={"k0": 0.2, "sigma_k": 0.1, "x0": -40.0})
+    assert err.value.cause_name == "SpectrumDomainError"
+
+
+def test_packet_energy_overflow_is_schema_error():
+    with pytest.raises(SchemaError) as err:
+        parse(packet={"k0": 1e300, "sigma_k": 0.1, "x0": -40.0})
     assert err.value.cause_name == "SpectrumDomainError"
 
 
@@ -179,3 +187,38 @@ def test_any_leaf_value_parses_or_is_schema_error(path, value):
         parse_config_text(json.dumps(cfg))
     except SchemaError:
         pass
+
+
+# a run of each subcommand below takes a few tens of milliseconds
+TINY = parse_config_text(json.dumps({
+    "potential": {"a": -2.0, "segments": [[1.0, 1.0]]},
+    "energy": {"E": 0.6},
+    "packet": {"k0": 1.5, "sigma_k": 0.25, "x0": -12.5},
+    "times": {"start": 0.0, "stop": 12.0, "num": 3},
+    "n_k": 65,
+    "k_span_sigmas": 5.5,
+    "x_grid": {"x_min": -30.0, "x_max": 26.0, "dx": 0.1},
+    "decompose_grid": {"pad": 2.0, "n": 65},
+    "clock": {"n_quad": 257},
+})).echo()
+
+
+@settings(max_examples=len(_leaves(TINY)) * len(BAD_VALUES), deadline=None, derandomize=True)
+@given(st.sampled_from(_leaves(TINY)), st.sampled_from(BAD_VALUES))
+def test_any_leaf_value_runs_or_fails_as_config_or_numerics(path, value):
+    """A leaf mutation runs through the whole pipeline of each subcommand
+    without an internal fault: exit 0, or 2 or 3 with an error.json."""
+    cfg = copy.deepcopy(TINY)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(cfg))
+        for subcommand in ("stationary", "decompose", "clock", "diagnostics"):
+            out = Path(tmp) / subcommand
+            code = main([subcommand, str(config), "--out", str(out)])
+            assert code in (0, 2, 3), (subcommand, path, value, code)
+            if code:
+                assert json.loads((out / "error.json").read_text())["exit_code"] == code
