@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__, tolerances
-from .cranknicolson import compare_fields, crank_nicolson_propagate
+from .cranknicolson import ORACLE_ORDER, compare_fields, crank_nicolson_propagate
 from .clocks import sweep_barrier_width, compute_clock
 from .errors import INTERNAL_ERRORS, SchemaError, TunnelSplitError
 from .packets import build_mode_table, diagnostics_series, synthesize
@@ -214,7 +214,8 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> dict:
     times = sorted({0.0, *checkpoints})
     spectral_at = dict(zip(times, synthesize(spec, packet, "full", times, grid.x(),
                                              n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)))
-    result = crank_nicolson_propagate(spec, spectral_at[0.0], grid, sample_times=checkpoints)
+    result = crank_nicolson_propagate(spec, spectral_at[0.0], grid, sample_times=checkpoints,
+                                      order=ORACLE_ORDER)
     l2_max = linf_max = 0.0
     per_checkpoint = {}
     for sample in result.samples:

@@ -88,6 +88,11 @@ class LarmorReading:
     out_of_plane: np.ndarray  # modulus response ln|A_up/A_down| / omega
 
     def __post_init__(self):
+        # a NaN would pass both checks below, which compare against it;
+        # math.isfinite over a list costs a fifth of np.isfinite on 3 values
+        if not (math.isfinite(self.extrapolated)
+                and all(map(math.isfinite, self.raw_times.tolist()))):
+            raise ExtrapolationDiverged("Larmor reading is not finite")
         spread = abs(self.raw_times[-1] - self.raw_times[-2]) if self.raw_times.size > 1 else 0.0
         tol = 1e-9 * max(1.0, abs(self.extrapolated))
         if abs(self.extrapolated - self.raw_times[-1]) > spread + tol:

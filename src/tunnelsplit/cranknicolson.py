@@ -1,16 +1,31 @@
 """Independent time-domain propagator used to validate the spectral
 synthesis; never part of the main pipeline.
 
-Unitary Crank-Nicolson stepping of i d_t psi = -1/2 d_xx psi + V psi on a
-hard-walled box, in Cayley form: with L = I + (i dt/2) H,
+Unitary stepping of i d_t psi = H psi, H = -1/2 d_xx + V, on a hard-walled
+box. A step applies a Pade approximant of exp(-i H dt) in factored form:
+with z = H dt, each root w of the approximant's denominator gives one
+Cayley factor
 
-    psi' = L^-1 (2I - L) psi = 2 L^-1 psi - psi,
+    (1 - z/conj(w)) / (1 - z/w) = r + (1 - r) (1 - z/w)^-1,   r = w/conj(w),
 
-so L/2 is factored once (LAPACK zgttrf) and each step is one tridiagonal
-solve (zgttrs) of psi plus a subtraction, with no matrix-vector product.
-Halving is exact, so (L/2)^-1 psi equals L^-1 (2 psi) bit for bit. The
-box must be oversized: a BoundaryContamination error reports probability
-reaching the walls instead of silently absorbing it.
+which has modulus 1 for Hermitian H. Order 2 is the one factor w = 2i,
+Crank-Nicolson: psi' = 2 L^-1 psi - psi with L = I + (i dt/2) H. Order 4
+is the (2,2) Pade approximant (1 - iz/2 - z^2/12) / (1 + iz/2 - z^2/12),
+two factors with w = 3i +/- sqrt(3) (van Dijk & Toyama, Phys. Rev. E 75,
+036707, 2007).
+
+In space, order 2 takes the three-point D2, H = -1/2 D2 + V. Order 4 takes
+Numerov's compact operator H = -1/2 B^-1 D2 + V with B = I + (dx^2/12) D2,
+still real symmetric because B and D2 commute, so the discrete norm is
+conserved. A factor solves (B - (dt/w) BH) y = B psi, where
+BH = -1/2 D2 + B V is tridiagonal. Its matrix, scaled by s / (1 - r) with
+s = 12 (so that s B psi is the integer stencil (1, 10, 1)) and y then
+(1 - r) (1 - z/w)^-1 psi, is factored once (LAPACK zgttrf); each factor
+of each step is one three-point sum for s B psi, one tridiagonal solve
+(zgttrs) and an axpy. For order 2, B = I, s = 1 and the scaled matrix is
+L/2. Halving is exact, so (L/2)^-1 psi - psi equals L^-1 (2 psi) - psi
+bit for bit. The box must be oversized: a BoundaryContamination error
+reports probability reaching the walls instead of silently absorbing it.
 """
 
 import math
@@ -24,6 +39,21 @@ from .stationary import ComponentField
 from .tolerances import CN_NORM_DRIFT, CN_WALL_MASS
 
 _WALL_POINTS = 5
+
+# order: (B's stencil (off, main), whose rows sum to B's scale; the roots w
+# of the Pade denominator, one Cayley factor each)
+_SCHEMES = {
+    2: ((0.0, 1.0), (2j,)),
+    4: ((1.0, 10.0), (math.sqrt(3.0) + 3j, -math.sqrt(3.0) + 3j)),
+}
+
+# the order oracle-check propagates at
+ORACLE_ORDER = 4
+
+
+def factor_solves(order: int) -> int:
+    """Tridiagonal solves per step of the order-`order` scheme."""
+    return len(_SCHEMES[order][1])
 
 
 @dataclass(frozen=True)
@@ -70,14 +100,17 @@ class PropagationResult:
 
 
 def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
-                             grid: GridSpec, sample_times=()) -> PropagationResult:
-    """Propagate `initial` (sampled on grid.x()) and return snapshots.
+                             grid: GridSpec, sample_times=(), order: int = 2
+                             ) -> PropagationResult:
+    """Propagate `initial` (sampled on grid.x()) at `order` 2 or 4 in both
+    dt and dx and return snapshots.
 
     Norm (discrete l2) is conserved to roundoff; the drift over the run is
     reported. Walls are hard zeros; more than CN_WALL_MASS probability
     within 5 points of a wall aborts the run.
     """
     from scipy.linalg import lapack  # imported here: it costs 0.2 s and only CN needs it
+    (b_off, b_main), roots = _SCHEMES[order]
     x = grid.x()
     if initial.x.shape != x.shape or not np.allclose(initial.x, x, rtol=0, atol=1e-12):
         raise GridMismatch("initial field is not sampled on the propagation grid")
@@ -93,13 +126,20 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
     psi = initial.values.astype(complex).copy()
     psi[0] = psi[-1] = 0.0
 
-    # L/2 = (I + (i dt/2) H) / 2 on the interior, H with Dirichlet walls
-    half = 0.5j * grid.dt
-    main = 0.5 * (1.0 + half * (1.0 / dx ** 2 + V[1:-1]))
-    off = np.full(x.size - 3, 0.5 * (half * (-0.5 / dx ** 2)))
-    *lu, info = lapack.zgttrf(off, main, off)
-    if info != 0:
-        raise SolveSingular(f"Crank-Nicolson matrix is singular (zgttrf info {info})")
+    # per factor, s (B + a BH) / (1 - r) on the interior, with s = B's scale,
+    # a = -dt/w and BH = -1/2 D2 + B V under Dirichlet walls; for order 2
+    # this is L/2 = (I + (i dt/2) H) / 2
+    scale = b_main + 2.0 * b_off
+    factors = []
+    for w in roots:
+        a, r = -grid.dt / w, w / w.conjugate()
+        main = (b_main + a * (scale / dx ** 2 + b_main * V[1:-1])) / (1.0 - r)
+        lower, upper = ((b_off + a * (-0.5 * scale / dx ** 2 + b_off * v)) / (1.0 - r)
+                        for v in (V[1:-2], V[2:-1]))
+        *lu, info = lapack.zgttrf(lower, main, upper)
+        if info != 0:
+            raise SolveSingular(f"Crank-Nicolson matrix is singular (zgttrf info {info})")
+        factors.append((r, lu))
 
     def norm_of(arr):
         return math.sqrt(dx * np.vdot(arr, arr).real)
@@ -124,10 +164,18 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
     inner = psi[1:-1]  # a view: the update writes straight into psi
     rhs = np.empty_like(inner)
     for step in range(1, grid.n_t + 1):
-        # psi' = (L/2)^-1 psi - psi; the solve overwrites rhs and returns it
-        rhs[...] = inner
-        solved, _ = lapack.zgttrs(*lu, rhs, overwrite_b=True)
-        np.subtract(solved, inner, out=inner)
+        for r, lu in factors:
+            # psi' = r psi + y, y solved from s B psi; the solve overwrites
+            # rhs and returns it
+            if b_off:
+                np.multiply(inner, b_main, out=rhs)
+                rhs += psi[:-2]
+                rhs += psi[2:]
+            else:
+                rhs[...] = inner
+            solved, _ = lapack.zgttrs(*lu, rhs, overwrite_b=True)
+            inner *= r
+            inner += solved
         wall = wall_mass()
         if wall > max_wall:
             max_wall = wall

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .clocks import SWEEP_BLOCK, ClockConfig
-from .cranknicolson import GridSpec, staggered_grid, step_index
+from .cranknicolson import ORACLE_ORDER, GridSpec, factor_solves, staggered_grid, step_index
 from .errors import SchemaError, TunnelSplitError
 from .packets import DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec, default_grid_step
 from .potential import PotentialSpec, make_piecewise
@@ -28,9 +28,9 @@ from .stationary import EnergyMode, ProblemBlock
 # array is allocated; the canonical config asks for about 0.16 GB.
 MEMORY_BUDGET = 2e9
 
-# Largest Crank-Nicolson work, grid points times steps, that an oracle
-# config may ask for: about 60 times canonical's 1.7e8, or 5 minutes at
-# 31 ns per point and step.
+# Largest Crank-Nicolson work, grid points times steps times tridiagonal
+# solves per step, that an oracle config may ask for: about 470 times
+# canonical's 2.1e7, or 5 minutes at 30 ns per point and solve.
 CN_WORK_BUDGET = 1e10
 
 
@@ -156,8 +156,8 @@ _SCHEMA = {
         "n": (2001, _count(512)),
     }),
     "oracle": ({}, {
-        "dx": (0.01, _POSITIVE),
-        "dt": (0.01, _POSITIVE),
+        "dx": (0.02, _POSITIVE),
+        "dt": (0.08, _POSITIVE),
         "margin_left": (60.0, _number),
         "margin_right": (100.0, _number),
         "checkpoints": ([0.0, 40.0, 80.0], _list_of(_number, 1)),
@@ -219,8 +219,10 @@ def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, span: fl
     """Bytes of a packet run's large complex arrays, as packets lays them
     out: exp(ikx), a diagnostics batch about as large and the rows inside
     the barrier on the table grid; the synthesis blocks, the rows inside
-    the barrier and the CN vectors and snapshots on the oracle grid.
-    Counted in floats, so that no size overflows."""
+    the barrier and the CN vectors and snapshots on the oracle grid: psi,
+    the solve's right-hand side (which also holds B psi), x and V, the
+    three diagonals being factored and each factor's LU (dl, d, du, du2
+    and ipiv). Counted in floats, so that no size overflows."""
     if x_grid is None:
         dx, n_side = default_grid_step(spec, packet, span)
         n_x = 2 * n_side + 1
@@ -230,7 +232,8 @@ def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, span: fl
     table = n_k * (2 * n_x + 6 * (spec.width / dx + 1))
     length = spec.b + oracle["margin_right"] - packet.x0 + oracle["margin_left"]
     n_times = len(oracle["checkpoints"]) + 1
-    cn = ((4 * n_times + 8) * (length / oracle["dx"] + 2)
+    vectors = 4 * n_times + 6 + 5 * factor_solves(ORACLE_ORDER)
+    cn = (vectors * (length / oracle["dx"] + 2)
           + n_k * (X_CHUNK + 6 * (spec.width / oracle["dx"] + 1)))
     return 16.0 * max(table, cn)
 
@@ -337,11 +340,13 @@ def parse_config_text(text: str) -> RunConfig:
         oracle_grid = _build("oracle", staggered_grid, spec,
                              packet.x0 - oracle["margin_left"], spec.b + oracle["margin_right"],
                              oracle["dx"], oracle["dt"], checkpoints[-1])
-        work = oracle_grid.n_x * oracle_grid.n_t
+        solves = factor_solves(ORACLE_ORDER)
+        work = oracle_grid.n_x * oracle_grid.n_t * solves
         if work > CN_WORK_BUDGET:
-            raise SchemaError("oracle", f"{oracle_grid.n_t} Crank-Nicolson steps on "
-                                        f"{oracle_grid.n_x} points ({work:.3g} point-steps) "
-                                        f"exceed the budget of {CN_WORK_BUDGET:.3g}")
+            raise SchemaError("oracle", f"{oracle_grid.n_t} Crank-Nicolson steps of {solves} "
+                                        f"solves on {oracle_grid.n_x} points ({work:.3g} "
+                                        f"point-solves) exceed the budget of "
+                                        f"{CN_WORK_BUDGET:.3g}")
 
     return RunConfig(
         raw=raw, potential=spec, mode=mode, energy_grid=energy_grid, packet=packet,

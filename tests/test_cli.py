@@ -24,8 +24,8 @@ FAST = {
     "k_span_sigmas": 5.5,
     "x_grid": {"x_min": -30.0, "x_max": 26.0, "dx": 0.05},
     "oracle": {
-        "dx": 0.005,
-        "dt": 0.01,
+        "dx": 0.01,
+        "dt": 0.04,
         "margin_left": 25.0,
         "margin_right": 42.0,
         "checkpoints": [0.0, 6.0, 12.0],
@@ -158,6 +158,9 @@ class TestExitCodes:
         ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=[0.0, 1e9])}),
         # every checkpoint rounds to step 0: the oracle would compare nothing
         ("oracle-check", {"oracle": dict(FAST["oracle"], dt=1e300)}),
+        # 1e6 steps on 7852 points is 7.9e9 point-steps, inside the budget as
+        # points times steps, but each step makes two solves: 1.6e10
+        ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=[0.0, 40000.0])}),
     ])
     def test_bad_oracle_or_clock_setting_is_2_before_any_work(self, tmp_path, monkeypatch,
                                                               subcommand, override):
@@ -210,6 +213,18 @@ class TestExitCodes:
         assert run_cli("diagnostics", str(path), out) == 3
         record = json.loads((out / "error.json").read_text())
         assert (record["error"], record["exit_code"]) == ("GridTooCoarse", 3)
+
+    def test_non_finite_larmor_reading_is_3(self, tmp_path):
+        # at E = 1e300 the Larmor frequencies' squares overflow and the
+        # zero-field extrapolation reads NaN
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"potential": FAST["potential"], "energy": {"E": 1e300}}))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run_cli("clock", str(path), out) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert (record["error"], record["exit_code"]) == ("ExtrapolationDiverged", 3)
+        assert not (out / "clock.csv").exists()
 
     def test_unexpected_exception_is_4(self, tmp_path, monkeypatch):
         def broken(cfg, out):
@@ -283,8 +298,20 @@ class TestOutputs:
         assert float(drift) < 1e-10
         # the CN run's step count and peak wall mass go to the metadata, not the CSV
         meta = json.loads((out / "run_metadata.json").read_text())
-        assert meta["cn_steps"] == 1200
+        oracle = FAST["oracle"]
+        assert meta["cn_steps"] == round(max(oracle["checkpoints"]) / oracle["dt"])
         assert 0.0 <= meta["wall_mass"] < CN_WALL_MASS
+
+    def test_canonical_oracle_no_less_accurate_than_second_order(self, tmp_path):
+        # the order-4 defaults (dx 0.02, dt 0.08) against the l2 distances
+        # that second-order stepping at dx = dt = 0.01 reached
+        canonical = Path(__file__).resolve().parents[1] / "configs" / "canonical.json"
+        out = tmp_path / "out"
+        assert run_cli("oracle-check", str(canonical), out) == 0
+        meta = json.loads((out / "run_metadata.json").read_text())
+        l2 = {t: v["l2"] for t, v in meta["per_checkpoint"].items()}
+        assert l2["40.0"] <= 5.65e-5 and l2["80.0"] <= 9.71e-5, l2
+        assert meta["norm_drift"] < 1e-10
 
     def test_clock_and_sweep_schema(self, tmp_path):
         cfg = write_config(tmp_path)

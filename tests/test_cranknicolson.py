@@ -92,6 +92,29 @@ class TestPropagation:
             assert sample.values[0] == sample.values[-1] == 0.0
             assert np.max(np.abs(sample.values[1:-1] - inner)) < 1e-12
 
+    def test_order_4_steps_match_dense_pade_numerov(self):
+        # two Cayley factors per step against a dense solve of the (2,2)
+        # Pade approximant of exp(-i H dt), H the Numerov operator
+        spec = make_rectangular(1.5, 2.0, -1.0)
+        grid = GridSpec(x_min=-12.0, x_max=12.0, n_x=241, dt=0.05, n_t=4)
+        x = grid.x()
+        initial = gaussian_field(x, 0.0, k0=1.2, sigma_k=0.4, x0=-4.0)
+        result = crank_nicolson_propagate(spec, initial, grid, sample_times=[0.1, 0.2], order=4)
+
+        n = x.size - 2
+        D2 = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
+              + np.diag(np.ones(n - 1), -1)) / grid.dx ** 2
+        B = np.eye(n) + grid.dx ** 2 / 12.0 * D2
+        z = grid.dt * (-0.5 * np.linalg.solve(B, D2) + np.diag(evaluate(spec, x)[1:-1]))
+        lhs = np.eye(n) + 0.5j * z - z @ z / 12.0
+        rhs = np.eye(n) - 0.5j * z - z @ z / 12.0
+        inner = initial.values[1:-1].astype(complex)
+        for sample in result.samples:
+            for _ in range(2):
+                inner = np.linalg.solve(lhs, rhs @ inner)
+            assert sample.values[0] == sample.values[-1] == 0.0
+            assert np.max(np.abs(sample.values[1:-1] - inner)) < 1e-12
+
     def test_steps_equal_unhalved_cayley_steps(self):
         # the factored L/2 solves psi to exactly what L solves against 2 psi
         spec = make_rectangular(1.5, 2.0, -1.0)
@@ -117,17 +140,19 @@ class TestPropagation:
 
 
 class TestConvergence:
-    """Second order in dx and in dt against the closed-form free packet."""
+    """Second order, or fourth at order 4, in dx and in dt against the
+    closed-form free packet."""
 
     K0, SK, X0, T = 2.0, 0.25, -10.0, 5.0
 
-    def _error(self, dx, dt):
+    def _error(self, dx, dt, order=2):
         n = int(round(80.0 / dx))
         grid = GridSpec(x_min=-40.0, x_max=-40.0 + n * dx, n_x=n + 1,
                         dt=dt, n_t=int(round(self.T / dt)))
         x = grid.x()
         initial = ComponentField(x=x, values=free_gaussian(x, 0.0, self.K0, self.SK, self.X0))
-        result = crank_nicolson_propagate(FREE, initial, grid, sample_times=[self.T])
+        result = crank_nicolson_propagate(FREE, initial, grid, sample_times=[self.T],
+                                          order=order)
         want = free_gaussian(x, self.T, self.K0, self.SK, self.X0)
         l2, _ = compare_fields(
             result.samples[0], ComponentField(x=x, values=want)
@@ -143,6 +168,16 @@ class TestConvergence:
         errors = [self._error(0.005, dt) for dt in (0.04, 0.02, 0.01)]
         order = np.log(errors[0] / errors[2]) / np.log(4.0)
         assert order > 1.9, errors
+
+    def test_fourth_order_in_dx(self):
+        errors = [self._error(dx, 0.005, order=4) for dx in (0.08, 0.04, 0.02)]
+        order = np.log(errors[0] / errors[2]) / np.log(4.0)
+        assert order > 3.9, errors
+
+    def test_fourth_order_in_dt(self):
+        errors = [self._error(0.01, dt, order=4) for dt in (0.2, 0.1, 0.05)]
+        order = np.log(errors[0] / errors[2]) / np.log(4.0)
+        assert order > 3.9, errors
 
 
 class TestCompareFields:
