@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__, tolerances
-from .cranknicolson import ORACLE_ORDER, compare_fields, crank_nicolson_propagate
+from .cranknicolson import compare_fields, crank_nicolson_propagate
 from .clocks import sweep_barrier_width, compute_clock
 from .errors import INTERNAL_ERRORS, SchemaError, TunnelSplitError
 from .packets import build_mode_table, diagnostics_series, synthesize
@@ -30,7 +30,7 @@ from .parallel import WorkerMap
 from .runconfig import RunConfig, bound_workers, parse_config
 from .splitting import build_decomposition, sub_waves
 from .stationary import ProblemBlock, sample_states, solve_block
-from .tolerances import ORACLE_L2
+from .tolerances import CN_NORM_DRIFT, ORACLE_L2
 
 def _fmt(value) -> str:
     if type(value) is float:
@@ -214,15 +214,14 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> dict:
     times = sorted({0.0, *checkpoints})
     spectral_at = dict(zip(times, synthesize(spec, packet, "full", times, grid.x(),
                                              n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)))
-    result = crank_nicolson_propagate(spec, spectral_at[0.0], grid, sample_times=checkpoints,
-                                      order=ORACLE_ORDER)
+    result = crank_nicolson_propagate(spec, spectral_at[0.0], grid, sample_times=checkpoints)
     l2_max = linf_max = 0.0
     per_checkpoint = {}
     for sample in result.samples:
         l2, linf = compare_fields(spectral_at[sample.t], sample)
         per_checkpoint[str(sample.t)] = {"l2": l2, "linf": linf}
         l2_max, linf_max = max(l2_max, l2), max(linf_max, linf)
-    passed = l2_max < ORACLE_L2
+    passed = l2_max < ORACLE_L2 and result.norm_drift < CN_NORM_DRIFT
     # the samples come in step order, one per step: the last is the latest compared
     write_csv(
         out / "oracle_check.csv",

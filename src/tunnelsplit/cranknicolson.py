@@ -2,30 +2,26 @@
 synthesis; never part of the main pipeline.
 
 Unitary stepping of i d_t psi = H psi, H = -1/2 d_xx + V, on a hard-walled
-box. A step applies a Pade approximant of exp(-i H dt) in factored form:
-with z = H dt, each root w of the approximant's denominator gives one
-Cayley factor
+box, fourth order in dt and in dx (van Dijk & Toyama, Phys. Rev. E 75,
+036707, 2007). A step applies the (2,2) Pade approximant of exp(-i H dt),
+(1 - iz/2 - z^2/12) / (1 + iz/2 - z^2/12) with z = H dt, in factored form:
+each root w = 3i +/- sqrt(3) of its denominator gives one Cayley factor
 
     (1 - z/conj(w)) / (1 - z/w) = r + (1 - r) (1 - z/w)^-1,   r = w/conj(w),
 
-which has modulus 1 for Hermitian H. Order 2 is the one factor w = 2i,
-Crank-Nicolson: psi' = 2 L^-1 psi - psi with L = I + (i dt/2) H. Order 4
-is the (2,2) Pade approximant (1 - iz/2 - z^2/12) / (1 + iz/2 - z^2/12),
-two factors with w = 3i +/- sqrt(3) (van Dijk & Toyama, Phys. Rev. E 75,
-036707, 2007).
+which has modulus 1 for Hermitian H. Crank-Nicolson is the (1,1)
+approximant, w = 2i; this step keeps its Cayley form and its name.
 
-In space, order 2 takes the three-point D2, H = -1/2 D2 + V. Order 4 takes
-Numerov's compact operator H = -1/2 B^-1 D2 + V with B = I + (dx^2/12) D2,
-still real symmetric because B and D2 commute, so the discrete norm is
-conserved. A factor solves (B - (dt/w) BH) y = B psi, where
-BH = -1/2 D2 + B V is tridiagonal. Its matrix, scaled by s / (1 - r) with
-s = 12 (so that s B psi is the integer stencil (1, 10, 1)) and y then
-(1 - r) (1 - z/w)^-1 psi, is factored once (LAPACK zgttrf); each factor
-of each step is one three-point sum for s B psi, one tridiagonal solve
-(zgttrs) and an axpy. For order 2, B = I, s = 1 and the scaled matrix is
-L/2. Halving is exact, so (L/2)^-1 psi - psi equals L^-1 (2 psi) - psi
-bit for bit. The box must be oversized: a BoundaryContamination error
-reports probability reaching the walls instead of silently absorbing it.
+In space, H is Numerov's compact operator H = -1/2 B^-1 D2 + V, with D2 the
+three-point second difference and B = I + (dx^2/12) D2. H is real symmetric
+because B and D2 commute, so the discrete norm is conserved. A factor
+solves (B - (dt/w) BH) y = B psi, where BH = -1/2 D2 + B V is tridiagonal.
+Its matrix, scaled by s / (1 - r) with s = 12 (so that s B psi is the
+integer stencil (1, 10, 1)) and y then (1 - r) (1 - z/w)^-1 psi, is
+factored once (LAPACK zgttrf); each factor of each step is one three-point
+sum for s B psi, one tridiagonal solve (zgttrs) and an axpy. The box must
+be oversized: a BoundaryContamination error reports probability reaching
+the walls instead of silently absorbing it.
 """
 
 import math
@@ -40,20 +36,12 @@ from .tolerances import CN_NORM_DRIFT, CN_WALL_MASS
 
 _WALL_POINTS = 5
 
-# order: (B's stencil (off, main), whose rows sum to B's scale; the roots w
-# of the Pade denominator, one Cayley factor each)
-_SCHEMES = {
-    2: ((0.0, 1.0), (2j,)),
-    4: ((1.0, 10.0), (math.sqrt(3.0) + 3j, -math.sqrt(3.0) + 3j)),
-}
-
-# the order oracle-check propagates at
-ORACLE_ORDER = 4
-
-
-def factor_solves(order: int) -> int:
-    """Tridiagonal solves per step of the order-`order` scheme."""
-    return len(_SCHEMES[order][1])
+# B's stencil (off, main, off), whose row sums to B's scale s = 12
+_B_OFF, _B_MAIN = 1.0, 10.0
+# the roots w of the Pade denominator, one Cayley factor each
+_ROOTS = (math.sqrt(3.0) + 3j, -math.sqrt(3.0) + 3j)
+# tridiagonal solves per step
+SOLVES_PER_STEP = len(_ROOTS)
 
 
 @dataclass(frozen=True)
@@ -93,24 +81,20 @@ def step_index(t: float, dt: float) -> int | None:
 
 @dataclass
 class PropagationResult:
-    x: np.ndarray
     samples: list[ComponentField]
     norm_drift: float
     wall_mass: float
 
 
 def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
-                             grid: GridSpec, sample_times=(), order: int = 2
-                             ) -> PropagationResult:
-    """Propagate `initial` (sampled on grid.x()) at `order` 2 or 4 in both
-    dt and dx and return snapshots.
+                             grid: GridSpec, sample_times=()) -> PropagationResult:
+    """Propagate `initial` (sampled on grid.x()) and return snapshots.
 
     Norm (discrete l2) is conserved to roundoff; the drift over the run is
     reported. Walls are hard zeros; more than CN_WALL_MASS probability
     within 5 points of a wall aborts the run.
     """
     from scipy.linalg import lapack  # imported here: it costs 0.2 s and only CN needs it
-    (b_off, b_main), roots = _SCHEMES[order]
     x = grid.x()
     if initial.x.shape != x.shape or not np.allclose(initial.x, x, rtol=0, atol=1e-12):
         raise GridMismatch("initial field is not sampled on the propagation grid")
@@ -127,14 +111,13 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
     psi[0] = psi[-1] = 0.0
 
     # per factor, s (B + a BH) / (1 - r) on the interior, with s = B's scale,
-    # a = -dt/w and BH = -1/2 D2 + B V under Dirichlet walls; for order 2
-    # this is L/2 = (I + (i dt/2) H) / 2
-    scale = b_main + 2.0 * b_off
+    # a = -dt/w and BH = -1/2 D2 + B V under Dirichlet walls
+    scale = _B_MAIN + 2.0 * _B_OFF
     factors = []
-    for w in roots:
+    for w in _ROOTS:
         a, r = -grid.dt / w, w / w.conjugate()
-        main = (b_main + a * (scale / dx ** 2 + b_main * V[1:-1])) / (1.0 - r)
-        lower, upper = ((b_off + a * (-0.5 * scale / dx ** 2 + b_off * v)) / (1.0 - r)
+        main = (_B_MAIN + a * (scale / dx ** 2 + _B_MAIN * V[1:-1])) / (1.0 - r)
+        lower, upper = ((_B_OFF + a * (-0.5 * scale / dx ** 2 + _B_OFF * v)) / (1.0 - r)
                         for v in (V[1:-2], V[2:-1]))
         *lu, info = lapack.zgttrf(lower, main, upper)
         if info != 0:
@@ -167,12 +150,9 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
         for r, lu in factors:
             # psi' = r psi + y, y solved from s B psi; the solve overwrites
             # rhs and returns it
-            if b_off:
-                np.multiply(inner, b_main, out=rhs)
-                rhs += psi[:-2]
-                rhs += psi[2:]
-            else:
-                rhs[...] = inner
+            np.multiply(inner, _B_MAIN, out=rhs)
+            rhs += psi[:-2]
+            rhs += psi[2:]
             solved, _ = lapack.zgttrs(*lu, rhs, overwrite_b=True)
             inner *= r
             inner += solved
@@ -192,7 +172,7 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
     if norm0 > 0 and max_drift > 100 * CN_NORM_DRIFT:
         # stepping is unconditionally unitary; a real drift means a bug
         raise SolveSingular(f"norm drifted by {max_drift:.3e}; propagation inconsistent")
-    return PropagationResult(x=x, samples=samples, norm_drift=max_drift, wall_mass=max_wall)
+    return PropagationResult(samples=samples, norm_drift=max_drift, wall_mass=max_wall)
 
 
 def staggered_grid(spec: PotentialSpec, x_min_target: float, x_max_target: float,

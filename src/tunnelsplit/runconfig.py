@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .clocks import SWEEP_BLOCK, ClockConfig
-from .cranknicolson import ORACLE_ORDER, GridSpec, factor_solves, staggered_grid, step_index
+from .cranknicolson import SOLVES_PER_STEP, GridSpec, staggered_grid, step_index
 from .errors import SchemaError, TunnelSplitError
 from .packets import DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec, default_grid_step
 from .potential import PotentialSpec, make_piecewise
@@ -153,7 +153,7 @@ _SCHEMA = {
     "decompose_grid": ({}, {
         "pad": (5.0, _number),
         # one point's five sampled waves and its CSV line
-        "n": (2001, _count(512)),
+        "n": (2001, _count(512, least=2)),
     }),
     "oracle": ({}, {
         "dx": (0.02, _POSITIVE),
@@ -232,7 +232,7 @@ def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, span: fl
     table = n_k * (2 * n_x + 6 * (spec.width / dx + 1))
     length = spec.b + oracle["margin_right"] - packet.x0 + oracle["margin_left"]
     n_times = len(oracle["checkpoints"]) + 1
-    vectors = 4 * n_times + 6 + 5 * factor_solves(ORACLE_ORDER)
+    vectors = 4 * n_times + 6 + 5 * SOLVES_PER_STEP
     cn = (vectors * (length / oracle["dx"] + 2)
           + n_k * (X_CHUNK + 6 * (spec.width / oracle["dx"] + 1)))
     return 16.0 * max(table, cn)
@@ -340,13 +340,12 @@ def parse_config_text(text: str) -> RunConfig:
         oracle_grid = _build("oracle", staggered_grid, spec,
                              packet.x0 - oracle["margin_left"], spec.b + oracle["margin_right"],
                              oracle["dx"], oracle["dt"], checkpoints[-1])
-        solves = factor_solves(ORACLE_ORDER)
-        work = oracle_grid.n_x * oracle_grid.n_t * solves
+        work = oracle_grid.n_x * oracle_grid.n_t * SOLVES_PER_STEP
         if work > CN_WORK_BUDGET:
-            raise SchemaError("oracle", f"{oracle_grid.n_t} Crank-Nicolson steps of {solves} "
-                                        f"solves on {oracle_grid.n_x} points ({work:.3g} "
-                                        f"point-solves) exceed the budget of "
-                                        f"{CN_WORK_BUDGET:.3g}")
+            raise SchemaError("oracle", f"{oracle_grid.n_t} Crank-Nicolson steps of "
+                                        f"{SOLVES_PER_STEP} solves on {oracle_grid.n_x} "
+                                        f"points ({work:.3g} point-solves) exceed the "
+                                        f"budget of {CN_WORK_BUDGET:.3g}")
 
     return RunConfig(
         raw=raw, potential=spec, mode=mode, energy_grid=energy_grid, packet=packet,

@@ -31,11 +31,7 @@ from tunnelsplit.clocks import (
     probe_noninvasiveness,
     sweep_barrier_width,
 )
-from tunnelsplit.cranknicolson import (
-    compare_fields,
-    crank_nicolson_propagate,
-    staggered_grid,
-)
+from tunnelsplit.cranknicolson import compare_fields, crank_nicolson_propagate
 from tunnelsplit.packets import (
     build_mode_table,
     continuity_residual,
@@ -43,6 +39,7 @@ from tunnelsplit.packets import (
     synthesize,
 )
 from tunnelsplit.potential import make_rectangular
+from tunnelsplit.runconfig import parse_config
 from tunnelsplit.splitting import build_decomposition, decompose_block
 from tunnelsplit.stationary import (EnergyMode, ProblemBlock, sample_states, solve_block,
                                     solve_full)
@@ -189,17 +186,14 @@ def test_criterion_4_packet_suite(canonical_table, canonical_packet, canonical_s
     assert ok, "a packet conservation bound is violated; measured values above"
 
 
-def test_criterion_5_cross_method_oracle(canonical_spec, canonical_packet):
-    grid = staggered_grid(
-        canonical_spec,
-        canonical_packet.x0 - 60.0,
-        canonical_spec.b + 100.0,
-        dx=0.01, dt=0.01, t_max=80.0,
-    )
-    checkpoints = [0.0, 40.0, 80.0]
-    spectral = synthesize(canonical_spec, canonical_packet, "full", checkpoints, grid.x())
+def test_criterion_5_cross_method_oracle():
+    # the grid, checkpoints and synthesis that oracle-check runs on canonical.json
+    cfg = parse_config(CONFIG)
+    spec, grid, checkpoints = cfg.potential, cfg.oracle_grid, cfg.checkpoints
+    spectral = synthesize(spec, cfg.packet, "full", checkpoints, grid.x(),
+                          n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)
     initial = spectral[0]  # the first checkpoint is t = 0
-    result = crank_nicolson_propagate(canonical_spec, initial, grid, sample_times=checkpoints)
+    result = crank_nicolson_propagate(spec, initial, grid, sample_times=checkpoints)
     distances = {}
     for sample, spectral_field in zip(result.samples, spectral):
         assert sample.t == spectral_field.t

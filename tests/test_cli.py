@@ -11,7 +11,7 @@ import pytest
 
 from tunnelsplit import cli, clocks
 from tunnelsplit.cli import main
-from tunnelsplit.tolerances import CN_WALL_MASS
+from tunnelsplit.tolerances import CN_WALL_MASS, ORACLE_L2
 
 # compact setup so CLI round trips stay fast: moderate barrier, wide packet
 FAST = {
@@ -172,6 +172,8 @@ class TestExitCodes:
         ("hartman-sweep", {"sweep": dict(FAST["sweep"], kappa_l_min=0)}),
         ("decompose", {"decompose_grid": {"pad": [1]}}),
         ("decompose", {"decompose_grid": {"pad": math.inf}}),
+        # no points: the footer would report an identity residual over nothing
+        ("decompose", {"decompose_grid": {"n": 0}}),
         ("evolve", {"snapshot_times": 5}),
         ("diagnostics", {"x_grid": dict(FAST["x_grid"], x_max=math.inf)}),
         ("diagnostics", {"times": []}),
@@ -302,8 +304,18 @@ class TestOutputs:
         assert meta["cn_steps"] == round(max(oracle["checkpoints"]) / oracle["dt"])
         assert 0.0 <= meta["wall_mass"] < CN_WALL_MASS
 
+    def test_oracle_check_pass_needs_the_norm_drift_bound(self, tmp_path, monkeypatch):
+        # pass is criterion 5's two bounds: the l2 distance and the norm drift
+        monkeypatch.setattr(cli, "CN_NORM_DRIFT", 0.0)
+        out = tmp_path / "out"
+        assert run_cli("oracle-check", write_config(tmp_path), out) == 0
+        _, l2, _, passed, _ = (out / "oracle_check.csv").read_text().splitlines()[1].split(",")
+        assert float(l2) < ORACLE_L2
+        assert passed == "0"
+        assert json.loads((out / "run_metadata.json").read_text())["pass"] is False
+
     def test_canonical_oracle_no_less_accurate_than_second_order(self, tmp_path):
-        # the order-4 defaults (dx 0.02, dt 0.08) against the l2 distances
+        # the fourth-order defaults (dx 0.02, dt 0.08) against the l2 distances
         # that second-order stepping at dx = dt = 0.01 reached
         canonical = Path(__file__).resolve().parents[1] / "configs" / "canonical.json"
         out = tmp_path / "out"

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunnelsplit import packets
 from tunnelsplit.errors import GridTooCoarse, SpectrumDomainError
@@ -19,7 +21,7 @@ from tunnelsplit.potential import make_piecewise, make_rectangular
 from tunnelsplit import stationary
 from tunnelsplit.splitting import build_decomposition
 from tunnelsplit.stationary import EnergyMode, solve_full
-from tunnelsplit.tolerances import NORM_DRIFT
+from tunnelsplit.tolerances import NORM_DRIFT, PACKET_IDENTITY
 
 from _oracles import cut_flux_integral, free_gaussian, per_mode_fields
 
@@ -402,3 +404,20 @@ class TestAgainstPerModeRows:
                              n_k=self.N_K, span_sigmas=self.SPAN)
             for i, fld in enumerate(got):
                 np.testing.assert_allclose(fld.values, want[0, c, i], rtol=0, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(min_value=0.2, max_value=1.5),
+                          st.floats(min_value=0.0, max_value=2.0)),
+                min_size=1, max_size=3))
+def test_pipeline_identity_and_sum_rule_on_random_symmetric_barriers(canonical_packet, half):
+    """tr + ref = full and T + R + 2 Re<tr|ref> = total at every time,
+    through the mode table, its fields and the diagnostics series, on
+    mirrored barriers of 1-3 segments a side under the canonical packet."""
+    spec = make_piecewise(-9.0, half + half[::-1])
+    times = np.linspace(0.0, 80.0, 9)
+    table = build_mode_table(spec, canonical_packet, np.arange(-160.0, 150.0, 0.1), n_k=65)
+    full, tr, ref = table.states(times)
+    assert np.max(np.abs(tr + ref - full)) < PACKET_IDENTITY
+    s = diagnostics_series(table, times)
+    assert np.max(np.abs(s.T + s.R + 2.0 * s.overlap.real - s.total)) < PACKET_IDENTITY
