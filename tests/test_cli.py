@@ -172,8 +172,6 @@ class TestExitCodes:
         ("hartman-sweep", {"sweep": dict(FAST["sweep"], kappa_l_min=0)}),
         ("decompose", {"decompose_grid": {"pad": [1]}}),
         ("decompose", {"decompose_grid": {"pad": math.inf}}),
-        # no points: the footer would report an identity residual over nothing
-        ("decompose", {"decompose_grid": {"n": 0}}),
         ("evolve", {"snapshot_times": 5}),
         ("diagnostics", {"x_grid": dict(FAST["x_grid"], x_max=math.inf)}),
         ("diagnostics", {"times": []}),
@@ -184,6 +182,8 @@ class TestExitCodes:
         ("hartman-sweep", {"sweep": dict(FAST["sweep"], num=0)}),
         ("hartman-sweep", {"sweep": dict(FAST["sweep"], num=1)}),
         ("evolve", {"snapshot_times": []}),
+        # no points: the footer would report an identity residual over nothing
+        ("decompose", {"decompose_grid": {"n": 0}}),
     ])
     def test_bad_setting_is_2_before_any_work(self, tmp_path, monkeypatch, subcommand, override):
         self.rejected_before_any_work(tmp_path, monkeypatch, subcommand, override)

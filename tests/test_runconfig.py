@@ -126,6 +126,17 @@ def test_run_size_over_budget_rejected():
         parse(packet=packet, n_k=10**6 + 1, x_grid={"x_min": -70.0, "x_max": 10.0, "dx": 40.0})
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_decompose_grid_under_two_points_rejected(n):
+    # fewer than two points leaves the decompose footer nothing to measure
+    with pytest.raises(SchemaError):
+        parse(decompose_grid={"n": n})
+
+
+def test_decompose_grid_of_two_points_accepted():
+    assert parse(decompose_grid={"n": 2}).decompose_grid["n"] == 2
+
+
 def test_oracle_checkpoints_must_be_a_list():
     for bad in ([], 40.0):
         with pytest.raises(SchemaError):
