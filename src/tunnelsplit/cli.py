@@ -176,7 +176,7 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> dict:
 
 def cmd_diagnostics(cfg: RunConfig, out: Path) -> dict:
     table = _mode_table(cfg)
-    series = diagnostics_series(table, cfg.times, fd_dt=cfg.fd_dt)
+    series = diagnostics_series(table, cfg.times)
     rows = zip(
         series.t, series.T, series.R,
         series.overlap.real, series.overlap.imag,

@@ -222,10 +222,12 @@ def _larmor_readings(up: np.ndarray, down: np.ndarray, config: ClockConfig, subp
     not present read None instead."""
     omegas = np.array(config.omegas, dtype=float)
     vanish = np.minimum(np.abs(up), np.abs(down)) ** 2 < ZERO_FLUX
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a huge omega overflows omega^2 in the extrapolation; LarmorReading
+    # raises the non-finite limit as ExtrapolationDiverged
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         raw = np.angle(up * np.conj(down)) / omegas
         out_of_plane = np.log(np.abs(up) / np.abs(down)) / omegas
-    limit = _extrapolate_to_zero(omegas, raw, config.extrapolation_order)
+        limit = _extrapolate_to_zero(omegas, raw, config.extrapolation_order)
     residuals = np.abs(raw - limit[:, None])
     readings = []
     for i, row_vanish in enumerate(vanish):

@@ -139,9 +139,7 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
 
     def record(step_i):
         if step_i in sample_steps:
-            samples.append(
-                ComponentField(x=x, values=psi.copy(), label="full", t=sample_steps[step_i])
-            )
+            samples.append(ComponentField(x=x, values=psi.copy(), t=sample_steps[step_i]))
 
     record(0)
     inner = psi[1:-1]  # a view: the update writes straight into psi

@@ -27,11 +27,13 @@ Modes are kept as coefficients. With e = exp(ikx), the cut leaves
     right of b:  full = A_T e,               tr = full,        ref = 0
 
 and derivatives scale the pairs by +/- ik; inside [a, b) a table keeps
-value and derivative rows at its grid points. `ModeTable.states` is the
-one evaluator, for a batch of times and one table of cos(kx) and sin(kx)
-shared by every time. It works in real arithmetic: with C = cos(kx) and
-S = sin(kx), a e + b conj(e) = (a + b) C + i (a - b) S, so the left
-pair and tr are one real product against C stacked on S.
+value and derivative rows at its grid points. A mode's time derivative
+is -i k^2/2 times the mode, so nothing is differenced in time.
+`ModeTable.states` is the one evaluator, for a batch of times and one
+table of cos(kx) and sin(kx) shared by every time. It works in real
+arithmetic: with C = cos(kx) and S = sin(kx), a e + b conj(e) =
+(a + b) C + i (a - b) S, so the left pair and tr are one real product
+against C stacked on S.
 `synthesize` evaluates its grid X_CHUNK points at a time.
 """
 
@@ -292,8 +294,7 @@ def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
     values = np.empty((len(times), x.size), dtype=complex)
     for lo in range(0, x.size, X_CHUNK):
         values[:, lo:lo + X_CHUNK] = table._window(lo, lo + X_CHUNK).states(times)[i]
-    return [ComponentField(x=x, values=v, label=component, t=float(t))
-            for v, t in zip(values, times)]
+    return [ComponentField(x=x, values=v, t=float(t)) for v, t in zip(values, times)]
 
 
 # --- diagnostics ------------------------------------------------------------
@@ -368,59 +369,62 @@ def _gradient_uniform(values: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _continuity_window(x: np.ndarray, cut: float | None):
-    """(keep, i_cut): the points where continuity is checked, all but three
+    """(keep, pieces): the points where continuity is checked, all but three
     at each end and, for a piecewise component, outside a strip of
-    half-width 2 dx about the cut; and the first point right of the cut
-    (None without one), where differences restart. Each side of a cut
-    needs two points to difference."""
+    half-width 2 dx about the cut; and the slices of the grid that are
+    differenced apart, split just left of the first point right of the
+    cut. Each side of a cut needs two points to difference."""
     keep = np.ones(x.shape, dtype=bool)
     keep[:3] = keep[-3:] = False
-    i_cut = None
+    pieces = [slice(None)]
     if cut is not None:
         keep &= np.abs(x - cut) > 2.0 * (x[1] - x[0]) + 1e-12
         i_cut = int(np.searchsorted(x, cut, side="right"))
         if min(i_cut, x.size - i_cut) < 2:
             raise GridTooCoarse(f"the grid holds fewer than two points on one side "
                                 f"of the cut x_c = {cut:g}")
+        pieces = [slice(None, i_cut), slice(i_cut, None)]
     if not keep.any():
         raise GridTooCoarse("continuity window excludes every grid point")
-    return keep, i_cut
+    return keep, pieces
 
 
-def _gradient_with_cut(values: np.ndarray, x: np.ndarray, i_cut: int | None) -> np.ndarray:
-    """Derivative estimate that never differences across a cut just left
-    of point i_cut (None: no cut)."""
-    if i_cut is None:
-        return _gradient_uniform(values, x)
-    out = np.empty_like(values)
-    out[:i_cut] = _gradient_uniform(values[:i_cut], x[:i_cut])
-    out[i_cut:] = _gradient_uniform(values[i_cut:], x[i_cut:])
-    return out
+def _evaluate(table: ModeTable, times, rated):
+    """The (3, n_t, n_x) values and x derivatives at `times`, and the density
+    rates d rho/d t = 2 Re(conj(psi) d psi/d t) of the components `rated`.
+    2 d psi/d t is the packet of spectrum -i k^2 f(k); it is reduced to the
+    rates before the derivatives are made, so two complex stacks are held."""
+    values = table.states(times)
+    rates = replace(table, f_k=-1j * table.k ** 2 * table.f_k).states(times)[rated]
+    rates.real *= values[rated].real
+    rates.imag *= values[rated].imag
+    rates = rates.real + rates.imag  # releases the complex stack
+    return values, rates, table.states(times, deriv=True)
 
 
 def _continuity(x: np.ndarray, window, drho: np.ndarray, psi: np.ndarray,
                 dpsi: np.ndarray) -> float:
     """max |d rho/d t + d j/d x| over the window's points, from the density
-    rate and the exact derivative at t; see continuity_residual."""
-    keep, i_cut = window
-    resid = np.abs(drho + _gradient_with_cut(current_density(psi, dpsi), x, i_cut))
-    return float(np.max(resid[keep]))
+    rate and the exact derivative at t, never differencing j across the
+    cut; see continuity_residual."""
+    keep, pieces = window
+    j = current_density(psi, dpsi)
+    dj = np.concatenate([_gradient_uniform(j[p], x[p]) for p in pieces])
+    return float(np.max(np.abs(drho + dj)[keep]))
 
 
-def continuity_residual(table: ModeTable, component: str, t: float, dt: float) -> float:
+def continuity_residual(table: ModeTable, component: str, t: float) -> float:
     """max |d rho/d t + d j/d x| on the grid.
 
-    The density rate uses a centered difference in t; the current uses the
-    analytic mode derivatives, so d j/d x differencing meets only the mild
-    j'''-kinks at the potential steps. For the piecewise components a
+    The density rate and the current use the exact time and x derivatives
+    of the modes, so only d j/d x is differenced, and it meets only the
+    mild j'''-kinks at the potential steps. For the piecewise components a
     strip of half-width 2 dx around the cut is always excluded.
     """
     i = _index(component)
-    psi = table.states([t - dt, t, t + dt])[i]
-    dpsi = table.states([t], deriv=True)[i][0]
+    values, rate, derivs = _evaluate(table, [t], i)
     window = _continuity_window(table.x, table.x_c if component in ("tr", "ref") else None)
-    drho = (_density(psi[2]) - _density(psi[0])) / (2.0 * dt)
-    return _continuity(table.x, window, drho, psi[1], dpsi)
+    return _continuity(table.x, window, rate[0], values[i, 0], derivs[i, 0])
 
 
 @dataclass
@@ -447,17 +451,17 @@ class DiagnosticsSeries:
 
 
 def _times_per_batch(n_k: int) -> int:
-    """Times per diagnostics batch. The four (3, n_t, n_x) evaluations of
+    """Times per diagnostics batch. The three (3, n_t, n_x) evaluations of
     a batch together are about the size of the cos/sin table; at most two
     of them are held at once."""
     return max(1, n_k // 12)
 
 
-def diagnostics_series(table: ModeTable, times, fd_dt: float = 1e-2) -> DiagnosticsSeries:
-    """Diagnostics at every time, from batched fields plus the values at
-    t -/+ fd_dt for the continuity residual of tr and ref. The quadrature
-    weights, the continuity window and the cut indices are set up once;
-    the reductions then run one time at a time."""
+def diagnostics_series(table: ModeTable, times) -> DiagnosticsSeries:
+    """Diagnostics at every time, from batched values and x derivatives
+    and the density rates of tr and ref for their continuity residual.
+    The quadrature weights, the continuity window and the cut indices are
+    set up once; the reductions then run one time at a time."""
     times = np.asarray(times, dtype=float)
     x, x_c = table.x, table.x_c
     q = _quadrature(x)
@@ -467,14 +471,9 @@ def diagnostics_series(table: ModeTable, times, fd_dt: float = 1e-2) -> Diagnost
             for f in fields(DiagnosticsSeries) if f.name != "t"}
 
     def fill(lo, ts):
-        # every evaluation is released on return, before the next batch is
-        # made; the density rate's two are released before the other two
-        plus, minus = table.states(ts + fd_dt)[1:], table.states(ts - fd_dt)[1:]
-        rates = [(_density(p) - _density(m)) / (2.0 * fd_dt)
-                 for p, m in zip(plus.swapaxes(0, 1), minus.swapaxes(0, 1))]
-        del plus, minus
-        values, derivs = table.states(ts), table.states(ts, deriv=True)
-        for i, rate in enumerate(rates):
+        # every evaluation is released on return, before the next batch is made
+        values, rates, derivs = _evaluate(table, ts, slice(1, None))
+        for i in range(ts.size):
             v, d = values[:, i], derivs[:, i]
             full, tr, ref = v
             rho = _density(v)
@@ -493,7 +492,7 @@ def diagnostics_series(table: ModeTable, times, fd_dt: float = 1e-2) -> Diagnost
             row = {
                 "T": sums[1, 0], "R": sums[2, 0], "total": sums[0, 0],
                 "overlap": (np.conj(tr) * ref) @ q[0],
-                "continuity": max(_continuity(x, window, rate[c - 1], v[c], d[c])
+                "continuity": max(_continuity(x, window, rates[c - 1, i], v[c], d[c])
                                   for c in (1, 2)),
                 "ref_cut_flux": current_density(ref[i_left], d[2, i_left]),
                 "identity_residual": np.max(np.abs(tr + ref - full)),

@@ -14,7 +14,6 @@ import numpy as np
 from .errors import AsymmetricPotential, NonPositiveWidth
 
 SYMMETRY_TOL = 1e-12
-WIDTH_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,6 @@ _SCHEMA = {
     "x_grid": (None, _x_grid),
     "times": ({}, _times),
     "snapshot_times": ([0.0, 20.0, 40.0, 60.0, 80.0], _list_of(_number, 1)),
-    "fd_dt": (0.01, _POSITIVE),
     "decompose_grid": ({}, {
         "pad": (5.0, _number),
         # one point's five sampled waves and its CSV line
@@ -252,7 +251,6 @@ class RunConfig:
     x_grid: np.ndarray | None
     times: np.ndarray
     snapshot_times: list[float]
-    fd_dt: float
     decompose_grid: dict  # pad (float), n (int)
     oracle_grid: GridSpec | None  # None without a packet
     checkpoints: list[float]  # ascending
@@ -353,7 +351,7 @@ def parse_config_text(text: str) -> RunConfig:
         checkpoints=checkpoints, clock_config=clock_config,
         omega_factors=tuple(clock["omega_factors"]), n_quad=clock["n_quad"],
         # keys whose typed value needs no other key pass through as they are
-        **{key: cfg[key] for key in ("times", "snapshot_times", "fd_dt", "decompose_grid",
+        **{key: cfg[key] for key in ("times", "snapshot_times", "decompose_grid",
                                      "sweep", "evolve_x_stride", "out_dir", "workers")},
     )
 

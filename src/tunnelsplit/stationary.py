@@ -68,7 +68,6 @@ class ComponentField:
 
     x: np.ndarray
     values: np.ndarray
-    label: str = ""
     t: float | None = None
 
 
