@@ -138,6 +138,14 @@ class TestLarmorTimes:
                 out_of_plane=np.zeros(3),
             )
 
+    def test_overflowing_frequencies_read_as_diverged(self):
+        """At E = 1e300 the squares of the Larmor frequencies overflow in the
+        zero-field extrapolation: the reading raises ExtrapolationDiverged,
+        and no RuntimeWarning escapes (the suite makes those errors)."""
+        mode = EnergyMode(1e300)
+        with pytest.raises(ExtrapolationDiverged):
+            larmor_times(CANONICAL, mode, ClockConfig.for_energy(mode.E), "tr")
+
 
 class TestNonInvasiveness:
     def test_quadratic_departure(self):

@@ -293,6 +293,23 @@ def _small_table():
     return build_mode_table(spec, packet, x, n_k=65, span_sigmas=5.5)
 
 
+def test_density_rates_are_the_time_derivative_of_the_density():
+    """The exact rates 2 Re(conj(psi) d psi/d t) that the continuity check
+    uses equal a centred time difference of |psi|^2 for every component,
+    up to that difference's O(h^2) error (max rate about 0.1)."""
+    table = _small_table()
+    times = np.array([0.0, 6.0, 12.0])
+    _, rates, _ = packets._evaluate(table, times, slice(None))
+    errors = []
+    for h in (1e-2, 1e-3):
+        errors.append(max(
+            np.max(np.abs(rates[:, i] - (np.abs(fields_at(table, t + h)[0]) ** 2
+                                         - np.abs(fields_at(table, t - h)[0]) ** 2) / (2 * h)))
+            for i, t in enumerate(times)))
+    assert errors[1] < 1e-7, errors
+    assert errors[0] / errors[1] > 90.0, errors
+
+
 def test_diagnostics_series_holds_one_batch():
     """A batch's evaluations are released before the next batch is made,
     so the traced peak over three batches stays below four (3, n_t, n_x)
