@@ -277,7 +277,7 @@ def cmd_hartman_sweep(cfg: RunConfig, out: Path) -> dict:
     write_csv(
         out / "hartman_sweep.csv",
         _CLOCK_HEADER,
-        [_clock_row(r) for r in results],
+        (_clock_row(r) for r in results),
         footer_comments=[f"dwell_tr_strictly_increasing = {_fmt(monotonic)}"],
     )
     return {"dwell_tr_strictly_increasing": bool(monotonic)}

@@ -4,7 +4,12 @@ Dwell times are flux-normalized density integrals of the sub-process
 waves: tau = integral |psi_sub|^2 dx / (k |A_sub_in|^2), over [a, b] for
 transmission and [a, x_c] for reflection (the reflection wave vanishes
 identically beyond the midpoint). This is the standard definition; it
-reduces to length/speed for free flight.
+reduces to length/speed for free flight. The integral is the
+composite-Simpson sum on `n_quad` nodes (2049 by default), evaluated in
+closed form: every piece of a state is two exponentials (a quartic near
+q = 0), so its weighted density sum over its run of nodes reduces to a few
+geometric or power sums. The work per row and piece is O(1) and no array
+grows with `n_quad`.
 
 Larmor times probe the same interval non-invasively: an infinitesimal
 Zeeman splitting +/- omega/2 confined to the barrier turns the relative
@@ -32,17 +37,17 @@ import numpy as np
 
 from .errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
 from .packets import (COMPONENTS, PacketSpec, build_mode_table, default_x_grid,
-                      diagnostics_series, simpson_weights)
+                      diagnostics_series)
 from .potential import PotentialSpec
 from .splitting import DecompositionBlock, decompose_block
-from .stationary import EnergyMode, ProblemBlock, sample_density, solve_block
+from .stationary import EVAN, OSC, PAIR, EnergyMode, ProblemBlock, solve_block
 from .tolerances import OMEGA_FRACTION, OVERLAP_FINAL_FRACTION, ZERO_FLUX
 
 SUBPROCESSES = ("tr", "ref")
 
-# Widths per block in sweep_barrier_width. A block holds its dwell
-# densities, SWEEP_BLOCK x n_quad samples per sub-wave, at once; 64 keeps
-# the sweep's peak memory at that of one width at a time.
+# Widths per block in sweep_barrier_width, and per task of its map_fn. A
+# block's arrays grow with it, not with n_quad: its decomposition on 65
+# probe points, its Zeeman solves and its results, about 0.6 MB at 64.
 SWEEP_BLOCK = 64
 
 
@@ -142,31 +147,135 @@ def _require_weight(weight: np.ndarray, subprocess: str):
         raise ZeroFlux(f"{name} weight {weight[np.argmax(absent)]:.3e} below {ZERO_FLUX}")
 
 
-def _density_integral(state, lo, hi, n: int) -> np.ndarray:
-    """Simpson integral of |state|^2 over n points from lo to hi, per row:
-    elementwise products summed along each row, so a row's sum does not
-    depend on the rows beside it."""
-    x = np.linspace(lo, hi, n, axis=-1)
-    dens = sample_density(state, x)
-    dens *= simpson_weights(n, x[:, 1] - x[:, 0])
-    return np.sum(dens, axis=-1)
+def _node(j, lo, hi, step, n: int):
+    """Node j of np.linspace(lo, hi, n), as linspace computes it."""
+    return np.where(j >= n - 1, hi, j * step + lo)
+
+
+def _nodes_below(e, lo, hi, step, n: int) -> np.ndarray:
+    """How many nodes of np.linspace(lo, hi, n) lie below e, per entry of
+    e (rows, pieces): a ceil guess, corrected one step each way."""
+    j = np.clip(np.ceil((e - lo) / step), 0, n)
+    j = np.where((j < n) & (_node(j, lo, hi, step, n) < e), j + 1, j)
+    j = np.where((j > 0) & (_node(j - 1, lo, hi, step, n) >= e), j - 1, j)
+    return j.astype(np.int64)
+
+
+def _geometric(z, m):
+    """sum_{i < m} exp(z i) for complex z != 0."""
+    return np.expm1(m * z) / np.expm1(z)
+
+
+def _weighted_geometric(z, m, sign, first, last):
+    """sum_{i < m} f_i exp(z i), where f_i = 3 - sign (-1)^i, less `first`
+    at i = 0 and less `last` at i = m - 1: the Simpson factors of a
+    piece's nodes (see _density_sum)."""
+    return (3.0 * _geometric(z, m) - sign * _geometric(z + 1j * math.pi, m)
+            - first - last * np.exp(z * (m - 1)))
+
+
+def _weighted_count(m, sign, first, last):
+    """sum_{i < m} f_i, f_i as in _weighted_geometric."""
+    return 3.0 * m - sign * (m % 2) - first - last
+
+
+def _weighted_powers(m, sign, first, last) -> list:
+    """[sum_{i < m} f_i i^p for p = 0..4], f_i as in _weighted_geometric:
+    Faulhaber's power sums, and the alternating sums
+    (E_p(0) - (-1)^m E_p(m)) / 2 from the Euler polynomials E_p."""
+    x = m.astype(float)
+    y = x - 1.0  # the last i
+    power = [x, y * x / 2, y * x * (2 * y + 1) / 6, (y * x / 2) ** 2,
+             y * x * (2 * y + 1) * (3 * y * y + 3 * y - 1) / 30]
+    euler = [1.0, x - 0.5, x * x - x, x ** 3 - 1.5 * x * x + 0.25, x ** 4 - 2 * x ** 3 + x]
+    euler_at_0 = [1.0, -0.5, 0.0, 0.25, 0.0]
+    parity = 1 - 2 * (m % 2)  # (-1)^m
+    return [3.0 * power[p] - sign * 0.5 * (euler_at_0[p] - parity * euler[p])
+            - (first if p == 0 else 0.0) - last * y ** p for p in range(5)]
+
+
+def _density_sum(state, lo, hi, n: int) -> np.ndarray:
+    """The composite-Simpson sum of |state|^2 over the nodes
+    np.linspace(lo, hi, n) places on each row, in closed form.
+
+    A piece holds the nodes from its left edge (inclusive) to the next
+    piece's; the last piece holds the rest, the node at b too, where the
+    right plane-wave pair equals it to roundoff. Node j weighs (h/3) c_j,
+    h the first spacing: c_j = 3 - (-1)^j inside and 1 at both ends. At
+    a piece's nodes j0 + i, i < m, offset d = d0 + i step from its left
+    edge, |state|^2 is
+
+    OSC:  |c1|^2 + |c2|^2 + 2 Re(c1 conj(c2) exp(2iq d0) rho^i),
+          rho = exp(2iq step);
+    EVAN: |c1|^2 exp(-2kp d0) rho^i + |c2|^2 exp(-2kp dr) rho^(m-1-i)
+          + 2 Re(c1 conj(c2)) exp(-kp w), rho = exp(-2kp step), with dr
+          the last node's offset from the right edge, so no term grows;
+    PAIR: a quartic in d, to first order in q2 (|q2| w^2 < 1e-10),
+
+    so each piece's weighted sum is a few sums of f_i rho^i or f_i i^p in
+    closed form, whatever n.
+    """
+    lo, hi = lo[:, None], hi[:, None]
+    step = (hi - lo) / (n - 1)
+    h = (_node(1, lo, hi, step, n) - lo)[:, 0]  # as linspace places node 1
+    start = _nodes_below(state.xl, lo, hi, step, n)
+    count = np.diff(start, axis=1, append=n)
+    d0 = _node(start, lo, hi, step, n) - state.xl
+    dr = state.xr - _node(start + count - 1, lo, hi, step, n)
+    step = np.broadcast_to(step, start.shape)
+    # (-1)^j0, and what c_j loses against 3 - (-1)^j at j = 0 and n - 1
+    ends = (1 - 2 * (start % 2), (start == 0).astype(float),
+            np.where(start + count == n, 2.0 - (-1.0) ** (n - 1), 0.0))
+    total = np.zeros(start.shape)
+    for kind in (PAIR, OSC, EVAN):
+        sel = (state.kind == kind) & (count > 0)
+        if not sel.any():
+            continue
+        c1, c2, q2, m, s, o = (v[sel] for v in (state.c1, state.c2, state.q2, count, step, d0))
+        f = tuple(v[sel] for v in ends)
+        aa, bb, ab = np.abs(c1) ** 2, np.abs(c2) ** 2, c1 * np.conj(c2)
+        if kind == OSC:
+            q = np.sqrt(q2)
+            total[sel] = ((aa + bb) * _weighted_count(m, *f)
+                          + 2.0 * np.real(ab * np.exp(2j * q * o)
+                                          * _weighted_geometric(2j * q * s, m, *f)))
+        elif kind == EVAN:
+            kp = np.sqrt(-q2)
+            z = -2.0 * kp * s
+            reverse = (f[0] * (1 - 2 * ((m - 1) % 2)), f[2], f[1])  # i -> m - 1 - i
+            total[sel] = (2.0 * ab.real * np.exp(-kp * (state.xr - state.xl)[sel])
+                          * _weighted_count(m, *f)
+                          + aa * np.exp(-2.0 * kp * o) * _weighted_geometric(z, m, *f).real
+                          + bb * np.exp(-2.0 * kp * dr[sel])
+                          * _weighted_geometric(z, m, *reverse).real)
+        else:
+            quartic = [aa, 2.0 * ab.real, bb - q2 * aa, -4.0 / 3.0 * q2 * ab.real,
+                       -q2 * bb / 3.0]
+            moments = _weighted_powers(m, *f)
+            # sum_i f_i (d0 + i s)^p by the binomial theorem, every term >= 0
+            total[sel] = sum(coef * sum(math.comb(p, k) * o ** (p - k) * s ** k * moments[k]
+                                        for k in range(p + 1))
+                             for p, coef in enumerate(quartic))
+    return h / 3.0 * np.sum(total, axis=1)
 
 
 def _dwell_block(dec: DecompositionBlock, weight: np.ndarray, subprocess: str,
                  n_quad: int) -> np.ndarray:
     """Dwell time of one sub-process on every row of a decomposition
-    block, NaN where its weight is below ZERO_FLUX."""
+    block, NaN where its weight is below ZERO_FLUX: the composite-Simpson
+    sum of its density on n_quad nodes (bumped to odd), in closed form.
+    The transmission wave switches from tr_state to the full solution at
+    x_c, so its sum is taken on each half, with the kink on a node shared
+    by both; the reflection wave is ref_state on [a, x_c]."""
     problems = dec.full_state.problems
     if n_quad % 2 == 0:
         n_quad += 1
     if subprocess == "tr":
-        # the sub-process wave switches from tr_state to the full solution
-        # at x_c; integrate each half so the kink sits on a panel edge
         half = (n_quad - 1) // 2 + 1
-        number = (_density_integral(dec.tr_state, problems.a, problems.x_c, half)
-                  + _density_integral(dec.full_state, problems.x_c, problems.b, half))
+        number = (_density_sum(dec.tr_state, problems.a, problems.x_c, half)
+                  + _density_sum(dec.full_state, problems.x_c, problems.b, half))
     else:
-        number = _density_integral(dec.ref_state, problems.a, problems.x_c, n_quad)
+        number = _density_sum(dec.ref_state, problems.a, problems.x_c, n_quad)
     present = weight >= ZERO_FLUX
     return np.where(present, number / (problems.k * np.where(present, weight, 1.0)), math.nan)
 

@@ -164,7 +164,8 @@ _SCHEMA = {
     "clock": ({}, {
         "omega_factors": ([1e-2, 1e-3, 1e-4], _list_of(_number, 1)),
         "extrapolation_order": (2, _integer),
-        # a sweep block's grid, densities and weights
+        # the dwell sums hold no array of n_quad: the cap (976562 nodes)
+        # bounds the accepted range only
         "n_quad": (2049, _count(32 * SWEEP_BLOCK, least=2)),
     }),
     "sweep": ({}, {

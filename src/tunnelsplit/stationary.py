@@ -305,34 +305,21 @@ def sample_states(states, x, deriv: bool = False) -> np.ndarray:
     """
     if not isinstance(states, PiecewiseState):
         return np.concatenate([sample_states(s, x, deriv) for s in states])
-    return _sample(states, x, deriv, None)
-
-
-def sample_density(states: PiecewiseState, x) -> np.ndarray:
-    """|values|^2 of a block of states, as sample_states would give them,
-    without ever holding the complex values on the whole grid."""
-    return _sample(states, x, False, lambda values: np.abs(values) ** 2)
-
-
-def _sample(states: PiecewiseState, x, deriv: bool, finish) -> np.ndarray:
-    """sample_states, with finish (if given) applied to the values.
-
-    On ascending rows, each row's points left of a, in each piece and from
-    b on are runs of columns. Each run is evaluated for the rows of one
-    kind over the columns any row's run spans, with the piece's parameters
-    broadcast along the row, a slice of columns at a time, and kept where
-    it belongs to the row's run. Other grids are evaluated on each row's
-    ascending permutation.
-    """
+    # On ascending rows, each row's points left of a, in each piece and
+    # from b on are runs of columns. Each run is evaluated for the rows of
+    # one kind over the columns any row's run spans, with the piece's
+    # parameters broadcast along the row, a slice of columns at a time, and
+    # kept where it belongs to the row's run. Other grids are evaluated on
+    # each row's ascending permutation.
     P = states.problems
     x = np.asarray(x, dtype=float)
     m = x.shape[-1]
-    out = np.empty((P.n, m), dtype=complex if finish is None else float)
+    out = np.empty((P.n, m), dtype=complex)
     if np.any(x[..., 1:] < x[..., :-1]):
         X = np.broadcast_to(x, out.shape)
         order = np.argsort(X, axis=1, kind="stable")
-        np.put_along_axis(out, order, _sample(states, np.take_along_axis(X, order, axis=1),
-                                              deriv, finish), axis=1)
+        np.put_along_axis(out, order, sample_states(states, np.take_along_axis(X, order, axis=1),
+                                                    deriv), axis=1)
         return out
     ends = np.column_stack((states.xl, P.b))  # a piece's left edge ends the run before it
     if x.ndim == 1:  # one grid for every row: a single row that broadcasts
@@ -357,8 +344,6 @@ def _sample(states: PiecewiseState, x, deriv: bool, finish) -> np.ndarray:
                 for cs in column_slices(P.n if isinstance(rows, slice) else rows.size, stop,
                                         start):
                     values = field(X[:, cs] if len(X) == 1 else X[rows, cs])
-                    if finish is not None:
-                        values = finish(values)
                     if uniform:
                         out[rows, cs] = values
                         continue

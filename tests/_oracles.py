@@ -8,7 +8,8 @@ cut waves, which the analytic derivatives are checked against. `cut_flux_integra
 table at the single grid point x_c, so it shares no x quadrature with the
 packet norms it is checked against. `per_mode_fields` is the per-mode
 row algorithm that packets replaced: every mode decomposed and sampled on
-the whole grid, then summed.
+the whole grid, then summed. `simpson_density_sum` is the sampled
+quadrature that the dwell times evaluate in closed form.
 """
 
 import math
@@ -16,7 +17,7 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from tunnelsplit.packets import spectral_grid
+from tunnelsplit.packets import simpson_weights, spectral_grid
 from tunnelsplit.splitting import build_decomposition, sub_waves
 from tunnelsplit.stationary import EnergyMode, sample_states
 
@@ -168,3 +169,12 @@ def per_mode_fields(spec, packet, x, times, n_k, span_sigmas):
         (w * packet.spectrum(k) * phase / math.sqrt(2.0 * math.pi)) @ rows, 1, 0)
     left = x <= spec.x_c
     return np.stack((full, np.where(left, tr_state, full), np.where(left, ref_state, 0.0)), axis=1)
+
+
+def simpson_density_sum(state, lo, hi, n):
+    """Composite-Simpson sum of |state|^2 over np.linspace(lo, hi, n), per
+    row of a block of states: every node sampled, weighted and summed
+    along its row."""
+    x = np.linspace(lo, hi, n, axis=-1)
+    density = np.abs(sample_states(state, x)) ** 2
+    return np.sum(density * simpson_weights(n, x[:, 1] - x[:, 0]), axis=-1)

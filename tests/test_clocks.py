@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ from tunnelsplit.clocks import (
 )
 from tunnelsplit.errors import ExtrapolationDiverged, GridTooCoarse, PrematureReadout, ZeroFlux
 from tunnelsplit.packets import PacketSpec, build_mode_table, diagnostics_series
-from tunnelsplit.potential import make_rectangular
-from tunnelsplit.splitting import build_decomposition
-from tunnelsplit.stationary import EnergyMode, ProblemBlock
+from tunnelsplit.potential import PotentialSpec, make_rectangular
+from tunnelsplit.splitting import build_decomposition, decompose_block
+from tunnelsplit.stationary import EVAN, OSC, PAIR, EnergyMode, ProblemBlock
+from tunnelsplit.tolerances import ZERO_FLUX
+
+from _oracles import simpson_density_sum
 
 CANONICAL = make_rectangular(1.0, 2.0, -9.0)
 MODE = EnergyMode(0.5)
@@ -89,6 +93,84 @@ class TestDwellTime:
     def test_unknown_subprocess(self):
         with pytest.raises(ValueError):
             dwell_time(canonical_decomposition(), "sideways")
+
+
+def _symmetric(a, heights, width=1.0):
+    return PotentialSpec(a=a, segments=tuple((width, h) for h in heights))
+
+
+def _sampled_dwell(dec, subprocess, n_quad):
+    """Dwell times of a decomposition block from sampled Simpson sums on
+    the nodes _dwell_block uses, with its channel weights."""
+    P = dec.problems
+    n = n_quad + 1 - n_quad % 2
+    if subprocess == "tr":
+        half = (n - 1) // 2 + 1
+        number = (simpson_density_sum(dec.tr_state, P.a, P.x_c, half)
+                  + simpson_density_sum(dec.full_state, P.x_c, P.b, half))
+        weight = np.abs(dec.A_T) ** 2
+    else:
+        number = simpson_density_sum(dec.ref_state, P.a, P.x_c, n)
+        weight = np.abs(dec.A_R) ** 2
+    return number / (P.k * weight), weight
+
+
+# (block, n_quad, piece kinds the block's states must hold)
+_DWELL_CASES = {
+    # E at the middle height: a PAIR middle between EVAN or OSC wings
+    "middle-height": (ProblemBlock.of([_symmetric(-1.5, (1.0, 0.5, 1.0)),
+                                       _symmetric(-1.5, (0.3, 0.5, 0.3))], 0.5),
+                      2049, {PAIR, OSC, EVAN}),
+    # one barrier, a different kind per row in each piece column; the PAIR
+    # rows off the middle height have |q2| w^2 = 8e-11, just inside PAIR
+    "kinds-per-row": (ProblemBlock.of(_symmetric(-1.5, (1.0, 0.5, 1.0)),
+                                      [0.5, 0.3, 0.7, 1.2, 0.5 + 4e-11, 0.5 - 4e-11]),
+                      2049, {PAIR, OSC, EVAN}),
+    # interfaces at -1, x_c = 0 and 1 are nodes of every grid, as are a and b
+    "interfaces-on-nodes": (ProblemBlock.of(_symmetric(-2.0, (1.0, 0.6, 0.6, 1.0)),
+                                            [0.6, 0.3, 0.8]), 2049, {PAIR, OSC, EVAN}),
+    "even-n-quad": (ProblemBlock.of(_symmetric(-1.5, (1.0, 0.5, 1.0)), [0.5, 0.3, 0.7]),
+                    2048, {PAIR, OSC, EVAN}),
+    "n-quad-3": (ProblemBlock.of(_symmetric(-1.5, (1.0, 0.5, 1.0)), [0.5, 0.3, 0.7]),
+                 3, {PAIR, OSC, EVAN}),
+    # the ends of the benchmark sweep, kappa L = 1 and 14 at kappa = 1
+    "sweep-ends": (ProblemBlock.of([make_centered_rectangular(1.0, 1.0),
+                                    make_centered_rectangular(1.0, 14.0)], 0.5),
+                   2049, {EVAN}),
+}
+
+
+class TestDwellSum:
+    @pytest.mark.parametrize("case", list(_DWELL_CASES))
+    def test_closed_form_is_the_sampled_simpson_sum(self, case):
+        problems, n_quad, kinds = _DWELL_CASES[case]
+        dec = decompose_block(problems, np.linspace(problems.a - 1.0, problems.b + 1.0, 65,
+                                                    axis=-1))
+        assert kinds <= set(np.concatenate([s.kind.ravel() for s in
+                                            (dec.full_state, dec.tr_state, dec.ref_state)]))
+        for subprocess in ("tr", "ref"):
+            want, weight = _sampled_dwell(dec, subprocess, n_quad)
+            got = clocks._dwell_block(dec, weight, subprocess, n_quad)
+            present = weight >= ZERO_FLUX
+            assert present.any()
+            np.testing.assert_allclose(got[present], want[present], rtol=1e-12, atol=0)
+            assert np.isnan(got[~present]).all()
+
+    def test_interfaces_fall_on_nodes(self):
+        """interfaces-on-nodes puts -1 and 1 on nodes of the half grids, and
+        -1 on a node of the reflection grid; a, b and x_c are always nodes."""
+        assert -1.0 in np.linspace(-2.0, 0.0, 1025) and 1.0 in np.linspace(0.0, 2.0, 1025)
+        assert -1.0 in np.linspace(-2.0, 0.0, 2049)
+
+    def test_cost_does_not_grow_with_n_quad(self):
+        dec = canonical_decomposition()
+        tracemalloc.start()
+        try:
+            dwell_time(dec, "tr", n_quad=900_001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestLarmorTimes:
