@@ -27,7 +27,7 @@ from .clocks import sweep_barrier_width, compute_clock
 from .errors import INTERNAL_ERRORS, SchemaError, TunnelSplitError
 from .packets import build_mode_table, diagnostics_series, synthesize
 from .parallel import WorkerMap
-from .runconfig import RunConfig, bound_workers, parse_config
+from .runconfig import RunConfig, parse_config
 from .splitting import build_decomposition, sub_waves
 from .stationary import ProblemBlock, sample_states, solve_block
 from .tolerances import CN_NORM_DRIFT, ORACLE_L2
@@ -46,12 +46,12 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows, footer_comments=()):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    for comment in footer_comments:
-        lines.append(f"# {comment}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the header, each row and each footer comment as a line as
+    it comes, so that no CSV is held in memory whole."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        fh.writelines(f"# {comment}\n" for comment in footer_comments)
 
 
 def _tolerance_echo() -> dict:
@@ -251,7 +251,7 @@ def _clock_row(res) -> tuple:
 def cmd_clock(cfg: RunConfig, out: Path) -> dict:
     if cfg.mode is None:
         raise SchemaError("energy.E", "clock needs one energy")
-    res = compute_clock(cfg.potential, cfg.mode, cfg.clock_config, n_quad=cfg.n_quad)
+    res = compute_clock(cfg.potential, cfg.mode, cfg.clock_config)
     write_csv(out / "clock.csv", _CLOCK_HEADER, [_clock_row(res)])
     return {
         "tau_dwell_tr": res.tau_dwell_tr,
@@ -268,8 +268,6 @@ def cmd_hartman_sweep(cfg: RunConfig, out: Path) -> dict:
         results = sweep_barrier_width(
             sw["v0"], sw["energy_ratio"], kappa_ls,
             config_factors=cfg.omega_factors,
-            extrapolation_order=cfg.clock_config.extrapolation_order,
-            n_quad=cfg.n_quad,
             map_fn=pmap,
         )
     taus = [r.tau_dwell_tr for r in results]
@@ -329,14 +327,14 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=tuple(COMMANDS))
     parser.add_argument("config", help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--workers", type=int, default=None, help="hartman-sweep worker count")
-    args = parser.parse_args(argv)
+    # an unknown option is a config error, recorded in --out like any other
+    args, unknown = parser.parse_known_args(argv)
 
     out_dir = args.out or "out"
     try:
+        if unknown:
+            raise SchemaError("", f"unknown option {unknown[0]!r}")
         cfg = parse_config(args.config)
-        if args.workers is not None:
-            cfg.workers = cfg.raw["workers"] = bound_workers(args.workers)
         if args.out is not None:
             cfg.raw["out_dir"] = args.out
         out_dir = args.out or cfg.out_dir

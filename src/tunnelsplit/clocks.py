@@ -5,11 +5,11 @@ waves: tau = integral |psi_sub|^2 dx / (k |A_sub_in|^2), over [a, b] for
 transmission and [a, x_c] for reflection (the reflection wave vanishes
 identically beyond the midpoint). This is the standard definition; it
 reduces to length/speed for free flight. The integral is the
-composite-Simpson sum on `n_quad` nodes (2049 by default), evaluated in
-closed form: every piece of a state is two exponentials (a quartic near
-q = 0), so its weighted density sum over its run of nodes reduces to a few
+composite-Simpson sum on DWELL_NODES (2049) nodes, evaluated in closed
+form: every piece of a state is two exponentials (a quartic near q = 0),
+so its weighted density sum over its run of nodes reduces to a few
 geometric or power sums. The work per row and piece is O(1) and no array
-grows with `n_quad`.
+grows with the node count.
 
 Larmor times probe the same interval non-invasively: an infinitesimal
 Zeeman splitting +/- omega/2 confined to the barrier turns the relative
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
 from .packets import (COMPONENTS, PacketSpec, build_mode_table, default_x_grid,
                       diagnostics_series)
-from .potential import PotentialSpec
+from .potential import PotentialSpec, make_rectangular
 from .splitting import DecompositionBlock, decompose_block
 from .stationary import EVAN, OSC, PAIR, EnergyMode, ProblemBlock, solve_block
 from .tolerances import OMEGA_FRACTION, OVERLAP_FINAL_FRACTION, ZERO_FLUX
@@ -46,17 +46,25 @@ from .tolerances import OMEGA_FRACTION, OVERLAP_FINAL_FRACTION, ZERO_FLUX
 SUBPROCESSES = ("tr", "ref")
 
 # Widths per block in sweep_barrier_width, and per task of its map_fn. A
-# block's arrays grow with it, not with n_quad: its decomposition on 65
-# probe points, its Zeeman solves and its results, about 0.6 MB at 64.
+# block's arrays grow with it: its decomposition on 65 probe points, its
+# Zeeman solves and its results, about 0.6 MB at 64.
 SWEEP_BLOCK = 64
+
+# Nodes of a dwell time's composite-Simpson sum: the reflection sum on
+# [a, x_c] has DWELL_NODES, and each half of the transmission sum, on
+# [a, x_c] and [x_c, b], has (DWELL_NODES + 1) // 2, with x_c shared. Both
+# counts are odd, so each sum is a Simpson rule.
+DWELL_NODES = 2049
+
+# Degree of the Larmor readings' extrapolation polynomial in omega^2.
+NEVILLE_DEGREE = 2
 
 
 @dataclass(frozen=True)
 class ClockConfig:
-    """Descending Larmor frequencies and the extrapolation order."""
+    """Descending Larmor frequencies."""
 
     omegas: tuple[float, ...] = ()
-    extrapolation_order: int = 2
 
     def __post_init__(self):
         if not self.omegas:
@@ -65,12 +73,10 @@ class ClockConfig:
             raise ValueError("Larmor frequencies must be positive")
         if any(b >= a for a, b in zip(self.omegas, self.omegas[1:])):
             raise ValueError("Larmor frequencies must descend")
-        if self.extrapolation_order < 0:
-            raise ValueError("extrapolation order must be >= 0")
 
     @classmethod
-    def for_energy(cls, E: float, factors=(1e-2, 1e-3, 1e-4), order: int = 2) -> "ClockConfig":
-        return cls(omegas=tuple(f * E for f in factors), extrapolation_order=order)
+    def for_energy(cls, E: float, factors=(1e-2, 1e-3, 1e-4)) -> "ClockConfig":
+        return cls(omegas=tuple(f * E for f in factors))
 
     def validate_block(self, problems: ProblemBlock):
         """Every omega infinitesimal against the energy of every row."""
@@ -259,35 +265,32 @@ def _density_sum(state, lo, hi, n: int) -> np.ndarray:
     return h / 3.0 * np.sum(total, axis=1)
 
 
-def _dwell_block(dec: DecompositionBlock, weight: np.ndarray, subprocess: str,
-                 n_quad: int) -> np.ndarray:
+def _dwell_block(dec: DecompositionBlock, weight: np.ndarray, subprocess: str) -> np.ndarray:
     """Dwell time of one sub-process on every row of a decomposition
     block, NaN where its weight is below ZERO_FLUX: the composite-Simpson
-    sum of its density on n_quad nodes (bumped to odd), in closed form.
-    The transmission wave switches from tr_state to the full solution at
-    x_c, so its sum is taken on each half, with the kink on a node shared
-    by both; the reflection wave is ref_state on [a, x_c]."""
+    sum of its density on DWELL_NODES nodes, in closed form. The
+    transmission wave switches from tr_state to the full solution at x_c,
+    so its sum is taken on each half, with the kink on a node shared by
+    both; the reflection wave is ref_state on [a, x_c]."""
     problems = dec.full_state.problems
-    if n_quad % 2 == 0:
-        n_quad += 1
     if subprocess == "tr":
-        half = (n_quad - 1) // 2 + 1
+        half = (DWELL_NODES + 1) // 2
         number = (_density_sum(dec.tr_state, problems.a, problems.x_c, half)
                   + _density_sum(dec.full_state, problems.x_c, problems.b, half))
     else:
-        number = _density_sum(dec.ref_state, problems.a, problems.x_c, n_quad)
+        number = _density_sum(dec.ref_state, problems.a, problems.x_c, DWELL_NODES)
     present = weight >= ZERO_FLUX
     return np.where(present, number / (problems.k * np.where(present, weight, 1.0)), math.nan)
 
 
-def dwell_time(dec: DecompositionBlock, subprocess: str, n_quad: int = 2049) -> float:
+def dwell_time(dec: DecompositionBlock, subprocess: str) -> float:
     """Flux-normalized time spent in the barrier region by one sub-process,
     on a one-row decomposition."""
     if subprocess not in SUBPROCESSES:
         raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
     weight = np.abs(dec.A_T if subprocess == "tr" else dec.A_R) ** 2
     _require_weight(weight, subprocess)
-    return float(_dwell_block(dec, weight, subprocess, n_quad)[0])
+    return float(_dwell_block(dec, weight, subprocess)[0])
 
 
 def zeeman_shifted(spec: PotentialSpec, delta: float) -> PotentialSpec:
@@ -306,14 +309,15 @@ def _zeeman_solves(problems: ProblemBlock, config: ClockConfig):
     return A_T.reshape(shape), A_R.reshape(shape)
 
 
-def _extrapolate_to_zero(omegas: np.ndarray, values: np.ndarray, order: int) -> np.ndarray:
+def _extrapolate_to_zero(omegas: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Neville extrapolation in u = omega^2 to u = 0, per row of values
     (n, n_omega).
 
     The readings are even in omega (opposite spins swap), so the error
-    series runs in omega^2; `order` is the polynomial degree used.
+    series runs in omega^2; the polynomial through the smallest omegas is
+    of degree NEVILLE_DEGREE, or lower with fewer readings.
     """
-    n_pts = min(order + 1, values.shape[-1])
+    n_pts = min(NEVILLE_DEGREE + 1, values.shape[-1])
     u = (omegas ** 2)[-n_pts:]
     tab = values[:, -n_pts:].astype(float)
     for level in range(1, n_pts):
@@ -336,7 +340,7 @@ def _larmor_readings(up: np.ndarray, down: np.ndarray, config: ClockConfig, subp
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         raw = np.angle(up * np.conj(down)) / omegas
         out_of_plane = np.log(np.abs(up) / np.abs(down)) / omegas
-        limit = _extrapolate_to_zero(omegas, raw, config.extrapolation_order)
+        limit = _extrapolate_to_zero(omegas, raw)
     residuals = np.abs(raw - limit[:, None])
     readings = []
     for i, row_vanish in enumerate(vanish):
@@ -391,8 +395,7 @@ def probe_noninvasiveness(spec: PotentialSpec, mode: EnergyMode,
     return float(slope)
 
 
-def clock_block(problems: ProblemBlock, config: ClockConfig,
-                n_quad: int = 2049) -> list[ClockResult]:
+def clock_block(problems: ProblemBlock, config: ClockConfig) -> list[ClockResult]:
     """Dwell plus Larmor times for both sub-processes on every row of a
     block, all rows read with one config. Rows without a reflection
     channel get a NaN reflection dwell time and no reflection reading;
@@ -402,8 +405,8 @@ def clock_block(problems: ProblemBlock, config: ClockConfig,
     dec = decompose_block(problems, x_probe)
     T, R = np.abs(dec.A_T) ** 2, np.abs(dec.A_R) ** 2
     _require_weight(T, "tr")
-    tau_tr = _dwell_block(dec, T, "tr", n_quad)
-    tau_ref = _dwell_block(dec, R, "ref", n_quad)
+    tau_tr = _dwell_block(dec, T, "tr")
+    tau_ref = _dwell_block(dec, R, "ref")
     # one set of Zeeman solves serves both readings; the base solution is
     # the decomposition's, and the tr channel is already required
     config.validate_block(problems)
@@ -420,26 +423,23 @@ def clock_block(problems: ProblemBlock, config: ClockConfig,
     ]
 
 
-def compute_clock(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig,
-                  n_quad: int = 2049) -> ClockResult:
+def compute_clock(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig) -> ClockResult:
     """Dwell plus Larmor times for both sub-processes at one energy: a
     block of one."""
-    return clock_block(ProblemBlock.of(spec, mode.E), config, n_quad)[0]
+    return clock_block(ProblemBlock.of(spec, mode.E), config)[0]
 
 
-def _sweep_block(v0: float, energy_ratio: float, config_factors, extrapolation_order: int,
-                 n_quad: int, kappa_lengths) -> list[ClockResult]:
+def _sweep_block(v0: float, energy_ratio: float, config_factors,
+                 kappa_lengths) -> list[ClockResult]:
     E = energy_ratio * v0
     kappa = math.sqrt(2.0 * (v0 - E))
-    specs = [make_centered_rectangular(v0, kl / kappa) for kl in kappa_lengths]
-    config = ClockConfig.for_energy(E, tuple(config_factors), extrapolation_order)
-    return clock_block(ProblemBlock.of(specs, E), config, n_quad)
+    widths = [kl / kappa for kl in kappa_lengths]
+    specs = [make_rectangular(v0, L, -0.5 * L) for L in widths]
+    return clock_block(ProblemBlock.of(specs, E), ClockConfig.for_energy(E, config_factors))
 
 
 def sweep_barrier_width(v0: float, energy_ratio: float, kappa_lengths,
-                        config_factors=(1e-2, 1e-3, 1e-4),
-                        extrapolation_order: int = 2,
-                        n_quad: int = 2049, map_fn=map) -> list[ClockResult]:
+                        config_factors=(1e-2, 1e-3, 1e-4), map_fn=map) -> list[ClockResult]:
     """Clock times along a family of barriers of growing opacity.
 
     Barriers are centered at the origin with E = energy_ratio * v0 fixed,
@@ -450,15 +450,10 @@ def sweep_barrier_width(v0: float, energy_ratio: float, kappa_lengths,
     """
     if not (0.0 < energy_ratio < 1.0):
         raise ValueError("energy ratio must lie in (0, 1) for a tunneling sweep")
-    worker = partial(_sweep_block, v0, energy_ratio, tuple(config_factors),
-                     extrapolation_order, n_quad)
+    worker = partial(_sweep_block, v0, energy_ratio, tuple(config_factors))
     kls = [float(kl) for kl in kappa_lengths]
     blocks = [kls[lo:lo + SWEEP_BLOCK] for lo in range(0, len(kls), SWEEP_BLOCK)]
     return [res for block in map_fn(worker, blocks) for res in block]
-
-
-def make_centered_rectangular(v0: float, length: float) -> PotentialSpec:
-    return PotentialSpec(a=-0.5 * length, segments=((float(length), float(v0)),))
 
 
 def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,

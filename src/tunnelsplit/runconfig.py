@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .clocks import SWEEP_BLOCK, ClockConfig
+from .clocks import ClockConfig
 from .cranknicolson import SOLVES_PER_STEP, GridSpec, staggered_grid, step_index
 from .errors import SchemaError, TunnelSplitError
 from .packets import DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec, default_grid_step
@@ -91,8 +91,8 @@ def _list_of(item, least: int = 0):
     return check
 
 
-def bound_workers(value, path: str = "workers") -> int:
-    """The `workers` key or --workers flag, >= 1 and capped at the CPU count."""
+def _workers(value, path: str) -> int:
+    """The `workers` key, >= 1 and capped at the CPU count."""
     return min(_AT_LEAST_ONE(value, path), os.cpu_count() or 1)
 
 
@@ -163,10 +163,6 @@ _SCHEMA = {
     }),
     "clock": ({}, {
         "omega_factors": ([1e-2, 1e-3, 1e-4], _list_of(_number, 1)),
-        "extrapolation_order": (2, _integer),
-        # the dwell sums hold no array of n_quad: the cap (976562 nodes)
-        # bounds the accepted range only
-        "n_quad": (2049, _count(32 * SWEEP_BLOCK, least=2)),
     }),
     "sweep": ({}, {
         "v0": (1.0, _POSITIVE),
@@ -179,7 +175,7 @@ _SCHEMA = {
     }),
     "evolve_x_stride": (4, _AT_LEAST_ONE),
     "out_dir": ("out", _string),
-    "workers": (1, bound_workers),
+    "workers": (1, _workers),
 }
 
 
@@ -257,7 +253,6 @@ class RunConfig:
     checkpoints: list[float]  # ascending
     clock_config: ClockConfig
     omega_factors: tuple[float, ...]
-    n_quad: int
     sweep: dict  # v0, energy_ratio, kappa_l_min, kappa_l_max (floats), num (int)
     evolve_x_stride: int
     out_dir: str
@@ -312,7 +307,7 @@ def parse_config_text(text: str) -> RunConfig:
     clock = cfg["clock"]
     base_E = mode.E if mode is not None else (packet.k0 ** 2 / 2 if packet else 1.0)
     clock_config = _build("clock", ClockConfig.for_energy, base_E,
-                          tuple(clock["omega_factors"]), clock["extrapolation_order"])
+                          tuple(clock["omega_factors"]))
     # the factors scale every energy alike, so one energy checks them all
     _build("clock", clock_config.validate_block, ProblemBlock.of(spec, base_E))
 
@@ -350,7 +345,7 @@ def parse_config_text(text: str) -> RunConfig:
         raw=raw, potential=spec, mode=mode, energy_grid=energy_grid, packet=packet,
         n_k=n_k, k_span_sigmas=span, x_grid=x_grid, oracle_grid=oracle_grid,
         checkpoints=checkpoints, clock_config=clock_config,
-        omega_factors=tuple(clock["omega_factors"]), n_quad=clock["n_quad"],
+        omega_factors=tuple(clock["omega_factors"]),
         # keys whose typed value needs no other key pass through as they are
         **{key: cfg[key] for key in ("times", "snapshot_times", "decompose_grid",
                                      "sweep", "evolve_x_stride", "out_dir", "workers")},

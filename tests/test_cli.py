@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -81,12 +82,15 @@ class TestExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "GridTooCoarse"
 
-    def test_workers_flag_below_one_is_2(self, tmp_path):
+    def test_unknown_option_is_2(self, tmp_path):
+        # the worker count is the `workers` key; there is no flag for it
         out = tmp_path / "out"
         assert main(["stationary", write_config(tmp_path), "--out", str(out),
-                     "--workers", "0"]) == 2
+                     "--workers", "2"]) == 2
         record = json.loads((out / "error.json").read_text())
-        assert record["exit_code"] == 2
+        assert (record["error"], record["exit_code"]) == ("SchemaError", 2)
+        assert "--workers" in record["message"]
+        assert not (out / "stationary.csv").exists()
 
     @pytest.mark.parametrize("x_grid", [
         {"x_min": -150.0, "x_max": 134.0, "dx": 0},
@@ -118,7 +122,6 @@ class TestExitCodes:
         ("stationary", {"energy": {"grid": {"min": 0.1, "max": 1.0, "n": 10**12}}}),
         ("hartman-sweep", {"sweep": {"v0": 1.0, "energy_ratio": 0.5, "kappa_l_min": 1.0,
                                      "kappa_l_max": 14.0, "num": 10**12}}),
-        ("clock", {"clock": {"n_quad": 10**12}}),
     ])
     def test_oversized_count_is_2_before_any_allocation(self, tmp_path, subcommand, override):
         canonical = json.loads((Path(__file__).resolve().parents[1] / "configs"
@@ -185,6 +188,10 @@ class TestExitCodes:
         ("evolve", {"snapshot_times": []}),
         # no points: the footer would report an identity residual over nothing
         ("decompose", {"decompose_grid": {"n": 0}}),
+        # the dwell sums' node count and the Larmor extrapolation degree are
+        # no longer keys: their old defaults are rejected as unknown
+        ("clock", {"clock": {"n_quad": 2049}}),
+        ("clock", {"clock": {"extrapolation_order": 2}}),
     ])
     def test_bad_setting_is_2_before_any_work(self, tmp_path, monkeypatch, subcommand, override):
         self.rejected_before_any_work(tmp_path, monkeypatch, subcommand, override)
@@ -348,11 +355,13 @@ class TestDeterminism:
         ("hartman-sweep", "hartman_sweep.csv"),
     ])
     def test_worker_count_does_not_change_values(self, tmp_path, subcommand, name):
-        cfg = write_config(tmp_path)
-        out1, out2 = tmp_path / "w1", tmp_path / "w2"
-        assert main([subcommand, cfg, "--out", str(out1), "--workers", "1"]) == 0
-        assert main([subcommand, cfg, "--out", str(out2), "--workers", "2"]) == 0
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        outs = []
+        for workers in (1, 2):
+            run_dir = tmp_path / f"w{workers}"
+            run_dir.mkdir()
+            outs.append(run_dir / "out")
+            assert run_cli(subcommand, write_config(run_dir, workers=workers), outs[-1]) == 0
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_echo_allows_exact_replay(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -371,6 +380,22 @@ def test_csv_floats_round_trip(tmp_path):
     lines = (out / "stationary.csv").read_text().splitlines()
     values = [float(v) for v in lines[1].split(",")]
     assert repr(values[2]) in lines[1]
+
+
+def test_write_csv_holds_no_whole_csv(tmp_path):
+    """Each line is written as it is formed: 200k rows are written at a
+    traced peak under 1 MB, where a list of their lines takes about 14 MB."""
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        cli.write_csv(path, ["x"], itertools.repeat((0.1,), 200_000), ["rows = 200000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lines = path.read_text().splitlines()
+    assert (lines[0], lines[1], lines[-1]) == ("x", "0.1", "# rows = 200000")
+    assert len(lines) == 200_002
+    assert peak < 1_000_000
 
 
 def test_csv_cells_golden():
@@ -393,9 +418,8 @@ from tunnelsplit.cli import main
 
 tracer = spans.Tracer()
 spans.install(tracer)
-runs = (["diagnostics"], ["oracle-check"], ["evolve", "--workers", "2"])
-codes = [main([sub, sys.argv[2], "--out", sys.argv[3] + "/" + sub, *flags])
-         for sub, *flags in runs]
+runs = (("diagnostics", sys.argv[2]), ("oracle-check", sys.argv[2]), ("evolve", sys.argv[3]))
+codes = [main([sub, config, "--out", sys.argv[4] + "/" + sub]) for sub, config in runs]
 print(json.dumps({"codes": codes, "summary": tracer.summary()}))
 """
 
@@ -405,9 +429,10 @@ def test_benchmark_spans_install_on_package(tmp_path):
     their arguments by position; a traced run must still work and count."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    (tmp_path / "w2").mkdir()
     done = subprocess.run(
         [sys.executable, "-c", _TRACED_RUN, str(root / "perfbench"),
-         write_config(tmp_path), str(tmp_path)],
+         write_config(tmp_path), write_config(tmp_path / "w2", workers=2), str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     result = json.loads(done.stdout.splitlines()[-1])

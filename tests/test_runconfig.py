@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -14,8 +15,8 @@ from tunnelsplit.errors import SchemaError
 from tunnelsplit.runconfig import parse_config, parse_config_text
 
 MINIMAL = {"potential": {"a": -1.0, "segments": [[2.0, 1.0]]}}
-CANONICAL = json.loads(
-    (Path(__file__).resolve().parents[1] / "configs" / "canonical.json").read_text())
+ROOT = Path(__file__).resolve().parents[1]
+CANONICAL = json.loads((ROOT / "configs" / "canonical.json").read_text())
 
 
 def parse(extra=None, **overrides):
@@ -155,6 +156,13 @@ def test_workers_capped_at_cpu_count():
     assert cfg.echo()["workers"] == os.cpu_count()
 
 
+def test_readme_config_block_is_the_canonical_echo():
+    """README's config example lists every key with its canonical value, so
+    a key added to or deleted from the schema must be documented there."""
+    block = re.search(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    assert json.loads(block) == parse_config(str(ROOT / "configs" / "canonical.json")).echo()
+
+
 def test_config_echo_replays(tmp_path):
     cfg = parse(energy={"E": 0.5})
     echoed = json.dumps(cfg.echo())
@@ -210,7 +218,6 @@ TINY = parse_config_text(json.dumps({
     "k_span_sigmas": 5.5,
     "x_grid": {"x_min": -30.0, "x_max": 26.0, "dx": 0.1},
     "decompose_grid": {"pad": 2.0, "n": 65},
-    "clock": {"n_quad": 257},
 })).echo()
 
 
