@@ -243,21 +243,23 @@ _CLOCK_HEADER = [
 ]
 
 
-def _clock_row(res) -> tuple:
-    return (res.E, res.barrier_length, res.tau_dwell_tr, res.tau_dwell_ref,
-            res.tau_larmor_tr, res.tau_larmor_ref, res.omega_min, res.residual)
+def _clock_rows(res):
+    """The CSV rows of a clock result, zipped from its columns."""
+    return zip(*(column.tolist() for column in (
+        res.E, res.barrier_length, res.tau_dwell_tr, res.tau_dwell_ref,
+        res.tau_larmor_tr, res.tau_larmor_ref, res.omega_min, res.residual)))
 
 
 def cmd_clock(cfg: RunConfig, out: Path) -> dict:
     if cfg.mode is None:
         raise SchemaError("energy.E", "clock needs one energy")
-    res = compute_clock(cfg.potential, cfg.mode, cfg.clock_config)
-    write_csv(out / "clock.csv", _CLOCK_HEADER, [_clock_row(res)])
+    res = compute_clock(cfg.potential, cfg.mode, cfg.omega_factors)
+    write_csv(out / "clock.csv", _CLOCK_HEADER, _clock_rows(res))
     return {
-        "tau_dwell_tr": res.tau_dwell_tr,
-        "tau_larmor_tr": res.tau_larmor_tr,
-        "raw_larmor_tr": list(res.larmor_tr.raw_times),
-        "residuals_tr": list(res.larmor_tr.residuals),
+        "tau_dwell_tr": float(res.tau_dwell_tr[0]),
+        "tau_larmor_tr": float(res.tau_larmor_tr[0]),
+        "raw_larmor_tr": res.larmor_tr.raw_times[0].tolist(),
+        "residuals_tr": res.larmor_tr.residuals[0].tolist(),
     }
 
 
@@ -265,20 +267,16 @@ def cmd_hartman_sweep(cfg: RunConfig, out: Path) -> dict:
     sw = cfg.sweep
     kappa_ls = np.linspace(sw["kappa_l_min"], sw["kappa_l_max"], sw["num"])
     with WorkerMap(cfg.workers) as pmap:
-        results = sweep_barrier_width(
-            sw["v0"], sw["energy_ratio"], kappa_ls,
-            config_factors=cfg.omega_factors,
-            map_fn=pmap,
-        )
-    taus = [r.tau_dwell_tr for r in results]
-    monotonic = all(b > a for a, b in zip(taus, taus[1:]))
+        res = sweep_barrier_width(sw["v0"], sw["energy_ratio"], kappa_ls,
+                                  factors=cfg.omega_factors, map_fn=pmap)
+    monotonic = bool(np.all(np.diff(res.tau_dwell_tr) > 0))
     write_csv(
         out / "hartman_sweep.csv",
         _CLOCK_HEADER,
-        (_clock_row(r) for r in results),
+        _clock_rows(res),
         footer_comments=[f"dwell_tr_strictly_increasing = {_fmt(monotonic)}"],
     )
-    return {"dwell_tr_strictly_increasing": bool(monotonic)}
+    return {"dwell_tr_strictly_increasing": monotonic}
 
 
 COMMANDS = {
@@ -319,21 +317,30 @@ def _error_record(out_dir: str, exc: Exception, code: int):
         pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a config error, recorded in the default out
+        raise SchemaError("", message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tunnelsplit",
         description="1D barrier scattering split into transmitted/reflected sub-waves",
     )
-    parser.add_argument("subcommand", choices=tuple(COMMANDS))
-    parser.add_argument("config", help="path to the JSON run configuration")
+    # both checked below, so that a missing one is recorded in --out
+    parser.add_argument("subcommand", nargs="?", help=f"one of {', '.join(COMMANDS)}")
+    parser.add_argument("config", nargs="?", help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    # an unknown option is a config error, recorded in --out like any other
-    args, unknown = parser.parse_known_args(argv)
 
-    out_dir = args.out or "out"
+    out_dir = "out"
     try:
+        args, unknown = parser.parse_known_args(argv)
+        out_dir = args.out or out_dir
+        # an unknown option is a config error, recorded in --out like any other
         if unknown:
             raise SchemaError("", f"unknown option {unknown[0]!r}")
+        if args.config is None:
+            raise SchemaError("", "need a subcommand and a config path")
         cfg = parse_config(args.config)
         if args.out is not None:
             cfg.raw["out_dir"] = args.out

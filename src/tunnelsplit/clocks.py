@@ -20,17 +20,21 @@ transmission sub-wave (the full transmitted amplitude, since both waves
 coincide beyond x_c); reflection uses the left outgoing amplitude of the
 reflection sub-wave (the full reflected amplitude).
 
-`clock_block` times a block of problems at once; `compute_clock` is a
-block of one, and `sweep_barrier_width` hands its widths to `map_fn` in
-blocks of SWEEP_BLOCK. The one-problem readers take the one-row results
-of the block kernel: `dwell_time` a one-row `DecompositionBlock`, whose
-weights are |A_T|^2 and |A_R|^2, and `larmor_times` the (A_T, A_R) arrays
-of `solve_block`. The packet readout takes its sub-packet weights and
-overlap from `packets.diagnostics_series`.
+Each row's Larmor frequencies are omega = factors * E_row, the factors
+checked by `check_factors` (DEFAULT_FACTORS unless given). `clock_block`
+times a block of problems at once and returns one `ClockResult` of (n,)
+columns, with one `LarmorReading` of (n, n_omega) arrays per
+sub-process; a row without a reflection channel reads NaN there.
+`compute_clock`, `larmor_times` and `larmor_packet_readout` return blocks
+of one row, and `sweep_barrier_width` hands its widths to `map_fn` in
+blocks of SWEEP_BLOCK and joins their results into one. `dwell_time`
+takes a one-row `DecompositionBlock`, whose weights are |A_T|^2 and
+|A_R|^2. The packet readout takes its sub-packet weights and overlap
+from `packets.diagnostics_series`.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -59,90 +63,104 @@ DWELL_NODES = 2049
 # Degree of the Larmor readings' extrapolation polynomial in omega^2.
 NEVILLE_DEGREE = 2
 
+# Larmor frequencies as fractions of each row's energy, descending.
+DEFAULT_FACTORS = (1e-2, 1e-3, 1e-4)
 
-@dataclass(frozen=True)
-class ClockConfig:
-    """Descending Larmor frequencies."""
 
-    omegas: tuple[float, ...] = ()
+def check_factors(factors) -> tuple[float, ...]:
+    """The Larmor frequency factors as a tuple of floats: at least one,
+    positive, strictly descending and at most OMEGA_FRACTION, so that
+    every omega = factor * E is infinitesimal against its energy."""
+    factors = tuple(float(f) for f in factors)
+    if not factors:
+        raise ValueError("need at least one Larmor frequency")
+    if any(f <= 0 for f in factors):
+        raise ValueError("Larmor frequencies must be positive")
+    if any(b >= a for a, b in zip(factors, factors[1:])):
+        raise ValueError("Larmor frequencies must descend")
+    # inclusive: the canonical sequence tops out at exactly 1e-2 E
+    if factors[0] > OMEGA_FRACTION:
+        raise ValueError(f"omega = {factors[0]:.3g} E is not infinitesimal against E")
+    return factors
 
-    def __post_init__(self):
-        if not self.omegas:
-            raise ValueError("need at least one Larmor frequency")
-        if any(w <= 0 for w in self.omegas):
-            raise ValueError("Larmor frequencies must be positive")
-        if any(b >= a for a, b in zip(self.omegas, self.omegas[1:])):
-            raise ValueError("Larmor frequencies must descend")
 
-    @classmethod
-    def for_energy(cls, E: float, factors=(1e-2, 1e-3, 1e-4)) -> "ClockConfig":
-        return cls(omegas=tuple(f * E for f in factors))
-
-    def validate_block(self, problems: ProblemBlock):
-        """Every omega infinitesimal against the energy of every row."""
-        # inclusive: the canonical sequence tops out at exactly 1e-2 E
-        too_big = max(self.omegas) > OMEGA_FRACTION * problems.E * (1.0 + 1e-12)
-        if too_big.any():
-            raise ValueError(f"omega = {max(self.omegas):.3g} is not infinitesimal against "
-                             f"E = {problems.E[np.argmax(too_big)]:.3g}")
+def _omegas(factors, E: np.ndarray) -> np.ndarray:
+    """The (n, n_omega) Larmor frequencies factor * E of each row."""
+    return np.array(check_factors(factors))[None, :] * E[:, None]
 
 
 @dataclass
 class LarmorReading:
-    """Raw precession times per frequency and their zero-field limit."""
+    """Raw precession times per frequency and their zero-field limit, for
+    each row of a block: `omegas`, `raw_times`, `residuals` (|raw -
+    extrapolated|) and `out_of_plane` (the modulus response ln|A_up/A_down|
+    / omega) are (n, n_omega), descending omega along a row; `extrapolated`
+    and `present` are (n,). A row not present has no channel; its readings
+    are NaN and are not checked."""
 
-    subprocess: str
     omegas: np.ndarray
     raw_times: np.ndarray
-    extrapolated: float
-    residuals: np.ndarray  # |raw - extrapolated| per omega, descending omega
-    out_of_plane: np.ndarray  # modulus response ln|A_up/A_down| / omega
+    extrapolated: np.ndarray
+    residuals: np.ndarray
+    out_of_plane: np.ndarray
+    present: np.ndarray
 
     def __post_init__(self):
-        # a NaN would pass both checks below, which compare against it;
-        # math.isfinite over a list costs a fifth of np.isfinite on 3 values
-        if not (math.isfinite(self.extrapolated)
-                and all(map(math.isfinite, self.raw_times.tolist()))):
-            raise ExtrapolationDiverged("Larmor reading is not finite")
-        spread = abs(self.raw_times[-1] - self.raw_times[-2]) if self.raw_times.size > 1 else 0.0
-        tol = 1e-9 * max(1.0, abs(self.extrapolated))
-        if abs(self.extrapolated - self.raw_times[-1]) > spread + tol:
-            raise ExtrapolationDiverged(
-                "zero-field limit is not anchored by the smallest-frequency readings"
+        raw, limit, res = self.raw_times, self.extrapolated, self.residuals
+        # a NaN would pass the later checks, which compare against it
+        with np.errstate(invalid="ignore", over="ignore"):
+            spread = (np.abs(raw[:, -1] - raw[:, -2]) if raw.shape[1] > 1
+                      else np.zeros(limit.shape))
+            tol = 1e-9 * np.maximum(1.0, np.abs(limit))
+            failures = (
+                (~(np.isfinite(limit) & np.isfinite(raw).all(axis=1)),
+                 "Larmor reading is not finite"),
+                (np.abs(limit - raw[:, -1]) > spread + tol,
+                 "zero-field limit is not anchored by the smallest-frequency readings"),
+                (res[:, -1] > res[:, 0] + tol,
+                 "extrapolation residuals grow as the field shrinks"),
             )
-        if self.residuals.size > 1 and self.residuals[-1] > self.residuals[0] + tol:
-            raise ExtrapolationDiverged(
-                "extrapolation residuals grow as the field shrinks"
-            )
+        failed = self.present & np.logical_or.reduce([bad for bad, _ in failures])
+        if failed.any():
+            row = np.argmax(failed)
+            raise ExtrapolationDiverged(next(msg for bad, msg in failures if bad[row]))
+        for name in ("raw_times", "extrapolated", "residuals", "out_of_plane"):
+            value = getattr(self, name)
+            mask = self.present if value.ndim == 1 else self.present[:, None]
+            setattr(self, name, np.where(mask, value, math.nan))
 
 
 @dataclass
 class ClockResult:
-    """Dwell and Larmor times for both sub-processes at one energy."""
+    """Dwell and Larmor times for both sub-processes, one row per problem
+    of a block: every column is (n,). An absent reflection channel reads
+    NaN in its row."""
 
-    E: float
-    barrier_length: float
-    tau_dwell_tr: float
-    tau_dwell_ref: float  # nan when the reflection channel is absent
+    E: np.ndarray
+    barrier_length: np.ndarray
+    tau_dwell_tr: np.ndarray
+    tau_dwell_ref: np.ndarray
     larmor_tr: LarmorReading
-    larmor_ref: LarmorReading | None
-    omega_min: float = field(init=False)
-    residual: float = field(init=False)
+    larmor_ref: LarmorReading
+    tau_larmor_tr: np.ndarray = field(init=False)
+    tau_larmor_ref: np.ndarray = field(init=False)
+    omega_min: np.ndarray = field(init=False)
+    residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.omega_min = float(self.larmor_tr.omegas[-1])
-        res = float(self.larmor_tr.residuals[-1])
-        if self.larmor_ref is not None:
-            res = max(res, float(self.larmor_ref.residuals[-1]))
-        self.residual = res
+        self.tau_larmor_tr = self.larmor_tr.extrapolated
+        self.tau_larmor_ref = self.larmor_ref.extrapolated
+        self.omega_min = self.larmor_tr.omegas[:, -1]
+        # fmax skips the NaN of an absent reflection row
+        self.residual = np.fmax(self.larmor_tr.residuals[:, -1], self.larmor_ref.residuals[:, -1])
 
-    @property
-    def tau_larmor_tr(self) -> float:
-        return self.larmor_tr.extrapolated
 
-    @property
-    def tau_larmor_ref(self) -> float:
-        return self.larmor_ref.extrapolated if self.larmor_ref is not None else math.nan
+def _concatenate(blocks: list):
+    """One result of the rows of `blocks` (ClockResult or LarmorReading
+    blocks of one type), in order."""
+    values = {f.name: [getattr(b, f.name) for b in blocks] for f in fields(blocks[0]) if f.init}
+    return type(blocks[0])(**{name: _concatenate(parts) if isinstance(parts[0], LarmorReading)
+                              else np.concatenate(parts) for name, parts in values.items()})
 
 
 def _require_weight(weight: np.ndarray, subprocess: str):
@@ -298,108 +316,106 @@ def zeeman_shifted(spec: PotentialSpec, delta: float) -> PotentialSpec:
     return PotentialSpec(a=spec.a, segments=tuple((w, h + delta) for w, h in spec.segments))
 
 
-def _zeeman_solves(problems: ProblemBlock, config: ClockConfig):
+def _zeeman_solves(problems: ProblemBlock, omegas: np.ndarray):
     """(A_T, A_R) of the spin-up and spin-down problems, shifted by
-    -omega/2 and +omega/2, at each omega: each (n, n_omega, 2), from one
-    block of 2 n_omega rows per problem. Both sub-process readings are
-    taken from them."""
-    omegas = np.array(config.omegas, dtype=float)
-    A_T, A_R = solve_block(problems.shifted((np.array([-0.5, 0.5]) * omegas[:, None]).ravel()))
-    shape = (problems.n, omegas.size, 2)
-    return A_T.reshape(shape), A_R.reshape(shape)
+    -omega/2 and +omega/2, at each of a row's omegas (n, n_omega): each
+    (n, n_omega, 2), from one block of 2 n_omega rows per problem. Both
+    sub-process readings are taken from them."""
+    shifts = (omegas[:, :, None] * np.array([-0.5, 0.5])).reshape(problems.n, -1)
+    return tuple(A.reshape(omegas.shape + (2,)) for A in solve_block(problems.shifted(shifts)))
 
 
 def _extrapolate_to_zero(omegas: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Neville extrapolation in u = omega^2 to u = 0, per row of values
-    (n, n_omega).
+    """Neville extrapolation in u = omega^2 to u = 0, per row of omegas and
+    values (n, n_omega).
 
     The readings are even in omega (opposite spins swap), so the error
     series runs in omega^2; the polynomial through the smallest omegas is
     of degree NEVILLE_DEGREE, or lower with fewer readings.
     """
     n_pts = min(NEVILLE_DEGREE + 1, values.shape[-1])
-    u = (omegas ** 2)[-n_pts:]
+    u = (omegas ** 2)[:, -n_pts:]
     tab = values[:, -n_pts:].astype(float)
     for level in range(1, n_pts):
         for i in range(n_pts - level):
-            tab[:, i] = (u[i] * tab[:, i + 1] - u[i + level] * tab[:, i]) / (u[i] - u[i + level])
+            tab[:, i] = ((u[:, i] * tab[:, i + 1] - u[:, i + level] * tab[:, i])
+                         / (u[:, i] - u[:, i + level]))
     return tab[:, 0]
 
 
-def _larmor_readings(up: np.ndarray, down: np.ndarray, config: ClockConfig, subprocess: str,
-                     present: np.ndarray | None = None) -> list[LarmorReading | None]:
+def _larmor_readings(up: np.ndarray, down: np.ndarray, omegas: np.ndarray, subprocess: str,
+                     present: np.ndarray | None = None) -> LarmorReading:
     """Precession times of one sub-process from its (spin up, spin down)
-    outgoing amplitudes, (n, n_omega) each, extrapolated to zero field.
-    A row whose amplitude vanishes at some omega raises ZeroFlux. Given
-    `present`, the rows whose channel exists, such a row and every row
-    not present read None instead."""
-    omegas = np.array(config.omegas, dtype=float)
+    outgoing amplitudes at `omegas`, (n, n_omega) each, extrapolated to
+    zero field. A row whose amplitude vanishes at some omega raises
+    ZeroFlux, as the first failing row; given `present`, the rows whose
+    channel exists, such a row and every row not present read NaN."""
     vanish = np.minimum(np.abs(up), np.abs(down)) ** 2 < ZERO_FLUX
+    row_vanish = vanish.any(axis=1)
     # a huge omega overflows omega^2 in the extrapolation; LarmorReading
     # raises the non-finite limit as ExtrapolationDiverged
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         raw = np.angle(up * np.conj(down)) / omegas
         out_of_plane = np.log(np.abs(up) / np.abs(down)) / omegas
         limit = _extrapolate_to_zero(omegas, raw)
-    residuals = np.abs(raw - limit[:, None])
-    readings = []
-    for i, row_vanish in enumerate(vanish):
-        if present is not None and (row_vanish.any() or not present[i]):
-            readings.append(None)
-            continue
-        if row_vanish.any():
-            raise ZeroFlux(f"{subprocess} amplitude vanishes at "
-                           f"omega = {omegas[np.argmax(row_vanish)]:.3g}")
-        readings.append(LarmorReading(subprocess=subprocess, omegas=omegas, raw_times=raw[i],
-                                      extrapolated=float(limit[i]), residuals=residuals[i],
-                                      out_of_plane=out_of_plane[i]))
-    return readings
+        residuals = np.abs(raw - limit[:, None])
+    required = present is None
+    # required: the rows before the first vanishing one are read first
+    present = ~np.logical_or.accumulate(row_vanish) if required else present & ~row_vanish
+    reading = LarmorReading(omegas=omegas, raw_times=raw, extrapolated=limit,
+                            residuals=residuals, out_of_plane=out_of_plane, present=present)
+    if required and row_vanish.any():
+        row = np.argmax(row_vanish)
+        raise ZeroFlux(f"{subprocess} amplitude vanishes at "
+                       f"omega = {omegas[row, np.argmax(vanish[row])]:.3g}")
+    return reading
 
 
-def larmor_times(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig,
-                 subprocess: str) -> LarmorReading:
-    """Weak-field precession times for one sub-process, extrapolated to
-    zero field."""
+def larmor_times(spec: PotentialSpec, mode: EnergyMode, subprocess: str,
+                 factors=DEFAULT_FACTORS) -> LarmorReading:
+    """Weak-field precession times for one sub-process at one energy,
+    extrapolated to zero field: a block of one row."""
     if subprocess not in SUBPROCESSES:
         raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
     spec.require_symmetric()
     problems = ProblemBlock.of(spec, mode.E)
-    config.validate_block(problems)
+    omegas = _omegas(factors, problems.E)
     A_T, A_R = solve_block(problems)
     # an absent channel has no clock: the shifted problems would still
     # return tiny amplitudes whose phase carries no time information
     if (np.abs(A_T if subprocess == "tr" else A_R) ** 2)[0] < ZERO_FLUX:
         raise ZeroFlux(f"{subprocess} channel absent at E = {mode.E:.4g}")
-    A_T, A_R = _zeeman_solves(problems, config)
+    A_T, A_R = _zeeman_solves(problems, omegas)
     out = A_T if subprocess == "tr" else A_R
-    return _larmor_readings(out[..., 0], out[..., 1], config, subprocess)[0]
+    return _larmor_readings(out[..., 0], out[..., 1], omegas, subprocess)
 
 
 def probe_noninvasiveness(spec: PotentialSpec, mode: EnergyMode,
-                          config: ClockConfig) -> float:
+                          factors=DEFAULT_FACTORS) -> float:
     """Fitted order of |mean(T_up, T_down) - T| against omega.
 
     The symmetric spin shift cancels the linear response, so the exponent
     should come out >= 2 up to fit noise.
     """
     problems = ProblemBlock.of(spec, mode.E)
+    omegas = _omegas(factors, problems.E)
     T0 = (np.abs(solve_block(problems)[0]) ** 2)[0]
-    A_T, _ = _zeeman_solves(problems, config)
+    A_T, _ = _zeeman_solves(problems, omegas)
     T_up, T_down = (np.abs(A_T[0]) ** 2).T
-    omegas = np.array(config.omegas, dtype=float)
     depart = np.abs(0.5 * (T_up + T_down) - T0)
     good = depart > 1e-14
     if good.sum() < 2:
         return math.inf  # departure at the noise floor everywhere
-    slope, _ = np.polyfit(np.log(omegas[good]), np.log(depart[good]), 1)
+    slope, _ = np.polyfit(np.log(omegas[0, good]), np.log(depart[good]), 1)
     return float(slope)
 
 
-def clock_block(problems: ProblemBlock, config: ClockConfig) -> list[ClockResult]:
+def clock_block(problems: ProblemBlock, factors=DEFAULT_FACTORS) -> ClockResult:
     """Dwell plus Larmor times for both sub-processes on every row of a
-    block, all rows read with one config. Rows without a reflection
-    channel get a NaN reflection dwell time and no reflection reading;
-    any other failure raises for the first failing row."""
+    block, each row read at omega = factors * its energy. Rows without a
+    reflection channel read NaN reflection times; any other failure
+    raises for the first failing row."""
+    omegas = _omegas(factors, problems.E)
     pad = 1.0
     x_probe = np.linspace(problems.a - pad, problems.b + pad, 65, axis=-1)
     dec = decompose_block(problems, x_probe)
@@ -409,38 +425,33 @@ def clock_block(problems: ProblemBlock, config: ClockConfig) -> list[ClockResult
     tau_ref = _dwell_block(dec, R, "ref")
     # one set of Zeeman solves serves both readings; the base solution is
     # the decomposition's, and the tr channel is already required
-    config.validate_block(problems)
-    A_T, A_R = _zeeman_solves(problems, config)
-    readings_tr = _larmor_readings(A_T[..., 0], A_T[..., 1], config, "tr")
-    readings_ref = _larmor_readings(A_R[..., 0], A_R[..., 1], config, "ref",
-                                    present=R >= ZERO_FLUX)
-    lengths = problems.b - problems.a
-    return [
-        ClockResult(E=float(problems.E[i]), barrier_length=float(lengths[i]),
-                    tau_dwell_tr=float(tau_tr[i]), tau_dwell_ref=float(tau_ref[i]),
-                    larmor_tr=readings_tr[i], larmor_ref=readings_ref[i])
-        for i in range(problems.n)
-    ]
+    A_T, A_R = _zeeman_solves(problems, omegas)
+    return ClockResult(E=problems.E, barrier_length=problems.b - problems.a,
+                       tau_dwell_tr=tau_tr, tau_dwell_ref=tau_ref,
+                       larmor_tr=_larmor_readings(A_T[..., 0], A_T[..., 1], omegas, "tr"),
+                       larmor_ref=_larmor_readings(A_R[..., 0], A_R[..., 1], omegas, "ref",
+                                                   present=R >= ZERO_FLUX))
 
 
-def compute_clock(spec: PotentialSpec, mode: EnergyMode, config: ClockConfig) -> ClockResult:
+def compute_clock(spec: PotentialSpec, mode: EnergyMode,
+                  factors=DEFAULT_FACTORS) -> ClockResult:
     """Dwell plus Larmor times for both sub-processes at one energy: a
-    block of one."""
-    return clock_block(ProblemBlock.of(spec, mode.E), config)[0]
+    block of one row."""
+    return clock_block(ProblemBlock.of(spec, mode.E), factors)
 
 
-def _sweep_block(v0: float, energy_ratio: float, config_factors,
-                 kappa_lengths) -> list[ClockResult]:
+def _sweep_block(v0: float, energy_ratio: float, factors, kappa_lengths) -> ClockResult:
     E = energy_ratio * v0
     kappa = math.sqrt(2.0 * (v0 - E))
     widths = [kl / kappa for kl in kappa_lengths]
     specs = [make_rectangular(v0, L, -0.5 * L) for L in widths]
-    return clock_block(ProblemBlock.of(specs, E), ClockConfig.for_energy(E, config_factors))
+    return clock_block(ProblemBlock.of(specs, E), factors)
 
 
 def sweep_barrier_width(v0: float, energy_ratio: float, kappa_lengths,
-                        config_factors=(1e-2, 1e-3, 1e-4), map_fn=map) -> list[ClockResult]:
-    """Clock times along a family of barriers of growing opacity.
+                        factors=DEFAULT_FACTORS, map_fn=map) -> ClockResult:
+    """Clock times along a family of barriers of growing opacity, one row
+    per width.
 
     Barriers are centered at the origin with E = energy_ratio * v0 fixed,
     so kappa is constant and the width L = kappa_L / kappa sweeps the
@@ -450,16 +461,18 @@ def sweep_barrier_width(v0: float, energy_ratio: float, kappa_lengths,
     """
     if not (0.0 < energy_ratio < 1.0):
         raise ValueError("energy ratio must lie in (0, 1) for a tunneling sweep")
-    worker = partial(_sweep_block, v0, energy_ratio, tuple(config_factors))
     kls = [float(kl) for kl in kappa_lengths]
+    if not kls:
+        raise ValueError("need at least one width")
+    worker = partial(_sweep_block, v0, energy_ratio, tuple(factors))
     blocks = [kls[lo:lo + SWEEP_BLOCK] for lo in range(0, len(kls), SWEEP_BLOCK)]
-    return [res for block in map_fn(worker, blocks) for res in block]
+    return _concatenate(list(map_fn(worker, blocks)))
 
 
-def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
-                          config: ClockConfig, subprocess: str, t: float,
-                          x_grid=None, n_k: int = 513) -> LarmorReading:
-    """Packet-level Larmor reading taken after the sub-packets separate.
+def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec, subprocess: str, t: float,
+                          x_grid=None, n_k: int = 513, factors=DEFAULT_FACTORS) -> LarmorReading:
+    """Packet-level Larmor reading taken after the sub-packets separate,
+    at omega = factors * k0^2 / 2: a block of one row.
 
     The spin-up/down packets are synthesized with the shifted barriers,
     which share the base table's cos/sin table; their amplitudes at the
@@ -472,7 +485,7 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
     if subprocess not in SUBPROCESSES:
         raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
     spec.require_symmetric()
-    config.validate_block(ProblemBlock.of(spec, EnergyMode.from_k(packet.k0).E))
+    omegas = _omegas(factors, np.array([EnergyMode.from_k(packet.k0).E]))
     x = default_x_grid(spec, packet) if x_grid is None else np.asarray(x_grid, float)
 
     base = build_mode_table(spec, packet, x, n_k)
@@ -489,9 +502,9 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec,
         table = base.on_barrier(zeeman_shifted(spec, delta))
         return table.states([t])[COMPONENTS.index(subprocess), 0]
 
-    up, down = np.empty((2, 1, len(config.omegas)), dtype=complex)
-    for j, omega in enumerate(config.omegas):
+    up, down = np.empty((2,) + omegas.shape, dtype=complex)
+    for j, omega in enumerate(omegas[0]):
         spin_up, spin_down = (shifted_packet(s * omega) for s in (-0.5, +0.5))
         peak = int(np.argmax(np.abs(spin_up) ** 2 + np.abs(spin_down) ** 2))
         up[0, j], down[0, j] = spin_up[peak], spin_down[peak]
-    return _larmor_readings(up, down, config, subprocess)[0]
+    return _larmor_readings(up, down, omegas, subprocess)

@@ -336,35 +336,13 @@ def current_density(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
 
 
 def _gradient_uniform(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Fourth-order differences on a uniform grid, one-sided at the ends.
-
-    Matching the edge order keeps derivative-cut artifacts inside the
-    2-spacing exclusion strip that continuity windows already apply.
-    """
-    n = values.size
-    if n < 6:
-        return np.gradient(values, x, edge_order=2 if n >= 3 else 1)
-    h = x[1] - x[0]
-    out = np.empty_like(values)
+    """Fourth-order central differences on a uniform grid; the two points
+    at each end read 0. No continuity window keeps them (see
+    _continuity_window)."""
+    out = np.zeros_like(values)
     out[2:-2] = (
         values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]
-    ) / (12.0 * h)
-    out[0] = (
-        -25.0 * values[0] + 48.0 * values[1] - 36.0 * values[2]
-        + 16.0 * values[3] - 3.0 * values[4]
-    ) / (12.0 * h)
-    out[1] = (
-        -3.0 * values[0] - 10.0 * values[1] + 18.0 * values[2]
-        - 6.0 * values[3] + values[4]
-    ) / (12.0 * h)
-    out[-2] = -(
-        -3.0 * values[-1] - 10.0 * values[-2] + 18.0 * values[-3]
-        - 6.0 * values[-4] + values[-5]
-    ) / (12.0 * h)
-    out[-1] = -(
-        -25.0 * values[-1] + 48.0 * values[-2] - 36.0 * values[-3]
-        + 16.0 * values[-4] - 3.0 * values[-5]
-    ) / (12.0 * h)
+    ) / (12.0 * (x[1] - x[0]))
     return out
 
 
@@ -373,7 +351,9 @@ def _continuity_window(x: np.ndarray, cut: float | None):
     at each end and, for a piecewise component, outside a strip of
     half-width 2 dx about the cut; and the slices of the grid that are
     differenced apart, split just left of the first point right of the
-    cut. Each side of a cut needs two points to difference."""
+    cut. Each side of a cut needs two points to difference. No point it
+    keeps lies within two points of either end of a piece: three go at
+    each grid end, and the strip holds the two on each side of the cut."""
     keep = np.ones(x.shape, dtype=bool)
     keep[:3] = keep[-3:] = False
     pieces = [slice(None)]

@@ -17,12 +17,12 @@ from typing import Any
 
 import numpy as np
 
-from .clocks import ClockConfig
+from .clocks import check_factors
 from .cranknicolson import SOLVES_PER_STEP, GridSpec, staggered_grid, step_index
 from .errors import SchemaError, TunnelSplitError
 from .packets import DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec, default_grid_step
 from .potential import PotentialSpec, make_piecewise
-from .stationary import EnergyMode, ProblemBlock
+from .stationary import EnergyMode
 
 # Largest estimated array bytes a config may ask for, checked before any
 # array is allocated; the canonical config asks for about 0.16 GB.
@@ -251,8 +251,7 @@ class RunConfig:
     decompose_grid: dict  # pad (float), n (int)
     oracle_grid: GridSpec | None  # None without a packet
     checkpoints: list[float]  # ascending
-    clock_config: ClockConfig
-    omega_factors: tuple[float, ...]
+    omega_factors: tuple[float, ...]  # Larmor frequencies as fractions of E
     sweep: dict  # v0, energy_ratio, kappa_l_min, kappa_l_max (floats), num (int)
     evolve_x_stride: int
     out_dir: str
@@ -304,12 +303,7 @@ def parse_config_text(text: str) -> RunConfig:
             raise SchemaError("packet.k0", f"grid would reach k = {k_max:.4g}, where the "
                               f"energy overflows", cause_name="SpectrumDomainError")
 
-    clock = cfg["clock"]
-    base_E = mode.E if mode is not None else (packet.k0 ** 2 / 2 if packet else 1.0)
-    clock_config = _build("clock", ClockConfig.for_energy, base_E,
-                          tuple(clock["omega_factors"]))
-    # the factors scale every energy alike, so one energy checks them all
-    _build("clock", clock_config.validate_block, ProblemBlock.of(spec, base_E))
+    omega_factors = _build("clock", check_factors, cfg["clock"]["omega_factors"])
 
     oracle = cfg["oracle"]
     for i, t in enumerate(oracle["checkpoints"]):
@@ -344,8 +338,7 @@ def parse_config_text(text: str) -> RunConfig:
     return RunConfig(
         raw=raw, potential=spec, mode=mode, energy_grid=energy_grid, packet=packet,
         n_k=n_k, k_span_sigmas=span, x_grid=x_grid, oracle_grid=oracle_grid,
-        checkpoints=checkpoints, clock_config=clock_config,
-        omega_factors=tuple(clock["omega_factors"]),
+        checkpoints=checkpoints, omega_factors=omega_factors,
         # keys whose typed value needs no other key pass through as they are
         **{key: cfg[key] for key in ("times", "snapshot_times", "decompose_grid",
                                      "sweep", "evolve_x_stride", "out_dir", "workers")},

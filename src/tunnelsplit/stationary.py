@@ -121,16 +121,17 @@ class ProblemBlock:
         return self.E.size
 
     def shifted(self, deltas) -> "ProblemBlock":
-        """Every row once per shift in `deltas`, each copy with all segment
-        heights moved by its shift; the copies of a row are adjacent."""
+        """Every row once per shift in its row of `deltas` (n, m), each copy
+        with all segment heights moved by its shift; the copies of a row
+        are adjacent."""
         deltas = np.asarray(deltas, dtype=float)
 
         def rep(v):
-            return np.repeat(v, deltas.size, axis=0)
+            return np.repeat(v, deltas.shape[1], axis=0)
 
         return ProblemBlock(a=rep(self.a), b=rep(self.b), edges=rep(self.edges),
                             widths=rep(self.widths),
-                            heights=rep(self.heights) + np.tile(deltas, self.n)[:, None],
+                            heights=rep(self.heights) + deltas.reshape(-1, 1),
                             symmetric=rep(self.symmetric), E=rep(self.E))
 
     def require_symmetric(self):

@@ -24,7 +24,6 @@ import pytest
 
 from tunnelsplit.cli import main
 from tunnelsplit.clocks import (
-    ClockConfig,
     compute_clock,
     dwell_time,
     larmor_times,
@@ -275,25 +274,24 @@ def test_criterion_8_clock_suite(canonical_spec):
     for L, k in [(2.0, 1.0), (1.0, 0.5), (3.0, 2.0), (0.7, 1.7), (5.0, 0.8)]:
         spec = make_rectangular(0.0, L, 0.0)
         mode = EnergyMode.from_k(k)
-        reading = larmor_times(spec, mode, ClockConfig.for_energy(mode.E), "tr")
+        reading = larmor_times(spec, mode, "tr")
         dec = build_decomposition(spec, mode, np.linspace(-1.0, L + 1.0, 33))
         dwell = dwell_time(dec, "tr")
         worst_free = max(
             worst_free,
-            abs(reading.extrapolated - L / k) / (L / k),
+            abs(reading.extrapolated[0] - L / k) / (L / k),
             abs(dwell - L / k) / (L / k),
         )
     free_ok = worst_free < 1e-6
     lines.append(f"free identity dev = {worst_free:.2e} (bound 1e-6)")
 
     mode = EnergyMode(0.5)
-    cfg = ClockConfig.for_energy(mode.E)
-    exponent = probe_noninvasiveness(canonical_spec, mode, cfg)
+    exponent = probe_noninvasiveness(canonical_spec, mode)
     exponent_ok = exponent >= 1.9
     lines.append(f"non-invasiveness exponent = {exponent:.3f} (bound 1.9)")
 
-    res = compute_clock(canonical_spec, mode, cfg)
-    r = res.larmor_tr.residuals
+    res = compute_clock(canonical_spec, mode)
+    r = res.larmor_tr.residuals[0]
     monotone_ok = bool(r[0] > r[1] > r[2])
     lines.append(
         "extrapolation residuals = ["
@@ -302,8 +300,8 @@ def test_criterion_8_clock_suite(canonical_spec):
     )
 
     sweep = sweep_barrier_width(1.0, 0.5, np.linspace(2.0, 10.0, 9))
-    taus = [row.tau_dwell_tr for row in sweep]
-    increasing = all(b > a for a, b in zip(taus, taus[1:]))
+    taus = sweep.tau_dwell_tr
+    increasing = bool(np.all(np.diff(taus) > 0))
     # reported, not asserted: the expected outcome is monotone growth
     lines.append(
         f"width sweep emitted ({len(taus)} points), dwell_tr strictly increasing: "

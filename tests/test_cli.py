@@ -92,6 +92,21 @@ class TestExitCodes:
         assert "--workers" in record["message"]
         assert not (out / "stationary.csv").exists()
 
+    def test_argument_errors_are_2_with_an_error_record(self, tmp_path, monkeypatch):
+        """An unknown subcommand, a missing config path and an --out without
+        its value each exit 2 and leave error.json: in --out when it was
+        parsed, else in the default directory `out`."""
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path)
+        for argv, out, word in ((["bogus", config, "--out", "o1"], "o1", "bogus"),
+                                (["stationary", "--out", "o2"], "o2", "config"),
+                                (["stationary", config, "--out"], "out", "--out")):
+            assert main(argv) == 2
+            record = json.loads((tmp_path / out / "error.json").read_text())
+            assert (record["error"], record["exit_code"]) == ("SchemaError", 2)
+            assert word in record["message"]
+            assert not list((tmp_path / out).glob("*.csv"))
+
     @pytest.mark.parametrize("x_grid", [
         {"x_min": -150.0, "x_max": 134.0, "dx": 0},
         {"x_min": -150.0, "x_max": 134.0, "dx": "a"},

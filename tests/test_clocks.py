@@ -6,8 +6,8 @@ import pytest
 
 from tunnelsplit import clocks
 from tunnelsplit.clocks import (
-    ClockConfig,
     LarmorReading,
+    check_factors,
     clock_block,
     compute_clock,
     dwell_time,
@@ -40,23 +40,25 @@ def _centered(v0, length):
     return make_rectangular(v0, length, -0.5 * length)
 
 
-class TestClockConfig:
+class TestCheckFactors:
     def test_requires_descending_positive(self):
-        with pytest.raises(ValueError):
-            ClockConfig(omegas=(1e-3, 1e-2))
-        with pytest.raises(ValueError):
-            ClockConfig(omegas=(1e-2, -1e-3))
-        with pytest.raises(ValueError):
-            ClockConfig(omegas=())
+        for factors in [(), (1e-2, -1e-3), (0.0,), (1e-3, 1e-2), (1e-3, 1e-3)]:
+            with pytest.raises(ValueError):
+                check_factors(factors)
 
-    def test_for_energy(self):
-        cfg = ClockConfig.for_energy(0.5)
-        assert cfg.omegas == (5e-3, 5e-4, 5e-5)
+    def test_omegas_are_fractions_of_each_row_energy(self):
+        res = clock_block(ProblemBlock.of(CANONICAL, [0.5, 0.25]))
+        np.testing.assert_array_equal(res.larmor_tr.omegas,
+                                      [[5e-3, 5e-4, 5e-5], [2.5e-3, 2.5e-4, 2.5e-5]])
 
     def test_field_must_be_infinitesimal(self):
-        cfg = ClockConfig(omegas=(0.1,))
+        for factors in [(0.1,), (0.1, 1e-3)]:
+            with pytest.raises(ValueError):
+                check_factors(factors)
         with pytest.raises(ValueError):
-            cfg.validate_block(ProblemBlock.of(CANONICAL, MODE.E))
+            compute_clock(CANONICAL, MODE, (0.1,))
+        # inclusive: the default sequence tops out at exactly OMEGA_FRACTION
+        assert check_factors([1e-2, 1e-3, 1e-4]) == clocks.DEFAULT_FACTORS
 
 
 class TestZeemanShift:
@@ -192,30 +194,26 @@ class TestLarmorTimes:
         for L, k in [(2.0, 1.0), (1.0, 0.5), (3.0, 2.0), (0.7, 1.7), (5.0, 0.8)]:
             spec = make_rectangular(0.0, L, 0.0)
             mode = EnergyMode.from_k(k)
-            cfg = ClockConfig.for_energy(mode.E)
-            reading = larmor_times(spec, mode, cfg, "tr")
-            assert reading.extrapolated == pytest.approx(L / k, rel=1e-6)
+            reading = larmor_times(spec, mode, "tr")
+            assert reading.extrapolated[0] == pytest.approx(L / k, rel=1e-6)
             dec = build_decomposition(spec, mode, np.linspace(-1.0, L + 1.0, 33))
             assert dwell_time(dec, "tr") == pytest.approx(L / k, rel=1e-6)
 
     def test_residuals_decrease_with_field(self):
-        cfg = ClockConfig.for_energy(MODE.E)
         for sub in ("tr", "ref"):
-            reading = larmor_times(CANONICAL, MODE, cfg, sub)
-            r = reading.residuals
+            reading = larmor_times(CANONICAL, MODE, sub)
+            r = reading.residuals[0]
             assert r[0] > r[1] > r[2]
 
     def test_sub_process_readings_match_on_symmetric_barrier(self):
-        cfg = ClockConfig.for_energy(MODE.E)
-        tr = larmor_times(CANONICAL, MODE, cfg, "tr").extrapolated
-        ref = larmor_times(CANONICAL, MODE, cfg, "ref").extrapolated
+        tr = larmor_times(CANONICAL, MODE, "tr").extrapolated[0]
+        ref = larmor_times(CANONICAL, MODE, "ref").extrapolated[0]
         assert tr == pytest.approx(ref, rel=1e-8)
 
     def test_relation_to_dwell_reported(self, capsys):
         """The precession reading need not reproduce the dwell time; the
         gap is reported, never asserted."""
-        cfg = ClockConfig.for_energy(MODE.E)
-        tau_l = larmor_times(CANONICAL, MODE, cfg, "tr").extrapolated
+        tau_l = larmor_times(CANONICAL, MODE, "tr").extrapolated[0]
         tau_d = dwell_time(canonical_decomposition(), "tr")
         gap = abs(tau_l - tau_d) / tau_d
         print(f"\ncanonical larmor-vs-dwell relative gap: {gap:.3f} "
@@ -225,13 +223,45 @@ class TestLarmorTimes:
     def test_diverging_extrapolation_rejected(self):
         with pytest.raises(ExtrapolationDiverged):
             LarmorReading(
-                subprocess="tr",
-                omegas=np.array([1e-2, 1e-3, 1e-4]),
-                raw_times=np.array([1.0, 1.5, 3.0]),
-                extrapolated=1.0,
-                residuals=np.array([0.0, 0.5, 2.0]),
-                out_of_plane=np.zeros(3),
+                omegas=np.array([[1e-2, 1e-3, 1e-4]]),
+                raw_times=np.array([[1.0, 1.5, 3.0]]),
+                extrapolated=np.array([1.0]),
+                residuals=np.array([[0.0, 0.5, 2.0]]),
+                out_of_plane=np.zeros((1, 3)),
+                present=np.array([True]),
             )
+
+    @staticmethod
+    def _block(present):
+        """Three rows; row 1 is anchored, but its residuals grow as the
+        field shrinks."""
+        raw = np.array([[2.0, 2.0, 2.0], [1.0, 0.0, 2.0], [4.0, 4.0, 4.0]])
+        limit = np.array([2.0, 1.0, 4.0])
+        return LarmorReading(omegas=np.tile([1e-2, 1e-3, 1e-4], (3, 1)), raw_times=raw,
+                             extrapolated=limit, residuals=np.abs(raw - limit[:, None]),
+                             out_of_plane=np.zeros((3, 3)), present=np.asarray(present))
+
+    def test_a_diverging_row_raises_unless_absent(self):
+        with pytest.raises(ExtrapolationDiverged, match="residuals grow"):
+            self._block([True, True, True])
+        reading = self._block([True, False, True])
+        assert reading.extrapolated[[0, 2]].tolist() == [2.0, 4.0]
+        for column in (reading.raw_times, reading.extrapolated, reading.residuals,
+                       reading.out_of_plane):
+            assert np.isnan(column[1]).all() and not np.isnan(column[[0, 2]]).any()
+
+    def test_first_failing_row_gives_its_first_failing_check(self):
+        """Row 1 is not finite (and fails no other check); row 2 is not
+        anchored and its residuals grow: row 1 raises."""
+        raw = np.array([[2.0, 2.0, 2.0], [1.0, np.nan, 1.0], [1.0, 2.0, 9.0]])
+        limit = np.array([2.0, 1.0, 1.0])
+        kwargs = dict(omegas=np.tile([1e-2, 1e-3, 1e-4], (3, 1)), raw_times=raw,
+                      extrapolated=limit, residuals=np.abs(raw - limit[:, None]),
+                      out_of_plane=np.zeros((3, 3)))
+        with pytest.raises(ExtrapolationDiverged, match="not finite"):
+            LarmorReading(present=np.array([True, True, True]), **kwargs)
+        with pytest.raises(ExtrapolationDiverged, match="not anchored"):
+            LarmorReading(present=np.array([True, False, True]), **kwargs)
 
     def test_overflowing_frequencies_read_as_diverged(self):
         """At E = 1e300 the squares of the Larmor frequencies overflow in the
@@ -239,47 +269,46 @@ class TestLarmorTimes:
         and no RuntimeWarning escapes (the suite makes those errors)."""
         mode = EnergyMode(1e300)
         with pytest.raises(ExtrapolationDiverged):
-            larmor_times(CANONICAL, mode, ClockConfig.for_energy(mode.E), "tr")
+            larmor_times(CANONICAL, mode, "tr")
 
 
 class TestNonInvasiveness:
     def test_quadratic_departure(self):
-        cfg = ClockConfig.for_energy(MODE.E)
-        exponent = probe_noninvasiveness(CANONICAL, MODE, cfg)
+        exponent = probe_noninvasiveness(CANONICAL, MODE)
         assert exponent >= 1.9
 
     def test_free_particle_departure_also_quadratic(self):
         # the +/- omega/2 wells reflect at O(omega^2); still non-invasive
         spec = make_rectangular(0.0, 2.0, 0.0)
-        cfg = ClockConfig.for_energy(MODE.E)
-        assert probe_noninvasiveness(spec, MODE, cfg) >= 1.9
+        assert probe_noninvasiveness(spec, MODE) >= 1.9
 
 
 class TestComputeClock:
     def test_canonical_summary(self):
-        cfg = ClockConfig.for_energy(MODE.E)
-        res = compute_clock(CANONICAL, MODE, cfg)
-        assert res.tau_dwell_tr > 0 and res.tau_dwell_ref > 0
-        assert res.tau_larmor_tr > 0
-        assert res.omega_min == pytest.approx(5e-5)
-        assert res.residual < 1e-8
+        res = compute_clock(CANONICAL, MODE)
+        assert res.E.shape == (1,)
+        assert res.tau_dwell_tr[0] > 0 and res.tau_dwell_ref[0] > 0
+        assert res.tau_larmor_tr[0] > 0
+        assert res.omega_min[0] == pytest.approx(5e-5)
+        assert res.residual[0] < 1e-8
 
     def test_free_reflection_marked_absent(self):
         spec = make_rectangular(0.0, 2.0, 0.0)
         mode = EnergyMode(0.5)
-        res = compute_clock(spec, mode, ClockConfig.for_energy(mode.E))
-        assert math.isnan(res.tau_dwell_ref)
-        assert res.larmor_ref is None
-        assert math.isnan(res.tau_larmor_ref)
+        res = compute_clock(spec, mode)
+        assert math.isnan(res.tau_dwell_ref[0])
+        assert not res.larmor_ref.present[0]
+        assert np.isnan(res.larmor_ref.raw_times).all()
+        assert math.isnan(res.tau_larmor_ref[0])
+        assert res.residual[0] == res.larmor_tr.residuals[0, -1]
 
 
 class TestSweep:
     def test_dwell_grows_with_width(self):
         results = sweep_barrier_width(1.0, 0.5, [2.0, 4.0, 6.0])
-        taus = [r.tau_dwell_tr for r in results]
+        taus = results.tau_dwell_tr
         assert taus[0] < taus[1] < taus[2]
-        lengths = [r.barrier_length for r in results]
-        assert lengths == pytest.approx([2.0, 4.0, 6.0])
+        assert results.barrier_length == pytest.approx([2.0, 4.0, 6.0])
 
     def test_rejects_non_tunneling_ratio(self):
         with pytest.raises(ValueError):
@@ -288,9 +317,9 @@ class TestSweep:
     def test_sweep_barriers_are_centered(self, monkeypatch):
         blocks = []
 
-        def record(problems, config):
+        def record(problems, factors):
             blocks.append(problems)
-            return clock_block(problems, config)
+            return clock_block(problems, factors)
 
         monkeypatch.setattr(clocks, "clock_block", record)
         sweep_barrier_width(2.0, 0.5, [2.0, 3.0])  # kappa = sqrt(2)
@@ -299,18 +328,19 @@ class TestSweep:
         np.testing.assert_allclose(problems.x_c, 0.0, rtol=0, atol=1e-15)
 
 
-def _clock_fields(res):
-    """Every number a ClockResult carries, for bitwise comparison."""
-    readings = [r for r in (res.larmor_tr, res.larmor_ref) if r is not None]
-    return [res.E, res.barrier_length, res.tau_dwell_tr, res.tau_dwell_ref, res.omega_min,
-            res.residual, len(readings)] + [
-        np.concatenate(([r.extrapolated], r.raw_times, r.residuals, r.out_of_plane))
-        for r in readings]
+def _clock_fields(res, i):
+    """Every number row i of a ClockResult carries, for bitwise comparison."""
+    return [res.E[i], res.barrier_length[i], res.tau_dwell_tr[i], res.tau_dwell_ref[i],
+            res.omega_min[i], res.residual[i]] + [
+        np.concatenate(([r.extrapolated[i], r.present[i]], r.omegas[i], r.raw_times[i],
+                        r.residuals[i], r.out_of_plane[i]))
+        for r in (res.larmor_tr, res.larmor_ref)]
 
 
-def _same_clocks(a, b) -> bool:
+def _same_clocks(a, i, b, j) -> bool:
+    """Row i of a and row j of b hold the same numbers, bit for bit."""
     return all(np.array_equal(u, v, equal_nan=True)
-               for u, v in zip(_clock_fields(a), _clock_fields(b)))
+               for u, v in zip(_clock_fields(a, i), _clock_fields(b, j)))
 
 
 class TestOnePath:
@@ -320,8 +350,8 @@ class TestOnePath:
         rows = sweep_barrier_width(1.0, 0.5, self.KAPPA_LS)
         for i in (0, 7, 19):
             spec = _centered(1.0, self.KAPPA_LS[i])  # kappa = 1
-            one = compute_clock(spec, EnergyMode(0.5), ClockConfig.for_energy(0.5))
-            assert _same_clocks(one, rows[i])
+            one = compute_clock(spec, EnergyMode(0.5))
+            assert _same_clocks(one, 0, rows, i)
 
     def test_sweep_rows_do_not_depend_on_the_block_size(self, monkeypatch):
         runs = []
@@ -329,24 +359,24 @@ class TestOnePath:
             monkeypatch.setattr(clocks, "SWEEP_BLOCK", size)
             runs.append(sweep_barrier_width(1.0, 0.5, self.KAPPA_LS))
         for rows in runs[1:]:
-            assert all(_same_clocks(a, b) for a, b in zip(runs[0], rows))
+            assert rows.E.shape == (self.KAPPA_LS.size,)
+            assert all(_same_clocks(runs[0], i, rows, i) for i in range(self.KAPPA_LS.size))
 
     def test_absent_reflection_marks_its_row_only(self):
         specs = [_centered(1.0, 2.0), _centered(0.0, 2.0), _centered(1.0, 3.0)]
-        rows = clock_block(ProblemBlock.of(specs, 0.5), ClockConfig.for_energy(0.5))
-        assert [math.isnan(r.tau_dwell_ref) for r in rows] == [False, True, False]
-        assert [r.larmor_ref is None for r in rows] == [False, True, False]
-        for spec, row in zip(specs, rows):
-            assert _same_clocks(compute_clock(spec, EnergyMode(0.5), ClockConfig.for_energy(0.5)),
-                                row)
+        rows = clock_block(ProblemBlock.of(specs, 0.5))
+        assert np.isnan(rows.tau_dwell_ref).tolist() == [False, True, False]
+        assert np.isnan(rows.tau_larmor_ref).tolist() == [False, True, False]
+        assert rows.larmor_ref.present.tolist() == [True, False, True]
+        for i, spec in enumerate(specs):
+            assert _same_clocks(compute_clock(spec, EnergyMode(0.5)), 0, rows, i)
 
 
 class TestPacketReadout:
     def test_premature_readout(self):
         packet = PacketSpec(k0=1.0, sigma_k=0.05, x0=-60.0)
-        cfg = ClockConfig.for_energy(0.5)
         with pytest.raises(PrematureReadout):
-            larmor_packet_readout(CANONICAL, packet, cfg, "tr", t=0.0, n_k=129)
+            larmor_packet_readout(CANONICAL, packet, "tr", t=0.0, n_k=129)
 
     def test_coarse_grid_fails_as_norms_do(self):
         # the readout's sub-packet weights are the diagnostics series' norms,
@@ -356,28 +386,24 @@ class TestPacketReadout:
         with pytest.raises(GridTooCoarse, match="quadrature error"):
             diagnostics_series(build_mode_table(CANONICAL, packet, x, n_k=129), [80.0])
         with pytest.raises(GridTooCoarse, match="quadrature error"):
-            larmor_packet_readout(CANONICAL, packet, ClockConfig.for_energy(0.5), "tr",
-                                  t=80.0, x_grid=x, n_k=129)
+            larmor_packet_readout(CANONICAL, packet, "tr", t=80.0, x_grid=x, n_k=129)
 
     def test_free_flight_reading(self):
         spec = make_rectangular(0.0, 2.0, -1.0)
         packet = PacketSpec(k0=1.0, sigma_k=0.05, x0=-52.0)
-        cfg = ClockConfig.for_energy(0.5)
-        reading = larmor_packet_readout(spec, packet, cfg, "tr", t=80.0, n_k=257)
-        assert reading.extrapolated == pytest.approx(2.0, rel=1e-2)
+        reading = larmor_packet_readout(spec, packet, "tr", t=80.0, n_k=257)
+        assert reading.extrapolated[0] == pytest.approx(2.0, rel=1e-2)
 
     def test_canonical_matches_spectral_average(self, canonical_table):
         """Packet reading vs the transmission-weighted average of the
         stationary readings, within the 5 percent contract."""
         packet = canonical_table.packet
-        cfg = ClockConfig.for_energy(0.5)
-        reading = larmor_packet_readout(CANONICAL, packet, cfg, "tr", t=80.0, n_k=257)
+        reading = larmor_packet_readout(CANONICAL, packet, "tr", t=80.0, n_k=257)
         taus = np.empty(canonical_table.k.size)
         for i, k in enumerate(canonical_table.k):
             mode_k = EnergyMode.from_k(float(k))
-            taus[i] = larmor_times(CANONICAL, mode_k,
-                                   ClockConfig.for_energy(mode_k.E), "tr").extrapolated
+            taus[i] = larmor_times(CANONICAL, mode_k, "tr").extrapolated[0]
         w = (canonical_table.weights * np.abs(canonical_table.f_k) ** 2
              * np.abs(canonical_table.A_T) ** 2)
         want = float(np.sum(w * taus) / np.sum(w))
-        assert reading.extrapolated == pytest.approx(want, rel=0.05)
+        assert reading.extrapolated[0] == pytest.approx(want, rel=0.05)

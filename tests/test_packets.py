@@ -247,6 +247,25 @@ class TestGridDiagnostics:
         assert dx[0] <= canonical_spec.width / 64.0
 
 
+@pytest.mark.parametrize("dx", [0.05, 0.1, 0.37])
+def test_continuity_window_keeps_no_point_near_a_piece_end(dx):
+    """The differences of d j/d x are central only two points in from each
+    end of a piece; the window never keeps those points, whatever the
+    cut's place between nodes and however few points lie past it."""
+    for cut_offset in (0.0, 1e-9, 0.25, 0.5, 0.999):
+        for right in range(2, 8):
+            x = dx * np.arange(-40, right + 1)
+            for cut in (None, dx * cut_offset):
+                try:
+                    keep, pieces = packets._continuity_window(x, cut)
+                except GridTooCoarse:
+                    continue
+                index = np.arange(x.size)
+                for piece in pieces:
+                    ends = np.concatenate((index[piece][:2], index[piece][-2:]))
+                    assert not keep[ends].any(), (cut, right, piece)
+
+
 def test_diagnostics_series_shapes(canonical_series):
     n = canonical_series.t.size
     assert canonical_series.overlap.shape == (n,)

@@ -163,6 +163,14 @@ def test_readme_config_block_is_the_canonical_echo():
     assert json.loads(block) == parse_config(str(ROOT / "configs" / "canonical.json")).echo()
 
 
+def test_readme_library_block_runs(capsys):
+    """README's library example runs as written, so an API change must
+    update it."""
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
+
+
 def test_config_echo_replays(tmp_path):
     cfg = parse(energy={"E": 0.5})
     echoed = json.dumps(cfg.echo())
