@@ -25,7 +25,7 @@ from . import __version__, tolerances
 from .cranknicolson import compare_fields, crank_nicolson_propagate
 from .clocks import sweep_barrier_width, compute_clock
 from .errors import INTERNAL_ERRORS, SchemaError, TunnelSplitError
-from .packets import build_mode_table, diagnostics_series, synthesize
+from .packets import build_mode_table, default_x_grid, diagnostics_series, synthesize
 from .parallel import WorkerMap
 from .runconfig import RunConfig, parse_config
 from .splitting import build_decomposition, sub_waves
@@ -97,9 +97,12 @@ def _need_packet(cfg: RunConfig):
         raise SchemaError("packet", "this subcommand needs a packet section")
 
 
-def _mode_table(cfg: RunConfig):
+def _mode_table(cfg: RunConfig, stride: int = 1):
+    """The mode table on every `stride`-th point of the run's x grid."""
     _need_packet(cfg)
-    return build_mode_table(cfg.potential, cfg.packet, cfg.x_grid,
+    x = (default_x_grid(cfg.potential, cfg.packet, cfg.k_span_sigmas)
+         if cfg.x_grid is None else cfg.x_grid)
+    return build_mode_table(cfg.potential, cfg.packet, x[::stride],
                             n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)
 
 
@@ -154,15 +157,13 @@ def cmd_decompose(cfg: RunConfig, out: Path) -> dict:
 
 
 def cmd_evolve(cfg: RunConfig, out: Path) -> dict:
-    table = _mode_table(cfg)
-    stride = cfg.evolve_x_stride
+    table = _mode_table(cfg, cfg.evolve_x_stride)
     full, tr, ref = table.states(cfg.snapshot_times)
     worst_identity = float(np.max(np.abs(tr + ref - full), initial=0.0))
-    xs = table.x[::stride].tolist()
+    xs = table.x.tolist()
     # rows are generated while the CSV is written, one snapshot's Python
     # floats at a time, never held as one list
-    rows = (row for t, f, r_tr, r_ref in zip(cfg.snapshot_times, full[:, ::stride],
-                                             tr[:, ::stride], ref[:, ::stride])
+    rows = (row for t, f, r_tr, r_ref in zip(cfg.snapshot_times, full, tr, ref)
             for row in zip(itertools.repeat(t), xs, *(
                 part.tolist() for part in (f.real, f.imag, r_tr.real, r_tr.imag,
                                            r_ref.real, r_ref.imag))))

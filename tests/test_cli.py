@@ -12,6 +12,7 @@ import pytest
 
 from tunnelsplit import cli, clocks
 from tunnelsplit.cli import main
+from tunnelsplit.runconfig import parse_config
 from tunnelsplit.tolerances import CN_WALL_MASS, ORACLE_L2
 
 # compact setup so CLI round trips stay fast: moderate barrier, wide packet
@@ -310,6 +311,41 @@ class TestOutputs:
             "xbar_full", "pbar_full", "varx_full",
             "xbar_tr", "xbar_ref", "continuity_residual",
         ]
+
+    @pytest.mark.parametrize("stride", [1, 3, 8])
+    def test_evolve_builds_its_table_on_the_written_points(self, tmp_path, monkeypatch, stride):
+        """evolve's table holds only every stride-th grid point, and its
+        fields there are the whole-grid table's. On this grid stride 8
+        writes none of a, x_c and b."""
+        build, built = cli.build_mode_table, []
+
+        def recording_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_mode_table", recording_build)
+        path = write_config(tmp_path, evolve_x_stride=stride,
+                            x_grid={"x_min": -29.95, "x_max": 26.0, "dx": 0.05})
+        assert run_cli("evolve", path, tmp_path / "out") == 0
+        cfg = parse_config(path)
+        whole = build(cfg.potential, cfg.packet, cfg.x_grid, n_k=cfg.n_k,
+                      span_sigmas=cfg.k_span_sigmas)
+        (table,) = built
+        assert table.x.size == math.ceil(whole.x.size / stride)
+        spec = cfg.potential
+        gaps = np.abs(np.subtract.outer(table.x, [spec.a, spec.x_c, spec.b])).min(axis=0)
+        if stride == 1:
+            assert np.all(gaps < 1e-9)
+        if stride == 8:
+            assert np.all(gaps > 1e-3)
+
+        rows = np.loadtxt(tmp_path / "out" / "evolve.csv", delimiter=",", skiprows=1)
+        rows = rows.reshape(len(cfg.snapshot_times), table.x.size, 8)
+        np.testing.assert_array_equal(rows[:, :, 1], np.broadcast_to(
+            whole.x[::stride], rows.shape[:2]))
+        got = rows[:, :, 2::2] + 1j * rows[:, :, 3::2]
+        want = whole.states(cfg.snapshot_times)[:, :, ::stride]
+        np.testing.assert_allclose(got, want.transpose(1, 2, 0), rtol=0, atol=1e-13)
 
     def test_oracle_check_schema(self, tmp_path):
         cfg = write_config(tmp_path)

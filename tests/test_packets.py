@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tunnelsplit.packets import (
     synthesize,
 )
 from tunnelsplit.potential import make_piecewise, make_rectangular
+from tunnelsplit.runconfig import parse_config
 from tunnelsplit import stationary
 from tunnelsplit.splitting import build_decomposition
 from tunnelsplit.stationary import EnergyMode, solve_full
@@ -373,6 +375,29 @@ def test_mode_table_build_holds_one_table():
         tracemalloc.stop()
     table_bytes = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
     assert peak < 1.25 * table_bytes, (peak, table_bytes)
+
+
+@pytest.mark.parametrize("n_k", [65, 513, 1025])
+def test_plane_waves_match_cos_sin_of_kx(canonical_spec, canonical_packet, n_k):
+    """Angle addition against cos and sin of the rounded products k x, on
+    the canonical table grid and the first window of the oracle-check
+    grid; 65 modes leave a block of two rows before the last block."""
+    k, _ = spectral_grid(canonical_packet, n_k)
+    config = Path(__file__).resolve().parents[1] / "configs" / "canonical.json"
+    oracle_x = parse_config(str(config)).oracle_grid.x()
+    for x in (default_x_grid(canonical_spec, canonical_packet), oracle_x[:packets.X_CHUNK]):
+        waves = packets._plane_waves(k, x)
+        kx = np.multiply.outer(k, x)
+        for j in range(n_k):  # a row at a time, so no second table is held
+            np.testing.assert_allclose(waves[:, j], (np.cos(kx[j]), np.sin(kx[j])),
+                                       rtol=0, atol=1e-13, err_msg=f"mode {j}")
+
+
+def test_plane_waves_reject_a_nonuniform_k(canonical_packet):
+    k, _ = spectral_grid(canonical_packet, 65)
+    k[40] += 1e-9
+    with pytest.raises(ValueError, match="uniform"):
+        packets._plane_waves(k, np.linspace(-10.0, 10.0, 11))
 
 
 class TestAgainstPerModeRows:
