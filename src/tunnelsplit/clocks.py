@@ -6,9 +6,10 @@ transmission and [a, x_c] for reflection (the reflection wave vanishes
 identically beyond the midpoint). This is the standard definition; it
 reduces to length/speed for free flight. The integral is the
 composite-Simpson sum on DWELL_NODES (2049) nodes, evaluated in closed
-form: every piece of a state is two exponentials (a quartic near q = 0),
-so its weighted density sum over its run of nodes reduces to a few
-geometric or power sums. The work per row and piece is O(1) and no array
+form as 4 S_all - 2 S_even - S_first - (c_last - 1) S_last, each S a
+plain density sum over a progression of nodes inside each piece. Every
+piece of a state is two exponentials (a quartic near q = 0), so each S is
+a geometric or power sum. The work per row and piece is O(1) and no array
 grows with the node count.
 
 Larmor times probe the same interval non-invasively: an infinitesimal
@@ -69,13 +70,13 @@ DEFAULT_FACTORS = (1e-2, 1e-3, 1e-4)
 
 def check_factors(factors) -> tuple[float, ...]:
     """The Larmor frequency factors as a tuple of floats: at least one,
-    positive, strictly descending and at most OMEGA_FRACTION, so that
-    every omega = factor * E is infinitesimal against its energy."""
+    finite and positive, strictly descending and at most OMEGA_FRACTION,
+    so that every omega = factor * E is infinitesimal against its energy."""
     factors = tuple(float(f) for f in factors)
     if not factors:
         raise ValueError("need at least one Larmor frequency")
-    if any(f <= 0 for f in factors):
-        raise ValueError("Larmor frequencies must be positive")
+    if not all(0 < f < math.inf for f in factors):
+        raise ValueError(f"Larmor frequencies must be finite and positive, got {factors}")
     if any(b >= a for a, b in zip(factors, factors[1:])):
         raise ValueError("Larmor frequencies must descend")
     # inclusive: the canonical sequence tops out at exactly 1e-2 E
@@ -178,7 +179,7 @@ def _node(j, lo, hi, step, n: int):
 
 def _nodes_below(e, lo, hi, step, n: int) -> np.ndarray:
     """How many nodes of np.linspace(lo, hi, n) lie below e, per entry of
-    e (rows, pieces): a ceil guess, corrected one step each way."""
+    e: a ceil guess, corrected one step each way."""
     j = np.clip(np.ceil((e - lo) / step), 0, n)
     j = np.where((j < n) & (_node(j, lo, hi, step, n) < e), j + 1, j)
     j = np.where((j > 0) & (_node(j - 1, lo, hi, step, n) >= e), j - 1, j)
@@ -186,101 +187,83 @@ def _nodes_below(e, lo, hi, step, n: int) -> np.ndarray:
 
 
 def _geometric(z, m):
-    """sum_{i < m} exp(z i) for complex z != 0."""
+    """sum_{i < m} exp(z i) for z != 0."""
     return np.expm1(m * z) / np.expm1(z)
 
 
-def _weighted_geometric(z, m, sign, first, last):
-    """sum_{i < m} f_i exp(z i), where f_i = 3 - sign (-1)^i, less `first`
-    at i = 0 and less `last` at i = m - 1: the Simpson factors of a
-    piece's nodes (see _density_sum)."""
-    return (3.0 * _geometric(z, m) - sign * _geometric(z + 1j * math.pi, m)
-            - first - last * np.exp(z * (m - 1)))
+def _progression_sums(state, x0, x1, step, count) -> np.ndarray:
+    """Plain sums of |state|^2 over progressions of nodes, in closed form:
+    each entry of the (rows, pieces, progressions) arrays is `count` nodes
+    `step` apart, from x0 to x1, inside its row's piece. With m = count,
+    d0 = x0 - xl, dr = xr - x1 and G(z) = sum_{i < m} exp(z i), a sum is
 
-
-def _weighted_count(m, sign, first, last):
-    """sum_{i < m} f_i, f_i as in _weighted_geometric."""
-    return 3.0 * m - sign * (m % 2) - first - last
-
-
-def _weighted_powers(m, sign, first, last) -> list:
-    """[sum_{i < m} f_i i^p for p = 0..4], f_i as in _weighted_geometric:
-    Faulhaber's power sums, and the alternating sums
-    (E_p(0) - (-1)^m E_p(m)) / 2 from the Euler polynomials E_p."""
-    x = m.astype(float)
-    y = x - 1.0  # the last i
-    power = [x, y * x / 2, y * x * (2 * y + 1) / 6, (y * x / 2) ** 2,
-             y * x * (2 * y + 1) * (3 * y * y + 3 * y - 1) / 30]
-    euler = [1.0, x - 0.5, x * x - x, x ** 3 - 1.5 * x * x + 0.25, x ** 4 - 2 * x ** 3 + x]
-    euler_at_0 = [1.0, -0.5, 0.0, 0.25, 0.0]
-    parity = 1 - 2 * (m % 2)  # (-1)^m
-    return [3.0 * power[p] - sign * 0.5 * (euler_at_0[p] - parity * euler[p])
-            - (first if p == 0 else 0.0) - last * y ** p for p in range(5)]
+    OSC:  m (|c1|^2 + |c2|^2) + 2 Re(c1 conj(c2) exp(2iq d0) G(2iq step));
+    EVAN: (|c1|^2 exp(-2kp d0) + |c2|^2 exp(-2kp dr)) G(-2kp step)
+          + 2 m Re(c1 conj(c2)) exp(-kp w): two geometric sums anchored at
+          opposite ends, so that no term grows;
+    PAIR: a quartic in d (|q2| w^2 < 1e-10), by Faulhaber's power sums.
+    """
+    total = np.zeros(count.shape)
+    for kind in (PAIR, OSC, EVAN):
+        sel = (state.kind[..., None] == kind) & (count > 0)
+        if not sel.any():
+            continue
+        rows, pieces, _ = np.nonzero(sel)
+        c1, c2, q2, xl, xr = (v[rows, pieces] for v in
+                              (state.c1, state.c2, state.q2, state.xl, state.xr))
+        m, s, d0 = count[sel], step[sel], x0[sel] - xl
+        aa, bb, ab = np.abs(c1) ** 2, np.abs(c2) ** 2, c1 * np.conj(c2)
+        if kind == OSC:
+            z = 2j * np.sqrt(q2)
+            total[sel] = (aa + bb) * m + 2.0 * np.real(ab * np.exp(z * d0) * _geometric(z * s, m))
+        elif kind == EVAN:
+            kp = np.sqrt(-q2)
+            total[sel] = ((aa * np.exp(-2.0 * kp * d0) + bb * np.exp(-2.0 * kp * (xr - x1[sel])))
+                          * _geometric(-2.0 * kp * s, m)
+                          + 2.0 * ab.real * np.exp(-kp * (xr - xl)) * m)
+        else:
+            quartic = [aa, 2.0 * ab.real, bb - q2 * aa, -4.0 / 3.0 * q2 * ab.real,
+                       -q2 * bb / 3.0]
+            x, y = m.astype(float), m - 1.0  # sum_{i < m} i^k for k = 0..4 (Faulhaber)
+            powers = [x, y * x / 2, y * x * (2 * y + 1) / 6, (y * x / 2) ** 2,
+                      y * x * (2 * y + 1) * (3 * y * y + 3 * y - 1) / 30]
+            # sum_i (d0 + i s)^p by the binomial theorem, every term >= 0
+            total[sel] = sum(coef * sum(math.comb(p, k) * d0 ** (p - k) * s ** k * powers[k]
+                                        for k in range(p + 1))
+                             for p, coef in enumerate(quartic))
+    return total
 
 
 def _density_sum(state, lo, hi, n: int) -> np.ndarray:
     """The composite-Simpson sum of |state|^2 over the nodes
     np.linspace(lo, hi, n) places on each row, in closed form.
 
-    A piece holds the nodes from its left edge (inclusive) to the next
-    piece's; the last piece holds the rest, the node at b too, where the
-    right plane-wave pair equals it to roundoff. Node j weighs (h/3) c_j,
-    h the first spacing: c_j = 3 - (-1)^j inside and 1 at both ends. At
-    a piece's nodes j0 + i, i < m, offset d = d0 + i step from its left
-    edge, |state|^2 is
-
-    OSC:  |c1|^2 + |c2|^2 + 2 Re(c1 conj(c2) exp(2iq d0) rho^i),
-          rho = exp(2iq step);
-    EVAN: |c1|^2 exp(-2kp d0) rho^i + |c2|^2 exp(-2kp dr) rho^(m-1-i)
-          + 2 Re(c1 conj(c2)) exp(-kp w), rho = exp(-2kp step), with dr
-          the last node's offset from the right edge, so no term grows;
-    PAIR: a quartic in d, to first order in q2 (|q2| w^2 < 1e-10),
-
-    so each piece's weighted sum is a few sums of f_i rho^i or f_i i^p in
-    closed form, whatever n.
+    Node j weighs (h/3) c_j, h the first spacing, c_j = 4 at odd and 2 at
+    even j inside and 1 at both ends, so the sum is
+    h/3 (4 S_all - 2 S_even - S_first - (c_last - 1) S_last), where
+    c_last - 1 is 1 for odd n and 3 for even n. Each S is a plain sum over
+    a progression of nodes inside each piece: all its nodes, its even
+    nodes, node 0 and node n - 1 (one node in the piece that holds it,
+    none elsewhere). A piece holds the nodes from its left edge
+    (inclusive) to the next piece's; the last piece holds the rest, the
+    node at b too, where the right plane-wave pair equals it to roundoff.
     """
-    lo, hi = lo[:, None], hi[:, None]
+    lo, hi = lo[:, None, None], hi[:, None, None]
     step = (hi - lo) / (n - 1)
-    h = (_node(1, lo, hi, step, n) - lo)[:, 0]  # as linspace places node 1
-    start = _nodes_below(state.xl, lo, hi, step, n)
+    h = (_node(1, lo, hi, step, n) - lo)[:, 0, 0]  # as linspace places node 1
+    start = _nodes_below(state.xl[..., None], lo, hi, step, n)
     count = np.diff(start, axis=1, append=n)
-    d0 = _node(start, lo, hi, step, n) - state.xl
-    dr = state.xr - _node(start + count - 1, lo, hi, step, n)
-    step = np.broadcast_to(step, start.shape)
-    # (-1)^j0, and what c_j loses against 3 - (-1)^j at j = 0 and n - 1
-    ends = (1 - 2 * (start % 2), (start == 0).astype(float),
-            np.where(start + count == n, 2.0 - (-1.0) ** (n - 1), 0.0))
-    total = np.zeros(start.shape)
-    for kind in (PAIR, OSC, EVAN):
-        sel = (state.kind == kind) & (count > 0)
-        if not sel.any():
-            continue
-        c1, c2, q2, m, s, o = (v[sel] for v in (state.c1, state.c2, state.q2, count, step, d0))
-        f = tuple(v[sel] for v in ends)
-        aa, bb, ab = np.abs(c1) ** 2, np.abs(c2) ** 2, c1 * np.conj(c2)
-        if kind == OSC:
-            q = np.sqrt(q2)
-            total[sel] = ((aa + bb) * _weighted_count(m, *f)
-                          + 2.0 * np.real(ab * np.exp(2j * q * o)
-                                          * _weighted_geometric(2j * q * s, m, *f)))
-        elif kind == EVAN:
-            kp = np.sqrt(-q2)
-            z = -2.0 * kp * s
-            reverse = (f[0] * (1 - 2 * ((m - 1) % 2)), f[2], f[1])  # i -> m - 1 - i
-            total[sel] = (2.0 * ab.real * np.exp(-kp * (state.xr - state.xl)[sel])
-                          * _weighted_count(m, *f)
-                          + aa * np.exp(-2.0 * kp * o) * _weighted_geometric(z, m, *f).real
-                          + bb * np.exp(-2.0 * kp * dr[sel])
-                          * _weighted_geometric(z, m, *reverse).real)
-        else:
-            quartic = [aa, 2.0 * ab.real, bb - q2 * aa, -4.0 / 3.0 * q2 * ab.real,
-                       -q2 * bb / 3.0]
-            moments = _weighted_powers(m, *f)
-            # sum_i f_i (d0 + i s)^p by the binomial theorem, every term >= 0
-            total[sel] = sum(coef * sum(math.comb(p, k) * o ** (p - k) * s ** k * moments[k]
-                                        for k in range(p + 1))
-                             for p, coef in enumerate(quartic))
-    return h / 3.0 * np.sum(total, axis=1)
+    odd = start % 2
+    # first node, count and stride of the (all, even, first, last) nodes
+    first = np.concatenate([start, start + odd, 0 * start, 0 * start + n - 1], axis=2)
+    count = np.concatenate([count, (count - odd + 1) // 2, (start == 0) & (count > 0),
+                            (start + count == n) & (count > 0)], axis=2)
+    stride = np.array([1, 2, 1, 1])
+    sums = _progression_sums(state, _node(first, lo, hi, step, n),
+                             _node(first + stride * (count - 1), lo, hi, step, n),
+                             np.broadcast_to(stride * step, count.shape), count)
+    weight = np.array([4.0, -2.0, -1.0, -1.0 if n % 2 else -3.0])
+    return h / 3.0 * np.sum(np.sum(sums * weight, axis=2), axis=1)
 
 
 def _dwell_block(dec: DecompositionBlock, weight: np.ndarray, subprocess: str) -> np.ndarray:

@@ -68,6 +68,8 @@ class PacketSpec:
     x0: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.k0, self.sigma_k, self.x0)):
+            raise SpectrumDomainError(f"packet parameters must be finite, got {self}")
         if self.sigma_k <= 0:
             raise SpectrumDomainError(f"sigma_k must be positive, got {self.sigma_k}")
         if self.k0 - 5.0 * self.sigma_k <= 0:

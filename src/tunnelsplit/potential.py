@@ -7,6 +7,7 @@ convention: evaluate() returns the height of the segment to the right,
 so repeated runs are bit-reproducible.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,12 +34,14 @@ class PotentialSpec:
         if not self.segments:
             raise NonPositiveWidth("potential needs at least one segment")
         widths = [w for w, _ in self.segments]
-        if any(w <= 0 for w in widths):
-            raise NonPositiveWidth(f"segment widths must be positive, got {widths}")
+        if not all(0 < w < math.inf for w in widths):
+            raise NonPositiveWidth(f"segment widths must be finite and positive, got {widths}")
+        heights = [h for _, h in self.segments]
+        if not all(math.isfinite(v) for v in (self.a, *heights)):
+            raise ValueError(f"a and the segment heights must be finite, got {self.a}, {heights}")
         b = self.a + sum(widths)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "x_c", 0.5 * (self.a + b))
-        heights = [h for _, h in self.segments]
         sym = all(
             abs(w1 - w2) <= SYMMETRY_TOL and abs(h1 - h2) <= SYMMETRY_TOL
             for (w1, h1), (w2, h2) in zip(self.segments, self.segments[::-1])

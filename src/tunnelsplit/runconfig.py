@@ -218,7 +218,10 @@ def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, span: fl
     the barrier and the CN vectors and snapshots on the oracle grid: psi,
     the solve's right-hand side (which also holds B psi), x and V, the
     three diagonals being factored and each factor's LU (dl, d, du, du2
-    and ipiv). Counted in floats, so that no size overflows."""
+    and ipiv). Counted in floats, so that no size overflows. It is checked
+    before the subcommand is known, so it covers diagnostics' table on the
+    whole x grid: an evolve-only config with a fine x_grid and a large
+    evolve_x_stride exits 2 by design."""
     if x_grid is None:
         dx, n_side = default_grid_step(spec, packet, span)
         n_x = 2 * n_side + 1

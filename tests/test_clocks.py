@@ -21,7 +21,7 @@ from tunnelsplit.errors import ExtrapolationDiverged, GridTooCoarse, PrematureRe
 from tunnelsplit.packets import PacketSpec, build_mode_table, diagnostics_series
 from tunnelsplit.potential import PotentialSpec, make_rectangular
 from tunnelsplit.splitting import build_decomposition, decompose_block
-from tunnelsplit.stationary import EVAN, OSC, PAIR, EnergyMode, ProblemBlock
+from tunnelsplit.stationary import EVAN, OSC, PAIR, EnergyMode, ProblemBlock, sample_states
 from tunnelsplit.tolerances import ZERO_FLUX
 
 from _oracles import simpson_density_sum
@@ -45,6 +45,16 @@ class TestCheckFactors:
         for factors in [(), (1e-2, -1e-3), (0.0,), (1e-3, 1e-2), (1e-3, 1e-3)]:
             with pytest.raises(ValueError):
                 check_factors(factors)
+
+    @pytest.mark.parametrize("factors", [(1e-2, math.nan), (math.nan,), (1e-2, -math.inf),
+                                         (math.inf, 1e-3)],
+                             ids=["nan-second", "nan-only", "minus-inf", "inf-first"])
+    def test_rejects_non_finite(self, factors):
+        """A non-finite factor is a bad input, not a singular solve."""
+        with pytest.raises(ValueError):
+            check_factors(factors)
+        with pytest.raises(ValueError):
+            compute_clock(CANONICAL, MODE, factors)
 
     def test_omegas_are_fractions_of_each_row_energy(self):
         res = clock_block(ProblemBlock.of(CANONICAL, [0.5, 0.25]))
@@ -169,6 +179,43 @@ class TestDwellSum:
             assert present.any()
             np.testing.assert_allclose(got[present], want[present], rtol=1e-12, atol=0)
             assert np.isnan(got[~present]).all()
+
+    @pytest.mark.parametrize("case", list(_DWELL_CASES))
+    def test_progression_kernel_is_the_sampled_sum(self, case):
+        """The kernel's plain sums against |state|^2 sampled on every node
+        and summed over the same nodes of each piece: all of them, every
+        other one from either parity, the first and the last alone, and
+        none."""
+        problems, n, _ = _DWELL_CASES[case]
+        dec = decompose_block(problems, np.linspace(problems.a - 1.0, problems.b + 1.0, 65,
+                                                    axis=-1))
+        P = dec.problems
+        for state, lo, hi in ((dec.tr_state, P.a, P.x_c), (dec.full_state, P.x_c, P.b),
+                              (dec.ref_state, P.a, P.x_c)):
+            x = np.linspace(lo, hi, n, axis=-1)
+            density = np.abs(sample_states(state, x)) ** 2
+            start = np.count_nonzero(x[:, None, :] < state.xl[..., None], axis=-1)
+            count = np.diff(start, axis=1, append=n)
+            one = np.minimum(count, 1)
+            # first node, count and stride of each progression in each piece
+            first = np.stack([start, start, start + 1, start, start + count - 1, start], axis=-1)
+            number = np.stack([count, (count + 1) // 2, count // 2, one, one, 0 * count], axis=-1)
+            stride = np.broadcast_to([1, 2, 2, 1, 1, 1], first.shape)
+            rows = np.arange(P.n)[:, None, None]
+            last = first + stride * (number - 1)
+            x0, x1 = (x[rows, np.clip(j, 0, n - 1)] for j in (first, last))
+            step = ((hi - lo) / (n - 1))[:, None, None]
+            got = clocks._progression_sums(state, x0, x1, stride * step, number)
+            want = np.zeros(first.shape)
+            for idx in np.ndindex(first.shape):
+                nodes = first[idx] + stride[idx] * np.arange(number[idx])
+                want[idx] = density[idx[0], nodes].sum()
+            assert (number > 1).any() and (number == 1).any()
+            # a node where a piece's terms cancel is exact only against the
+            # row's scale: rtol of as many nodes at the row's mean density
+            scale = np.maximum(want, number * density.mean(axis=1)[:, None, None])
+            bad = np.abs(got - want) > 1e-12 * scale
+            assert not bad.any(), (np.argwhere(bad), got[bad], want[bad])
 
     def test_interfaces_fall_on_nodes(self):
         """interfaces-on-nodes puts -1 and 1 on nodes of the half grids, and

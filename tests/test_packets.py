@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -36,6 +37,14 @@ class TestPacketSpec:
     def test_rejects_backward_contamination(self):
         with pytest.raises(SpectrumDomainError):
             PacketSpec(k0=0.4, sigma_k=0.1, x0=-10.0)
+
+    @pytest.mark.parametrize("params", [dict(k0=math.nan), dict(k0=math.inf),
+                                        dict(sigma_k=math.nan), dict(x0=math.nan),
+                                        dict(x0=-math.inf)],
+                             ids=["k0-nan", "k0-inf", "sigma-nan", "x0-nan", "x0-minus-inf"])
+    def test_rejects_non_finite(self, params):
+        with pytest.raises(SpectrumDomainError):
+            PacketSpec(**{"k0": 1.0, "sigma_k": 0.05, "x0": -60.0, **params})
 
     def test_spectrum_normalized(self, canonical_packet):
         k, w = spectral_grid(canonical_packet, n_k=4097)

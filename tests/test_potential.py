@@ -31,6 +31,22 @@ def test_rectangular_rejects_nonpositive_length():
         make_rectangular(1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("segments", [((np.nan, 1.0),), ((np.inf, 1.0),),
+                                      ((1.0, 0.5), (np.nan, 1.0), (1.0, 0.5))],
+                         ids=["nan", "inf", "nan-middle"])
+def test_rejects_non_finite_width(segments):
+    with pytest.raises(NonPositiveWidth):
+        PotentialSpec(a=-1.0, segments=segments)
+
+
+@pytest.mark.parametrize("a, segments", [(-1.0, ((2.0, np.nan),)), (-1.0, ((2.0, np.inf),)),
+                                         (np.nan, ((2.0, 1.0),))],
+                         ids=["height-nan", "height-inf", "a-nan"])
+def test_rejects_non_finite_height_or_start(a, segments):
+    with pytest.raises(ValueError):
+        PotentialSpec(a=a, segments=segments)
+
+
 def test_piecewise_symmetric_accepted():
     spec = make_piecewise(0.0, [(1, 0.5), (1, 2.0), (1, 0.5)])
     assert spec.symmetric
