@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
 from .packets import (COMPONENTS, PacketSpec, build_mode_table, default_x_grid,
-                      diagnostics_series)
+                      diagnostics_series, windows)
 from .potential import PotentialSpec, make_rectangular
 from .splitting import DecompositionBlock, decompose_block
 from .stationary import EVAN, OSC, PAIR, EnergyMode, ProblemBlock, solve_block
@@ -442,6 +442,8 @@ def sweep_barrier_width(v0: float, energy_ratio: float, kappa_lengths,
     widths. Emitted for monotonicity inspection; the ordering itself is
     an empirical output, not a contract.
     """
+    if not (math.isfinite(v0) and v0 > 0.0):
+        raise ValueError(f"barrier height v0 must be finite and positive, got {v0!r}")
     if not (0.0 < energy_ratio < 1.0):
         raise ValueError("energy ratio must lie in (0, 1) for a tunneling sweep")
     kls = [float(kl) for kl in kappa_lengths]
@@ -458,8 +460,10 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec, subprocess: s
     at omega = factors * k0^2 / 2: a block of one row.
 
     The spin-up/down packets are synthesized with the shifted barriers,
-    which share the base table's cos/sin table; their amplitudes at the
-    sub-packet peak give the reading as in the stationary case. Readout
+    one coefficient table per barrier, window by window; each window's
+    cos/sin table is built once and shared by all of them. Their
+    amplitudes at the sub-packet peak, the first point of largest
+    |up|^2 + |down|^2, give the reading as in the stationary case. Readout
     before the overlap threshold is met raises PrematureReadout; the
     sub-packet weights and overlap are the base table's
     `diagnostics_series` at t, so a grid too coarse for its quadrature
@@ -481,13 +485,17 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec, subprocess: s
             f"> {threshold:.3e}"
         )
 
-    def shifted_packet(delta):
-        table = base.on_barrier(zeeman_shifted(spec, delta))
-        return table.states([t])[COMPONENTS.index(subprocess), 0]
-
+    c = COMPONENTS.index(subprocess)
+    spins = [build_mode_table(zeeman_shifted(spec, s * omega), packet, x, n_k)
+             for omega in omegas[0] for s in (-0.5, +0.5)]
     up, down = np.empty((2,) + omegas.shape, dtype=complex)
-    for j, omega in enumerate(omegas[0]):
-        spin_up, spin_down = (shifted_packet(s * omega) for s in (-0.5, +0.5))
-        peak = int(np.argmax(np.abs(spin_up) ** 2 + np.abs(spin_down) ** 2))
-        up[0, j], down[0, j] = spin_up[peak], spin_down[peak]
+    peak = np.full(omegas.shape, -1.0)  # the largest density so far
+    for _, _, parts in windows(*spins):
+        for j in range(omegas.shape[1]):
+            spin_up, spin_down = (part.states([t])[c, 0] for part in parts[2 * j:2 * j + 2])
+            density = np.abs(spin_up) ** 2 + np.abs(spin_down) ** 2
+            i = int(np.argmax(density))
+            if density[i] > peak[0, j]:
+                peak[0, j] = density[i]
+                up[0, j], down[0, j] = spin_up[i], spin_down[i]
     return _larmor_readings(up, down, omegas, subprocess)

@@ -29,18 +29,19 @@ Modes are kept as coefficients. With e = exp(ikx), the cut leaves
 and derivatives scale the pairs by +/- ik; inside [a, b) a table keeps
 value and derivative rows at its grid points. A mode's time derivative
 is -i k^2/2 times the mode, so nothing is differenced in time.
-`ModeTable.states` is the one evaluator, for a batch of times and one
-table of cos(kx) and sin(kx) shared by every time. It works in real
-arithmetic: with C = cos(kx) and S = sin(kx), a e + b conj(e) =
-(a + b) C + i (a - b) S, so the left pair and tr are one real product
-against C stacked on S.
+`ModeTable.states` is the one evaluator, for a batch of times. It walks
+the grid in windows of X_CHUNK points, and each window builds its own
+cos(kx) and sin(kx), so no table spans n_k by n_x; every evaluation of a
+window (values, x derivatives, density rates, other barriers' modes)
+shares that window's table. It works in real arithmetic: with
+C = cos(kx) and S = sin(kx), a e + b conj(e) = (a + b) C + i (a - b) S,
+so the left pair and tr are one real product against C stacked on S.
 C and S come from `_plane_waves`, by angle addition over blocks of
 ceil(sqrt(n_k)) modes, to within a few eps max|k x|.
-`synthesize` evaluates its grid X_CHUNK points at a time.
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,7 +57,9 @@ COMPONENTS = ("full", "tr", "ref")
 # (~1e-15) never shows up against the 1e-8 normalization contract
 DEFAULT_SPAN_SIGMAS = 8.0
 DEFAULT_N_K = 513
-X_CHUNK = 2048  # grid points per cos/sin block in one-shot synthesis
+X_CHUNK = 2048  # grid points per evaluation window, each with its own cos/sin table
+# bytes of the three evaluations of one diagnostics batch in one window
+BATCH_BYTES = 8e6
 
 
 @dataclass(frozen=True)
@@ -141,11 +144,12 @@ def default_x_grid(spec: PotentialSpec, packet: PacketSpec,
     return spec.x_c + dx * np.arange(-n_side, n_side + 1)
 
 
-def _plane_waves(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """cos(kx) and sin(kx) as a real (2, n_k, n_x) stack, by angle addition
-    on the uniform k grid. Each block of ceil(sqrt(n_k)) modes (23 at 513)
-    writes its rows, one at a time, as cos(a + b) and sin(a + b) from cos/sin
-    of its first k times x and a shared table of cos/sin(m dk x). The table
+def _plane_waves(k: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """cos(kx) and sin(kx) as a real (2, n_k, n_x) stack, written into
+    `out` if given, by angle addition on the uniform k grid. Each block of
+    ceil(sqrt(n_k)) modes (23 at 513) writes its rows, one at a time, as
+    cos(a + b) and sin(a + b) from cos/sin of its first k times x and a
+    shared table of cos/sin(m dk x). The table
     lives in the last block's rows, written last, so nothing block-sized is
     allocated, and about 2 sqrt(n_k) transcendental rows replace 2 n_k.
     Entries are within a few eps max|k x| of cos/sin of the rounded k x
@@ -156,7 +160,7 @@ def _plane_waves(k: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ValueError("angle addition needs a uniform k grid")
     block = math.ceil(math.sqrt(n_k))
     last = n_k - block
-    waves = np.empty((2, n_k, x.size))
+    waves = np.empty((2, n_k, x.size)) if out is None else out
     cos_b, sin_b = waves[:, last:]
     np.multiply.outer(dk * np.arange(block), x, out=cos_b)
     np.sin(cos_b, out=sin_b)
@@ -171,14 +175,23 @@ def _plane_waves(k: np.ndarray, x: np.ndarray) -> np.ndarray:
     return waves
 
 
-def _exterior(out: np.ndarray, c: np.ndarray, s: np.ndarray, waves: np.ndarray):
-    """out = c cos(kx) + i s sin(kx), summed over the modes, for complex
-    coefficient rows c and s (..., n_k) and `waves`, the (cos, sin) stack
-    at out's points. Both parts come from one real product, of the rows
-    [Re c, -Im s] and [Im c, Re s] against cos stacked on sin."""
-    rows = np.stack((np.concatenate((c.real, -s.imag), axis=-1),
-                     np.concatenate((c.imag, s.real), axis=-1)))
-    table = waves.reshape(2 * c.shape[-1], waves.shape[-1])
+def _rows(c: np.ndarray, out: np.ndarray):
+    """Write the rows [Re c, -Im c] and [Im c, Re c] of complex coefficient
+    rows c (n_t, n_k) into out (2, n_t, 2 n_k), for a component whose
+    cos and sin coefficients are both c."""
+    n_k = c.shape[-1]
+    out[0, :, :n_k], out[1, :, :n_k] = c.real, c.imag
+    np.negative(c.imag, out=out[0, :, n_k:])
+    out[1, :, n_k:] = c.real
+
+
+def _exterior(out: np.ndarray, rows: np.ndarray, waves: np.ndarray):
+    """out[j] = c[j] cos(kx) + i s[j] sin(kx), summed over the modes, for
+    each component j of out (m, n_t, n_x), from `rows`, the real rows
+    [Re c, -Im s] and [Im c, Re s] of its coefficients as a (2, m, n_t,
+    2 n_k) stack, and `waves`, the (cos, sin) stack at out's points. Both
+    parts come from one real product against cos stacked on sin."""
+    table = waves.reshape(rows.shape[-1], waves.shape[-1])
     out.real[...], out.imag[...] = (rows.reshape(-1, table.shape[0]) @ table).reshape(
         (2,) + out.shape)
 
@@ -197,11 +210,12 @@ class ModeTable:
     `full_left` is full's plane-wave pair left of a, where tr_state has
     only its incoming wave `tr_in`; beyond b full is `A_T` exp(ikx).
     `inner` holds the values and x derivatives of full, tr_state and
-    ref_state at the grid points inside [a, b), as (2, 3, n_k, n_inside),
-    and `waves` holds exp(ikx) at the points outside as its real and
-    imaginary parts, a (2, n_k, n_outside) stack of cos(kx) and sin(kx).
-    One-shot synthesis leaves `waves` unset on its whole-grid table and
-    evaluates windows of it.
+    ref_state at the grid points inside [a, b), as (2, 3, n_k, n_inside).
+    A table holds no plane waves: `states` evaluates it window by window
+    (`windows`). Only a window, the table on at most X_CHUNK points plus
+    a halo, carries `waves`, exp(ikx) at its points outside the barrier
+    as its real and imaginary parts, a (2, n_k, n_outside) stack of
+    cos(kx) and sin(kx).
     """
 
     spec: PotentialSpec
@@ -225,48 +239,79 @@ class ModeTable:
         i_a, i_b = np.searchsorted(self.x, (self.spec.a, self.spec.b))
         self._inside = slice(int(i_a), int(i_b))
 
-    def states(self, times, deriv: bool = False) -> np.ndarray:
+    def states(self, times, deriv: bool = False, out: np.ndarray | None = None) -> np.ndarray:
         """(full, tr, ref), cut at x_c, or their x derivatives, at every
-        time, as a (3, n_t, n_x) stack."""
+        time, as a (3, n_t, n_x) stack, written into `out` if given."""
         t = np.asarray(times, dtype=float)
-        coeff = (self.weights * self.f_k * np.exp(-0.5j * self.k ** 2 * t[:, None])
-                 / math.sqrt(2.0 * math.pi))
-        out = np.empty((3, t.size, self.x.size), dtype=complex)
+        if out is None:
+            out = np.empty((3, t.size, self.x.size), dtype=complex)
+        if self.waves is None:
+            for own, _, (part,) in windows(self):
+                part.states(t, deriv, out[..., own])
+            return out
+        # the (n_t, n_k) coefficients are made in place: every window makes them anew
+        coeff = -0.5j * self.k ** 2 * t[:, None]
+        np.exp(coeff, out=coeff)
+        np.multiply(self.weights * self.f_k, coeff, out=coeff)
+        coeff /= math.sqrt(2.0 * math.pi)
         i_a, i_b = self._inside.start, self._inside.stop
         full, tr_state, ref_state = coeff @ self.inner[int(deriv)]
         out[0, :, i_a:i_b] = full
         out[1:, :, i_a:i_b] = sub_waves(self.x[i_a:i_b] <= self.x_c, full, tr_state, ref_state)
 
-        # left of a, alpha e + beta conj(e) = (alpha + beta) cos + i (alpha - beta) sin
         up, down = (1j * self.k, -1j * self.k) if deriv else (1.0, 1.0)
-        alpha = coeff * (up * self.full_left[0])
-        beta = coeff * (down * self.full_left[1])
-        tr_in = coeff * (up * self.tr_in)
-        _exterior(out[:2, :, :i_a], np.stack((alpha + beta, tr_in)),
-                  np.stack((alpha - beta, tr_in)), self.waves[:, :, :i_a])
-        np.subtract(out[0, :, :i_a], out[1, :, :i_a], out=out[2, :, :i_a])
-        A_T = coeff * (up * self.A_T)
-        _exterior(out[0, :, i_b:], A_T, A_T, self.waves[:, :, i_a:])
-        out[1, :, i_b:], out[2, :, i_b:] = out[0, :, i_b:], 0.0
+        n_k = self.k.size
+        rows = np.empty((2, 2 if i_a else 1, t.size, 2 * n_k))
+        if i_a:
+            # left of a, full = alpha e + beta conj(e) = (alpha + beta) cos
+            # + i (alpha - beta) sin, and tr = tr_in e
+            alpha = coeff * (up * self.full_left[0])
+            beta = coeff * (down * self.full_left[1])
+            np.add(alpha.real, beta.real, out=rows[0, 0, :, :n_k])
+            np.subtract(beta.imag, alpha.imag, out=rows[0, 0, :, n_k:])
+            np.add(alpha.imag, beta.imag, out=rows[1, 0, :, :n_k])
+            np.subtract(alpha.real, beta.real, out=rows[1, 0, :, n_k:])
+            _rows(np.multiply(coeff, up * self.tr_in, out=alpha), rows[:, 1])
+            _exterior(out[:2, :, :i_a], rows, self.waves[:, :, :i_a])
+            np.subtract(out[0, :, :i_a], out[1, :, :i_a], out=out[2, :, :i_a])
+        if i_b < self.x.size:
+            coeff *= up * self.A_T  # right of b, full = A_T e
+            _rows(coeff, rows[:, 0])
+            _exterior(out[:1, :, i_b:], rows[:, :1], self.waves[:, :, i_a:])
+            out[1, :, i_b:], out[2, :, i_b:] = out[0, :, i_b:], 0.0
         return out
 
     def state_slice(self, component: str, t: float, deriv: bool = False) -> np.ndarray:
         return self.states([t], deriv)[_index(component)][0]
 
-    def on_barrier(self, spec: PotentialSpec) -> "ModeTable":
-        """The same packet, grid and modes on another barrier over the same
-        [a, b], sharing this table's cos/sin table."""
-        table = _mode_table(spec, self.packet, self.x, self.k, self.weights)
-        table.waves = self.waves
-        return table
-
     def _window(self, lo: int, hi: int) -> "ModeTable":
-        """The table on x[lo:hi], with cos(kx) and sin(kx) evaluated there."""
+        """The table's coefficients on x[lo:hi]."""
         i_a = self._inside.start
-        part = replace(self, x=self.x[lo:hi],
+        return replace(self, x=self.x[lo:hi],
                        inner=self.inner[..., max(lo - i_a, 0):max(hi - i_a, 0)])
-        part.waves = _plane_waves(self.k, np.delete(part.x, part._inside))
-        return part
+
+
+def windows(*tables: ModeTable, halo: int = 0):
+    """(own, ext, parts) for each window `own`, a slice of X_CHUNK grid
+    points (fewer in the last): `ext` widens it by `halo` points on each
+    side where the grid has them, and `parts` are the tables on x[ext].
+    The tables share one grid, modes and [a, b] (other barriers' tables
+    for the same packet), so one cos/sin table serves every part. Each
+    window's table is written into the same buffer, and a part's `waves`
+    are released when the walk moves on."""
+    n = tables[0].x.size
+    buffer = np.empty((2, tables[0].k.size, min(X_CHUNK + 2 * halo, n)))
+    for lo in range(0, n, X_CHUNK):
+        own = slice(lo, min(lo + X_CHUNK, n))
+        ext = slice(max(lo - halo, 0), min(own.stop + halo, n))
+        parts = [t._window(ext.start, ext.stop) for t in tables]
+        outside = np.delete(parts[0].x, parts[0]._inside)
+        waves = _plane_waves(tables[0].k, outside, buffer[:, :, :outside.size])
+        for part in parts:
+            part.waves = waves
+        yield own, ext, parts
+        for part in parts:
+            part.waves = None
 
 
 def _mode_table(spec: PotentialSpec, packet: PacketSpec, x: np.ndarray,
@@ -295,8 +340,7 @@ def build_mode_table(spec: PotentialSpec, packet: PacketSpec,
                      n_k: int = DEFAULT_N_K,
                      span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> ModeTable:
     x = default_x_grid(spec, packet, span_sigmas) if x_grid is None else np.asarray(x_grid, float)
-    table = _mode_table(spec, packet, x, *spectral_grid(packet, n_k, span_sigmas))
-    return table._window(0, x.size)
+    return _mode_table(spec, packet, x, *spectral_grid(packet, n_k, span_sigmas))
 
 
 def fields_at(table: ModeTable, t: float) -> np.ndarray:
@@ -308,25 +352,24 @@ def fields_at(table: ModeTable, t: float) -> np.ndarray:
 def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
                x_grid: np.ndarray, n_k: int = DEFAULT_N_K,
                span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> list[ComponentField]:
-    """One-shot synthesis at each of `times`: the mode coefficients are
-    built once and the grid is evaluated X_CHUNK points at a time, so
-    the cos/sin table never spans it. Prefer build_mode_table when many
-    times are needed on the same grid."""
+    """One-shot synthesis of one component at each of `times`, window by
+    window, holding only that component on the whole grid. Prefer
+    build_mode_table when many times are needed on the same grid."""
     i = _index(component)
     x = np.asarray(x_grid, dtype=float)
     table = _mode_table(spec, packet, x, *spectral_grid(packet, n_k, span_sigmas))
     values = np.empty((len(times), x.size), dtype=complex)
-    for lo in range(0, x.size, X_CHUNK):
-        values[:, lo:lo + X_CHUNK] = table._window(lo, lo + X_CHUNK).states(times)[i]
+    for own, _, (part,) in windows(table):
+        values[:, own] = part.states(times)[i]
     return [ComponentField(x=x, values=v, t=float(t)) for v, t in zip(values, times)]
 
 
 # --- diagnostics ------------------------------------------------------------
 #
 # Every x integral is a dot product with trapezoid weights, computed once per
-# grid. diagnostics_series reduces one time's (component, n_x) arrays at a
-# time: a time's arrays stay in cache, where a whole batch's would stream
-# from memory.
+# grid. diagnostics_series walks the grid's windows and reduces each window's
+# values and derivatives for a batch of times at once: every reduction is a
+# sum or a maximum over x, so the windows' parts add up to the whole grid's.
 
 def _quadrature(x: np.ndarray) -> np.ndarray:
     """Trapezoid weights on x as three rows: the rule, the rule on every
@@ -359,14 +402,14 @@ def current_density(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     return j
 
 
-def _gradient_uniform(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Fourth-order central differences on a uniform grid; the two points
-    at each end read 0. No continuity window keeps them (see
-    _continuity_window)."""
+def _gradient_uniform(values: np.ndarray, dx: float) -> np.ndarray:
+    """Fourth-order central differences along the last axis at spacing dx;
+    the two points at each end read 0. No continuity window keeps them
+    (see _continuity_window)."""
     out = np.zeros_like(values)
-    out[2:-2] = (
-        values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]
-    ) / (12.0 * (x[1] - x[0]))
+    out[..., 2:-2] = (
+        values[..., :-4] - 8.0 * values[..., 1:-3] + 8.0 * values[..., 3:-1] - values[..., 4:]
+    ) / (12.0 * dx)
     return out
 
 
@@ -393,28 +436,36 @@ def _continuity_window(x: np.ndarray, cut: float | None):
     return keep, pieces
 
 
-def _evaluate(table: ModeTable, times, rated):
-    """The (3, n_t, n_x) values and x derivatives at `times`, and the density
-    rates d rho/d t = 2 Re(conj(psi) d psi/d t) of the components `rated`.
-    2 d psi/d t is the packet of spectrum -i k^2 f(k); it is reduced to the
-    rates before the derivatives are made, so two complex stacks are held."""
-    values = table.states(times)
-    rates = replace(table, f_k=-1j * table.k ** 2 * table.f_k).states(times)[rated]
+def _evaluate(table: ModeTable, times, rated, values=None, derivs=None):
+    """The (3, n_t, n_x) values and x derivatives at `times`, written into
+    `values` and `derivs` if given, and the density rates d rho/d t =
+    2 Re(conj(psi) d psi/d t) of the components `rated`. 2 d psi/d t is
+    the packet of spectrum -i k^2 f(k); it is evaluated where the
+    derivatives go and reduced to the rates before they are made."""
+    values = table.states(times, out=values)
+    rates = replace(table, f_k=-1j * table.k ** 2 * table.f_k).states(times, out=derivs)[rated]
     rates.real *= values[rated].real
     rates.imag *= values[rated].imag
-    rates = rates.real + rates.imag  # releases the complex stack
-    return values, rates, table.states(times, deriv=True)
+    return values, rates.real + rates.imag, table.states(times, deriv=True, out=derivs)
 
 
-def _continuity(x: np.ndarray, window, drho: np.ndarray, psi: np.ndarray,
-                dpsi: np.ndarray) -> float:
-    """max |d rho/d t + d j/d x| over the window's points, from the density
-    rate and the exact derivative at t, never differencing j across the
-    cut; see continuity_residual."""
+def _continuity(x: np.ndarray, window, ext: slice, own: slice, drho: np.ndarray,
+                j: np.ndarray) -> np.ndarray:
+    """max |d rho/d t + d j/d x| along the last axis, over the points of
+    x[own] that the continuity window keeps, from the density rate and the
+    current (from the exact derivative) on x[ext], which holds two more
+    points on each side of own where the grid does. Each piece of the
+    window is differenced apart, at its own spacing, so j is never
+    differenced across the cut; see continuity_residual."""
     keep, pieces = window
-    j = current_density(psi, dpsi)
-    dj = np.concatenate([_gradient_uniform(j[p], x[p]) for p in pieces])
-    return float(np.max(np.abs(drho + dj)[keep]))
+    dj = []
+    for piece in pieces:
+        start, stop, _ = piece.indices(x.size)
+        local = np.clip((start, stop), ext.start, ext.stop) - ext.start
+        dj.append(_gradient_uniform(j[..., local[0]:local[1]], x[start + 1] - x[start]))
+    mine = slice(own.start - ext.start, own.stop - ext.start)
+    residual = np.abs(drho + np.concatenate(dj, axis=-1))[..., mine]
+    return np.max(residual[..., keep[own]], axis=-1, initial=0.0)
 
 
 def continuity_residual(table: ModeTable, component: str, t: float) -> float:
@@ -426,9 +477,13 @@ def continuity_residual(table: ModeTable, component: str, t: float) -> float:
     strip of half-width 2 dx around the cut is always excluded.
     """
     i = _index(component)
-    values, rate, derivs = _evaluate(table, [t], i)
     window = _continuity_window(table.x, table.x_c if component in ("tr", "ref") else None)
-    return _continuity(table.x, window, rate[0], values[i, 0], derivs[i, 0])
+    worst = 0.0
+    for own, ext, (part,) in windows(table, halo=2):
+        values, rate, derivs = _evaluate(part, [t], i)
+        j = current_density(values[i, 0], derivs[i, 0])
+        worst = max(worst, float(_continuity(table.x, window, ext, own, rate[0], j)))
+    return worst
 
 
 @dataclass
@@ -454,60 +509,90 @@ class DiagnosticsSeries:
     identity_residual: np.ndarray
 
 
-def _times_per_batch(n_k: int) -> int:
-    """Times per diagnostics batch. The three (3, n_t, n_x) evaluations of
-    a batch together are about the size of the cos/sin table; at most two
-    of them are held at once."""
-    return max(1, n_k // 12)
+def _times_per_batch(n_x: int) -> int:
+    """Times per diagnostics batch in a window of n_x points: the three
+    (3, n_t, n_x) evaluations of a batch together take about BATCH_BYTES,
+    and at most two of them are held at once."""
+    return max(1, int(BATCH_BYTES // (3 * 3 * 16 * n_x)))
+
+
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (weight, mean, M2) triple of two parts of a density from each
+    part's, by the pairwise update of Chan, Golub and LeVeque (Am. Stat.
+    37, 242, 1983); M2 is the weighted sum of squared distances from the
+    mean, so the variance never cancels against the squared mean. A part
+    of weight 0 leaves the other's triple as it is."""
+    w = a[0] + b[0]
+    share = np.divide(b[0], w, out=np.zeros_like(w), where=w > 0)
+    delta = b[1] - a[1]
+    return np.stack((w, a[1] + delta * share, a[2] + b[2] + delta * delta * a[0] * share))
 
 
 def diagnostics_series(table: ModeTable, times) -> DiagnosticsSeries:
     """Diagnostics at every time, from batched values and x derivatives
     and the density rates of tr and ref for their continuity residual.
     The quadrature weights, the continuity window and the cut indices are
-    set up once; the reductions then run one time at a time."""
+    set up once for the grid. The windows are walked once, each with a
+    halo of two points for the continuity differences. Every batch of
+    times adds its window's integrals to the totals and its maxima to the
+    running maxima, and each component's position spread is merged from
+    the windows' (weight, mean, M2) triples."""
     times = np.asarray(times, dtype=float)
-    x, x_c = table.x, table.x_c
+    x, x_c, n_t = table.x, table.x_c, times.size
     q = _quadrature(x)
     window = _continuity_window(x, x_c)
     i_left = int(np.searchsorted(x, x_c, side="left")) - 1
-    cols = {f.name: np.empty(times.size, dtype=complex if f.name == "overlap" else float)
-            for f in fields(DiagnosticsSeries) if f.name != "t"}
+    sums = np.zeros((3, n_t, 3))  # component, time, quadrature row
+    spread = np.zeros((3, 3, n_t))  # (weight, mean, M2), component, time
+    p_sum = np.zeros((3, n_t))
+    overlap = np.zeros(n_t, dtype=complex)
+    continuity, identity, ref_cut_flux = np.zeros(n_t), np.zeros(n_t), np.zeros(n_t)
 
-    def fill(lo, ts):
-        # every evaluation is released on return, before the next batch is made
-        values, rates, derivs = _evaluate(table, ts, slice(1, None))
-        for i in range(ts.size):
-            v, d = values[:, i], derivs[:, i]
+    # as few batches as the cap of the widest window allows, of equal size;
+    # every batch of every window is evaluated into the same two stacks
+    width = min(X_CHUNK + 4, x.size)
+    n_batches = max(1, -(-n_t // _times_per_batch(width)))
+    batch = max(1, -(-n_t // n_batches))
+    stacks = np.empty((2, 3, batch, width), dtype=complex)
+    for own, ext, (part,) in windows(table, halo=2):
+        mine = slice(own.start - ext.start, own.stop - ext.start)
+        w, x_own = q[:, own], x[own]
+        for lo in range(0, n_t, batch):
+            at = slice(lo, min(lo + batch, n_t))
+            values, rates, derivs = _evaluate(part, times[at], slice(1, None),
+                                              *stacks[..., :at.stop - lo, :part.x.size])
+            j = current_density(values, derivs)
+            np.maximum(continuity[at], _continuity(x, window, ext, own, rates, j[1:]).max(axis=0),
+                       out=continuity[at])
+            if own.start <= i_left < own.stop:
+                ref_cut_flux[at] = j[2, :, i_left - ext.start]
+            v = values[..., mine]
             full, tr, ref = v
+            np.maximum(identity[at], np.max(np.abs(tr + ref - full), axis=-1), out=identity[at])
+            # each integral is its own dot product (vecdot), whose rounding
+            # does not depend on the batch
             rho = _density(v)
-            sums = rho @ q.T
-            err = np.max(np.abs(sums[:, 0] - sums[:, 1])) / 3.0
-            if err > QUADRATURE_ERROR:
-                raise GridTooCoarse(f"estimated norm quadrature error {err:.3e} "
-                                    f"exceeds {QUADRATURE_ERROR}")
-            # moments of each component normalized to its own weight, NaN
-            # below ZERO_NORM; var_x is taken about xbar, so it never
-            # cancels against xbar^2
-            norm = np.where(sums[:, 0] < ZERO_NORM, np.nan, sums[:, 0])
-            xbar = sums[:, 2] / norm
-            pbar = current_density(v, d) @ q[0] / norm
-            var_x = (rho * (x - xbar[:, None]) ** 2) @ q[0] / norm
-            row = {
-                "T": sums[1, 0], "R": sums[2, 0], "total": sums[0, 0],
-                "overlap": (np.conj(tr) * ref) @ q[0],
-                "continuity": max(_continuity(x, window, rates[c - 1, i], v[c], d[c])
-                                  for c in (1, 2)),
-                "ref_cut_flux": current_density(ref[i_left], d[2, i_left]),
-                "identity_residual": np.max(np.abs(tr + ref - full)),
-            }
-            for c, name in enumerate(COMPONENTS):
-                row.update({f"xbar_{name}": xbar[c], f"pbar_{name}": pbar[c],
-                            f"varx_{name}": var_x[c]})
-            for name, value in row.items():
-                cols[name][lo + i] = value
+            part_sums = np.vecdot(rho[..., None, :], w)
+            weight = part_sums[..., 0]
+            mean = np.divide(part_sums[..., 2], weight, out=np.zeros_like(weight),
+                             where=weight > 0)
+            m2 = np.vecdot(rho * (x_own - mean[..., None]) ** 2, w[0])
+            sums[:, at] += part_sums
+            spread[..., at] = _merge(spread[..., at], np.stack((weight, mean, m2)))
+            p_sum[:, at] += np.vecdot(j[..., mine], w[0])
+            overlap[at] += np.vecdot(w[0], np.conj(tr) * ref)
 
-    batch = _times_per_batch(table.k.size)
-    for lo in range(0, times.size, batch):
-        fill(lo, times[lo:lo + batch])
+    err = np.max(np.abs(sums[..., 0] - sums[..., 1]), axis=0) / 3.0
+    if np.any(err > QUADRATURE_ERROR):
+        raise GridTooCoarse(f"estimated norm quadrature error {np.nanmax(err):.3e} "
+                            f"exceeds {QUADRATURE_ERROR}")
+    # moments of each component normalized to its own weight, NaN below
+    # ZERO_NORM
+    norm = np.where(sums[..., 0] < ZERO_NORM, np.nan, sums[..., 0])
+    cols = {"T": sums[1, :, 0], "R": sums[2, :, 0], "total": sums[0, :, 0],
+            "overlap": overlap, "continuity": continuity, "ref_cut_flux": ref_cut_flux,
+            "identity_residual": identity}
+    for c, name in enumerate(COMPONENTS):
+        cols.update({f"xbar_{name}": sums[c, :, 2] / norm[c], f"pbar_{name}": p_sum[c] / norm[c],
+                     f"varx_{name}": spread[2, c] / norm[c]})
     return DiagnosticsSeries(t=times, **cols)

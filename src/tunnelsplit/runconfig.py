@@ -20,12 +20,13 @@ import numpy as np
 from .clocks import check_factors
 from .cranknicolson import SOLVES_PER_STEP, GridSpec, staggered_grid, step_index
 from .errors import SchemaError, TunnelSplitError
-from .packets import DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec, default_grid_step
+from .packets import (BATCH_BYTES, DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec,
+                      default_grid_step)
 from .potential import PotentialSpec, make_piecewise
 from .stationary import EnergyMode
 
 # Largest estimated array bytes a config may ask for, checked before any
-# array is allocated; the canonical config asks for about 0.16 GB.
+# array is allocated; the canonical config asks for about 0.03 GB.
 MEMORY_BUDGET = 2e9
 
 # Largest Crank-Nicolson work, grid points times steps times tridiagonal
@@ -211,24 +212,28 @@ def _build(path: str, make, *args, **kwargs):
 
 
 def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, span: float,
-                     x_grid: dict | None, oracle: dict) -> float:
-    """Bytes of a packet run's large complex arrays, as packets lays them
-    out: exp(ikx), a diagnostics batch about as large and the rows inside
-    the barrier on the table grid; the synthesis blocks, the rows inside
-    the barrier and the CN vectors and snapshots on the oracle grid: psi,
-    the solve's right-hand side (which also holds B psi), x and V, the
-    three diagonals being factored and each factor's LU (dl, d, du, du2
-    and ipiv). Counted in floats, so that no size overflows. It is checked
-    before the subcommand is known, so it covers diagnostics' table on the
-    whole x grid: an evolve-only config with a fine x_grid and a large
-    evolve_x_stride exits 2 by design."""
+                     x_grid: dict | None, oracle: dict, n_snapshots: int,
+                     stride: int) -> float:
+    """Bytes of a packet run's large arrays, as packets lays them out. On
+    the table grid: one window's cos/sin table (X_CHUNK points and the
+    continuity halo), the stacks of one diagnostics batch in it
+    (BATCH_BYTES), the rows inside the barrier, the grid with its three
+    quadrature rows and evolve's (3, n_snap, n_x / stride) states. On
+    the oracle grid: one synthesis window's table, the rows inside the
+    barrier and the CN vectors and snapshots (psi, the synthesis output,
+    the solve's right-hand side, which also holds B psi, x and V, the
+    three diagonals being factored and each factor's LU: dl, d, du, du2
+    and ipiv). No array spans n_k by either grid, so one estimate serves
+    every subcommand. Counted in complex numbers (16 bytes) as floats, so
+    that no size overflows."""
     if x_grid is None:
         dx, n_side = default_grid_step(spec, packet, span)
         n_x = 2 * n_side + 1
     else:
         dx = x_grid["dx"]
         n_x = (x_grid["x_max"] - x_grid["x_min"]) / dx + 1
-    table = n_k * (2 * n_x + 6 * (spec.width / dx + 1))
+    table = (n_k * (min(X_CHUNK + 4, n_x) + 6 * (spec.width / dx + 1)) + BATCH_BYTES / 16
+             + 2 * n_x + 3 * n_snapshots * (n_x / stride + 1))
     length = spec.b + oracle["margin_right"] - packet.x0 + oracle["margin_left"]
     n_times = len(oracle["checkpoints"]) + 1
     vectors = 4 * n_times + 6 + 5 * SOLVES_PER_STEP
@@ -321,7 +326,8 @@ def parse_config_text(text: str) -> RunConfig:
 
     x_grid = oracle_grid = None
     if packet is not None:
-        need = _estimated_bytes(spec, packet, n_k, span, cfg["x_grid"], oracle)
+        need = _estimated_bytes(spec, packet, n_k, span, cfg["x_grid"], oracle,
+                                len(cfg["snapshot_times"]), cfg["evolve_x_stride"])
         if need > MEMORY_BUDGET:
             raise SchemaError("", f"the run would need about {need:.3g} bytes of arrays, "
                                   f"more than the budget of {MEMORY_BUDGET:.3g}")

@@ -361,6 +361,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_barrier_width(1.0, 1.5, [2.0])
 
+    @pytest.mark.parametrize("v0", [0.0, -1.0, math.inf, math.nan],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_rejects_a_height_not_finite_and_positive(self, v0):
+        with pytest.raises(ValueError, match="v0"):
+            sweep_barrier_width(v0, 0.5, [1.0, 2.0])
+
     def test_sweep_barriers_are_centered(self, monkeypatch):
         blocks = []
 

@@ -340,15 +340,19 @@ def test_density_rates_are_the_time_derivative_of_the_density():
     assert errors[0] / errors[1] > 90.0, errors
 
 
-def test_diagnostics_series_holds_one_batch():
-    """A batch's evaluations are released before the next batch is made,
-    so the traced peak over three batches stays below four (3, n_t, n_x)
-    evaluations of one batch plus one real product against the table."""
+def test_diagnostics_series_holds_one_batch(monkeypatch):
+    """Every batch of every window is evaluated into the same stacks, and
+    a batch's temporaries are released before the next batch is made, so
+    the traced peak over three windows of three batches each stays below
+    four (3, n_t, n_x) evaluations of one batch in one window plus one
+    real product against the window's cos/sin table."""
+    monkeypatch.setattr(packets, "X_CHUNK", 461)
     table = _small_table()
-    batch = packets._times_per_batch(table.k.size)
+    width = packets.X_CHUNK + 4  # the window and its continuity halo
+    batch = packets._times_per_batch(width)
     times = np.linspace(0.0, 12.0, 3 * batch)
-    stack = 3 * batch * table.x.size * 16
-    product = 2 * 2 * batch * table.x.size * 8
+    stack = 3 * batch * width * 16
+    product = 2 * 2 * batch * width * 8
     tracemalloc.start()
     try:
         diagnostics_series(table, times)
@@ -356,6 +360,22 @@ def test_diagnostics_series_holds_one_batch():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * (4 * stack + product), (peak, stack, product)
+
+
+def test_diagnostics_series_holds_no_whole_grid_table(canonical_table):
+    """On the canonical table the series never holds cos(kx) or sin(kx)
+    on every point outside the barrier: its traced peak stays below one
+    such (n_k, n_outside) array of floats, half the exp(ikx) a whole-grid
+    table held."""
+    x, spec = canonical_table.x, canonical_table.spec
+    n_outside = x.size - np.count_nonzero((x >= spec.a) & (x < spec.b))
+    tracemalloc.start()
+    try:
+        diagnostics_series(canonical_table, [0.0, 40.0, 80.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < canonical_table.k.size * n_outside * 8, (peak, n_outside)
 
 
 def test_diagnostics_series_does_not_depend_on_the_batch(monkeypatch):
@@ -369,21 +389,52 @@ def test_diagnostics_series_does_not_depend_on_the_batch(monkeypatch):
                                    rtol=0, atol=1e-14, err_msg=name)
 
 
-def test_mode_table_build_holds_one_table():
-    """The build writes every mode's coefficients and rows into the table
-    and fills exp(ikx) in place, so its traced peak stays close to the
-    table's own arrays; a temporary the size of exp(ikx) would double it."""
-    spec = make_rectangular(1.0, 1.0, -2.0)
-    packet = PacketSpec(k0=1.5, sigma_k=0.25, x0=-12.5)
-    x = np.arange(-30.0, 26.0 + 1e-9, 0.05)
+@pytest.mark.parametrize("edge", ["inside-barrier", "cut-minus-2", "i-left", "i-cut",
+                                  "cut-plus-2", "odd-7", "odd-461"])
+def test_the_window_does_not_matter(monkeypatch, edge):
+    """Windows whose edges fall inside the barrier, within two points of
+    the cut, at the last point left of it (where ref_cut_flux is read) or
+    right after it, and windows of 7 points (some wholly inside the
+    barrier, narrower than the continuity stencil) give the single
+    window's series, fields and continuity residuals up to roundoff."""
+    table = _small_table()
+    x, spec = table.x, table.spec
+    i_a, i_b = np.searchsorted(x, (spec.a, spec.b))
+    i_cut = int(np.searchsorted(x, spec.x_c, side="right"))
+    i_left = int(np.searchsorted(x, spec.x_c, side="left")) - 1
+    assert (i_a, i_b, i_cut, i_left, x.size) == (560, 580, 570, 569, 1121)
+    chunk = {"inside-barrier": (i_a + i_b) // 2, "cut-minus-2": i_cut - 2, "i-left": i_left,
+             "i-cut": i_cut, "cut-plus-2": i_cut + 2, "odd-7": 7, "odd-461": 461}[edge]
+    assert packets.X_CHUNK >= x.size
+    times = np.linspace(0.0, 12.0, 7)
+    want = diagnostics_series(table, times)
+    want_states, want_fields = table.states(times), fields_at(table, 6.0)
+    want_continuity = [continuity_residual(table, c, 6.0) for c in ("full", "tr", "ref")]
+
+    monkeypatch.setattr(packets, "X_CHUNK", chunk)
+    got = diagnostics_series(table, times)
+    for name in vars(want):
+        g, w = getattr(got, name), getattr(want, name)
+        assert np.all(np.abs(g - w) <= 1e-14 * np.maximum(1.0, np.abs(w))), (name, g - w)
+    np.testing.assert_allclose(table.states(times), want_states, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(fields_at(table, 6.0), want_fields, rtol=0, atol=1e-13)
+    for c, value in zip(("full", "tr", "ref"), want_continuity):
+        assert abs(continuity_residual(table, c, 6.0) - value) <= 1e-14 * max(1.0, value)
+
+
+def test_window_build_holds_one_table(monkeypatch):
+    """A window writes its cos(kx) and sin(kx) in place, by angle
+    addition, so building it holds little beyond that table itself; a
+    temporary of its size would double the traced peak."""
+    monkeypatch.setattr(packets, "X_CHUNK", 461)
+    table = _small_table()
     tracemalloc.start()
     try:
-        table = build_mode_table(spec, packet, x, n_k=65, span_sigmas=5.5)
+        _, _, (part,) = next(packets.windows(table))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    table_bytes = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
-    assert peak < 1.25 * table_bytes, (peak, table_bytes)
+    assert peak < 1.25 * part.waves.nbytes, (peak, part.waves.nbytes)
 
 
 @pytest.mark.parametrize("n_k", [65, 513, 1025])

@@ -119,12 +119,23 @@ def test_span_interacts_with_packet():
 def test_run_size_over_budget_rejected():
     packet = {"k0": 1.0, "sigma_k": 0.05, "x0": -60.0}
     assert parse(packet=packet).x_grid is None
-    # exp(ikx) on the default grid's 10241 points, 2 * 10**6 + 1 modes
+    # one window's cos/sin table (2052 of the default grid's 10241 points)
+    # and the rows inside the barrier, for 2 * 10**6 + 1 modes
     with pytest.raises(SchemaError, match="budget"):
         parse(packet=packet, n_k=2 * 10**6 + 1)
-    # a 3-point table grid, but exp(ikx) blocks of 10**6 modes on the oracle grid
+    # a 3-point table grid, but a synthesis window of 10**6 modes on the oracle grid
     with pytest.raises(SchemaError, match="budget"):
         parse(packet=packet, n_k=10**6 + 1, x_grid={"x_min": -70.0, "x_max": 10.0, "dx": 40.0})
+
+
+def test_fine_grid_fits_without_a_whole_grid_table():
+    """No array spans n_k by the table grid, so canonical on 211334 points
+    fits the budget; evolve's states on every 100th point are a small part
+    of it. Counted with a whole-grid cos/sin table it asked for 3.5 GB."""
+    grid = {"x_min": -160.0, "x_max": 157.0, "dx": 0.0015}
+    cfg = parse_config_text(json.dumps(dict(CANONICAL, x_grid=grid, evolve_x_stride=100)))
+    assert cfg.x_grid.size == 211334
+    assert cfg.evolve_x_stride == 100
 
 
 @pytest.mark.parametrize("n", [0, 1])
