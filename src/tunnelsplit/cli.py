@@ -22,7 +22,8 @@ import numpy as np
 import scipy
 
 from . import __version__, tolerances
-from .cranknicolson import compare_fields, crank_nicolson_propagate
+from .cranknicolson import (SOLVES_PER_STEP, compare_fields, crank_nicolson_propagate,
+                            misaligned_edges)
 from .clocks import sweep_barrier_width, compute_clock
 from .errors import INTERNAL_ERRORS, SchemaError, TunnelSplitError
 from .packets import build_mode_table, default_x_grid, diagnostics_series, synthesize
@@ -212,6 +213,9 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> dict:
     _need_packet(cfg)
     spec, packet = cfg.potential, cfg.packet
     grid, checkpoints = cfg.oracle_grid, cfg.checkpoints
+    # only the oracle needs the edges on its grid's half cells, so only it rejects
+    if (problem := misaligned_edges(spec, grid.dx)) is not None:
+        raise SchemaError("oracle.dx", problem)
     times = sorted({0.0, *checkpoints})
     spectral_at = dict(zip(times, synthesize(spec, packet, "full", times, grid.x(),
                                              n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)))
@@ -234,6 +238,9 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> dict:
         "norm_drift": result.norm_drift,
         "wall_mass": result.wall_mass,
         "cn_steps": grid.n_t,
+        "cn_point_solves": grid.n_x * grid.n_t * SOLVES_PER_STEP,
+        "dx": grid.dx,
+        "dt": grid.dt,
         "pass": bool(passed),
     }
 

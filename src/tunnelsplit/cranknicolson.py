@@ -180,7 +180,8 @@ def staggered_grid(spec: PotentialSpec, x_min_target: float, x_max_target: float
     between two grid points.
 
     Pointwise sampling then sees each step centered on a cell boundary,
-    which restores second-order accuracy at the potential jumps.
+    which restores second-order accuracy at the potential jumps; an edge
+    off the half-cell grid loses it (see `misaligned_edges`).
     """
     n_left = int(math.ceil((spec.a - x_min_target) / dx - 0.5))
     x_min = spec.a - dx * (n_left + 0.5)
@@ -192,6 +193,40 @@ def staggered_grid(spec: PotentialSpec, x_min_target: float, x_max_target: float
         dt=dt,
         n_t=int(round(t_max / dt)),
     )
+
+
+def _cells_off(spec: PotentialSpec, dx: float) -> np.ndarray:
+    """Each edge's distance, in cells of dx, from the half-cell grid that
+    staggered_grid lays through `a`."""
+    cells = (spec.edges() - spec.a) / dx
+    return np.abs(cells - np.round(cells))
+
+
+def misaligned_edges(spec: PotentialSpec, dx: float) -> str | None:
+    """None when every edge lies within 1e-9 of a cell of the half-cell
+    grid; else which edge is off, and the nearest dx between dx/2 and
+    2 dx that aligns every edge. Such a dx divides each edge's distance
+    d_i from `a`: it is g/m for a whole m, where g = d_min / lcm(q_i) and
+    d_i/d_min = p_i/q_i in lowest terms."""
+    off = _cells_off(spec, dx)
+    if off.max() <= 1e-9:
+        return None
+    from fractions import Fraction  # imported here: it loads decimal, 0.4 MB of RSS
+    edge = spec.edges()[int(np.argmax(off))]
+    problem = (f"the edge at x = {edge:.10g} lies {(edge - spec.a) / dx:.6g} cells of "
+               f"dx = {dx:.10g} from a = {spec.a:.10g}, off the half-cell grid")
+    distances = spec.edges()[1:] - spec.a
+    d_min = float(distances.min())
+    lcm = 1
+    for d in distances:
+        ratio = Fraction(float(d) / d_min).limit_denominator(math.ceil(2.0 * d_min / dx))
+        lcm = math.lcm(lcm, ratio.denominator)
+    g = d_min / lcm
+    nearest = min((g / m for m in (max(1, math.floor(g / dx)), math.ceil(g / dx))),
+                  key=lambda c: abs(c - dx))
+    if 0.5 * dx <= nearest <= 2.0 * dx and _cells_off(spec, nearest).max() <= 1e-9:
+        return f"{problem}; the nearest dx that aligns every edge is {nearest:.12g}"
+    return f"{problem}; no dx between {0.5 * dx:.6g} and {2.0 * dx:.6g} aligns every edge"
 
 
 def compare_fields(a: ComponentField, b: ComponentField) -> tuple[float, float]:

@@ -30,8 +30,8 @@ from .stationary import EnergyMode
 MEMORY_BUDGET = 2e9
 
 # Largest Crank-Nicolson work, grid points times steps times tridiagonal
-# solves per step, that an oracle config may ask for: about 470 times
-# canonical's 2.1e7, or 5 minutes at 30 ns per point and solve.
+# solves per step, that an oracle config may ask for: about 1170 times
+# canonical's 8.5e6, or 5 minutes at 30 ns per point and solve.
 CN_WORK_BUDGET = 1e10
 
 
@@ -157,7 +157,7 @@ _SCHEMA = {
     }),
     "oracle": ({}, {
         "dx": (0.02, _POSITIVE),
-        "dt": (0.08, _POSITIVE),
+        "dt": (0.2, _POSITIVE),
         "margin_left": (60.0, _number),
         "margin_right": (100.0, _number),
         "checkpoints": ([0.0, 40.0, 80.0], _list_of(_number, 1)),

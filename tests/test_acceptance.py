@@ -15,6 +15,7 @@ linear in sigma_k and unchanged under k refinement (see
 tests/test_packets.py). It is printed, not bounded.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -185,28 +186,55 @@ def test_criterion_4_packet_suite(canonical_table, canonical_packet, canonical_s
     assert ok, "a packet conservation bound is violated; measured values above"
 
 
-def test_criterion_5_cross_method_oracle():
-    # the grid, checkpoints and synthesis that oracle-check runs on canonical.json
+@pytest.fixture(scope="module")
+def canonical_oracle():
+    """The config and the synthesis at its checkpoints that oracle-check
+    runs on canonical.json."""
     cfg = parse_config(CONFIG)
-    spec, grid, checkpoints = cfg.potential, cfg.oracle_grid, cfg.checkpoints
-    spectral = synthesize(spec, cfg.packet, "full", checkpoints, grid.x(),
-                          n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)
+    spectral = synthesize(cfg.potential, cfg.packet, "full", cfg.checkpoints,
+                          cfg.oracle_grid.x(), n_k=cfg.n_k, span_sigmas=cfg.k_span_sigmas)
+    return cfg, spectral
+
+
+def _oracle_distances(cfg, spectral, grid):
+    """The l2 distance at each checkpoint between the synthesis and the
+    propagation on `grid`, and the propagation's result."""
     initial = spectral[0]  # the first checkpoint is t = 0
-    result = crank_nicolson_propagate(spec, initial, grid, sample_times=checkpoints)
+    result = crank_nicolson_propagate(cfg.potential, initial, grid,
+                                      sample_times=cfg.checkpoints)
     distances = {}
     for sample, spectral_field in zip(result.samples, spectral):
         assert sample.t == spectral_field.t
-        l2, _ = compare_fields(spectral_field, sample)
-        distances[sample.t] = l2
+        distances[sample.t], _ = compare_fields(spectral_field, sample)
+    return distances, result
+
+
+def test_criterion_5_cross_method_oracle(canonical_oracle):
+    cfg, spectral = canonical_oracle
+    distances, result = _oracle_distances(cfg, spectral, cfg.oracle_grid)
     ok = max(distances.values()) < 1e-3 and result.norm_drift < 1e-10
     report(
         5, "spectral vs time-domain", ok,
         f"l2 = {distances} (bound 1e-3), norm drift = {result.norm_drift:.3e} (bound 1e-10)",
     )
     assert ok
-    # the fourth-order defaults (dx 0.02, dt 0.08) stay within the l2 distances
+    # the fourth-order defaults (dx 0.02, dt 0.2) stay within the l2 distances
     # that second-order stepping at dx = dt = 0.01 reached
     assert distances[40.0] <= 5.65e-5 and distances[80.0] <= 9.71e-5, distances
+
+
+def test_criterion_5_default_step_shows_no_time_error(canonical_oracle):
+    # halving the default dt moves no checkpoint's l2 by 1 %: what the
+    # oracle measures at the default step is the space error (0.06 % and
+    # 0.45 % at dt 0.2; dt 0.4 moves them by 21 % and 90 %)
+    cfg, spectral = canonical_oracle
+    grid = cfg.oracle_grid
+    half = dataclasses.replace(grid, dt=grid.dt / 2, n_t=2 * grid.n_t)
+    default, _ = _oracle_distances(cfg, spectral, grid)
+    finer, _ = _oracle_distances(cfg, spectral, half)
+    moves = {t: abs(default[t] - finer[t]) / finer[t] for t in cfg.checkpoints if t > 0}
+    print(f"\nl2 at dt = {grid.dt}: {default}; at dt/2: {finer}; relative moves {moves}")
+    assert max(moves.values()) < 0.01, moves
 
 
 def test_criterion_6_variance_divergence(canonical_series):

@@ -12,6 +12,7 @@ import pytest
 
 from tunnelsplit import cli, clocks
 from tunnelsplit.cli import main
+from tunnelsplit.cranknicolson import SOLVES_PER_STEP
 from tunnelsplit.runconfig import parse_config
 from tunnelsplit.tolerances import CN_WALL_MASS, ORACLE_L2
 
@@ -184,6 +185,18 @@ class TestExitCodes:
     def test_bad_oracle_or_clock_setting_is_2_before_any_work(self, tmp_path, monkeypatch,
                                                               subcommand, override):
         self.rejected_before_any_work(tmp_path, monkeypatch, subcommand, override)
+
+    def test_misaligned_oracle_dx_is_2_for_the_oracle_only(self, tmp_path, monkeypatch):
+        # dx 0.011 puts b = a + 1 at 90.9 cells from a, off the half-cell
+        # grid; 1/91 is the nearest dx that aligns it
+        override = {"oracle": dict(FAST["oracle"], dx=0.011)}
+        self.rejected_before_any_work(tmp_path, monkeypatch, "oracle-check", override)
+        message = json.loads((tmp_path / "out" / "error.json").read_text())["message"]
+        assert message.startswith("oracle.dx:") and "0.010989010989" in message, message
+        # no other subcommand uses the oracle grid, so none rejects it
+        monkeypatch.undo()
+        assert run_cli("diagnostics", write_config(tmp_path, **override),
+                       tmp_path / "diagnostics") == 0
 
     @pytest.mark.parametrize("subcommand, override", [
         ("hartman-sweep", {"sweep": dict(FAST["sweep"], v0=0)}),
@@ -361,6 +374,11 @@ class TestOutputs:
         meta = json.loads((out / "run_metadata.json").read_text())
         oracle = FAST["oracle"]
         assert meta["cn_steps"] == round(max(oracle["checkpoints"]) / oracle["dt"])
+        # the work that CN_WORK_BUDGET bounds, on the grid the run used
+        grid = parse_config(cfg).oracle_grid
+        assert meta["cn_point_solves"] == grid.n_x * meta["cn_steps"] * SOLVES_PER_STEP
+        assert (meta["dx"], meta["dt"]) == (grid.dx, oracle["dt"])
+        assert meta["dx"] == pytest.approx(oracle["dx"], rel=1e-12)
         assert sorted(map(float, meta["per_checkpoint"])) == oracle["checkpoints"]
         assert 0.0 <= meta["wall_mass"] < CN_WALL_MASS
 
@@ -466,6 +484,7 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 import spans
 from tunnelsplit.cli import main
+from tunnelsplit.cranknicolson import SOLVES_PER_STEP
 
 tracer = spans.Tracer()
 spans.install(tracer)

@@ -5,10 +5,11 @@ from tunnelsplit.cranknicolson import (
     GridSpec,
     compare_fields,
     crank_nicolson_propagate,
+    misaligned_edges,
     staggered_grid,
 )
 from tunnelsplit.errors import BoundaryContamination, GridMismatch
-from tunnelsplit.potential import evaluate, make_rectangular
+from tunnelsplit.potential import evaluate, make_piecewise, make_rectangular
 from tunnelsplit.stationary import ComponentField
 
 from _oracles import free_gaussian
@@ -170,3 +171,36 @@ class TestStaggeredGrid:
             assert abs(offsets - round(offsets) - 0.0) != 0.0  # not on a point
             frac = offsets - np.floor(offsets)
             assert frac == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("dx", [0.02, 1 / 48, 0.005, 2.0])
+    def test_dx_dividing_the_width_aligns(self, dx):
+        assert misaligned_edges(make_rectangular(1.0, 2.0, -9.0), dx) is None
+
+    @pytest.mark.parametrize("dx, nearest", [
+        (0.021, "0.0210526315789"),  # 2/95: b lies 95.24 cells from a
+        (0.019, "0.0190476190476"),  # 2/105
+        (0.0202, "0.020202020202"),  # 2/99
+        (0.3, "0.285714285714"),  # 2/7
+    ])
+    def test_misaligned_dx_names_the_nearest_aligning_dx(self, dx, nearest):
+        problem = misaligned_edges(make_rectangular(1.0, 2.0, -9.0), dx)
+        assert "x = -7 " in problem and problem.endswith(f"aligns every edge is {nearest}")
+        grid = staggered_grid(make_rectangular(1.0, 2.0, -9.0), -20.0, 20.0, float(nearest),
+                              0.1, 1.0)
+        assert misaligned_edges(make_rectangular(1.0, 2.0, -9.0), grid.dx) is None
+
+    def test_every_edge_counts(self):
+        # distances 0.1, 0.3 and 0.4 from a: 0.1/m aligns them all
+        spec = make_piecewise(0.3, [[0.1, 1.0], [0.2, 0.5], [0.1, 1.0]])
+        assert misaligned_edges(spec, 0.02) is None
+        assert misaligned_edges(spec, 0.07).endswith("aligns every edge is 0.05")
+        # 0.2 aligns b but not the inner edge at 0.1 from a
+        assert "x = 0.4 " in misaligned_edges(spec, 0.2)
+
+    @pytest.mark.parametrize("segments, dx", [
+        ([[1.0, 1.0], [2.0 ** 0.5, 0.5], [1.0, 1.0]], 0.02),  # incommensurate edges
+        ([[2.0, 1.0]], 5.0),  # the width is 0.4 cells
+    ])
+    def test_no_aligning_dx_nearby_says_so(self, segments, dx):
+        problem = misaligned_edges(make_piecewise(0.0, segments), dx)
+        assert problem.endswith(f"no dx between {dx / 2:g} and {2 * dx:g} aligns every edge")
