@@ -12,7 +12,6 @@ violation, 4 internal fault.
 import argparse
 import itertools
 import json
-import math
 import sys
 import time
 import traceback
@@ -40,10 +39,7 @@ def _fmt(value) -> str:
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    return repr(value)
+    return repr(float(value))
 
 
 def write_csv(path: Path, header: list[str], rows, footer_comments=()):
@@ -261,7 +257,7 @@ def _clock_rows(res):
 def cmd_clock(cfg: RunConfig, out: Path) -> dict:
     if cfg.mode is None:
         raise SchemaError("energy.E", "clock needs one energy")
-    res = compute_clock(cfg.potential, cfg.mode, cfg.omega_factors)
+    res = compute_clock(cfg.potential, cfg.mode)
     write_csv(out / "clock.csv", _CLOCK_HEADER, _clock_rows(res))
     return {
         "tau_dwell_tr": float(res.tau_dwell_tr[0]),
@@ -275,8 +271,7 @@ def cmd_hartman_sweep(cfg: RunConfig, out: Path) -> dict:
     sw = cfg.sweep
     kappa_ls = np.linspace(sw["kappa_l_min"], sw["kappa_l_max"], sw["num"])
     with WorkerMap(cfg.workers) as pmap:
-        res = sweep_barrier_width(sw["v0"], sw["energy_ratio"], kappa_ls,
-                                  factors=cfg.omega_factors, map_fn=pmap)
+        res = sweep_barrier_width(sw["v0"], sw["energy_ratio"], kappa_ls, map_fn=pmap)
     monotonic = bool(np.all(np.diff(res.tau_dwell_tr) > 0))
     write_csv(
         out / "hartman_sweep.csv",

@@ -21,11 +21,12 @@ transmission sub-wave (the full transmitted amplitude, since both waves
 coincide beyond x_c); reflection uses the left outgoing amplitude of the
 reflection sub-wave (the full reflected amplitude).
 
-Each row's Larmor frequencies are omega = factors * E_row, the factors
-checked by `check_factors` (DEFAULT_FACTORS unless given). `clock_block`
-times a block of problems at once and returns one `ClockResult` of (n,)
-columns, with one `LarmorReading` of (n, n_omega) arrays per
-sub-process; a row without a reflection channel reads NaN there.
+Each row's Larmor frequencies are omega = LARMOR_FACTORS * E_row, one
+fixed ladder: the reading is its zero-field limit, so the ladder is a
+numerical setting, not a physical input. `clock_block` times a block of
+problems at once and returns one `ClockResult` of (n,) columns, with one
+`LarmorReading` of (n, n_omega) arrays per sub-process; a row without a
+reflection channel reads NaN there.
 `compute_clock`, `larmor_times` and `larmor_packet_readout` return blocks
 of one row, and `sweep_barrier_width` hands its widths to `map_fn` in
 blocks of SWEEP_BLOCK and joins their results into one. `dwell_time`
@@ -46,7 +47,7 @@ from .packets import (COMPONENTS, PacketSpec, build_mode_table, default_x_grid,
 from .potential import PotentialSpec, make_rectangular
 from .splitting import DecompositionBlock, decompose_block
 from .stationary import EVAN, OSC, PAIR, EnergyMode, ProblemBlock, solve_block
-from .tolerances import OMEGA_FRACTION, OVERLAP_FINAL_FRACTION, ZERO_FLUX
+from .tolerances import OVERLAP_FINAL_FRACTION, ZERO_FLUX
 
 SUBPROCESSES = ("tr", "ref")
 
@@ -64,30 +65,14 @@ DWELL_NODES = 2049
 # Degree of the Larmor readings' extrapolation polynomial in omega^2.
 NEVILLE_DEGREE = 2
 
-# Larmor frequencies as fractions of each row's energy, descending.
-DEFAULT_FACTORS = (1e-2, 1e-3, 1e-4)
+# Larmor frequencies as fractions of each row's energy: strictly descending,
+# the first at most OMEGA_FRACTION, so each omega is infinitesimal against E.
+LARMOR_FACTORS = (1e-2, 1e-3, 1e-4)
 
 
-def check_factors(factors) -> tuple[float, ...]:
-    """The Larmor frequency factors as a tuple of floats: at least one,
-    finite and positive, strictly descending and at most OMEGA_FRACTION,
-    so that every omega = factor * E is infinitesimal against its energy."""
-    factors = tuple(float(f) for f in factors)
-    if not factors:
-        raise ValueError("need at least one Larmor frequency")
-    if not all(0 < f < math.inf for f in factors):
-        raise ValueError(f"Larmor frequencies must be finite and positive, got {factors}")
-    if any(b >= a for a, b in zip(factors, factors[1:])):
-        raise ValueError("Larmor frequencies must descend")
-    # inclusive: the canonical sequence tops out at exactly 1e-2 E
-    if factors[0] > OMEGA_FRACTION:
-        raise ValueError(f"omega = {factors[0]:.3g} E is not infinitesimal against E")
-    return factors
-
-
-def _omegas(factors, E: np.ndarray) -> np.ndarray:
+def _omegas(E: np.ndarray) -> np.ndarray:
     """The (n, n_omega) Larmor frequencies factor * E of each row."""
-    return np.array(check_factors(factors))[None, :] * E[:, None]
+    return np.array(LARMOR_FACTORS)[None, :] * E[:, None]
 
 
 @dataclass
@@ -354,15 +339,14 @@ def _larmor_readings(up: np.ndarray, down: np.ndarray, omegas: np.ndarray, subpr
     return reading
 
 
-def larmor_times(spec: PotentialSpec, mode: EnergyMode, subprocess: str,
-                 factors=DEFAULT_FACTORS) -> LarmorReading:
+def larmor_times(spec: PotentialSpec, mode: EnergyMode, subprocess: str) -> LarmorReading:
     """Weak-field precession times for one sub-process at one energy,
     extrapolated to zero field: a block of one row."""
     if subprocess not in SUBPROCESSES:
         raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
     spec.require_symmetric()
     problems = ProblemBlock.of(spec, mode.E)
-    omegas = _omegas(factors, problems.E)
+    omegas = _omegas(problems.E)
     A_T, A_R = solve_block(problems)
     # an absent channel has no clock: the shifted problems would still
     # return tiny amplitudes whose phase carries no time information
@@ -373,15 +357,14 @@ def larmor_times(spec: PotentialSpec, mode: EnergyMode, subprocess: str,
     return _larmor_readings(out[..., 0], out[..., 1], omegas, subprocess)
 
 
-def probe_noninvasiveness(spec: PotentialSpec, mode: EnergyMode,
-                          factors=DEFAULT_FACTORS) -> float:
+def probe_noninvasiveness(spec: PotentialSpec, mode: EnergyMode) -> float:
     """Fitted order of |mean(T_up, T_down) - T| against omega.
 
     The symmetric spin shift cancels the linear response, so the exponent
     should come out >= 2 up to fit noise.
     """
     problems = ProblemBlock.of(spec, mode.E)
-    omegas = _omegas(factors, problems.E)
+    omegas = _omegas(problems.E)
     T0 = (np.abs(solve_block(problems)[0]) ** 2)[0]
     A_T, _ = _zeeman_solves(problems, omegas)
     T_up, T_down = (np.abs(A_T[0]) ** 2).T
@@ -393,12 +376,12 @@ def probe_noninvasiveness(spec: PotentialSpec, mode: EnergyMode,
     return float(slope)
 
 
-def clock_block(problems: ProblemBlock, factors=DEFAULT_FACTORS) -> ClockResult:
+def clock_block(problems: ProblemBlock) -> ClockResult:
     """Dwell plus Larmor times for both sub-processes on every row of a
-    block, each row read at omega = factors * its energy. Rows without a
-    reflection channel read NaN reflection times; any other failure
-    raises for the first failing row."""
-    omegas = _omegas(factors, problems.E)
+    block, each row read at omega = LARMOR_FACTORS * its energy. Rows
+    without a reflection channel read NaN reflection times; any other
+    failure raises for the first failing row."""
+    omegas = _omegas(problems.E)
     pad = 1.0
     x_probe = np.linspace(problems.a - pad, problems.b + pad, 65, axis=-1)
     dec = decompose_block(problems, x_probe)
@@ -416,23 +399,22 @@ def clock_block(problems: ProblemBlock, factors=DEFAULT_FACTORS) -> ClockResult:
                                                    present=R >= ZERO_FLUX))
 
 
-def compute_clock(spec: PotentialSpec, mode: EnergyMode,
-                  factors=DEFAULT_FACTORS) -> ClockResult:
+def compute_clock(spec: PotentialSpec, mode: EnergyMode) -> ClockResult:
     """Dwell plus Larmor times for both sub-processes at one energy: a
     block of one row."""
-    return clock_block(ProblemBlock.of(spec, mode.E), factors)
+    return clock_block(ProblemBlock.of(spec, mode.E))
 
 
-def _sweep_block(v0: float, energy_ratio: float, factors, kappa_lengths) -> ClockResult:
+def _sweep_block(v0: float, energy_ratio: float, kappa_lengths) -> ClockResult:
     E = energy_ratio * v0
     kappa = math.sqrt(2.0 * (v0 - E))
     widths = [kl / kappa for kl in kappa_lengths]
     specs = [make_rectangular(v0, L, -0.5 * L) for L in widths]
-    return clock_block(ProblemBlock.of(specs, E), factors)
+    return clock_block(ProblemBlock.of(specs, E))
 
 
 def sweep_barrier_width(v0: float, energy_ratio: float, kappa_lengths,
-                        factors=DEFAULT_FACTORS, map_fn=map) -> ClockResult:
+                        map_fn=map) -> ClockResult:
     """Clock times along a family of barriers of growing opacity, one row
     per width.
 
@@ -449,15 +431,15 @@ def sweep_barrier_width(v0: float, energy_ratio: float, kappa_lengths,
     kls = [float(kl) for kl in kappa_lengths]
     if not kls:
         raise ValueError("need at least one width")
-    worker = partial(_sweep_block, v0, energy_ratio, tuple(factors))
+    worker = partial(_sweep_block, v0, energy_ratio)
     blocks = [kls[lo:lo + SWEEP_BLOCK] for lo in range(0, len(kls), SWEEP_BLOCK)]
     return _concatenate(list(map_fn(worker, blocks)))
 
 
 def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec, subprocess: str, t: float,
-                          x_grid=None, n_k: int = 513, factors=DEFAULT_FACTORS) -> LarmorReading:
+                          x_grid=None, n_k: int = 513) -> LarmorReading:
     """Packet-level Larmor reading taken after the sub-packets separate,
-    at omega = factors * k0^2 / 2: a block of one row.
+    at omega = LARMOR_FACTORS * k0^2 / 2: a block of one row.
 
     The spin-up/down packets are synthesized with the shifted barriers,
     one coefficient table per barrier, window by window; each window's
@@ -472,7 +454,7 @@ def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec, subprocess: s
     if subprocess not in SUBPROCESSES:
         raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
     spec.require_symmetric()
-    omegas = _omegas(factors, np.array([EnergyMode.from_k(packet.k0).E]))
+    omegas = _omegas(np.array([EnergyMode.from_k(packet.k0).E]))
     x = default_x_grid(spec, packet) if x_grid is None else np.asarray(x_grid, float)
 
     base = build_mode_table(spec, packet, x, n_k)

@@ -109,21 +109,29 @@ def simpson_weights(n: int, h) -> np.ndarray:
     return w * (np.expand_dims(h, -1) / 3.0)
 
 
-def spectral_grid(packet: PacketSpec, n_k: int = DEFAULT_N_K,
-                  span_sigmas: float = DEFAULT_SPAN_SIGMAS):
-    """Uniform k grid with composite-Simpson weights."""
-    if n_k < 65 or n_k % 2 == 0:
-        raise ValueError(f"n_k must be odd and at least 65, got {n_k}")
+def spectral_span(packet: PacketSpec,
+                  span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> tuple[float, float]:
+    """The first and last k of the spectral grid, checked without building
+    it: k_min > 0, and the energy k_max^2 / 2 is finite."""
     if span_sigmas < 5.0:
         raise ValueError("spectral span must cover at least 5 sigma_k")
     k_min = packet.k0 - span_sigmas * packet.sigma_k
     k_max = packet.k0 + span_sigmas * packet.sigma_k
     if k_min <= 0:
-        raise SpectrumDomainError(
-            f"spectral grid reaches k = {k_min:.4g} <= 0; "
-            "narrow the span or move k0 up"
-        )
-    k = np.linspace(k_min, k_max, n_k)
+        raise SpectrumDomainError(f"spectral grid reaches k = {k_min:.4g} <= 0; "
+                                  "narrow the span or move k0 up")
+    if not math.isfinite(0.5 * k_max * k_max):
+        raise SpectrumDomainError(f"spectral grid reaches k = {k_max:.4g}, "
+                                  "where the energy overflows")
+    return k_min, k_max
+
+
+def spectral_grid(packet: PacketSpec, n_k: int = DEFAULT_N_K,
+                  span_sigmas: float = DEFAULT_SPAN_SIGMAS):
+    """Uniform k grid with composite-Simpson weights."""
+    if n_k < 65 or n_k % 2 == 0:
+        raise ValueError(f"n_k must be odd and at least 65, got {n_k}")
+    k = np.linspace(*spectral_span(packet, span_sigmas), n_k)
     return k, simpson_weights(n_k, k[1] - k[0])
 
 

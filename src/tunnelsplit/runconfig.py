@@ -17,11 +17,10 @@ from typing import Any
 
 import numpy as np
 
-from .clocks import check_factors
 from .cranknicolson import SOLVES_PER_STEP, GridSpec, staggered_grid, step_index
 from .errors import SchemaError, TunnelSplitError
 from .packets import (BATCH_BYTES, DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec,
-                      default_grid_step)
+                      default_grid_step, spectral_span)
 from .potential import PotentialSpec, make_piecewise
 from .stationary import EnergyMode
 
@@ -33,6 +32,11 @@ MEMORY_BUDGET = 2e9
 # solves per step, that an oracle config may ask for: about 1170 times
 # canonical's 8.5e6, or 5 minutes at 30 ns per point and solve.
 CN_WORK_BUDGET = 1e10
+
+# Largest packet work, modes times table-grid points times diagnostics
+# times, that a config may ask for: about 500 times canonical's 4.0e8, or
+# 5 minutes at 1.6 ns per mode, point and time.
+PACKET_WORK_BUDGET = 2e11
 
 
 def _number(value, path: str) -> float:
@@ -162,9 +166,6 @@ _SCHEMA = {
         "margin_right": (100.0, _number),
         "checkpoints": ([0.0, 40.0, 80.0], _list_of(_number, 1)),
     }),
-    "clock": ({}, {
-        "omega_factors": ([1e-2, 1e-3, 1e-4], _list_of(_number, 1)),
-    }),
     "sweep": ({}, {
         "v0": (1.0, _POSITIVE),
         "energy_ratio": (0.5, _rule(_number, lambda r: 0.0 < r < 1.0, "in (0, 1)")),
@@ -211,9 +212,8 @@ def _build(path: str, make, *args, **kwargs):
         raise SchemaError(path, str(exc), cause_name=type(exc).__name__) from exc
 
 
-def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, span: float,
-                     x_grid: dict | None, oracle: dict, n_snapshots: int,
-                     stride: int) -> float:
+def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, dx: float, n_x: float,
+                     oracle: dict, n_snapshots: int, stride: int) -> float:
     """Bytes of a packet run's large arrays, as packets lays them out. On
     the table grid: one window's cos/sin table (X_CHUNK points and the
     continuity halo), the stacks of one diagnostics batch in it
@@ -226,12 +226,6 @@ def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, span: fl
     and ipiv). No array spans n_k by either grid, so one estimate serves
     every subcommand. Counted in complex numbers (16 bytes) as floats, so
     that no size overflows."""
-    if x_grid is None:
-        dx, n_side = default_grid_step(spec, packet, span)
-        n_x = 2 * n_side + 1
-    else:
-        dx = x_grid["dx"]
-        n_x = (x_grid["x_max"] - x_grid["x_min"]) / dx + 1
     table = (n_k * (min(X_CHUNK + 4, n_x) + 6 * (spec.width / dx + 1)) + BATCH_BYTES / 16
              + 2 * n_x + 3 * n_snapshots * (n_x / stride + 1))
     length = spec.b + oracle["margin_right"] - packet.x0 + oracle["margin_left"]
@@ -259,7 +253,6 @@ class RunConfig:
     decompose_grid: dict  # pad (float), n (int)
     oracle_grid: GridSpec | None  # None without a packet
     checkpoints: list[float]  # ascending
-    omega_factors: tuple[float, ...]  # Larmor frequencies as fractions of E
     sweep: dict  # v0, energy_ratio, kappa_l_min, kappa_l_max (floats), num (int)
     evolve_x_stride: int
     out_dir: str
@@ -295,23 +288,12 @@ def parse_config_text(text: str) -> RunConfig:
             space = np.geomspace if grid["scale"] == "log" else np.linspace
             energy_grid = space(grid["min"], grid["max"], grid["n"])
 
+    n_k, span = cfg["n_k"], cfg["k_span_sigmas"]
     packet = None
     if "packet" in cfg:
         packet = _build("packet", PacketSpec, **cfg["packet"])
         _build("packet", packet.check_separation, spec)
-
-    n_k, span = cfg["n_k"], cfg["k_span_sigmas"]
-    if packet is not None and packet.k0 - span * packet.sigma_k <= 0:
-        raise SchemaError("k_span_sigmas", f"grid would reach k = "
-                          f"{packet.k0 - span * packet.sigma_k:.4g} <= 0",
-                          cause_name="SpectrumDomainError")
-    if packet is not None:
-        k_max = packet.k0 + span * packet.sigma_k
-        if not np.isfinite(0.5 * k_max * k_max):
-            raise SchemaError("packet.k0", f"grid would reach k = {k_max:.4g}, where the "
-                              f"energy overflows", cause_name="SpectrumDomainError")
-
-    omega_factors = _build("clock", check_factors, cfg["clock"]["omega_factors"])
+        _build("k_span_sigmas", spectral_span, packet, span)
 
     oracle = cfg["oracle"]
     for i, t in enumerate(oracle["checkpoints"]):
@@ -326,12 +308,24 @@ def parse_config_text(text: str) -> RunConfig:
 
     x_grid = oracle_grid = None
     if packet is not None:
-        need = _estimated_bytes(spec, packet, n_k, span, cfg["x_grid"], oracle,
+        # the table grid's spacing and size; an x_grid's size stays a float,
+        # so that no size overflows
+        if (grid := cfg["x_grid"]) is None:
+            dx, n_side = default_grid_step(spec, packet, span)
+            n_x = 2 * n_side + 1
+        else:
+            dx, n_x = grid["dx"], (grid["x_max"] - grid["x_min"]) / grid["dx"] + 1
+        need = _estimated_bytes(spec, packet, n_k, dx, n_x, oracle,
                                 len(cfg["snapshot_times"]), cfg["evolve_x_stride"])
         if need > MEMORY_BUDGET:
             raise SchemaError("", f"the run would need about {need:.3g} bytes of arrays, "
                                   f"more than the budget of {MEMORY_BUDGET:.3g}")
-        if (grid := cfg["x_grid"]) is not None:
+        work = n_k * n_x * cfg["times"].size
+        if work > PACKET_WORK_BUDGET:
+            raise SchemaError("", f"{n_k} modes on {n_x:.4g} points at {cfg['times'].size} "
+                                  f"times ({work:.3g} mode-point-times) exceed the budget "
+                                  f"of {PACKET_WORK_BUDGET:.3g}")
+        if grid is not None:
             n_x = int(round((grid["x_max"] - grid["x_min"]) / grid["dx"])) + 1
             x_grid = grid["x_min"] + grid["dx"] * np.arange(n_x)
         oracle_grid = _build("oracle", staggered_grid, spec,
@@ -347,7 +341,7 @@ def parse_config_text(text: str) -> RunConfig:
     return RunConfig(
         raw=raw, potential=spec, mode=mode, energy_grid=energy_grid, packet=packet,
         n_k=n_k, k_span_sigmas=span, x_grid=x_grid, oracle_grid=oracle_grid,
-        checkpoints=checkpoints, omega_factors=omega_factors,
+        checkpoints=checkpoints,
         # keys whose typed value needs no other key pass through as they are
         **{key: cfg[key] for key in ("times", "snapshot_times", "decompose_grid",
                                      "sweep", "evolve_x_stride", "out_dir", "workers")},

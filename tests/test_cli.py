@@ -16,6 +16,9 @@ from tunnelsplit.cranknicolson import SOLVES_PER_STEP
 from tunnelsplit.runconfig import parse_config
 from tunnelsplit.tolerances import CN_WALL_MASS, ORACLE_L2
 
+CANONICAL = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                        / "canonical.json").read_text())
+
 # compact setup so CLI round trips stay fast: moderate barrier, wide packet
 FAST = {
     "potential": {"a": -2.0, "segments": [[1.0, 1.0]]},
@@ -141,10 +144,8 @@ class TestExitCodes:
                                      "kappa_l_max": 14.0, "num": 10**12}}),
     ])
     def test_oversized_count_is_2_before_any_allocation(self, tmp_path, subcommand, override):
-        canonical = json.loads((Path(__file__).resolve().parents[1] / "configs"
-                                / "canonical.json").read_text())
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(dict(canonical, **override)))
+        path.write_text(json.dumps(dict(CANONICAL, **override)))
         out = tmp_path / "out"
         tracemalloc.start()
         try:
@@ -166,14 +167,16 @@ class TestExitCodes:
             monkeypatch.setattr(module, name, no_work)
         out = tmp_path / "out"
         assert run_cli(subcommand, write_config(tmp_path, **override), out) == 2
-        assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "SchemaError"
+        return record["message"]
 
     @pytest.mark.parametrize("subcommand, override", [
         ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=[0.0, 6.005])}),
         ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=["a"])}),
         ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=[-1.0])}),
         ("clock", {"clock": {"omega_factors": [5e-2, 1e-3, 1e-4]}}),
-        ("hartman-sweep", {"clock": {"omega_factors": [5e-2, 1e-3, 1e-4]}}),
+        ("hartman-sweep", {"clock": {"omega_factors": [1e-2, 1e-3, 1e-4]}}),
         # 1e11 Crank-Nicolson steps: a parsed config must not hold a CPU for years
         ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=[0.0, 1e9])}),
         # every checkpoint rounds to step 0: the oracle would compare nothing
@@ -184,14 +187,17 @@ class TestExitCodes:
     ])
     def test_bad_oracle_or_clock_setting_is_2_before_any_work(self, tmp_path, monkeypatch,
                                                               subcommand, override):
-        self.rejected_before_any_work(tmp_path, monkeypatch, subcommand, override)
+        message = self.rejected_before_any_work(tmp_path, monkeypatch, subcommand, override)
+        if "clock" in override:
+            # the Larmor frequencies are no longer a key: a config that sets
+            # them, even to the old default, is rejected as unknown
+            assert message == "clock: unknown key"
 
     def test_misaligned_oracle_dx_is_2_for_the_oracle_only(self, tmp_path, monkeypatch):
         # dx 0.011 puts b = a + 1 at 90.9 cells from a, off the half-cell
         # grid; 1/91 is the nearest dx that aligns it
         override = {"oracle": dict(FAST["oracle"], dx=0.011)}
-        self.rejected_before_any_work(tmp_path, monkeypatch, "oracle-check", override)
-        message = json.loads((tmp_path / "out" / "error.json").read_text())["message"]
+        message = self.rejected_before_any_work(tmp_path, monkeypatch, "oracle-check", override)
         assert message.startswith("oracle.dx:") and "0.010989010989" in message, message
         # no other subcommand uses the oracle grid, so none rejects it
         monkeypatch.undo()
@@ -221,6 +227,9 @@ class TestExitCodes:
         # no longer keys: their old defaults are rejected as unknown
         ("clock", {"clock": {"n_quad": 2049}}),
         ("clock", {"clock": {"extrapolation_order": 2}}),
+        # canonical's 513 modes on its 9729 default grid points at 10**5 times
+        # are 5.0e11 mode-point-times of diagnostics, over the work budget
+        ("diagnostics", dict(CANONICAL, x_grid=None, times=dict(CANONICAL["times"], num=10**5))),
     ])
     def test_bad_setting_is_2_before_any_work(self, tmp_path, monkeypatch, subcommand, override):
         self.rejected_before_any_work(tmp_path, monkeypatch, subcommand, override)

@@ -7,7 +7,6 @@ import pytest
 from tunnelsplit import clocks
 from tunnelsplit.clocks import (
     LarmorReading,
-    check_factors,
     clock_block,
     compute_clock,
     dwell_time,
@@ -22,7 +21,7 @@ from tunnelsplit.packets import PacketSpec, build_mode_table, diagnostics_series
 from tunnelsplit.potential import PotentialSpec, make_rectangular
 from tunnelsplit.splitting import build_decomposition, decompose_block
 from tunnelsplit.stationary import EVAN, OSC, PAIR, EnergyMode, ProblemBlock, sample_states
-from tunnelsplit.tolerances import ZERO_FLUX
+from tunnelsplit.tolerances import OMEGA_FRACTION, ZERO_FLUX
 
 from _oracles import simpson_density_sum
 
@@ -41,34 +40,26 @@ def _centered(v0, length):
 
 
 class TestCheckFactors:
+    """Checks of the fixed Larmor factor ladder LARMOR_FACTORS."""
+
     def test_requires_descending_positive(self):
-        for factors in [(), (1e-2, -1e-3), (0.0,), (1e-3, 1e-2), (1e-3, 1e-3)]:
-            with pytest.raises(ValueError):
-                check_factors(factors)
+        factors = np.array(clocks.LARMOR_FACTORS)
+        assert factors.size > 0
+        assert np.all(np.isfinite(factors))
+        assert np.all(factors > 0) and np.all(np.diff(factors) < 0)
 
-    @pytest.mark.parametrize("factors", [(1e-2, math.nan), (math.nan,), (1e-2, -math.inf),
-                                         (math.inf, 1e-3)],
-                             ids=["nan-second", "nan-only", "minus-inf", "inf-first"])
-    def test_rejects_non_finite(self, factors):
-        """A non-finite factor is a bad input, not a singular solve."""
-        with pytest.raises(ValueError):
-            check_factors(factors)
-        with pytest.raises(ValueError):
-            compute_clock(CANONICAL, MODE, factors)
+    def test_field_must_be_infinitesimal(self):
+        # inclusive: the ladder tops out at exactly OMEGA_FRACTION
+        assert clocks.LARMOR_FACTORS[0] <= OMEGA_FRACTION
+        omegas = clock_block(ProblemBlock.of(CANONICAL, [0.5])).larmor_tr.omegas
+        assert np.all(omegas <= OMEGA_FRACTION * 0.5)
 
+
+class TestLarmorFactors:
     def test_omegas_are_fractions_of_each_row_energy(self):
         res = clock_block(ProblemBlock.of(CANONICAL, [0.5, 0.25]))
         np.testing.assert_array_equal(res.larmor_tr.omegas,
                                       [[5e-3, 5e-4, 5e-5], [2.5e-3, 2.5e-4, 2.5e-5]])
-
-    def test_field_must_be_infinitesimal(self):
-        for factors in [(0.1,), (0.1, 1e-3)]:
-            with pytest.raises(ValueError):
-                check_factors(factors)
-        with pytest.raises(ValueError):
-            compute_clock(CANONICAL, MODE, (0.1,))
-        # inclusive: the default sequence tops out at exactly OMEGA_FRACTION
-        assert check_factors([1e-2, 1e-3, 1e-4]) == clocks.DEFAULT_FACTORS
 
 
 class TestZeemanShift:
@@ -370,9 +361,9 @@ class TestSweep:
     def test_sweep_barriers_are_centered(self, monkeypatch):
         blocks = []
 
-        def record(problems, factors):
+        def record(problems):
             blocks.append(problems)
-            return clock_block(problems, factors)
+            return clock_block(problems)
 
         monkeypatch.setattr(clocks, "clock_block", record)
         sweep_barrier_width(2.0, 0.5, [2.0, 3.0])  # kappa = sqrt(2)

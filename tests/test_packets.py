@@ -72,6 +72,12 @@ class TestSpectralGrid:
         with pytest.raises(SpectrumDomainError):
             spectral_grid(packet, n_k=129, span_sigmas=7.0)
 
+    def test_rejects_an_energy_that_overflows(self):
+        # k_max = 1e300 + 0.8 is finite, but its energy k_max^2 / 2 is not
+        packet = PacketSpec(k0=1e300, sigma_k=0.1, x0=-40.0)
+        with pytest.raises(SpectrumDomainError, match="overflows"):
+            spectral_grid(packet)
+
     def test_weights_integrate_gaussian(self, canonical_packet):
         k, w = spectral_grid(canonical_packet)
         total = np.sum(w * np.abs(canonical_packet.spectrum(k)) ** 2)

@@ -30,7 +30,8 @@ def test_minimal_defaults_materialized():
     cfg = parse()
     assert cfg.n_k == 513
     assert cfg.raw["n_k"] == 513
-    assert cfg.raw["clock"]["omega_factors"] == [1e-2, 1e-3, 1e-4]
+    # the Larmor frequencies are a constant of clocks, not a key
+    assert "clock" not in cfg.raw
     assert cfg.raw["oracle"]["checkpoints"] == [0.0, 40.0, 80.0]
     assert cfg.potential.x_c == 0.0
     assert cfg.times.size == 81
@@ -44,8 +45,8 @@ def test_unknown_top_key_rejected():
 
 def test_unknown_nested_key_rejected():
     with pytest.raises(SchemaError) as err:
-        parse(extra={"clock": {"omega_factor": [1e-2]}})
-    assert "clock.omega_factor" in str(err.value)
+        parse(extra={"oracle": {"dxx": 0.02}})
+    assert "oracle.dxx" in str(err.value)
 
 
 def test_asymmetric_potential_is_schema_error():
