@@ -42,8 +42,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
-from .packets import (COMPONENTS, PacketSpec, build_mode_table, default_x_grid,
-                      diagnostics_series, windows)
+from .packets import (COMPONENTS, DEFAULT_N_K, PacketSpec, build_mode_table,
+                      default_x_grid, diagnostics_series, windows)
 from .potential import PotentialSpec, make_rectangular
 from .splitting import DecompositionBlock, decompose_block
 from .stationary import EVAN, OSC, PAIR, EnergyMode, ProblemBlock, solve_block
@@ -61,9 +61,6 @@ SWEEP_BLOCK = 64
 # [a, x_c] and [x_c, b], has (DWELL_NODES + 1) // 2, with x_c shared. Both
 # counts are odd, so each sum is a Simpson rule.
 DWELL_NODES = 2049
-
-# Degree of the Larmor readings' extrapolation polynomial in omega^2.
-NEVILLE_DEGREE = 2
 
 # Larmor frequencies as fractions of each row's energy: strictly descending,
 # the first at most OMEGA_FRACTION, so each omega is infinitesimal against E.
@@ -95,8 +92,7 @@ class LarmorReading:
         raw, limit, res = self.raw_times, self.extrapolated, self.residuals
         # a NaN would pass the later checks, which compare against it
         with np.errstate(invalid="ignore", over="ignore"):
-            spread = (np.abs(raw[:, -1] - raw[:, -2]) if raw.shape[1] > 1
-                      else np.zeros(limit.shape))
+            spread = np.abs(raw[:, -1] - raw[:, -2])
             tol = 1e-9 * np.maximum(1.0, np.abs(limit))
             failures = (
                 (~(np.isfinite(limit) & np.isfinite(raw).all(axis=1)),
@@ -298,12 +294,11 @@ def _extrapolate_to_zero(omegas: np.ndarray, values: np.ndarray) -> np.ndarray:
     values (n, n_omega).
 
     The readings are even in omega (opposite spins swap), so the error
-    series runs in omega^2; the polynomial through the smallest omegas is
-    of degree NEVILLE_DEGREE, or lower with fewer readings.
+    series runs in omega^2; the polynomial runs through every reading.
     """
-    n_pts = min(NEVILLE_DEGREE + 1, values.shape[-1])
-    u = (omegas ** 2)[:, -n_pts:]
-    tab = values[:, -n_pts:].astype(float)
+    n_pts = values.shape[-1]
+    u = omegas ** 2
+    tab = values.astype(float)
     for level in range(1, n_pts):
         for i in range(n_pts - level):
             tab[:, i] = ((u[:, i] * tab[:, i + 1] - u[:, i + level] * tab[:, i])
@@ -437,7 +432,7 @@ def sweep_barrier_width(v0: float, energy_ratio: float, kappa_lengths,
 
 
 def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec, subprocess: str, t: float,
-                          x_grid=None, n_k: int = 513) -> LarmorReading:
+                          x_grid=None, n_k: int = DEFAULT_N_K) -> LarmorReading:
     """Packet-level Larmor reading taken after the sub-packets separate,
     at omega = LARMOR_FACTORS * k0^2 / 2: a block of one row.
 

@@ -54,10 +54,6 @@ class NotNormalized(TunnelSplitError):
 class OddSelectionFailed(TunnelSplitError):
     """Neither amplitude root produced a sub-wave vanishing at the midpoint."""
 
-    def __init__(self, message: str, residuals: tuple[float, float] | None = None):
-        self.residuals = residuals
-        super().__init__(message)
-
 
 # --- packet dynamics -----------------------------------------------------
 

@@ -183,14 +183,15 @@ def _plane_waves(k: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) ->
     return waves
 
 
-def _rows(c: np.ndarray, out: np.ndarray):
-    """Write the rows [Re c, -Im c] and [Im c, Re c] of complex coefficient
-    rows c (n_t, n_k) into out (2, n_t, 2 n_k), for a component whose
-    cos and sin coefficients are both c."""
-    n_k = c.shape[-1]
-    out[0, :, :n_k], out[1, :, :n_k] = c.real, c.imag
-    np.negative(c.imag, out=out[0, :, n_k:])
-    out[1, :, n_k:] = c.real
+def _rows(alpha: np.ndarray, beta: np.ndarray | float, out: np.ndarray):
+    """Write the rows [Re(alpha + beta), Im(beta - alpha)] and [Im(alpha +
+    beta), Re(alpha - beta)] of alpha e + beta conj(e), from coefficient
+    rows (n_t, n_k), into out (2, n_t, 2 n_k); beta = 0 writes alpha e."""
+    n_k = alpha.shape[-1]
+    np.add(alpha.real, beta.real, out=out[0, :, :n_k])
+    np.subtract(beta.imag, alpha.imag, out=out[0, :, n_k:])
+    np.add(alpha.imag, beta.imag, out=out[1, :, :n_k])
+    np.subtract(alpha.real, beta.real, out=out[1, :, n_k:])
 
 
 def _exterior(out: np.ndarray, rows: np.ndarray, waves: np.ndarray):
@@ -268,23 +269,17 @@ class ModeTable:
         out[1:, :, i_a:i_b] = sub_waves(self.x[i_a:i_b] <= self.x_c, full, tr_state, ref_state)
 
         up, down = (1j * self.k, -1j * self.k) if deriv else (1.0, 1.0)
-        n_k = self.k.size
-        rows = np.empty((2, 2 if i_a else 1, t.size, 2 * n_k))
+        rows = np.empty((2, 2 if i_a else 1, t.size, 2 * self.k.size))
         if i_a:
-            # left of a, full = alpha e + beta conj(e) = (alpha + beta) cos
-            # + i (alpha - beta) sin, and tr = tr_in e
+            # left of a, full = alpha e + beta conj(e) and tr = tr_in e
             alpha = coeff * (up * self.full_left[0])
-            beta = coeff * (down * self.full_left[1])
-            np.add(alpha.real, beta.real, out=rows[0, 0, :, :n_k])
-            np.subtract(beta.imag, alpha.imag, out=rows[0, 0, :, n_k:])
-            np.add(alpha.imag, beta.imag, out=rows[1, 0, :, :n_k])
-            np.subtract(alpha.real, beta.real, out=rows[1, 0, :, n_k:])
-            _rows(np.multiply(coeff, up * self.tr_in, out=alpha), rows[:, 1])
+            _rows(alpha, coeff * (down * self.full_left[1]), rows[:, 0])
+            _rows(np.multiply(coeff, up * self.tr_in, out=alpha), 0.0, rows[:, 1])
             _exterior(out[:2, :, :i_a], rows, self.waves[:, :, :i_a])
             np.subtract(out[0, :, :i_a], out[1, :, :i_a], out=out[2, :, :i_a])
         if i_b < self.x.size:
             coeff *= up * self.A_T  # right of b, full = A_T e
-            _rows(coeff, rows[:, 0])
+            _rows(coeff, 0.0, rows[:, 0])
             _exterior(out[:1, :, i_b:], rows[:, :1], self.waves[:, :, i_a:])
             out[1, :, i_b:], out[2, :, i_b:] = out[0, :, i_b:], 0.0
         return out
@@ -421,27 +416,23 @@ def _gradient_uniform(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _continuity_window(x: np.ndarray, cut: float | None):
-    """(keep, pieces): the points where continuity is checked, all but three
-    at each end and, for a piecewise component, outside a strip of
-    half-width 2 dx about the cut; and the slices of the grid that are
-    differenced apart, split just left of the first point right of the
-    cut. Each side of a cut needs two points to difference. No point it
-    keeps lies within two points of either end of a piece: three go at
-    each grid end, and the strip holds the two on each side of the cut."""
+def _continuity_window(x: np.ndarray, cut: float | None) -> np.ndarray:
+    """The points where continuity is checked: all but three at each end
+    and, for a piecewise component, outside a strip of half-width 2 dx
+    about the cut, so no kept point's stencil reaches past a grid end or
+    holds points on both sides of the cut. Each side of a cut needs two
+    points."""
     keep = np.ones(x.shape, dtype=bool)
     keep[:3] = keep[-3:] = False
-    pieces = [slice(None)]
     if cut is not None:
         keep &= np.abs(x - cut) > 2.0 * (x[1] - x[0]) + 1e-12
         i_cut = int(np.searchsorted(x, cut, side="right"))
         if min(i_cut, x.size - i_cut) < 2:
             raise GridTooCoarse(f"the grid holds fewer than two points on one side "
                                 f"of the cut x_c = {cut:g}")
-        pieces = [slice(None, i_cut), slice(i_cut, None)]
     if not keep.any():
         raise GridTooCoarse("continuity window excludes every grid point")
-    return keep, pieces
+    return keep
 
 
 def _evaluate(table: ModeTable, times, rated, values=None, derivs=None):
@@ -457,22 +448,16 @@ def _evaluate(table: ModeTable, times, rated, values=None, derivs=None):
     return values, rates.real + rates.imag, table.states(times, deriv=True, out=derivs)
 
 
-def _continuity(x: np.ndarray, window, ext: slice, own: slice, drho: np.ndarray,
+def _continuity(x: np.ndarray, keep: np.ndarray, ext: slice, own: slice, drho: np.ndarray,
                 j: np.ndarray) -> np.ndarray:
     """max |d rho/d t + d j/d x| along the last axis, over the points of
-    x[own] that the continuity window keeps, from the density rate and the
-    current (from the exact derivative) on x[ext], which holds two more
-    points on each side of own where the grid does. Each piece of the
-    window is differenced apart, at its own spacing, so j is never
-    differenced across the cut; see continuity_residual."""
-    keep, pieces = window
-    dj = []
-    for piece in pieces:
-        start, stop, _ = piece.indices(x.size)
-        local = np.clip((start, stop), ext.start, ext.stop) - ext.start
-        dj.append(_gradient_uniform(j[..., local[0]:local[1]], x[start + 1] - x[start]))
+    x[own] that the continuity window `keep` holds, from the density rate
+    and the current (from the exact derivative) on x[ext], which holds two
+    more points on each side of own where the grid does. No kept point's
+    stencil crosses the cut, so j is never differenced across it; see
+    continuity_residual."""
     mine = slice(own.start - ext.start, own.stop - ext.start)
-    residual = np.abs(drho + np.concatenate(dj, axis=-1))[..., mine]
+    residual = np.abs(drho + _gradient_uniform(j, x[1] - x[0]))[..., mine]
     return np.max(residual[..., keep[own]], axis=-1, initial=0.0)
 
 
@@ -482,15 +467,16 @@ def continuity_residual(table: ModeTable, component: str, t: float) -> float:
     The density rate and the current use the exact time and x derivatives
     of the modes, so only d j/d x is differenced, and it meets only the
     mild j'''-kinks at the potential steps. For the piecewise components a
-    strip of half-width 2 dx around the cut is always excluded.
+    strip of half-width 2 dx around the cut is always excluded, so no
+    stencil holds points on both sides of the cut.
     """
     i = _index(component)
-    window = _continuity_window(table.x, table.x_c if component in ("tr", "ref") else None)
+    keep = _continuity_window(table.x, table.x_c if component in ("tr", "ref") else None)
     worst = 0.0
     for own, ext, (part,) in windows(table, halo=2):
         values, rate, derivs = _evaluate(part, [t], i)
         j = current_density(values[i, 0], derivs[i, 0])
-        worst = max(worst, float(_continuity(table.x, window, ext, own, rate[0], j)))
+        worst = max(worst, float(_continuity(table.x, keep, ext, own, rate[0], j)))
     return worst
 
 
@@ -548,7 +534,7 @@ def diagnostics_series(table: ModeTable, times) -> DiagnosticsSeries:
     times = np.asarray(times, dtype=float)
     x, x_c, n_t = table.x, table.x_c, times.size
     q = _quadrature(x)
-    window = _continuity_window(x, x_c)
+    keep = _continuity_window(x, x_c)
     i_left = int(np.searchsorted(x, x_c, side="left")) - 1
     sums = np.zeros((3, n_t, 3))  # component, time, quadrature row
     spread = np.zeros((3, 3, n_t))  # (weight, mean, M2), component, time
@@ -570,7 +556,7 @@ def diagnostics_series(table: ModeTable, times) -> DiagnosticsSeries:
             values, rates, derivs = _evaluate(part, times[at], slice(1, None),
                                               *stacks[..., :at.stop - lo, :part.x.size])
             j = current_density(values, derivs)
-            np.maximum(continuity[at], _continuity(x, window, ext, own, rates, j[1:]).max(axis=0),
+            np.maximum(continuity[at], _continuity(x, keep, ext, own, rates, j[1:]).max(axis=0),
                        out=continuity[at])
             if own.start <= i_left < own.stop:
                 ref_cut_flux[at] = j[2, :, i_left - ext.start]

@@ -181,10 +181,8 @@ def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
     mids = np.column_stack((odd_mid, np.abs(sample_states(even_state, x_c[:, None])[:, 0])))
     i = _first(mids[:, 0] >= PARITY_MIDPOINT)
     if i is not None:
-        raise OddSelectionFailed(
-            f"no root vanishes at the midpoint (|ref({x_c[i]})| = {mids[i, 0]:.3e})",
-            residuals=tuple(mids[i]),
-        )
+        raise OddSelectionFailed(f"no root vanishes at the midpoint "
+                                 f"(|ref({x_c[i]})| = {mids[i, 0]:.3e})")
 
     ref_state = odd_state
     tr_state = state_from_left(problems, split.A_tr_in, 0.0)
@@ -214,11 +212,9 @@ def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
 
     i = _first((parity_scale > 0) & (parity_residual > PARITY_RELATIVE * parity_scale))
     if i is not None:
-        raise OddSelectionFailed(
-            f"selected root is not antisymmetric: residual {parity_residual[i]:.3e} "
-            f"vs scale {parity_scale[i]:.3e} at E = {E[i]:.6g}",
-            residuals=tuple(mids[i]),
-        )
+        raise OddSelectionFailed(f"selected root is not antisymmetric: residual "
+                                 f"{parity_residual[i]:.3e} vs scale {parity_scale[i]:.3e} "
+                                 f"at E = {E[i]:.6g}")
 
     return DecompositionBlock(
         problems=problems, A_T=A_T, A_R=A_R, split=split, even_split=even_split,

@@ -13,6 +13,7 @@ import pytest
 from tunnelsplit import cli, clocks
 from tunnelsplit.cli import main
 from tunnelsplit.cranknicolson import SOLVES_PER_STEP
+from tunnelsplit.errors import SolveSingular
 from tunnelsplit.runconfig import parse_config
 from tunnelsplit.tolerances import CN_WALL_MASS, ORACLE_L2
 
@@ -284,6 +285,39 @@ class TestExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["exit_code"] == 4
         assert record["error"] == "RuntimeError"
+
+    @pytest.mark.parametrize("subcommand, config, path", [
+        ("stationary", {k: v for k, v in FAST.items() if k != "potential"}, "potential"),
+        ("stationary", dict(FAST, energy={"grid": {"min": 1.0, "max": 0.5, "n": 3}}),
+         "energy.grid"),
+        ("stationary", {k: v for k, v in FAST.items() if k != "energy"}, "energy"),
+        # both read one energy: a grid of them is rejected
+        ("decompose", dict(FAST, energy={"grid": {"min": 0.2, "max": 0.8, "n": 3}}), "energy.E"),
+        ("clock", dict(FAST, energy={"grid": {"min": 0.2, "max": 0.8, "n": 3}}), "energy.E"),
+    ])
+    def test_missing_or_unusable_energy_or_potential_is_2(self, tmp_path, subcommand, config,
+                                                          path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli(subcommand, str(cfg), out) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert (record["error"], record["exit_code"]) == ("SchemaError", 2)
+        assert record["message"].startswith(f"{path}: "), record["message"]
+
+    def test_internal_error_class_is_4_without_a_traceback(self, tmp_path, monkeypatch, capsys):
+        # SolveSingular is a TunnelSplitError, which would exit 3, but it
+        # is listed in INTERNAL_ERRORS as a fault of the code
+        def singular(problems):
+            raise SolveSingular("inconsistent solve")
+
+        monkeypatch.setattr(cli, "solve_block", singular)
+        out = tmp_path / "out"
+        assert run_cli("stationary", write_config(tmp_path), out) == 4
+        record = json.loads((out / "error.json").read_text())
+        assert (record["error"], record["exit_code"]) == ("SolveSingular", 4)
+        err = capsys.readouterr().err
+        assert "internal fault: SolveSingular" in err and "Traceback" not in err
 
 
 class TestOutputs:

@@ -20,7 +20,8 @@ from tunnelsplit.errors import ExtrapolationDiverged, GridTooCoarse, PrematureRe
 from tunnelsplit.packets import PacketSpec, build_mode_table, diagnostics_series
 from tunnelsplit.potential import PotentialSpec, make_rectangular
 from tunnelsplit.splitting import build_decomposition, decompose_block
-from tunnelsplit.stationary import EVAN, OSC, PAIR, EnergyMode, ProblemBlock, sample_states
+from tunnelsplit.stationary import (EVAN, OSC, PAIR, EnergyMode, ProblemBlock, sample_states,
+                                   solve_block)
 from tunnelsplit.tolerances import OMEGA_FRACTION, ZERO_FLUX
 
 from _oracles import simpson_density_sum
@@ -300,6 +301,25 @@ class TestLarmorTimes:
             LarmorReading(present=np.array([True, True, True]), **kwargs)
         with pytest.raises(ExtrapolationDiverged, match="not anchored"):
             LarmorReading(present=np.array([True, False, True]), **kwargs)
+
+    # canonical (V0 1, L 2) is reflectionless where the inside wave number
+    # times L is pi, at E = V0 + pi^2 / 8
+    REFLECTIONLESS = 1.0 + math.pi ** 2 / 8.0
+
+    def test_absent_channel_has_no_reading(self):
+        with pytest.raises(ZeroFlux, match="ref channel absent"):
+            larmor_times(CANONICAL, EnergyMode(self.REFLECTIONLESS), "ref")
+
+    @pytest.mark.parametrize("detuning, omega", [(1.005, "0.0222"), (0.995, "0.0224")])
+    def test_reflectionless_spin_has_no_reading(self, detuning, omega):
+        """Half a percent off E = 1 + pi^2/8 the reflection channel is
+        present, but at the largest omega = 1e-2 E one spin's barrier, of
+        height 1 -/+ omega/2, is reflectionless."""
+        mode = EnergyMode(self.REFLECTIONLESS / detuning)
+        _, A_R = solve_block(ProblemBlock.of(CANONICAL, mode.E))
+        assert abs(A_R[0]) ** 2 > ZERO_FLUX
+        with pytest.raises(ZeroFlux, match=f"ref amplitude vanishes at omega = {omega}$"):
+            larmor_times(CANONICAL, mode, "ref")
 
     def test_overflowing_frequencies_read_as_diverged(self):
         """At E = 1e300 the squares of the Larmor frequencies overflow in the

@@ -265,22 +265,24 @@ class TestGridDiagnostics:
 
 
 @pytest.mark.parametrize("dx", [0.05, 0.1, 0.37])
-def test_continuity_window_keeps_no_point_near_a_piece_end(dx):
-    """The differences of d j/d x are central only two points in from each
-    end of a piece; the window never keeps those points, whatever the
-    cut's place between nodes and however few points lie past it."""
+def test_continuity_window_keeps_no_stencil_across_the_cut(dx):
+    """The difference of d j/d x at a kept point i reads the points
+    i-2..i+2: none of them lies off the grid, and they all lie on one side
+    of the cut (x <= cut or x > cut), whatever the cut's place between
+    nodes and however few points lie past it."""
     for cut_offset in (0.0, 1e-9, 0.25, 0.5, 0.999):
         for right in range(2, 8):
             x = dx * np.arange(-40, right + 1)
             for cut in (None, dx * cut_offset):
                 try:
-                    keep, pieces = packets._continuity_window(x, cut)
+                    keep = packets._continuity_window(x, cut)
                 except GridTooCoarse:
                     continue
-                index = np.arange(x.size)
-                for piece in pieces:
-                    ends = np.concatenate((index[piece][:2], index[piece][-2:]))
-                    assert not keep[ends].any(), (cut, right, piece)
+                kept = np.flatnonzero(keep)
+                assert kept.min() >= 2 and kept.max() <= x.size - 3, (cut, right)
+                if cut is not None:
+                    left = x[kept[:, None] + np.arange(-2, 3)] <= cut
+                    assert np.all(left.all(axis=1) | ~left.any(axis=1)), (cut, right)
 
 
 def test_diagnostics_series_shapes(canonical_series):
