@@ -52,8 +52,8 @@ from .tolerances import OVERLAP_FINAL_FRACTION, ZERO_FLUX
 SUBPROCESSES = ("tr", "ref")
 
 # Widths per block in sweep_barrier_width, and per task of its map_fn. A
-# block's arrays grow with it: its decomposition on 65 probe points, its
-# Zeeman solves and its results, about 0.6 MB at 64.
+# block's arrays grow with it: its decomposition on 65 probe points
+# across [a, b], its Zeeman solves and its results, about 0.6 MB at 64.
 SWEEP_BLOCK = 64
 
 # Nodes of a dwell time's composite-Simpson sum: the reflection sum on
@@ -377,9 +377,7 @@ def clock_block(problems: ProblemBlock) -> ClockResult:
     without a reflection channel read NaN reflection times; any other
     failure raises for the first failing row."""
     omegas = _omegas(problems.E)
-    pad = 1.0
-    x_probe = np.linspace(problems.a - pad, problems.b + pad, 65, axis=-1)
-    dec = decompose_block(problems, x_probe)
+    dec = decompose_block(problems, np.linspace(problems.a, problems.b, 65, axis=-1))
     T, R = np.abs(dec.A_T) ** 2, np.abs(dec.A_R) ** 2
     _require_weight(T, "tr")
     tau_tr = _dwell_block(dec, T, "tr")

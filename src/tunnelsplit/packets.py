@@ -49,7 +49,7 @@ from .errors import GridTooCoarse, SpectrumDomainError
 from .potential import PotentialSpec
 from .splitting import decompose_block, sub_waves
 from .stationary import ComponentField, ProblemBlock, sample_states
-from .tolerances import QUADRATURE_ERROR, ZERO_NORM
+from .tolerances import QUADRATURE_ERROR, SPECTRUM_NORM, ZERO_NORM
 
 COMPONENTS = ("full", "tr", "ref")
 
@@ -109,12 +109,20 @@ def simpson_weights(n: int, h) -> np.ndarray:
     return w * (np.expand_dims(h, -1) / 3.0)
 
 
+def span_covers(span_sigmas: float) -> bool:
+    """Whether a span of s sigma_k drops at most SPECTRUM_NORM of |f|^2,
+    its truncated tail being erfc(s / sqrt 2): from s = 5.7307 on."""
+    return math.erfc(span_sigmas / math.sqrt(2.0)) <= SPECTRUM_NORM
+
+
 def spectral_span(packet: PacketSpec,
                   span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> tuple[float, float]:
     """The first and last k of the spectral grid, checked without building
-    it: k_min > 0, and the energy k_max^2 / 2 is finite."""
-    if span_sigmas < 5.0:
-        raise ValueError("spectral span must cover at least 5 sigma_k")
+    it: the span covers the spectrum (span_covers), k_min > 0, and the
+    energy k_max^2 / 2 is finite."""
+    if not span_covers(span_sigmas):
+        raise ValueError(f"spectral span of {span_sigmas:g} sigma_k drops more than "
+                         f"SPECTRUM_NORM = {SPECTRUM_NORM:g} of |f|^2; need >= 5.7307")
     k_min = packet.k0 - span_sigmas * packet.sigma_k
     k_max = packet.k0 + span_sigmas * packet.sigma_k
     if k_min <= 0:
@@ -320,19 +328,17 @@ def windows(*tables: ModeTable, halo: int = 0):
 def _mode_table(spec: PotentialSpec, packet: PacketSpec, x: np.ndarray,
                 k: np.ndarray, weights: np.ndarray) -> ModeTable:
     """The coefficients of every mode, without cos(kx) and sin(kx). The
-    modes are decomposed as one block, on the grid points within half the
-    longest wavelength of the barrier, whose interior samples are their
-    rows."""
+    modes are decomposed as one block, checked on the grid points inside
+    [a, b), which are also the points of the `inner` rows; outside the
+    barrier the decomposition checks its plane-wave pairs exactly."""
     packet.check_separation(spec)
-    reach = math.pi / k[0]
-    x_dec = x[(x >= spec.a - reach) & (x <= spec.b + reach)]
-    inside = (x_dec >= spec.a) & (x_dec < spec.b)
-    dec = decompose_block(ProblemBlock.of(spec, 0.5 * k * k), x_dec)
+    x_in = x[(x >= spec.a) & (x < spec.b)]
+    dec = decompose_block(ProblemBlock.of(spec, 0.5 * k * k), x_in)
     states = (dec.full_state, dec.tr_state, dec.ref_state)
-    inner = np.empty((2, 3, k.size, np.count_nonzero(inside)), dtype=complex)
+    inner = np.empty((2, 3, k.size, x_in.size), dtype=complex)
     for deriv in (0, 1):
         for i, state in enumerate(states):
-            inner[deriv, i] = sample_states(state, x_dec[inside], bool(deriv))
+            inner[deriv, i] = sample_states(state, x_in, bool(deriv))
     return ModeTable(spec=spec, packet=packet, x=x, k=k, weights=weights,
                      f_k=packet.spectrum(k), full_left=np.array(dec.full_state.left),
                      tr_in=dec.tr_state.left[0], A_T=dec.full_state.right[0], inner=inner)

@@ -68,8 +68,6 @@ class PotentialSpec:
 
 def make_rectangular(v0: float, length: float, a: float) -> PotentialSpec:
     """Single segment of height v0 on [a, a+length]."""
-    if length <= 0:
-        raise NonPositiveWidth(f"barrier length must be positive, got {length}")
     return PotentialSpec(a=float(a), segments=((float(length), float(v0)),))
 
 

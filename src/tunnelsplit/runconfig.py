@@ -20,7 +20,7 @@ import numpy as np
 from .cranknicolson import SOLVES_PER_STEP, GridSpec, staggered_grid, step_index
 from .errors import SchemaError, TunnelSplitError
 from .packets import (BATCH_BYTES, DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec,
-                      default_grid_step, spectral_span)
+                      default_grid_step, span_covers, spectral_span)
 from .potential import PotentialSpec, make_piecewise
 from .stationary import EnergyMode
 
@@ -149,8 +149,7 @@ _SCHEMA = {
     }),
     "packet": (_OMITTED, {key: (_REQUIRED, _number) for key in ("k0", "sigma_k", "x0")}),
     "n_k": (DEFAULT_N_K, _rule(_integer, lambda n: n >= 65 and n % 2 == 1, "odd and >= 65")),
-    "k_span_sigmas": (DEFAULT_SPAN_SIGMAS,
-                      _rule(_number, lambda s: s >= 5.0, ">= 5, to cover 5 sigma_k")),
+    "k_span_sigmas": (DEFAULT_SPAN_SIGMAS, _rule(_number, span_covers, ">= 5.7307")),
     "x_grid": (None, _x_grid),
     "times": ({}, _times),
     "snapshot_times": ([0.0, 20.0, 40.0, 60.0, 80.0], _list_of(_number, 1)),

@@ -269,8 +269,7 @@ class PiecewiseState:
     def _sample_one(self, x, deriv: bool) -> np.ndarray:
         if self.problems.n != 1:
             raise ValueError("this reads a one-row state; use sample_states for a block")
-        x = np.asarray(x, dtype=float)
-        return sample_states(self, x.ravel(), deriv)[0].reshape(x.shape)
+        return sample_states(self, np.ravel(x), deriv)[0].reshape(np.shape(x))
 
 
 def _assemble(problems: ProblemBlock, left, right, pieces) -> PiecewiseState:
@@ -287,73 +286,52 @@ def _assemble(problems: ProblemBlock, left, right, pieces) -> PiecewiseState:
 SAMPLE_POINTS = 4096
 
 
-def column_slices(n: int, m: int, start: int = 0):
-    """Slices of columns start..m, each holding at most SAMPLE_POINTS
-    points of an n-row block (at least one column)."""
+def column_slices(n: int, m: int):
+    """Slices of m columns, each holding at most SAMPLE_POINTS points of
+    an n-row block (at least one column)."""
     cols = max(1, SAMPLE_POINTS // max(n, 1))
-    return [slice(lo, min(lo + cols, m)) for lo in range(start, m, cols)]
+    return [slice(lo, min(lo + cols, m)) for lo in range(0, m, cols)]
 
 
 def sample_states(states, x, deriv: bool = False) -> np.ndarray:
     """Values (or x derivatives) of a block of states as an (n, m) array,
     on a grid shared by every row (x of shape (m,)) or one grid per row
-    (x of shape (n, m)). A sequence of one-row states gives one row each
-    on a shared grid.
+    (x of shape (n, m)), in any order. A sequence of one-row states gives
+    one row each on a shared grid.
 
-    A point left of a takes the left plane-wave pair, a point at or beyond
-    b the right one; inside, a point on an interface belongs to the piece
-    on its right.
+    A point's run is -1 left of a (the left plane-wave pair), j in piece j
+    and n_pieces at or beyond b (the right pair): the number of edges,
+    each piece's left edge and then b, at or below it, less one, so a
+    point on an interface belongs to the piece on its right. Runs are
+    found and evaluated SAMPLE_POINTS points at a time, and no temporary
+    spans more: each run for the rows of one kind, over the columns from
+    its first point in any row to its last, written whole where every
+    row's points there are in the run and masked where they are not.
     """
     if not isinstance(states, PiecewiseState):
         return np.concatenate([sample_states(s, x, deriv) for s in states])
-    # On ascending rows, each row's points left of a, in each piece and
-    # from b on are runs of columns. Each run is evaluated for the rows of
-    # one kind over the columns any row's run spans, with the piece's
-    # parameters broadcast along the row, a slice of columns at a time, and
-    # kept where it belongs to the row's run. Other grids are evaluated on
-    # each row's ascending permutation.
-    P = states.problems
-    x = np.asarray(x, dtype=float)
-    m = x.shape[-1]
-    out = np.empty((P.n, m), dtype=complex)
-    if np.any(x[..., 1:] < x[..., :-1]):
-        X = np.broadcast_to(x, out.shape)
-        order = np.argsort(X, axis=1, kind="stable")
-        np.put_along_axis(out, order, sample_states(states, np.take_along_axis(X, order, axis=1),
-                                                    deriv), axis=1)
-        return out
-    ends = np.column_stack((states.xl, P.b))  # a piece's left edge ends the run before it
-    if x.ndim == 1:  # one grid for every row: a single row that broadcasts
-        below = np.searchsorted(x, ends)
-        X = x[None, :]
-    else:
-        below = np.stack([np.count_nonzero(x < e[:, None], axis=1) for e in ends.T], axis=1)
-        X = x
-    bounds = np.column_stack((np.zeros(P.n, dtype=below.dtype), below, np.full(P.n, m)))
-    lowest, highest = bounds.min(axis=0), bounds.max(axis=0)
-    alike = lowest == highest  # the bounds every row shares
+    out = np.empty((states.problems.n, np.shape(x)[-1]), dtype=complex)
+    X = np.broadcast_to(np.asarray(x, dtype=float), out.shape)
+    edges = np.column_stack((states.xl, states.problems.b)).T[:, :, None]
+    runs = [_runs(states, j, deriv) for j in range(-1, len(edges))]
     # a run is evaluated at points of the row's other runs too, which may
     # lie far outside it and overflow there
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(-1, states.xl.shape[1] + 1):
-            lo, hi = bounds[:, j + 1], bounds[:, j + 2]
-            start, stop = lowest[j + 1], highest[j + 2]
-            if start >= stop:
-                continue
-            uniform = alike[j + 1] and alike[j + 2]
-            for rows, field in _runs(states, j, deriv):
-                for cs in column_slices(P.n if isinstance(rows, slice) else rows.size, stop,
-                                        start):
-                    values = field(X[:, cs] if len(X) == 1 else X[rows, cs])
-                    if uniform:
-                        out[rows, cs] = values
-                        continue
-                    col = np.arange(cs.start, cs.stop)
-                    here = (col >= lo[rows, None]) & (col < hi[rows, None])
-                    if isinstance(rows, slice):
-                        np.copyto(out[rows, cs], values, where=here)
-                    else:
-                        out[rows, cs] = np.where(here, values, out[rows, cs])
+        for cs in column_slices(*out.shape):
+            run = sum(X[:, cs] >= edge for edge in edges) - 1
+            first, last = run.min(axis=0), run.max(axis=0)  # each column's runs
+            for j in range(first.min(), last.max() + 1):
+                cols = np.flatnonzero((first <= j) & (last >= j))
+                if not cols.size:
+                    continue
+                lo, hi = cols[0], cols[-1] + 1
+                span = slice(cs.start + lo, cs.start + hi)
+                whole = first[lo:hi].min() == j == last[lo:hi].max()
+                for rows, field in runs[j + 1]:
+                    values = field(X[rows, span])
+                    if not whole:
+                        values = np.where(run[rows, lo:hi] == j, values, out[rows, span])
+                    out[rows, span] = values
     return out
 
 
@@ -361,8 +339,7 @@ def _runs(states: PiecewiseState, j: int, deriv: bool):
     """(rows, field) pairs for run j of a block of states (-1: left of a,
     n_pieces: from b on, else piece j): the rows sharing one formula, and
     that formula as a function of those rows' x (rows, columns)."""
-    n_pieces = states.xl.shape[1]
-    if j in (-1, n_pieces):
+    if j in (-1, states.xl.shape[1]):
         cp, cm = (c[:, None] for c in (states.left if j < 0 else states.right))
         k = states.problems.k[:, None]
 

@@ -278,7 +278,7 @@ def test_criterion_7_continuity_convergence():
         dx = 0.05 / 2 ** level
         n_side = int(round(18.0 / dx))
         x = spec.x_c + dx * np.arange(-n_side, n_side + 1)
-        table = build_mode_table(spec, packet, x, n_k=513, span_sigmas=5.5)
+        table = build_mode_table(spec, packet, x, n_k=513, span_sigmas=5.75)
         for comp in ("tr", "ref"):
             residuals[comp].append(continuity_residual(table, comp, 7.0))
     orders = {

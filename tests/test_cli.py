@@ -28,7 +28,7 @@ FAST = {
     "times": {"start": 0.0, "stop": 12.0, "num": 7},
     "snapshot_times": [0.0, 12.0],
     "n_k": 129,
-    "k_span_sigmas": 5.5,
+    "k_span_sigmas": 5.75,
     "x_grid": {"x_min": -30.0, "x_max": 26.0, "dx": 0.05},
     "oracle": {
         "dx": 0.01,
@@ -234,6 +234,13 @@ class TestExitCodes:
     ])
     def test_bad_setting_is_2_before_any_work(self, tmp_path, monkeypatch, subcommand, override):
         self.rejected_before_any_work(tmp_path, monkeypatch, subcommand, override)
+
+    def test_span_that_drops_more_than_the_spectrum_norm_is_2(self, tmp_path, monkeypatch):
+        # erfc(5.73 / sqrt 2) = 1.004e-8 of |f|^2 lies outside the span
+        override = {"k_span_sigmas": 5.73}
+        message = self.rejected_before_any_work(tmp_path, monkeypatch, "diagnostics", override)
+        assert message.startswith("k_span_sigmas:"), message
+        assert parse_config(write_config(tmp_path, k_span_sigmas=5.75)).k_span_sigmas == 5.75
 
     @pytest.mark.parametrize("E", [0.3, 0.6])
     def test_decompose_grid_inside_the_barrier_is_0(self, tmp_path, E):

@@ -16,6 +16,7 @@ from tunnelsplit.packets import (
     default_x_grid,
     diagnostics_series,
     fields_at,
+    span_covers,
     spectral_grid,
     synthesize,
 )
@@ -24,7 +25,7 @@ from tunnelsplit.runconfig import parse_config
 from tunnelsplit import stationary
 from tunnelsplit.splitting import build_decomposition
 from tunnelsplit.stationary import EnergyMode, solve_full
-from tunnelsplit.tolerances import NORM_DRIFT, PACKET_IDENTITY
+from tunnelsplit.tolerances import NORM_DRIFT, PACKET_IDENTITY, SPECTRUM_NORM
 
 from _oracles import cut_flux_integral, free_gaussian, per_mode_fields
 
@@ -77,6 +78,20 @@ class TestSpectralGrid:
         packet = PacketSpec(k0=1e300, sigma_k=0.1, x0=-40.0)
         with pytest.raises(SpectrumDomainError, match="overflows"):
             spectral_grid(packet)
+
+    @pytest.mark.parametrize("n_k", [65, 513])
+    @pytest.mark.parametrize("span", [5.75, 8.0])
+    def test_meets_the_spectrum_norm(self, canonical_packet, span, n_k):
+        # the span's truncated tail erfc(span / sqrt 2) is 8.9e-9 at 5.75
+        k, w = spectral_grid(canonical_packet, n_k, span)
+        total = np.sum(w * np.abs(canonical_packet.spectrum(k)) ** 2)
+        assert abs(total - 1.0) <= SPECTRUM_NORM
+
+    def test_rejects_a_span_whose_tail_exceeds_the_norm(self, canonical_packet):
+        # erfc(5.73 / sqrt 2) = 1.004e-8 of |f|^2 lies outside the span
+        assert span_covers(5.7308) and not span_covers(5.7307)
+        with pytest.raises(ValueError, match="SPECTRUM_NORM"):
+            spectral_grid(canonical_packet, 65, 5.73)
 
     def test_weights_integrate_gaussian(self, canonical_packet):
         k, w = spectral_grid(canonical_packet)
@@ -300,7 +315,7 @@ def test_diagnostics_series_matches_per_time_recomputation():
     spec = make_rectangular(1.0, 1.0, -2.0)
     packet = PacketSpec(k0=1.5, sigma_k=0.25, x0=-12.5)
     x = np.arange(-30.0, 26.0 + 1e-9, 0.05)
-    table = build_mode_table(spec, packet, x, n_k=65, span_sigmas=5.5)
+    table = build_mode_table(spec, packet, x, n_k=65, span_sigmas=5.75)
     times = np.array([0.0, 3.0, 6.0, 9.0, 12.0])
     series = diagnostics_series(table, times)
     i_left = int(np.searchsorted(x, table.x_c, side="left")) - 1
@@ -328,7 +343,7 @@ def _small_table():
     spec = make_rectangular(1.0, 1.0, -2.0)
     packet = PacketSpec(k0=1.5, sigma_k=0.25, x0=-12.5)
     x = np.arange(-30.0, 26.0 + 1e-9, 0.05)
-    return build_mode_table(spec, packet, x, n_k=65, span_sigmas=5.5)
+    return build_mode_table(spec, packet, x, n_k=65, span_sigmas=5.75)
 
 
 def test_density_rates_are_the_time_derivative_of_the_density():
@@ -474,7 +489,7 @@ class TestAgainstPerModeRows:
     central mode and a grid holding a, b and x_c."""
 
     PACKET = PacketSpec(k0=1.5, sigma_k=0.25, x0=-12.5)
-    N_K, SPAN = 65, 5.5
+    N_K, SPAN = 65, 5.75
     TIMES = [0.0, 6.0, 12.0]
     X = np.arange(-30.0, 26.0 + 1e-9, 0.0625)
 
@@ -528,3 +543,18 @@ def test_pipeline_identity_and_sum_rule_on_random_symmetric_barriers(canonical_p
     s = diagnostics_series(table, times)
     assert np.max(np.abs(s.T + s.R + 2.0 * s.overlap.real - s.total)) < PACKET_IDENTITY
     assert np.max(s.continuity) < 1e-4
+
+
+def test_table_without_a_point_inside_the_barrier():
+    """A grid with no point in [a, b) gives an empty `inner` and an empty
+    decomposition grid: the parity probe falls back to a span of 1 and the
+    identity check reduces nothing, while the plane-wave pairs are still
+    checked. The series keeps the sum rule and the identity."""
+    spec = make_rectangular(1.0, 0.01, -2.0)
+    packet = PacketSpec(k0=1.5, sigma_k=0.25, x0=-12.5)
+    x = np.arange(-30.0, 26.0 + 1e-9, 0.0503)  # -2.0332 and -1.9829 flank [-2, -1.99)
+    table = build_mode_table(spec, packet, x, n_k=65, span_sigmas=5.75)
+    assert table.inner.shape == (2, 3, 65, 0)
+    s = diagnostics_series(table, np.linspace(0.0, 12.0, 5))
+    assert np.max(np.abs(s.T + s.R + 2.0 * s.overlap.real - s.total)) < PACKET_IDENTITY
+    assert np.max(s.identity_residual) < PACKET_IDENTITY

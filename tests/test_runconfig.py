@@ -235,7 +235,7 @@ TINY = parse_config_text(json.dumps({
     "packet": {"k0": 1.5, "sigma_k": 0.25, "x0": -12.5},
     "times": {"start": 0.0, "stop": 12.0, "num": 3},
     "n_k": 65,
-    "k_span_sigmas": 5.5,
+    "k_span_sigmas": 5.75,
     "x_grid": {"x_min": -30.0, "x_max": 26.0, "dx": 0.1},
     "decompose_grid": {"pad": 2.0, "n": 65},
 })).echo()

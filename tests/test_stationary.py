@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tunnelsplit import stationary
 from tunnelsplit.errors import OpacityOverflow, SolveSingular
 from tunnelsplit.potential import PotentialSpec, make_piecewise, make_rectangular
-from tunnelsplit.splitting import build_decomposition
+from tunnelsplit.splitting import build_decomposition, decompose_block
 from tunnelsplit.stationary import (
     EnergyMode,
     ProblemBlock,
@@ -205,19 +205,19 @@ class TestStateCascades:
         np.testing.assert_allclose(state.derivative(x), fd, rtol=1e-8, atol=1e-8)
 
 
-def _masked_reference(state, x, deriv):
-    """Per-state evaluation of a one-row state by boolean masks: plane
+def _masked_reference(state, x, deriv, row=0):
+    """Per-state evaluation of one row of a state by boolean masks: plane
     waves left of a and from b on, each interior piece on [its left edge,
     the next one's)."""
     P = state.problems
-    k, a, b = P.k[0], P.a[0], P.b[0]
+    k, a, b = P.k[row], P.a[row], P.b[row]
     out = np.full(x.shape, np.nan, dtype=complex)
     for mask, (cp, cm) in ((x < a, state.left), (x >= b, state.right)):
         e = np.exp(1j * k * x[mask])
-        out[mask] = (1j * k * (cp[0] * e - cm[0] * e.conj()) if deriv
-                     else cp[0] * e + cm[0] * e.conj())
-    xl, xr, q2, kind, c1, c2 = (v[0] for v in (state.xl, state.xr, state.q2, state.kind,
-                                                state.c1, state.c2))
+        out[mask] = (1j * k * (cp[row] * e - cm[row] * e.conj()) if deriv
+                     else cp[row] * e + cm[row] * e.conj())
+    xl, xr, q2, kind, c1, c2 = (v[row] for v in (state.xl, state.xr, state.q2, state.kind,
+                                                  state.c1, state.c2))
     ends = list(xl[1:]) + [b]
     for j, end in enumerate(ends):
         m = (x >= xl[j]) & (x < end)
@@ -244,6 +244,22 @@ class TestSampleStates:
         assert states[2].xl[0].tolist() == [-1.5, -0.5, 0.0, 0.5]
         assert np.all(np.isin(self.EDGES, x))
 
+    # E = 0.5 puts the middle segment of the first barrier in the pair form,
+    # of the second in the oscillating and of the third in the evanescent one
+    BLOCK = [make_piecewise(-1.5, [(1.0, 2.0), (1.0, 0.5), (1.0, 2.0)]),
+             make_piecewise(-2.2, [(0.4, 2.0), (2.0, 0.3), (0.4, 2.0)]),
+             make_piecewise(-1.3, [(1.1, 0.2), (0.4, 3.0), (1.1, 0.2)])]
+
+    def _block_states_and_grids(self):
+        """A block of differently proportioned barriers, each row on its own
+        shuffle of a shared grid and its barrier's edges and x_c."""
+        rng = np.random.default_rng(7)
+        base = np.linspace(-3.05, 3.05, 62)
+        x = np.stack([rng.permutation(np.concatenate([base, spec.edges(), [spec.x_c]]))
+                      for spec in self.BLOCK])
+        dec = decompose_block(ProblemBlock.of(self.BLOCK, 0.5), x)
+        return (dec.full_state, dec.tr_state, dec.ref_state, dec.even_ref_state), x
+
     @pytest.mark.parametrize("deriv", [False, True])
     def test_rows_equal_one_state_calls_bitwise(self, deriv):
         states, x = self._states_and_grid()
@@ -253,6 +269,14 @@ class TestSampleStates:
             single = state.derivative(x) if deriv else state.values(x)
             assert np.array_equal(row, single)
             assert np.array_equal(row, _masked_reference(state, x, deriv))
+        # runs and kinds that differ per row, and no row sorted
+        states, x = self._block_states_and_grids()
+        assert not np.any(np.all(np.diff(x, axis=1) >= 0, axis=1))
+        assert len({tuple(kinds) for kinds in states[0].kind}) == len(self.BLOCK)
+        for state in states:
+            rows = sample_states(state, x, deriv=deriv)
+            for i, row in enumerate(rows):
+                assert np.array_equal(row, _masked_reference(state, x[i], deriv, i))
 
     @pytest.mark.parametrize("deriv", [False, True])
     def test_reversed_grid_reverses_output(self, deriv):
