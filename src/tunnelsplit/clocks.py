@@ -29,7 +29,8 @@ problems at once and returns one `ClockResult` of (n,) columns, with one
 reflection channel reads NaN there.
 `compute_clock`, `larmor_times` and `larmor_packet_readout` return blocks
 of one row, and `sweep_barrier_width` hands its widths to `map_fn` in
-blocks of SWEEP_BLOCK and joins their results into one. `dwell_time`
+blocks of SWEEP_BLOCK (512), each one ProblemBlock made from its width
+array, and joins their results into one. `dwell_time`
 takes a one-row `DecompositionBlock`, whose weights are |A_T|^2 and
 |A_R|^2. The packet readout takes its sub-packet weights and overlap
 from `packets.diagnostics_series`.
@@ -44,7 +45,7 @@ import numpy as np
 from .errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
 from .packets import (COMPONENTS, DEFAULT_N_K, PacketSpec, build_mode_table,
                       default_x_grid, diagnostics_series, windows)
-from .potential import PotentialSpec, make_rectangular
+from .potential import PotentialSpec
 from .splitting import DecompositionBlock, decompose_block
 from .stationary import EVAN, OSC, PAIR, EnergyMode, ProblemBlock, solve_block
 from .tolerances import OVERLAP_FINAL_FRACTION, ZERO_FLUX
@@ -53,8 +54,11 @@ SUBPROCESSES = ("tr", "ref")
 
 # Widths per block in sweep_barrier_width, and per task of its map_fn. A
 # block's arrays grow with it: its decomposition on 65 probe points
-# across [a, b], its Zeeman solves and its results, about 0.6 MB at 64.
-SWEEP_BLOCK = 64
+# across [a, b], its Zeeman solves and its results, a 2.2 MB peak at 512.
+# Keep SWEEP_BLOCK * len(LARMOR_FACTORS) at most 16384: from 5462 rows up,
+# numpy rounds up * conj(down) on the strided (n, 3) views differently and
+# the Larmor readings move by up to 2e-12 relative.
+SWEEP_BLOCK = 512
 
 # Nodes of a dwell time's composite-Simpson sum: the reflection sum on
 # [a, x_c] has DWELL_NODES, and each half of the transmission sum, on
@@ -400,10 +404,9 @@ def compute_clock(spec: PotentialSpec, mode: EnergyMode) -> ClockResult:
 
 def _sweep_block(v0: float, energy_ratio: float, kappa_lengths) -> ClockResult:
     E = energy_ratio * v0
-    kappa = math.sqrt(2.0 * (v0 - E))
-    widths = [kl / kappa for kl in kappa_lengths]
-    specs = [make_rectangular(v0, L, -0.5 * L) for L in widths]
-    return clock_block(ProblemBlock.of(specs, E))
+    widths = np.array(kappa_lengths)[:, None] / math.sqrt(2.0 * (v0 - E))  # L = kappa_L / kappa
+    return clock_block(ProblemBlock.from_arrays(-0.5 * widths[:, 0], widths,
+                                                np.full_like(widths, v0), E))
 
 
 def sweep_barrier_width(v0: float, energy_ratio: float, kappa_lengths,

@@ -31,22 +31,12 @@ class PotentialSpec:
     symmetric: bool = field(init=False)
 
     def __post_init__(self):
-        if not self.segments:
-            raise NonPositiveWidth("potential needs at least one segment")
-        widths = [w for w, _ in self.segments]
-        if not all(0 < w < math.inf for w in widths):
-            raise NonPositiveWidth(f"segment widths must be finite and positive, got {widths}")
-        heights = [h for _, h in self.segments]
-        if not all(math.isfinite(v) for v in (self.a, *heights)):
-            raise ValueError(f"a and the segment heights must be finite, got {self.a}, {heights}")
-        b = self.a + sum(widths)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "x_c", 0.5 * (self.a + b))
-        sym = all(
-            abs(w1 - w2) <= SYMMETRY_TOL and abs(h1 - h2) <= SYMMETRY_TOL
-            for (w1, h1), (w2, h2) in zip(self.segments, self.segments[::-1])
-        )
-        object.__setattr__(self, "symmetric", sym)
+        segments = np.array(self.segments, dtype=float).reshape(1, -1, 2)
+        edges, symmetric = barrier_rows(np.array([self.a], dtype=float),
+                                        segments[..., 0], segments[..., 1])
+        object.__setattr__(self, "b", float(edges[0, -1]))
+        object.__setattr__(self, "x_c", 0.5 * (self.a + self.b))
+        object.__setattr__(self, "symmetric", bool(symmetric[0]))
 
     @property
     def width(self) -> float:
@@ -64,6 +54,27 @@ class PotentialSpec:
             raise AsymmetricPotential(
                 "height sequence is not mirror-symmetric about the midpoint"
             )
+
+
+def barrier_rows(a: np.ndarray, widths: np.ndarray, heights: np.ndarray):
+    """Edges (m, s + 1) and symmetry flags (m,) of the barriers starting at
+    a (m,) with segment widths and heights (m, s): PotentialSpec's rules,
+    checked on every row, the first failing row raising."""
+    if not widths.shape[1]:
+        raise NonPositiveWidth("potential needs at least one segment")
+    bad = ~((widths > 0) & (widths < math.inf)).all(axis=1)
+    if bad.any():
+        raise NonPositiveWidth(f"segment widths must be finite and positive, "
+                               f"got {widths[bad][0].tolist()}")
+    bad = ~(np.isfinite(a) & np.isfinite(heights).all(axis=1))
+    if bad.any():
+        raise ValueError(f"a and the segment heights must be finite, "
+                         f"got {a[bad][0]}, {heights[bad][0].tolist()}")
+    # a sequential sum, so b = edges[:, -1] is a + sum(widths) left to right
+    edges = a[:, None] + np.cumsum(np.concatenate((np.zeros((len(a), 1)), widths), 1), 1)
+    symmetric = ((np.abs(widths - widths[:, ::-1]) <= SYMMETRY_TOL)
+                 & (np.abs(heights - heights[:, ::-1]) <= SYMMETRY_TOL)).all(axis=1)
+    return edges, symmetric
 
 
 def make_rectangular(v0: float, length: float, a: float) -> PotentialSpec:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AsymmetricPotential, OpacityOverflow, SolveSingular
-from .potential import PotentialSpec
+from .potential import PotentialSpec, barrier_rows
 from .tolerances import OPACITY_MAX, UNITARITY
 
 # |q^2| w^2 below this: the (psi, psi') anchored form is used, which is
@@ -101,20 +101,29 @@ class ProblemBlock:
         """Rows from one barrier or a sequence of them and one energy or an
         array of them; a single barrier or energy serves every row."""
         specs = (spec,) if isinstance(spec, PotentialSpec) else tuple(spec)
-        E = np.atleast_1d(np.asarray(E, dtype=float))
-        n = max(len(specs), E.size)
-        if len({len(s.segments) for s in specs}) != 1 or not {len(specs), E.size} <= {1, n}:
-            raise ValueError("a block takes barriers of one segment count, "
-                             "with one energy or one per barrier")
-        good = np.isfinite(E) & (E > 0)
-        if not good.all():
-            raise ValueError(f"energy must be finite and positive, got {E[~good][0]}")
+        if len({len(s.segments) for s in specs}) != 1:
+            raise ValueError("a block takes barriers of one segment count")
+        segments = np.array([s.segments for s in specs])
+        return cls.from_arrays([s.a for s in specs], segments[..., 0], segments[..., 1], E)
 
-        return cls(a=_rows([s.a for s in specs], n), b=_rows([s.b for s in specs], n),
-                   edges=_rows([s.edges() for s in specs], n),
-                   widths=_rows([[w for w, _ in s.segments] for s in specs], n),
-                   heights=_rows([[h for _, h in s.segments] for s in specs], n),
-                   symmetric=_rows([s.symmetric for s in specs], n), E=_rows(E, n))
+    @classmethod
+    def from_arrays(cls, a, widths, heights, E) -> "ProblemBlock":
+        """Rows from barriers `a` (m,) with segment `widths` and `heights` (m, s)
+        and one energy or an array of them, as `of` makes from specs."""
+        a, E = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, E))
+        widths, heights = np.asarray(widths, dtype=float), np.asarray(heights, dtype=float)
+        n = max(a.size, E.size)
+        if (widths.ndim != 2 or heights.shape != widths.shape or a.shape != widths.shape[:1]
+                or not {a.size, E.size} <= {1, n}):
+            raise ValueError("a block takes a (m,), widths and heights (m, s), "
+                             "and one energy or one per barrier")
+        edges, symmetric = barrier_rows(a, widths, heights)
+        bad = ~(np.isfinite(E) & (E > 0))
+        if bad.any():
+            raise ValueError(f"energy must be finite and positive, got {E[bad][0]}")
+        return cls(a=_rows(a, n), b=_rows(edges[:, -1], n), edges=_rows(edges, n),
+                   widths=_rows(widths, n), heights=_rows(heights, n),
+                   symmetric=_rows(symmetric, n), E=_rows(E, n))
 
     @property
     def n(self) -> int:
@@ -125,14 +134,9 @@ class ProblemBlock:
         with all segment heights moved by its shift; the copies of a row
         are adjacent."""
         deltas = np.asarray(deltas, dtype=float)
-
-        def rep(v):
-            return np.repeat(v, deltas.shape[1], axis=0)
-
-        return ProblemBlock(a=rep(self.a), b=rep(self.b), edges=rep(self.edges),
-                            widths=rep(self.widths),
-                            heights=rep(self.heights) + deltas.reshape(-1, 1),
-                            symmetric=rep(self.symmetric), E=rep(self.E))
+        a, widths, heights, E = (np.repeat(v, deltas.shape[1], axis=0)
+                                 for v in (self.a, self.widths, self.heights, self.E))
+        return ProblemBlock.from_arrays(a, widths, heights + deltas.reshape(-1, 1), E)
 
     def require_symmetric(self):
         if not self.symmetric.all():

@@ -16,7 +16,8 @@ from tunnelsplit.clocks import (
     sweep_barrier_width,
     zeeman_shifted,
 )
-from tunnelsplit.errors import ExtrapolationDiverged, GridTooCoarse, PrematureReadout, ZeroFlux
+from tunnelsplit.errors import (ExtrapolationDiverged, GridTooCoarse, NonPositiveWidth,
+                               PrematureReadout, ZeroFlux)
 from tunnelsplit.packets import PacketSpec, build_mode_table, diagnostics_series
 from tunnelsplit.potential import PotentialSpec, make_rectangular
 from tunnelsplit.splitting import build_decomposition, decompose_block
@@ -378,6 +379,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="v0"):
             sweep_barrier_width(v0, 0.5, [1.0, 2.0])
 
+    @pytest.mark.parametrize("kappa_l", [0.0, -1.0, math.inf, math.nan],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_rejects_a_width_not_finite_and_positive(self, kappa_l):
+        with pytest.raises(NonPositiveWidth, match="segment widths"):
+            sweep_barrier_width(1.0, 0.5, [1.0, kappa_l])
+
     def test_sweep_barriers_are_centered(self, monkeypatch):
         blocks = []
 
@@ -419,12 +426,27 @@ class TestOnePath:
 
     def test_sweep_rows_do_not_depend_on_the_block_size(self, monkeypatch):
         runs = []
-        for size in (1, 7, 64):
+        for size in (1, 7, 64, clocks.SWEEP_BLOCK):
             monkeypatch.setattr(clocks, "SWEEP_BLOCK", size)
             runs.append(sweep_barrier_width(1.0, 0.5, self.KAPPA_LS))
         for rows in runs[1:]:
             assert rows.E.shape == (self.KAPPA_LS.size,)
             assert all(_same_clocks(runs[0], i, rows, i) for i in range(self.KAPPA_LS.size))
+
+    def test_uneven_blocks_equal_one_block(self, monkeypatch):
+        kappa_ls = np.linspace(1.0, 14.0, 1100)
+        sizes = []
+
+        def recording_map(fn, blocks):
+            sizes.extend(len(b) for b in blocks)
+            return map(fn, blocks)
+
+        rows = sweep_barrier_width(1.0, 0.5, kappa_ls, map_fn=recording_map)
+        *full, last = sizes
+        assert full and set(full) == {clocks.SWEEP_BLOCK} and 0 < last < clocks.SWEEP_BLOCK
+        monkeypatch.setattr(clocks, "SWEEP_BLOCK", kappa_ls.size)
+        whole = sweep_barrier_width(1.0, 0.5, kappa_ls)
+        assert all(_same_clocks(whole, i, rows, i) for i in range(kappa_ls.size))
 
     def test_absent_reflection_marks_its_row_only(self):
         specs = [_centered(1.0, 2.0), _centered(0.0, 2.0), _centered(1.0, 3.0)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tunnelsplit import stationary
-from tunnelsplit.errors import OpacityOverflow, SolveSingular
+from tunnelsplit.errors import NonPositiveWidth, OpacityOverflow, SolveSingular
 from tunnelsplit.potential import PotentialSpec, make_piecewise, make_rectangular
 from tunnelsplit.splitting import build_decomposition, decompose_block
 from tunnelsplit.stationary import (
@@ -120,6 +120,86 @@ class TestBlock:
                  make_rectangular(1.0, 2.0, 0.0)]
         with pytest.raises(OpacityOverflow, match="at E = 0.1:"):
             solve_block(ProblemBlock.of(specs, [0.5, 0.1, 0.7]))
+
+
+class TestFromArrays:
+    """ProblemBlock.from_arrays applies PotentialSpec's rules row by row."""
+
+    FIELDS = ("a", "b", "edges", "widths", "heights", "symmetric", "E", "k", "x_c", "q2")
+
+    # nine 0.1 widths from a = -1: the sequential sum ends them at
+    # -0.10000000000000009, numpy's pairwise np.sum at -0.09999999999999998
+    NINE = PotentialSpec(a=-1.0, segments=tuple(
+        (0.1, 0.2 * h) for h in (1, 2, 3, 4, 5, 4, 3, 2, 1)))
+    BARRIERS = {
+        "one-segment": [make_rectangular(1.0, 2.0, -1.0), make_rectangular(3.0, 0.7, 0.25)],
+        "three-segment": [make_piecewise(-1.5, [(1.0, 0.5), (1.0, 0.25), (1.0, 0.5)]),
+                          make_piecewise(0.3, [(0.4, 2.0), (1.7, -0.5), (0.4, 2.0)])],
+        "nine-segment": [NINE, PotentialSpec(a=-2.5, segments=tuple(
+            (w, 1.0) for w in (0.3, 0.7, 0.45, 0.15, 0.2, 0.15, 0.45, 0.7, 0.3)))],
+        "asymmetric": [PotentialSpec(a=-1.0, segments=((0.7, 1.3), (1.1, -0.4))),
+                       make_piecewise(0.0, [(0.5, 0.9), (0.5, 0.9)])],
+    }
+
+    @staticmethod
+    def arrays(specs):
+        segments = np.array([s.segments for s in specs])
+        return [s.a for s in specs], segments[..., 0], segments[..., 1]
+
+    @pytest.mark.parametrize("name", sorted(BARRIERS))
+    def test_agrees_with_of_and_the_specs_bitwise(self, name):
+        specs = self.BARRIERS[name]
+        E = [0.5, 1.7]
+        block = ProblemBlock.of(specs, E)
+        arrays = ProblemBlock.from_arrays(*self.arrays(specs), E)
+        for f in self.FIELDS:
+            assert np.array_equal(getattr(block, f), getattr(arrays, f)), f
+        # b is a + sum(widths) summed left to right, in the block and the spec
+        b = [s.a + sum(w for w, _ in s.segments) for s in specs]
+        assert np.array_equal(block.b, b) and [s.b for s in specs] == b
+        assert np.array_equal(block.x_c, [s.x_c for s in specs])
+        assert np.array_equal(block.edges, [s.edges() for s in specs])
+        assert block.symmetric.tolist() == [s.symmetric for s in specs]
+        assert block.symmetric.all() == (name != "asymmetric")
+
+    def test_nine_widths_end_at_the_sequential_sum(self):
+        widths = [w for w, _ in self.NINE.segments]
+        assert -1.0 + sum(widths) != -1.0 + np.sum(widths)
+        block = ProblemBlock.from_arrays(*self.arrays([self.NINE]), 0.5)
+        assert block.b[0] == block.edges[0, -1] == self.NINE.b == -1.0 + sum(widths)
+
+    def test_one_barrier_or_energy_serves_every_row(self):
+        spec = self.BARRIERS["three-segment"][0]
+        many_E = ProblemBlock.from_arrays(*self.arrays([spec]), [0.5, 0.7, 0.9])
+        many_specs = ProblemBlock.from_arrays(*self.arrays([spec] * 3), 0.5)
+        assert many_E.n == many_specs.n == 3
+        assert np.array_equal(many_E.edges, many_specs.edges)
+        with pytest.raises(ValueError, match="one energy or one per barrier"):
+            ProblemBlock.from_arrays(*self.arrays([spec] * 3), [0.5, 0.7])
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("width", 0.0, NonPositiveWidth), ("width", -1.0, NonPositiveWidth),
+        ("width", math.inf, NonPositiveWidth), ("width", math.nan, NonPositiveWidth),
+        ("a", math.inf, ValueError), ("a", math.nan, ValueError),
+        ("height", -math.inf, ValueError), ("height", math.nan, ValueError)])
+    def test_a_bad_row_raises_what_its_spec_raises(self, field, value, error):
+        a, widths, heights = [-1.0, 0.0, 2.0], np.ones((3, 3)), np.full((3, 3), 0.5)
+        if field == "a":
+            a[1] = value
+        else:
+            (widths if field == "width" else heights)[1, 2] = value
+        for build in (lambda: PotentialSpec(a=a[1], segments=tuple(zip(widths[1], heights[1]))),
+                      lambda: ProblemBlock.from_arrays(a, widths, heights, 0.5)):
+            with pytest.raises(Exception) as got:
+                build()
+            assert type(got.value) is error
+
+    @pytest.mark.parametrize("E", [0.0, -1.0, math.inf, math.nan])
+    def test_a_bad_energy_raises_what_energy_mode_raises(self, E):
+        with pytest.raises(ValueError, match="energy must be finite and positive"):
+            EnergyMode(E)
+        with pytest.raises(ValueError, match="energy must be finite and positive"):
+            ProblemBlock.from_arrays([0.0, 1.0], np.ones((2, 1)), np.ones((2, 1)), [0.5, E])
 
 
 def from_left(spec, mode, c_plus, c_minus, x):
