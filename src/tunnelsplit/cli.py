@@ -262,8 +262,7 @@ def cmd_clock(cfg: RunConfig, out: Path) -> dict:
     return {
         "tau_dwell_tr": float(res.tau_dwell_tr[0]),
         "tau_larmor_tr": float(res.tau_larmor_tr[0]),
-        "raw_larmor_tr": res.larmor_tr.raw_times[0].tolist(),
-        "residuals_tr": res.larmor_tr.residuals[0].tolist(),
+        "raw_larmor_tr": float(res.larmor_tr.raw[0]),
     }
 
 

@@ -13,27 +13,39 @@ a geometric or power sum. The work per row and piece is O(1) and no array
 grows with the node count.
 
 Larmor times probe the same interval non-invasively: an infinitesimal
-Zeeman splitting +/- omega/2 confined to the barrier turns the relative
+Zeeman splitting V -> V -/+ omega/2 confined to [a, b] turns the relative
 phase of the spin-up/down outgoing amplitudes into a precession angle
-phi(omega); phi/omega extrapolated to omega -> 0 is the clock reading.
-The transmission readout uses the right-side amplitude of the
-transmission sub-wave (the full transmitted amplitude, since both waves
-coincide beyond x_c); reflection uses the left outgoing amplitude of the
-reflection sub-wave (the full reflected amplitude).
+phi(omega), and the clock reads phi/omega in the limit omega -> 0. That
+limit is minus the derivative of the amplitude's phase with respect to a
+uniform shift of V over [a, b] (Buttiker, Phys. Rev. B 27, 6178, 1983),
+which first-order perturbation theory gives in closed form. With psi_L
+the state incident from the left (a decomposition's full_state) and
+psi_R the state incident from the right with the same transmission
+amplitude,
 
-Each row's Larmor frequencies are omega = LARMOR_FACTORS * E_row, one
-fixed ladder: the reading is its zero-field limit, so the ladder is a
-numerical setting, not a physical input. `clock_block` times a block of
-problems at once and returns one `ClockResult` of (n,) columns, with one
-`LarmorReading` of (n, n_omega) arrays per sub-process; a row without a
-reflection channel reads NaN there.
-`compute_clock`, `larmor_times` and `larmor_packet_readout` return blocks
-of one row, and `sweep_barrier_width` hands its widths to `map_fn` in
-blocks of SWEEP_BLOCK (512), each one ProblemBlock made from its width
-array, and joins their results into one. `dwell_time`
-takes a one-row `DecompositionBlock`, whose weights are |A_T|^2 and
-|A_R|^2. The packet readout takes its sub-packet weights and overlap
-from `packets.diagnostics_series`.
+    tau_larmor_tr  = Re(integral_a^b psi_L psi_R dx / (k A_T)),
+    tau_larmor_ref = Re(integral_a^b psi_L^2 dx / (k A_R)),
+
+and minus the imaginary parts are the out-of-plane readings (the
+modulus response). The transmission reading uses the full transmitted
+amplitude, since tr and full coincide beyond x_c; reflection uses the
+full reflected amplitude. psi_R is cascaded forward from its left pair
+(0, A_T); on a symmetric barrier it equals exp(-2ik x_c) psi_L(2 x_c - x).
+Both integrals are sums over pieces of a product of two bounded-basis
+fields, each in closed form (`_overlap`).
+
+One Zeeman pair per row, at omega_min = LARMOR_FACTOR * E, gives the raw
+reading phi(omega_min) / omega_min; a row's `residual` is its distance
+from the exact time, the larger over tr and ref. It measures the
+finite-field error of a real clock at omega_min and is an output, not a
+correction. `clock_block` times a block of problems at once and returns
+one `ClockResult` of (n,) columns, with one `LarmorReading` of (n,)
+arrays per sub-process; a row without a reflection channel reads NaN
+there. `compute_clock` and `larmor_times` return blocks of one row, and
+`sweep_barrier_width` hands its widths to `map_fn` in blocks of
+SWEEP_BLOCK (512), each one ProblemBlock made from its width array, and
+joins their results into one. `dwell_time` takes a one-row
+`DecompositionBlock`, whose weights are |A_T|^2 and |A_R|^2.
 """
 
 import math
@@ -42,22 +54,23 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ExtrapolationDiverged, PrematureReadout, ZeroFlux
-from .packets import (COMPONENTS, DEFAULT_N_K, PacketSpec, build_mode_table,
-                      default_x_grid, diagnostics_series, windows)
+from .errors import ClockNotFinite, ZeroFlux
 from .potential import PotentialSpec
 from .splitting import DecompositionBlock, decompose_block
-from .stationary import EVAN, OSC, PAIR, EnergyMode, ProblemBlock, solve_block
-from .tolerances import OVERLAP_FINAL_FRACTION, ZERO_FLUX
+from .stationary import (EVAN, OSC, PAIR, EnergyMode, PiecewiseState, ProblemBlock,
+                         _piece_field, scattering_state, solve_block, state_from_left)
+from .tolerances import ZERO_FLUX
 
 SUBPROCESSES = ("tr", "ref")
 
 # Widths per block in sweep_barrier_width, and per task of its map_fn. A
 # block's arrays grow with it: its decomposition on 65 probe points
 # across [a, b], its Zeeman solves and its results, a 2.2 MB peak at 512.
-# Keep SWEEP_BLOCK * len(LARMOR_FACTORS) at most 16384: from 5462 rows up,
-# numpy rounds up * conj(down) on the strided (n, 3) views differently and
-# the Larmor readings move by up to 2e-12 relative.
+# Keep SWEEP_BLOCK below 16384: from 16384 rows up, numpy rounds
+# up * conj(down) on the strided views of the (n, 2) spin amplitudes
+# differently, and the raw readings and residuals move by up to 2.2e-12
+# relative (measured on a sweep of 16384 widths; at 16383 nothing moves,
+# and the times do not move at either size).
 SWEEP_BLOCK = 512
 
 # Nodes of a dwell time's composite-Simpson sum: the reflection sum on
@@ -66,61 +79,54 @@ SWEEP_BLOCK = 512
 # counts are odd, so each sum is a Simpson rule.
 DWELL_NODES = 2049
 
-# Larmor frequencies as fractions of each row's energy: strictly descending,
-# the first at most OMEGA_FRACTION, so each omega is infinitesimal against E.
-LARMOR_FACTORS = (1e-2, 1e-3, 1e-4)
+# The Zeeman pair's frequency as a fraction of each row's energy,
+# omega_min: small against E (at most OMEGA_FRACTION), so that the raw
+# reading lies within O(omega_min^2) of the exact time.
+LARMOR_FACTOR = 1e-4
 
-
-def _omegas(E: np.ndarray) -> np.ndarray:
-    """The (n, n_omega) Larmor frequencies factor * E of each row."""
-    return np.array(LARMOR_FACTORS)[None, :] * E[:, None]
+# |q2| w^2 below which _overlap integrates a piece by power series, and the
+# series' factors 1 / (2m + 1 + j)! for j = 0, 1, 2 and m < 6: the first
+# term left out is below 1e-16 relative there
+_SERIES_U = 1e-2
+_SERIES = np.array([[1.0 / math.factorial(2 * m + 1 + j) for m in range(6)] for j in range(3)])
 
 
 @dataclass
 class LarmorReading:
-    """Raw precession times per frequency and their zero-field limit, for
-    each row of a block: `omegas`, `raw_times`, `residuals` (|raw -
-    extrapolated|) and `out_of_plane` (the modulus response ln|A_up/A_down|
-    / omega) are (n, n_omega), descending omega along a row; `extrapolated`
-    and `present` are (n,). A row not present has no channel; its readings
-    are NaN and are not checked."""
+    """Larmor times of one sub-process on every row of a block, each (n,):
+    `time`, the zero-field precession time, and `out_of_plane`, the
+    zero-field modulus response, both from the closed-form overlap; `raw`,
+    the Zeeman pair's precession angle at `omega` (omega_min) over omega,
+    and `residual`, |raw - time|. A row not present has no channel and
+    reads NaN throughout; a row whose spin amplitude vanishes at omega
+    (|A|^2 below ZERO_FLUX) has no phase to read, so its raw reading and
+    residual are NaN while it keeps its time. A present row whose time is
+    not finite raises ClockNotFinite, as the first such row."""
 
-    omegas: np.ndarray
-    raw_times: np.ndarray
-    extrapolated: np.ndarray
-    residuals: np.ndarray
+    omega: np.ndarray
+    time: np.ndarray
     out_of_plane: np.ndarray
+    raw: np.ndarray
     present: np.ndarray
+    residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        raw, limit, res = self.raw_times, self.extrapolated, self.residuals
-        # a NaN would pass the later checks, which compare against it
-        with np.errstate(invalid="ignore", over="ignore"):
-            spread = np.abs(raw[:, -1] - raw[:, -2])
-            tol = 1e-9 * np.maximum(1.0, np.abs(limit))
-            failures = (
-                (~(np.isfinite(limit) & np.isfinite(raw).all(axis=1)),
-                 "Larmor reading is not finite"),
-                (np.abs(limit - raw[:, -1]) > spread + tol,
-                 "zero-field limit is not anchored by the smallest-frequency readings"),
-                (res[:, -1] > res[:, 0] + tol,
-                 "extrapolation residuals grow as the field shrinks"),
-            )
-        failed = self.present & np.logical_or.reduce([bad for bad, _ in failures])
-        if failed.any():
-            row = np.argmax(failed)
-            raise ExtrapolationDiverged(next(msg for bad, msg in failures if bad[row]))
-        for name in ("raw_times", "extrapolated", "residuals", "out_of_plane"):
-            value = getattr(self, name)
-            mask = self.present if value.ndim == 1 else self.present[:, None]
-            setattr(self, name, np.where(mask, value, math.nan))
+        bad = self.present & ~np.isfinite(self.time)
+        if bad.any():
+            raise ClockNotFinite(f"Larmor time is not finite at omega = "
+                                 f"{self.omega[np.argmax(bad)]:.6g}")
+        for name in ("time", "out_of_plane", "raw"):
+            setattr(self, name, np.where(self.present, getattr(self, name), math.nan))
+        self.residual = np.abs(self.raw - self.time)
 
 
 @dataclass
 class ClockResult:
     """Dwell and Larmor times for both sub-processes, one row per problem
     of a block: every column is (n,). An absent reflection channel reads
-    NaN in its row."""
+    NaN in its row, and its residual is the transmission reading's; a
+    residual is NaN where a present channel's spin amplitude vanishes at
+    omega_min."""
 
     E: np.ndarray
     barrier_length: np.ndarray
@@ -134,11 +140,11 @@ class ClockResult:
     residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.tau_larmor_tr = self.larmor_tr.extrapolated
-        self.tau_larmor_ref = self.larmor_ref.extrapolated
-        self.omega_min = self.larmor_tr.omegas[:, -1]
-        # fmax skips the NaN of an absent reflection row
-        self.residual = np.fmax(self.larmor_tr.residuals[:, -1], self.larmor_ref.residuals[:, -1])
+        tr, ref = self.larmor_tr, self.larmor_ref
+        self.tau_larmor_tr = tr.time
+        self.tau_larmor_ref = ref.time
+        self.omega_min = tr.omega
+        self.residual = np.where(ref.present, np.maximum(tr.residual, ref.residual), tr.residual)
 
 
 def _concatenate(blocks: list):
@@ -279,121 +285,110 @@ def dwell_time(dec: DecompositionBlock, subprocess: str) -> float:
     return float(_dwell_block(dec, weight, subprocess)[0])
 
 
-def zeeman_shifted(spec: PotentialSpec, delta: float) -> PotentialSpec:
-    """Barrier with every segment height shifted by delta inside [a, b]."""
-    return PotentialSpec(a=spec.a, segments=tuple((w, h + delta) for w, h in spec.segments))
+def _phi(z):
+    """(exp(z) - 1) / z, for z != 0."""
+    return np.expm1(z) / z
 
 
-def _zeeman_solves(problems: ProblemBlock, omegas: np.ndarray):
-    """(A_T, A_R) of the spin-up and spin-down problems, shifted by
-    -omega/2 and +omega/2, at each of a row's omegas (n, n_omega): each
-    (n, n_omega, 2), from one block of 2 n_omega rows per problem. Both
-    sub-process readings are taken from them."""
-    shifts = (omegas[:, :, None] * np.array([-0.5, 0.5])).reshape(problems.n, -1)
-    return tuple(A.reshape(omegas.shape + (2,)) for A in solve_block(problems.shifted(shifts)))
+def _overlap(f: PiecewiseState, g: PiecewiseState) -> np.ndarray:
+    """integral_a^b f g dx, with no conjugate, per row of two blocks of
+    states of the same problems, each one piece per segment, in closed
+    form. With (c1, c2) and (e1, e2) the coefficients of f and g on a piece
+    of width w and u = q2 w^2, a piece with |u| >= _SERIES_U contributes
 
+    OSC:  w (c1 e1 phi(2iqw) + c2 e2 phi(-2iqw) + c1 e2 + c2 e1);
+    EVAN: w ((c1 e1 + c2 e2) phi(-2kp w) + (c1 e2 + c2 e1) exp(-kp w)):
+          each exponential anchored at its larger end, so no term grows;
 
-def _extrapolate_to_zero(omegas: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Neville extrapolation in u = omega^2 to u = 0, per row of omegas and
-    values (n, n_omega).
-
-    The readings are even in omega (opposite spins swap), so the error
-    series runs in omega^2; the polynomial runs through every reading.
+    phi(z) being (exp(z) - 1) / z. Nearer q = 0 those terms cancel, to
+    about 1e-16 / |u| relative, so any kind is written from the left
+    edge's value p and slope s as p C + s S, C = cos(qx) and S = sin(qx) / q,
+    and integral C^2, C S and S^2 are power series in t = -4u:
+    w (1 + sum t^m / (2m+1)!) / 2, w^2 sum t^m / (2m+2)! and
+    2 w^3 sum t^m / (2m+3)!.
     """
-    n_pts = values.shape[-1]
-    u = omegas ** 2
-    tab = values.astype(float)
-    for level in range(1, n_pts):
-        for i in range(n_pts - level):
-            tab[:, i] = ((u[:, i] * tab[:, i + 1] - u[:, i + level] * tab[:, i])
-                         / (u[:, i] - u[:, i + level]))
-    return tab[:, 0]
+    w = f.xr - f.xl
+    u = f.q2 * w * w
+    near = np.abs(u) < _SERIES_U
+    total = np.zeros(u.shape, dtype=complex)
+    edges = np.zeros((4,) + u.shape, dtype=complex)  # p and s of f, then of g
+    for kind in (PAIR, OSC, EVAN):
+        of_kind = f.kind == kind
+        far = of_kind & ~near  # never PAIR
+        if far.any():
+            c1, c2, e1, e2, q2, wf = (v[far] for v in (f.c1, f.c2, g.c1, g.c2, f.q2, w))
+            if kind == OSC:
+                z = 2j * np.sqrt(q2) * wf
+                total[far] = wf * (c1 * e1 * _phi(z) + c2 * e2 * _phi(-z) + c1 * e2 + c2 * e1)
+            else:
+                kp = np.sqrt(-q2)
+                total[far] = wf * ((c1 * e1 + c2 * e2) * _phi(-2.0 * kp * wf)
+                                   + (c1 * e2 + c2 * e1) * np.exp(-kp * wf))
+        sel = of_kind & near
+        if sel.any():
+            for i, (a1, a2) in enumerate(((f.c1, f.c2), (g.c1, g.c2))):
+                for deriv in (False, True):
+                    edges[2 * i + deriv, sel] = _piece_field(kind, 0.0, w[sel], f.q2[sel],
+                                                             a1[sel], a2[sel], deriv)
+    if near.any():
+        pf, sf, pg, sg = edges[:, near]
+        w = w[near]
+        cc, cs, ss = (np.polyval(row[::-1], -4.0 * u[near]) for row in _SERIES)
+        total[near] = (pf * pg * w * (1.0 + cc) / 2.0 + (pf * sg + sf * pg) * w * w * cs
+                       + 2.0 * sf * sg * w ** 3 * ss)
+    return np.sum(total, axis=1)
 
 
-def _larmor_readings(up: np.ndarray, down: np.ndarray, omegas: np.ndarray, subprocess: str,
-                     present: np.ndarray | None = None) -> LarmorReading:
-    """Precession times of one sub-process from its (spin up, spin down)
-    outgoing amplitudes at `omegas`, (n, n_omega) each, extrapolated to
-    zero field. A row whose amplitude vanishes at some omega raises
-    ZeroFlux, as the first failing row; given `present`, the rows whose
-    channel exists, such a row and every row not present read NaN."""
-    vanish = np.minimum(np.abs(up), np.abs(down)) ** 2 < ZERO_FLUX
-    row_vanish = vanish.any(axis=1)
-    # a huge omega overflows omega^2 in the extrapolation; LarmorReading
-    # raises the non-finite limit as ExtrapolationDiverged
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        raw = np.angle(up * np.conj(down)) / omegas
-        out_of_plane = np.log(np.abs(up) / np.abs(down)) / omegas
-        limit = _extrapolate_to_zero(omegas, raw)
-        residuals = np.abs(raw - limit[:, None])
-    required = present is None
-    # required: the rows before the first vanishing one are read first
-    present = ~np.logical_or.accumulate(row_vanish) if required else present & ~row_vanish
-    reading = LarmorReading(omegas=omegas, raw_times=raw, extrapolated=limit,
-                            residuals=residuals, out_of_plane=out_of_plane, present=present)
-    if required and row_vanish.any():
-        row = np.argmax(row_vanish)
-        raise ZeroFlux(f"{subprocess} amplitude vanishes at "
-                       f"omega = {omegas[row, np.argmax(vanish[row])]:.3g}")
-    return reading
+def _larmor_readings(full: PiecewiseState, A_T: np.ndarray,
+                     A_R: np.ndarray) -> tuple[LarmorReading, LarmorReading]:
+    """The (tr, ref) Larmor readings on every row of a block, from its
+    left-incident scattering state and amplitudes: the exact times from
+    the overlaps, the raw ones from one Zeeman pair per row, shifted by
+    -omega_min/2 (spin up) and +omega_min/2 (spin down). A reflection row
+    below ZERO_FLUX is not present."""
+    problems = full.problems
+    omega = LARMOR_FACTOR * problems.E
+    right = state_from_left(problems, 0.0, A_T)  # psi_R, incident from the right
+    spins = solve_block(problems.shifted(omega[:, None] * np.array([-0.5, 0.5])))
+    readings = []
+    for A, overlap, (up, down), present in (
+            (A_T, _overlap(full, right), spins[0].reshape(-1, 2).T, np.full(problems.n, True)),
+            (A_R, _overlap(full, full), spins[1].reshape(-1, 2).T,
+             np.abs(A_R) ** 2 >= ZERO_FLUX)):
+        exact = overlap / (problems.k * np.where(present, A, 1.0))
+        vanish = np.minimum(np.abs(up), np.abs(down)) ** 2 < ZERO_FLUX
+        readings.append(LarmorReading(
+            omega=omega, time=exact.real, out_of_plane=-exact.imag, present=present,
+            raw=np.where(vanish, math.nan, np.angle(up * np.conj(down)) / omega)))
+    return tuple(readings)
 
 
 def larmor_times(spec: PotentialSpec, mode: EnergyMode, subprocess: str) -> LarmorReading:
-    """Weak-field precession times for one sub-process at one energy,
-    extrapolated to zero field: a block of one row."""
+    """Zero-field precession times for one sub-process at one energy, with
+    the raw reading at omega_min: a block of one row."""
     if subprocess not in SUBPROCESSES:
         raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
     spec.require_symmetric()
-    problems = ProblemBlock.of(spec, mode.E)
-    omegas = _omegas(problems.E)
-    A_T, A_R = solve_block(problems)
-    # an absent channel has no clock: the shifted problems would still
-    # return tiny amplitudes whose phase carries no time information
+    A_T, A_R, full = scattering_state(ProblemBlock.of(spec, mode.E))
+    # an absent channel has no clock
     if (np.abs(A_T if subprocess == "tr" else A_R) ** 2)[0] < ZERO_FLUX:
         raise ZeroFlux(f"{subprocess} channel absent at E = {mode.E:.4g}")
-    A_T, A_R = _zeeman_solves(problems, omegas)
-    out = A_T if subprocess == "tr" else A_R
-    return _larmor_readings(out[..., 0], out[..., 1], omegas, subprocess)
-
-
-def probe_noninvasiveness(spec: PotentialSpec, mode: EnergyMode) -> float:
-    """Fitted order of |mean(T_up, T_down) - T| against omega.
-
-    The symmetric spin shift cancels the linear response, so the exponent
-    should come out >= 2 up to fit noise.
-    """
-    problems = ProblemBlock.of(spec, mode.E)
-    omegas = _omegas(problems.E)
-    T0 = (np.abs(solve_block(problems)[0]) ** 2)[0]
-    A_T, _ = _zeeman_solves(problems, omegas)
-    T_up, T_down = (np.abs(A_T[0]) ** 2).T
-    depart = np.abs(0.5 * (T_up + T_down) - T0)
-    good = depart > 1e-14
-    if good.sum() < 2:
-        return math.inf  # departure at the noise floor everywhere
-    slope, _ = np.polyfit(np.log(omegas[0, good]), np.log(depart[good]), 1)
-    return float(slope)
+    return _larmor_readings(full, A_T, A_R)[SUBPROCESSES.index(subprocess)]
 
 
 def clock_block(problems: ProblemBlock) -> ClockResult:
     """Dwell plus Larmor times for both sub-processes on every row of a
-    block, each row read at omega = LARMOR_FACTORS * its energy. Rows
-    without a reflection channel read NaN reflection times; any other
-    failure raises for the first failing row."""
-    omegas = _omegas(problems.E)
+    block, each row's raw Larmor reading taken at omega_min = LARMOR_FACTOR
+    * its energy. Rows without a reflection channel read NaN reflection
+    times; any other failure raises for the first failing row."""
     dec = decompose_block(problems, np.linspace(problems.a, problems.b, 65, axis=-1))
     T, R = np.abs(dec.A_T) ** 2, np.abs(dec.A_R) ** 2
     _require_weight(T, "tr")
-    tau_tr = _dwell_block(dec, T, "tr")
-    tau_ref = _dwell_block(dec, R, "ref")
-    # one set of Zeeman solves serves both readings; the base solution is
-    # the decomposition's, and the tr channel is already required
-    A_T, A_R = _zeeman_solves(problems, omegas)
+    larmor_tr, larmor_ref = _larmor_readings(dec.full_state, dec.A_T, dec.A_R)
     return ClockResult(E=problems.E, barrier_length=problems.b - problems.a,
-                       tau_dwell_tr=tau_tr, tau_dwell_ref=tau_ref,
-                       larmor_tr=_larmor_readings(A_T[..., 0], A_T[..., 1], omegas, "tr"),
-                       larmor_ref=_larmor_readings(A_R[..., 0], A_R[..., 1], omegas, "ref",
-                                                   present=R >= ZERO_FLUX))
+                       tau_dwell_tr=_dwell_block(dec, T, "tr"),
+                       tau_dwell_ref=_dwell_block(dec, R, "ref"),
+                       larmor_tr=larmor_tr, larmor_ref=larmor_ref)
 
 
 def compute_clock(spec: PotentialSpec, mode: EnergyMode) -> ClockResult:
@@ -430,50 +425,3 @@ def sweep_barrier_width(v0: float, energy_ratio: float, kappa_lengths,
     worker = partial(_sweep_block, v0, energy_ratio)
     blocks = [kls[lo:lo + SWEEP_BLOCK] for lo in range(0, len(kls), SWEEP_BLOCK)]
     return _concatenate(list(map_fn(worker, blocks)))
-
-
-def larmor_packet_readout(spec: PotentialSpec, packet: PacketSpec, subprocess: str, t: float,
-                          x_grid=None, n_k: int = DEFAULT_N_K) -> LarmorReading:
-    """Packet-level Larmor reading taken after the sub-packets separate,
-    at omega = LARMOR_FACTORS * k0^2 / 2: a block of one row.
-
-    The spin-up/down packets are synthesized with the shifted barriers,
-    one coefficient table per barrier, window by window; each window's
-    cos/sin table is built once and shared by all of them. Their
-    amplitudes at the sub-packet peak, the first point of largest
-    |up|^2 + |down|^2, give the reading as in the stationary case. Readout
-    before the overlap threshold is met raises PrematureReadout; the
-    sub-packet weights and overlap are the base table's
-    `diagnostics_series` at t, so a grid too coarse for its quadrature
-    raises GridTooCoarse.
-    """
-    if subprocess not in SUBPROCESSES:
-        raise ValueError(f"subprocess must be one of {SUBPROCESSES}")
-    spec.require_symmetric()
-    omegas = _omegas(np.array([EnergyMode.from_k(packet.k0).E]))
-    x = default_x_grid(spec, packet) if x_grid is None else np.asarray(x_grid, float)
-
-    base = build_mode_table(spec, packet, x, n_k)
-    series = diagnostics_series(base, [t])
-    ov = abs(series.overlap[0])
-    threshold = OVERLAP_FINAL_FRACTION * math.sqrt(series.T[0] * series.R[0])
-    if ov > threshold:
-        raise PrematureReadout(
-            f"sub-packets still overlap at t = {t}: |<tr|ref>| = {ov:.3e} "
-            f"> {threshold:.3e}"
-        )
-
-    c = COMPONENTS.index(subprocess)
-    spins = [build_mode_table(zeeman_shifted(spec, s * omega), packet, x, n_k)
-             for omega in omegas[0] for s in (-0.5, +0.5)]
-    up, down = np.empty((2,) + omegas.shape, dtype=complex)
-    peak = np.full(omegas.shape, -1.0)  # the largest density so far
-    for _, _, parts in windows(*spins):
-        for j in range(omegas.shape[1]):
-            spin_up, spin_down = (part.states([t])[c, 0] for part in parts[2 * j:2 * j + 2])
-            density = np.abs(spin_up) ** 2 + np.abs(spin_down) ** 2
-            i = int(np.argmax(density))
-            if density[i] > peak[0, j]:
-                peak[0, j] = density[i]
-                up[0, j], down[0, j] = spin_up[i], spin_down[i]
-    return _larmor_readings(up, down, omegas, subprocess)

@@ -81,12 +81,8 @@ class ZeroFlux(TunnelSplitError):
     """Sub-process absent at this energy; its dwell time is undefined."""
 
 
-class ExtrapolationDiverged(TunnelSplitError):
-    """Weak-field extrapolation residuals grow as the field shrinks."""
-
-
-class PrematureReadout(TunnelSplitError):
-    """Clock readout requested while the sub-packets still overlap."""
+class ClockNotFinite(TunnelSplitError):
+    """A present channel's clock time is not finite; raised, never written."""
 
 
 INTERNAL_ERRORS = (SolveSingular,)

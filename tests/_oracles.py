@@ -9,7 +9,12 @@ table at the single grid point x_c, so it shares no x quadrature with the
 packet norms it is checked against. `per_mode_fields` is the per-mode
 row algorithm that packets replaced: every mode decomposed and sampled on
 the whole grid, then summed. `simpson_density_sum` is the sampled
-quadrature that the dwell times evaluate in closed form.
+quadrature that the dwell times evaluate in closed form, and
+`simpson_product_sum` the one for the Larmor overlaps. The Zeeman ladder
+(`zeeman_shifted`, `larmor_ladder`, `probe_noninvasiveness`) solves the
+spin-shifted barriers with the package's `solve_block`: a finite-field
+reading of the closed-form Larmor times, a raw precession time per
+frequency Neville-extrapolated to zero field.
 """
 
 import math
@@ -18,8 +23,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from tunnelsplit.packets import simpson_weights, spectral_grid
+from tunnelsplit.potential import PotentialSpec
 from tunnelsplit.splitting import build_decomposition, sub_waves
-from tunnelsplit.stationary import EnergyMode, sample_states
+from tunnelsplit.stationary import EnergyMode, ProblemBlock, sample_states, solve_block
+
+# Larmor frequencies of the ladder as fractions of the energy, descending
+LARMOR_LADDER = (1e-2, 1e-3, 1e-4)
 
 
 def rectangular_transmission(E: float, V0: float, L: float) -> float:
@@ -178,3 +187,58 @@ def simpson_density_sum(state, lo, hi, n):
     x = np.linspace(lo, hi, n, axis=-1)
     density = np.abs(sample_states(state, x)) ** 2
     return np.sum(density * simpson_weights(n, x[:, 1] - x[:, 0]), axis=-1)
+
+
+def simpson_product_sum(f, g, lo, hi, n):
+    """Composite-Simpson sum of f g (no conjugate) over np.linspace(lo, hi,
+    n), per row of two blocks of states of the same problems."""
+    x = np.linspace(lo, hi, n, axis=-1)
+    product = sample_states(f, x) * sample_states(g, x)
+    return np.sum(product * simpson_weights(n, x[:, 1] - x[:, 0]), axis=-1)
+
+
+def zeeman_shifted(spec: PotentialSpec, delta: float) -> PotentialSpec:
+    """Barrier with every segment height shifted by delta inside [a, b]."""
+    return PotentialSpec(a=spec.a, segments=tuple((w, h + delta) for w, h in spec.segments))
+
+
+def _zeeman_amplitudes(spec, mode, factors):
+    """The omegas factor * E and (A_T, A_R) of the spin-up and spin-down
+    barriers, shifted by -omega/2 and +omega/2, each (n_omega, 2)."""
+    omegas = np.array(factors) * mode.E
+    specs = [zeeman_shifted(spec, s * omega) for omega in omegas for s in (-0.5, 0.5)]
+    A_T, A_R = solve_block(ProblemBlock.of(specs, mode.E))
+    return omegas, A_T.reshape(-1, 2), A_R.reshape(-1, 2)
+
+
+def larmor_ladder(spec, mode, subprocess, factors=LARMOR_LADDER):
+    """(raw, limit, residuals, modulus): the raw precession times
+    angle(up conj(down)) / omega of one sub-process at each omega = factor
+    * E, their zero-field limit by Neville extrapolation in u = omega^2
+    through every reading (the readings are even in omega), |raw - limit|,
+    and the modulus responses ln(|up| / |down|) / omega."""
+    omegas, A_T, A_R = _zeeman_amplitudes(spec, mode, factors)
+    up, down = (A_T if subprocess == "tr" else A_R).T
+    raw = np.angle(up * np.conj(down)) / omegas
+    u, tab = omegas ** 2, raw.copy()
+    for level in range(1, tab.size):
+        for i in range(tab.size - level):
+            tab[i] = (u[i] * tab[i + 1] - u[i + level] * tab[i]) / (u[i] - u[i + level])
+    return raw, tab[0], np.abs(raw - tab[0]), np.log(np.abs(up) / np.abs(down)) / omegas
+
+
+def probe_noninvasiveness(spec, mode, factors=LARMOR_LADDER) -> float:
+    """Fitted order of |mean(T_up, T_down) - T| against omega.
+
+    The symmetric spin shift cancels the linear response, so the exponent
+    should come out >= 2 up to fit noise.
+    """
+    omegas, A_T, _ = _zeeman_amplitudes(spec, mode, factors)
+    T0 = (np.abs(solve_block(ProblemBlock.of(spec, mode.E))[0]) ** 2)[0]
+    T_up, T_down = (np.abs(A_T) ** 2).T
+    depart = np.abs(0.5 * (T_up + T_down) - T0)
+    good = depart > 1e-14
+    if good.sum() < 2:
+        return math.inf  # departure at the noise floor everywhere
+    slope, _ = np.polyfit(np.log(omegas[good]), np.log(depart[good]), 1)
+    return float(slope)

@@ -28,7 +28,6 @@ from tunnelsplit.clocks import (
     compute_clock,
     dwell_time,
     larmor_times,
-    probe_noninvasiveness,
     sweep_barrier_width,
 )
 from tunnelsplit.cranknicolson import compare_fields, crank_nicolson_propagate
@@ -50,7 +49,8 @@ from tunnelsplit.tolerances import (
     PACKET_IDENTITY,
 )
 
-from _oracles import cut_flux_integral, rectangular_transmission
+from _oracles import (cut_flux_integral, larmor_ladder, probe_noninvasiveness,
+                      rectangular_transmission)
 
 V0_GRID = np.geomspace(0.25, 8.0, 20)
 L_GRID = np.geomspace(0.5, 8.0, 20)
@@ -307,7 +307,7 @@ def test_criterion_8_clock_suite(canonical_spec):
         dwell = dwell_time(dec, "tr")
         worst_free = max(
             worst_free,
-            abs(reading.extrapolated[0] - L / k) / (L / k),
+            abs(reading.time[0] - L / k) / (L / k),
             abs(dwell - L / k) / (L / k),
         )
     free_ok = worst_free < 1e-6
@@ -318,13 +318,17 @@ def test_criterion_8_clock_suite(canonical_spec):
     exponent_ok = exponent >= 1.9
     lines.append(f"non-invasiveness exponent = {exponent:.3f} (bound 1.9)")
 
+    # the finite-field ladder: its residuals fall with the field, and its
+    # zero-field limit is the closed-form time
     res = compute_clock(canonical_spec, mode)
-    r = res.larmor_tr.residuals[0]
+    _, limit, r, _ = larmor_ladder(canonical_spec, mode, "tr")
     monotone_ok = bool(r[0] > r[1] > r[2])
+    limit_gap = abs(limit - res.tau_larmor_tr[0]) / abs(res.tau_larmor_tr[0])
+    limit_ok = limit_gap <= 1e-9
     lines.append(
-        "extrapolation residuals = ["
+        "ladder extrapolation residuals = ["
         + ", ".join(f"{v:.3e}" for v in r)
-        + "] (monotone decrease)"
+        + f"] (monotone decrease); limit vs closed form {limit_gap:.1e} (bound 1e-9)"
     )
 
     sweep = sweep_barrier_width(1.0, 0.5, np.linspace(2.0, 10.0, 9))
@@ -336,7 +340,7 @@ def test_criterion_8_clock_suite(canonical_spec):
         f"{increasing} (expected True; reported only)"
     )
 
-    ok = free_ok and exponent_ok and monotone_ok
+    ok = free_ok and exponent_ok and monotone_ok and limit_ok
     report(8, "clock suite", ok, "; ".join(lines))
     assert ok
 

@@ -270,17 +270,35 @@ class TestExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert (record["error"], record["exit_code"]) == ("GridTooCoarse", 3)
 
-    def test_non_finite_larmor_reading_is_3(self, tmp_path):
-        # at E = 1e300 the Larmor frequencies' squares overflow and the
-        # zero-field extrapolation reads NaN
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"potential": FAST["potential"], "energy": {"E": 1e300}}))
+    def test_non_finite_larmor_reading_is_3(self, tmp_path, monkeypatch):
+        # no valid input is known to give a non-finite Larmor time, so the
+        # overlap is made NaN: the reading raises and no clock.csv is written
+        monkeypatch.setattr(clocks, "_overlap", lambda f, g: np.full(f.problems.n, np.nan + 0j))
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            assert run_cli("clock", str(path), out) == 3
+        assert run_cli("clock", write_config(tmp_path), out) == 3
         record = json.loads((out / "error.json").read_text())
-        assert (record["error"], record["exit_code"]) == ("ExtrapolationDiverged", 3)
+        assert (record["error"], record["exit_code"]) == ("ClockNotFinite", 3)
         assert not (out / "clock.csv").exists()
+
+    @pytest.mark.parametrize("potential, E, tau_tr, tol", [
+        # one spin's A_R passes through zero at omega = 1e-2 E, so a
+        # zero-field extrapolation from that frequency down fails here
+        ({"a": -3.0, "segments": [[1.0, 0.8], [1.0, 0.2], [1.0, 0.8]]}, 1.2859375 ** 2 / 2,
+         4.828586712866, 1e-9),
+        # transparent, with no reflection channel: L / k, where omega^2
+        # overflows
+        (FAST["potential"], 1e300, 1.0 / math.sqrt(2e300), 1e-162),
+    ], ids=["vanishing-spin-amplitude", "huge-energy"])
+    def test_exact_larmor_time_is_0(self, tmp_path, potential, E, tau_tr, tol):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"potential": potential, "energy": {"E": E}}))
+        out = tmp_path / "out"
+        assert run_cli("clock", str(path), out) == 0
+        lines = (out / "clock.csv").read_text().splitlines()
+        row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+        assert row["tau_larmor_tr"] == pytest.approx(tau_tr, rel=0, abs=tol)
+        assert math.isfinite(row["residual"])
+        assert math.isnan(row["tau_larmor_ref"]) == (E == 1e300)
 
     def test_unexpected_exception_is_4(self, tmp_path, monkeypatch):
         def broken(cfg, out):

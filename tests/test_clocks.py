@@ -10,22 +10,18 @@ from tunnelsplit.clocks import (
     clock_block,
     compute_clock,
     dwell_time,
-    larmor_packet_readout,
     larmor_times,
-    probe_noninvasiveness,
     sweep_barrier_width,
-    zeeman_shifted,
 )
-from tunnelsplit.errors import (ExtrapolationDiverged, GridTooCoarse, NonPositiveWidth,
-                               PrematureReadout, ZeroFlux)
-from tunnelsplit.packets import PacketSpec, build_mode_table, diagnostics_series
+from tunnelsplit.errors import ClockNotFinite, NonPositiveWidth, ZeroFlux
 from tunnelsplit.potential import PotentialSpec, make_rectangular
 from tunnelsplit.splitting import build_decomposition, decompose_block
 from tunnelsplit.stationary import (EVAN, OSC, PAIR, EnergyMode, ProblemBlock, sample_states,
-                                   solve_block)
+                                   scattering_state, solve_block, state_from_left)
 from tunnelsplit.tolerances import OMEGA_FRACTION, ZERO_FLUX
 
-from _oracles import simpson_density_sum
+from _oracles import (LARMOR_LADDER, larmor_ladder, probe_noninvasiveness, simpson_density_sum,
+                      simpson_product_sum, zeeman_shifted)
 
 CANONICAL = make_rectangular(1.0, 2.0, -9.0)
 MODE = EnergyMode(0.5)
@@ -42,26 +38,28 @@ def _centered(v0, length):
 
 
 class TestCheckFactors:
-    """Checks of the fixed Larmor factor ladder LARMOR_FACTORS."""
+    """Checks of the Zeeman pair's fixed fraction LARMOR_FACTOR, and of the
+    ladder of the finite-field oracle."""
 
     def test_requires_descending_positive(self):
-        factors = np.array(clocks.LARMOR_FACTORS)
-        assert factors.size > 0
-        assert np.all(np.isfinite(factors))
-        assert np.all(factors > 0) and np.all(np.diff(factors) < 0)
+        assert math.isfinite(clocks.LARMOR_FACTOR) and clocks.LARMOR_FACTOR > 0
+        # the oracle's ladder descends to the one frequency the clock reads
+        ladder = np.array(LARMOR_LADDER)
+        assert np.all(ladder > 0) and np.all(np.diff(ladder) < 0)
+        assert ladder[-1] == clocks.LARMOR_FACTOR
 
     def test_field_must_be_infinitesimal(self):
-        # inclusive: the ladder tops out at exactly OMEGA_FRACTION
-        assert clocks.LARMOR_FACTORS[0] <= OMEGA_FRACTION
-        omegas = clock_block(ProblemBlock.of(CANONICAL, [0.5])).larmor_tr.omegas
-        assert np.all(omegas <= OMEGA_FRACTION * 0.5)
+        assert LARMOR_LADDER[0] <= OMEGA_FRACTION
+        assert clocks.LARMOR_FACTOR <= OMEGA_FRACTION
+        omega = clock_block(ProblemBlock.of(CANONICAL, [0.5])).larmor_tr.omega
+        assert np.all(omega <= OMEGA_FRACTION * 0.5)
 
 
 class TestLarmorFactors:
     def test_omegas_are_fractions_of_each_row_energy(self):
         res = clock_block(ProblemBlock.of(CANONICAL, [0.5, 0.25]))
-        np.testing.assert_array_equal(res.larmor_tr.omegas,
-                                      [[5e-3, 5e-4, 5e-5], [2.5e-3, 2.5e-4, 2.5e-5]])
+        np.testing.assert_array_equal(res.larmor_tr.omega, [5e-5, 2.5e-5])
+        np.testing.assert_array_equal(res.omega_min, [5e-5, 2.5e-5])
 
 
 class TestZeemanShift:
@@ -235,73 +233,72 @@ class TestLarmorTimes:
             spec = make_rectangular(0.0, L, 0.0)
             mode = EnergyMode.from_k(k)
             reading = larmor_times(spec, mode, "tr")
-            assert reading.extrapolated[0] == pytest.approx(L / k, rel=1e-6)
+            assert reading.time[0] == pytest.approx(L / k, rel=1e-12)
+            assert reading.out_of_plane[0] == pytest.approx(0.0, abs=1e-12)
             dec = build_decomposition(spec, mode, np.linspace(-1.0, L + 1.0, 33))
             assert dwell_time(dec, "tr") == pytest.approx(L / k, rel=1e-6)
 
     def test_residuals_decrease_with_field(self):
+        """The finite-field ladder of the oracle, on canonical, a three-segment
+        barrier and canonical above its top: its residuals fall as the field
+        shrinks, its zero-field limit is the closed-form time, and its
+        smallest rung is the raw reading at omega_min."""
+        for spec, E in ((CANONICAL, 0.5), (_symmetric(-1.5, (1.0, 0.5, 1.0)), 0.7),
+                        (CANONICAL, 1.7)):
+            mode = EnergyMode(E)
+            for sub in ("tr", "ref"):
+                raw, limit, r, _ = larmor_ladder(spec, mode, sub)
+                assert r[0] > r[1] > r[2]
+                reading = larmor_times(spec, mode, sub)
+                assert limit == pytest.approx(reading.time[0], rel=1e-9)
+                assert raw[-1] == reading.raw[0]
+                assert reading.residual[0] == abs(raw[-1] - reading.time[0])
+
+    def test_out_of_plane_is_the_modulus_response(self):
+        """At omega_min the ladder's ln|A_up / A_down| / omega is the
+        out-of-plane reading, to O(omega^2)."""
         for sub in ("tr", "ref"):
+            modulus = larmor_ladder(CANONICAL, MODE, sub)[3]
             reading = larmor_times(CANONICAL, MODE, sub)
-            r = reading.residuals[0]
-            assert r[0] > r[1] > r[2]
+            assert abs(reading.out_of_plane[0]) > 0.1
+            assert modulus[-1] == pytest.approx(reading.out_of_plane[0], rel=1e-6)
 
     def test_sub_process_readings_match_on_symmetric_barrier(self):
-        tr = larmor_times(CANONICAL, MODE, "tr").extrapolated[0]
-        ref = larmor_times(CANONICAL, MODE, "ref").extrapolated[0]
-        assert tr == pytest.approx(ref, rel=1e-8)
+        tr = larmor_times(CANONICAL, MODE, "tr").time[0]
+        ref = larmor_times(CANONICAL, MODE, "ref").time[0]
+        assert tr == pytest.approx(ref, rel=1e-10)
 
     def test_relation_to_dwell_reported(self, capsys):
         """The precession reading need not reproduce the dwell time; the
         gap is reported, never asserted."""
-        tau_l = larmor_times(CANONICAL, MODE, "tr").extrapolated[0]
+        tau_l = larmor_times(CANONICAL, MODE, "tr").time[0]
         tau_d = dwell_time(canonical_decomposition(), "tr")
         gap = abs(tau_l - tau_d) / tau_d
         print(f"\ncanonical larmor-vs-dwell relative gap: {gap:.3f} "
               f"(larmor {tau_l:.4f}, dwell {tau_d:.4f})")
         assert tau_l > 0 and tau_d > 0
 
-    def test_diverging_extrapolation_rejected(self):
-        with pytest.raises(ExtrapolationDiverged):
-            LarmorReading(
-                omegas=np.array([[1e-2, 1e-3, 1e-4]]),
-                raw_times=np.array([[1.0, 1.5, 3.0]]),
-                extrapolated=np.array([1.0]),
-                residuals=np.array([[0.0, 0.5, 2.0]]),
-                out_of_plane=np.zeros((1, 3)),
-                present=np.array([True]),
-            )
+    def test_non_finite_time_rejected(self):
+        for time in (math.inf, math.nan):
+            with pytest.raises(ClockNotFinite, match="omega = 5e-05"):
+                LarmorReading(omega=np.array([5e-5]), time=np.array([time]),
+                              out_of_plane=np.zeros(1), raw=np.ones(1), present=np.array([True]))
 
     @staticmethod
     def _block(present):
-        """Three rows; row 1 is anchored, but its residuals grow as the
-        field shrinks."""
-        raw = np.array([[2.0, 2.0, 2.0], [1.0, 0.0, 2.0], [4.0, 4.0, 4.0]])
-        limit = np.array([2.0, 1.0, 4.0])
-        return LarmorReading(omegas=np.tile([1e-2, 1e-3, 1e-4], (3, 1)), raw_times=raw,
-                             extrapolated=limit, residuals=np.abs(raw - limit[:, None]),
-                             out_of_plane=np.zeros((3, 3)), present=np.asarray(present))
+        """Three rows; row 1's time is not finite."""
+        return LarmorReading(omega=np.full(3, 5e-5), time=np.array([2.0, math.inf, 4.0]),
+                             out_of_plane=np.zeros(3), raw=np.array([2.5, 1.0, 3.0]),
+                             present=np.asarray(present))
 
     def test_a_diverging_row_raises_unless_absent(self):
-        with pytest.raises(ExtrapolationDiverged, match="residuals grow"):
+        with pytest.raises(ClockNotFinite):
             self._block([True, True, True])
         reading = self._block([True, False, True])
-        assert reading.extrapolated[[0, 2]].tolist() == [2.0, 4.0]
-        for column in (reading.raw_times, reading.extrapolated, reading.residuals,
-                       reading.out_of_plane):
-            assert np.isnan(column[1]).all() and not np.isnan(column[[0, 2]]).any()
-
-    def test_first_failing_row_gives_its_first_failing_check(self):
-        """Row 1 is not finite (and fails no other check); row 2 is not
-        anchored and its residuals grow: row 1 raises."""
-        raw = np.array([[2.0, 2.0, 2.0], [1.0, np.nan, 1.0], [1.0, 2.0, 9.0]])
-        limit = np.array([2.0, 1.0, 1.0])
-        kwargs = dict(omegas=np.tile([1e-2, 1e-3, 1e-4], (3, 1)), raw_times=raw,
-                      extrapolated=limit, residuals=np.abs(raw - limit[:, None]),
-                      out_of_plane=np.zeros((3, 3)))
-        with pytest.raises(ExtrapolationDiverged, match="not finite"):
-            LarmorReading(present=np.array([True, True, True]), **kwargs)
-        with pytest.raises(ExtrapolationDiverged, match="not anchored"):
-            LarmorReading(present=np.array([True, False, True]), **kwargs)
+        assert reading.time[[0, 2]].tolist() == [2.0, 4.0]
+        assert reading.residual[[0, 2]].tolist() == [0.5, 1.0]
+        for column in (reading.time, reading.raw, reading.residual, reading.out_of_plane):
+            assert np.isnan(column[1]) and not np.isnan(column[[0, 2]]).any()
 
     # canonical (V0 1, L 2) is reflectionless where the inside wave number
     # times L is pi, at E = V0 + pi^2 / 8
@@ -311,24 +308,90 @@ class TestLarmorTimes:
         with pytest.raises(ZeroFlux, match="ref channel absent"):
             larmor_times(CANONICAL, EnergyMode(self.REFLECTIONLESS), "ref")
 
-    @pytest.mark.parametrize("detuning, omega", [(1.005, "0.0222"), (0.995, "0.0224")])
-    def test_reflectionless_spin_has_no_reading(self, detuning, omega):
-        """Half a percent off E = 1 + pi^2/8 the reflection channel is
-        present, but at the largest omega = 1e-2 E one spin's barrier, of
-        height 1 -/+ omega/2, is reflectionless."""
+    @pytest.mark.parametrize("detuning", [1.0 + 0.5 * clocks.LARMOR_FACTOR,
+                                          1.0 - 0.5 * clocks.LARMOR_FACTOR])
+    def test_reflectionless_spin_has_no_reading(self, detuning):
+        """At E = (1 + pi^2/8) / (1 -/+ omega_min / 2E) the reflection
+        channel is present, but at omega_min one spin's barrier, of height
+        1 -/+ omega_min/2, is reflectionless: the row keeps its exact time,
+        and its raw reading and residual are NaN."""
         mode = EnergyMode(self.REFLECTIONLESS / detuning)
         _, A_R = solve_block(ProblemBlock.of(CANONICAL, mode.E))
         assert abs(A_R[0]) ** 2 > ZERO_FLUX
-        with pytest.raises(ZeroFlux, match=f"ref amplitude vanishes at omega = {omega}$"):
-            larmor_times(CANONICAL, mode, "ref")
+        omega = clocks.LARMOR_FACTOR * mode.E
+        spins = [zeeman_shifted(CANONICAL, s * omega) for s in (-0.5, 0.5)]
+        _, A_R_spins = solve_block(ProblemBlock.of(spins, mode.E))
+        assert np.min(np.abs(A_R_spins)) ** 2 < ZERO_FLUX
+        reading = larmor_times(CANONICAL, mode, "ref")
+        assert reading.present[0] and np.isfinite(reading.time[0])
+        assert np.isnan(reading.raw[0]) and np.isnan(reading.residual[0])
+        res = compute_clock(CANONICAL, mode)
+        assert res.tau_larmor_ref[0] == reading.time[0]
+        assert np.isfinite(res.larmor_tr.residual[0]) and np.isnan(res.residual[0])
 
-    def test_overflowing_frequencies_read_as_diverged(self):
-        """At E = 1e300 the squares of the Larmor frequencies overflow in the
-        zero-field extrapolation: the reading raises ExtrapolationDiverged,
-        and no RuntimeWarning escapes (the suite makes those errors)."""
+    def test_huge_energy_reads_free_flight(self):
+        """At E = 1e300 the barrier is transparent: the transmission time is
+        L / k, the reflection channel is absent, and no RuntimeWarning
+        escapes (the suite makes those errors)."""
         mode = EnergyMode(1e300)
-        with pytest.raises(ExtrapolationDiverged):
-            larmor_times(CANONICAL, mode, "tr")
+        reading = larmor_times(CANONICAL, mode, "tr")
+        assert reading.time[0] == pytest.approx(2.0 / mode.k, rel=1e-12)
+        assert np.isfinite(reading.residual[0])
+        with pytest.raises(ZeroFlux, match="ref channel absent"):
+            larmor_times(CANONICAL, mode, "ref")
+        res = compute_clock(CANONICAL, mode)
+        assert res.tau_larmor_tr[0] == reading.time[0] and np.isnan(res.tau_larmor_ref[0])
+
+
+# (block, piece kinds its full states must hold)
+_OVERLAP_CASES = {
+    "evan": (ProblemBlock.of(CANONICAL, 0.5), {EVAN}),
+    "osc": (ProblemBlock.of(CANONICAL, [1.7, 3.0]), {OSC}),
+    # at E = V exactly and |q2| w^2 = 8e-11 either side of it
+    "pair": (ProblemBlock.of(CANONICAL, [1.0, 1.0 + 1e-11, 1.0 - 1e-11]), {PAIR}),
+    # |q2| w^2 just above the pair form's 1e-10, and either side of the
+    # series' 1e-2, where the exponential forms would cancel
+    "near-q-zero": (ProblemBlock.of(CANONICAL, [1.0 + 1.3e-11, 1.0 - 1.3e-11, 1.0 + 1e-9,
+                                                1.0 + 1.2e-3, 1.0 + 1.3e-3, 1.0 - 1.2e-3,
+                                                1.0 - 1.3e-3]), {OSC, EVAN}),
+    "middle-height": (_DWELL_CASES["middle-height"][0], {PAIR, OSC, EVAN}),
+    "kinds-per-row": (_DWELL_CASES["kinds-per-row"][0], {PAIR, OSC, EVAN}),
+    # a resonant well between two walls, and the sweep's thickest barrier
+    "double-barrier": (ProblemBlock.of(_symmetric(-2.5, (1.0, 0.0, 1.0, 0.0, 1.0), 1.0),
+                                       [0.3, 0.6]), {OSC, EVAN}),
+    "sweep-end": (ProblemBlock.of(_centered(1.0, 14.0), 0.5), {EVAN}),
+}
+
+
+class TestOverlap:
+    @pytest.mark.parametrize("case", list(_OVERLAP_CASES))
+    def test_closed_form_is_the_sampled_simpson_sum(self, case):
+        """Both Larmor overlaps against Simpson sums of the sampled product
+        on 20001 nodes of every piece, summed over the pieces."""
+        problems, kinds = _OVERLAP_CASES[case]
+        A_T, _, full = scattering_state(problems)
+        right = state_from_left(problems, 0.0, A_T)
+        assert set(full.kind.ravel()) == kinds
+        for f, g in ((full, right), (full, full)):
+            want = sum(simpson_product_sum(f, g, f.xl[:, j], f.xr[:, j], 20_001)
+                       for j in range(f.kind.shape[1]))
+            # |integral f g| <= the Cauchy-Schwarz bound
+            scale = np.sqrt(simpson_density_sum(f, problems.a, problems.b, 2001)
+                            * simpson_density_sum(g, problems.a, problems.b, 2001))
+            got = clocks._overlap(f, g)
+            assert np.all(np.abs(got - want) <= 1e-11 * scale), (got, want)
+
+    @pytest.mark.parametrize("case", ["evan", "osc", "pair", "middle-height", "double-barrier"])
+    def test_right_state_is_the_mirrored_left_state(self, case):
+        """psi_R(x) = exp(-2ik x_c) psi_L(2 x_c - x) on a symmetric barrier."""
+        problems, _ = _OVERLAP_CASES[case]
+        A_T, _, full = scattering_state(problems)
+        right = state_from_left(problems, 0.0, A_T)
+        x = np.linspace(problems.a - 1.0, problems.b + 1.0, 97, axis=-1)
+        mirrored = sample_states(full, 2.0 * problems.x_c[:, None] - x)
+        want = np.exp(-2j * problems.k * problems.x_c)[:, None] * mirrored
+        np.testing.assert_allclose(sample_states(right, x), want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 class TestNonInvasiveness:
@@ -357,9 +420,9 @@ class TestComputeClock:
         res = compute_clock(spec, mode)
         assert math.isnan(res.tau_dwell_ref[0])
         assert not res.larmor_ref.present[0]
-        assert np.isnan(res.larmor_ref.raw_times).all()
+        assert np.isnan(res.larmor_ref.raw).all()
         assert math.isnan(res.tau_larmor_ref[0])
-        assert res.residual[0] == res.larmor_tr.residuals[0, -1]
+        assert res.residual[0] == res.larmor_tr.residual[0]
 
 
 class TestSweep:
@@ -403,8 +466,8 @@ def _clock_fields(res, i):
     """Every number row i of a ClockResult carries, for bitwise comparison."""
     return [res.E[i], res.barrier_length[i], res.tau_dwell_tr[i], res.tau_dwell_ref[i],
             res.omega_min[i], res.residual[i]] + [
-        np.concatenate(([r.extrapolated[i], r.present[i]], r.omegas[i], r.raw_times[i],
-                        r.residuals[i], r.out_of_plane[i]))
+        np.array([r.time[i], r.present[i], r.omega[i], r.raw[i], r.residual[i],
+                  r.out_of_plane[i]])
         for r in (res.larmor_tr, res.larmor_ref)]
 
 
@@ -456,40 +519,3 @@ class TestOnePath:
         assert rows.larmor_ref.present.tolist() == [True, False, True]
         for i, spec in enumerate(specs):
             assert _same_clocks(compute_clock(spec, EnergyMode(0.5)), 0, rows, i)
-
-
-class TestPacketReadout:
-    def test_premature_readout(self):
-        packet = PacketSpec(k0=1.0, sigma_k=0.05, x0=-60.0)
-        with pytest.raises(PrematureReadout):
-            larmor_packet_readout(CANONICAL, packet, "tr", t=0.0, n_k=129)
-
-    def test_coarse_grid_fails_as_norms_do(self):
-        # the readout's sub-packet weights are the diagnostics series' norms,
-        # with its quadrature error estimate
-        packet = PacketSpec(k0=1.0, sigma_k=0.05, x0=-60.0)
-        x = CANONICAL.x_c + 1.6 * np.arange(-87, 88)
-        with pytest.raises(GridTooCoarse, match="quadrature error"):
-            diagnostics_series(build_mode_table(CANONICAL, packet, x, n_k=129), [80.0])
-        with pytest.raises(GridTooCoarse, match="quadrature error"):
-            larmor_packet_readout(CANONICAL, packet, "tr", t=80.0, x_grid=x, n_k=129)
-
-    def test_free_flight_reading(self):
-        spec = make_rectangular(0.0, 2.0, -1.0)
-        packet = PacketSpec(k0=1.0, sigma_k=0.05, x0=-52.0)
-        reading = larmor_packet_readout(spec, packet, "tr", t=80.0, n_k=257)
-        assert reading.extrapolated[0] == pytest.approx(2.0, rel=1e-2)
-
-    def test_canonical_matches_spectral_average(self, canonical_table):
-        """Packet reading vs the transmission-weighted average of the
-        stationary readings, within the 5 percent contract."""
-        packet = canonical_table.packet
-        reading = larmor_packet_readout(CANONICAL, packet, "tr", t=80.0, n_k=257)
-        taus = np.empty(canonical_table.k.size)
-        for i, k in enumerate(canonical_table.k):
-            mode_k = EnergyMode.from_k(float(k))
-            taus[i] = larmor_times(CANONICAL, mode_k, "tr").extrapolated[0]
-        w = (canonical_table.weights * np.abs(canonical_table.f_k) ** 2
-             * np.abs(canonical_table.A_T) ** 2)
-        want = float(np.sum(w * taus) / np.sum(w))
-        assert reading.extrapolated[0] == pytest.approx(want, rel=0.05)
