@@ -22,9 +22,15 @@ factored once (LAPACK zgttrf); each factor of each step is one three-point
 sum for s B psi, one tridiagonal solve (zgttrs) and an axpy. The box must
 be oversized: a BoundaryContamination error reports probability reaching
 the walls instead of silently absorbing it.
+
+Both routines are the objects `scipy.linalg.lapack` re-exports, loaded from
+the file of scipy's compiled `_flapack` in about 5 ms: importing
+`scipy.linalg` takes 0.29-0.31 s, as it loads numpy.f2py, numpy.testing
+and more.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +92,24 @@ class PropagationResult:
     wall_mass: float
 
 
+def _tridiagonal_lapack(linalg_dir: str | None = None):
+    """zgttrf and zgttrs, loaded from the file of scipy's compiled `_flapack`
+    in `linalg_dir` (default: scipy's, found without importing scipy)."""
+    import importlib.machinery
+    import importlib.util
+    linalg_dir = linalg_dir or os.path.join(
+        importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(linalg_dir, "_flapack" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
+            spec = importlib.util.spec_from_loader(loader.name, loader)
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            return module.zgttrf, module.zgttrs
+    raise ImportError(f"no compiled LAPACK module _flapack in {linalg_dir}")
+
+
 def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
                              grid: GridSpec, sample_times=()) -> PropagationResult:
     """Propagate `initial` (sampled on grid.x()) and return snapshots.
@@ -94,7 +118,7 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
     reported. Walls are hard zeros; more than CN_WALL_MASS probability
     within 5 points of a wall aborts the run.
     """
-    from scipy.linalg import lapack  # imported here: it costs 0.2 s and only CN needs it
+    zgttrf, zgttrs = _tridiagonal_lapack()
     x = grid.x()
     if initial.x.shape != x.shape or not np.allclose(initial.x, x, rtol=0, atol=1e-12):
         raise GridMismatch("initial field is not sampled on the propagation grid")
@@ -119,7 +143,7 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
         main = (_B_MAIN + a * (scale / dx ** 2 + _B_MAIN * V[1:-1])) / (1.0 - r)
         lower, upper = ((_B_OFF + a * (-0.5 * scale / dx ** 2 + _B_OFF * v)) / (1.0 - r)
                         for v in (V[1:-2], V[2:-1]))
-        *lu, info = lapack.zgttrf(lower, main, upper)
+        *lu, info = zgttrf(lower, main, upper)
         if info != 0:
             raise SolveSingular(f"Crank-Nicolson matrix is singular (zgttrf info {info})")
         factors.append((r, lu))
@@ -151,7 +175,7 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
             np.multiply(inner, _B_MAIN, out=rhs)
             rhs += psi[:-2]
             rhs += psi[2:]
-            solved, _ = lapack.zgttrs(*lu, rhs, overwrite_b=True)
+            solved, _ = zgttrs(*lu, rhs, overwrite_b=True)
             inner *= r
             inner += solved
         wall = wall_mass()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tunnelsplit import cli, clocks
+from tunnelsplit import cli, clocks, cranknicolson
 from tunnelsplit.cli import main
 from tunnelsplit.cranknicolson import SOLVES_PER_STEP
 from tunnelsplit.errors import SolveSingular
@@ -330,6 +331,18 @@ class TestExitCodes:
         assert (record["error"], record["exit_code"]) == ("SchemaError", 2)
         assert record["message"].startswith(f"{path}: "), record["message"]
 
+    def test_missing_lapack_module_is_4(self, tmp_path, monkeypatch):
+        # the propagator's LAPACK module is part of the installation, not the config
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        monkeypatch.setattr(cranknicolson, "_tridiagonal_lapack",
+                            functools.partial(cranknicolson._tridiagonal_lapack, str(empty)))
+        out = tmp_path / "out"
+        assert run_cli("oracle-check", write_config(tmp_path), out) == 4
+        record = json.loads((out / "error.json").read_text())
+        assert (record["error"], record["exit_code"]) == ("ImportError", 4)
+        assert str(empty) in record["message"]
+
     def test_internal_error_class_is_4_without_a_traceback(self, tmp_path, monkeypatch, capsys):
         # SolveSingular is a TunnelSplitError, which would exit 3, but it
         # is listed in INTERNAL_ERRORS as a fault of the code
@@ -589,10 +602,10 @@ def test_benchmark_spans_install_on_package(tmp_path):
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    """Only the Crank-Nicolson propagator needs scipy.linalg (and no code
-    needs scipy.sparse); it imports LAPACK when called, so the other
-    subcommands load neither. Likewise only an open worker pool loads the
-    process-pool modules."""
+    """Importing the CLI loads neither scipy.linalg nor scipy.sparse: no
+    code needs either (the Crank-Nicolson propagator loads LAPACK's
+    compiled module when called; see the next test). Likewise only an open
+    worker pool loads the process-pool modules."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     done = subprocess.run(
@@ -603,3 +616,23 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_oracle_check_leaves_scipy_linalg_unloaded(tmp_path):
+    """oracle-check loads LAPACK's compiled module alone: scipy.linalg's
+    import, and the numpy.f2py and numpy.testing it pulls in (0.3 s), stay
+    out of the run."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from tunnelsplit import cli; "
+         "from tunnelsplit.runconfig import parse_config; "
+         "code = cli.run('oracle-check', parse_config(sys.argv[1]), sys.argv[2]); "
+         "print(code, sorted(m for m in ('scipy.linalg', 'scipy._lib._array_api', "
+         "'numpy.f2py', 'numpy.testing') if m in sys.modules))",
+         write_config(tmp_path), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "0 []"
+    assert (tmp_path / "out" / "oracle_check.csv").exists()

@@ -1,6 +1,13 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tunnelsplit import cranknicolson
 from tunnelsplit.cranknicolson import (
     GridSpec,
     compare_fields,
@@ -204,3 +211,45 @@ class TestStaggeredGrid:
     def test_no_aligning_dx_nearby_says_so(self, segments, dx):
         problem = misaligned_edges(make_piecewise(0.0, segments), dx)
         assert problem.endswith(f"no dx between {dx / 2:g} and {2 * dx:g} aligns every edge")
+
+
+class TestLapackLoader:
+    """The propagator loads LAPACK from scipy's compiled `_flapack` file
+    rather than importing scipy.linalg."""
+
+    def test_loads_the_objects_scipy_linalg_exports(self):
+        # scipy.linalg imported first (this process) and afterwards (a fresh one)
+        from scipy.linalg import lapack
+        zgttrf, zgttrs = cranknicolson._tridiagonal_lapack()
+        assert zgttrf is lapack.zgttrf and zgttrs is lapack.zgttrs
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from tunnelsplit.cranknicolson import _tridiagonal_lapack; "
+             "pair = _tridiagonal_lapack(); assert 'scipy.linalg' not in sys.modules; "
+             "from scipy.linalg import lapack; "
+             "print(pair[0] is lapack.zgttrf and pair[1] is lapack.zgttrs)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout.strip() == "True"
+
+    def test_propagation_is_bitwise_that_of_scipy_linalg(self, monkeypatch):
+        spec = make_rectangular(1.0, 2.0, -9.0)  # the canonical barrier
+        grid = staggered_grid(spec, -30.0, 20.0, dx=0.02, dt=0.2, t_max=4.0)
+        initial = gaussian_field(grid.x(), 0.0, k0=1.0, sigma_k=0.2, x0=-15.0)
+        times = [2.0, 4.0]
+        loaded = crank_nicolson_propagate(spec, initial, grid, sample_times=times)
+        from scipy.linalg import lapack
+        monkeypatch.setattr(cranknicolson, "_tridiagonal_lapack",
+                            lambda: (lapack.zgttrf, lapack.zgttrs))
+        imported = crank_nicolson_propagate(spec, initial, grid, sample_times=times)
+        for a, b in zip(loaded.samples, imported.samples, strict=True):
+            assert a.t == b.t
+            np.testing.assert_array_equal(a.values, b.values)
+        assert (loaded.norm_drift, loaded.wall_mass) == (imported.norm_drift,
+                                                         imported.wall_mass)
+
+    def test_missing_module_names_the_directory(self, tmp_path):
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+            cranknicolson._tridiagonal_lapack(str(tmp_path))
