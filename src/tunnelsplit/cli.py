@@ -51,6 +51,20 @@ def write_csv(path: Path, header: list[str], rows, footer_comments=()):
         fh.writelines(f"# {comment}\n" for comment in footer_comments)
 
 
+# rows that _write_columns forms at a time: only their cells are ever
+# Python objects, never a whole column's
+CSV_ROWS = 4096
+
+
+def _write_columns(path: Path, columns: dict, footer_comments=()):
+    """write_csv of an ordered {name: column} map: the header is its names,
+    and its rows are formed CSV_ROWS at a time."""
+    arrays = [np.asarray(column) for column in columns.values()]
+    rows = (row for lo in range(0, len(arrays[0]), CSV_ROWS)
+            for row in zip(*(a[lo:lo + CSV_ROWS].tolist() for a in arrays)))
+    write_csv(path, list(columns), rows, footer_comments)
+
+
 def _tolerance_echo() -> dict:
     return {
         name: getattr(tolerances, name)
@@ -108,11 +122,11 @@ def cmd_stationary(cfg: RunConfig, out: Path) -> dict:
     A_T, A_R = solve_block(problems)
     T, R = np.abs(A_T) ** 2, np.abs(A_R) ** 2
     residual = T + R - 1.0
-    write_csv(
-        out / "stationary.csv",
-        ["E", "k", "T", "R", "re_A_T", "im_A_T", "re_A_R", "im_A_R", "unitarity_residual"],
-        zip(problems.E, problems.k, T, R, A_T.real, A_T.imag, A_R.real, A_R.imag, residual),
-    )
+    _write_columns(out / "stationary.csv", {
+        "E": problems.E, "k": problems.k, "T": T, "R": R,
+        "re_A_T": A_T.real, "im_A_T": A_T.imag, "re_A_R": A_R.real, "im_A_R": A_R.imag,
+        "unitarity_residual": residual,
+    })
     return {"max_unitarity_residual": float(np.max(np.abs(residual))), "rows": problems.n}
 
 
@@ -126,8 +140,10 @@ def cmd_decompose(cfg: RunConfig, out: Path) -> dict:
     full, tr_solution, ref_solution = sample_states(
         (dec.full_state, dec.tr_state, dec.ref_state), x)
     tr, ref = sub_waves(x <= spec.x_c, full, tr_solution, ref_solution)
-    rows = zip(x, *(part for wave in (full, tr_solution, ref_solution, tr, ref)
-                    for part in (wave.real, wave.imag)))
+    columns = {"x": x}
+    for name, wave in zip(("full", "tr_solution", "ref_solution", "tr", "ref"),
+                          (full, tr_solution, ref_solution, tr, ref)):
+        columns[f"re_{name}"], columns[f"im_{name}"] = wave.real, wave.imag
     T, R = np.abs(np.concatenate((dec.A_T, dec.A_R))) ** 2
     odd, even = dec.midpoint_residuals[0]
     report = {
@@ -139,17 +155,8 @@ def cmd_decompose(cfg: RunConfig, out: Path) -> dict:
         "R": float(R),
         "root_sign": int(dec.split.root_sign[0]),
     }
-    write_csv(
-        out / "decompose.csv",
-        ["x",
-         "re_full", "im_full",
-         "re_tr_solution", "im_tr_solution",
-         "re_ref_solution", "im_ref_solution",
-         "re_tr", "im_tr",
-         "re_ref", "im_ref"],
-        rows,
-        footer_comments=[f"{key} = {_fmt(val)}" for key, val in report.items()],
-    )
+    _write_columns(out / "decompose.csv", columns,
+                   footer_comments=[f"{key} = {_fmt(val)}" for key, val in report.items()])
     return {"invariants": report}
 
 
@@ -175,25 +182,16 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> dict:
 def cmd_diagnostics(cfg: RunConfig, out: Path) -> dict:
     table = _mode_table(cfg)
     series = diagnostics_series(table, cfg.times)
-    rows = zip(
-        series.t, series.T, series.R,
-        series.overlap.real, series.overlap.imag,
-        series.xbar_full, series.pbar_full, series.varx_full,
-        series.xbar_tr, series.xbar_ref,
-        series.continuity,
-        series.pbar_tr, series.pbar_ref,
-        series.varx_tr, series.varx_ref,
-        series.ref_cut_flux, series.identity_residual,
-    )
-    write_csv(
-        out / "diagnostics.csv",
-        ["t", "T", "R", "Re_overlap", "Im_overlap",
-         "xbar_full", "pbar_full", "varx_full",
-         "xbar_tr", "xbar_ref", "continuity_residual",
-         "pbar_tr", "pbar_ref", "varx_tr", "varx_ref",
-         "ref_cut_flux", "identity_residual"],
-        rows,
-    )
+    _write_columns(out / "diagnostics.csv", {
+        "t": series.t, "T": series.T, "R": series.R,
+        "Re_overlap": series.overlap.real, "Im_overlap": series.overlap.imag,
+        "xbar_full": series.xbar_full, "pbar_full": series.pbar_full,
+        "varx_full": series.varx_full, "xbar_tr": series.xbar_tr, "xbar_ref": series.xbar_ref,
+        "continuity_residual": series.continuity,
+        "pbar_tr": series.pbar_tr, "pbar_ref": series.pbar_ref,
+        "varx_tr": series.varx_tr, "varx_ref": series.varx_ref,
+        "ref_cut_flux": series.ref_cut_flux, "identity_residual": series.identity_residual,
+    })
     return {
         "norm_drift": float(np.max(np.abs(series.T - series.T[0]))),
         "max_re_overlap": float(np.max(np.abs(series.overlap.real))),
@@ -224,11 +222,10 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> dict:
         l2_max, linf_max = max(l2_max, l2), max(linf_max, linf)
     passed = l2_max < ORACLE_L2 and result.norm_drift < CN_NORM_DRIFT
     # the samples come in step order, one per step: the last is the latest compared
-    write_csv(
-        out / "oracle_check.csv",
-        ["t_max", "l2", "linf", "pass", "norm_drift"],
-        [(result.samples[-1].t, l2_max, linf_max, passed, result.norm_drift)],
-    )
+    _write_columns(out / "oracle_check.csv", {
+        "t_max": [result.samples[-1].t], "l2": [l2_max], "linf": [linf_max],
+        "pass": [passed], "norm_drift": [result.norm_drift],
+    })
     return {
         "per_checkpoint": per_checkpoint,
         "norm_drift": result.norm_drift,
@@ -241,24 +238,19 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> dict:
     }
 
 
-_CLOCK_HEADER = [
-    "E", "L", "tau_dwell_tr", "tau_dwell_ref",
-    "tau_larmor_tr", "tau_larmor_ref", "omega_min", "residual",
-]
-
-
-def _clock_rows(res):
-    """The CSV rows of a clock result, zipped from its columns."""
-    return zip(*(column.tolist() for column in (
-        res.E, res.barrier_length, res.tau_dwell_tr, res.tau_dwell_ref,
-        res.tau_larmor_tr, res.tau_larmor_ref, res.omega_min, res.residual)))
+def _clock_columns(res) -> dict:
+    """The CSV columns of a clock result."""
+    return {"E": res.E, "L": res.barrier_length,
+            "tau_dwell_tr": res.tau_dwell_tr, "tau_dwell_ref": res.tau_dwell_ref,
+            "tau_larmor_tr": res.tau_larmor_tr, "tau_larmor_ref": res.tau_larmor_ref,
+            "omega_min": res.omega_min, "residual": res.residual}
 
 
 def cmd_clock(cfg: RunConfig, out: Path) -> dict:
     if cfg.mode is None:
         raise SchemaError("energy.E", "clock needs one energy")
     res = compute_clock(cfg.potential, cfg.mode)
-    write_csv(out / "clock.csv", _CLOCK_HEADER, _clock_rows(res))
+    _write_columns(out / "clock.csv", _clock_columns(res))
     return {
         "tau_dwell_tr": float(res.tau_dwell_tr[0]),
         "tau_larmor_tr": float(res.tau_larmor_tr[0]),
@@ -272,12 +264,8 @@ def cmd_hartman_sweep(cfg: RunConfig, out: Path) -> dict:
     with WorkerMap(cfg.workers) as pmap:
         res = sweep_barrier_width(sw["v0"], sw["energy_ratio"], kappa_ls, map_fn=pmap)
     monotonic = bool(np.all(np.diff(res.tau_dwell_tr) > 0))
-    write_csv(
-        out / "hartman_sweep.csv",
-        _CLOCK_HEADER,
-        _clock_rows(res),
-        footer_comments=[f"dwell_tr_strictly_increasing = {_fmt(monotonic)}"],
-    )
+    _write_columns(out / "hartman_sweep.csv", _clock_columns(res),
+                   footer_comments=[f"dwell_tr_strictly_increasing = {_fmt(monotonic)}"])
     return {"dwell_tr_strictly_increasing": monotonic}
 
 

@@ -54,7 +54,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ClockNotFinite, ZeroFlux
+from .errors import ClockNotFinite, ZeroFlux, raise_first
 from .potential import PotentialSpec
 from .splitting import DecompositionBlock, decompose_block
 from .stationary import (EVAN, OSC, PAIR, EnergyMode, PiecewiseState, ProblemBlock,
@@ -111,10 +111,8 @@ class LarmorReading:
     residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        bad = self.present & ~np.isfinite(self.time)
-        if bad.any():
-            raise ClockNotFinite(f"Larmor time is not finite at omega = "
-                                 f"{self.omega[np.argmax(bad)]:.6g}")
+        raise_first(self.present & ~np.isfinite(self.time), ClockNotFinite,
+                    lambda i: f"Larmor time is not finite at omega = {self.omega[i]:.6g}")
         for name in ("time", "out_of_plane", "raw"):
             setattr(self, name, np.where(self.present, getattr(self, name), math.nan))
         self.residual = np.abs(self.raw - self.time)
@@ -157,10 +155,9 @@ def _concatenate(blocks: list):
 
 def _require_weight(weight: np.ndarray, subprocess: str):
     """ZeroFlux for the first row whose channel weight is below ZERO_FLUX."""
-    absent = weight < ZERO_FLUX
-    if absent.any():
-        name = "transmission" if subprocess == "tr" else "reflection"
-        raise ZeroFlux(f"{name} weight {weight[np.argmax(absent)]:.3e} below {ZERO_FLUX}")
+    name = "transmission" if subprocess == "tr" else "reflection"
+    raise_first(weight < ZERO_FLUX, ZeroFlux,
+                lambda i: f"{name} weight {weight[i]:.3e} below {ZERO_FLUX}")
 
 
 def _node(j, lo, hi, step, n: int):
@@ -192,7 +189,7 @@ def _progression_sums(state, x0, x1, step, count) -> np.ndarray:
     EVAN: (|c1|^2 exp(-2kp d0) + |c2|^2 exp(-2kp dr)) G(-2kp step)
           + 2 m Re(c1 conj(c2)) exp(-kp w): two geometric sums anchored at
           opposite ends, so that no term grows;
-    PAIR: a quartic in d (|q2| w^2 < 1e-10), by Faulhaber's power sums.
+    PAIR: a quartic in d (|q2| w^2 < 1e-5), by Faulhaber's power sums.
     """
     total = np.zeros(count.shape)
     for kind in (PAIR, OSC, EVAN):

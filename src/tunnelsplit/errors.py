@@ -5,6 +5,8 @@ Three tiers matter for the CLI exit code: configuration problems
 internal faults that should never happen on valid input (exit 4).
 """
 
+import numpy as np
+
 
 class TunnelSplitError(Exception):
     """Base class for every error raised by this package."""
@@ -86,3 +88,9 @@ class ClockNotFinite(TunnelSplitError):
 
 
 INTERNAL_ERRORS = (SolveSingular,)
+
+
+def raise_first(bad, error, message):
+    """Raise error(message(i)) for the first row i that the mask `bad` flags, if any."""
+    if np.any(bad):
+        raise error(message(int(np.argmax(bad))))

@@ -32,10 +32,10 @@ is -i k^2/2 times the mode, so nothing is differenced in time.
 `ModeTable.states` is the one evaluator, for a batch of times. It walks
 the grid in windows of X_CHUNK points, and each window builds its own
 cos(kx) and sin(kx), so no table spans n_k by n_x; every evaluation of a
-window (values, x derivatives, density rates, other barriers' modes)
-shares that window's table. It works in real arithmetic: with
-C = cos(kx) and S = sin(kx), a e + b conj(e) = (a + b) C + i (a - b) S,
-so the left pair and tr are one real product against C stacked on S.
+window (values, x derivatives, density rates) shares that window's
+table. It works in real arithmetic: with C = cos(kx) and S = sin(kx),
+a e + b conj(e) = (a + b) C + i (a - b) S, so the left pair and tr are
+one real product against C stacked on S.
 C and S come from `_plane_waves`, by angle addition over blocks of
 ceil(sqrt(n_k)) modes, to within a few eps max|k x|.
 """
@@ -263,7 +263,7 @@ class ModeTable:
         if out is None:
             out = np.empty((3, t.size, self.x.size), dtype=complex)
         if self.waves is None:
-            for own, _, (part,) in windows(self):
+            for own, _, part in windows(self):
                 part.states(t, deriv, out[..., own])
             return out
         # the (n_t, n_k) coefficients are made in place: every window makes them anew
@@ -302,27 +302,22 @@ class ModeTable:
                        inner=self.inner[..., max(lo - i_a, 0):max(hi - i_a, 0)])
 
 
-def windows(*tables: ModeTable, halo: int = 0):
-    """(own, ext, parts) for each window `own`, a slice of X_CHUNK grid
+def windows(table: ModeTable, halo: int = 0):
+    """(own, ext, part) for each window `own`, a slice of X_CHUNK grid
     points (fewer in the last): `ext` widens it by `halo` points on each
-    side where the grid has them, and `parts` are the tables on x[ext].
-    The tables share one grid, modes and [a, b] (other barriers' tables
-    for the same packet), so one cos/sin table serves every part. Each
-    window's table is written into the same buffer, and a part's `waves`
-    are released when the walk moves on."""
-    n = tables[0].x.size
-    buffer = np.empty((2, tables[0].k.size, min(X_CHUNK + 2 * halo, n)))
+    side where the grid has them, and `part` is the table on x[ext], with
+    its cos/sin table. Each window's cos/sin table is written into the
+    same buffer, and a part's `waves` are released when the walk moves on."""
+    n = table.x.size
+    buffer = np.empty((2, table.k.size, min(X_CHUNK + 2 * halo, n)))
     for lo in range(0, n, X_CHUNK):
         own = slice(lo, min(lo + X_CHUNK, n))
         ext = slice(max(lo - halo, 0), min(own.stop + halo, n))
-        parts = [t._window(ext.start, ext.stop) for t in tables]
-        outside = np.delete(parts[0].x, parts[0]._inside)
-        waves = _plane_waves(tables[0].k, outside, buffer[:, :, :outside.size])
-        for part in parts:
-            part.waves = waves
-        yield own, ext, parts
-        for part in parts:
-            part.waves = None
+        part = table._window(ext.start, ext.stop)
+        outside = np.delete(part.x, part._inside)
+        part.waves = _plane_waves(table.k, outside, buffer[:, :, :outside.size])
+        yield own, ext, part
+        part.waves = None
 
 
 def _mode_table(spec: PotentialSpec, packet: PacketSpec, x: np.ndarray,
@@ -368,7 +363,7 @@ def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
     x = np.asarray(x_grid, dtype=float)
     table = _mode_table(spec, packet, x, *spectral_grid(packet, n_k, span_sigmas))
     values = np.empty((len(times), x.size), dtype=complex)
-    for own, _, (part,) in windows(table):
+    for own, _, part in windows(table):
         values[:, own] = part.states(times)[i]
     return [ComponentField(x=x, values=v, t=float(t)) for v, t in zip(values, times)]
 
@@ -479,7 +474,7 @@ def continuity_residual(table: ModeTable, component: str, t: float) -> float:
     i = _index(component)
     keep = _continuity_window(table.x, table.x_c if component in ("tr", "ref") else None)
     worst = 0.0
-    for own, ext, (part,) in windows(table, halo=2):
+    for own, ext, part in windows(table, halo=2):
         values, rate, derivs = _evaluate(part, [t], i)
         j = current_density(values[i, 0], derivs[i, 0])
         worst = max(worst, float(_continuity(table.x, keep, ext, own, rate[0], j)))
@@ -554,7 +549,7 @@ def diagnostics_series(table: ModeTable, times) -> DiagnosticsSeries:
     n_batches = max(1, -(-n_t // _times_per_batch(width)))
     batch = max(1, -(-n_t // n_batches))
     stacks = np.empty((2, 3, batch, width), dtype=complex)
-    for own, ext, (part,) in windows(table, halo=2):
+    for own, ext, part in windows(table, halo=2):
         mine = slice(own.start - ext.start, own.stop - ext.start)
         w, x_own = q[:, own], x[own]
         for lo in range(0, n_t, batch):

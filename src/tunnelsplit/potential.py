@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AsymmetricPotential, NonPositiveWidth
+from .errors import AsymmetricPotential, NonPositiveWidth, raise_first
 
 SYMMETRY_TOL = 1e-12
 
@@ -62,14 +62,11 @@ def barrier_rows(a: np.ndarray, widths: np.ndarray, heights: np.ndarray):
     checked on every row, the first failing row raising."""
     if not widths.shape[1]:
         raise NonPositiveWidth("potential needs at least one segment")
-    bad = ~((widths > 0) & (widths < math.inf)).all(axis=1)
-    if bad.any():
-        raise NonPositiveWidth(f"segment widths must be finite and positive, "
-                               f"got {widths[bad][0].tolist()}")
-    bad = ~(np.isfinite(a) & np.isfinite(heights).all(axis=1))
-    if bad.any():
-        raise ValueError(f"a and the segment heights must be finite, "
-                         f"got {a[bad][0]}, {heights[bad][0].tolist()}")
+    raise_first(~((widths > 0) & (widths < math.inf)).all(axis=1), NonPositiveWidth,
+                lambda i: f"segment widths must be finite and positive, got {widths[i].tolist()}")
+    raise_first(~(np.isfinite(a) & np.isfinite(heights).all(axis=1)), ValueError,
+                lambda i: f"a and the segment heights must be finite, "
+                          f"got {a[i]}, {heights[i].tolist()}")
     # a sequential sum, so b = edges[:, -1] is a + sum(widths) left to right
     edges = a[:, None] + np.cumsum(np.concatenate((np.zeros((len(a), 1)), widths), 1), 1)
     symmetric = ((np.abs(widths - widths[:, ::-1]) <= SYMMETRY_TOL)

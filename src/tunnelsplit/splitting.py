@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized, OddSelectionFailed, SolveSingular
+from .errors import NotNormalized, OddSelectionFailed, SolveSingular, raise_first
 from .potential import PotentialSpec
 from .stationary import (
     EnergyMode,
@@ -78,9 +78,8 @@ def split_amplitude_candidates(T, R) -> tuple[SplitAmplitudes, SplitAmplitudes]:
     """
     T, R = np.asarray(T, dtype=float), np.asarray(R, dtype=float)
     excess = T + R - 1.0
-    if np.any(np.abs(excess) > UNITARITY):
-        worst = excess.flat[np.argmax(np.abs(excess) > UNITARITY)]
-        raise NotNormalized(f"T + R - 1 = {worst:.3e} beyond tolerance")
+    raise_first(np.abs(excess) > UNITARITY, NotNormalized,
+                lambda i: f"T + R - 1 = {excess.flat[i]:.3e} beyond tolerance")
     s = np.sqrt(np.maximum(T * R, 0.0))
     plus = SplitAmplitudes(T + 1j * s, R - 1j * s, +1)
     minus = SplitAmplitudes(T - 1j * s, R + 1j * s, -1)
@@ -110,11 +109,6 @@ class DecompositionBlock:
     parity_residual: np.ndarray
 
 
-def _first(bad: np.ndarray) -> int | None:
-    """Index of the first row flagged in `bad`, or None."""
-    return int(np.argmax(bad)) if bad.any() else None
-
-
 def _ref_candidate(problems: ProblemBlock, A_R, psi_c, dpsi_c):
     """Sub-solutions carrying the reflected wave, built from midpoint data.
 
@@ -126,10 +120,9 @@ def _ref_candidate(problems: ProblemBlock, A_R, psi_c, dpsi_c):
     chi = state_from_midpoint(problems, psi_c, dpsi_c)
     absent = np.abs(A_R) == 0.0
     outgoing = chi.left[1]
-    i = _first(~absent & (np.abs(outgoing) == 0.0))
-    if i is not None:
-        raise SolveSingular(f"midpoint construction has no left-outgoing wave "
-                            f"at E = {problems.E[i]:.6g}")
+    raise_first(~absent & (np.abs(outgoing) == 0.0), SolveSingular,
+                lambda i: f"midpoint construction has no left-outgoing wave "
+                          f"at E = {problems.E[i]:.6g}")
     state = chi.scaled(np.where(absent, 0.0, A_R / np.where(absent, 1.0, outgoing)))
     return state, np.where(absent, 0.0, state.left[0])
 
@@ -166,12 +159,11 @@ def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
 
     split, odd_dist = best_match(odd_A, "odd")
     even_split, even_dist = best_match(even_A, "even")
-    i = _first(np.maximum(odd_dist, even_dist) > _MATCH_TOL * (1.0 + np.abs(A_R)))
-    if i is not None:
-        raise OddSelectionFailed(
-            f"parity constructions do not reproduce the amplitude roots at E = {E[i]:.6g} "
-            f"(odd mismatch {odd_dist[i]:.3e}, even mismatch {even_dist[i]:.3e})"
-        )
+    raise_first(np.maximum(odd_dist, even_dist) > _MATCH_TOL * (1.0 + np.abs(A_R)),
+                OddSelectionFailed,
+                lambda i: f"parity constructions do not reproduce the amplitude roots at "
+                          f"E = {E[i]:.6g} (odd mismatch {odd_dist[i]:.3e}, "
+                          f"even mismatch {even_dist[i]:.3e})")
 
     if x.shape[-1]:
         span = np.maximum(x_c - x.min(axis=-1), x.max(axis=-1) - x_c)
@@ -179,10 +171,9 @@ def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
         span = np.zeros(problems.n)
     odd_mid, parity_residual, parity_scale = _midpoint_and_parity(odd_state, span)
     mids = np.column_stack((odd_mid, np.abs(sample_states(even_state, x_c[:, None])[:, 0])))
-    i = _first(mids[:, 0] >= PARITY_MIDPOINT)
-    if i is not None:
-        raise OddSelectionFailed(f"no root vanishes at the midpoint "
-                                 f"(|ref({x_c[i]})| = {mids[i, 0]:.3e})")
+    raise_first(mids[:, 0] >= PARITY_MIDPOINT, OddSelectionFailed,
+                lambda i: f"no root vanishes at the midpoint "
+                          f"(|ref({x_c[i]})| = {mids[i, 0]:.3e})")
 
     ref_state = odd_state
     tr_state = state_from_left(problems, split.A_tr_in, 0.0)
@@ -197,24 +188,22 @@ def decompose_block(problems: ProblemBlock, x_grid) -> DecompositionBlock:
         part -= sample_states(full_state, x[..., cols])
         identity_residual = np.maximum(identity_residual, np.max(np.abs(part), axis=-1))
 
-    i = _first(identity_residual > IDENTITY_STATIONARY)
-    if i is not None:
-        raise SolveSingular(f"sub-solution sum deviates from the full state by "
-                            f"{identity_residual[i]:.3e} at E = {E[i]:.6g}")
+    raise_first(identity_residual > IDENTITY_STATIONARY, SolveSingular,
+                lambda i: f"sub-solution sum deviates from the full state by "
+                          f"{identity_residual[i]:.3e} at E = {E[i]:.6g}")
     for label, got, want in (
         ("|A_tr_in|^2", np.abs(split.A_tr_in) ** 2, T),
         ("|A_ref_in|^2", np.abs(split.A_ref_in) ** 2, R),
     ):
-        i = _first(np.abs(got - want) > SPLIT_NORM)
-        if i is not None:
-            raise SolveSingular(f"{label} deviates from its channel weight by "
-                                f"{got[i] - want[i]:.3e} at E = {E[i]:.6g}")
+        raise_first(np.abs(got - want) > SPLIT_NORM, SolveSingular,
+                    lambda i: f"{label} deviates from its channel weight by "
+                              f"{got[i] - want[i]:.3e} at E = {E[i]:.6g}")
 
-    i = _first((parity_scale > 0) & (parity_residual > PARITY_RELATIVE * parity_scale))
-    if i is not None:
-        raise OddSelectionFailed(f"selected root is not antisymmetric: residual "
-                                 f"{parity_residual[i]:.3e} vs scale {parity_scale[i]:.3e} "
-                                 f"at E = {E[i]:.6g}")
+    raise_first((parity_scale > 0) & (parity_residual > PARITY_RELATIVE * parity_scale),
+                OddSelectionFailed,
+                lambda i: f"selected root is not antisymmetric: residual "
+                          f"{parity_residual[i]:.3e} vs scale {parity_scale[i]:.3e} "
+                          f"at E = {E[i]:.6g}")
 
     return DecompositionBlock(
         problems=problems, A_T=A_T, A_R=A_R, split=split, even_split=even_split,
@@ -246,18 +235,16 @@ def _check_exterior(full_state: PiecewiseState, tr_state: PiecewiseState,
     e_c = np.exp(1j * problems.k * problems.x_c)
     residual = np.abs(d_plus * e_c + c_minus / e_c) + np.abs(d_minus / e_c + c_plus * e_c)
     scale = np.abs(c_plus) + np.abs(c_minus)
-    i = _first((scale > 0) & (residual > PARITY_RELATIVE * scale))
-    if i is not None:
-        raise OddSelectionFailed(f"selected root is not antisymmetric outside the barrier: "
-                                 f"residual {residual[i]:.3e} vs scale {scale[i]:.3e} "
-                                 f"at E = {problems.E[i]:.6g}")
+    raise_first((scale > 0) & (residual > PARITY_RELATIVE * scale), OddSelectionFailed,
+                lambda i: f"selected root is not antisymmetric outside the barrier: "
+                          f"residual {residual[i]:.3e} vs scale {scale[i]:.3e} "
+                          f"at E = {problems.E[i]:.6g}")
     for side in ("left", "right"):
         f, t, r = (getattr(state, side) for state in (full_state, tr_state, ref_state))
         residual = np.abs(f[0] - t[0] - r[0]) + np.abs(f[1] - t[1] - r[1])
-        i = _first(residual > IDENTITY_STATIONARY)
-        if i is not None:
-            raise SolveSingular(f"sub-solution pairs deviate from the full state {side} "
-                                f"of the barrier by {residual[i]:.3e} at E = {problems.E[i]:.6g}")
+        raise_first(residual > IDENTITY_STATIONARY, SolveSingular,
+                    lambda i: f"sub-solution pairs deviate from the full state {side} of "
+                              f"the barrier by {residual[i]:.3e} at E = {problems.E[i]:.6g}")
 
 
 def _midpoint_and_parity(ref_state: PiecewiseState, span: np.ndarray, n: int = 33):

@@ -33,13 +33,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AsymmetricPotential, OpacityOverflow, SolveSingular
+from .errors import AsymmetricPotential, OpacityOverflow, SolveSingular, raise_first
 from .potential import PotentialSpec, barrier_rows
 from .tolerances import OPACITY_MAX, UNITARITY
 
-# |q^2| w^2 below this: the (psi, psi') anchored form is used, which is
-# smooth through q = 0 (the exact linear solution in the limit).
-_PAIRFORM_Z2 = 1e-10
+# u = |q^2| w^2 below this: the (psi, psi') anchored form is used, which is
+# smooth through q = 0 (the exact linear solution in the limit). At 1e-5
+# the exponential bases' cancellation (about 1e-16 / u relative) meets the
+# truncation of the dwell sums' quartic in the pair form (O(u^2)).
+_PAIRFORM_Z2 = 1e-5
 
 # piece kinds as stored in a state's `kind` array
 PAIR, OSC, EVAN = range(3)
@@ -118,9 +120,8 @@ class ProblemBlock:
             raise ValueError("a block takes a (m,), widths and heights (m, s), "
                              "and one energy or one per barrier")
         edges, symmetric = barrier_rows(a, widths, heights)
-        bad = ~(np.isfinite(E) & (E > 0))
-        if bad.any():
-            raise ValueError(f"energy must be finite and positive, got {E[bad][0]}")
+        raise_first(~(np.isfinite(E) & (E > 0)), ValueError,
+                    lambda i: f"energy must be finite and positive, got {E[i]}")
         return cls(a=_rows(a, n), b=_rows(edges[:, -1], n), edges=_rows(edges, n),
                    widths=_rows(widths, n), heights=_rows(heights, n),
                    symmetric=_rows(symmetric, n), E=_rows(E, n))
@@ -139,11 +140,9 @@ class ProblemBlock:
         return ProblemBlock.from_arrays(a, widths, heights + deltas.reshape(-1, 1), E)
 
     def require_symmetric(self):
-        if not self.symmetric.all():
-            raise AsymmetricPotential(
-                "height sequence is not mirror-symmetric about the midpoint "
-                f"(E = {self.E[np.argmin(self.symmetric)]:.6g})"
-            )
+        raise_first(~self.symmetric, AsymmetricPotential,
+                    lambda i: "height sequence is not mirror-symmetric about the midpoint "
+                              f"(E = {self.E[i]:.6g})")
 
 
 def _rows(value, n: int, dtype=None) -> np.ndarray:
@@ -151,12 +150,6 @@ def _rows(value, n: int, dtype=None) -> np.ndarray:
     else broadcast along it."""
     arr = np.asarray(value, dtype=dtype)
     return arr if arr.ndim and len(arr) == n else np.broadcast_to(arr, (n,) + arr.shape[1:])
-
-
-def _raise_first(bad: np.ndarray, E: np.ndarray, error, message: str):
-    """Raise error(message) naming the energy of the first row in `bad`."""
-    if bad.any():
-        raise error(f"{message} at E = {E[np.argmax(bad)]:.6g}")
 
 
 # --- piecewise field representation -----------------------------------------
@@ -381,13 +374,9 @@ def _check_opacity(problems: ProblemBlock):
     """Sum of kappa*width over evanescent segments: the overflow budget."""
     q2 = problems.q2
     opacity = np.where(q2 < 0, np.sqrt(np.abs(q2)) * problems.widths, 0.0).sum(axis=1)
-    bad = opacity > OPACITY_MAX
-    if bad.any():
-        i = np.argmax(bad)
-        raise OpacityOverflow(
-            f"evanescent decay budget exceeded at E = {problems.E[i]:.6g}: "
-            f"sum kappa*w = {opacity[i]:.1f} > {OPACITY_MAX}"
-        )
+    raise_first(opacity > OPACITY_MAX, OpacityOverflow,
+                lambda i: f"evanescent decay budget exceeded at E = {problems.E[i]:.6g}: "
+                          f"sum kappa*w = {opacity[i]:.1f} > {OPACITY_MAX}")
 
 
 def _split_segments(P: ProblemBlock, x_cut: np.ndarray):
@@ -467,14 +456,15 @@ def scattering_state(problems: ProblemBlock):
     unit = state_from_right(problems, 1.0, 0.0)
     incident, reflected = unit.left
     E = problems.E
-    _raise_first(~(np.isfinite(incident) & np.isfinite(reflected)) | (incident == 0), E,
-                 SolveSingular, "incident amplitude zero or non-finite")
+    raise_first(~(np.isfinite(incident) & np.isfinite(reflected)) | (incident == 0),
+                SolveSingular, lambda i: f"incident amplitude zero or non-finite at E = {E[i]:.6g}")
     A_T = 1.0 / incident
     A_R = reflected / incident
     T, R = np.abs(A_T) ** 2, np.abs(A_R) ** 2
-    _raise_first(~(np.isfinite(T) & np.isfinite(R)), E, SolveSingular,
-                 "non-finite scattering amplitudes")
-    _raise_first(np.abs(T + R - 1.0) > UNITARITY, E, SolveSingular, "flux not conserved")
+    raise_first(~(np.isfinite(T) & np.isfinite(R)), SolveSingular,
+                lambda i: f"non-finite scattering amplitudes at E = {E[i]:.6g}")
+    raise_first(np.abs(T + R - 1.0) > UNITARITY, SolveSingular,
+                lambda i: f"flux not conserved at E = {E[i]:.6g}")
     return A_T, A_R, unit.scaled(A_T)
 
 

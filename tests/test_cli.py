@@ -366,7 +366,7 @@ class TestOutputs:
         out = tmp_path / "out"
         assert run_cli("stationary", cfg, out) == 0
         lines = (out / "stationary.csv").read_text().splitlines()
-        assert lines[0].split(",")[:4] == ["E", "k", "T", "R"]
+        assert lines[0] == "E,k,T,R,re_A_T,im_A_T,re_A_R,im_A_R,unitarity_residual"
         assert len(lines) == 8
         echo = json.loads((out / "config_echo.json").read_text())
         assert echo["n_k"] == 129
@@ -400,10 +400,12 @@ class TestOutputs:
         out_d = tmp_path / "diag"
         assert run_cli("diagnostics", cfg, out_d) == 0
         header = (out_d / "diagnostics.csv").read_text().splitlines()[0].split(",")
-        assert header[:11] == [
+        assert header == [
             "t", "T", "R", "Re_overlap", "Im_overlap",
             "xbar_full", "pbar_full", "varx_full",
             "xbar_tr", "xbar_ref", "continuity_residual",
+            "pbar_tr", "pbar_ref", "varx_tr", "varx_ref",
+            "ref_cut_flux", "identity_residual",
         ]
 
     @pytest.mark.parametrize("stride", [1, 3, 8])
@@ -483,6 +485,7 @@ class TestOutputs:
         out_h = tmp_path / "sweep"
         assert run_cli("hartman-sweep", cfg, out_h) == 0
         text = (out_h / "hartman_sweep.csv").read_text()
+        assert text.splitlines()[0] == header
         assert len(text.splitlines()) == 3 + 2  # header + rows + footer
         assert "# dwell_tr_strictly_increasing = 1" in text
 
@@ -545,6 +548,26 @@ def test_write_csv_holds_no_whole_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert (lines[0], lines[1], lines[-1]) == ("x", "0.1", "# rows = 200000")
     assert len(lines) == 200_002
+    assert peak < 1_000_000
+
+
+def test_write_columns_holds_no_whole_column(tmp_path):
+    """Rows are formed CSV_ROWS at a time, so 200k rows of three columns
+    are written at a traced peak under 1 MB (0.37 MB), where the columns
+    made Python objects whole peak at 16 MB."""
+    path = tmp_path / "columns.csv"
+    n = 200_000
+    columns = {"i": np.arange(n), "x": np.linspace(0.0, 1.0, n), "odd": np.arange(n) % 2 == 1}
+    tracemalloc.start()
+    try:
+        cli._write_columns(path, columns, [f"rows = {n}"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["i,x,odd", "0,0.0,0", f"1,{1 / (n - 1)!r},1"]
+    assert lines[-2:] == [f"{n - 1},1.0,1", f"# rows = {n}"]
+    assert len(lines) == n + 2
     assert peak < 1_000_000
 
 

@@ -129,7 +129,7 @@ _DWELL_CASES = {
                                        _symmetric(-1.5, (0.3, 0.5, 0.3))], 0.5),
                       2049, {PAIR, OSC, EVAN}),
     # one barrier, a different kind per row in each piece column; the PAIR
-    # rows off the middle height have |q2| w^2 = 8e-11, just inside PAIR
+    # rows off the middle height have |q2| w^2 = 8e-11, inside the pair form
     "kinds-per-row": (ProblemBlock.of(_symmetric(-1.5, (1.0, 0.5, 1.0)),
                                       [0.5, 0.3, 0.7, 1.2, 0.5 + 4e-11, 0.5 - 4e-11]),
                       2049, {PAIR, OSC, EVAN}),
@@ -170,6 +170,25 @@ class TestDwellSum:
             assert present.any()
             np.testing.assert_allclose(got[present], want[present], rtol=1e-12, atol=0)
             assert np.isnan(got[~present]).all()
+
+    def test_closed_form_holds_either_side_of_the_pair_switch(self):
+        """E = V (1 +/- m), m log-spaced over 1e-12...1e-2, at each height V
+        of the canonical barrier and of one with heights (0.5, 1, 0.5):
+        every sub-wave's closed-form sum is within 2e-10 of the sampled one.
+        With the pair form's switch at |q2| w^2 = 1e-10 instead of 1e-5 the
+        exponential forms cancel just above it, and the gap reaches 6.9e-6."""
+        m = np.geomspace(1e-12, 1e-2, 101)
+        half = (clocks.DWELL_NODES + 1) // 2
+        for spec in (CANONICAL, _symmetric(-1.5, (0.5, 1.0, 0.5))):
+            for V in sorted({h for _, h in spec.segments}):
+                P = ProblemBlock.of(spec, V * np.concatenate((1.0 + m, 1.0 - m)))
+                dec = decompose_block(P, np.linspace(P.a, P.b, 65, axis=-1))
+                for state, lo, hi, n in ((dec.tr_state, P.a, P.x_c, half),
+                                         (dec.full_state, P.x_c, P.b, half),
+                                         (dec.ref_state, P.a, P.x_c, clocks.DWELL_NODES)):
+                    np.testing.assert_allclose(clocks._density_sum(state, lo, hi, n),
+                                               simpson_density_sum(state, lo, hi, n),
+                                               rtol=2e-10, atol=0, err_msg=f"V = {V}")
 
     @pytest.mark.parametrize("case", list(_DWELL_CASES))
     def test_progression_kernel_is_the_sampled_sum(self, case):
@@ -347,11 +366,12 @@ class TestLarmorTimes:
 _OVERLAP_CASES = {
     "evan": (ProblemBlock.of(CANONICAL, 0.5), {EVAN}),
     "osc": (ProblemBlock.of(CANONICAL, [1.7, 3.0]), {OSC}),
-    # at E = V exactly and |q2| w^2 = 8e-11 either side of it
-    "pair": (ProblemBlock.of(CANONICAL, [1.0, 1.0 + 1e-11, 1.0 - 1e-11]), {PAIR}),
-    # |q2| w^2 just above the pair form's 1e-10, and either side of the
+    # at E = V exactly and |q2| w^2 = 8e-11, 1.04e-10 and 8e-9 off it
+    "pair": (ProblemBlock.of(CANONICAL, [1.0, 1.0 + 1e-11, 1.0 - 1e-11, 1.0 + 1.3e-11,
+                                         1.0 - 1.3e-11, 1.0 + 1e-9]), {PAIR}),
+    # |q2| w^2 just above the pair form's 1e-5, and either side of the
     # series' 1e-2, where the exponential forms would cancel
-    "near-q-zero": (ProblemBlock.of(CANONICAL, [1.0 + 1.3e-11, 1.0 - 1.3e-11, 1.0 + 1e-9,
+    "near-q-zero": (ProblemBlock.of(CANONICAL, [1.0 + 1.3e-6, 1.0 - 1.3e-6, 1.0 + 1e-5,
                                                 1.0 + 1.2e-3, 1.0 + 1.3e-3, 1.0 - 1.2e-3,
                                                 1.0 - 1.3e-3]), {OSC, EVAN}),
     "middle-height": (_DWELL_CASES["middle-height"][0], {PAIR, OSC, EVAN}),

@@ -453,7 +453,7 @@ def test_window_build_holds_one_table(monkeypatch):
     table = _small_table()
     tracemalloc.start()
     try:
-        _, _, (part,) = next(packets.windows(table))
+        _, _, part = next(packets.windows(table))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

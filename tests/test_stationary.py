@@ -60,6 +60,16 @@ class TestSolveFull:
         T, _ = weights(CANONICAL, 1.0)
         assert T == pytest.approx(1.0 / (1.0 + 1.0 * 4.0 / 2.0), rel=1e-13)
 
+    def test_closed_form_near_energy_equals_height(self):
+        """E = 1 +/- m, m log-spaced over 1e-12...1e-2, either side of the
+        pair form's switch at |q2| w^2 = 1e-5: T is within 1e-12 of the
+        closed form (8e-12 with the switch at 1e-10)."""
+        m = np.geomspace(1e-12, 1e-2, 101)
+        E = np.concatenate((1.0 + m, 1.0 - m))
+        T = np.abs(solve_block(ProblemBlock.of(CANONICAL, E))[0]) ** 2
+        want = [rectangular_transmission(e, 1.0, 2.0) for e in E]
+        np.testing.assert_allclose(T, want, rtol=1e-12, atol=0)
+
     def test_closed_form_across_regimes(self):
         for V0, L, E in [
             (0.25, 0.5, 0.1),
@@ -183,23 +193,33 @@ class TestFromArrays:
         ("a", math.inf, ValueError), ("a", math.nan, ValueError),
         ("height", -math.inf, ValueError), ("height", math.nan, ValueError)])
     def test_a_bad_row_raises_what_its_spec_raises(self, field, value, error):
+        """Rows 1 and 2 are bad, differently: the message names row 1's values."""
         a, widths, heights = [-1.0, 0.0, 2.0], np.ones((3, 3)), np.full((3, 3), 0.5)
         if field == "a":
-            a[1] = value
+            a[1], heights[2, 0] = value, math.nan
         else:
             (widths if field == "width" else heights)[1, 2] = value
+            (widths if field == "width" else heights)[2, 0] = value
+        want = (f"got {widths[1].tolist()}" if field == "width"
+                else f"got {a[1]}, {heights[1].tolist()}")
         for build in (lambda: PotentialSpec(a=a[1], segments=tuple(zip(widths[1], heights[1]))),
                       lambda: ProblemBlock.from_arrays(a, widths, heights, 0.5)):
             with pytest.raises(Exception) as got:
                 build()
             assert type(got.value) is error
+            assert str(got.value).endswith(want), (str(got.value), want)
 
     @pytest.mark.parametrize("E", [0.0, -1.0, math.inf, math.nan])
     def test_a_bad_energy_raises_what_energy_mode_raises(self, E):
-        with pytest.raises(ValueError, match="energy must be finite and positive"):
+        """Rows 1 and 2 are bad: the message names row 1's energy."""
+        want = f"energy must be finite and positive, got {E}"
+        with pytest.raises(ValueError) as got:
             EnergyMode(E)
-        with pytest.raises(ValueError, match="energy must be finite and positive"):
-            ProblemBlock.from_arrays([0.0, 1.0], np.ones((2, 1)), np.ones((2, 1)), [0.5, E])
+        assert str(got.value) == want
+        with pytest.raises(ValueError) as got:
+            ProblemBlock.from_arrays([0.0, 1.0, 2.0], np.ones((3, 1)), np.ones((3, 1)),
+                                     [0.5, E, -2.0])
+        assert str(got.value) == want
 
 
 def from_left(spec, mode, c_plus, c_minus, x):
