@@ -18,11 +18,10 @@ import traceback
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, tolerances
 from .cranknicolson import (SOLVES_PER_STEP, compare_fields, crank_nicolson_propagate,
-                            misaligned_edges)
+                            misaligned_edges, scipy_version)
 from .clocks import sweep_barrier_width, compute_clock
 from .errors import INTERNAL_ERRORS, SchemaError, TunnelSplitError
 from .packets import build_mode_table, default_x_grid, diagnostics_series, synthesize
@@ -33,6 +32,8 @@ from .stationary import ProblemBlock, sample_states, solve_block
 from .tolerances import CN_NORM_DRIFT, ORACLE_L2
 
 def _fmt(value) -> str:
+    if type(value) is str:
+        return value  # a cell formatted once for many rows
     if type(value) is float:
         return repr(value)  # already "nan", "inf" and "-0.0"
     if isinstance(value, (bool, np.bool_)):
@@ -82,7 +83,7 @@ def _write_run_files(out: Path, cfg: RunConfig, subcommand: str, started: float,
         "subcommand": subcommand,
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
+        "scipy_version": scipy_version(),
         "python_version": sys.version.split()[0],
         "workers": cfg.workers,
         "wall_time_s": time.monotonic() - started,
@@ -164,11 +165,12 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> dict:
     table = _mode_table(cfg, cfg.evolve_x_stride)
     full, tr, ref = table.states(cfg.snapshot_times)
     worst_identity = float(np.max(np.abs(tr + ref - full), initial=0.0))
-    xs = table.x.tolist()
-    # rows are generated while the CSV is written, one snapshot's Python
-    # floats at a time, never held as one list
+    # x is formatted once per run and t once per snapshot; rows are
+    # generated while the CSV is written, one snapshot's Python floats at
+    # a time, never held as one list
+    xs = [_fmt(x) for x in table.x.tolist()]
     rows = (row for t, f, r_tr, r_ref in zip(cfg.snapshot_times, full, tr, ref)
-            for row in zip(itertools.repeat(t), xs, *(
+            for row in zip(itertools.repeat(_fmt(t)), xs, *(
                 part.tolist() for part in (f.real, f.imag, r_tr.real, r_tr.imag,
                                            r_ref.real, r_ref.imag))))
     write_csv(

@@ -92,20 +92,36 @@ class PropagationResult:
     wall_mass: float
 
 
+def _scipy_path(*parts: str) -> str:
+    """A path in scipy's package directory, found without importing scipy."""
+    import importlib.util
+    return os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], *parts)
+
+
+def _module_from_file(name: str, path: str):
+    """The module `name` run from its file at `path`, source or compiled,
+    without importing its package or entering sys.modules."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def scipy_version() -> str:
+    """scipy.__version__, read from scipy's version.py without importing scipy."""
+    return _module_from_file("scipy.version", _scipy_path("version.py")).version
+
+
 def _tridiagonal_lapack(linalg_dir: str | None = None):
     """zgttrf and zgttrs, loaded from the file of scipy's compiled `_flapack`
     in `linalg_dir` (default: scipy's, found without importing scipy)."""
     import importlib.machinery
-    import importlib.util
-    linalg_dir = linalg_dir or os.path.join(
-        importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+    linalg_dir = linalg_dir or _scipy_path("linalg")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(linalg_dir, "_flapack" + suffix)
         if os.path.isfile(path):
-            loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
-            spec = importlib.util.spec_from_loader(loader.name, loader)
-            module = importlib.util.module_from_spec(spec)
-            loader.exec_module(module)
+            module = _module_from_file("scipy.linalg._flapack", path)
             return module.zgttrf, module.zgttrs
     raise ImportError(f"no compiled LAPACK module _flapack in {linalg_dir}")
 

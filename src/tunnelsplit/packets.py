@@ -29,11 +29,12 @@ Modes are kept as coefficients. With e = exp(ikx), the cut leaves
 and derivatives scale the pairs by +/- ik; inside [a, b) a table keeps
 value and derivative rows at its grid points. A mode's time derivative
 is -i k^2/2 times the mode, so nothing is differenced in time.
-`ModeTable.states` is the one evaluator, for a batch of times. It walks
-the grid in windows of X_CHUNK points, and each window builds its own
-cos(kx) and sin(kx), so no table spans n_k by n_x; every evaluation of a
-window (values, x derivatives, density rates) shares that window's
-table. It works in real arithmetic: with C = cos(kx) and S = sin(kx),
+`ModeTable.states_at` is the one evaluator, for a batch of times given
+by their phases exp(-i k^2 t / 2), made once per batch with the room
+that every window's coefficients reuse (`_phases`). It walks the grid
+in windows of X_CHUNK points, and each window builds its own cos(kx)
+and sin(kx), so no table spans n_k by n_x; every evaluation of a window
+(values, x derivatives, density rates) shares that window's table. It works in real arithmetic: with C = cos(kx) and S = sin(kx),
 a e + b conj(e) = (a + b) C + i (a - b) S, so the left pair and tr are
 one real product against C stacked on S.
 C and S come from `_plane_waves`, by angle addition over blocks of
@@ -57,7 +58,7 @@ COMPONENTS = ("full", "tr", "ref")
 # (~1e-15) never shows up against the 1e-8 normalization contract
 DEFAULT_SPAN_SIGMAS = 8.0
 DEFAULT_N_K = 513
-X_CHUNK = 2048  # grid points per evaluation window, each with its own cos/sin table
+X_CHUNK = 512  # grid points per evaluation window, each with its own cos/sin table
 # bytes of the three evaluations of one diagnostics batch in one window
 BATCH_BYTES = 8e6
 
@@ -163,13 +164,14 @@ def default_x_grid(spec: PotentialSpec, packet: PacketSpec,
 def _plane_waves(k: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """cos(kx) and sin(kx) as a real (2, n_k, n_x) stack, written into
     `out` if given, by angle addition on the uniform k grid. Each block of
-    ceil(sqrt(n_k)) modes (23 at 513) writes its rows, one at a time, as
-    cos(a + b) and sin(a + b) from cos/sin of its first k times x and a
-    shared table of cos/sin(m dk x). The table
-    lives in the last block's rows, written last, so nothing block-sized is
-    allocated, and about 2 sqrt(n_k) transcendental rows replace 2 n_k.
-    Entries are within a few eps max|k x| of cos/sin of the rounded k x
-    (5.2e-14 on the canonical table). A nonuniform k raises ValueError."""
+    ceil(sqrt(n_k)) modes (23 at 513) writes its rows at once as
+    cos(a + b) = cos a cos b - sin a sin b and sin(a + b) = sin a cos b +
+    cos a sin b, from cos/sin of its first k times x and a shared table of
+    cos/sin(m dk x). The table lives in the last block's rows, written
+    last, so the only other arrays are two (block, n_x) products, and
+    about 2 sqrt(n_k) transcendental rows replace 2 n_k. Entries are
+    within a few eps max|k x| of cos/sin of the rounded k x (5.2e-14 on
+    the canonical table). A nonuniform k raises ValueError."""
     n_k = k.size
     dk = (k[-1] - k[0]) / max(n_k - 1, 1)
     if np.max(np.abs(k - k[0] - dk * np.arange(n_k))) > 4.0 * np.spacing(np.abs(k).max()):
@@ -181,14 +183,50 @@ def _plane_waves(k: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) ->
     np.multiply.outer(dk * np.arange(block), x, out=cos_b)
     np.sin(cos_b, out=sin_b)
     np.cos(cos_b, out=cos_b)
+    sin_sin, sin_cos = np.empty((2, block, x.size))
     for j0 in (*range(0, last, block), last):
+        rows = slice(j0, n_k if j0 == last else min(j0 + block, last))
+        m = rows.stop - j0
         cos_a, sin_a = np.cos(k[j0] * x), np.sin(k[j0] * x)
-        for m, j in enumerate(range(j0, n_k if j0 == last else min(j0 + block, last))):
-            # in the last block, row j holds offset m until it is written
-            cos_j = cos_a * cos_b[m] - sin_a * sin_b[m]
-            waves[1, j] = sin_a * cos_b[m] + cos_a * sin_b[m]
-            waves[0, j] = cos_j
+        # both products of sin_a are formed first: in the last block, the
+        # rows written are the offsets' own
+        np.multiply(sin_b[:m], sin_a, out=sin_sin[:m])
+        np.multiply(cos_b[:m], sin_a, out=sin_cos[:m])
+        np.subtract(np.multiply(cos_b[:m], cos_a, out=waves[0, rows]), sin_sin[:m],
+                    out=waves[0, rows])
+        np.add(sin_cos[:m], np.multiply(sin_b[:m], cos_a, out=waves[1, rows]), out=waves[1, rows])
     return waves
+
+
+@dataclass
+class _Phases:
+    """exp(-i k^2 t / 2), the phase of every mode at every time of a
+    batch, as (n_t, n_k) rows, and room for what each window makes from
+    them: the coefficients and the left pair's two coefficient rows,
+    three complex (n_t, n_k) arrays, and up to two pairs of real rows
+    (_rows). Every window and evaluation of the batch reuses that room;
+    made anew in each window, these arrays were faulted in again and
+    again (2.4 times the page faults in a canonical diagnostics run)."""
+
+    phase: np.ndarray
+    coeffs: np.ndarray = field(init=False)
+    _room: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.coeffs = np.empty((3,) + self.phase.shape, dtype=complex)
+        self._room = np.empty(8 * self.phase.size)
+
+    def rows(self, pairs: int) -> np.ndarray:
+        """The room for `pairs` pairs of rows, as a contiguous (2, pairs,
+        n_t, 2 n_k) array."""
+        n_t, n_k = self.phase.shape
+        return self._room[:4 * pairs * self.phase.size].reshape(2, pairs, n_t, 2 * n_k)
+
+
+def _phases(k: np.ndarray, times) -> _Phases:
+    """The phases of the modes k at `times` (see _Phases)."""
+    phase = -0.5j * k ** 2 * np.asarray(times, dtype=float)[:, None]
+    return _Phases(np.exp(phase, out=phase))
 
 
 def _rows(alpha: np.ndarray, beta: np.ndarray | float, out: np.ndarray):
@@ -259,17 +297,21 @@ class ModeTable:
     def states(self, times, deriv: bool = False, out: np.ndarray | None = None) -> np.ndarray:
         """(full, tr, ref), cut at x_c, or their x derivatives, at every
         time, as a (3, n_t, n_x) stack, written into `out` if given."""
-        t = np.asarray(times, dtype=float)
+        return self.states_at(_phases(self.k, times), deriv, out)
+
+    def states_at(self, phases: _Phases, deriv: bool = False,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """`states` at the times of `phases` (_phases); every window
+        shares them and their room."""
+        n_t = phases.phase.shape[0]
         if out is None:
-            out = np.empty((3, t.size, self.x.size), dtype=complex)
+            out = np.empty((3, n_t, self.x.size), dtype=complex)
         if self.waves is None:
             for own, _, part in windows(self):
-                part.states(t, deriv, out[..., own])
+                part.states_at(phases, deriv, out[..., own])
             return out
-        # the (n_t, n_k) coefficients are made in place: every window makes them anew
-        coeff = -0.5j * self.k ** 2 * t[:, None]
-        np.exp(coeff, out=coeff)
-        np.multiply(self.weights * self.f_k, coeff, out=coeff)
+        coeff, alpha, beta = phases.coeffs
+        np.multiply(self.weights * self.f_k, phases.phase, out=coeff)
         coeff /= math.sqrt(2.0 * math.pi)
         i_a, i_b = self._inside.start, self._inside.stop
         full, tr_state, ref_state = coeff @ self.inner[int(deriv)]
@@ -277,18 +319,19 @@ class ModeTable:
         out[1:, :, i_a:i_b] = sub_waves(self.x[i_a:i_b] <= self.x_c, full, tr_state, ref_state)
 
         up, down = (1j * self.k, -1j * self.k) if deriv else (1.0, 1.0)
-        rows = np.empty((2, 2 if i_a else 1, t.size, 2 * self.k.size))
         if i_a:
             # left of a, full = alpha e + beta conj(e) and tr = tr_in e
-            alpha = coeff * (up * self.full_left[0])
-            _rows(alpha, coeff * (down * self.full_left[1]), rows[:, 0])
+            rows = phases.rows(2)
+            np.multiply(coeff, up * self.full_left[0], out=alpha)
+            _rows(alpha, np.multiply(coeff, down * self.full_left[1], out=beta), rows[:, 0])
             _rows(np.multiply(coeff, up * self.tr_in, out=alpha), 0.0, rows[:, 1])
             _exterior(out[:2, :, :i_a], rows, self.waves[:, :, :i_a])
             np.subtract(out[0, :, :i_a], out[1, :, :i_a], out=out[2, :, :i_a])
         if i_b < self.x.size:
             coeff *= up * self.A_T  # right of b, full = A_T e
+            rows = phases.rows(1)
             _rows(coeff, 0.0, rows[:, 0])
-            _exterior(out[:1, :, i_b:], rows[:, :1], self.waves[:, :, i_a:])
+            _exterior(out[:1, :, i_b:], rows, self.waves[:, :, i_a:])
             out[1, :, i_b:], out[2, :, i_b:] = out[0, :, i_b:], 0.0
         return out
 
@@ -350,7 +393,8 @@ def build_mode_table(spec: PotentialSpec, packet: PacketSpec,
 def fields_at(table: ModeTable, t: float) -> np.ndarray:
     """The values and x derivatives of (full, tr, ref) at one time, as a
     (2, 3, n_x) stack."""
-    return np.stack([table.states([t], deriv)[:, 0] for deriv in (False, True)])
+    phases = _phases(table.k, [t])
+    return np.stack([table.states_at(phases, deriv)[:, 0] for deriv in (False, True)])
 
 
 def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
@@ -362,9 +406,10 @@ def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
     i = _index(component)
     x = np.asarray(x_grid, dtype=float)
     table = _mode_table(spec, packet, x, *spectral_grid(packet, n_k, span_sigmas))
+    phases = _phases(table.k, times)
     values = np.empty((len(times), x.size), dtype=complex)
     for own, _, part in windows(table):
-        values[:, own] = part.states(times)[i]
+        values[:, own] = part.states_at(phases)[i]
     return [ComponentField(x=x, values=v, t=float(t)) for v, t in zip(values, times)]
 
 
@@ -436,17 +481,18 @@ def _continuity_window(x: np.ndarray, cut: float | None) -> np.ndarray:
     return keep
 
 
-def _evaluate(table: ModeTable, times, rated, values=None, derivs=None):
-    """The (3, n_t, n_x) values and x derivatives at `times`, written into
-    `values` and `derivs` if given, and the density rates d rho/d t =
-    2 Re(conj(psi) d psi/d t) of the components `rated`. 2 d psi/d t is
-    the packet of spectrum -i k^2 f(k); it is evaluated where the
-    derivatives go and reduced to the rates before they are made."""
-    values = table.states(times, out=values)
-    rates = replace(table, f_k=-1j * table.k ** 2 * table.f_k).states(times, out=derivs)[rated]
+def _evaluate(table: ModeTable, phases: _Phases, rated, values=None, derivs=None):
+    """The (3, n_t, n_x) values and x derivatives at the times of
+    `phases`, written into `values` and `derivs` if given, and the
+    density rates d rho/d t = 2 Re(conj(psi) d psi/d t) of the components
+    `rated`. 2 d psi/d t is the packet of spectrum -i k^2 f(k); it is
+    evaluated where the derivatives go and reduced to the rates before
+    they are made."""
+    values = table.states_at(phases, out=values)
+    rates = replace(table, f_k=-1j * table.k ** 2 * table.f_k).states_at(phases, out=derivs)[rated]
     rates.real *= values[rated].real
     rates.imag *= values[rated].imag
-    return values, rates.real + rates.imag, table.states(times, deriv=True, out=derivs)
+    return values, rates.real + rates.imag, table.states_at(phases, deriv=True, out=derivs)
 
 
 def _continuity(x: np.ndarray, keep: np.ndarray, ext: slice, own: slice, drho: np.ndarray,
@@ -473,9 +519,9 @@ def continuity_residual(table: ModeTable, component: str, t: float) -> float:
     """
     i = _index(component)
     keep = _continuity_window(table.x, table.x_c if component in ("tr", "ref") else None)
-    worst = 0.0
+    phases, worst = _phases(table.k, [t]), 0.0
     for own, ext, part in windows(table, halo=2):
-        values, rate, derivs = _evaluate(part, [t], i)
+        values, rate, derivs = _evaluate(part, phases, i)
         j = current_density(values[i, 0], derivs[i, 0])
         worst = max(worst, float(_continuity(table.x, keep, ext, own, rate[0], j)))
     return worst
@@ -527,11 +573,13 @@ def diagnostics_series(table: ModeTable, times) -> DiagnosticsSeries:
     """Diagnostics at every time, from batched values and x derivatives
     and the density rates of tr and ref for their continuity residual.
     The quadrature weights, the continuity window and the cut indices are
-    set up once for the grid. The windows are walked once, each with a
-    halo of two points for the continuity differences. Every batch of
-    times adds its window's integrals to the totals and its maxima to the
-    running maxima, and each component's position spread is merged from
-    the windows' (weight, mean, M2) triples."""
+    set up once for the grid. Each batch of times makes its phases once
+    and walks the windows, each with a halo of two points for the
+    continuity differences, so nothing grows with the number of times
+    beyond one batch. Every window adds its integrals to the batch's
+    totals and its maxima to the running maxima, and each component's
+    position spread is merged from the windows' (weight, mean, M2)
+    triples."""
     times = np.asarray(times, dtype=float)
     x, x_c, n_t = table.x, table.x_c, times.size
     q = _quadrature(x)
@@ -544,17 +592,19 @@ def diagnostics_series(table: ModeTable, times) -> DiagnosticsSeries:
     continuity, identity, ref_cut_flux = np.zeros(n_t), np.zeros(n_t), np.zeros(n_t)
 
     # as few batches as the cap of the widest window allows, of equal size;
-    # every batch of every window is evaluated into the same two stacks
+    # each batch's phases are made once and walk every window, and every
+    # batch of every window is evaluated into the same two stacks
     width = min(X_CHUNK + 4, x.size)
     n_batches = max(1, -(-n_t // _times_per_batch(width)))
     batch = max(1, -(-n_t // n_batches))
     stacks = np.empty((2, 3, batch, width), dtype=complex)
-    for own, ext, part in windows(table, halo=2):
-        mine = slice(own.start - ext.start, own.stop - ext.start)
-        w, x_own = q[:, own], x[own]
-        for lo in range(0, n_t, batch):
-            at = slice(lo, min(lo + batch, n_t))
-            values, rates, derivs = _evaluate(part, times[at], slice(1, None),
+    for lo in range(0, n_t, batch):
+        at = slice(lo, min(lo + batch, n_t))
+        phases = _phases(table.k, times[at])
+        for own, ext, part in windows(table, halo=2):
+            mine = slice(own.start - ext.start, own.stop - ext.start)
+            w, x_own = q[:, own], x[own]
+            values, rates, derivs = _evaluate(part, phases, slice(1, None),
                                               *stacks[..., :at.stop - lo, :part.x.size])
             j = current_density(values, derivs)
             np.maximum(continuity[at], _continuity(x, keep, ext, own, rates, j[1:]).max(axis=0),

@@ -20,7 +20,7 @@ import numpy as np
 from .cranknicolson import SOLVES_PER_STEP, GridSpec, staggered_grid, step_index
 from .errors import SchemaError, TunnelSplitError
 from .packets import (BATCH_BYTES, DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec,
-                      default_grid_step, span_covers, spectral_span)
+                      _times_per_batch, default_grid_step, span_covers, spectral_span)
 from .potential import PotentialSpec, make_piecewise
 from .stationary import EnergyMode
 
@@ -212,7 +212,7 @@ def _build(path: str, make, *args, **kwargs):
 
 
 def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, dx: float, n_x: float,
-                     oracle: dict, n_snapshots: int, stride: int) -> float:
+                     oracle: dict, n_times: int, n_snapshots: int, stride: int) -> float:
     """Bytes of a packet run's large arrays, as packets lays them out. On
     the table grid: one window's cos/sin table (X_CHUNK points and the
     continuity halo), the stacks of one diagnostics batch in it
@@ -222,17 +222,22 @@ def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, dx: floa
     barrier and the CN vectors and snapshots (psi, the synthesis output,
     the solve's right-hand side, which also holds B psi, x and V, the
     three diagonals being factored and each factor's LU: dl, d, du, du2
-    and ipiv). No array spans n_k by either grid, so one estimate serves
-    every subcommand. Counted in complex numbers (16 bytes) as floats, so
-    that no size overflows."""
+    and ipiv). On both, the (n_t, n_k) arrays of the times evaluated at
+    once (a diagnostics batch, evolve's snapshots or the oracle's
+    checkpoints): their phases and the room every window reuses (three
+    coefficient arrays and two pairs of real rows), eight complex numbers
+    per time and mode. No array spans n_k by either grid, so one estimate
+    serves every subcommand. Counted in complex numbers (16 bytes) as
+    floats, so that no size overflows."""
+    n_checkpoints = len(oracle["checkpoints"]) + 1
+    batch = min(n_times, _times_per_batch(min(X_CHUNK + 4, n_x)))
     table = (n_k * (min(X_CHUNK + 4, n_x) + 6 * (spec.width / dx + 1)) + BATCH_BYTES / 16
              + 2 * n_x + 3 * n_snapshots * (n_x / stride + 1))
     length = spec.b + oracle["margin_right"] - packet.x0 + oracle["margin_left"]
-    n_times = len(oracle["checkpoints"]) + 1
-    vectors = 4 * n_times + 6 + 5 * SOLVES_PER_STEP
+    vectors = 4 * n_checkpoints + 6 + 5 * SOLVES_PER_STEP
     cn = (vectors * (length / oracle["dx"] + 2)
           + n_k * (X_CHUNK + 6 * (spec.width / oracle["dx"] + 1)))
-    return 16.0 * max(table, cn)
+    return 16.0 * (max(table, cn) + 8 * n_k * max(batch, n_snapshots, n_checkpoints))
 
 
 @dataclass
@@ -314,7 +319,7 @@ def parse_config_text(text: str) -> RunConfig:
             n_x = 2 * n_side + 1
         else:
             dx, n_x = grid["dx"], (grid["x_max"] - grid["x_min"]) / grid["dx"] + 1
-        need = _estimated_bytes(spec, packet, n_k, dx, n_x, oracle,
+        need = _estimated_bytes(spec, packet, n_k, dx, n_x, oracle, cfg["times"].size,
                                 len(cfg["snapshot_times"]), cfg["evolve_x_stride"])
         if need > MEMORY_BUDGET:
             raise SchemaError("", f"the run would need about {need:.3g} bytes of arrays, "

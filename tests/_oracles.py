@@ -10,7 +10,9 @@ packet norms it is checked against. `per_mode_fields` is the per-mode
 row algorithm that packets replaced: every mode decomposed and sampled on
 the whole grid, then summed. `simpson_density_sum` is the sampled
 quadrature that the dwell times evaluate in closed form, and
-`simpson_product_sum` the one for the Larmor overlaps. The Zeeman ladder
+`simpson_product_sum` the one for the Larmor overlaps.
+`per_row_plane_waves` is the row-by-row angle addition that
+`packets._plane_waves` does a block of rows at a time. The Zeeman ladder
 (`zeeman_shifted`, `larmor_ladder`, `probe_noninvasiveness`) solves the
 spin-shifted barriers with the package's `solve_block`: a finite-field
 reading of the closed-form Larmor times, a raw precession time per
@@ -178,6 +180,27 @@ def per_mode_fields(spec, packet, x, times, n_k, span_sigmas):
         (w * packet.spectrum(k) * phase / math.sqrt(2.0 * math.pi)) @ rows, 1, 0)
     left = x <= spec.x_c
     return np.stack((full, np.where(left, tr_state, full), np.where(left, ref_state, 0.0)), axis=1)
+
+
+def per_row_plane_waves(k, x):
+    """cos(kx) and sin(kx) as a (2, n_k, n_x) stack by angle addition, one
+    row at a time: blocks of ceil(sqrt(n_k)) modes, each row cos(a + b)
+    and sin(a + b) from cos/sin of its block's first k times x and of its
+    offset m dk x, in the operation order of `packets._plane_waves`."""
+    n_k = k.size
+    dk = (k[-1] - k[0]) / max(n_k - 1, 1)
+    block = math.ceil(math.sqrt(n_k))
+    offsets = np.multiply.outer(dk * np.arange(block), x)
+    cos_b, sin_b = np.cos(offsets), np.sin(offsets)
+    waves = np.empty((2, n_k, x.size))
+    last = n_k - block
+    for j in range(n_k):
+        j0 = last if j >= last else j - j % block
+        m = j - j0
+        cos_a, sin_a = np.cos(k[j0] * x), np.sin(k[j0] * x)
+        waves[0, j] = cos_a * cos_b[m] - sin_a * sin_b[m]
+        waves[1, j] = sin_a * cos_b[m] + cos_a * sin_b[m]
+    return waves
 
 
 def simpson_density_sum(state, lo, hi, n):

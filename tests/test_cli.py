@@ -659,3 +659,25 @@ def test_oracle_check_leaves_scipy_linalg_unloaded(tmp_path):
     )
     assert done.stdout.strip() == "0 []"
     assert (tmp_path / "out" / "oracle_check.csv").exists()
+
+
+def test_run_metadata_reads_the_scipy_version_without_importing_scipy(tmp_path):
+    """run_metadata.json's scipy_version is read from scipy's version.py,
+    so a run in a fresh process, the oracle's LAPACK load included, leaves
+    scipy unimported; the version read is scipy.__version__."""
+    import scipy
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from tunnelsplit.cli import main; "
+         "code = main(['oracle-check', sys.argv[1], '--out', sys.argv[2]]); "
+         "print(code, 'scipy' in sys.modules)",
+         write_config(tmp_path), str(out)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "0 False"
+    meta = json.loads((out / "run_metadata.json").read_text())
+    assert meta["scipy_version"] == scipy.__version__

@@ -27,7 +27,7 @@ from tunnelsplit.splitting import build_decomposition
 from tunnelsplit.stationary import EnergyMode, solve_full
 from tunnelsplit.tolerances import NORM_DRIFT, PACKET_IDENTITY, SPECTRUM_NORM
 
-from _oracles import cut_flux_integral, free_gaussian, per_mode_fields
+from _oracles import cut_flux_integral, free_gaussian, per_mode_fields, per_row_plane_waves
 
 
 class TestPacketSpec:
@@ -352,7 +352,7 @@ def test_density_rates_are_the_time_derivative_of_the_density():
     up to that difference's O(h^2) error (max rate about 0.1)."""
     table = _small_table()
     times = np.array([0.0, 6.0, 12.0])
-    _, rates, _ = packets._evaluate(table, times, slice(None))
+    _, rates, _ = packets._evaluate(table, packets._phases(table.k, times), slice(None))
     errors = []
     for h in (1e-2, 1e-3):
         errors.append(max(
@@ -383,6 +383,43 @@ def test_diagnostics_series_holds_one_batch(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * (4 * stack + product), (peak, stack, product)
+
+
+def test_diagnostics_series_makes_each_batch_phase_once(monkeypatch):
+    """Each batch's (n_t, n_k) phases are made once and shared by every
+    window and by the values, rates and derivatives: three windows and
+    three batches of 7 times make three phase tables, not 27."""
+    monkeypatch.setattr(packets, "X_CHUNK", 461)
+    monkeypatch.setattr(packets, "_times_per_batch", lambda n_x: 3)
+    table = _small_table()
+    assert len(list(packets.windows(table, halo=2))) == 3
+    made = []
+    phases = packets._phases
+
+    def counted(k, times):
+        made.append(len(times))
+        return phases(k, times)
+
+    monkeypatch.setattr(packets, "_phases", counted)
+    diagnostics_series(table, np.linspace(0.0, 12.0, 7))
+    assert made == [3, 3, 1]
+
+
+def test_synthesis_holds_one_narrow_window(canonical_spec, canonical_packet):
+    """One-shot synthesis on the canonical oracle grid holds the modes'
+    rows inside the barrier (4.9 MB), one 512-point window's cos/sin
+    table (4.2 MB) and its output: its traced peak reads 10.1 MB, against
+    23.0 MB with 2048-point windows."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "canonical.json"
+    cfg = parse_config(str(config))
+    tracemalloc.start()
+    try:
+        synthesize(canonical_spec, canonical_packet, "full", [0.0, 40.0, 80.0],
+                   cfg.oracle_grid.x(), n_k=cfg.n_k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak
 
 
 def test_diagnostics_series_holds_no_whole_grid_table(canonical_table):
@@ -428,7 +465,7 @@ def test_the_window_does_not_matter(monkeypatch, edge):
     assert (i_a, i_b, i_cut, i_left, x.size) == (560, 580, 570, 569, 1121)
     chunk = {"inside-barrier": (i_a + i_b) // 2, "cut-minus-2": i_cut - 2, "i-left": i_left,
              "i-cut": i_cut, "cut-plus-2": i_cut + 2, "odd-7": 7, "odd-461": 461}[edge]
-    assert packets.X_CHUNK >= x.size
+    monkeypatch.setattr(packets, "X_CHUNK", x.size)  # the reference: one window
     times = np.linspace(0.0, 12.0, 7)
     want = diagnostics_series(table, times)
     want_states, want_fields = table.states(times), fields_at(table, 6.0)
@@ -474,6 +511,19 @@ def test_plane_waves_match_cos_sin_of_kx(canonical_spec, canonical_packet, n_k):
         for j in range(n_k):  # a row at a time, so no second table is held
             np.testing.assert_allclose(waves[:, j], (np.cos(kx[j]), np.sin(kx[j])),
                                        rtol=0, atol=1e-13, err_msg=f"mode {j}")
+
+
+@pytest.mark.parametrize("n_k", [65, 513, 1025])
+def test_plane_waves_are_the_per_row_angle_addition(canonical_packet, n_k):
+    """Each block's rows, written at once, equal the row-by-row angle
+    addition bit for bit, on windows narrower than a block (7 points),
+    odd (461), of X_CHUNK (512) and of the old 2048 points."""
+    k, _ = spectral_grid(canonical_packet, n_k)
+    config = Path(__file__).resolve().parents[1] / "configs" / "canonical.json"
+    oracle_x = parse_config(str(config)).oracle_grid.x()
+    for width in (7, 461, 512, 2048):
+        x = oracle_x[:width]
+        assert np.array_equal(packets._plane_waves(k, x), per_row_plane_waves(k, x)), width
 
 
 def test_plane_waves_reject_a_nonuniform_k(canonical_packet):

@@ -120,13 +120,25 @@ def test_span_interacts_with_packet():
 def test_run_size_over_budget_rejected():
     packet = {"k0": 1.0, "sigma_k": 0.05, "x0": -60.0}
     assert parse(packet=packet).x_grid is None
-    # one window's cos/sin table (2052 of the default grid's 10241 points)
+    # one window's cos/sin table (516 of the default grid's 10241 points)
     # and the rows inside the barrier, for 2 * 10**6 + 1 modes
     with pytest.raises(SchemaError, match="budget"):
         parse(packet=packet, n_k=2 * 10**6 + 1)
     # a 3-point table grid, but a synthesis window of 10**6 modes on the oracle grid
     with pytest.raises(SchemaError, match="budget"):
         parse(packet=packet, n_k=10**6 + 1, x_grid={"x_min": -70.0, "x_max": 10.0, "dx": 40.0})
+
+
+def test_times_evaluated_at_once_count_against_the_budget():
+    """A diagnostics batch's (n_t, n_k) phases, coefficients and rows are
+    counted: on a 101-point grid a batch holds 550 times, and 40001 modes
+    at 550 times ask for 2.8 GB of them, though one window's table and
+    the oracle's synthesis window fit."""
+    x_grid = {"x_min": -70.0, "x_max": 10.0, "dx": 0.8}
+    parse_config_text(json.dumps(dict(CANONICAL, n_k=40001, x_grid=x_grid)))
+    with pytest.raises(SchemaError, match="budget"):
+        parse_config_text(json.dumps(dict(CANONICAL, n_k=40001, x_grid=x_grid,
+                                          times={"start": 0.0, "stop": 80.0, "num": 550})))
 
 
 def test_fine_grid_fits_without_a_whole_grid_table():
