@@ -198,6 +198,8 @@ def cmd_diagnostics(cfg: RunConfig, out: Path) -> dict:
         "norm_drift": float(np.max(np.abs(series.T - series.T[0]))),
         "max_re_overlap": float(np.max(np.abs(series.overlap.real))),
         "max_identity_residual": float(np.max(series.identity_residual)),
+        "max_quadrature_error": float(np.max(series.quadrature_error)),
+        "max_norm_deficit": float(np.max(np.abs(series.total - 1.0))),
         "moments_note": (
             "sub-wave momentum means use the analytic one-sided derivative "
             "at the midpoint cut; the cut cell contributes O(dx)"

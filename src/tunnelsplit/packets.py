@@ -29,16 +29,24 @@ Modes are kept as coefficients. With e = exp(ikx), the cut leaves
 and derivatives scale the pairs by +/- ik; inside [a, b) a table keeps
 value and derivative rows at its grid points. A mode's time derivative
 is -i k^2/2 times the mode, so nothing is differenced in time.
-`ModeTable.states_at` is the one evaluator, for a batch of times given
-by their phases exp(-i k^2 t / 2), made once per batch with the room
-that every window's coefficients reuse (`_phases`). It walks the grid
-in windows of X_CHUNK points, and each window builds its own cos(kx)
+`ModeTable.states_at` is the one field evaluator, for a batch of times
+given by their phases exp(-i k^2 t / 2), made once per batch with the
+room that every window's coefficients reuse (`_phases`). It walks the
+grid in windows of X_CHUNK points, and each window builds its own cos(kx)
 and sin(kx), so no table spans n_k by n_x; every evaluation of a window
 (values, x derivatives, density rates) shares that window's table. It works in real arithmetic: with C = cos(kx) and S = sin(kx),
 a e + b conj(e) = (a + b) C + i (a - b) S, so the left pair and tr are
 one real product against C stacked on S.
 C and S come from `_plane_waves`, by angle addition over blocks of
 ceil(sqrt(n_k)) modes, to within a few eps max|k x|.
+
+`diagnostics_series` needs no fields outside the barrier. There every
+integral is a quadratic form in the coefficient rows, against Toeplitz
+and Hankel kernels in k that do not depend on t: each kernel is made once
+per part of the grid by a chirp z-transform, and each form is a sum over
+the bins of a circulant of 2 n_k - 1 (see the diagnostics comment). The
+series evaluates fields only on a band about the barrier, for the
+integrals inside it, continuity, the cut flux and the identity.
 """
 
 import math
@@ -59,8 +67,6 @@ COMPONENTS = ("full", "tr", "ref")
 DEFAULT_SPAN_SIGMAS = 8.0
 DEFAULT_N_K = 513
 X_CHUNK = 512  # grid points per evaluation window, each with its own cos/sin table
-# bytes of the three evaluations of one diagnostics batch in one window
-BATCH_BYTES = 8e6
 
 
 @dataclass(frozen=True)
@@ -161,6 +167,15 @@ def default_x_grid(spec: PotentialSpec, packet: PacketSpec,
     return spec.x_c + dx * np.arange(-n_side, n_side + 1)
 
 
+def _uniform_step(v: np.ndarray, what: str) -> float:
+    """The spacing of the grid v; ValueError naming `what` if v departs
+    from v[0] + j step by more than 4 ulp of its largest entry."""
+    step = (v[-1] - v[0]) / max(v.size - 1, 1)
+    if np.max(np.abs(v - v[0] - step * np.arange(v.size))) > 4.0 * np.spacing(np.abs(v).max()):
+        raise ValueError(f"{what} needs a uniform grid")
+    return step
+
+
 def _plane_waves(k: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """cos(kx) and sin(kx) as a real (2, n_k, n_x) stack, written into
     `out` if given, by angle addition on the uniform k grid. Each block of
@@ -173,9 +188,7 @@ def _plane_waves(k: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) ->
     within a few eps max|k x| of cos/sin of the rounded k x (5.2e-14 on
     the canonical table). A nonuniform k raises ValueError."""
     n_k = k.size
-    dk = (k[-1] - k[0]) / max(n_k - 1, 1)
-    if np.max(np.abs(k - k[0] - dk * np.arange(n_k))) > 4.0 * np.spacing(np.abs(k).max()):
-        raise ValueError("angle addition needs a uniform k grid")
+    dk = _uniform_step(k, "angle addition in k")
     block = math.ceil(math.sqrt(n_k))
     last = n_k - block
     waves = np.empty((2, n_k, x.size)) if out is None else out
@@ -268,9 +281,10 @@ class ModeTable:
     ref_state at the grid points inside [a, b), as (2, 3, n_k, n_inside).
     A table holds no plane waves: `states` evaluates it window by window
     (`windows`). Only a window, the table on at most X_CHUNK points plus
-    a halo, carries `waves`, exp(ikx) at its points outside the barrier
-    as its real and imaginary parts, a (2, n_k, n_outside) stack of
-    cos(kx) and sin(kx).
+    a halo or on the diagnostics' band about the barrier (see
+    diagnostics_series), carries `waves`, exp(ikx) at its points outside
+    the barrier as its real and imaginary parts, a (2, n_k, n_outside)
+    stack of cos(kx) and sin(kx).
     """
 
     spec: PotentialSpec
@@ -415,15 +429,33 @@ def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
 
 # --- diagnostics ------------------------------------------------------------
 #
-# Every x integral is a dot product with trapezoid weights, computed once per
-# grid. diagnostics_series walks the grid's windows and reduces each window's
-# values and derivatives for a batch of times at once: every reduction is a
-# sum or a maximum over x, so the windows' parts add up to the whole grid's.
+# Every x integral is a sum over the grid with trapezoid weights w, taken
+# part by part: left of a, inside [a, b) and from b on. Outside the barrier
+# each component is psi = sum_m a_m e_m + b_m conj(e_m), e_m = exp(i k_m x),
+# with coefficient rows a(t) and b(t) (see the module docstring), so
+#
+#     sum_j w_j conj(psi1) psi2 = sum_mn conj(a1_m) a2_n g(k_n - k_m)
+#         + conj(b1_m) b2_n g(k_m - k_n) + conj(a1_m) b2_n g(-(k_m + k_n))
+#         + conj(b1_m) a2_n g(k_m + k_n),   g(theta) = sum_j w_j exp(i theta x_j)
+#
+# over the part's points: a quadratic form in the coefficients. On the
+# uniform k grid its kernels are Toeplitz (n - m) and Hankel (m + n), the
+# same at every time; in a circulant of 2 n_k - 1 bins each form is a sum
+# over bins of the coefficient rows' spectra times the kernel's (_form).
+# Each kernel is made by chirp z-transforms over the part (_kernels). Inside
+# [a, b) the fields come from the table's `inner` rows; they, the continuity
+# residual, the cut flux and the identity are evaluated on the barrier and
+# BAND points on each side, the only place the series makes fields.
+
+BAND = 6  # grid points on each side of the barrier where continuity is read
+# bytes of one diagnostics batch: its phases and the spectra of its forms
+SPECTRA_BYTES = 4e6
+
 
 def _quadrature(x: np.ndarray) -> np.ndarray:
-    """Trapezoid weights on x as three rows: the rule, the rule on every
+    """Trapezoid weights on x as two rows: the rule and the rule on every
     other point (zero between; the Richardson error estimate compares the
-    two) and the rule times x (the position mean)."""
+    two)."""
     def trapezoid(x):
         w = np.zeros_like(x)
         half = 0.5 * np.diff(x)
@@ -431,11 +463,89 @@ def _quadrature(x: np.ndarray) -> np.ndarray:
         w[1:] += half
         return w
 
-    q = np.zeros((3, x.size))
+    q = np.zeros((2, x.size))
     q[0] = trapezoid(x)
     q[1, ::2] = trapezoid(x[::2])
-    q[2] = x * q[0]
     return q
+
+
+def _weights(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
+    """The weight rows of a part of the grid, the points x with their
+    quadrature rows q (_quadrature): the rule, the rule on every other
+    point, and the rule times (x - s) and (x - s)^2, s being the part's
+    midpoint; and s."""
+    s = 0.5 * (x[0] + x[-1]) if x.size else 0.0
+    return np.stack((q[0], q[1], (x - s) * q[0], (x - s) ** 2 * q[0])), s
+
+
+def _chirp_z(w: np.ndarray, x0: float, dx: float, theta0: float, dtheta: float,
+             n: int) -> np.ndarray:
+    """sum_j w[..., j] exp(i theta_l x_j) at theta_l = theta0 + l dtheta for
+    l < n, with x_j = x0 + j dx, per row of w: one chirp z-transform
+    (Rabiner, Schafer & Rader, IEEE Trans. Audio Electroacoust. 17, 86,
+    1969). With j and l counted from their middles, theta_l x_j = theta_c
+    x_c + theta_c j dx + l dtheta x_c + l j phi, phi = dtheta dx, and l j =
+    (l^2 + j^2 - (l - j)^2) / 2 makes the sum over j a convolution with the
+    chirp exp(-i phi d^2 / 2), done by FFT."""
+    n_x = w.shape[-1]
+    cj, cl = (n_x - 1) // 2, (n - 1) // 2
+    j, l = np.arange(n_x) - cj, np.arange(n) - cl
+    d = np.arange(-cl - (n_x - 1 - cj), n - cl + cj)  # every l - j
+    theta_c, x_c, phi = theta0 + cl * dtheta, x0 + cj * dx, dtheta * dx
+    size = 1 << (n_x + n - 2).bit_length()
+    conv = np.fft.fft(w * np.exp(1j * (theta_c * dx * j + 0.5 * phi * j * j)), size)
+    conv *= np.fft.fft(np.exp(-0.5j * phi * d * d), size)
+    conv = np.fft.ifft(conv)[..., n_x - 1:n_x - 1 + n]
+    return np.exp(1j * (theta_c * x_c + dtheta * x_c * l + 0.5 * phi * l * l)) * conv
+
+
+def _kernels(w: np.ndarray, x0: float, dx: float, k: np.ndarray, dk: float, hankel: bool):
+    """The kernels of the weight rows w on the points x0 + j dx, as bins of
+    a circulant of 2 n_k - 1 (see _form): the Toeplitz kernel g(k_n - k_m)
+    and, if `hankel`, the Hankel kernel g(-(k_m + k_n)), for the uniform k
+    grid of spacing dk; the Hankel bins come conjugated, as np.vecdot takes
+    them (_form). Each is a sum of chirp
+    z-transforms over blocks of at least 2 n_k - 1 points, each block and
+    the 2 n_k - 1 outputs filling one power-of-two FFT, so no array grows
+    with the number of points."""
+    n_k = k.size
+    size = 2 * n_k - 1
+    block = (1 << (2 * size - 2).bit_length()) - size + 1
+    toeplitz = np.zeros((w.shape[0], size), dtype=complex)
+    hankel = np.zeros_like(toeplitz) if hankel else None
+    for lo in range(0, w.shape[-1], block):
+        rows = w[:, lo:lo + block]
+        # lags -(n_k - 1) .. n_k - 1, and m + n = 0 .. 2 n_k - 2
+        toeplitz += _chirp_z(rows, x0 + lo * dx, dx, -(n_k - 1) * dk, dk, size)
+        if hankel is not None:
+            hankel += _chirp_z(rows, x0 + lo * dx, dx, -2.0 * k[0], -dk, size)
+    # the lag of bin i is i mod size; g(-theta) = conj g(theta) makes it real
+    toeplitz = np.fft.ifft(np.roll(toeplitz, n_k, axis=-1)).real
+    return toeplitz, None if hankel is None else np.conj(np.fft.ifft(hankel))
+
+
+def _form(one, two, kernels) -> np.ndarray:
+    """sum_j w_j conj(psi1(x_j)) psi2(x_j) over a part of the grid, for each
+    weight row w of its `kernels` (_kernels) and each time, as (n_t, rows).
+    psi = a e + b conj(e) is given by the spectra (A, B) of its coefficient
+    rows, fft(a) and fft(b) over the kernels' 2 n_k - 1 bins, with B None
+    for b = 0. With X' the bins of X at -f, the four terms of the form
+    (see the diagnostics comment) are
+        Toeplitz   conj(A1) A2,  conj(B1') B2'
+        Hankel     conj(A1') B2, conj(conj(A2') B1),
+    a correlation and a convolution each. Every product is reduced against
+    all rows at once, each row by its own dot product (np.vecdot), whose
+    rounding does not depend on the number of times."""
+    (a1, b1), (a2, b2) = one, two
+    toeplitz, hankel = kernels
+    flip = -np.arange(a1.shape[-1]) % a1.shape[-1]
+    out = np.vecdot(toeplitz, (np.conj(a1) * a2)[:, None])
+    if b2 is not None:
+        out += np.vecdot(hankel, (np.conj(a1[:, flip]) * b2)[:, None])
+    if b1 is not None:
+        out += np.vecdot(toeplitz[:, flip], (np.conj(b1) * b2)[:, None])
+        out += np.conj(np.vecdot(hankel, (np.conj(a2[:, flip]) * b1)[:, None]))
+    return out
 
 
 def _density(psi: np.ndarray) -> np.ndarray:
@@ -481,18 +591,16 @@ def _continuity_window(x: np.ndarray, cut: float | None) -> np.ndarray:
     return keep
 
 
-def _evaluate(table: ModeTable, phases: _Phases, rated, values=None, derivs=None):
+def _evaluate(table: ModeTable, phases: _Phases, rated):
     """The (3, n_t, n_x) values and x derivatives at the times of
-    `phases`, written into `values` and `derivs` if given, and the
-    density rates d rho/d t = 2 Re(conj(psi) d psi/d t) of the components
-    `rated`. 2 d psi/d t is the packet of spectrum -i k^2 f(k); it is
-    evaluated where the derivatives go and reduced to the rates before
-    they are made."""
-    values = table.states_at(phases, out=values)
-    rates = replace(table, f_k=-1j * table.k ** 2 * table.f_k).states_at(phases, out=derivs)[rated]
+    `phases`, and the density rates d rho/d t = 2 Re(conj(psi) d psi/d t)
+    of the components `rated`. 2 d psi/d t is the packet of spectrum
+    -i k^2 f(k), reduced to the rates before the derivatives are made."""
+    values = table.states_at(phases)
+    rates = replace(table, f_k=-1j * table.k ** 2 * table.f_k).states_at(phases)[rated]
     rates.real *= values[rated].real
     rates.imag *= values[rated].imag
-    return values, rates.real + rates.imag, table.states_at(phases, deriv=True, out=derivs)
+    return values, rates.real + rates.imag, table.states_at(phases, deriv=True)
 
 
 def _continuity(x: np.ndarray, keep: np.ndarray, ext: slice, own: slice, drho: np.ndarray,
@@ -548,96 +656,112 @@ class DiagnosticsSeries:
     continuity: np.ndarray
     ref_cut_flux: np.ndarray
     identity_residual: np.ndarray
+    quadrature_error: np.ndarray  # the Richardson estimate of the norms' x quadrature
 
 
-def _times_per_batch(n_x: int) -> int:
-    """Times per diagnostics batch in a window of n_x points: the three
-    (3, n_t, n_x) evaluations of a batch together take about BATCH_BYTES,
-    and at most two of them are held at once."""
-    return max(1, int(BATCH_BYTES // (3 * 3 * 16 * n_x)))
-
-
-def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (weight, mean, M2) triple of two parts of a density from each
-    part's, by the pairwise update of Chan, Golub and LeVeque (Am. Stat.
-    37, 242, 1983); M2 is the weighted sum of squared distances from the
-    mean, so the variance never cancels against the squared mean. A part
-    of weight 0 leaves the other's triple as it is."""
-    w = a[0] + b[0]
-    share = np.divide(b[0], w, out=np.zeros_like(w), where=w > 0)
-    delta = b[1] - a[1]
-    return np.stack((w, a[1] + delta * share, a[2] + b[2] + delta * delta * a[0] * share))
+def _batch_size(n_t: int, n_k: int) -> int:
+    """Times per diagnostics batch, for n_t times in batches of equal size:
+    a batch's phases and spectra, at most eighteen complex arrays of (n_t,
+    2 n_k - 1) at once, take at most about SPECTRA_BYTES."""
+    most = max(1, int(SPECTRA_BYTES // (18 * 16 * (2 * n_k - 1))))
+    return max(1, -(-n_t // max(1, -(-n_t // most))))
 
 
 def diagnostics_series(table: ModeTable, times) -> DiagnosticsSeries:
-    """Diagnostics at every time, from batched values and x derivatives
-    and the density rates of tr and ref for their continuity residual.
-    The quadrature weights, the continuity window and the cut indices are
-    set up once for the grid. Each batch of times makes its phases once
-    and walks the windows, each with a halo of two points for the
-    continuity differences, so nothing grows with the number of times
-    beyond one batch. Every window adds its integrals to the batch's
-    totals and its maxima to the running maxima, and each component's
-    position spread is merged from the windows' (weight, mean, M2)
-    triples."""
+    """Diagnostics at every time. Outside [a, b) every integral is a
+    quadratic form in the mode coefficients (_form) against kernels made
+    once for the part of the grid left of a and the part from b on; inside,
+    the integrals reduce the fields of the table's `inner` rows. Those
+    fields come from a table on the barrier and BAND points on each side
+    (with the stencil's halo of two), where continuity, the cut flux at the
+    last point left of x_c and the identity tr + ref = full are read:
+    outside the band the components are plane-wave sums that obey
+    continuity mode by mode, so their residual there is only the stencil's
+    truncation error. Each component's position spread is merged from the
+    three parts' moments about their midpoints. Times go in batches of
+    equal size (_batch_size), each with its phases made once."""
     times = np.asarray(times, dtype=float)
-    x, x_c, n_t = table.x, table.x_c, times.size
+    x, k, n_t = table.x, table.k, times.size
+    dx = _uniform_step(x, "the diagnostics' x quadrature")
+    dk = _uniform_step(k, "each quadratic form in k")
+    keep = _continuity_window(x, table.x_c)
+    i_a, i_b = table._inside.start, table._inside.stop
+    i_left = int(np.searchsorted(x, table.x_c, side="left")) - 1
     q = _quadrature(x)
-    keep = _continuity_window(x, x_c)
-    i_left = int(np.searchsorted(x, x_c, side="left")) - 1
-    sums = np.zeros((3, n_t, 3))  # component, time, quadrature row
-    spread = np.zeros((3, 3, n_t))  # (weight, mean, M2), component, time
+    part_rows, shift = zip(*(_weights(x[p], q[:, p])
+                             for p in (slice(0, i_a), table._inside, slice(i_b, None))))
+    left = _kernels(part_rows[0], x[0], dx, k, dk, hankel=True) if i_a else None
+    right = _kernels(part_rows[2], x[i_b], dx, k, dk, hankel=False) if i_b < x.size else None
+    # each component's coefficient rows outside, and those of its x
+    # derivative over ik (so the b rows are negated): left of a full's pair,
+    # tr's incoming wave; from b on A_T
+    left_modes = np.stack((table.full_left[0], table.full_left[1], table.tr_in,
+                           k * table.full_left[0], -k * table.full_left[1], k * table.tr_in))
+    right_modes = np.stack((table.A_T, k * table.A_T))
+    scale = table.weights * table.f_k / math.sqrt(2.0 * math.pi)
+    bins = 2 * k.size - 1
+
+    band = slice(max(i_a - BAND, 0), min(i_b + BAND, x.size))
+    ext = slice(max(band.start - 2, 0), min(band.stop + 2, x.size))
+    near = table._window(ext.start, ext.stop)
+    near.waves = _plane_waves(k, np.delete(near.x, near._inside))
+    mine = slice(band.start - ext.start, band.stop - ext.start)
+    inside = slice(i_a - ext.start, i_b - ext.start)
+
+    sums = np.zeros((3, 3, n_t, 4))  # part, component, time, weight row
     p_sum = np.zeros((3, n_t))
     overlap = np.zeros(n_t, dtype=complex)
     continuity, identity, ref_cut_flux = np.zeros(n_t), np.zeros(n_t), np.zeros(n_t)
 
-    # as few batches as the cap of the widest window allows, of equal size;
-    # each batch's phases are made once and walk every window, and every
-    # batch of every window is evaluated into the same two stacks
-    width = min(X_CHUNK + 4, x.size)
-    n_batches = max(1, -(-n_t // _times_per_batch(width)))
-    batch = max(1, -(-n_t // n_batches))
-    stacks = np.empty((2, 3, batch, width), dtype=complex)
-    for lo in range(0, n_t, batch):
-        at = slice(lo, min(lo + batch, n_t))
-        phases = _phases(table.k, times[at])
-        for own, ext, part in windows(table, halo=2):
-            mine = slice(own.start - ext.start, own.stop - ext.start)
-            w, x_own = q[:, own], x[own]
-            values, rates, derivs = _evaluate(part, phases, slice(1, None),
-                                              *stacks[..., :at.stop - lo, :part.x.size])
-            j = current_density(values, derivs)
-            np.maximum(continuity[at], _continuity(x, keep, ext, own, rates, j[1:]).max(axis=0),
-                       out=continuity[at])
-            if own.start <= i_left < own.stop:
-                ref_cut_flux[at] = j[2, :, i_left - ext.start]
-            v = values[..., mine]
-            full, tr, ref = v
-            np.maximum(identity[at], np.max(np.abs(tr + ref - full), axis=-1), out=identity[at])
-            # each integral is its own dot product (vecdot), whose rounding
-            # does not depend on the batch
-            rho = _density(v)
-            part_sums = np.vecdot(rho[..., None, :], w)
-            weight = part_sums[..., 0]
-            mean = np.divide(part_sums[..., 2], weight, out=np.zeros_like(weight),
-                             where=weight > 0)
-            m2 = np.vecdot(rho * (x_own - mean[..., None]) ** 2, w[0])
-            sums[:, at] += part_sums
-            spread[..., at] = _merge(spread[..., at], np.stack((weight, mean, m2)))
-            p_sum[:, at] += np.vecdot(j[..., mine], w[0])
-            overlap[at] += np.vecdot(w[0], np.conj(tr) * ref)
+    def diagnose(at: slice):
+        """Every column at the times `at`; what it makes goes when it returns."""
+        phases = _phases(k, times[at])
+        values, rates, derivs = _evaluate(near, phases, slice(1, None))
+        j = current_density(values, derivs)
+        continuity[at] = _continuity(x, keep, ext, band, rates, j[1:]).max(axis=0)
+        ref_cut_flux[at] = j[2, :, i_left - ext.start]
+        full, tr, ref = values[..., mine]
+        identity[at] = np.max(np.abs(tr + ref - full), axis=-1)
+        w = part_rows[1]
+        sums[1, :, at] = np.vecdot(_density(values[..., inside])[..., None, :], w)
+        p_sum[:, at] = np.vecdot(j[..., inside], w[0])
+        overlap[at] = np.vecdot(values[1, :, inside], values[2, :, inside] * w[0])
 
-    err = np.max(np.abs(sums[..., 0] - sums[..., 1]), axis=0) / 3.0
+        coeff = phases.phase * scale
+        if right is not None:  # tr = full there, and ref = 0
+            D, dD = np.fft.fft(coeff * right_modes[:, None], bins)
+            sums[2, :2, at] = _form((D, None), (D, None), right).real
+            p_sum[:2, at] += _form((D, None), (dD, None), right)[:, 0].real
+        if left is not None:
+            A, B, G, dA, dB, dG = np.fft.fft(coeff * left_modes[:, None], bins)
+            spectra = (((A, B), (dA, dB)), ((G, None), (dG, None)), ((A - G, B), (dA - dG, dB)))
+            for c, (psi, dpsi) in enumerate(spectra):
+                sums[0, c, at] = _form(psi, psi, left).real
+                # the current Im(conj(psi) psi') is Re of the form with psi' / i
+                p_sum[c, at] += _form(psi, dpsi, left)[:, 0].real
+            overlap[at] += _form(spectra[1][0], spectra[2][0], left)[:, 0]
+
+    batch = _batch_size(n_t, k.size)
+    for lo in range(0, n_t, batch):
+        diagnose(slice(lo, lo + batch))
+
+    weight, every_other, shifted, squares = np.moveaxis(sums, -1, 0)
+    total = weight.sum(axis=0)
+    err = np.max(np.abs(total - every_other.sum(axis=0)), axis=0) / 3.0
     if np.any(err > QUADRATURE_ERROR):
         raise GridTooCoarse(f"estimated norm quadrature error {np.nanmax(err):.3e} "
                             f"exceeds {QUADRATURE_ERROR}")
     # moments of each component normalized to its own weight, NaN below
-    # ZERO_NORM
-    norm = np.where(sums[..., 0] < ZERO_NORM, np.nan, sums[..., 0])
-    cols = {"T": sums[1, :, 0], "R": sums[2, :, 0], "total": sums[0, :, 0],
-            "overlap": overlap, "continuity": continuity, "ref_cut_flux": ref_cut_flux,
-            "identity_residual": identity}
+    # ZERO_NORM; each part's offset from the mean turns its moments about
+    # its midpoint into moments about the mean
+    norm = np.where(total < ZERO_NORM, np.nan, total)
+    s = np.array(shift)[:, None, None]
+    xbar = (s * weight + shifted).sum(axis=0) / norm
+    m2 = (squares + 2.0 * (s - xbar) * shifted + (s - xbar) ** 2 * weight).sum(axis=0)
+    cols = {"T": total[1], "R": total[2], "total": total[0], "overlap": overlap,
+            "continuity": continuity, "ref_cut_flux": ref_cut_flux,
+            "identity_residual": identity, "quadrature_error": err}
     for c, name in enumerate(COMPONENTS):
-        cols.update({f"xbar_{name}": sums[c, :, 2] / norm[c], f"pbar_{name}": p_sum[c] / norm[c],
-                     f"varx_{name}": spread[2, c] / norm[c]})
+        cols.update({f"xbar_{name}": xbar[c], f"pbar_{name}": p_sum[c] / norm[c],
+                     f"varx_{name}": m2[c] / norm[c]})
     return DiagnosticsSeries(t=times, **cols)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .cranknicolson import SOLVES_PER_STEP, GridSpec, staggered_grid, step_index
 from .errors import SchemaError, TunnelSplitError
-from .packets import (BATCH_BYTES, DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec,
-                      _times_per_batch, default_grid_step, span_covers, spectral_span)
+from .packets import (BAND, DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec,
+                      _batch_size, default_grid_step, span_covers, spectral_span)
 from .potential import PotentialSpec, make_piecewise
 from .stationary import EnergyMode
 
@@ -213,31 +213,32 @@ def _build(path: str, make, *args, **kwargs):
 
 def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, dx: float, n_x: float,
                      oracle: dict, n_times: int, n_snapshots: int, stride: int) -> float:
-    """Bytes of a packet run's large arrays, as packets lays them out. On
-    the table grid: one window's cos/sin table (X_CHUNK points and the
-    continuity halo), the stacks of one diagnostics batch in it
-    (BATCH_BYTES), the rows inside the barrier, the grid with its three
-    quadrature rows and evolve's (3, n_snap, n_x / stride) states. On
-    the oracle grid: one synthesis window's table, the rows inside the
-    barrier and the CN vectors and snapshots (psi, the synthesis output,
-    the solve's right-hand side, which also holds B psi, x and V, the
-    three diagonals being factored and each factor's LU: dl, d, du, du2
-    and ipiv). On both, the (n_t, n_k) arrays of the times evaluated at
-    once (a diagnostics batch, evolve's snapshots or the oracle's
-    checkpoints): their phases and the room every window reuses (three
-    coefficient arrays and two pairs of real rows), eight complex numbers
-    per time and mode. No array spans n_k by either grid, so one estimate
-    serves every subcommand. Counted in complex numbers (16 bytes) as
-    floats, so that no size overflows."""
+    """Bytes of a packet run's large arrays, as packets lays them out,
+    for the subcommand that needs the most. Every table holds its rows
+    inside the barrier. Diagnostics: the grid with its two quadrature rows
+    and the four weight rows of its parts; the kernels, 2 n_k - 1 bins for
+    each weight row, and their chirp z-transforms; and one batch of times
+    (packets._batch_size): its phases and spectra, eighteen complex arrays
+    of (n_t, 2 n_k - 1), and the fields of the band about the barrier.
+    Evolve: one window's cos/sin table (X_CHUNK points), its (3, n_snap,
+    n_x / stride) states and the (n_snap, n_k) phases and room of its
+    snapshots, eight complex numbers per time and mode. On the oracle grid: one synthesis window's table, the rows inside
+    the barrier, the CN vectors and snapshots (psi, the synthesis output,
+    the solve's right-hand side, which also holds B psi, x and V, the three
+    diagonals being factored and each factor's LU: dl, d, du, du2 and
+    ipiv) and the checkpoints' phases and room. No array spans n_k by
+    either grid. Counted in complex numbers (16 bytes) as floats, so that
+    no size overflows."""
     n_checkpoints = len(oracle["checkpoints"]) + 1
-    batch = min(n_times, _times_per_batch(min(X_CHUNK + 4, n_x)))
-    table = (n_k * (min(X_CHUNK + 4, n_x) + 6 * (spec.width / dx + 1)) + BATCH_BYTES / 16
-             + 2 * n_x + 3 * n_snapshots * (n_x / stride + 1))
+    n_inside, bins, batch = spec.width / dx + 1, 2 * n_k - 1, _batch_size(n_times, n_k)
+    diagnostics = 4 * n_x + 40 * bins + batch * (18 * bins + 9 * (n_inside + 2 * BAND + 4))
+    evolve = (n_k * min(X_CHUNK, n_x) + n_x + 3 * n_snapshots * (n_x / stride + 1)
+              + 8 * n_k * n_snapshots)
     length = spec.b + oracle["margin_right"] - packet.x0 + oracle["margin_left"]
     vectors = 4 * n_checkpoints + 6 + 5 * SOLVES_PER_STEP
     cn = (vectors * (length / oracle["dx"] + 2)
-          + n_k * (X_CHUNK + 6 * (spec.width / oracle["dx"] + 1)))
-    return 16.0 * (max(table, cn) + 8 * n_k * max(batch, n_snapshots, n_checkpoints))
+          + n_k * (X_CHUNK + 6 * (spec.width / oracle["dx"] + 1) + 8 * n_checkpoints))
+    return 16.0 * max(6 * n_k * n_inside + max(diagnostics, evolve), cn)
 
 
 @dataclass

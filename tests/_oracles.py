@@ -20,6 +20,7 @@ frequency Neville-extrapolated to zero field.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -265,3 +266,46 @@ def probe_noninvasiveness(spec, mode, factors=LARMOR_LADDER) -> float:
         return math.inf  # departure at the noise floor everywhere
     slope, _ = np.polyfit(np.log(omegas[good]), np.log(depart[good]), 1)
     return float(slope)
+
+
+def pointwise_series(table, times, batch=27):
+    """The integral columns of a diagnostics series from the table's fields
+    on every grid point (`ModeTable.states`), `batch` times at a time:
+    np.trapezoid sums of the densities, the current and conj(tr) ref, each
+    component's mean and its spread about that mean, with the moments NaN
+    below a weight of 1e-12."""
+    x, times = table.x, np.asarray(times, dtype=float)
+    parts = []
+    for lo in range(0, times.size, batch):
+        values = table.states(times[lo:lo + batch])
+        derivs = table.states(times[lo:lo + batch], deriv=True)
+        rho = np.abs(values) ** 2
+        weight = np.trapezoid(rho, x)
+        norm = np.where(weight < 1e-12, np.nan, weight)
+        xbar = np.trapezoid(rho * x, x) / norm
+        part = {"total": weight[0], "T": weight[1], "R": weight[2],
+                "overlap": np.trapezoid(np.conj(values[1]) * values[2], x)}
+        for c, name in enumerate(("full", "tr", "ref")):
+            part.update({
+                f"xbar_{name}": xbar[c],
+                f"pbar_{name}": np.trapezoid(np.imag(np.conj(values[c]) * derivs[c]), x) / norm[c],
+                f"varx_{name}": np.trapezoid(rho[c] * (x - xbar[c, :, None]) ** 2, x) / norm[c]})
+        parts.append(part)
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+
+
+def continuity_profile(table, times):
+    """|d rho/d t + d j/d x| of (full, tr, ref) at every time and grid
+    point, as (3, n_t, n_x): the density rate 2 Re(conj(psi) d psi/d t),
+    d psi/d t being the packet of spectrum -i k^2 f(k) / 2, the current
+    Im(conj(psi) d psi/d x) from the exact x derivative, and d j/d x by
+    fourth-order central differences at the grid spacing. NaN at the two
+    points at each end of the grid, where the stencil leaves it."""
+    times = np.asarray(times, dtype=float)
+    psi, dpsi = table.states(times), table.states(times, deriv=True)
+    dpsi_dt = replace(table, f_k=-0.5j * table.k ** 2 * table.f_k).states(times)
+    j = np.imag(np.conj(psi) * dpsi)
+    dj = np.full(j.shape, np.nan)
+    dj[..., 2:-2] = (j[..., :-4] - 8.0 * j[..., 1:-3] + 8.0 * j[..., 3:-1] - j[..., 4:]) / (
+        12.0 * (table.x[1] - table.x[0]))
+    return np.abs(2.0 * np.real(np.conj(psi) * dpsi_dt) + dj)

@@ -15,8 +15,9 @@ from tunnelsplit import cli, clocks, cranknicolson
 from tunnelsplit.cli import main
 from tunnelsplit.cranknicolson import SOLVES_PER_STEP
 from tunnelsplit.errors import SolveSingular
+from tunnelsplit.packets import diagnostics_series
 from tunnelsplit.runconfig import parse_config
-from tunnelsplit.tolerances import CN_WALL_MASS, ORACLE_L2
+from tunnelsplit.tolerances import CN_WALL_MASS, NORM_DRIFT, ORACLE_L2, QUADRATURE_ERROR
 
 CANONICAL = json.loads((Path(__file__).resolve().parents[1] / "configs"
                         / "canonical.json").read_text())
@@ -408,6 +409,20 @@ class TestOutputs:
             "ref_cut_flux", "identity_residual",
         ]
 
+    def test_diagnostics_metadata_reports_the_quadrature_and_the_norm(self, tmp_path):
+        """run_metadata.json carries the largest Richardson estimate of the
+        norms' x quadrature error, which only raises past QUADRATURE_ERROR,
+        and the largest |total - 1|, from the series that wrote the CSV."""
+        cfg = write_config(tmp_path)
+        out = tmp_path / "diag"
+        assert run_cli("diagnostics", cfg, out) == 0
+        meta = json.loads((out / "run_metadata.json").read_text())
+        series = diagnostics_series(cli._mode_table(parse_config(cfg)), parse_config(cfg).times)
+        assert meta["max_quadrature_error"] == float(np.max(series.quadrature_error))
+        assert 0.0 < meta["max_quadrature_error"] < QUADRATURE_ERROR
+        assert meta["max_norm_deficit"] == float(np.max(np.abs(series.total - 1.0)))
+        assert 0.0 < meta["max_norm_deficit"] < NORM_DRIFT
+
     @pytest.mark.parametrize("stride", [1, 3, 8])
     def test_evolve_builds_its_table_on_the_written_points(self, tmp_path, monkeypatch, stride):
         """evolve's table holds only every stride-th grid point, and its
@@ -681,3 +696,20 @@ def test_run_metadata_reads_the_scipy_version_without_importing_scipy(tmp_path):
     assert done.stdout.strip() == "0 False"
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["scipy_version"] == scipy.__version__
+
+
+def test_diagnostics_import_no_scipy(tmp_path):
+    """The forms' kernels and spectra use numpy.fft alone: a diagnostics
+    run in a fresh process leaves scipy, and with it scipy.signal,
+    unimported."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from tunnelsplit.cli import main; "
+         "code = main(['diagnostics', sys.argv[1], '--out', sys.argv[2]]); "
+         "print(code, 'scipy' in sys.modules, 'numpy.fft' in sys.modules)",
+         write_config(tmp_path), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "0 False True"

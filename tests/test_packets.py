@@ -27,7 +27,8 @@ from tunnelsplit.splitting import build_decomposition
 from tunnelsplit.stationary import EnergyMode, solve_full
 from tunnelsplit.tolerances import NORM_DRIFT, PACKET_IDENTITY, SPECTRUM_NORM
 
-from _oracles import cut_flux_integral, free_gaussian, per_mode_fields, per_row_plane_waves
+from _oracles import (continuity_profile, cut_flux_integral, free_gaussian, per_mode_fields,
+                      per_row_plane_waves, pointwise_series)
 
 
 class TestPacketSpec:
@@ -309,9 +310,10 @@ def test_diagnostics_series_shapes(canonical_series):
 
 
 def test_diagnostics_series_matches_per_time_recomputation():
-    """The batched series equals trapezoid integrals of each time's fields_at
-    arrays, and continuity_residual per time, column by column; a batch that
-    mixed up times or components would not."""
+    """The series equals trapezoid integrals of each time's fields_at
+    arrays, column by column, and its continuity column the whole grid's
+    residual restricted to the band of packets.BAND points on each side of
+    the barrier; forms that mixed up times, components or parts would not."""
     spec = make_rectangular(1.0, 1.0, -2.0)
     packet = PacketSpec(k0=1.5, sigma_k=0.25, x0=-12.5)
     x = np.arange(-30.0, 26.0 + 1e-9, 0.05)
@@ -319,6 +321,11 @@ def test_diagnostics_series_matches_per_time_recomputation():
     times = np.array([0.0, 3.0, 6.0, 9.0, 12.0])
     series = diagnostics_series(table, times)
     i_left = int(np.searchsorted(x, table.x_c, side="left")) - 1
+    i_a, i_b = np.searchsorted(x, (spec.a, spec.b))
+    band = np.zeros(x.size, dtype=bool)
+    band[i_a - packets.BAND:i_b + packets.BAND] = True
+    band &= packets._continuity_window(x, table.x_c)
+    residual = continuity_profile(table, times)[1:, :, band]
     for i, t in enumerate(times):
         (full, tr, ref), (_, _, dref) = waves = fields_at(table, t)
         weight = np.trapezoid(np.abs(waves[0]) ** 2, x)
@@ -331,12 +338,78 @@ def test_diagnostics_series_matches_per_time_recomputation():
             want.update({f"xbar_{comp}": xbar,
                          f"pbar_{comp}": np.trapezoid(np.imag(np.conj(psi) * dpsi), x) / weight[c],
                          f"varx_{comp}": np.trapezoid(rho * (x - xbar) ** 2, x) / weight[c]})
-        want["continuity"] = max(continuity_residual(table, c, t) for c in ("tr", "ref"))
+        want["continuity"] = np.max(residual[:, i])
         want["ref_cut_flux"] = np.imag(np.conj(ref) * dref)[i_left]
         want["identity_residual"] = np.max(np.abs(tr + ref - full))
         for name, value in want.items():
             got = getattr(series, name)[i]
             assert abs(got - value) <= 1e-12, (name, t, got, value)
+
+
+def _assert_integrals_match_pointwise(series, table, times):
+    """Every integral column of the series against np.trapezoid sums of the
+    fields on every grid point, to 1e-12 scaled by max(1, |value|)."""
+    for name, want in pointwise_series(table, times).items():
+        got = getattr(series, name)
+        gap = np.abs(got - want)
+        ok = (gap <= 1e-12 * np.maximum(1.0, np.abs(want))) | (np.isnan(got) & np.isnan(want))
+        assert ok.all(), (name, np.nanmax(gap))
+
+
+def test_forms_match_the_pointwise_integrals_on_canonical(canonical_table, canonical_series):
+    """The quadratic forms outside the barrier and the inner rows inside it
+    give the trapezoid integrals of the fields on all 9729 points at all
+    81 canonical times; the moments' largest gap is about 1e-13 scaled."""
+    _assert_integrals_match_pointwise(canonical_series, canonical_table, canonical_series.t)
+
+
+def test_band_holds_the_canonical_continuity_maximum(canonical_table, canonical_series):
+    """On canonical the band of packets.BAND points about the barrier holds
+    the largest continuity residual of tr and ref on the whole grid at all
+    81 times, so reading it there loses nothing."""
+    kept = packets._continuity_window(canonical_table.x, canonical_table.x_c)
+    times = canonical_series.t
+    for lo in range(0, times.size, 9):
+        residual = continuity_profile(canonical_table, times[lo:lo + 9])[1:, :, kept]
+        np.testing.assert_allclose(canonical_series.continuity[lo:lo + 9],
+                                   np.max(residual, axis=(0, 2)), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["toeplitz", "hankel"])
+def test_chirp_z_kernels_match_the_direct_sums(canonical_table, kind):
+    """Each kernel's chirp z-transforms give sum_j w_j exp(i theta x_j) at
+    its 2 n_k - 1 angles (every fourth checked), summed directly in
+    extended precision, to 1e-14 of its largest entry, for the four weight
+    rows: the Toeplitz kernel on the canonical grid left of a (it reads
+    9e-16 there), the Hankel kernel on the small table's (4e-15). The
+    Hankel kernel's largest entry is small: on the canonical grid it is
+    1.6, against 151 for the Toeplitz kernel, and its error reads 2.4e-14
+    of it (2.5e-16 of the Toeplitz kernel's)."""
+    table = canonical_table if kind == "toeplitz" else _small_table()
+    x, k = table.x[:table._inside.start], table.k
+    n_k, dk, dx = k.size, (k[-1] - k[0]) / (k.size - 1), x[1] - x[0]
+    w, _ = packets._weights(x, packets._quadrature(table.x)[:, :x.size])
+    toeplitz, hankel = packets._kernels(w, x[0], dx, k, dk, hankel=True)
+    if kind == "toeplitz":
+        got = np.roll(np.fft.fft(toeplitz), -n_k, axis=-1)
+        theta = -(n_k - 1) * dk + dk * np.arange(2 * n_k - 1)
+    else:
+        got = np.fft.fft(np.conj(hankel))
+        theta = -2.0 * k[0] - dk * np.arange(2 * n_k - 1)
+    got, theta = got[:, ::4], theta[::4]  # every fourth angle, lag 0 among them
+    angle = np.multiply.outer(x.astype(np.longdouble), theta.astype(np.longdouble))
+    weights = w.astype(np.longdouble)
+    want = weights @ np.cos(angle) + 1j * (weights @ np.sin(angle))
+    largest = np.max(np.abs(want), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-14 * largest), np.max(np.abs(got - want) / largest)
+
+
+def test_diagnostics_reject_a_nonuniform_x_grid(canonical_spec, canonical_packet):
+    x = np.linspace(-120.0, 100.0, 4401)
+    x[100] += 1e-6
+    table = build_mode_table(canonical_spec, canonical_packet, x, n_k=65)
+    with pytest.raises(ValueError, match="uniform"):
+        diagnostics_series(table, [0.0])
 
 
 def _small_table():
@@ -363,36 +436,29 @@ def test_density_rates_are_the_time_derivative_of_the_density():
     assert errors[0] / errors[1] > 90.0, errors
 
 
-def test_diagnostics_series_holds_one_batch(monkeypatch):
-    """Every batch of every window is evaluated into the same stacks, and
-    a batch's temporaries are released before the next batch is made, so
-    the traced peak over three windows of three batches each stays below
-    four (3, n_t, n_x) evaluations of one batch in one window plus one
-    real product against the window's cos/sin table."""
-    monkeypatch.setattr(packets, "X_CHUNK", 461)
-    table = _small_table()
-    width = packets.X_CHUNK + 4  # the window and its continuity halo
-    batch = packets._times_per_batch(width)
-    times = np.linspace(0.0, 12.0, 3 * batch)
-    stack = 3 * batch * width * 16
-    product = 2 * 2 * batch * width * 8
+def test_diagnostics_series_holds_one_batch(canonical_table):
+    """The series never holds the forms of all times at once: its times go
+    in batches whose phases and spectra take about SPECTRA_BYTES, so its
+    traced peak on the canonical table at 81 times stays below four
+    complex (n_t, 2 n_k - 1) arrays of all the times (it reads 3.5)."""
+    times = np.linspace(0.0, 80.0, 81)
+    one = times.size * (2 * canonical_table.k.size - 1) * 16
     tracemalloc.start()
     try:
-        diagnostics_series(table, times)
+        diagnostics_series(canonical_table, times)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * (4 * stack + product), (peak, stack, product)
+    assert peak <= 4 * one, (peak, one)
 
 
 def test_diagnostics_series_makes_each_batch_phase_once(monkeypatch):
-    """Each batch's (n_t, n_k) phases are made once and shared by every
-    window and by the values, rates and derivatives: three windows and
-    three batches of 7 times make three phase tables, not 27."""
-    monkeypatch.setattr(packets, "X_CHUNK", 461)
-    monkeypatch.setattr(packets, "_times_per_batch", lambda n_x: 3)
+    """Each batch's (n_t, n_k) phases are made once and shared by the
+    band's values, rates and derivatives and by the forms: batches of at
+    most 3 of 7 times make three phase tables, not nine."""
     table = _small_table()
-    assert len(list(packets.windows(table, halo=2))) == 3
+    per_time = 18 * 16 * (2 * table.k.size - 1)  # see _batch_size
+    monkeypatch.setattr(packets, "SPECTRA_BYTES", 3 * per_time)
     made = []
     phases = packets._phases
 
@@ -442,7 +508,7 @@ def test_diagnostics_series_does_not_depend_on_the_batch(monkeypatch):
     table = _small_table()
     times = np.linspace(0.0, 12.0, 13)
     want = diagnostics_series(table, times)
-    monkeypatch.setattr(packets, "_times_per_batch", lambda n_k: 1)
+    monkeypatch.setattr(packets, "SPECTRA_BYTES", 1)  # one time per batch
     got = diagnostics_series(table, times)
     for name in vars(want):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name),
@@ -453,10 +519,10 @@ def test_diagnostics_series_does_not_depend_on_the_batch(monkeypatch):
                                   "cut-plus-2", "odd-7", "odd-461"])
 def test_the_window_does_not_matter(monkeypatch, edge):
     """Windows whose edges fall inside the barrier, within two points of
-    the cut, at the last point left of it (where ref_cut_flux is read) or
-    right after it, and windows of 7 points (some wholly inside the
-    barrier, narrower than the continuity stencil) give the single
-    window's series, fields and continuity residuals up to roundoff."""
+    the cut, at the last point left of it or right after it, and windows
+    of 7 points (some wholly inside the barrier, narrower than the
+    continuity stencil) give the single window's fields and continuity
+    residuals up to roundoff."""
     table = _small_table()
     x, spec = table.x, table.spec
     i_a, i_b = np.searchsorted(x, (spec.a, spec.b))
@@ -467,15 +533,10 @@ def test_the_window_does_not_matter(monkeypatch, edge):
              "i-cut": i_cut, "cut-plus-2": i_cut + 2, "odd-7": 7, "odd-461": 461}[edge]
     monkeypatch.setattr(packets, "X_CHUNK", x.size)  # the reference: one window
     times = np.linspace(0.0, 12.0, 7)
-    want = diagnostics_series(table, times)
     want_states, want_fields = table.states(times), fields_at(table, 6.0)
     want_continuity = [continuity_residual(table, c, 6.0) for c in ("full", "tr", "ref")]
 
     monkeypatch.setattr(packets, "X_CHUNK", chunk)
-    got = diagnostics_series(table, times)
-    for name in vars(want):
-        g, w = getattr(got, name), getattr(want, name)
-        assert np.all(np.abs(g - w) <= 1e-14 * np.maximum(1.0, np.abs(w))), (name, g - w)
     np.testing.assert_allclose(table.states(times), want_states, rtol=0, atol=1e-13)
     np.testing.assert_allclose(fields_at(table, 6.0), want_fields, rtol=0, atol=1e-13)
     for c, value in zip(("full", "tr", "ref"), want_continuity):
@@ -584,7 +645,9 @@ def test_pipeline_identity_and_sum_rule_on_random_symmetric_barriers(canonical_p
     through the mode table, its fields and the diagnostics series, on
     mirrored barriers of 1-3 segments a side under the canonical packet;
     tr and ref each obey continuity there too (the worst residual seen
-    over 40 such barriers on this grid was 6.8e-6)."""
+    over 40 such barriers on this grid was 6.8e-6), on the band around the
+    barrier that the series reads and on the whole grid; and the series'
+    integrals are the pointwise ones."""
     spec = make_piecewise(-9.0, half + half[::-1])
     times = np.linspace(0.0, 80.0, 9)
     table = build_mode_table(spec, canonical_packet, np.arange(-160.0, 150.0, 0.1), n_k=65)
@@ -593,6 +656,9 @@ def test_pipeline_identity_and_sum_rule_on_random_symmetric_barriers(canonical_p
     s = diagnostics_series(table, times)
     assert np.max(np.abs(s.T + s.R + 2.0 * s.overlap.real - s.total)) < PACKET_IDENTITY
     assert np.max(s.continuity) < 1e-4
+    kept = packets._continuity_window(table.x, table.x_c)
+    assert np.max(continuity_profile(table, times)[1:, :, kept]) < 1e-4
+    _assert_integrals_match_pointwise(s, table, times)
 
 
 def test_table_without_a_point_inside_the_barrier():
