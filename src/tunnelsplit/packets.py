@@ -26,27 +26,23 @@ Modes are kept as coefficients. With e = exp(ikx), the cut leaves
     left of a:   full = c+ e + c- conj(e),   tr = A_tr_in e,   ref = full - tr
     right of b:  full = A_T e,               tr = full,        ref = 0
 
-and derivatives scale the pairs by +/- ik; inside [a, b) a table keeps
-value and derivative rows at its grid points. A mode's time derivative
-is -i k^2/2 times the mode, so nothing is differenced in time.
-`ModeTable.states_at` is the one field evaluator, for a batch of times
-given by their phases exp(-i k^2 t / 2), made once per batch with the
-room that every window's coefficients reuse (`_phases`). It walks the
-grid in windows of X_CHUNK points, and each window builds its own cos(kx)
-and sin(kx), so no table spans n_k by n_x; every evaluation of a window
-(values, x derivatives, density rates) shares that window's table. It works in real arithmetic: with C = cos(kx) and S = sin(kx),
-a e + b conj(e) = (a + b) C + i (a - b) S, so the left pair and tr are
-one real product against C stacked on S.
-C and S come from `_plane_waves`, by angle addition over blocks of
-ceil(sqrt(n_k)) modes, to within a few eps max|k x|.
+and derivatives scale the pairs by +/- ik. A table keeps the value and
+derivative rows of every mode at its sampled points, the barrier's and
+BAND + 2 more on each side. Everywhere else a component is a plane-wave
+sum, sum_m a_m exp(i k_m x) over the uniform k grid at the points of the
+uniform x grid, and one chirp z-transform (`_chirp_z`) makes it at every
+point of a side at once. A mode's time derivative is -i k^2/2 times the
+mode, so nothing is differenced in time. `ModeTable.states_at` is the one
+field evaluator, for a batch of times given by their phases
+exp(-i k^2 t / 2) (`_phases`).
 
-`diagnostics_series` needs no fields outside the barrier. There every
-integral is a quadratic form in the coefficient rows, against Toeplitz
-and Hankel kernels in k that do not depend on t: each kernel is made once
-per part of the grid by a chirp z-transform, and each form is a sum over
-the bins of a circulant of 2 n_k - 1 (see the diagnostics comment). The
-series evaluates fields only on a band about the barrier, for the
-integrals inside it, continuity, the cut flux and the identity.
+`diagnostics_series` needs no fields outside the sampled points. There
+every integral is a quadratic form in the coefficient rows, against
+Toeplitz and Hankel kernels in k that do not depend on t: each kernel is
+made once per part of the grid by chirp z-transforms, and each form is a
+sum over the bins of a circulant of 2 n_k - 1 (see the diagnostics
+comment). The series evaluates fields only on the sampled points, for the
+integrals inside the barrier, continuity, the cut flux and the identity.
 """
 
 import math
@@ -66,7 +62,9 @@ COMPONENTS = ("full", "tr", "ref")
 # (~1e-15) never shows up against the 1e-8 normalization contract
 DEFAULT_SPAN_SIGMAS = 8.0
 DEFAULT_N_K = 513
-X_CHUNK = 512  # grid points per evaluation window, each with its own cos/sin table
+BAND = 6  # grid points on each side of the barrier where continuity is read
+# bytes of one diagnostics batch: its phases and the spectra of its forms
+SPECTRA_BYTES = 4e6
 
 
 @dataclass(frozen=True)
@@ -167,101 +165,50 @@ def default_x_grid(spec: PotentialSpec, packet: PacketSpec,
     return spec.x_c + dx * np.arange(-n_side, n_side + 1)
 
 
-def _uniform_step(v: np.ndarray, what: str) -> float:
-    """The spacing of the grid v; ValueError naming `what` if v departs
-    from v[0] + j step by more than 4 ulp of its largest entry."""
+def _uniform_step(v: np.ndarray, name: str) -> float:
+    """The spacing of the grid v; ValueError naming the `name` grid if v
+    departs from v[0] + j step by more than 4 ulp of its largest entry."""
     step = (v[-1] - v[0]) / max(v.size - 1, 1)
     if np.max(np.abs(v - v[0] - step * np.arange(v.size))) > 4.0 * np.spacing(np.abs(v).max()):
-        raise ValueError(f"{what} needs a uniform grid")
+        raise ValueError(f"the {name} grid must be uniform")
     return step
 
 
-def _plane_waves(k: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """cos(kx) and sin(kx) as a real (2, n_k, n_x) stack, written into
-    `out` if given, by angle addition on the uniform k grid. Each block of
-    ceil(sqrt(n_k)) modes (23 at 513) writes its rows at once as
-    cos(a + b) = cos a cos b - sin a sin b and sin(a + b) = sin a cos b +
-    cos a sin b, from cos/sin of its first k times x and a shared table of
-    cos/sin(m dk x). The table lives in the last block's rows, written
-    last, so the only other arrays are two (block, n_x) products, and
-    about 2 sqrt(n_k) transcendental rows replace 2 n_k. Entries are
-    within a few eps max|k x| of cos/sin of the rounded k x (5.2e-14 on
-    the canonical table). A nonuniform k raises ValueError."""
-    n_k = k.size
-    dk = _uniform_step(k, "angle addition in k")
-    block = math.ceil(math.sqrt(n_k))
-    last = n_k - block
-    waves = np.empty((2, n_k, x.size)) if out is None else out
-    cos_b, sin_b = waves[:, last:]
-    np.multiply.outer(dk * np.arange(block), x, out=cos_b)
-    np.sin(cos_b, out=sin_b)
-    np.cos(cos_b, out=cos_b)
-    sin_sin, sin_cos = np.empty((2, block, x.size))
-    for j0 in (*range(0, last, block), last):
-        rows = slice(j0, n_k if j0 == last else min(j0 + block, last))
-        m = rows.stop - j0
-        cos_a, sin_a = np.cos(k[j0] * x), np.sin(k[j0] * x)
-        # both products of sin_a are formed first: in the last block, the
-        # rows written are the offsets' own
-        np.multiply(sin_b[:m], sin_a, out=sin_sin[:m])
-        np.multiply(cos_b[:m], sin_a, out=sin_cos[:m])
-        np.subtract(np.multiply(cos_b[:m], cos_a, out=waves[0, rows]), sin_sin[:m],
-                    out=waves[0, rows])
-        np.add(sin_cos[:m], np.multiply(sin_b[:m], cos_a, out=waves[1, rows]), out=waves[1, rows])
-    return waves
-
-
-@dataclass
-class _Phases:
-    """exp(-i k^2 t / 2), the phase of every mode at every time of a
-    batch, as (n_t, n_k) rows, and room for what each window makes from
-    them: the coefficients and the left pair's two coefficient rows,
-    three complex (n_t, n_k) arrays, and up to two pairs of real rows
-    (_rows). Every window and evaluation of the batch reuses that room;
-    made anew in each window, these arrays were faulted in again and
-    again (2.4 times the page faults in a canonical diagnostics run)."""
-
-    phase: np.ndarray
-    coeffs: np.ndarray = field(init=False)
-    _room: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.coeffs = np.empty((3,) + self.phase.shape, dtype=complex)
-        self._room = np.empty(8 * self.phase.size)
-
-    def rows(self, pairs: int) -> np.ndarray:
-        """The room for `pairs` pairs of rows, as a contiguous (2, pairs,
-        n_t, 2 n_k) array."""
-        n_t, n_k = self.phase.shape
-        return self._room[:4 * pairs * self.phase.size].reshape(2, pairs, n_t, 2 * n_k)
-
-
-def _phases(k: np.ndarray, times) -> _Phases:
-    """The phases of the modes k at `times` (see _Phases)."""
+def _phases(k: np.ndarray, times) -> np.ndarray:
+    """exp(-i k^2 t / 2), the phase of every mode k at every time, as
+    (n_t, n_k) rows."""
     phase = -0.5j * k ** 2 * np.asarray(times, dtype=float)[:, None]
-    return _Phases(np.exp(phase, out=phase))
+    return np.exp(phase, out=phase)
 
 
-def _rows(alpha: np.ndarray, beta: np.ndarray | float, out: np.ndarray):
-    """Write the rows [Re(alpha + beta), Im(beta - alpha)] and [Im(alpha +
-    beta), Re(alpha - beta)] of alpha e + beta conj(e), from coefficient
-    rows (n_t, n_k), into out (2, n_t, 2 n_k); beta = 0 writes alpha e."""
-    n_k = alpha.shape[-1]
-    np.add(alpha.real, beta.real, out=out[0, :, :n_k])
-    np.subtract(beta.imag, alpha.imag, out=out[0, :, n_k:])
-    np.add(alpha.imag, beta.imag, out=out[1, :, :n_k])
-    np.subtract(alpha.real, beta.real, out=out[1, :, n_k:])
+def _batch_size(n_t: int, n_k: int) -> int:
+    """Times per batch, for n_t times in batches of equal size: a
+    diagnostics batch's phases and spectra, at most eighteen complex arrays
+    of (n_t, 2 n_k - 1) at once, take at most about SPECTRA_BYTES.
+    `ModeTable.states` batches its times the same way."""
+    most = max(1, int(SPECTRA_BYTES // (18 * 16 * (2 * n_k - 1))))
+    return max(1, -(-n_t // max(1, -(-n_t // most))))
 
 
-def _exterior(out: np.ndarray, rows: np.ndarray, waves: np.ndarray):
-    """out[j] = c[j] cos(kx) + i s[j] sin(kx), summed over the modes, for
-    each component j of out (m, n_t, n_x), from `rows`, the real rows
-    [Re c, -Im s] and [Im c, Re s] of its coefficients as a (2, m, n_t,
-    2 n_k) stack, and `waves`, the (cos, sin) stack at out's points. Both
-    parts come from one real product against cos stacked on sin."""
-    table = waves.reshape(rows.shape[-1], waves.shape[-1])
-    out.real[...], out.imag[...] = (rows.reshape(-1, table.shape[0]) @ table).reshape(
-        (2,) + out.shape)
+def _chirp_z(w: np.ndarray, x0: float, dx: float, theta0: float, dtheta: float,
+             n: int) -> np.ndarray:
+    """sum_j w[..., j] exp(i theta_l x_j) at theta_l = theta0 + l dtheta for
+    l < n, with x_j = x0 + j dx, per row of w: one chirp z-transform
+    (Rabiner, Schafer & Rader, IEEE Trans. Audio Electroacoust. 17, 86,
+    1969). With j and l counted from their middles, theta_l x_j = theta_c
+    x_c + theta_c j dx + l dtheta x_c + l j phi, phi = dtheta dx, and l j =
+    (l^2 + j^2 - (l - j)^2) / 2 makes the sum over j a convolution with the
+    chirp exp(-i phi d^2 / 2), done by FFT."""
+    n_x = w.shape[-1]
+    cj, cl = (n_x - 1) // 2, (n - 1) // 2
+    j, l = np.arange(n_x) - cj, np.arange(n) - cl
+    d = np.arange(-cl - (n_x - 1 - cj), n - cl + cj)  # every l - j
+    theta_c, x_c, phi = theta0 + cl * dtheta, x0 + cj * dx, dtheta * dx
+    size = 1 << (n_x + n - 2).bit_length()
+    conv = np.fft.fft(w * np.exp(1j * (theta_c * dx * j + 0.5 * phi * j * j)), size)
+    conv *= np.fft.fft(np.exp(-0.5j * phi * d * d), size)
+    conv = np.fft.ifft(conv)[..., n_x - 1:n_x - 1 + n]
+    return np.exp(1j * (theta_c * x_c + dtheta * x_c * l + 0.5 * phi * l * l)) * conv
 
 
 def _index(component: str) -> int:
@@ -270,21 +217,26 @@ def _index(component: str) -> int:
     return COMPONENTS.index(component)
 
 
+def _sampled(x: np.ndarray, spec: PotentialSpec) -> tuple[slice, slice]:
+    """The grid points inside [a, b), and the sampled points: those and
+    BAND + 2 more on each side, where the grid has them."""
+    i_a, i_b = (int(i) for i in np.searchsorted(x, (spec.a, spec.b)))
+    return slice(i_a, i_b), slice(max(i_a - BAND - 2, 0), min(i_b + BAND + 2, x.size))
+
+
 @dataclass
 class ModeTable:
     """Per-mode coefficients of full, tr_state and ref_state on one barrier
-    and x grid.
+    and uniform x grid.
 
     `full_left` is full's plane-wave pair left of a, where tr_state has
     only its incoming wave `tr_in`; beyond b full is `A_T` exp(ikx).
     `inner` holds the values and x derivatives of full, tr_state and
-    ref_state at the grid points inside [a, b), as (2, 3, n_k, n_inside).
-    A table holds no plane waves: `states` evaluates it window by window
-    (`windows`). Only a window, the table on at most X_CHUNK points plus
-    a halo or on the diagnostics' band about the barrier (see
-    diagnostics_series), carries `waves`, exp(ikx) at its points outside
-    the barrier as its real and imaginary parts, a (2, n_k, n_outside)
-    stack of cos(kx) and sin(kx).
+    ref_state at the sampled points (_sampled), as (2, 3, n_k, n_sampled).
+    A table holds no plane waves: on each side of the sampled points
+    `states_at` makes its fields by chirp z-transforms of the coefficient
+    rows, so no array spans n_k by the grid. A nonuniform x or k grid
+    raises ValueError.
     """
 
     spec: PotentialSpec
@@ -297,100 +249,86 @@ class ModeTable:
     tr_in: np.ndarray
     A_T: np.ndarray
     inner: np.ndarray
-    waves: np.ndarray | None = None
     x_c: float = field(init=False)
+    dx: float = field(init=False)
+    dk: float = field(init=False)
     _inside: slice = field(init=False)
+    _sampled: slice = field(init=False)
 
     def __post_init__(self):
         self.x_c = self.spec.x_c
         if np.any(self.x[1:] < self.x[:-1]):
             raise ValueError("the x grid must be ascending")
-        i_a, i_b = np.searchsorted(self.x, (self.spec.a, self.spec.b))
-        self._inside = slice(int(i_a), int(i_b))
+        self.dx, self.dk = _uniform_step(self.x, "x"), _uniform_step(self.k, "k")
+        self._inside, self._sampled = _sampled(self.x, self.spec)
 
     def states(self, times, deriv: bool = False, out: np.ndarray | None = None) -> np.ndarray:
         """(full, tr, ref), cut at x_c, or their x derivatives, at every
-        time, as a (3, n_t, n_x) stack, written into `out` if given."""
-        return self.states_at(_phases(self.k, times), deriv, out)
-
-    def states_at(self, phases: _Phases, deriv: bool = False,
-                  out: np.ndarray | None = None) -> np.ndarray:
-        """`states` at the times of `phases` (_phases); every window
-        shares them and their room."""
-        n_t = phases.phase.shape[0]
+        time, as a (3, n_t, n_x) stack, written into `out` if given. The
+        times go in batches (_batch_size), so the chirp z-transforms' room
+        does not grow with their number."""
+        times = np.asarray(times, dtype=float)
         if out is None:
-            out = np.empty((3, n_t, self.x.size), dtype=complex)
-        if self.waves is None:
-            for own, _, part in windows(self):
-                part.states_at(phases, deriv, out[..., own])
-            return out
-        coeff, alpha, beta = phases.coeffs
-        np.multiply(self.weights * self.f_k, phases.phase, out=coeff)
-        coeff /= math.sqrt(2.0 * math.pi)
-        i_a, i_b = self._inside.start, self._inside.stop
-        full, tr_state, ref_state = coeff @ self.inner[int(deriv)]
-        out[0, :, i_a:i_b] = full
-        out[1:, :, i_a:i_b] = sub_waves(self.x[i_a:i_b] <= self.x_c, full, tr_state, ref_state)
+            out = np.empty((3, times.size, self.x.size), dtype=complex)
+        batch = _batch_size(times.size, self.k.size)
+        for lo in range(0, times.size, batch):
+            self.states_at(_phases(self.k, times[lo:lo + batch]), deriv, out[:, lo:lo + batch])
+        return out
 
-        up, down = (1j * self.k, -1j * self.k) if deriv else (1.0, 1.0)
-        if i_a:
-            # left of a, full = alpha e + beta conj(e) and tr = tr_in e
-            rows = phases.rows(2)
-            np.multiply(coeff, up * self.full_left[0], out=alpha)
-            _rows(alpha, np.multiply(coeff, down * self.full_left[1], out=beta), rows[:, 0])
-            _rows(np.multiply(coeff, up * self.tr_in, out=alpha), 0.0, rows[:, 1])
-            _exterior(out[:2, :, :i_a], rows, self.waves[:, :, :i_a])
-            np.subtract(out[0, :, :i_a], out[1, :, :i_a], out=out[2, :, :i_a])
-        if i_b < self.x.size:
-            coeff *= up * self.A_T  # right of b, full = A_T e
-            rows = phases.rows(1)
-            _rows(coeff, 0.0, rows[:, 0])
-            _exterior(out[:1, :, i_b:], rows, self.waves[:, :, i_a:])
-            out[1, :, i_b:], out[2, :, i_b:] = out[0, :, i_b:], 0.0
+    def _coefficients(self, phase: np.ndarray) -> np.ndarray:
+        return phase * (self.weights * self.f_k / math.sqrt(2.0 * math.pi))
+
+    def sampled_at(self, phase: np.ndarray, deriv: bool = False) -> np.ndarray:
+        """`states` at the sampled points and the times of `phase`
+        (_phases), as (3, n_t, n_sampled), from the `inner` rows."""
+        full, tr_state, ref_state = self._coefficients(phase) @ self.inner[int(deriv)]
+        cut = self.x[self._sampled] <= self.x_c
+        return np.stack((full, *sub_waves(cut, full, tr_state, ref_state)))
+
+    def states_at(self, phase: np.ndarray, deriv: bool = False,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """`states` at the times of `phase` (_phases): the `inner` rows on
+        the sampled points, and on each side of them one chirp z-transform
+        per run of plane waves, over the k grid to the points of that side."""
+        k, x, n_x = self.k, self.x, self.x.size
+        if out is None:
+            out = np.empty((3, phase.shape[0], n_x), dtype=complex)
+        lo, hi = self._sampled.start, self._sampled.stop
+        out[..., lo:hi] = self.sampled_at(phase, deriv)
+        coeff = self._coefficients(phase)
+        up, down = (1j * k, -1j * k) if deriv else (1.0, 1.0)
+        if lo:
+            # left of a, full = alpha e + beta conj(e) and tr = tr_in e; the
+            # sum of beta conj(e) is the sum of beta e at the points -x
+            rows = coeff * (up * np.stack((self.full_left[0], self.tr_in)))[:, None]
+            out[:2, :, :lo] = _chirp_z(rows, k[0], self.dk, x[0], self.dx, lo)
+            out[0, :, :lo] += _chirp_z(coeff * (down * self.full_left[1]), k[0], self.dk,
+                                       -x[0], -self.dx, lo)
+            np.subtract(out[0, :, :lo], out[1, :, :lo], out=out[2, :, :lo])
+        if hi < n_x:  # right of b, full = A_T e
+            out[0, :, hi:] = _chirp_z(coeff * (up * self.A_T), k[0], self.dk, x[hi], self.dx,
+                                      n_x - hi)
+            out[1, :, hi:], out[2, :, hi:] = out[0, :, hi:], 0.0
         return out
 
     def state_slice(self, component: str, t: float, deriv: bool = False) -> np.ndarray:
         return self.states([t], deriv)[_index(component)][0]
 
-    def _window(self, lo: int, hi: int) -> "ModeTable":
-        """The table's coefficients on x[lo:hi]."""
-        i_a = self._inside.start
-        return replace(self, x=self.x[lo:hi],
-                       inner=self.inner[..., max(lo - i_a, 0):max(hi - i_a, 0)])
-
-
-def windows(table: ModeTable, halo: int = 0):
-    """(own, ext, part) for each window `own`, a slice of X_CHUNK grid
-    points (fewer in the last): `ext` widens it by `halo` points on each
-    side where the grid has them, and `part` is the table on x[ext], with
-    its cos/sin table. Each window's cos/sin table is written into the
-    same buffer, and a part's `waves` are released when the walk moves on."""
-    n = table.x.size
-    buffer = np.empty((2, table.k.size, min(X_CHUNK + 2 * halo, n)))
-    for lo in range(0, n, X_CHUNK):
-        own = slice(lo, min(lo + X_CHUNK, n))
-        ext = slice(max(lo - halo, 0), min(own.stop + halo, n))
-        part = table._window(ext.start, ext.stop)
-        outside = np.delete(part.x, part._inside)
-        part.waves = _plane_waves(table.k, outside, buffer[:, :, :outside.size])
-        yield own, ext, part
-        part.waves = None
-
 
 def _mode_table(spec: PotentialSpec, packet: PacketSpec, x: np.ndarray,
                 k: np.ndarray, weights: np.ndarray) -> ModeTable:
-    """The coefficients of every mode, without cos(kx) and sin(kx). The
-    modes are decomposed as one block, checked on the grid points inside
-    [a, b), which are also the points of the `inner` rows; outside the
-    barrier the decomposition checks its plane-wave pairs exactly."""
+    """The coefficients of every mode, and its rows at the sampled points.
+    The modes are decomposed as one block, checked on the grid points
+    inside [a, b); outside the barrier the decomposition checks its
+    plane-wave pairs exactly."""
     packet.check_separation(spec)
-    x_in = x[(x >= spec.a) & (x < spec.b)]
-    dec = decompose_block(ProblemBlock.of(spec, 0.5 * k * k), x_in)
+    inside, sampled = _sampled(x, spec)
+    dec = decompose_block(ProblemBlock.of(spec, 0.5 * k * k), x[inside])
     states = (dec.full_state, dec.tr_state, dec.ref_state)
-    inner = np.empty((2, 3, k.size, x_in.size), dtype=complex)
+    inner = np.empty((2, 3, k.size, sampled.stop - sampled.start), dtype=complex)
     for deriv in (0, 1):
         for i, state in enumerate(states):
-            inner[deriv, i] = sample_states(state, x_in, bool(deriv))
+            inner[deriv, i] = sample_states(state, x[sampled], bool(deriv))
     return ModeTable(spec=spec, packet=packet, x=x, k=k, weights=weights,
                      f_k=packet.spectrum(k), full_left=np.array(dec.full_state.left),
                      tr_in=dec.tr_state.left[0], A_T=dec.full_state.right[0], inner=inner)
@@ -407,23 +345,20 @@ def build_mode_table(spec: PotentialSpec, packet: PacketSpec,
 def fields_at(table: ModeTable, t: float) -> np.ndarray:
     """The values and x derivatives of (full, tr, ref) at one time, as a
     (2, 3, n_x) stack."""
-    phases = _phases(table.k, [t])
-    return np.stack([table.states_at(phases, deriv)[:, 0] for deriv in (False, True)])
+    phase = _phases(table.k, [t])
+    return np.stack([table.states_at(phase, deriv)[:, 0] for deriv in (False, True)])
 
 
 def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
                x_grid: np.ndarray, n_k: int = DEFAULT_N_K,
                span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> list[ComponentField]:
-    """One-shot synthesis of one component at each of `times`, window by
-    window, holding only that component on the whole grid. Prefer
-    build_mode_table when many times are needed on the same grid."""
+    """One-shot synthesis of one component at each of `times`, keeping
+    only that component. Prefer build_mode_table when many times are
+    needed on the same grid."""
     i = _index(component)
     x = np.asarray(x_grid, dtype=float)
     table = _mode_table(spec, packet, x, *spectral_grid(packet, n_k, span_sigmas))
-    phases = _phases(table.k, times)
-    values = np.empty((len(times), x.size), dtype=complex)
-    for own, _, part in windows(table):
-        values[:, own] = part.states_at(phases)[i]
+    values = table.states(times)[i].copy()
     return [ComponentField(x=x, values=v, t=float(t)) for v, t in zip(values, times)]
 
 
@@ -444,13 +379,8 @@ def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
 # over bins of the coefficient rows' spectra times the kernel's (_form).
 # Each kernel is made by chirp z-transforms over the part (_kernels). Inside
 # [a, b) the fields come from the table's `inner` rows; they, the continuity
-# residual, the cut flux and the identity are evaluated on the barrier and
-# BAND points on each side, the only place the series makes fields.
-
-BAND = 6  # grid points on each side of the barrier where continuity is read
-# bytes of one diagnostics batch: its phases and the spectra of its forms
-SPECTRA_BYTES = 4e6
-
+# residual, the cut flux and the identity are evaluated on the table's
+# sampled points, the only place the series makes fields.
 
 def _quadrature(x: np.ndarray) -> np.ndarray:
     """Trapezoid weights on x as two rows: the rule and the rule on every
@@ -476,27 +406,6 @@ def _weights(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
     midpoint; and s."""
     s = 0.5 * (x[0] + x[-1]) if x.size else 0.0
     return np.stack((q[0], q[1], (x - s) * q[0], (x - s) ** 2 * q[0])), s
-
-
-def _chirp_z(w: np.ndarray, x0: float, dx: float, theta0: float, dtheta: float,
-             n: int) -> np.ndarray:
-    """sum_j w[..., j] exp(i theta_l x_j) at theta_l = theta0 + l dtheta for
-    l < n, with x_j = x0 + j dx, per row of w: one chirp z-transform
-    (Rabiner, Schafer & Rader, IEEE Trans. Audio Electroacoust. 17, 86,
-    1969). With j and l counted from their middles, theta_l x_j = theta_c
-    x_c + theta_c j dx + l dtheta x_c + l j phi, phi = dtheta dx, and l j =
-    (l^2 + j^2 - (l - j)^2) / 2 makes the sum over j a convolution with the
-    chirp exp(-i phi d^2 / 2), done by FFT."""
-    n_x = w.shape[-1]
-    cj, cl = (n_x - 1) // 2, (n - 1) // 2
-    j, l = np.arange(n_x) - cj, np.arange(n) - cl
-    d = np.arange(-cl - (n_x - 1 - cj), n - cl + cj)  # every l - j
-    theta_c, x_c, phi = theta0 + cl * dtheta, x0 + cj * dx, dtheta * dx
-    size = 1 << (n_x + n - 2).bit_length()
-    conv = np.fft.fft(w * np.exp(1j * (theta_c * dx * j + 0.5 * phi * j * j)), size)
-    conv *= np.fft.fft(np.exp(-0.5j * phi * d * d), size)
-    conv = np.fft.ifft(conv)[..., n_x - 1:n_x - 1 + n]
-    return np.exp(1j * (theta_c * x_c + dtheta * x_c * l + 0.5 * phi * l * l)) * conv
 
 
 def _kernels(w: np.ndarray, x0: float, dx: float, k: np.ndarray, dk: float, hankel: bool):
@@ -591,16 +500,18 @@ def _continuity_window(x: np.ndarray, cut: float | None) -> np.ndarray:
     return keep
 
 
-def _evaluate(table: ModeTable, phases: _Phases, rated):
-    """The (3, n_t, n_x) values and x derivatives at the times of
-    `phases`, and the density rates d rho/d t = 2 Re(conj(psi) d psi/d t)
-    of the components `rated`. 2 d psi/d t is the packet of spectrum
-    -i k^2 f(k), reduced to the rates before the derivatives are made."""
-    values = table.states_at(phases)
-    rates = replace(table, f_k=-1j * table.k ** 2 * table.f_k).states_at(phases)[rated]
+def _evaluate(at, table: ModeTable, phase: np.ndarray, rated):
+    """The (3, n_t, n_x) values and x derivatives at the times of `phase`
+    (_phases), and the density rates d rho/d t = 2 Re(conj(psi) d psi/d t)
+    of the components `rated`, on the points of `at`: ModeTable.states_at
+    for the grid, ModeTable.sampled_at for the sampled points. 2 d psi/d t
+    is the packet of spectrum -i k^2 f(k), reduced to the rates before the
+    derivatives are made."""
+    values = at(table, phase)
+    rates = at(replace(table, f_k=-1j * table.k ** 2 * table.f_k), phase)[rated]
     rates.real *= values[rated].real
     rates.imag *= values[rated].imag
-    return values, rates.real + rates.imag, table.states_at(phases, deriv=True)
+    return values, rates.real + rates.imag, at(table, phase, True)
 
 
 def _continuity(x: np.ndarray, keep: np.ndarray, ext: slice, own: slice, drho: np.ndarray,
@@ -608,9 +519,9 @@ def _continuity(x: np.ndarray, keep: np.ndarray, ext: slice, own: slice, drho: n
     """max |d rho/d t + d j/d x| along the last axis, over the points of
     x[own] that the continuity window `keep` holds, from the density rate
     and the current (from the exact derivative) on x[ext], which holds two
-    more points on each side of own where the grid does. No kept point's
-    stencil crosses the cut, so j is never differenced across it; see
-    continuity_residual."""
+    more points on each side of own where the grid does (or all of it). No
+    kept point's stencil crosses the cut, so j is never differenced across
+    it; see continuity_residual."""
     mine = slice(own.start - ext.start, own.stop - ext.start)
     residual = np.abs(drho + _gradient_uniform(j, x[1] - x[0]))[..., mine]
     return np.max(residual[..., keep[own]], axis=-1, initial=0.0)
@@ -627,12 +538,10 @@ def continuity_residual(table: ModeTable, component: str, t: float) -> float:
     """
     i = _index(component)
     keep = _continuity_window(table.x, table.x_c if component in ("tr", "ref") else None)
-    phases, worst = _phases(table.k, [t]), 0.0
-    for own, ext, part in windows(table, halo=2):
-        values, rate, derivs = _evaluate(part, phases, i)
-        j = current_density(values[i, 0], derivs[i, 0])
-        worst = max(worst, float(_continuity(table.x, keep, ext, own, rate[0], j)))
-    return worst
+    values, rate, derivs = _evaluate(ModeTable.states_at, table, _phases(table.k, [t]), i)
+    j = current_density(values[i, 0], derivs[i, 0])
+    whole = slice(0, table.x.size)
+    return float(_continuity(table.x, keep, whole, whole, rate[0], j))
 
 
 @dataclass
@@ -659,37 +568,29 @@ class DiagnosticsSeries:
     quadrature_error: np.ndarray  # the Richardson estimate of the norms' x quadrature
 
 
-def _batch_size(n_t: int, n_k: int) -> int:
-    """Times per diagnostics batch, for n_t times in batches of equal size:
-    a batch's phases and spectra, at most eighteen complex arrays of (n_t,
-    2 n_k - 1) at once, take at most about SPECTRA_BYTES."""
-    most = max(1, int(SPECTRA_BYTES // (18 * 16 * (2 * n_k - 1))))
-    return max(1, -(-n_t // max(1, -(-n_t // most))))
-
-
 def diagnostics_series(table: ModeTable, times) -> DiagnosticsSeries:
     """Diagnostics at every time. Outside [a, b) every integral is a
     quadratic form in the mode coefficients (_form) against kernels made
     once for the part of the grid left of a and the part from b on; inside,
     the integrals reduce the fields of the table's `inner` rows. Those
-    fields come from a table on the barrier and BAND points on each side
-    (with the stencil's halo of two), where continuity, the cut flux at the
-    last point left of x_c and the identity tr + ref = full are read:
-    outside the band the components are plane-wave sums that obey
-    continuity mode by mode, so their residual there is only the stencil's
-    truncation error. Each component's position spread is merged from the
-    three parts' moments about their midpoints. Times go in batches of
-    equal size (_batch_size), each with its phases made once."""
+    rows hold the fields on the table's sampled points, the barrier and
+    BAND points on each side with the stencil's halo of two, where
+    continuity, the cut flux at the last point left of x_c and the
+    identity tr + ref = full are read: outside the band the components
+    are plane-wave sums that obey continuity mode by mode, so their
+    residual there is only the stencil's truncation error. Each
+    component's position spread is merged from the three parts' moments
+    about their midpoints. Times go in batches of equal size
+    (_batch_size), each with its phases made once."""
     times = np.asarray(times, dtype=float)
     x, k, n_t = table.x, table.k, times.size
-    dx = _uniform_step(x, "the diagnostics' x quadrature")
-    dk = _uniform_step(k, "each quadratic form in k")
     keep = _continuity_window(x, table.x_c)
     i_a, i_b = table._inside.start, table._inside.stop
     i_left = int(np.searchsorted(x, table.x_c, side="left")) - 1
     q = _quadrature(x)
     part_rows, shift = zip(*(_weights(x[p], q[:, p])
                              for p in (slice(0, i_a), table._inside, slice(i_b, None))))
+    dx, dk = table.dx, table.dk
     left = _kernels(part_rows[0], x[0], dx, k, dk, hankel=True) if i_a else None
     right = _kernels(part_rows[2], x[i_b], dx, k, dk, hankel=False) if i_b < x.size else None
     # each component's coefficient rows outside, and those of its x
@@ -698,13 +599,10 @@ def diagnostics_series(table: ModeTable, times) -> DiagnosticsSeries:
     left_modes = np.stack((table.full_left[0], table.full_left[1], table.tr_in,
                            k * table.full_left[0], -k * table.full_left[1], k * table.tr_in))
     right_modes = np.stack((table.A_T, k * table.A_T))
-    scale = table.weights * table.f_k / math.sqrt(2.0 * math.pi)
     bins = 2 * k.size - 1
 
     band = slice(max(i_a - BAND, 0), min(i_b + BAND, x.size))
-    ext = slice(max(band.start - 2, 0), min(band.stop + 2, x.size))
-    near = table._window(ext.start, ext.stop)
-    near.waves = _plane_waves(k, np.delete(near.x, near._inside))
+    ext = table._sampled
     mine = slice(band.start - ext.start, band.stop - ext.start)
     inside = slice(i_a - ext.start, i_b - ext.start)
 
@@ -715,8 +613,8 @@ def diagnostics_series(table: ModeTable, times) -> DiagnosticsSeries:
 
     def diagnose(at: slice):
         """Every column at the times `at`; what it makes goes when it returns."""
-        phases = _phases(k, times[at])
-        values, rates, derivs = _evaluate(near, phases, slice(1, None))
+        phase = _phases(k, times[at])
+        values, rates, derivs = _evaluate(ModeTable.sampled_at, table, phase, slice(1, None))
         j = current_density(values, derivs)
         continuity[at] = _continuity(x, keep, ext, band, rates, j[1:]).max(axis=0)
         ref_cut_flux[at] = j[2, :, i_left - ext.start]
@@ -727,7 +625,7 @@ def diagnostics_series(table: ModeTable, times) -> DiagnosticsSeries:
         p_sum[:, at] = np.vecdot(j[..., inside], w[0])
         overlap[at] = np.vecdot(values[1, :, inside], values[2, :, inside] * w[0])
 
-        coeff = phases.phase * scale
+        coeff = table._coefficients(phase)
         if right is not None:  # tr = full there, and ref = 0
             D, dD = np.fft.fft(coeff * right_modes[:, None], bins)
             sums[2, :2, at] = _form((D, None), (D, None), right).real

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cranknicolson import SOLVES_PER_STEP, GridSpec, staggered_grid, step_index
 from .errors import SchemaError, TunnelSplitError
-from .packets import (BAND, DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, X_CHUNK, PacketSpec,
+from .packets import (BAND, DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, PacketSpec,
                       _batch_size, default_grid_step, span_covers, spectral_span)
 from .potential import PotentialSpec, make_piecewise
 from .stationary import EnergyMode
@@ -214,31 +214,37 @@ def _build(path: str, make, *args, **kwargs):
 def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, dx: float, n_x: float,
                      oracle: dict, n_times: int, n_snapshots: int, stride: int) -> float:
     """Bytes of a packet run's large arrays, as packets lays them out,
-    for the subcommand that needs the most. Every table holds its rows
-    inside the barrier. Diagnostics: the grid with its two quadrature rows
-    and the four weight rows of its parts; the kernels, 2 n_k - 1 bins for
-    each weight row, and their chirp z-transforms; and one batch of times
-    (packets._batch_size): its phases and spectra, eighteen complex arrays
-    of (n_t, 2 n_k - 1), and the fields of the band about the barrier.
-    Evolve: one window's cos/sin table (X_CHUNK points), its (3, n_snap,
-    n_x / stride) states and the (n_snap, n_k) phases and room of its
-    snapshots, eight complex numbers per time and mode. On the oracle grid: one synthesis window's table, the rows inside
-    the barrier, the CN vectors and snapshots (psi, the synthesis output,
-    the solve's right-hand side, which also holds B psi, x and V, the three
-    diagonals being factored and each factor's LU: dl, d, du, du2 and
-    ipiv) and the checkpoints' phases and room. No array spans n_k by
-    either grid. Counted in complex numbers (16 bytes) as floats, so that
-    no size overflows."""
+    for the subcommand that needs the most. Every table holds its rows at
+    the sampled points, the barrier's and BAND + 2 on each side.
+    Diagnostics: the grid with its two quadrature rows and the four weight
+    rows of its parts; the kernels, 2 n_k - 1 bins for each weight row, and
+    their chirp z-transforms; and one batch of times (packets._batch_size):
+    its phases and spectra, eighteen complex arrays of (n_t, 2 n_k - 1), and
+    the fields at the sampled points. Evolve: the grid and the states at
+    its snapshots on every stride-th point. On the oracle grid: the rows,
+    the synthesis' states at the checkpoints, and the CN vectors and
+    snapshots (psi, the synthesis output, the solve's right-hand side,
+    which also holds B psi, x and V, the three diagonals being factored and
+    each factor's LU: dl, d, du, du2 and ipiv). The states at n_t times on
+    n points are their (3, n_t, n) stack and, for one batch of times, their
+    phases and coefficients and the chirp z-transforms' two FFT buffers for
+    each of the two rows per time on a side, each buffer at most 2 (n_k +
+    n) bins. No array spans n_k by either grid. Counted in complex numbers
+    (16 bytes) as floats, so that no size overflows."""
+    def states(n_t, n):
+        return 3 * n_t * n + min(_batch_size(n_t, n_k), n_t) * (5 * n_k + 8 * (n_k + n))
+
     n_checkpoints = len(oracle["checkpoints"]) + 1
-    n_inside, bins, batch = spec.width / dx + 1, 2 * n_k - 1, _batch_size(n_times, n_k)
-    diagnostics = 4 * n_x + 40 * bins + batch * (18 * bins + 9 * (n_inside + 2 * BAND + 4))
-    evolve = (n_k * min(X_CHUNK, n_x) + n_x + 3 * n_snapshots * (n_x / stride + 1)
-              + 8 * n_k * n_snapshots)
+    n_sampled, bins = spec.width / dx + 1 + 2 * (BAND + 2), 2 * n_k - 1
+    diagnostics = (4 * n_x + 40 * bins
+                   + _batch_size(n_times, n_k) * (18 * bins + 9 * n_sampled))
+    evolve = n_x + states(n_snapshots, n_x / stride + 1)
     length = spec.b + oracle["margin_right"] - packet.x0 + oracle["margin_left"]
+    n_oracle = length / oracle["dx"] + 2
     vectors = 4 * n_checkpoints + 6 + 5 * SOLVES_PER_STEP
-    cn = (vectors * (length / oracle["dx"] + 2)
-          + n_k * (X_CHUNK + 6 * (spec.width / oracle["dx"] + 1) + 8 * n_checkpoints))
-    return 16.0 * max(6 * n_k * n_inside + max(diagnostics, evolve), cn)
+    cn = (vectors * n_oracle + 6 * n_k * (spec.width / oracle["dx"] + 1 + 2 * (BAND + 2))
+          + states(n_checkpoints, n_oracle))
+    return 16.0 * max(6 * n_k * n_sampled + max(diagnostics, evolve), cn)
 
 
 @dataclass

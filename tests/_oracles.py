@@ -11,8 +11,9 @@ row algorithm that packets replaced: every mode decomposed and sampled on
 the whole grid, then summed. `simpson_density_sum` is the sampled
 quadrature that the dwell times evaluate in closed form, and
 `simpson_product_sum` the one for the Larmor overlaps.
-`per_row_plane_waves` is the row-by-row angle addition that
-`packets._plane_waves` does a block of rows at a time. The Zeeman ladder
+`dense_exterior_states` reads a mode table's plane-wave coefficients and
+sums the plane waves directly, exp(+-ikx) formed for a few points at a
+time. The Zeeman ladder
 (`zeeman_shifted`, `larmor_ladder`, `probe_noninvasiveness`) solves the
 spin-shifted barriers with the package's `solve_block`: a finite-field
 reading of the closed-form Larmor times, a raw precession time per
@@ -183,25 +184,29 @@ def per_mode_fields(spec, packet, x, times, n_k, span_sigmas):
     return np.stack((full, np.where(left, tr_state, full), np.where(left, ref_state, 0.0)), axis=1)
 
 
-def per_row_plane_waves(k, x):
-    """cos(kx) and sin(kx) as a (2, n_k, n_x) stack by angle addition, one
-    row at a time: blocks of ceil(sqrt(n_k)) modes, each row cos(a + b)
-    and sin(a + b) from cos/sin of its block's first k times x and of its
-    offset m dk x, in the operation order of `packets._plane_waves`."""
-    n_k = k.size
-    dk = (k[-1] - k[0]) / max(n_k - 1, 1)
-    block = math.ceil(math.sqrt(n_k))
-    offsets = np.multiply.outer(dk * np.arange(block), x)
-    cos_b, sin_b = np.cos(offsets), np.sin(offsets)
-    waves = np.empty((2, n_k, x.size))
-    last = n_k - block
-    for j in range(n_k):
-        j0 = last if j >= last else j - j % block
-        m = j - j0
-        cos_a, sin_a = np.cos(k[j0] * x), np.sin(k[j0] * x)
-        waves[0, j] = cos_a * cos_b[m] - sin_a * sin_b[m]
-        waves[1, j] = sin_a * cos_b[m] + cos_a * sin_b[m]
-    return waves
+def dense_exterior_states(table, times, deriv, points, block=64):
+    """(full, tr, ref), cut at x_c, or their x derivatives, at the grid
+    points `points` outside [a, b) and at every time, as (3, n_t,
+    n_points): the table's coefficient rows (weights, spectrum, full_left,
+    tr_in, A_T) against exp(ikx) and exp(-ikx) formed directly, `block`
+    points at a time, with the left pair and tr_in left of a and A_T from
+    b on."""
+    k, x = table.k, table.x[points]
+    assert not np.any((x >= table.spec.a) & (x < table.spec.b)), "points inside the barrier"
+    coeff = (table.weights * table.f_k * np.exp(-0.5j * k ** 2 * np.asarray(times)[:, None])
+             / math.sqrt(2.0 * math.pi))
+    up, down = (1j * k, -1j * k) if deriv else (1.0, 1.0)
+    out = np.empty((3, len(times), x.size), dtype=complex)
+    for lo in range(0, x.size, block):
+        at = slice(lo, lo + block)
+        e = np.exp(1j * np.multiply.outer(k, x[at]))
+        left = x[at] < table.spec.a
+        full = np.where(left, (coeff * up * table.full_left[0]) @ e
+                        + (coeff * down * table.full_left[1]) @ np.conj(e),
+                        (coeff * up * table.A_T) @ e)
+        tr = np.where(left, (coeff * up * table.tr_in) @ e, full)
+        out[:, :, at] = full, tr, full - tr
+    return out
 
 
 def simpson_density_sum(state, lo, hi, n):

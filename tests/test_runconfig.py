@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tunnelsplit import runconfig
-from tunnelsplit.cli import cmd_diagnostics, main
+from tunnelsplit.cli import cmd_diagnostics, cmd_evolve, cmd_oracle_check, main
 from tunnelsplit.errors import SchemaError
 from tunnelsplit.runconfig import parse_config, parse_config_text
 
@@ -122,46 +122,51 @@ def test_span_interacts_with_packet():
 def test_run_size_over_budget_rejected():
     packet = {"k0": 1.0, "sigma_k": 0.05, "x0": -60.0}
     assert parse(packet=packet).x_grid is None
-    # one window's cos/sin table (512 of the default grid's 10241 points)
-    # and the rows inside the barrier, for 2 * 10**6 + 1 modes
+    # the rows at the sampled points and the kernels' bins, for 2 * 10**6 + 1 modes
     with pytest.raises(SchemaError, match="budget"):
         parse(packet=packet, n_k=2 * 10**6 + 1)
-    # a 3-point table grid, but a synthesis window of 10**6 modes on the oracle grid
+    # a 3-point table grid, but the rows of 10**6 modes on the oracle grid
     with pytest.raises(SchemaError, match="budget"):
         parse(packet=packet, n_k=10**6 + 1, x_grid={"x_min": -70.0, "x_max": 10.0, "dx": 40.0})
 
 
 def test_times_evaluated_at_once_count_against_the_budget():
-    """Evolve's snapshots are evaluated at once, and their (n_snap, n_k)
-    phases, coefficients and rows are counted: 40001 modes at 550
-    snapshots ask for 2.8 GB of them, though one window's table, a
-    diagnostics batch (one time of 40001 modes) and the oracle's synthesis
-    window fit."""
+    """Evolve holds its states at every snapshot at once, and they are
+    counted: 550 snapshots on every point of a 211334-point grid ask for
+    5.6 GB of them, though 550 diagnostics times on that grid fit, and so
+    do 550 snapshots of 40001 modes on a 101-point grid, whose phases and
+    chirp z-transforms are made one batch of times at a time."""
     x_grid = {"x_min": -70.0, "x_max": 10.0, "dx": 0.8}
     parse_config_text(json.dumps(dict(CANONICAL, n_k=40001, x_grid=x_grid,
+                                      snapshot_times=[0.1 * i for i in range(550)])))
+    fine = {"x_min": -160.0, "x_max": 157.0, "dx": 0.0015}
+    parse_config_text(json.dumps(dict(CANONICAL, x_grid=fine, evolve_x_stride=1,
                                       times={"start": 0.0, "stop": 80.0, "num": 550})))
     with pytest.raises(SchemaError, match="budget"):
-        parse_config_text(json.dumps(dict(CANONICAL, n_k=40001, x_grid=x_grid,
+        parse_config_text(json.dumps(dict(CANONICAL, x_grid=fine, evolve_x_stride=1,
                                           snapshot_times=[0.1 * i for i in range(550)])))
 
 
 def test_diagnostics_stay_within_the_estimate(monkeypatch, tmp_path):
-    """The traced peak of a canonical diagnostics run, the table build and
-    the series with its kernels, batches and band, is at most the estimate
-    its config was checked against (7.9 MB against 14.9 MB; the series'
-    own term counts 8.2 MB)."""
+    """The traced peak of each canonical packet run is at most the
+    estimate its config was checked against (19.1 MB): diagnostics, the
+    table build and the series with its kernels, batches and sampled
+    points (7.8 MB); evolve, the table on every stride-th point and the
+    states at its snapshots (3.3 MB); and oracle-check, the synthesis'
+    chirp z-transforms and the Crank-Nicolson run (9.2 MB)."""
     estimates = []
     estimate = runconfig._estimated_bytes
     monkeypatch.setattr(runconfig, "_estimated_bytes",
                         lambda *args: estimates.append(estimate(*args)) or estimates[-1])
     cfg = parse_config(str(ROOT / "configs" / "canonical.json"))
-    tracemalloc.start()
-    try:
-        cmd_diagnostics(cfg, tmp_path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= estimates[0], (peak, estimates)
+    for command in (cmd_diagnostics, cmd_evolve, cmd_oracle_check):
+        tracemalloc.start()
+        try:
+            command(cfg, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimates[0], (command.__name__, peak, estimates)
 
 
 def test_fine_grid_fits_without_a_whole_grid_table():
