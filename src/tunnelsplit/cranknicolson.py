@@ -16,17 +16,22 @@ In space, H is Numerov's compact operator H = -1/2 B^-1 D2 + V, with D2 the
 three-point second difference and B = I + (dx^2/12) D2. H is real symmetric
 because B and D2 commute, so the discrete norm is conserved. A factor
 solves (B - (dt/w) BH) y = B psi, where BH = -1/2 D2 + B V is tridiagonal.
-Its matrix, scaled by s / (1 - r) with s = 12 (so that s B psi is the
-integer stencil (1, 10, 1)) and y then (1 - r) (1 - z/w)^-1 psi, is
-factored once (LAPACK zgttrf); each factor of each step is one three-point
-sum for s B psi, one tridiagonal solve (zgttrs) and an axpy. The box must
-be oversized: a BoundaryContamination error reports probability reaching
-the walls instead of silently absorbing it.
+The two roots give r1 r2 = 1, so a step is also the product of each factor
+divided by its r: psi + A^-1 S psi, with A = (i/6)(w S - dt K), S = 12 B the
+integer stencil (1, 10, 1) and K = 12 BH. A's real part is exactly -S/2,
+so rounding A's entries does not break its match with S psi, and the norm
+drifts at roundoff on fine grids too. A is factored once per factor (LAPACK
+zgttrf); each factor of each step is one three-point sum for S psi, one
+tridiagonal solve and an add. Where zgttrf interchanged no row (on every
+barrier tried; a deep well can pivot) the solve is two banded sweeps (BLAS
+ztbsv) around one multiply, with no division (`_solver`); else zgttrs. The
+box must be oversized: a BoundaryContamination error reports probability
+reaching the walls instead of silently absorbing it.
 
-Both routines are the objects `scipy.linalg.lapack` re-exports, loaded from
-the file of scipy's compiled `_flapack` in about 5 ms: importing
-`scipy.linalg` takes 0.29-0.31 s, as it loads numpy.f2py, numpy.testing
-and more.
+The routines are the objects `scipy.linalg.lapack` and `scipy.linalg.blas`
+re-export, loaded from the files of scipy's compiled `_flapack` and
+`_fblas` in about 4 ms: importing `scipy.linalg` takes 0.29-0.31 s, as it
+loads numpy.f2py, numpy.testing and more.
 """
 
 import math
@@ -114,16 +119,51 @@ def scipy_version() -> str:
 
 
 def _tridiagonal_lapack(linalg_dir: str | None = None):
-    """zgttrf and zgttrs, loaded from the file of scipy's compiled `_flapack`
-    in `linalg_dir` (default: scipy's, found without importing scipy)."""
-    import importlib.machinery
+    """zgttrf and zgttrs, loaded from the file of scipy's compiled `_flapack`,
+    and ztbsv from that of its `_fblas`, both in `linalg_dir` (default:
+    scipy's, found without importing scipy). Both files are found before
+    either is loaded."""
     linalg_dir = linalg_dir or _scipy_path("linalg")
+    paths = {name: _compiled_path(name, linalg_dir) for name in ("_flapack", "_fblas")}
+    lapack, blas = (_module_from_file("scipy.linalg." + name, path)
+                    for name, path in paths.items())
+    return lapack.zgttrf, lapack.zgttrs, blas.ztbsv
+
+
+def _compiled_path(name: str, linalg_dir: str) -> str:
+    """The file of scipy.linalg's compiled module `name` in `linalg_dir`."""
+    import importlib.machinery
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(linalg_dir, "_flapack" + suffix)
+        path = os.path.join(linalg_dir, name + suffix)
         if os.path.isfile(path):
-            module = _module_from_file("scipy.linalg._flapack", path)
-            return module.zgttrf, module.zgttrs
-    raise ImportError(f"no compiled LAPACK module _flapack in {linalg_dir}")
+            return path
+    raise ImportError(f"no compiled module {name} in {linalg_dir}")
+
+
+def _solver(factored, zgttrs, ztbsv):
+    """A function that returns the solution of a tridiagonal system for a
+    right-hand side b, which it may overwrite, given zgttrf's output
+    `factored` = (dl, d, du, du2, ipiv, info). When zgttrf interchanged no
+    row, L and U are bidiagonal and U = D U1 with U1 unit: one
+    Fortran-ordered band holds L's multipliers dl in row 1 and U1's
+    superdiagonal du/d in row 0 (each sweep reads only the row off its unit
+    diagonal), so a solve is two ztbsv sweeps around one multiply by 1/d
+    and divides by no pivot. Else zgttrs solves."""
+    dl, d, du, du2, ipiv, info = factored
+    if info != 0:
+        raise SolveSingular(f"Crank-Nicolson matrix is singular (zgttrf info {info})")
+    if not np.array_equal(ipiv, np.arange(1, d.size + 1)):
+        return lambda b: zgttrs(dl, d, du, du2, ipiv, b, overwrite_b=True)[0]
+    band = np.zeros((2, d.size), dtype=complex, order="F")
+    band[0, 1:] = du / d[:-1]
+    band[1, :-1] = dl
+    inv_d = 1.0 / d
+
+    def solve(b):
+        b = ztbsv(1, band, b, lower=1, diag=1, overwrite_x=1)
+        b *= inv_d
+        return ztbsv(1, band, b, diag=1, overwrite_x=1)
+    return solve
 
 
 def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
@@ -134,7 +174,7 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
     reported. Walls are hard zeros; more than CN_WALL_MASS probability
     within 5 points of a wall aborts the run.
     """
-    zgttrf, zgttrs = _tridiagonal_lapack()
+    zgttrf, zgttrs, ztbsv = _tridiagonal_lapack()
     x = grid.x()
     if initial.x.shape != x.shape or not np.allclose(initial.x, x, rtol=0, atol=1e-12):
         raise GridMismatch("initial field is not sampled on the propagation grid")
@@ -150,19 +190,19 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
     psi = initial.values.astype(complex).copy()
     psi[0] = psi[-1] = 0.0
 
-    # per factor, s (B + a BH) / (1 - r) on the interior, with s = B's scale,
-    # a = -dt/w and BH = -1/2 D2 + B V under Dirichlet walls
+    # per factor, A = (r / (1 - r)) (S - (dt/w) K) = (i/6)(w S - dt K) on the
+    # interior, S = s B and K = s BH under Dirichlet walls with s = 12; its
+    # real part c.real S is exactly -S/2 (Im w = 3)
     scale = _B_MAIN + 2.0 * _B_OFF
-    factors = []
+    k_main = scale / dx ** 2 + _B_MAIN * V[1:-1]
+    k_lower, k_upper = (-0.5 * scale / dx ** 2 + _B_OFF * v for v in (V[1:-2], V[2:-1]))
+    solvers = []
     for w in _ROOTS:
-        a, r = -grid.dt / w, w / w.conjugate()
-        main = (_B_MAIN + a * (scale / dx ** 2 + _B_MAIN * V[1:-1])) / (1.0 - r)
-        lower, upper = ((_B_OFF + a * (-0.5 * scale / dx ** 2 + _B_OFF * v)) / (1.0 - r)
-                        for v in (V[1:-2], V[2:-1]))
-        *lu, info = zgttrf(lower, main, upper)
-        if info != 0:
-            raise SolveSingular(f"Crank-Nicolson matrix is singular (zgttrf info {info})")
-        factors.append((r, lu))
+        c = 1j * w / 6.0
+        lower, main, upper = (c.real * s + 1j * (c.imag * s - grid.dt / 6.0 * k)
+                              for s, k in ((_B_OFF, k_lower), (_B_MAIN, k_main),
+                                           (_B_OFF, k_upper)))
+        solvers.append(_solver(zgttrf(lower, main, upper), zgttrs, ztbsv))
 
     def norm_of(arr):
         return math.sqrt(dx * np.vdot(arr, arr).real)
@@ -185,15 +225,12 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
     inner = psi[1:-1]  # a view: the update writes straight into psi
     rhs = np.empty_like(inner)
     for step in range(1, grid.n_t + 1):
-        for r, lu in factors:
-            # psi' = r psi + y, y solved from s B psi; the solve overwrites
-            # rhs and returns it
+        for solve in solvers:
+            # psi' = psi + A^-1 S psi; the solve may overwrite rhs
             np.multiply(inner, _B_MAIN, out=rhs)
             rhs += psi[:-2]
             rhs += psi[2:]
-            solved, _ = zgttrs(*lu, rhs, overwrite_b=True)
-            inner *= r
-            inner += solved
+            inner += solve(rhs)
         wall = wall_mass()
         if wall > max_wall:
             max_wall = wall

@@ -232,7 +232,9 @@ class ModeTable:
     `full_left` is full's plane-wave pair left of a, where tr_state has
     only its incoming wave `tr_in`; beyond b full is `A_T` exp(ikx).
     `inner` holds the values and x derivatives of full, tr_state and
-    ref_state at the sampled points (_sampled), as (2, 3, n_k, n_sampled).
+    ref_state at the sampled points (_sampled), as (2, 3, n_k, n_sampled);
+    a table made for values alone (`synthesize`) holds (1, 3, n_k,
+    n_sampled).
     A table holds no plane waves: on each side of the sampled points
     `states_at` makes its fields by chirp z-transforms of the coefficient
     rows, so no array spans n_k by the grid. A nonuniform x or k grid
@@ -316,17 +318,18 @@ class ModeTable:
 
 
 def _mode_table(spec: PotentialSpec, packet: PacketSpec, x: np.ndarray,
-                k: np.ndarray, weights: np.ndarray) -> ModeTable:
-    """The coefficients of every mode, and its rows at the sampled points.
-    The modes are decomposed as one block, checked on the grid points
-    inside [a, b); outside the barrier the decomposition checks its
-    plane-wave pairs exactly."""
+                k: np.ndarray, weights: np.ndarray, n_rows: int = 2) -> ModeTable:
+    """The coefficients of every mode, and its rows at the sampled points:
+    the values and, unless `n_rows` is 1, the x derivatives. The modes are
+    decomposed as one block, checked on the grid points inside [a, b);
+    outside the barrier the decomposition checks its plane-wave pairs
+    exactly."""
     packet.check_separation(spec)
     inside, sampled = _sampled(x, spec)
     dec = decompose_block(ProblemBlock.of(spec, 0.5 * k * k), x[inside])
     states = (dec.full_state, dec.tr_state, dec.ref_state)
-    inner = np.empty((2, 3, k.size, sampled.stop - sampled.start), dtype=complex)
-    for deriv in (0, 1):
+    inner = np.empty((n_rows, 3, k.size, sampled.stop - sampled.start), dtype=complex)
+    for deriv in range(n_rows):
         for i, state in enumerate(states):
             inner[deriv, i] = sample_states(state, x[sampled], bool(deriv))
     return ModeTable(spec=spec, packet=packet, x=x, k=k, weights=weights,
@@ -357,7 +360,8 @@ def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
     needed on the same grid."""
     i = _index(component)
     x = np.asarray(x_grid, dtype=float)
-    table = _mode_table(spec, packet, x, *spectral_grid(packet, n_k, span_sigmas))
+    # the values alone: no derivative row is read
+    table = _mode_table(spec, packet, x, *spectral_grid(packet, n_k, span_sigmas), n_rows=1)
     values = table.states(times)[i].copy()
     return [ComponentField(x=x, values=v, t=float(t)) for v, t in zip(values, times)]
 

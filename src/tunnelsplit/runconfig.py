@@ -212,39 +212,46 @@ def _build(path: str, make, *args, **kwargs):
 
 
 def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, dx: float, n_x: float,
-                     oracle: dict, n_times: int, n_snapshots: int, stride: int) -> float:
-    """Bytes of a packet run's large arrays, as packets lays them out,
-    for the subcommand that needs the most. Every table holds its rows at
-    the sampled points, the barrier's and BAND + 2 on each side.
-    Diagnostics: the grid with its two quadrature rows and the four weight
-    rows of its parts; the kernels, 2 n_k - 1 bins for each weight row, and
-    their chirp z-transforms; and one batch of times (packets._batch_size):
-    its phases and spectra, eighteen complex arrays of (n_t, 2 n_k - 1), and
-    the fields at the sampled points. Evolve: the grid and the states at
-    its snapshots on every stride-th point. On the oracle grid: the rows,
-    the synthesis' states at the checkpoints, and the CN vectors and
-    snapshots (psi, the synthesis output, the solve's right-hand side,
-    which also holds B psi, x and V, the three diagonals being factored and
-    each factor's LU: dl, d, du, du2 and ipiv). The states at n_t times on
-    n points are their (3, n_t, n) stack and, for one batch of times, their
-    phases and coefficients and the chirp z-transforms' two FFT buffers for
-    each of the two rows per time on a side, each buffer at most 2 (n_k +
-    n) bins. No array spans n_k by either grid. Counted in complex numbers
-    (16 bytes) as floats, so that no size overflows."""
+                     oracle: dict, n_times: int, n_snapshots: int,
+                     stride: int) -> dict[str, float]:
+    """Bytes of a packet run's large arrays, as packets lays them out, for
+    each subcommand that makes them. A table holds its rows at the sampled
+    points, the barrier's and BAND + 2 on each side: six per mode, the
+    values and x derivatives of three states. Diagnostics: the table; the
+    grid with its two quadrature rows and the four weight rows of its
+    parts; the kernels, 2 n_k - 1 bins for each weight row, and their
+    chirp z-transforms; and one batch of times (packets._batch_size): its
+    phases and spectra, eighteen complex arrays of (n_t, 2 n_k - 1), and
+    the fields at the sampled points. Evolve: the table, the grid and the
+    states at its snapshots on every stride-th point. Oracle-check, on
+    the oracle grid: the synthesis' table of values alone (three rows per
+    mode), its states at the checkpoints and the CN vectors: the synthesis
+    output and the samples at the checkpoints; fourteen more, rounded up
+    from psi and the solve's right-hand side, x, V and the three diagonals
+    of K (real), the three diagonals being factored, zgttrf's output dl,
+    d, du and du2 and its integer ipiv, and two temporaries; and each
+    factor's band and 1/d, three. The states at n_t times on n points are
+    their (3, n_t, n) stack and, for one batch of times, their phases and
+    coefficients and the chirp z-transforms' two FFT buffers for each of
+    the two rows per time on a side, each buffer at most 2 (n_k + n) bins.
+    No array spans n_k by either grid. Counted in complex numbers (16
+    bytes) as floats, so that no size overflows."""
     def states(n_t, n):
         return 3 * n_t * n + min(_batch_size(n_t, n_k), n_t) * (5 * n_k + 8 * (n_k + n))
 
     n_checkpoints = len(oracle["checkpoints"]) + 1
     n_sampled, bins = spec.width / dx + 1 + 2 * (BAND + 2), 2 * n_k - 1
-    diagnostics = (4 * n_x + 40 * bins
+    table = 6 * n_k * n_sampled
+    diagnostics = (table + 4 * n_x + 40 * bins
                    + _batch_size(n_times, n_k) * (18 * bins + 9 * n_sampled))
-    evolve = n_x + states(n_snapshots, n_x / stride + 1)
+    evolve = table + n_x + states(n_snapshots, n_x / stride + 1)
     length = spec.b + oracle["margin_right"] - packet.x0 + oracle["margin_left"]
     n_oracle = length / oracle["dx"] + 2
-    vectors = 4 * n_checkpoints + 6 + 5 * SOLVES_PER_STEP
-    cn = (vectors * n_oracle + 6 * n_k * (spec.width / oracle["dx"] + 1 + 2 * (BAND + 2))
+    vectors = 2 * n_checkpoints + 14 + 3 * SOLVES_PER_STEP
+    cn = (vectors * n_oracle + 3 * n_k * (spec.width / oracle["dx"] + 1 + 2 * (BAND + 2))
           + states(n_checkpoints, n_oracle))
-    return 16.0 * max(6 * n_k * n_sampled + max(diagnostics, evolve), cn)
+    return {"diagnostics": 16.0 * diagnostics, "evolve": 16.0 * evolve,
+            "oracle-check": 16.0 * cn}
 
 
 @dataclass
@@ -326,8 +333,10 @@ def parse_config_text(text: str) -> RunConfig:
             n_x = 2 * n_side + 1
         else:
             dx, n_x = grid["dx"], (grid["x_max"] - grid["x_min"]) / grid["dx"] + 1
-        need = _estimated_bytes(spec, packet, n_k, dx, n_x, oracle, cfg["times"].size,
-                                len(cfg["snapshot_times"]), cfg["evolve_x_stride"])
+        # checked before the subcommand is known: the largest need among them
+        need = max(_estimated_bytes(spec, packet, n_k, dx, n_x, oracle, cfg["times"].size,
+                                    len(cfg["snapshot_times"]),
+                                    cfg["evolve_x_stride"]).values())
         if need > MEMORY_BUDGET:
             raise SchemaError("", f"the run would need about {need:.3g} bytes of arrays, "
                                   f"more than the budget of {MEMORY_BUDGET:.3g}")

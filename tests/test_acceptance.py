@@ -43,6 +43,7 @@ from tunnelsplit.splitting import build_decomposition, decompose_block
 from tunnelsplit.stationary import (EnergyMode, ProblemBlock, sample_states, solve_block,
                                     solve_full)
 from tunnelsplit.tolerances import (
+    CN_NORM_DRIFT,
     NORM_DRIFT,
     OVERLAP_FINAL_FRACTION,
     OVERLAP_REAL,
@@ -235,6 +236,21 @@ def test_criterion_5_default_step_shows_no_time_error(canonical_oracle):
     moves = {t: abs(default[t] - finer[t]) / finer[t] for t in cfg.checkpoints if t > 0}
     print(f"\nl2 at dt = {grid.dt}: {default}; at dt/2: {finer}; relative moves {moves}")
     assert max(moves.values()) < 0.01, moves
+
+
+def test_criterion_5_fine_grid_drift_stays_at_roundoff(tmp_path):
+    # the norm drift does not grow with 1/dx^2 on fine grids: at oracle.dx
+    # 0.0025 (85202 points) it reads 2.2e-12 to t = 20, not 1.3e-10 as
+    # when the Pade factors' matrices rounded the stencil S that S psi uses
+    config = tmp_path / "config.json"
+    canonical = json.loads(Path(CONFIG).read_text())
+    config.write_text(json.dumps(dict(canonical, oracle={"dx": 0.0025,
+                                                         "checkpoints": [0.0, 20.0]})))
+    assert main(["oracle-check", str(config), "--out", str(tmp_path / "out")]) == 0
+    row = (tmp_path / "out" / "oracle_check.csv").read_text().splitlines()[1].split(",")
+    passed, drift = row[3], float(row[4])
+    report(5, "fine-grid norm drift", passed == "1", f"norm drift = {drift:.3e} (bound 1e-10)")
+    assert passed == "1" and drift < CN_NORM_DRIFT, row
 
 
 def test_criterion_6_variance_divergence(canonical_series):

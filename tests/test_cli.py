@@ -1,4 +1,5 @@
 import functools
+import importlib.machinery
 import itertools
 import json
 import math
@@ -333,16 +334,21 @@ class TestExitCodes:
         assert record["message"].startswith(f"{path}: "), record["message"]
 
     def test_missing_lapack_module_is_4(self, tmp_path, monkeypatch):
-        # the propagator's LAPACK module is part of the installation, not the config
-        empty = tmp_path / "empty"
+        # the propagator's LAPACK and BLAS modules are part of the
+        # installation, not the config: no module, then _flapack without _fblas
+        empty, lapack_only = tmp_path / "empty", tmp_path / "lapack_only"
         empty.mkdir()
-        monkeypatch.setattr(cranknicolson, "_tridiagonal_lapack",
-                            functools.partial(cranknicolson._tridiagonal_lapack, str(empty)))
-        out = tmp_path / "out"
-        assert run_cli("oracle-check", write_config(tmp_path), out) == 4
-        record = json.loads((out / "error.json").read_text())
-        assert (record["error"], record["exit_code"]) == ("ImportError", 4)
-        assert str(empty) in record["message"]
+        lapack_only.mkdir()
+        (lapack_only / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])).touch()
+        load = cranknicolson._tridiagonal_lapack
+        for linalg, missing in ((empty, "_flapack"), (lapack_only, "_fblas")):
+            monkeypatch.setattr(cranknicolson, "_tridiagonal_lapack",
+                                functools.partial(load, str(linalg)))
+            out = tmp_path / missing
+            assert run_cli("oracle-check", write_config(tmp_path), out) == 4
+            record = json.loads((out / "error.json").read_text())
+            assert (record["error"], record["exit_code"]) == ("ImportError", 4)
+            assert record["message"].endswith(f"{missing} in {linalg}"), record["message"]
 
     def test_internal_error_class_is_4_without_a_traceback(self, tmp_path, monkeypatch, capsys):
         # SolveSingular is a TunnelSplitError, which would exit 3, but it

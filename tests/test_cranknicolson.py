@@ -1,3 +1,4 @@
+import importlib.machinery
 import os
 import re
 import subprocess
@@ -26,6 +27,31 @@ FREE = make_rectangular(0.0, 1.0, 0.0)
 
 def gaussian_field(x, t, k0=1.0, sigma_k=0.1, x0=-10.0):
     return ComponentField(x=x, values=free_gaussian(x, t, k0, sigma_k, x0))
+
+
+def _pade_error(spec, grid, sample_times):
+    """The largest distance, at sample times two steps apart, between the
+    propagation of a packet and dense solves of the (2,2) Pade
+    approximant of exp(-i H dt), H the Numerov operator."""
+    x = grid.x()
+    initial = gaussian_field(x, 0.0, k0=1.2, sigma_k=0.4, x0=-4.0)
+    result = crank_nicolson_propagate(spec, initial, grid, sample_times=sample_times)
+
+    n = x.size - 2
+    D2 = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
+          + np.diag(np.ones(n - 1), -1)) / grid.dx ** 2
+    B = np.eye(n) + grid.dx ** 2 / 12.0 * D2
+    z = grid.dt * (-0.5 * np.linalg.solve(B, D2) + np.diag(evaluate(spec, x)[1:-1]))
+    lhs = np.eye(n) + 0.5j * z - z @ z / 12.0
+    rhs = np.eye(n) - 0.5j * z - z @ z / 12.0
+    inner = initial.values[1:-1].astype(complex)
+    error = 0.0
+    for sample in result.samples:
+        for _ in range(2):
+            inner = np.linalg.solve(lhs, rhs @ inner)
+        assert sample.values[0] == sample.values[-1] == 0.0
+        error = max(error, np.max(np.abs(sample.values[1:-1] - inner)))
+    return error
 
 
 class TestGridSpec:
@@ -83,23 +109,28 @@ class TestPropagation:
         # Pade approximant of exp(-i H dt), H the Numerov operator
         spec = make_rectangular(1.5, 2.0, -1.0)
         grid = GridSpec(x_min=-12.0, x_max=12.0, n_x=241, dt=0.05, n_t=4)
-        x = grid.x()
-        initial = gaussian_field(x, 0.0, k0=1.2, sigma_k=0.4, x0=-4.0)
-        result = crank_nicolson_propagate(spec, initial, grid, sample_times=[0.1, 0.2])
+        assert _pade_error(spec, grid, [0.1, 0.2]) < 1e-12
 
-        n = x.size - 2
-        D2 = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
-              + np.diag(np.ones(n - 1), -1)) / grid.dx ** 2
-        B = np.eye(n) + grid.dx ** 2 / 12.0 * D2
-        z = grid.dt * (-0.5 * np.linalg.solve(B, D2) + np.diag(evaluate(spec, x)[1:-1]))
-        lhs = np.eye(n) + 0.5j * z - z @ z / 12.0
-        rhs = np.eye(n) - 0.5j * z - z @ z / 12.0
-        inner = initial.values[1:-1].astype(complex)
-        for sample in result.samples:
-            for _ in range(2):
-                inner = np.linalg.solve(lhs, rhs @ inner)
-            assert sample.values[0] == sample.values[-1] == 0.0
-            assert np.max(np.abs(sample.values[1:-1] - inner)) < 1e-12
+    @pytest.mark.parametrize("height, pivoted_solves", [
+        (1.5, 0),  # a barrier: zgttrf interchanges no row
+        (-100.0, 2),  # a deep well: zgttrf pivots in both factors
+    ])
+    def test_zgttrs_solves_only_where_zgttrf_pivots(self, monkeypatch, height, pivoted_solves):
+        # a factor whose LU has no row interchange is solved by two ztbsv
+        # sweeps, the others by zgttrs; both match the dense solve (3.4e-14
+        # for the barrier, 2.7e-14 for the well)
+        zgttrf, zgttrs, ztbsv = cranknicolson._tridiagonal_lapack()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return zgttrs(*args, **kwargs)
+        monkeypatch.setattr(cranknicolson, "_tridiagonal_lapack",
+                            lambda: (zgttrf, counted, ztbsv))
+        spec = make_rectangular(height, 2.0, -1.0)
+        grid = GridSpec(x_min=-12.0, x_max=12.0, n_x=241, dt=0.2, n_t=4)
+        assert _pade_error(spec, grid, [0.4, 0.8]) < 1e-12
+        assert len(calls) == pivoted_solves * grid.n_t
 
     def test_smallest_grid(self):
         with pytest.raises(ValueError):
@@ -214,22 +245,24 @@ class TestStaggeredGrid:
 
 
 class TestLapackLoader:
-    """The propagator loads LAPACK from scipy's compiled `_flapack` file
-    rather than importing scipy.linalg."""
+    """The propagator loads LAPACK and BLAS routines from the files of
+    scipy's compiled `_flapack` and `_fblas` rather than importing
+    scipy.linalg."""
 
     def test_loads_the_objects_scipy_linalg_exports(self):
         # scipy.linalg imported first (this process) and afterwards (a fresh one)
-        from scipy.linalg import lapack
-        zgttrf, zgttrs = cranknicolson._tridiagonal_lapack()
-        assert zgttrf is lapack.zgttrf and zgttrs is lapack.zgttrs
+        from scipy.linalg import blas, lapack
+        zgttrf, zgttrs, ztbsv = cranknicolson._tridiagonal_lapack()
+        assert zgttrf is lapack.zgttrf and zgttrs is lapack.zgttrs and ztbsv is blas.ztbsv
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         done = subprocess.run(
             [sys.executable, "-c",
              "import sys; from tunnelsplit.cranknicolson import _tridiagonal_lapack; "
-             "pair = _tridiagonal_lapack(); assert 'scipy.linalg' not in sys.modules; "
-             "from scipy.linalg import lapack; "
-             "print(pair[0] is lapack.zgttrf and pair[1] is lapack.zgttrs)"],
+             "loaded = _tridiagonal_lapack(); assert 'scipy.linalg' not in sys.modules; "
+             "from scipy.linalg import blas, lapack; "
+             "print(all(a is b for a, b in zip(loaded, "
+             "(lapack.zgttrf, lapack.zgttrs, blas.ztbsv), strict=True)))"],
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
         assert done.stdout.strip() == "True"
@@ -240,9 +273,9 @@ class TestLapackLoader:
         initial = gaussian_field(grid.x(), 0.0, k0=1.0, sigma_k=0.2, x0=-15.0)
         times = [2.0, 4.0]
         loaded = crank_nicolson_propagate(spec, initial, grid, sample_times=times)
-        from scipy.linalg import lapack
+        from scipy.linalg import blas, lapack
         monkeypatch.setattr(cranknicolson, "_tridiagonal_lapack",
-                            lambda: (lapack.zgttrf, lapack.zgttrs))
+                            lambda: (lapack.zgttrf, lapack.zgttrs, blas.ztbsv))
         imported = crank_nicolson_propagate(spec, initial, grid, sample_times=times)
         for a, b in zip(loaded.samples, imported.samples, strict=True):
             assert a.t == b.t
@@ -251,5 +284,9 @@ class TestLapackLoader:
                                                          imported.wall_mass)
 
     def test_missing_module_names_the_directory(self, tmp_path):
-        with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+        with pytest.raises(ImportError, match=f"_flapack in {re.escape(str(tmp_path))}$"):
+            cranknicolson._tridiagonal_lapack(str(tmp_path))
+        # _flapack without _fblas: neither is loaded
+        (tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])).touch()
+        with pytest.raises(ImportError, match=f"_fblas in {re.escape(str(tmp_path))}$"):
             cranknicolson._tridiagonal_lapack(str(tmp_path))
