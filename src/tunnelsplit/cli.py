@@ -86,6 +86,7 @@ def _write_run_files(out: Path, cfg: RunConfig, subcommand: str, started: float,
         "scipy_version": scipy_version(),
         "python_version": sys.version.split()[0],
         "workers": cfg.workers,
+        "workers_note": "no effect: every run is one process; the key is kept for one release",
         "wall_time_s": time.monotonic() - started,
         "tolerances": _tolerance_echo(),
     }
@@ -265,8 +266,7 @@ def cmd_clock(cfg: RunConfig, out: Path) -> dict:
 def cmd_hartman_sweep(cfg: RunConfig, out: Path) -> dict:
     sw = cfg.sweep
     kappa_ls = np.linspace(sw["kappa_l_min"], sw["kappa_l_max"], sw["num"])
-    with WorkerMap(cfg.workers) as pmap:
-        res = sweep_barrier_width(sw["v0"], sw["energy_ratio"], kappa_ls, map_fn=pmap)
+    res = sweep_barrier_width(sw["v0"], sw["energy_ratio"], kappa_ls, map_fn=WorkerMap())
     monotonic = bool(np.all(np.diff(res.tau_dwell_tr) > 0))
     _write_columns(out / "hartman_sweep.csv", _clock_columns(res),
                    footer_comments=[f"dwell_tr_strictly_increasing = {_fmt(monotonic)}"])

@@ -42,9 +42,9 @@ correction. `clock_block` times a block of problems at once and returns
 one `ClockResult` of (n,) columns, with one `LarmorReading` of (n,)
 arrays per sub-process; a row without a reflection channel reads NaN
 there. `compute_clock` and `larmor_times` return blocks of one row, and
-`sweep_barrier_width` hands its widths to `map_fn` in blocks of
-SWEEP_BLOCK (512), each one ProblemBlock made from its width array, and
-joins their results into one. `dwell_time` takes a one-row
+`sweep_barrier_width` maps its widths, in order, in blocks of
+SWEEP_BLOCK (512) through `map_fn`, each one ProblemBlock made from its
+width array, and joins their results into one. `dwell_time` takes a one-row
 `DecompositionBlock`, whose weights are |A_T|^2 and |A_R|^2.
 """
 
@@ -63,8 +63,8 @@ from .tolerances import ZERO_FLUX
 
 SUBPROCESSES = ("tr", "ref")
 
-# Widths per block in sweep_barrier_width, and per task of its map_fn. A
-# block's arrays grow with it: its decomposition on 65 probe points
+# Widths per block in sweep_barrier_width, each block one call of the
+# function its map_fn maps. A block's arrays grow with it: its decomposition on 65 probe points
 # across [a, b], its Zeeman solves and its results, a 2.2 MB peak at 512.
 # Keep SWEEP_BLOCK below 16384: from 16384 rows up, numpy rounds
 # up * conj(down) on the strided views of the (n, 2) spin amplitudes

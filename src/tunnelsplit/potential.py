@@ -21,7 +21,7 @@ SYMMETRY_TOL = 1e-12
 class PotentialSpec:
     """Validated barrier: ordered (width, height) segments starting at `a`.
 
-    Immutable and hashable; safe to share read-only across workers.
+    Immutable and hashable.
     """
 
     a: float

@@ -10,7 +10,6 @@ original error's name.
 
 import copy
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -34,8 +33,9 @@ MEMORY_BUDGET = 2e9
 CN_WORK_BUDGET = 1e10
 
 # Largest packet work, modes times table-grid points times diagnostics
-# times, that a config may ask for: about 500 times canonical's 4.0e8, or
-# 5 minutes at 1.6 ns per mode, point and time.
+# times, that a config may ask for: about 500 times canonical's 4.0e8. At
+# canonical's 0.40 ms of diagnostics series per time (810 to 4050 times, one
+# Xeon core and BLAS thread), its edge, about 40,000 times, is 16 s of series.
 PACKET_WORK_BUDGET = 2e11
 
 
@@ -94,11 +94,6 @@ def _list_of(item, least: int = 0):
             raise SchemaError(path, f"expected a list of {least}+ items, got {value!r}")
         return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
     return check
-
-
-def _workers(value, path: str) -> int:
-    """The `workers` key, >= 1 and capped at the CPU count."""
-    return min(_AT_LEAST_ONE(value, path), os.cpu_count() or 1)
 
 
 def _times(value, path: str) -> np.ndarray:
@@ -176,7 +171,7 @@ _SCHEMA = {
     }),
     "evolve_x_stride": (4, _AT_LEAST_ONE),
     "out_dir": ("out", _string),
-    "workers": (1, _workers),
+    "workers": (1, _AT_LEAST_ONE),
 }
 
 
@@ -215,18 +210,20 @@ def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, dx: floa
                      oracle: dict, n_times: int, n_snapshots: int,
                      stride: int) -> dict[str, float]:
     """Bytes of a packet run's large arrays, as packets lays them out, for
-    each subcommand that makes them. A table holds its rows at the sampled
-    points, the barrier's and BAND + 2 on each side: six per mode, the
-    values and x derivatives of three states. Diagnostics: the table; the
-    grid with its two quadrature rows and the four weight rows of its
-    parts; the kernels, 2 n_k - 1 bins for each weight row, and their
-    chirp z-transforms; and one batch of times (packets._batch_size): its
-    phases and spectra, eighteen complex arrays of (n_t, 2 n_k - 1), and
-    the fields at the sampled points. Evolve: the table, the grid and the
-    states at its snapshots on every stride-th point. Oracle-check, on
-    the oracle grid: the synthesis' table of values alone (three rows per
-    mode), its states at the checkpoints and the CN vectors: the synthesis
-    output and the samples at the checkpoints; fourteen more, rounded up
+    each phase of each subcommand that makes them; a run's phases hold
+    their arrays in turn, so it needs its largest term. A table holds its
+    rows at the sampled points, the barrier's and BAND + 2 on each side:
+    six per mode, the values and x derivatives of three states.
+    Diagnostics: the table; the grid with its two quadrature rows and the
+    four weight rows of its parts; the kernels, 2 n_k - 1 bins for each
+    weight row, and their chirp z-transforms; and one batch of times
+    (packets._batch_size): its phases and spectra, eighteen complex arrays
+    of (n_t, 2 n_k - 1), and the fields at the sampled points. Evolve: the
+    table, the grid and the states at its snapshots on every stride-th
+    point. Oracle-check, on the oracle grid, first the synthesis: its
+    table of values alone (three rows per mode) and its states at the
+    checkpoints. Then, the table gone, the CN vectors: the synthesized
+    fields and the samples at the checkpoints; fourteen more, rounded up
     from psi and the solve's right-hand side, x, V and the three diagonals
     of K (real), the three diagonals being factored, zgttrf's output dl,
     d, du and du2 and its integer ipiv, and two temporaries; and each
@@ -247,11 +244,12 @@ def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, dx: floa
     evolve = table + n_x + states(n_snapshots, n_x / stride + 1)
     length = spec.b + oracle["margin_right"] - packet.x0 + oracle["margin_left"]
     n_oracle = length / oracle["dx"] + 2
-    vectors = 2 * n_checkpoints + 14 + 3 * SOLVES_PER_STEP
-    cn = (vectors * n_oracle + 3 * n_k * (spec.width / oracle["dx"] + 1 + 2 * (BAND + 2))
-          + states(n_checkpoints, n_oracle))
+    synthesis = (3 * n_k * (spec.width / oracle["dx"] + 1 + 2 * (BAND + 2))
+                 + states(n_checkpoints, n_oracle))
+    propagation = (2 * n_checkpoints + 14 + 3 * SOLVES_PER_STEP) * n_oracle
     return {"diagnostics": 16.0 * diagnostics, "evolve": 16.0 * evolve,
-            "oracle-check": 16.0 * cn}
+            "oracle-check synthesis": 16.0 * synthesis,
+            "oracle-check propagation": 16.0 * propagation}
 
 
 @dataclass
@@ -274,7 +272,7 @@ class RunConfig:
     sweep: dict  # v0, energy_ratio, kappa_l_min, kappa_l_max (floats), num (int)
     evolve_x_stride: int
     out_dir: str
-    workers: int
+    workers: int  # checked and recorded; it starts nothing: every run is one process
 
     def echo(self) -> dict[str, Any]:
         """Materialized configuration sufficient to replay the run."""
@@ -287,7 +285,6 @@ def parse_config_text(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"not valid JSON: {exc}") from exc
     cfg = _walk(_SCHEMA, raw, "")
-    raw["workers"] = cfg["workers"]  # the echo records the capped count
 
     spec = _build("potential", make_piecewise, cfg["potential"]["a"],
                   cfg["potential"]["segments"])
@@ -333,7 +330,7 @@ def parse_config_text(text: str) -> RunConfig:
             n_x = 2 * n_side + 1
         else:
             dx, n_x = grid["dx"], (grid["x_max"] - grid["x_min"]) / grid["dx"] + 1
-        # checked before the subcommand is known: the largest need among them
+        # checked before the subcommand is known: the largest term among them
         need = max(_estimated_bytes(spec, packet, n_k, dx, n_x, oracle, cfg["times"].size,
                                     len(cfg["snapshot_times"]),
                                     cfg["evolve_x_stride"]).values())

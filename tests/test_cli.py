@@ -613,9 +613,10 @@ from tunnelsplit.cranknicolson import SOLVES_PER_STEP
 
 tracer = spans.Tracer()
 spans.install(tracer)
-runs = (("diagnostics", sys.argv[2]), ("oracle-check", sys.argv[2]), ("evolve", sys.argv[3]))
+runs = (("diagnostics", sys.argv[2]), ("oracle-check", sys.argv[2]), ("evolve", sys.argv[3]),
+        ("hartman-sweep", sys.argv[3]))
 codes = [main([sub, config, "--out", sys.argv[4] + "/" + sub]) for sub, config in runs]
-print(json.dumps({"codes": codes, "summary": tracer.summary()}))
+print(json.dumps({"codes": codes, "summary": tracer.summary(), "gauges": tracer.gauges}))
 """
 
 
@@ -625,41 +626,55 @@ def test_benchmark_spans_install_on_package(tmp_path):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     (tmp_path / "w2").mkdir()
+    # a sweep of two blocks
+    w2 = write_config(tmp_path / "w2", workers=2,
+                      sweep=dict(FAST["sweep"], num=clocks.SWEEP_BLOCK + 1))
     done = subprocess.run(
         [sys.executable, "-c", _TRACED_RUN, str(root / "perfbench"),
-         write_config(tmp_path), write_config(tmp_path / "w2", workers=2), str(tmp_path)],
+         write_config(tmp_path), w2, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     summary = result["summary"]
     assert summary["packets.diagnostics_series"]["count"] == FAST["times"]["num"]
     # the table builds (diagnostics, evolve, oracle synthesis) decompose
     # their modes as one block each, never one mode at a time
     assert "splitting.build_decomposition" not in summary
-    # the table is built in this process whatever the worker count
-    assert "parallel.map" not in summary
+    # only the sweep maps, over its blocks, in this process whatever the
+    # worker count: no result is pickled back
+    assert summary["parallel.map"]["calls"] == 1
+    assert summary["parallel.map"]["count"] == 2
+    assert result["gauges"].get("parallel.result_bytes", 0) == 0
     assert summary["packets.synthesize"]["calls"] == 1
     assert summary["packets.synthesize"]["count"] > 0
     assert summary["cranknicolson.propagate"]["count"] > 0
     assert summary["cli.write_csv"]["count"] > 0
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
+def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
     """Importing the CLI loads neither scipy.linalg nor scipy.sparse: no
     code needs either (the Crank-Nicolson propagator loads LAPACK's
-    compiled module when called; see the next test). Likewise only an open
-    worker pool loads the process-pool modules."""
+    compiled module when called; see the next test). Every run is one
+    process: a sweep given two workers loads no process-pool module after
+    the import either, and writes the bytes that one worker writes."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    (tmp_path / "w2").mkdir()
+    loaded = ("sorted(m for m in ('scipy.sparse', 'scipy.linalg', "
+              "'concurrent.futures.process', 'multiprocessing') if m in sys.modules)")
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, tunnelsplit.cli; "
-         "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg', "
-         "'concurrent.futures.process', 'multiprocessing') if m in sys.modules))"],
+         f"import sys, tunnelsplit.cli; print({loaded}); "
+         "code = tunnelsplit.cli.main(['hartman-sweep', sys.argv[1], '--out', sys.argv[2]]); "
+         f"print(code, {loaded})",
+         write_config(tmp_path / "w2", workers=2), str(tmp_path / "w2" / "out")],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["[]", "0 []"]
+    assert run_cli("hartman-sweep", write_config(tmp_path, workers=1), tmp_path / "w1") == 0
+    assert ((tmp_path / "w2" / "out" / "hartman_sweep.csv").read_bytes()
+            == (tmp_path / "w1" / "hartman_sweep.csv").read_bytes())
 
 
 def test_oracle_check_leaves_scipy_linalg_unloaded(tmp_path):

@@ -26,7 +26,7 @@ from tunnelsplit.runconfig import parse_config
 from tunnelsplit import stationary
 from tunnelsplit.splitting import build_decomposition
 from tunnelsplit.stationary import EnergyMode, solve_full
-from tunnelsplit.tolerances import NORM_DRIFT, PACKET_IDENTITY, SPECTRUM_NORM
+from tunnelsplit.tolerances import CUT_FLUX_FINAL, NORM_DRIFT, PACKET_IDENTITY, SPECTRUM_NORM
 
 from _oracles import (continuity_profile, cut_flux_integral, dense_exterior_states,
                       free_gaussian, per_mode_fields, pointwise_series)
@@ -212,7 +212,7 @@ class TestCanonicalRun:
         assert pbar_tr == pytest.approx(want, rel=5e-3)
 
     def test_ref_cut_flux_decays(self, canonical_series):
-        assert abs(canonical_series.ref_cut_flux[-1]) < 1e-3
+        assert abs(canonical_series.ref_cut_flux[-1]) < CUT_FLUX_FINAL
 
     def test_interference_integrates_to_overlap(self, canonical_table):
         t = 55.0
