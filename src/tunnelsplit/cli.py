@@ -138,7 +138,7 @@ def cmd_decompose(cfg: RunConfig, out: Path) -> dict:
     spec = cfg.potential
     half = spec.width / 2.0 + cfg.decompose_grid["pad"]
     x = spec.x_c + np.linspace(-half, half, cfg.decompose_grid["n"])
-    dec = build_decomposition(spec, cfg.mode, x)
+    dec = build_decomposition(spec, cfg.mode)
     full, tr_solution, ref_solution = sample_states(
         (dec.full_state, dec.tr_state, dec.ref_state), x)
     tr, ref = sub_waves(x <= spec.x_c, full, tr_solution, ref_solution)

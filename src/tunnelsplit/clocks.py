@@ -64,8 +64,9 @@ from .tolerances import ZERO_FLUX
 SUBPROCESSES = ("tr", "ref")
 
 # Widths per block in sweep_barrier_width, each block one call of the
-# function its map_fn maps. A block's arrays grow with it: its decomposition on 65 probe points
-# across [a, b], its Zeeman solves and its results, a 2.2 MB peak at 512.
+# function its map_fn maps. A block's arrays grow with it: its states and
+# their coefficient checks, its Zeeman solves and its results, a 1.2 MB
+# traced peak at 512.
 # Keep SWEEP_BLOCK below 16384: from 16384 rows up, numpy rounds
 # up * conj(down) on the strided views of the (n, 2) spin amplitudes
 # differently, and the raw readings and residuals move by up to 2.2e-12
@@ -378,7 +379,7 @@ def clock_block(problems: ProblemBlock) -> ClockResult:
     block, each row's raw Larmor reading taken at omega_min = LARMOR_FACTOR
     * its energy. Rows without a reflection channel read NaN reflection
     times; any other failure raises for the first failing row."""
-    dec = decompose_block(problems, np.linspace(problems.a, problems.b, 65, axis=-1))
+    dec = decompose_block(problems)
     T, R = np.abs(dec.A_T) ** 2, np.abs(dec.A_R) ** 2
     _require_weight(T, "tr")
     larmor_tr, larmor_ref = _larmor_readings(dec.full_state, dec.A_T, dec.A_R)

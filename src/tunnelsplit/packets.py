@@ -321,12 +321,11 @@ def _mode_table(spec: PotentialSpec, packet: PacketSpec, x: np.ndarray,
                 k: np.ndarray, weights: np.ndarray, n_rows: int = 2) -> ModeTable:
     """The coefficients of every mode, and its rows at the sampled points:
     the values and, unless `n_rows` is 1, the x derivatives. The modes are
-    decomposed as one block, checked on the grid points inside [a, b);
-    outside the barrier the decomposition checks its plane-wave pairs
-    exactly."""
+    decomposed as one block, which checks itself at every x from its
+    coefficients, so the grid does not change what is checked."""
     packet.check_separation(spec)
-    inside, sampled = _sampled(x, spec)
-    dec = decompose_block(ProblemBlock.of(spec, 0.5 * k * k), x[inside])
+    sampled = _sampled(x, spec)[1]
+    dec = decompose_block(ProblemBlock.of(spec, 0.5 * k * k))
     states = (dec.full_state, dec.tr_state, dec.ref_state)
     inner = np.empty((n_rows, 3, k.size, sampled.stop - sampled.start), dtype=complex)
     for deriv in range(n_rows):

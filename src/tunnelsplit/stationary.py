@@ -192,6 +192,39 @@ def _piece_field(kind: int, d, dr, q2, c1, c2, deriv: bool):
     return c1 * np.cos(z) + c2 * d * _sinc(z)
 
 
+def piece_values(kind, d, dr, q2, c1, c2, deriv: bool = False) -> np.ndarray:
+    """_piece_field on pieces of mixed kinds, entry by entry: `kind` holds
+    PAIR, OSC or EVAN, and every other argument has its shape."""
+    out = np.empty(np.shape(kind), dtype=complex)
+    for code in (PAIR, OSC, EVAN):
+        m = kind == code
+        if m.any():
+            out[m] = _piece_field(code, d[m], dr[m], q2[m], c1[m], c2[m], deriv)
+    return out
+
+
+def piece_bound(kind, q2, w, c1, c2) -> np.ndarray:
+    """An upper bound on sup |c1 f1 + c2 f2| over each piece of width w,
+    (f1, f2) its basis (_piece_field): the smaller of two.
+
+    The function is v cos(qd) + s d sinc(qd), v and s its value and slope
+    at the left edge, so it is at most |v| Mc + |s| Ms, the sups over
+    [0, w] of the two: cosh(kp w) and sinh(kp w) / kp where q2 = -kp^2 <
+    0, else 1 and min(w, 1/q). Where the basis is OSC or EVAN, whose
+    functions never exceed 1 in modulus, it is also at most |c1| + |c2|:
+    the tighter one deep in a barrier, where cosh(kp w) is large. Near q
+    = 0 the first keeps what the second loses to the basis's cancellation
+    (about 1e-16 / u relative, see _PAIRFORM_Z2)."""
+    zero = np.zeros_like(w)
+    v, s = (piece_values(kind, zero, w, q2, c1, c2, deriv) for deriv in (False, True))
+    z = np.sqrt(q2 + 0j) * w
+    grows = q2 < 0
+    m_c = np.where(grows, np.abs(np.cos(z)), 1.0)
+    m_s = np.where(grows, np.abs(w * _sinc(z)), w / np.maximum(1.0, np.sqrt(np.abs(q2)) * w))
+    pair_form = np.abs(v) * m_c + np.abs(s) * m_s
+    return np.where(kind == PAIR, pair_form, np.minimum(pair_form, np.abs(c1) + np.abs(c2)))
+
+
 def _segment_kind(q2: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(np.abs(q2) * w * w < _PAIRFORM_Z2, PAIR, np.where(q2 > 0, OSC, EVAN))
 

@@ -5,10 +5,10 @@ compound k- and x-quadrature, so their bounds are looser.
 """
 
 UNITARITY = 1e-10            # |T + R - 1| for any spec and energy
-IDENTITY_STATIONARY = 1e-10  # max_x |tr_solution + ref_solution - full|
+IDENTITY_STATIONARY = 1e-10  # sup_x |tr_solution + ref_solution - full|, from coefficients
 SPLIT_NORM = 1e-10           # ||A_in|^2 - coefficient| on the split amplitudes
 PARITY_MIDPOINT = 1e-8       # |ref_solution(x_c)| for the accepted root
-PARITY_RELATIVE = 1e-7       # mirrored-sum residual relative to max |ref_solution|
+PARITY_RELATIVE = 1e-7       # mirrored-sum bound relative to |ref_solution| at piece edges
 OPACITY_MAX = 300.0          # sum of kappa*width beyond which float64 overflows
 
 SPECTRUM_NORM = 1e-8         # packet spectrum normalization

@@ -2,7 +2,9 @@
 
 Everything here is coded from closed forms or generic numerics, never by
 calling the code under test, except as follows. `sampled` reads a
-one-row decomposition on a grid. `derivative_jump` estimates the
+one-row decomposition on a grid, and `sampled_checks` samples a block's
+identity and parity residuals: the grid checks that the decomposition's
+coefficient bounds replaced. `derivative_jump` estimates the
 sub-wave derivative jumps at x_c by finite differences of its sampled
 cut waves, which the analytic derivatives are checked against. `cut_flux_integral` reads a mode
 table at the single grid point x_c, so it shares no x quadrature with the
@@ -166,6 +168,21 @@ def cut_flux_integral(table, times):
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
+def sampled_checks(dec, n: int):
+    """The decomposition's identity and parity checks as sampled on a grid,
+    per row of a block: max |tr + ref - full| on n points across [a, b],
+    max |ref(x_c - d) + ref(x_c + d)| on n offsets d from 0 to half the
+    width, and max |ref| on the first points."""
+    P = dec.problems
+    x = np.linspace(P.a, P.b, n, axis=-1)
+    full, tr, ref = (sample_states(s, x) for s in (dec.full_state, dec.tr_state, dec.ref_state))
+    d = np.linspace(0.0, 0.5 * (P.b - P.a), n, axis=-1)
+    x_c = P.x_c[:, None]
+    mirrored = sample_states(dec.ref_state, x_c - d) + sample_states(dec.ref_state, x_c + d)
+    return (np.max(np.abs(tr + ref - full), axis=-1), np.max(np.abs(mirrored), axis=-1),
+            np.max(np.abs(ref), axis=-1))
+
+
 def per_mode_fields(spec, packet, x, times, n_k, span_sigmas):
     """(full, tr, ref) and their x derivatives at every time, as a
     (2, 3, n_t, n_x) stack, from value and derivative rows of every mode
@@ -173,7 +190,7 @@ def per_mode_fields(spec, packet, x, times, n_k, span_sigmas):
     k, w = spectral_grid(packet, n_k, span_sigmas)
     rows = np.empty((2, 3, k.size, x.size), dtype=complex)
     for j, kj in enumerate(k):
-        dec = build_decomposition(spec, EnergyMode.from_k(float(kj)), x)
+        dec = build_decomposition(spec, EnergyMode.from_k(float(kj)))
         for deriv in (0, 1):
             rows[deriv, :, j] = sample_states((dec.full_state, dec.tr_state, dec.ref_state),
                                               x, deriv=bool(deriv))

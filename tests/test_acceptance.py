@@ -107,7 +107,7 @@ def test_criterion_3_decomposition_invariants():
     worst_parity = 0.0
     for spec, _, L, row in _problem_grid():
         x = spec.x_c + np.linspace(-(L / 2 + 2.0), L / 2 + 2.0, 129)
-        dec = decompose_block(ProblemBlock.of(spec, E_GRID), x)
+        dec = decompose_block(ProblemBlock.of(spec, E_GRID))
         odd, even = dec.midpoint_residuals.T
         worst_odd = max(worst_odd, float(np.max(odd)))
         best_even = min(best_even, float(np.min(even)))
@@ -123,7 +123,7 @@ def test_criterion_3_decomposition_invariants():
             worst_parity = max(worst_parity, float(np.max(dec.parity_residual[scaled]
                                                           / ref_max[scaled])))
         # a block of one equals its row in the larger block
-        one = build_decomposition(spec, EnergyMode(float(E_GRID[row])), x)
+        one = build_decomposition(spec, EnergyMode(float(E_GRID[row])))
         assert one.midpoint_residuals.tolist() == [dec.midpoint_residuals[row].tolist()]
         assert (one.split.A_tr_in[0], one.split.A_ref_in[0], one.split.root_sign[0]) == (
             dec.split.A_tr_in[row], dec.split.A_ref_in[row], dec.split.root_sign[row])
@@ -319,7 +319,7 @@ def test_criterion_8_clock_suite(canonical_spec):
         spec = make_rectangular(0.0, L, 0.0)
         mode = EnergyMode.from_k(k)
         reading = larmor_times(spec, mode, "tr")
-        dec = build_decomposition(spec, mode, np.linspace(-1.0, L + 1.0, 33))
+        dec = build_decomposition(spec, mode)
         dwell = dwell_time(dec, "tr")
         worst_free = max(
             worst_free,

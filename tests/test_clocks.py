@@ -28,7 +28,7 @@ MODE = EnergyMode(0.5)
 
 
 def canonical_decomposition():
-    return build_decomposition(CANONICAL, MODE, np.linspace(-10.0, -6.0, 65))
+    return build_decomposition(CANONICAL, MODE)
 
 
 def _centered(v0, length):
@@ -74,13 +74,12 @@ class TestDwellTime:
     def test_free_flight(self):
         for L, k in [(2.0, 1.0), (1.0, 0.5), (3.0, 2.0)]:
             spec = make_rectangular(0.0, L, 0.0)
-            dec = build_decomposition(spec, EnergyMode.from_k(k),
-                                      np.linspace(-1.0, L + 1.0, 33))
+            dec = build_decomposition(spec, EnergyMode.from_k(k))
             assert dwell_time(dec, "tr") == pytest.approx(L / k, rel=1e-12)
 
     def test_free_reflection_channel_absent(self):
         spec = make_rectangular(0.0, 2.0, 0.0)
-        dec = build_decomposition(spec, MODE, np.linspace(-1.0, 3.0, 33))
+        dec = build_decomposition(spec, MODE)
         with pytest.raises(ZeroFlux):
             dwell_time(dec, "ref")
 
@@ -154,8 +153,7 @@ class TestDwellSum:
         """Each sub-wave's sum on the case's node count, and the dwell
         times on their own nodes."""
         problems, n, kinds = _DWELL_CASES[case]
-        dec = decompose_block(problems, np.linspace(problems.a - 1.0, problems.b + 1.0, 65,
-                                                    axis=-1))
+        dec = decompose_block(problems)
         assert kinds <= set(np.concatenate([s.kind.ravel() for s in
                                             (dec.full_state, dec.tr_state, dec.ref_state)]))
         P = dec.problems
@@ -182,7 +180,7 @@ class TestDwellSum:
         for spec in (CANONICAL, _symmetric(-1.5, (0.5, 1.0, 0.5))):
             for V in sorted({h for _, h in spec.segments}):
                 P = ProblemBlock.of(spec, V * np.concatenate((1.0 + m, 1.0 - m)))
-                dec = decompose_block(P, np.linspace(P.a, P.b, 65, axis=-1))
+                dec = decompose_block(P)
                 for state, lo, hi, n in ((dec.tr_state, P.a, P.x_c, half),
                                          (dec.full_state, P.x_c, P.b, half),
                                          (dec.ref_state, P.a, P.x_c, clocks.DWELL_NODES)):
@@ -197,8 +195,7 @@ class TestDwellSum:
         other one from either parity, the first and the last alone, and
         none."""
         problems, n, _ = _DWELL_CASES[case]
-        dec = decompose_block(problems, np.linspace(problems.a - 1.0, problems.b + 1.0, 65,
-                                                    axis=-1))
+        dec = decompose_block(problems)
         P = dec.problems
         for state, lo, hi in ((dec.tr_state, P.a, P.x_c), (dec.full_state, P.x_c, P.b),
                               (dec.ref_state, P.a, P.x_c)):
@@ -254,7 +251,7 @@ class TestLarmorTimes:
             reading = larmor_times(spec, mode, "tr")
             assert reading.time[0] == pytest.approx(L / k, rel=1e-12)
             assert reading.out_of_plane[0] == pytest.approx(0.0, abs=1e-12)
-            dec = build_decomposition(spec, mode, np.linspace(-1.0, L + 1.0, 33))
+            dec = build_decomposition(spec, mode)
             assert dwell_time(dec, "tr") == pytest.approx(L / k, rel=1e-6)
 
     def test_residuals_decrease_with_field(self):

@@ -29,7 +29,7 @@ from tunnelsplit.stationary import EnergyMode, solve_full
 from tunnelsplit.tolerances import CUT_FLUX_FINAL, NORM_DRIFT, PACKET_IDENTITY, SPECTRUM_NORM
 
 from _oracles import (continuity_profile, cut_flux_integral, dense_exterior_states,
-                      free_gaussian, per_mode_fields, pointwise_series)
+                      free_gaussian, per_mode_fields, pointwise_series, sampled_checks)
 
 
 class TestPacketSpec:
@@ -605,7 +605,7 @@ class TestAgainstPerModeRows:
     def test_setup_covers_pair_form_and_edges(self):
         spec = self.spec()
         k_mid = spectral_grid(self.PACKET, self.N_K, self.SPAN)[0][self.N_K // 2]
-        dec = build_decomposition(spec, EnergyMode.from_k(float(k_mid)), self.X)
+        dec = build_decomposition(spec, EnergyMode.from_k(float(k_mid)))
         assert stationary.PAIR in dec.full_state.kind[0]
         assert np.all(np.isin([spec.a, spec.x_c, spec.b], self.X))
 
@@ -652,17 +652,25 @@ def test_pipeline_identity_and_sum_rule_on_random_symmetric_barriers(canonical_p
     _assert_integrals_match_pointwise(s, table, times)
 
 
-def test_table_without_a_point_inside_the_barrier():
-    """A grid with no point in [a, b) gives an empty decomposition grid,
-    and `inner` holds only the BAND + 2 sampled points on each side: the
-    parity probe falls back to a span of 1 and the identity check reduces
-    nothing, while the plane-wave pairs are still checked. The series keeps
-    the sum rule and the identity."""
+def test_table_without_a_point_inside_the_barrier(monkeypatch):
+    """A grid with no point in [a, b): `inner` holds only the BAND + 2
+    sampled points on each side. The table's grid does not change what is
+    checked: the decomposition bounds its residuals at every x of [a, b]
+    from the coefficients, so they are at least the residuals sampled on
+    2001 points there. The series keeps the sum rule and the identity."""
+    decs = []
+    decompose = packets.decompose_block
+    monkeypatch.setattr(packets, "decompose_block",
+                        lambda problems: decs.append(decompose(problems)) or decs[-1])
     spec = make_rectangular(1.0, 0.01, -2.0)
     packet = PacketSpec(k0=1.5, sigma_k=0.25, x0=-12.5)
     x = np.arange(-30.0, 26.0 + 1e-9, 0.0503)  # -2.0332 and -1.9829 flank [-2, -1.99)
     table = build_mode_table(spec, packet, x, n_k=65, span_sigmas=5.75)
     assert table._inside.start == table._inside.stop
+    (dec,) = decs
+    identity, parity, _ = sampled_checks(dec, 2001)
+    assert np.all(dec.identity_residual >= identity - 4e-15)
+    assert np.all(dec.parity_residual >= parity - 4e-15)
     assert table.inner.shape == (2, 3, 65, 2 * (packets.BAND + 2))
     s = diagnostics_series(table, np.linspace(0.0, 12.0, 5))
     assert np.max(np.abs(s.T + s.R + 2.0 * s.overlap.real - s.total)) < PACKET_IDENTITY

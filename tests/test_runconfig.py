@@ -15,6 +15,8 @@ from tunnelsplit.cli import main
 from tunnelsplit.errors import SchemaError
 from tunnelsplit.runconfig import parse_config, parse_config_text
 
+from test_cli import FAST
+
 MINIMAL = {"potential": {"a": -1.0, "segments": [[2.0, 1.0]]}}
 ROOT = Path(__file__).resolve().parents[1]
 CANONICAL = json.loads((ROOT / "configs" / "canonical.json").read_text())
@@ -154,13 +156,16 @@ def test_diagnostics_stay_within_the_estimate(monkeypatch, tmp_path):
     table on every stride-th point and the states at its snapshots
     (3.3 MB of 6.8 MB); oracle-check's synthesis, its table of values and
     chirp z-transforms (6.3 MB of 10.8 MB); and its Crank-Nicolson run,
-    the synthesized fields held (3.8 MB of 4.8 MB)."""
+    the synthesized fields held (3.8 MB of 4.8 MB). test_cli's small
+    config evolves within its evolve term too (0.54 MB of 0.58 MB): its
+    decomposition samples nothing beyond the table's rows."""
     estimates = []
     estimate = runconfig._estimated_bytes
     monkeypatch.setattr(runconfig, "_estimated_bytes",
                         lambda *args: estimates.append(estimate(*args)) or estimates[-1])
+    small = parse_config_text(json.dumps(FAST))
     cfg = parse_config(str(ROOT / "configs" / "canonical.json"))
-    terms, = estimates
+    small_terms, terms = estimates
 
     def traced_peak(command):
         tracemalloc.start()
@@ -187,6 +192,12 @@ def test_diagnostics_stay_within_the_estimate(monkeypatch, tmp_path):
     assert peaks.keys() == terms.keys()
     for name, term in terms.items():
         assert peaks[name] <= term, (name, peaks, terms)
+    tracemalloc.start()
+    try:
+        cli.cmd_evolve(small, tmp_path)
+        assert tracemalloc.get_traced_memory()[1] <= small_terms["evolve"]
+    finally:
+        tracemalloc.stop()
 
 
 def test_fine_grid_fits_without_a_whole_grid_table():
@@ -201,7 +212,7 @@ def test_fine_grid_fits_without_a_whole_grid_table():
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_decompose_grid_under_two_points_rejected(n):
-    # fewer than two points leaves the decompose footer nothing to measure
+    # fewer than two points cannot run from one pad's end to the other's
     with pytest.raises(SchemaError):
         parse(decompose_grid={"n": n})
 

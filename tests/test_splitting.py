@@ -8,10 +8,11 @@ from tunnelsplit import splitting
 from tunnelsplit.errors import (AsymmetricPotential, NotNormalized, OddSelectionFailed,
                                 SolveSingular)
 from tunnelsplit.potential import PotentialSpec, make_piecewise, make_rectangular
-from tunnelsplit.stationary import EnergyMode, solve_full
-from tunnelsplit.splitting import build_decomposition, split_amplitude_candidates
+from tunnelsplit.stationary import EVAN, OSC, PAIR, EnergyMode, ProblemBlock, solve_full
+from tunnelsplit.splitting import (build_decomposition, decompose_block,
+                                   split_amplitude_candidates)
 
-from _oracles import derivative_jump, sampled
+from _oracles import derivative_jump, sampled, sampled_checks
 
 CANONICAL = make_rectangular(1.0, 2.0, -1.0)
 
@@ -77,7 +78,7 @@ class TestBuildDecomposition:
     def test_free_particle_has_no_reflection_subwave(self):
         spec = make_rectangular(0.0, 2.0, 0.0)
         x = grid_for(spec)
-        dec = build_decomposition(spec, EnergyMode(1.0), x)
+        dec = build_decomposition(spec, EnergyMode(1.0))
         _, tr_solution, ref_solution, _, ref = sampled(dec, x)
         assert np.max(np.abs(ref_solution)) < 1e-12
         assert np.max(np.abs(ref)) < 1e-12
@@ -87,7 +88,7 @@ class TestBuildDecomposition:
 
     def test_exactly_one_root_is_odd(self):
         x = grid_for(CANONICAL)
-        dec = build_decomposition(CANONICAL, EnergyMode(0.5), x)
+        dec = build_decomposition(CANONICAL, EnergyMode(0.5))
         odd_mid, even_mid = dec.midpoint_residuals[0]
         assert odd_mid < 1e-8
         assert even_mid > 1e-8
@@ -95,14 +96,14 @@ class TestBuildDecomposition:
 
     def test_identity_pointwise(self):
         x = grid_for(CANONICAL)
-        dec = build_decomposition(CANONICAL, EnergyMode(0.5), x)
+        dec = build_decomposition(CANONICAL, EnergyMode(0.5))
         assert dec.identity_residual[0] < 1e-10
         full, _, _, tr, ref = sampled(dec, x)
         resid = np.max(np.abs(tr + ref - full))
         assert resid < 1e-10
 
     def test_split_amplitudes_carry_weights(self):
-        dec = build_decomposition(CANONICAL, EnergyMode(0.5), grid_for(CANONICAL))
+        dec = build_decomposition(CANONICAL, EnergyMode(0.5))
         T, R = np.abs(dec.A_T[0]) ** 2, np.abs(dec.A_R[0]) ** 2
         assert abs(dec.split.A_tr_in[0]) ** 2 == pytest.approx(T, abs=1e-10)
         assert abs(dec.split.A_ref_in[0]) ** 2 == pytest.approx(R, abs=1e-10)
@@ -113,7 +114,7 @@ class TestBuildDecomposition:
     def test_piecewise_cut_definitions(self):
         x = grid_for(CANONICAL)
         full, tr_solution, ref_solution, tr, ref = sampled(
-            build_decomposition(CANONICAL, EnergyMode(0.5), x), x)
+            build_decomposition(CANONICAL, EnergyMode(0.5)), x)
         right = x > CANONICAL.x_c
         assert np.all(ref[right] == 0.0)
         np.testing.assert_array_equal(tr[right], full[right])
@@ -123,7 +124,7 @@ class TestBuildDecomposition:
 
     def test_parity_covariance(self):
         x = grid_for(CANONICAL)
-        dec = build_decomposition(CANONICAL, EnergyMode(0.5), x)
+        dec = build_decomposition(CANONICAL, EnergyMode(0.5))
         mirrored = dec.ref_state.values(2.0 * CANONICAL.x_c - x)
         ref_solution = sampled(dec, x)[2]
         scale = np.max(np.abs(ref_solution))
@@ -131,32 +132,32 @@ class TestBuildDecomposition:
 
     def test_right_side_carries_transmitted_wave(self):
         x = np.linspace(CANONICAL.b, CANONICAL.b + 6.0, 301)
-        dec = build_decomposition(CANONICAL, EnergyMode(0.5), x)
+        dec = build_decomposition(CANONICAL, EnergyMode(0.5))
         expected = dec.A_T[0] * np.exp(1j * EnergyMode(0.5).k * x)
         np.testing.assert_allclose(sampled(dec, x)[3], expected, rtol=0, atol=1e-12)
 
     def test_refuses_asymmetric(self):
         spec = PotentialSpec(a=0.0, segments=((1.0, 0.5), (1.0, 2.0)))
         with pytest.raises(AsymmetricPotential):
-            build_decomposition(spec, EnergyMode(0.5), np.linspace(-3, 5, 101))
+            build_decomposition(spec, EnergyMode(0.5))
 
     def test_multisegment_barrier(self):
         spec = make_piecewise(-1.5, [(1, 0.5), (1, 2.0), (1, 0.5)])
         x = grid_for(spec)
-        dec = build_decomposition(spec, EnergyMode(0.8), x)
+        dec = build_decomposition(spec, EnergyMode(0.8))
         assert dec.identity_residual[0] < 1e-10
         assert dec.midpoint_residuals[0, 0] < 1e-8
         assert dec.parity_residual[0] < 1e-7 * np.max(np.abs(sampled(dec, x)[2]))
 
     def test_even_segment_count_midpoint_on_edge(self):
         spec = make_piecewise(0.0, [(1.0, 2.0), (1.0, 2.0)])
-        dec = build_decomposition(spec, EnergyMode(0.5), grid_for(spec))
+        dec = build_decomposition(spec, EnergyMode(0.5))
         assert dec.midpoint_residuals[0, 0] < 1e-8
         assert dec.identity_residual[0] < 1e-10
 
     def test_deep_tunneling_remains_accurate(self):
         spec = make_rectangular(8.0, 8.0, -4.0)
-        dec = build_decomposition(spec, EnergyMode(0.02), grid_for(spec, pad=3.0))
+        dec = build_decomposition(spec, EnergyMode(0.02))
         assert dec.identity_residual[0] < 1e-10
         assert dec.midpoint_residuals[0, 0] < 1e-8
         assert dec.midpoint_residuals[0, 1] > 1e-8
@@ -164,7 +165,7 @@ class TestBuildDecomposition:
     def test_full_state_matches_direct_solve(self):
         x = grid_for(CANONICAL)
         mode = EnergyMode(0.5)
-        full = sampled(build_decomposition(CANONICAL, mode, x), x)[0]
+        full = sampled(build_decomposition(CANONICAL, mode), x)[0]
         A_R = solve_full(CANONICAL, mode)[1][0]
         left = x < CANONICAL.a
         expected = np.exp(1j * mode.k * x[left]) + A_R * np.exp(-1j * mode.k * x[left])
@@ -175,7 +176,7 @@ class TestBuildDecomposition:
             for L in (0.5, 2.0, 5.0):
                 spec = make_rectangular(V0, L, 0.0)
                 for E in np.geomspace(0.05, 20.0, 9):
-                    dec = build_decomposition(spec, EnergyMode(float(E)), grid_for(spec, n=401))
+                    dec = build_decomposition(spec, EnergyMode(float(E)))
                     odd_mid, even_mid = dec.midpoint_residuals[0]
                     assert odd_mid < 1e-8
                     assert even_mid > 1e-8
@@ -183,15 +184,13 @@ class TestBuildDecomposition:
 
 
 class TestExteriorCoefficientChecks:
-    """A fault in one right-side plane-wave pair, on a grid within 1e-3 of
-    x_c: no grid point lies outside the barrier, so only the coefficient
-    checks can see it. The identity of the pairs is absolute and sees a
-    1e-9 fault in tr. Antisymmetry is relative to ref's exterior amplitude
-    (about 1 here, not the grid's max |ref| of about 1e-3), so the fault in
-    ref is 1e-6, ten times PARITY_RELATIVE."""
+    """A fault in one right-side plane-wave pair: the pieces inside the
+    barrier are untouched, so only the checks of the pairs can see it. The
+    identity of the pairs is absolute and sees a 1e-9 fault in tr.
+    Antisymmetry is relative to ref's exterior amplitude (about 1 here), so
+    the fault in ref is 1e-6, ten times PARITY_RELATIVE."""
 
     MODE = EnergyMode(0.5)
-    X = CANONICAL.x_c + np.linspace(-1e-3, 1e-3, 5)
 
     @staticmethod
     def _fault(monkeypatch, cascade_name, size):
@@ -205,24 +204,24 @@ class TestExteriorCoefficientChecks:
         monkeypatch.setattr(splitting, cascade_name, faulty)
 
     def test_unperturbed_passes(self):
-        assert build_decomposition(CANONICAL, self.MODE, self.X).identity_residual[0] < 1e-10
+        assert build_decomposition(CANONICAL, self.MODE).identity_residual[0] < 1e-10
 
     def test_tr_pair_fault_fails_identity(self, monkeypatch):
         self._fault(monkeypatch, "state_from_left", 1e-9)
         with pytest.raises(SolveSingular, match="pairs deviate"):
-            build_decomposition(CANONICAL, self.MODE, self.X)
+            build_decomposition(CANONICAL, self.MODE)
 
     def test_ref_pair_fault_fails_antisymmetry(self, monkeypatch):
         self._fault(monkeypatch, "state_from_midpoint", 1e-6)
         with pytest.raises(OddSelectionFailed, match="outside the barrier"):
-            build_decomposition(CANONICAL, self.MODE, self.X)
+            build_decomposition(CANONICAL, self.MODE)
 
 
 class TestDerivativeJump:
     def test_free_case_no_jump(self):
         spec = make_rectangular(0.0, 2.0, 0.0)
         coarse, fine = grid_for(spec, n=2001), grid_for(spec, n=8001)
-        jumps = [derivative_jump(build_decomposition(spec, EnergyMode(1.0), x), x)
+        jumps = [derivative_jump(build_decomposition(spec, EnergyMode(1.0)), x)
                  for x in (coarse, fine)]
         for (jump_tr, jump_ref), bound in zip(jumps, (1e-3, 1e-4)):
             # ref vanishes to roundoff; tr is smooth so its estimated jump
@@ -237,7 +236,7 @@ class TestDerivativeJump:
         sums, jumps = [], []
         for n in (501, 1001, 2001):
             x = grid_for(CANONICAL, n=n)
-            dec = build_decomposition(CANONICAL, mode, x)
+            dec = build_decomposition(CANONICAL, mode)
             jt, jr = derivative_jump(dec, x)
             sums.append(abs(jt + jr))
             jumps.append(jt)
@@ -250,7 +249,7 @@ class TestDerivativeJump:
 
     def test_ref_jump_is_minus_left_derivative(self):
         x = grid_for(CANONICAL, n=4001)
-        dec = build_decomposition(CANONICAL, EnergyMode(0.5), x)
+        dec = build_decomposition(CANONICAL, EnergyMode(0.5))
         _, jump_ref = derivative_jump(dec, x)
         left_deriv = dec.ref_state.derivative(np.array([CANONICAL.x_c]))[0]
         assert jump_ref == pytest.approx(-left_deriv, rel=1e-4)
@@ -258,26 +257,133 @@ class TestDerivativeJump:
 
 def test_interference_density_integrates_to_overlap():
     x = grid_for(CANONICAL, pad=8.0, n=4001)
-    *_, tr, ref = sampled(build_decomposition(CANONICAL, EnergyMode(0.5), x), x)
+    *_, tr, ref = sampled(build_decomposition(CANONICAL, EnergyMode(0.5)), x)
     cross = 2.0 * np.real(np.conj(tr) * ref)
     lhs = np.trapezoid(cross, x)
     inner = np.trapezoid(np.conj(tr) * ref, x)
     assert lhs == pytest.approx(2.0 * inner.real, abs=1e-10)
 
 
-def test_parity_span_does_not_depend_on_grid_order(monkeypatch):
-    """The antisymmetry probe reaches as far from x_c as the grid does: 2 on
-    x_c +/- 2 inside a width-10 barrier, on the grid and on its reverse."""
-    spans = []
-    probe = splitting._midpoint_and_parity
+def _mirrored_barrier(rng, n_segments):
+    """A barrier of n_segments random segments, mirror-symmetric."""
+    half = [(float(rng.uniform(0.05, 1.5)), float(rng.uniform(-1.0, 3.0)))
+            for _ in range((n_segments + 1) // 2)]
+    return make_piecewise(float(rng.uniform(-3.0, 1.0)), half + half[::-1][n_segments % 2:])
 
-    def spy(ref_state, span, *args):
-        spans.append(span.copy())
-        return probe(ref_state, span, *args)
 
-    monkeypatch.setattr(splitting, "_midpoint_and_parity", spy)
-    spec = make_rectangular(1.0, 10.0, -5.0)
-    x = spec.x_c + np.linspace(-2.0, 2.0, 41)
-    for grid in (x, x[::-1]):
-        build_decomposition(spec, EnergyMode(0.5), grid)
-    assert [s.tolist() for s in spans] == [[2.0], [2.0]]
+class TestCoefficientBounds:
+    """`identity_residual` and `parity_residual` bound |tr + ref - full| and
+    |ref(x_c + d) + ref(x_c - d)| at every x from the coefficients: each is
+    at least the residual sampled on 2001 points, less 4e-15 of sampling
+    roundoff, and below 1e-12."""
+
+    @staticmethod
+    def _check(dec, slack=4e-15):
+        identity, parity, _ = sampled_checks(dec, 2001)
+        assert np.all(dec.identity_residual >= identity - slack)
+        assert np.all(dec.parity_residual >= parity - slack)
+        assert np.max(dec.identity_residual) < 1e-12
+        assert np.max(dec.parity_residual) < 1e-12
+
+    def test_criterion_3_rectangles(self):
+        """Every fourth height and length of criterion 3, at its 50
+        energies: x_c falls inside the one segment, which ref splits."""
+        for V0 in np.geomspace(0.25, 8.0, 20)[::4]:
+            for L in np.geomspace(0.5, 8.0, 20)[::4]:
+                spec = make_rectangular(float(V0), float(L), 0.0)
+                dec = decompose_block(ProblemBlock.of(spec, np.geomspace(0.02, 50.0, 50)))
+                assert dec.ref_state.c1.shape[1] == 2
+                self._check(dec)
+
+    def test_random_mirrored_barriers(self):
+        """One to six segments: x_c inside the middle segment where the
+        count is odd, on the middle interface where it is even."""
+        rng = np.random.default_rng(35)
+        splits = set()
+        for trial in range(36):
+            n_segments = trial % 6 + 1
+            dec = decompose_block(ProblemBlock.of(_mirrored_barrier(rng, n_segments),
+                                                  rng.uniform(0.05, 4.0, 16)))
+            splits.add(dec.ref_state.c1.shape[1] - n_segments)
+            self._check(dec)
+        assert splits == {0, 1}
+
+    @pytest.mark.parametrize("sign, kind", [(1.0, OSC), (-1.0, EVAN)])
+    def test_segment_of_pair_form_halves(self, sign, kind):
+        """|q2| w^2 = 2 |E - V| between 1.2e-5 and 3.8e-5 on a unit-width
+        segment: OSC or EVAN as a whole, PAIR on the halves ref splits it
+        into, where tr and full are carried by their value and slope. Their
+        coefficients near q = 0 are large (about 170), and so is the
+        sampling's roundoff: one ulp of |c1| + |c2| per state."""
+        spec = make_rectangular(1.0, 1.0, -0.5)
+        dec = decompose_block(ProblemBlock.of(spec, 1.0 + sign * np.array([6e-6, 1e-5, 1.9e-5])))
+        assert np.all(dec.full_state.kind == kind) and np.all(dec.tr_state.kind == kind)
+        assert np.all(dec.ref_state.kind == PAIR)
+        slack = np.finfo(float).eps * sum(np.max(np.abs(s.c1) + np.abs(s.c2), axis=1)
+                                          for s in (dec.full_state, dec.tr_state, dec.ref_state))
+        self._check(dec, slack)
+
+    @pytest.mark.parametrize("sign, kind", [(1.0, OSC), (-1.0, EVAN)])
+    def test_halves_near_q_zero(self, sign, kind):
+        """|q2| w^2 from 1.5e-5 to 5e-5 on the halves: OSC or EVAN, whose
+        coefficients cancel to about 1e-16 / u relative; the bound written
+        in the value and slope does not lose that."""
+        spec = make_rectangular(1.0, 1.0, -0.5)
+        dec = decompose_block(ProblemBlock.of(spec, 1.0 + sign * np.array([3e-5, 6e-5, 1e-4])))
+        assert np.all(dec.ref_state.kind == kind)
+        slack = np.finfo(float).eps * sum(np.max(np.abs(s.c1) + np.abs(s.c2), axis=1)
+                                          for s in (dec.full_state, dec.tr_state, dec.ref_state))
+        self._check(dec, slack)
+
+    def test_mirror_pieces_of_different_kinds(self):
+        """Halves whose widths differ by roundoff, at an energy where
+        |q2| w^2 = 1e-5 falls between them: one half is OSC, its mirror
+        PAIR, and the two are compared in the PAIR form."""
+        spec = make_rectangular(1e-6, 1.1, 0.08)
+        dec = decompose_block(ProblemBlock.of(spec, 1.752892561983471e-05))
+        assert dec.ref_state.kind[0].tolist() == [OSC, PAIR]
+        self._check(dec)
+
+
+class TestInteriorMutations:
+    """A fault in one row's coefficients inside the barrier, where no
+    plane-wave pair shows it, on three segments: ref splits the middle
+    one at x_c. Each check names the faulty row's energy."""
+
+    SPEC = make_piecewise(-1.5, [(1.0, 0.5), (1.0, 2.0), (1.0, 0.5)])
+    E = np.array([0.3, 0.8, 1.7])
+
+    @staticmethod
+    def _fault(monkeypatch, name, piece, size):
+        """Add `size` to c1 of one piece of row 1 of the states `name` makes."""
+        make = getattr(splitting, name)
+
+        def faulty(*args):
+            made = make(*args)
+            state = made[0] if isinstance(made, tuple) else made
+            state.c1 = state.c1.copy()
+            state.c1[1, piece] += size
+            return made
+
+        monkeypatch.setattr(splitting, name, faulty)
+
+    def test_unperturbed_passes(self):
+        dec = decompose_block(ProblemBlock.of(self.SPEC, self.E))
+        assert dec.ref_state.c1.shape[1] == 4
+        assert np.max(dec.identity_residual) < 1e-12
+
+    def test_tr_fault_on_the_split_segment_fails_identity(self, monkeypatch):
+        """1e-9 on tr's middle piece, carried unchanged onto its left half."""
+        self._fault(monkeypatch, "state_from_left", 1, 1e-9)
+        with pytest.raises(SolveSingular, match=r"sub-solution sum deviates from the full "
+                                                r"state by 1\.\d+e-09 at E = 0\.8$"):
+            decompose_block(ProblemBlock.of(self.SPEC, self.E))
+
+    def test_mirrored_ref_fault_fails_antisymmetry(self, monkeypatch):
+        """1e-6 on ref's first piece, mirrored by its last, and -1e-6 on
+        tr's, so that the sum still holds and only the parity sees it."""
+        self._fault(monkeypatch, "_ref_candidate", 0, 1e-6)
+        self._fault(monkeypatch, "state_from_left", 0, -1e-6)
+        with pytest.raises(OddSelectionFailed, match=r"selected root is not antisymmetric: "
+                                                     r"residual .* at E = 0\.8$"):
+            decompose_block(ProblemBlock.of(self.SPEC, self.E))

@@ -333,7 +333,7 @@ class TestSampleStates:
 
     def _states_and_grid(self):
         x = np.sort(np.concatenate([np.linspace(-3.05, 3.05, 62), self.EDGES]))
-        dec = build_decomposition(self.SPEC, EnergyMode(0.5), x)
+        dec = build_decomposition(self.SPEC, EnergyMode(0.5))
         states = (dec.full_state, dec.tr_state, dec.ref_state, dec.even_ref_state)
         return states, x
 
@@ -357,7 +357,7 @@ class TestSampleStates:
         base = np.linspace(-3.05, 3.05, 62)
         x = np.stack([rng.permutation(np.concatenate([base, spec.edges(), [spec.x_c]]))
                       for spec in self.BLOCK])
-        dec = decompose_block(ProblemBlock.of(self.BLOCK, 0.5), x)
+        dec = decompose_block(ProblemBlock.of(self.BLOCK, 0.5))
         return (dec.full_state, dec.tr_state, dec.ref_state, dec.even_ref_state), x
 
     @pytest.mark.parametrize("deriv", [False, True])
