@@ -2,10 +2,14 @@
 synthesis; never part of the main pipeline.
 
 Unitary stepping of i d_t psi = H psi, H = -1/2 d_xx + V, on a hard-walled
-box, fourth order in dt and in dx (van Dijk & Toyama, Phys. Rev. E 75,
-036707, 2007). A step applies the (2,2) Pade approximant of exp(-i H dt),
-(1 - iz/2 - z^2/12) / (1 + iz/2 - z^2/12) with z = H dt, in factored form:
-each root w = 3i +/- sqrt(3) of its denominator gives one Cayley factor
+box (van Dijk & Toyama, Phys. Rev. E 75, 036707, 2007): eighth order in dt;
+in dx fourth order where V is smooth and second at its piecewise-constant
+edges. A step applies the (4,4) Pade approximant of exp(-i H dt),
+Q(-z) / Q(z) with z = H dt and
+
+    Q(z) = 1 + iz/2 - 3z^2/28 - iz^3/84 + z^4/1680,
+
+in factored form: each of Q's four roots w gives one Cayley factor
 
     (1 - z/conj(w)) / (1 - z/w) = r + (1 - r) (1 - z/w)^-1,   r = w/conj(w),
 
@@ -16,12 +20,14 @@ In space, H is Numerov's compact operator H = -1/2 B^-1 D2 + V, with D2 the
 three-point second difference and B = I + (dx^2/12) D2. H is real symmetric
 because B and D2 commute, so the discrete norm is conserved. A factor
 solves (B - (dt/w) BH) y = B psi, where BH = -1/2 D2 + B V is tridiagonal.
-The two roots give r1 r2 = 1, so a step is also the product of each factor
-divided by its r: psi + A^-1 S psi, with A = (i/6)(w S - dt K), S = 12 B the
-integer stencil (1, 10, 1) and K = 12 BH. A's real part is exactly -S/2,
-so rounding A's entries does not break its match with S psi, and the norm
-drifts at roundoff on fine grids too. A is factored once per factor (LAPACK
-zgttrf); each factor of each step is one three-point sum for S psi, one
+The roots come in exact pairs w, -conj(w), whose r multiply to 1, so a step
+is also the product of each factor divided by its r: psi + A^-1 S psi, with
+A = (i / (2 Im w)) (w S - dt K), S = 12 B the integer stencil (1, 10, 1)
+and K = 12 BH. (An odd order has a purely imaginary root, r = -1, which
+pairs with no other.) A's real part is exactly -S/2, so rounding A's
+entries does not break its match with S psi, and the norm drifts at
+roundoff on fine grids too. A is factored once per factor (LAPACK zgttrf,
+in place); each factor of each step is one three-point sum for S psi, one
 tridiagonal solve and an add. Where zgttrf interchanged no row (on every
 barrier tried; a deep well can pivot) the solve is two banded sweeps (BLAS
 ztbsv) around one multiply, with no division (`_solver`); else zgttrs. The
@@ -49,8 +55,10 @@ _WALL_POINTS = 5
 
 # B's stencil (off, main, off), whose row sums to B's scale s = 12
 _B_OFF, _B_MAIN = 1.0, 10.0
-# the roots w of the Pade denominator, one Cayley factor each
-_ROOTS = (math.sqrt(3.0) + 3j, -math.sqrt(3.0) + 3j)
+# the roots w of the Pade denominator Q, one Cayley factor each, in pairs
+# (w, -conj(w))
+_ROOTS = (5.314836083713506 + 4.207578794359258j, -5.314836083713506 + 4.207578794359258j,
+          1.734468257869016 + 5.792421205640742j, -1.734468257869016 + 5.792421205640742j)
 # tridiagonal solves per step
 SOLVES_PER_STEP = len(_ROOTS)
 
@@ -88,6 +96,48 @@ def step_index(t: float, dt: float) -> int | None:
     step = t / dt
     step_i = int(round(step))
     return step_i if abs(step - step_i) <= 1e-9 else None
+
+
+# Largest E dt of the default step, E the top of the packet's spectrum:
+# the (4,4) step's phase error there is 1.8e-5 rad per step (6.3e-3 at
+# E dt = 4). Canonical's top, k = 1.4, takes dt 2.0 to t = 80.
+DEFAULT_PHASE_STEP = 2.0
+
+
+def _denominator(r: float) -> int | None:
+    """The least q for which r q, r in [0, 1], lies within 1e-11 of a whole
+    number: the denominator of the first convergent of r's continued
+    fraction that near, or None within 40 terms."""
+    p, q, p_prev, q_prev = 1, 0, 0, 1
+    x = r
+    for _ in range(40):
+        a = math.floor(x)
+        p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
+        if abs(r * q - p) <= 1e-11:
+            return q
+        if x == a:
+            break
+        x = 1.0 / (x - a)
+    return None
+
+
+def default_step(times, e_max: float) -> float | None:
+    """The largest dt with e_max dt <= DEFAULT_PHASE_STEP on which each of
+    `times` (>= 0, the last > 0) falls: t_last / m for the least whole m
+    that is at least t_last e_max / DEFAULT_PHASE_STEP and a multiple of
+    the denominator of each t / t_last. None when no such dt is found."""
+    t_last = max(times)
+    period = 1
+    for t in times:
+        q = _denominator(t / t_last)
+        if q is None:
+            return None
+        period = math.lcm(period, q)
+    need = t_last * e_max / DEFAULT_PHASE_STEP
+    if not math.isfinite(need):
+        return None
+    dt = t_last / (period * max(1, math.ceil(need / period)))
+    return dt if dt > 0 and all(step_index(t, dt) is not None for t in times) else None
 
 
 @dataclass
@@ -155,7 +205,7 @@ def _solver(factored, zgttrs, ztbsv):
     if not np.array_equal(ipiv, np.arange(1, d.size + 1)):
         return lambda b: zgttrs(dl, d, du, du2, ipiv, b, overwrite_b=True)[0]
     band = np.zeros((2, d.size), dtype=complex, order="F")
-    band[0, 1:] = du / d[:-1]
+    np.divide(du, d[:-1], out=band[0, 1:])
     band[1, :-1] = dl
     inv_d = 1.0 / d
 
@@ -166,6 +216,29 @@ def _solver(factored, zgttrs, ztbsv):
     return solve
 
 
+def _factor_solvers(V, dx, dt):
+    """One solve per Cayley factor, each returning A^-1 b on the interior
+    of a grid of spacing dx with potential V. The diagonals that build
+    each A die with this call, so the step loop holds only the factors."""
+    zgttrf, zgttrs, ztbsv = _tridiagonal_lapack()
+    # per factor, A = (r / (1 - r)) (S - (dt/w) K) = c S - i (dt / (2 Im w)) K
+    # with c = i w / (2 Im w), S = s B and K = s BH under Dirichlet walls
+    # with s = 12; its real part c.real S is exactly -S/2
+    scale = _B_MAIN + 2.0 * _B_OFF
+    k_main = scale / dx ** 2 + _B_MAIN * V[1:-1]
+    k_lower, k_upper = (-0.5 * scale / dx ** 2 + _B_OFF * v for v in (V[1:-2], V[2:-1]))
+    solvers = []
+    for w in _ROOTS:
+        c, tau = 1j * w / (2.0 * w.imag), dt / (2.0 * w.imag)
+        lower, main, upper = (c.real * s + 1j * (c.imag * s - tau * k)
+                              for s, k in ((_B_OFF, k_lower), (_B_MAIN, k_main),
+                                           (_B_OFF, k_upper)))
+        # factored in place: no factor holds a copy of its three diagonals
+        factored = zgttrf(lower, main, upper, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        solvers.append(_solver(factored, zgttrs, ztbsv))
+    return solvers
+
+
 def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
                              grid: GridSpec, sample_times=()) -> PropagationResult:
     """Propagate `initial` (sampled on grid.x()) and return snapshots.
@@ -174,7 +247,6 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
     reported. Walls are hard zeros; more than CN_WALL_MASS probability
     within 5 points of a wall aborts the run.
     """
-    zgttrf, zgttrs, ztbsv = _tridiagonal_lapack()
     x = grid.x()
     if initial.x.shape != x.shape or not np.allclose(initial.x, x, rtol=0, atol=1e-12):
         raise GridMismatch("initial field is not sampled on the propagation grid")
@@ -186,23 +258,9 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
             raise ValueError(f"sample time {t} is not a multiple of dt within the run")
         sample_steps.setdefault(step_i, float(t))
 
-    V = evaluate(spec, x)
-    psi = initial.values.astype(complex).copy()
+    psi = initial.values.astype(complex)
     psi[0] = psi[-1] = 0.0
-
-    # per factor, A = (r / (1 - r)) (S - (dt/w) K) = (i/6)(w S - dt K) on the
-    # interior, S = s B and K = s BH under Dirichlet walls with s = 12; its
-    # real part c.real S is exactly -S/2 (Im w = 3)
-    scale = _B_MAIN + 2.0 * _B_OFF
-    k_main = scale / dx ** 2 + _B_MAIN * V[1:-1]
-    k_lower, k_upper = (-0.5 * scale / dx ** 2 + _B_OFF * v for v in (V[1:-2], V[2:-1]))
-    solvers = []
-    for w in _ROOTS:
-        c = 1j * w / 6.0
-        lower, main, upper = (c.real * s + 1j * (c.imag * s - grid.dt / 6.0 * k)
-                              for s, k in ((_B_OFF, k_lower), (_B_MAIN, k_main),
-                                           (_B_OFF, k_upper)))
-        solvers.append(_solver(zgttrf(lower, main, upper), zgttrs, ztbsv))
+    solvers = _factor_solvers(evaluate(spec, x), dx, grid.dt)
 
     def norm_of(arr):
         return math.sqrt(dx * np.vdot(arr, arr).real)

@@ -16,7 +16,8 @@ from typing import Any
 
 import numpy as np
 
-from .cranknicolson import SOLVES_PER_STEP, GridSpec, staggered_grid, step_index
+from .cranknicolson import (SOLVES_PER_STEP, GridSpec, default_step, staggered_grid,
+                            step_index)
 from .errors import SchemaError, TunnelSplitError
 from .packets import (BAND, DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, PacketSpec,
                       _batch_size, default_grid_step, span_covers, spectral_span)
@@ -28,8 +29,9 @@ from .stationary import EnergyMode
 MEMORY_BUDGET = 2e9
 
 # Largest Crank-Nicolson work, grid points times steps times tridiagonal
-# solves per step, that an oracle config may ask for: about 1170 times
-# canonical's 8.5e6, or 5 minutes at 30 ns per point and solve.
+# solves per step, that an oracle config may ask for: about 5900 times
+# canonical's 1.7e6 (10652 points, 40 steps, 4 solves), or about 3 minutes
+# at canonical's 16 ns per point and solve (one Xeon core and BLAS thread).
 CN_WORK_BUDGET = 1e10
 
 # Largest packet work, modes times table-grid points times diagnostics
@@ -155,7 +157,8 @@ _SCHEMA = {
     }),
     "oracle": ({}, {
         "dx": (0.02, _POSITIVE),
-        "dt": (0.2, _POSITIVE),
+        # by default the step that the packet's spectrum allows (default_step)
+        "dt": (_OMITTED, _POSITIVE),
         "margin_left": (60.0, _number),
         "margin_right": (100.0, _number),
         "checkpoints": ([0.0, 40.0, 80.0], _list_of(_number, 1)),
@@ -223,14 +226,15 @@ def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, dx: floa
     point. Oracle-check, on the oracle grid, first the synthesis: its
     table of values alone (three rows per mode) and its states at the
     checkpoints. Then, the table gone, the CN vectors: the synthesized
-    fields and the samples at the checkpoints; fourteen more, rounded up
+    fields and the samples at the checkpoints; eleven more, rounded up
     from psi and the solve's right-hand side, x, V and the three diagonals
-    of K (real), the three diagonals being factored, zgttrf's output dl,
-    d, du and du2 and its integer ipiv, and two temporaries; and each
-    factor's band and 1/d, three. The states at n_t times on n points are
-    their (3, n_t, n) stack and, for one batch of times, their phases and
-    coefficients and the chirp z-transforms' two FFT buffers for each of
-    the two rows per time on a side, each buffer at most 2 (n_k + n) bins.
+    of K (real), the three diagonals being factored (zgttrf overwrites
+    them with its dl, d and du), its du2 and integer ipiv, and two
+    temporaries; and each factor's band and 1/d, three. The states at n_t
+    times on n points are their (3, n_t, n) stack and, for one batch of
+    times, their phases and coefficients and the chirp z-transforms' two
+    FFT buffers for each of the two rows per time on a side, each buffer
+    at most 2 (n_k + n) bins.
     No array spans n_k by either grid. Counted in complex numbers (16
     bytes) as floats, so that no size overflows."""
     def states(n_t, n):
@@ -246,7 +250,7 @@ def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, dx: floa
     n_oracle = length / oracle["dx"] + 2
     synthesis = (3 * n_k * (spec.width / oracle["dx"] + 1 + 2 * (BAND + 2))
                  + states(n_checkpoints, n_oracle))
-    propagation = (2 * n_checkpoints + 14 + 3 * SOLVES_PER_STEP) * n_oracle
+    propagation = (2 * n_checkpoints + 11 + 3 * SOLVES_PER_STEP) * n_oracle
     return {"diagnostics": 16.0 * diagnostics, "evolve": 16.0 * evolve,
             "oracle-check synthesis": 16.0 * synthesis,
             "oracle-check propagation": 16.0 * propagation}
@@ -308,18 +312,31 @@ def parse_config_text(text: str) -> RunConfig:
     if "packet" in cfg:
         packet = _build("packet", PacketSpec, **cfg["packet"])
         _build("packet", packet.check_separation, spec)
-        _build("k_span_sigmas", spectral_span, packet, span)
+        _, k_max = _build("k_span_sigmas", spectral_span, packet, span)
 
     oracle = cfg["oracle"]
     for i, t in enumerate(oracle["checkpoints"]):
-        if t < 0 or step_index(t, oracle["dt"]) is None:
-            raise SchemaError(f"oracle.checkpoints[{i}]", f"must be a multiple of "
-                              f"oracle.dt = {oracle['dt']} and >= 0, got {t}")
+        if t < 0:
+            raise SchemaError(f"oracle.checkpoints[{i}]", f"must be >= 0, got {t}")
     checkpoints = sorted(oracle["checkpoints"])
-    if step_index(checkpoints[-1], oracle["dt"]) < 1:
-        raise SchemaError("oracle.checkpoints", f"no checkpoint falls at step 1 or later of "
-                                                f"oracle.dt = {oracle['dt']}: the oracle "
-                                                f"would compare nothing after launch")
+    if "dt" not in oracle and packet is not None and checkpoints[-1] > 0:
+        # the largest step that the top of the packet's spectrum allows,
+        # echoed so that the run replays
+        dt = default_step(checkpoints, 0.5 * k_max * k_max)
+        if dt is None:
+            raise SchemaError("oracle.dt", "no step on which every checkpoint falls is a "
+                                           "positive float; set oracle.dt")
+        oracle["dt"] = raw["oracle"]["dt"] = dt
+    # without a packet there is no oracle, and no default step
+    dt = oracle.get("dt")
+    for i, t in enumerate(oracle["checkpoints"]):
+        if dt is not None and step_index(t, dt) is None:
+            raise SchemaError(f"oracle.checkpoints[{i}]",
+                              f"must be a multiple of oracle.dt = {dt}, got {t}")
+    if checkpoints[-1] <= 0 or (dt is not None and step_index(checkpoints[-1], dt) < 1):
+        of_dt = f" of oracle.dt = {dt}" if dt is not None else ""
+        raise SchemaError("oracle.checkpoints", f"no checkpoint falls at step 1 or later{of_dt}: "
+                                                f"the oracle would compare nothing after launch")
 
     x_grid = oracle_grid = None
     if packet is not None:
@@ -347,7 +364,7 @@ def parse_config_text(text: str) -> RunConfig:
             x_grid = grid["x_min"] + grid["dx"] * np.arange(n_x)
         oracle_grid = _build("oracle", staggered_grid, spec,
                              packet.x0 - oracle["margin_left"], spec.b + oracle["margin_right"],
-                             oracle["dx"], oracle["dt"], checkpoints[-1])
+                             oracle["dx"], dt, checkpoints[-1])
         work = oracle_grid.n_x * oracle_grid.n_t * SOLVES_PER_STEP
         if work > CN_WORK_BUDGET:
             raise SchemaError("oracle", f"{oracle_grid.n_t} Crank-Nicolson steps of "

@@ -219,15 +219,16 @@ def test_criterion_5_cross_method_oracle(canonical_oracle):
         f"l2 = {distances} (bound 1e-3), norm drift = {result.norm_drift:.3e} (bound 1e-10)",
     )
     assert ok
-    # the fourth-order defaults (dx 0.02, dt 0.2) stay within the l2 distances
-    # that second-order stepping at dx = dt = 0.01 reached
+    # the defaults (dx 0.02, dt 2.0, eighth order in dt) stay within the l2
+    # distances that second-order stepping at dx = dt = 0.01 reached
     assert distances[40.0] <= 5.65e-5 and distances[80.0] <= 9.71e-5, distances
 
 
 def test_criterion_5_default_step_shows_no_time_error(canonical_oracle):
     # halving the default dt moves no checkpoint's l2 by 1 %: what the
     # oracle measures at the default step is the space error (0.06 % and
-    # 0.45 % at dt 0.2; dt 0.4 moves them by 21 % and 90 %)
+    # 0.19 % at dt 2.0; dt 4.0 moves them by 570 % and 1490 %, to 2.48e-4
+    # and 4.97e-4)
     cfg, spectral = canonical_oracle
     grid = cfg.oracle_grid
     half = dataclasses.replace(grid, dt=grid.dt / 2, n_t=2 * grid.n_t)
@@ -240,7 +241,7 @@ def test_criterion_5_default_step_shows_no_time_error(canonical_oracle):
 
 def test_criterion_5_fine_grid_drift_stays_at_roundoff(tmp_path):
     # the norm drift does not grow with 1/dx^2 on fine grids: at oracle.dx
-    # 0.0025 (85202 points) it reads 2.2e-12 to t = 20, not 1.3e-10 as
+    # 0.0025 (85202 points) it reads 1.1e-12 to t = 20, not 1.3e-10 as
     # when the Pade factors' matrices rounded the stencil S that S psi uses
     config = tmp_path / "config.json"
     canonical = json.loads(Path(CONFIG).read_text())

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -55,6 +56,18 @@ def write_config(tmp_path, **overrides):
 
 def run_cli(subcommand, config, out):
     return main([subcommand, config, "--out", str(out)])
+
+
+def fast_packet_oracle(tmp_path, name, packet, **oracle):
+    """oracle-check of FAST's barrier under a packet faster than FAST's,
+    to t = 20, the step left to its default unless given; its exit code
+    and output directory."""
+    cfg = {key: FAST[key] for key in ("potential", "energy", "n_k", "k_span_sigmas")}
+    cfg.update(packet=packet, oracle=dict({"margin_left": 40.0, "checkpoints": [0.0, 20.0]},
+                                          **oracle))
+    path, out = tmp_path / f"{name}.json", tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return run_cli("oracle-check", str(path), out), out
 
 
 class TestExitCodes:
@@ -186,7 +199,7 @@ class TestExitCodes:
         # every checkpoint rounds to step 0: the oracle would compare nothing
         ("oracle-check", {"oracle": dict(FAST["oracle"], dt=1e300)}),
         # 1e6 steps on 7852 points is 7.9e9 point-steps, inside the budget as
-        # points times steps, but each step makes two solves: 1.6e10
+        # points times steps, but each step makes four solves: 3.1e10
         ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=[0.0, 40000.0])}),
     ])
     def test_bad_oracle_or_clock_setting_is_2_before_any_work(self, tmp_path, monkeypatch,
@@ -251,6 +264,53 @@ class TestExitCodes:
         # is roundoff; the parity checks are not scaled by the grid
         cfg = write_config(tmp_path, energy={"E": E}, decompose_grid={"pad": -0.5})
         assert run_cli("decompose", cfg, tmp_path / "out") == 0
+
+    def test_packet_reaching_the_wall_is_3_at_the_default_step(self, tmp_path):
+        # canonical with the right wall 20 from b: the transmitted packet
+        # reaches it before t = 80. The wall mass is sampled once per step
+        # of the default dt 2.0, so a step this long still catches it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(CANONICAL, oracle={"margin_right": 20.0})))
+        out = tmp_path / "out"
+        assert run_cli("oracle-check", str(path), out) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert (record["error"], record["exit_code"]) == ("BoundaryContamination", 3)
+        assert record["message"].endswith("at step 29 (t = 58.000)"), record
+        assert not (out / "oracle_check.csv").exists()
+
+    def test_fast_packet_passes_at_its_default_step(self, tmp_path):
+        # its spectrum reaches k = 2.575 (E 3.32), so the default step is
+        # 20/34 = 0.588, not canonical's 2.0: l2 7.0e-5, where dt 2.0 read
+        # 6.9e-2 and the (2,2) step at its default 0.2 read 8.0e-4
+        packet = {"k0": 2.0, "sigma_k": 0.1, "x0": -30.0}
+        code, out = fast_packet_oracle(tmp_path, "run", packet, margin_right=100.0)
+        assert code == 0
+        assert json.loads((out / "config_echo.json").read_text())["oracle"]["dt"] == 20.0 / 34
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert meta["pass"] and meta["cn_steps"] == 34
+        assert meta["per_checkpoint"]["20.0"]["l2"] < 1e-4, meta
+
+    @pytest.mark.parametrize("packet, margin_right", [
+        ({"k0": 2.0, "sigma_k": 0.1, "x0": -30.0}, 15.0),
+        ({"k0": 3.0, "sigma_k": 0.5, "x0": -30.0}, 10.0),
+    ])
+    def test_fast_packet_reaching_the_wall_is_3_within_a_default_step(self, tmp_path, packet,
+                                                                      margin_right):
+        # the wall mass is sampled once per step, and the default step is
+        # short enough that it slows no packet: the run stops within one
+        # step of where dt 0.04 stops it (t = 13.53 against 13.40 at dt
+        # 0.588, 7.86 against 7.80 at dt 0.116; the (2,2) step at its
+        # default 0.2 stopped the second at 8.80)
+        trips = {}
+        for name, oracle in (("default", {}), ("fine", {"dt": 0.04})):
+            code, out = fast_packet_oracle(tmp_path, name, packet, margin_right=margin_right,
+                                           **oracle)
+            record = json.loads((out / "error.json").read_text())
+            assert (code, record["error"]) == (3, "BoundaryContamination"), record
+            step, t = re.search(r"at step (\d+) \(t = ([0-9.]+)\)$", record["message"]).groups()
+            trips[name] = int(step), float(t)
+        step, t = trips["default"]
+        assert abs(t - trips["fine"][1]) < t / step, trips
 
     def test_grid_without_continuity_points_is_3(self, tmp_path):
         # dx 28 leaves three points, all of them in the edge cells that the

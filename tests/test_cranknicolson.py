@@ -15,6 +15,7 @@ from tunnelsplit.cranknicolson import (
     crank_nicolson_propagate,
     misaligned_edges,
     staggered_grid,
+    step_index,
 )
 from tunnelsplit.errors import BoundaryContamination, GridMismatch
 from tunnelsplit.potential import evaluate, make_piecewise, make_rectangular
@@ -29,10 +30,19 @@ def gaussian_field(x, t, k0=1.0, sigma_k=0.1, x0=-10.0):
     return ComponentField(x=x, values=free_gaussian(x, t, k0, sigma_k, x0))
 
 
+def _q(z):
+    """The (4,4) Pade denominator of exp(-iz), Q(z) = 1 + iz/2 - 3z^2/28
+    - iz^3/84 + z^4/1680."""
+    return np.polyval([1.0 / 1680.0, -1j / 84.0, -3.0 / 28.0, 0.5j, 1.0], z)
+
+
 def _pade_error(spec, grid, sample_times):
-    """The largest distance, at sample times two steps apart, between the
-    propagation of a packet and dense solves of the (2,2) Pade
-    approximant of exp(-i H dt), H the Numerov operator."""
+    """The largest distance, at the sample times, between the propagation
+    of a packet and the (4,4) Pade approximant of exp(-i H dt),
+    Q(-z) / Q(z) with z = H dt, applied in the eigenbasis of the dense
+    Numerov operator H (real symmetric). A dense solve with Q(z) itself
+    would lose up to 1.1e-12 at dt 0.2 on these grids, Q(z) being
+    ill-conditioned there; the eigenbasis loses none of that."""
     x = grid.x()
     initial = gaussian_field(x, 0.0, k0=1.2, sigma_k=0.4, x0=-4.0)
     result = crank_nicolson_propagate(spec, initial, grid, sample_times=sample_times)
@@ -41,16 +51,15 @@ def _pade_error(spec, grid, sample_times):
     D2 = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
           + np.diag(np.ones(n - 1), -1)) / grid.dx ** 2
     B = np.eye(n) + grid.dx ** 2 / 12.0 * D2
-    z = grid.dt * (-0.5 * np.linalg.solve(B, D2) + np.diag(evaluate(spec, x)[1:-1]))
-    lhs = np.eye(n) + 0.5j * z - z @ z / 12.0
-    rhs = np.eye(n) - 0.5j * z - z @ z / 12.0
-    inner = initial.values[1:-1].astype(complex)
+    energies, modes = np.linalg.eigh(-0.5 * np.linalg.solve(B, D2)
+                                     + np.diag(evaluate(spec, x)[1:-1]))
+    step = _q(-grid.dt * energies) / _q(grid.dt * energies)
+    coefficients = modes.T @ initial.values[1:-1]
     error = 0.0
     for sample in result.samples:
-        for _ in range(2):
-            inner = np.linalg.solve(lhs, rhs @ inner)
         assert sample.values[0] == sample.values[-1] == 0.0
-        error = max(error, np.max(np.abs(sample.values[1:-1] - inner)))
+        want = modes @ (coefficients * step ** step_index(sample.t, grid.dt))
+        error = max(error, np.max(np.abs(sample.values[1:-1] - want)))
     return error
 
 
@@ -104,21 +113,32 @@ class TestPropagation:
         with pytest.raises(GridMismatch):
             crank_nicolson_propagate(FREE, initial, grid)
 
-    def test_order_4_steps_match_dense_pade_numerov(self):
-        # two Cayley factors per step against a dense solve of the (2,2)
-        # Pade approximant of exp(-i H dt), H the Numerov operator
+    def test_order_8_steps_match_dense_pade_numerov(self):
+        # four Cayley factors per step against the (4,4) Pade approximant
+        # of exp(-i H dt), H the dense Numerov operator (8.9e-15)
         spec = make_rectangular(1.5, 2.0, -1.0)
         grid = GridSpec(x_min=-12.0, x_max=12.0, n_x=241, dt=0.05, n_t=4)
         assert _pade_error(spec, grid, [0.1, 0.2]) < 1e-12
 
+    def test_roots_are_the_pade_denominators_in_exact_pairs(self):
+        # each factor's root lies in the upper half plane, so that 1 - z/w
+        # is invertible for real z, and the roots pair as (w, -conj(w)),
+        # whose r = w/conj(w) multiply to exactly 1
+        roots = cranknicolson._ROOTS
+        assert len(roots) == cranknicolson.SOLVES_PER_STEP == 4
+        for w in roots:
+            assert abs(_q(w)) < 1e-13 and w.imag > 0, w
+        assert roots[0::2] == tuple(-w.conjugate() for w in roots[1::2])
+        assert len(set(roots)) == 4
+
     @pytest.mark.parametrize("height, pivoted_solves", [
         (1.5, 0),  # a barrier: zgttrf interchanges no row
-        (-100.0, 2),  # a deep well: zgttrf pivots in both factors
+        (-100.0, 2),  # a deep well: zgttrf pivots in the two factors with Re w < 0
     ])
     def test_zgttrs_solves_only_where_zgttrf_pivots(self, monkeypatch, height, pivoted_solves):
         # a factor whose LU has no row interchange is solved by two ztbsv
-        # sweeps, the others by zgttrs; both match the dense solve (3.4e-14
-        # for the barrier, 2.7e-14 for the well)
+        # sweeps, the others by zgttrs; both match the Pade approximant
+        # (2.5e-14 for the barrier, 3.5e-14 for the well)
         zgttrf, zgttrs, ztbsv = cranknicolson._tridiagonal_lapack()
         calls = []
 
@@ -131,6 +151,25 @@ class TestPropagation:
         grid = GridSpec(x_min=-12.0, x_max=12.0, n_x=241, dt=0.2, n_t=4)
         assert _pade_error(spec, grid, [0.4, 0.8]) < 1e-12
         assert len(calls) == pivoted_solves * grid.n_t
+
+    def test_zgttrf_factors_each_factor_in_place(self, monkeypatch):
+        # zgttrf overwrites the diagonals it is given with its dl, d and du,
+        # so that no factor holds a second copy of them (0.5 MB of the
+        # canonical propagation's peak)
+        zgttrf, zgttrs, ztbsv = cranknicolson._tridiagonal_lapack()
+        shared = []
+
+        def checked(*diagonals, **kwargs):
+            factored = zgttrf(*diagonals, **kwargs)
+            shared.append([np.shares_memory(given, out)
+                           for given, out in zip(diagonals, factored[:3])])
+            return factored
+        monkeypatch.setattr(cranknicolson, "_tridiagonal_lapack",
+                            lambda: (checked, zgttrs, ztbsv))
+        grid = GridSpec(x_min=-12.0, x_max=12.0, n_x=241, dt=0.2, n_t=1)
+        initial = gaussian_field(grid.x(), 0.0, k0=1.2, sigma_k=0.4, x0=-4.0)
+        crank_nicolson_propagate(FREE, initial, grid, sample_times=[0.2])
+        assert shared == [[True] * 3] * cranknicolson.SOLVES_PER_STEP
 
     def test_smallest_grid(self):
         with pytest.raises(ValueError):
@@ -148,7 +187,8 @@ class TestPropagation:
 
 
 class TestConvergence:
-    """Fourth order in dx and in dt against the closed-form free packet."""
+    """Fourth order in dx and eighth order in dt against the closed-form
+    free packet, on which V is smooth."""
 
     K0, SK, X0, T = 2.0, 0.25, -10.0, 5.0
 
@@ -170,10 +210,13 @@ class TestConvergence:
         order = np.log(errors[0] / errors[2]) / np.log(4.0)
         assert order > 3.9, errors
 
-    def test_fourth_order_in_dt(self):
-        errors = [self._error(0.01, dt) for dt in (0.2, 0.1, 0.05)]
+    def test_eighth_order_in_dt(self):
+        # 5.87e-5, 2.64e-7 and 1.08e-9, order 7.86; the space error is
+        # about 2e-11 at dx 0.0025, but 6e-9 at dx 0.01, which would hide
+        # the smallest step's time error
+        errors = [self._error(0.0025, dt) for dt in (0.625, 0.3125, 0.15625)]
         order = np.log(errors[0] / errors[2]) / np.log(4.0)
-        assert order > 3.9, errors
+        assert order > 7.8, errors
 
 
 class TestCompareFields:

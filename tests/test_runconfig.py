@@ -148,6 +148,47 @@ def test_times_evaluated_at_once_count_against_the_budget():
                                           snapshot_times=[0.1 * i for i in range(550)])))
 
 
+def test_oracle_work_counts_four_solves_per_step():
+    """An explicit oracle.dt pays the (4,4) step's four tridiagonal solves:
+    canonical at oracle.dx = dt = 0.0025 is 85202 points times 32000
+    steps, 1.09e10 point-solves, over the budget (5.5e9 at two solves per
+    step); at dt 0.005 it is 5.5e9."""
+    fine = {"dx": 0.0025, "checkpoints": [0.0, 40.0, 80.0]}
+    grid = parse_config_text(json.dumps(dict(CANONICAL, oracle=dict(fine, dt=0.005)))).oracle_grid
+    assert (grid.n_x, grid.n_t) == (85202, 16000)
+    with pytest.raises(SchemaError, match=r"32000 Crank-Nicolson steps of 4 solves .*1\.09e\+10"):
+        parse_config_text(json.dumps(dict(CANONICAL, oracle=dict(fine, dt=0.0025))))
+
+
+@pytest.mark.parametrize("k0, checkpoints, dt", [
+    (1.0, [0.0, 40.0, 80.0], 2.0),  # canonical: k up to 1.4, E dt 1.96
+    (2.0, [0.0, 40.0, 80.0], 80.0 / 116),  # k up to 2.4: 116 steps keep E dt <= 2
+    (0.95, [0.0, 40.0, 80.0], 80.0 / 38),  # a slower packet takes a longer step
+    (1.0, [0.0, 0.3, 40.0], 0.1),  # every checkpoint falls on a step
+    (1.0, [0.0, 1.0 / 3.0, 80.0], 1.0 / 3.0),
+    (1.0, [0.0, 0.7, 80.0, 1000.1], 0.1),
+])
+def test_default_oracle_step_follows_the_packet_spectrum(k0, checkpoints, dt):
+    """Without oracle.dt the step is the largest on which every checkpoint
+    falls with E dt <= DEFAULT_PHASE_STEP (2), E = k_max^2 / 2 the top of
+    the packet's spectrum; the echo holds it, so that the run replays."""
+    cfg = parse_config_text(json.dumps(dict(CANONICAL, packet=dict(CANONICAL["packet"], k0=k0),
+                                            oracle={"checkpoints": checkpoints})))
+    assert cfg.oracle_grid.dt == cfg.raw["oracle"]["dt"] == dt
+
+
+def test_default_oracle_step_needs_a_packet_and_a_common_step():
+    # no packet, no oracle: the checkpoints are checked, and no step is echoed
+    assert "dt" not in parse().raw["oracle"]
+    with pytest.raises(SchemaError, match="no checkpoint falls at step 1 or later: "):
+        parse(oracle={"checkpoints": [0.0]})
+    with pytest.raises(SchemaError, match=r"oracle\.checkpoints\[1\]: must be >= 0"):
+        parse(oracle={"checkpoints": [0.0, -1.0]})
+    # no whole number of steps reaches both 1 and sqrt(2)
+    with pytest.raises(SchemaError, match=r"oracle\.dt: no step .*; set oracle\.dt"):
+        parse_config_text(json.dumps(dict(CANONICAL, oracle={"checkpoints": [1.0, math.sqrt(2)]})))
+
+
 def test_diagnostics_stay_within_the_estimate(monkeypatch, tmp_path):
     """The traced peak of each phase of a canonical packet run is at most
     its own term of the estimate, and the config was checked against the
@@ -156,7 +197,10 @@ def test_diagnostics_stay_within_the_estimate(monkeypatch, tmp_path):
     table on every stride-th point and the states at its snapshots
     (3.3 MB of 6.8 MB); oracle-check's synthesis, its table of values and
     chirp z-transforms (6.3 MB of 10.8 MB); and its Crank-Nicolson run,
-    the synthesized fields held (3.8 MB of 4.8 MB). test_cli's small
+    the synthesized fields held, with the four factors' bands (4.6 MB of
+    5.3 MB). Its term leaves room for zgttrf copying each factor's
+    diagonals (5.1 MB), so test_cranknicolson's
+    test_zgttrf_factors_each_factor_in_place pins that. test_cli's small
     config evolves within its evolve term too (0.54 MB of 0.58 MB): its
     decomposition samples nothing beyond the table's rows."""
     estimates = []
