@@ -88,6 +88,9 @@ def _write_run_files(out: Path, cfg: RunConfig, subcommand: str, started: float,
         "workers": cfg.workers,
         "workers_note": "no effect: every run is one process; the key is kept for one release",
         "wall_time_s": time.monotonic() - started,
+        # the subcommand's term as parse_config checked it; oracle-check's larger phase
+        "estimated_bytes": max(need for name, need in cfg.estimated_bytes.items()
+                               if name.split()[0] == subcommand),
         "tolerances": _tolerance_echo(),
     }
     if extra:

@@ -58,21 +58,25 @@ from .errors import ClockNotFinite, ZeroFlux, raise_first
 from .potential import PotentialSpec
 from .splitting import DecompositionBlock, decompose_block
 from .stationary import (EVAN, OSC, PAIR, EnergyMode, PiecewiseState, ProblemBlock,
-                         _piece_field, scattering_state, solve_block, state_from_left)
+                         _piece_field, block_bytes, scattering_state, solve_block,
+                         state_from_left)
 from .tolerances import ZERO_FLUX
 
 SUBPROCESSES = ("tr", "ref")
 
 # Widths per block in sweep_barrier_width, each block one call of the
-# function its map_fn maps. A block's arrays grow with it: its states and
-# their coefficient checks, its Zeeman solves and its results, a 1.2 MB
-# traced peak at 512.
+# function its map_fn maps; a block's arrays grow with it (sweep_bytes).
 # Keep SWEEP_BLOCK below 16384: from 16384 rows up, numpy rounds
 # up * conj(down) on the strided views of the (n, 2) spin amplitudes
 # differently, and the raw readings and residuals move by up to 2.2e-12
 # relative (measured on a sweep of 16384 widths; at 16383 nothing moves,
 # and the times do not move at either size).
 SWEEP_BLOCK = 512
+
+# clock_block's bytes per row, and per row and segment (block_bytes): a
+# decomposition, the Zeeman pair's cascades and the dwell sums'
+# progressions (traced peaks: 1340 + 700 S on 1 to 1600 segments)
+CLOCK_BYTES = (1536, 768)
 
 # Nodes of a dwell time's composite-Simpson sum: the reflection sum on
 # [a, x_c] has DWELL_NODES, and each half of the transmission sum, on
@@ -400,6 +404,12 @@ def _sweep_block(v0: float, energy_ratio: float, kappa_lengths) -> ClockResult:
     widths = np.array(kappa_lengths)[:, None] / math.sqrt(2.0 * (v0 - E))  # L = kappa_L / kappa
     return clock_block(ProblemBlock.from_arrays(-0.5 * widths[:, 0], widths,
                                                 np.full_like(widths, v0), E))
+
+
+def sweep_bytes(num) -> float:
+    """Bytes of a sweep of `num` widths: one block's clock_block at a time,
+    and 384 bytes a width of columns, in its block and joined (traced: 300)."""
+    return block_bytes(min(num, SWEEP_BLOCK), 1, CLOCK_BYTES) + 384.0 * num
 
 
 def sweep_barrier_width(v0: float, energy_ratio: float, kappa_lengths,

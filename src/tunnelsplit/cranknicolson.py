@@ -239,6 +239,15 @@ def _factor_solvers(V, dx, dt):
     return solvers
 
 
+def propagation_bytes(n_x, fields: int) -> float:
+    """Bytes of crank_nicolson_propagate on n_x points, `fields` complex
+    fields of the grid held: eleven complex vectors' worth (psi, the
+    right-hand side, x, V and K's three diagonals, real, the three that
+    zgttrf factors, du2, ipiv and two temporaries), and a factor's band and
+    1/d, three a factor (_solver)."""
+    return 16.0 * (fields + 11 + 3 * SOLVES_PER_STEP) * n_x
+
+
 def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
                              grid: GridSpec, sample_times=()) -> PropagationResult:
     """Propagate `initial` (sampled on grid.x()) and return snapshots.

@@ -52,8 +52,8 @@ import numpy as np
 
 from .errors import GridTooCoarse, SpectrumDomainError
 from .potential import PotentialSpec
-from .splitting import decompose_block, sub_waves
-from .stationary import ComponentField, ProblemBlock, sample_states
+from .splitting import DECOMPOSE_BYTES, decompose_block, sub_waves
+from .stationary import ComponentField, ProblemBlock, block_bytes, sample_states
 from .tolerances import QUADRATURE_ERROR, SPECTRUM_NORM, ZERO_NORM
 
 COMPONENTS = ("full", "tr", "ref")
@@ -190,6 +190,14 @@ def _batch_size(n_t: int, n_k: int) -> int:
     return max(1, -(-n_t // max(1, -(-n_t // most))))
 
 
+def states_bytes(n_t, n, n_k: int) -> float:
+    """Bytes of `ModeTable.states` at n_t times on n points: the (3, n_t, n)
+    stack, and for one batch of times (_batch_size) their phases and
+    coefficients and the chirp z-transforms' two FFT buffers for each of
+    the two rows a time on a side, each at most 2 (n_k + n) bins."""
+    return 16.0 * (3 * n_t * n + min(_batch_size(n_t, n_k), n_t) * (5 * n_k + 8 * (n_k + n)))
+
+
 def _chirp_z(w: np.ndarray, x0: float, dx: float, theta0: float, dtheta: float,
              n: int) -> np.ndarray:
     """sum_j w[..., j] exp(i theta_l x_j) at theta_l = theta0 + l dtheta for
@@ -215,6 +223,10 @@ def _index(component: str) -> int:
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}; pick one of {COMPONENTS}")
     return COMPONENTS.index(component)
+
+
+def _n_sampled(spec: PotentialSpec, dx: float) -> float:
+    return spec.width / dx + 1 + 2 * (BAND + 2)  # at most, of a grid dx apart (_sampled)
 
 
 def _sampled(x: np.ndarray, spec: PotentialSpec) -> tuple[slice, slice]:
@@ -334,6 +346,14 @@ def _mode_table(spec: PotentialSpec, packet: PacketSpec, x: np.ndarray,
     return ModeTable(spec=spec, packet=packet, x=x, k=k, weights=weights,
                      f_k=packet.spectrum(k), full_left=np.array(dec.full_state.left),
                      tr_in=dec.tr_state.left[0], A_T=dec.full_state.right[0], inner=inner)
+
+
+def table_bytes(spec: PotentialSpec, n_k: int, n_x, dx: float, n_rows: int = 2) -> float:
+    """Bytes of _mode_table on n_x points dx apart: the modes' decomposition,
+    32 bytes a point, and n_rows rows of three states a mode at the sampled
+    points."""
+    return (block_bytes(n_k, len(spec.segments), DECOMPOSE_BYTES) + 32.0 * n_x
+            + 48.0 * n_rows * n_k * _n_sampled(spec, dx))
 
 
 def build_mode_table(spec: PotentialSpec, packet: PacketSpec,
@@ -569,6 +589,16 @@ class DiagnosticsSeries:
     ref_cut_flux: np.ndarray
     identity_residual: np.ndarray
     quadrature_error: np.ndarray  # the Richardson estimate of the norms' x quadrature
+
+
+def diagnostics_bytes(spec: PotentialSpec, n_k: int, n_x, dx: float, n_t) -> float:
+    """Bytes of diagnostics_series at n_t times on a table of n_x points dx
+    apart, the table aside: quadrature and weight rows, the kernels, 64
+    floats a time of sums and columns, and one batch's spectra (eighteen
+    arrays of 2 n_k - 1 bins a time) and fields at the sampled points."""
+    bins = 2 * n_k - 1
+    return 16.0 * (4 * n_x + 40 * bins + 32 * n_t
+                   + _batch_size(n_t, n_k) * (18 * bins + 9 * _n_sampled(spec, dx)))
 
 
 def diagnostics_series(table: ModeTable, times) -> DiagnosticsSeries:

@@ -6,6 +6,16 @@ its JSON value and converts it to the typed value the commands read.
 Checks that tie keys together follow in `parse_config_text`, where
 domain-object construction failures become SchemaError carrying the
 original error's name.
+
+Before any array exists, `_array_bytes` adds up each subcommand's array
+bytes, one term each and two for oracle-check's synthesis and
+propagation, and the largest is checked against MEMORY_BUDGET. The
+module that makes the arrays states their bytes: `stationary.block_bytes`
+for a block kernel's rows and segments, from `stationary.SOLVE_BYTES`,
+`splitting.DECOMPOSE_BYTES` or `clocks.CLOCK_BYTES`;
+`splitting.WAVE_BYTES` for decompose's grid; `clocks.sweep_bytes`;
+`packets.table_bytes`, `states_bytes` and `diagnostics_bytes`; and
+`cranknicolson.propagation_bytes`.
 """
 
 import copy
@@ -16,13 +26,16 @@ from typing import Any
 
 import numpy as np
 
-from .cranknicolson import (SOLVES_PER_STEP, GridSpec, default_step, staggered_grid,
-                            step_index)
+from .clocks import CLOCK_BYTES, sweep_bytes
+from .cranknicolson import (SOLVES_PER_STEP, GridSpec, default_step, propagation_bytes,
+                            staggered_grid, step_index)
 from .errors import SchemaError, TunnelSplitError
-from .packets import (BAND, DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, PacketSpec,
-                      _batch_size, default_grid_step, span_covers, spectral_span)
+from .packets import (DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, PacketSpec, default_grid_step,
+                      diagnostics_bytes, span_covers, spectral_span, states_bytes,
+                      table_bytes)
 from .potential import PotentialSpec, make_piecewise
-from .stationary import EnergyMode
+from .splitting import DECOMPOSE_BYTES, WAVE_BYTES
+from .stationary import EnergyMode, block_bytes
 
 # Largest estimated array bytes a config may ask for, checked before any
 # array is allocated; the canonical config asks for about 0.03 GB.
@@ -73,20 +86,7 @@ def _rule(convert, ok, rule: str):
 
 _POSITIVE = _rule(_number, lambda x: x > 0, "> 0")
 _AT_LEAST_ONE = _rule(_integer, lambda n: n >= 1, ">= 1")
-
-
-def _count(bytes_per: int, least: int = 0):
-    """Check: an integer count of at least `least` whose arrays, at most
-    `bytes_per` bytes per unit as the code lays them out, fit the budget."""
-    def check(value, path):
-        if _integer(value, path) < least:
-            raise SchemaError(path, f"must be >= {least}, got {value}")
-        need = value * bytes_per
-        if need > MEMORY_BUDGET:
-            raise SchemaError(path, f"{value} would need about {need:.3g} bytes of arrays, "
-                                    f"more than the budget of {MEMORY_BUDGET:.3g}")
-        return value
-    return check
+_AT_LEAST_TWO = _rule(_integer, lambda n: n >= 2, ">= 2")
 
 
 def _list_of(item, least: int = 0):
@@ -98,12 +98,12 @@ def _list_of(item, least: int = 0):
     return check
 
 
-def _times(value, path: str) -> np.ndarray:
-    """A non-empty list of times, or a {start, stop, num} object."""
+def _times(value, path: str) -> list | dict:
+    """A non-empty list of times, or a {start, stop, num} object; its array
+    is made once the run's size is checked."""
     if isinstance(value, list):
-        return np.array(_list_of(_number, 1)(value, path))
-    times = _walk(_TIMES, value, path)
-    return np.linspace(times["start"], times["stop"], times["num"])
+        return _list_of(_number, 1)(value, path)
+    return _walk(_TIMES, value, path)
 
 
 def _x_grid(value, path: str) -> dict | None:
@@ -120,12 +120,7 @@ _REQUIRED = object()  # no default: the key must be given
 _OMITTED = object()  # no default: a missing key stays out of the echo
 
 # key: (default, check); a dict in place of a check is a nested object
-_TIMES = {
-    "start": (0.0, _number),
-    "stop": (80.0, _number),
-    # the time grid and the diagnostics columns of one time
-    "num": (81, _count(8 * 20, least=1)),
-}
+_TIMES = {"start": (0.0, _number), "stop": (80.0, _number), "num": (81, _AT_LEAST_ONE)}
 _X_GRID = {"x_min": (_REQUIRED, _number), "x_max": (_REQUIRED, _number),
            "dx": (_REQUIRED, _POSITIVE)}
 _SCHEMA = {
@@ -139,8 +134,7 @@ _SCHEMA = {
         "grid": (_OMITTED, {
             "min": (_REQUIRED, _number),
             "max": (_REQUIRED, _number),
-            # one energy's cascade and its CSV line
-            "n": (_REQUIRED, _count(512, least=1)),
+            "n": (_REQUIRED, _AT_LEAST_ONE),
             "scale": ("log", _rule(_string, lambda s: s in ("log", "linear"), "log or linear")),
         }),
     }),
@@ -150,11 +144,7 @@ _SCHEMA = {
     "x_grid": (None, _x_grid),
     "times": ({}, _times),
     "snapshot_times": ([0.0, 20.0, 40.0, 60.0, 80.0], _list_of(_number, 1)),
-    "decompose_grid": ({}, {
-        "pad": (5.0, _number),
-        # one point's five sampled waves and its CSV line
-        "n": (2001, _count(512, least=2)),
-    }),
+    "decompose_grid": ({}, {"pad": (5.0, _number), "n": (2001, _AT_LEAST_TWO)}),
     "oracle": ({}, {
         "dx": (0.02, _POSITIVE),
         # by default the step that the packet's spectrum allows (default_step)
@@ -168,9 +158,8 @@ _SCHEMA = {
         "energy_ratio": (0.5, _rule(_number, lambda r: 0.0 < r < 1.0, "in (0, 1)")),
         "kappa_l_min": (2.0, _POSITIVE),
         "kappa_l_max": (10.0, _POSITIVE),
-        # one width's ClockResult, its readings and its CSV line; two
-        # widths at least, so that the monotonicity footer compares some
-        "num": (9, _count(4096, least=2)),
+        # two widths at least, so that the monotonicity footer compares some
+        "num": (9, _AT_LEAST_TWO),
     }),
     "evolve_x_stride": (4, _AT_LEAST_ONE),
     "out_dir": ("out", _string),
@@ -209,51 +198,39 @@ def _build(path: str, make, *args, **kwargs):
         raise SchemaError(path, str(exc), cause_name=type(exc).__name__) from exc
 
 
-def _estimated_bytes(spec: PotentialSpec, packet: PacketSpec, n_k: int, dx: float, n_x: float,
-                     oracle: dict, n_times: int, n_snapshots: int,
-                     stride: int) -> dict[str, float]:
-    """Bytes of a packet run's large arrays, as packets lays them out, for
-    each phase of each subcommand that makes them; a run's phases hold
-    their arrays in turn, so it needs its largest term. A table holds its
-    rows at the sampled points, the barrier's and BAND + 2 on each side:
-    six per mode, the values and x derivatives of three states.
-    Diagnostics: the table; the grid with its two quadrature rows and the
-    four weight rows of its parts; the kernels, 2 n_k - 1 bins for each
-    weight row, and their chirp z-transforms; and one batch of times
-    (packets._batch_size): its phases and spectra, eighteen complex arrays
-    of (n_t, 2 n_k - 1), and the fields at the sampled points. Evolve: the
-    table, the grid and the states at its snapshots on every stride-th
-    point. Oracle-check, on the oracle grid, first the synthesis: its
-    table of values alone (three rows per mode) and its states at the
-    checkpoints. Then, the table gone, the CN vectors: the synthesized
-    fields and the samples at the checkpoints; eleven more, rounded up
-    from psi and the solve's right-hand side, x, V and the three diagonals
-    of K (real), the three diagonals being factored (zgttrf overwrites
-    them with its dl, d and du), its du2 and integer ipiv, and two
-    temporaries; and each factor's band and 1/d, three. The states at n_t
-    times on n points are their (3, n_t, n) stack and, for one batch of
-    times, their phases and coefficients and the chirp z-transforms' two
-    FFT buffers for each of the two rows per time on a side, each buffer
-    at most 2 (n_k + n) bins.
-    No array spans n_k by either grid. Counted in complex numbers (16
-    bytes) as floats, so that no size overflows."""
-    def states(n_t, n):
-        return 3 * n_t * n + min(_batch_size(n_t, n_k), n_t) * (5 * n_k + 8 * (n_k + n))
-
-    n_checkpoints = len(oracle["checkpoints"]) + 1
-    n_sampled, bins = spec.width / dx + 1 + 2 * (BAND + 2), 2 * n_k - 1
-    table = 6 * n_k * n_sampled
-    diagnostics = (table + 4 * n_x + 40 * bins
-                   + _batch_size(n_times, n_k) * (18 * bins + 9 * n_sampled))
-    evolve = table + n_x + states(n_snapshots, n_x / stride + 1)
-    length = spec.b + oracle["margin_right"] - packet.x0 + oracle["margin_left"]
-    n_oracle = length / oracle["dx"] + 2
-    synthesis = (3 * n_k * (spec.width / oracle["dx"] + 1 + 2 * (BAND + 2))
-                 + states(n_checkpoints, n_oracle))
-    propagation = (2 * n_checkpoints + 11 + 3 * SOLVES_PER_STEP) * n_oracle
-    return {"diagnostics": 16.0 * diagnostics, "evolve": 16.0 * evolve,
-            "oracle-check synthesis": 16.0 * synthesis,
-            "oracle-check propagation": 16.0 * propagation}
+def _array_bytes(cfg: dict, spec: PotentialSpec, n_energies: int, one_energy: bool,
+                 n_times, packet: PacketSpec | None, table_grid) -> dict[str, float]:
+    """Bytes of the large arrays of each subcommand the config allows, and
+    of each phase of oracle-check, with the config's energies and times.
+    A block's work grows with its bytes: at the budget's edge a packet run's
+    513 modes take about 6000 segments, 4.6 us a row and segment in
+    decompose_block, 15 s. But one energy's kernels take 0.09 (stationary)
+    to 0.6 ms (clock) a segment (measured at 1600), so at its edge, about
+    1e6 segments, a run takes 2 to 10 minutes, past CN_WORK_BUDGET's 3."""
+    segments = len(spec.segments)
+    terms = {"hartman-sweep": sweep_bytes(cfg["sweep"]["num"])}
+    if n_energies:
+        terms["stationary"] = block_bytes(n_energies, segments)
+    if one_energy:
+        terms["decompose"] = (block_bytes(1, segments, DECOMPOSE_BYTES)
+                              + WAVE_BYTES * cfg["decompose_grid"]["n"])
+        terms["clock"] = block_bytes(1, segments, CLOCK_BYTES)
+    if packet is not None:
+        n_k, (dx, n_x), oracle = cfg["n_k"], table_grid, cfg["oracle"]
+        stride = cfg["evolve_x_stride"]
+        terms["diagnostics"] = (table_bytes(spec, n_k, n_x, dx)
+                                + diagnostics_bytes(spec, n_k, n_x, dx, n_times))
+        # evolve's table takes every stride-th point of the grid
+        terms["evolve"] = (table_bytes(spec, n_k, n_x, dx * stride)
+                           + states_bytes(len(cfg["snapshot_times"]), n_x / stride + 1, n_k))
+        # the oracle grid, and its fields at t = 0 and every checkpoint, which
+        # the propagation holds with its samples
+        length = spec.b + oracle["margin_right"] - packet.x0 + oracle["margin_left"]
+        n_oracle, n_fields = length / oracle["dx"] + 2, len(oracle["checkpoints"]) + 1
+        terms["oracle-check synthesis"] = (table_bytes(spec, n_k, n_oracle, oracle["dx"], 1)
+                                           + states_bytes(n_fields, n_oracle, n_k))
+        terms["oracle-check propagation"] = propagation_bytes(n_oracle, 2 * n_fields)
+    return {name: 8.0 * (n_energies + n_times) + term for name, term in terms.items()}
 
 
 @dataclass
@@ -277,6 +254,7 @@ class RunConfig:
     evolve_x_stride: int
     out_dir: str
     workers: int  # checked and recorded; it starts nothing: every run is one process
+    estimated_bytes: dict[str, float]  # _array_bytes, checked before any array was made
 
     def echo(self) -> dict[str, Any]:
         """Materialized configuration sufficient to replay the run."""
@@ -293,19 +271,18 @@ def parse_config_text(text: str) -> RunConfig:
     spec = _build("potential", make_piecewise, cfg["potential"]["a"],
                   cfg["potential"]["segments"])
 
-    mode = energy_grid = None
+    mode, energy_grid, n_energies = None, None, 0
     if "energy" in cfg:
         energy = cfg["energy"]
         if ("E" in energy) == ("grid" in energy):
             raise SchemaError("energy", "give exactly one of 'E' or 'grid'")
         if "E" in energy:
-            mode = _build("energy.E", EnergyMode, energy["E"])
+            mode, n_energies = _build("energy.E", EnergyMode, energy["E"]), 1
         else:
-            grid = energy["grid"]
-            if not 0 < grid["min"] < grid["max"]:
+            energy_grid = energy["grid"]
+            if not 0 < energy_grid["min"] < energy_grid["max"]:
                 raise SchemaError("energy.grid", "need 0 < min < max")
-            space = np.geomspace if grid["scale"] == "log" else np.linspace
-            energy_grid = space(grid["min"], grid["max"], grid["n"])
+            n_energies = energy_grid["n"]
 
     n_k, span = cfg["n_k"], cfg["k_span_sigmas"]
     packet = None
@@ -338,25 +315,32 @@ def parse_config_text(text: str) -> RunConfig:
         raise SchemaError("oracle.checkpoints", f"no checkpoint falls at step 1 or later{of_dt}: "
                                                 f"the oracle would compare nothing after launch")
 
-    x_grid = oracle_grid = None
+    times = cfg["times"]
+    n_times = len(times) if isinstance(times, list) else times["num"]
+    table_grid = grid = None
     if packet is not None:
         # the table grid's spacing and size; an x_grid's size stays a float,
         # so that no size overflows
         if (grid := cfg["x_grid"]) is None:
             dx, n_side = default_grid_step(spec, packet, span)
-            n_x = 2 * n_side + 1
+            table_grid = dx, 2 * n_side + 1
         else:
-            dx, n_x = grid["dx"], (grid["x_max"] - grid["x_min"]) / grid["dx"] + 1
-        # checked before the subcommand is known: the largest term among them
-        need = max(_estimated_bytes(spec, packet, n_k, dx, n_x, oracle, cfg["times"].size,
-                                    len(cfg["snapshot_times"]),
-                                    cfg["evolve_x_stride"]).values())
-        if need > MEMORY_BUDGET:
-            raise SchemaError("", f"the run would need about {need:.3g} bytes of arrays, "
-                                  f"more than the budget of {MEMORY_BUDGET:.3g}")
-        work = n_k * n_x * cfg["times"].size
+            table_grid = grid["dx"], (grid["x_max"] - grid["x_min"]) / grid["dx"] + 1
+    # before any array exists and the subcommand is known: the largest term
+    terms = _array_bytes(cfg, spec, n_energies, mode is not None, n_times, packet, table_grid)
+    largest = max(terms, key=terms.get)
+    if terms[largest] > MEMORY_BUDGET:
+        raise SchemaError("", f"the run would need about {terms[largest]:.3g} bytes of arrays "
+                              f"({largest}), more than the budget of {MEMORY_BUDGET:.3g}")
+    if energy_grid is not None:
+        space = np.geomspace if energy_grid["scale"] == "log" else np.linspace
+        energy_grid = space(energy_grid["min"], energy_grid["max"], n_energies)
+
+    x_grid = oracle_grid = None
+    if packet is not None:
+        work = n_k * table_grid[1] * n_times
         if work > PACKET_WORK_BUDGET:
-            raise SchemaError("", f"{n_k} modes on {n_x:.4g} points at {cfg['times'].size} "
+            raise SchemaError("", f"{n_k} modes on {table_grid[1]:.4g} points at {n_times} "
                                   f"times ({work:.3g} mode-point-times) exceed the budget "
                                   f"of {PACKET_WORK_BUDGET:.3g}")
         if grid is not None:
@@ -371,14 +355,16 @@ def parse_config_text(text: str) -> RunConfig:
                                         f"{SOLVES_PER_STEP} solves on {oracle_grid.n_x} "
                                         f"points ({work:.3g} point-solves) exceed the "
                                         f"budget of {CN_WORK_BUDGET:.3g}")
+    times = (np.array(times) if isinstance(times, list)
+             else np.linspace(times["start"], times["stop"], n_times))
 
     return RunConfig(
         raw=raw, potential=spec, mode=mode, energy_grid=energy_grid, packet=packet,
-        n_k=n_k, k_span_sigmas=span, x_grid=x_grid, oracle_grid=oracle_grid,
-        checkpoints=checkpoints,
+        n_k=n_k, k_span_sigmas=span, x_grid=x_grid, times=times, oracle_grid=oracle_grid,
+        checkpoints=checkpoints, estimated_bytes=terms,
         # keys whose typed value needs no other key pass through as they are
-        **{key: cfg[key] for key in ("times", "snapshot_times", "decompose_grid",
-                                     "sweep", "evolve_x_stride", "out_dir", "workers")},
+        **{key: cfg[key] for key in ("snapshot_times", "decompose_grid", "sweep",
+                                     "evolve_x_stride", "out_dir", "workers")},
     )
 
 

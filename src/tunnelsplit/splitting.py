@@ -65,6 +65,14 @@ from .tolerances import (
 # the algebraic candidate it is matched to
 _MATCH_TOL = 1e-8
 
+# decompose_block's bytes per row, and per row and segment (block_bytes):
+# four cascades, their scaled copies and the bounds' temporaries (traced
+# peaks: 880 + 581 S where the pieces take the pair form, 445 to 535 S else)
+DECOMPOSE_BYTES = (1024, 640)
+# bytes a point of one energy's waves on a grid: its three states sampled
+# and its two sub-waves (traced: 104, with the grid)
+WAVE_BYTES = 128
+
 
 @dataclass(frozen=True)
 class SplitAmplitudes:

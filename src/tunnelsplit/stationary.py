@@ -436,6 +436,21 @@ def _split_segments(P: ProblemBlock, x_cut: np.ndarray):
     return left, right
 
 
+# solve_block's bytes per row, and per row and segment: each piece of a
+# state takes 64 bytes a row, and a cascade holds its steps' pieces until it
+# stacks them (traced peaks: 150 + 145 S on 1 to 1600 segments)
+SOLVE_BYTES = (192, 160)
+# a cascade's bytes per segment on any number of rows: each step's piece is
+# six arrays, about 1.2 kB of Python objects (traced: 1170 on one row)
+SEGMENT_BYTES = 1280
+
+
+def block_bytes(rows, segments: int, per: tuple = SOLVE_BYTES) -> float:
+    """Bytes of a _cascade kernel on `rows` problems of `segments` segments,
+    `per` its bytes per row and per row and segment."""
+    return float(rows) * per[0] + segments * (float(rows) * per[1] + SEGMENT_BYTES)
+
+
 def _cascade(P: ProblemBlock, x_cut: np.ndarray, psi, dpsi) -> PiecewiseState:
     """The solution with (psi, psi') given at x_cut (a, b or x_c; a value
     per row or one for every row), cascaded segment by segment backward to

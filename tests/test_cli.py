@@ -159,6 +159,12 @@ class TestExitCodes:
         ("stationary", {"energy": {"grid": {"min": 0.1, "max": 1.0, "n": 10**12}}}),
         ("hartman-sweep", {"sweep": {"v0": 1.0, "energy_ratio": 0.5, "kappa_l_min": 1.0,
                                      "kappa_l_max": 14.0, "num": 10**12}}),
+        # the canonical barrier in 20000 segments: its 513 modes' decomposition
+        # alone would take about 6.6 GB
+        ("diagnostics", {"potential": {"a": -9.0, "segments": [[1e-4, 1.0]] * 20000}}),
+        # 10**6 energies on 200 segments: about 3.2e10 bytes of solve_block
+        ("stationary", {"potential": {"a": -9.0, "segments": [[0.01, 1.0]] * 200},
+                        "energy": {"grid": {"min": 0.1, "max": 1.0, "n": 10**6}}}),
     ])
     def test_oversized_count_is_2_before_any_allocation(self, tmp_path, subcommand, override):
         path = tmp_path / "config.json"
@@ -605,6 +611,19 @@ class TestDeterminism:
         out2 = tmp_path / "replay"
         assert run_cli("stationary", str(echoed), out2) == 0
         assert (out1 / "stationary.csv").read_bytes() == (out2 / "stationary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("subcommand", ["stationary", "clock", "oracle-check"])
+def test_run_metadata_records_the_subcommands_estimated_bytes(tmp_path, subcommand):
+    """run_metadata.json's estimated_bytes is the subcommand's own term of
+    the estimate that parse_config checked, oracle-check's the larger of
+    its synthesis and propagation phases."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(subcommand, cfg, out) == 0
+    terms = parse_config(cfg).estimated_bytes
+    want = max(terms[name] for name in terms if name.startswith(subcommand))
+    assert json.loads((out / "run_metadata.json").read_text())["estimated_bytes"] == want
 
 
 def test_csv_floats_round_trip(tmp_path):

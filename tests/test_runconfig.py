@@ -6,14 +6,19 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tunnelsplit import cli, runconfig
+from tunnelsplit import cli
 from tunnelsplit.cli import main
+from tunnelsplit.clocks import CLOCK_BYTES, clock_block
 from tunnelsplit.errors import SchemaError
+from tunnelsplit.potential import make_piecewise
 from tunnelsplit.runconfig import parse_config, parse_config_text
+from tunnelsplit.splitting import DECOMPOSE_BYTES, decompose_block
+from tunnelsplit.stationary import SOLVE_BYTES, ProblemBlock, block_bytes, solve_block
 
 from test_cli import FAST
 
@@ -189,29 +194,27 @@ def test_default_oracle_step_needs_a_packet_and_a_common_step():
         parse_config_text(json.dumps(dict(CANONICAL, oracle={"checkpoints": [1.0, math.sqrt(2)]})))
 
 
-def test_diagnostics_stay_within_the_estimate(monkeypatch, tmp_path):
-    """The traced peak of each phase of a canonical packet run is at most
-    its own term of the estimate, and the config was checked against the
-    largest term: diagnostics, the table build and the series with its
-    kernels, batches and sampled points (7.8 MB of 9.0 MB); evolve, the
-    table on every stride-th point and the states at its snapshots
-    (3.3 MB of 6.8 MB); oracle-check's synthesis, its table of values and
-    chirp z-transforms (6.3 MB of 10.8 MB); and its Crank-Nicolson run,
-    the synthesized fields held, with the four factors' bands (4.6 MB of
-    5.3 MB). Its term leaves room for zgttrf copying each factor's
-    diagonals (5.1 MB), so test_cranknicolson's
+@pytest.mark.parametrize("segments, n_k", [(1, 513), (100, 513), (400, 65)])
+def test_diagnostics_stay_within_the_estimate(monkeypatch, tmp_path, segments, n_k):
+    """The traced peak of each packet subcommand, or phase of one, on the
+    canonical barrier cut into equal segments is at most its own term of
+    the parsed config's estimate: diagnostics, the table build with its
+    decomposition and the series; evolve, the table on every stride-th
+    point and the states at its snapshots; oracle-check's synthesis, its
+    table of values and chirp z-transforms; and its Crank-Nicolson run,
+    the synthesized fields held, with the four factors' bands. The
+    decomposition's rows grow with the segments (a traced table build of
+    5.6, 25.6 and 97.1 MB at 1, 100 and 400 segments and 513 modes), and
+    so does each term. At 400 segments only diagnostics runs: each
+    command's table makes the same decomposition, 1.7 s under tracemalloc
+    at 65 modes. The propagation's term leaves room for zgttrf copying
+    each factor's diagonals, so test_cranknicolson's
     test_zgttrf_factors_each_factor_in_place pins that. test_cli's small
-    config evolves within its evolve term too (0.54 MB of 0.58 MB): its
-    decomposition samples nothing beyond the table's rows."""
-    estimates = []
-    estimate = runconfig._estimated_bytes
-    monkeypatch.setattr(runconfig, "_estimated_bytes",
-                        lambda *args: estimates.append(estimate(*args)) or estimates[-1])
-    small = parse_config_text(json.dumps(FAST))
-    cfg = parse_config(str(ROOT / "configs" / "canonical.json"))
-    small_terms, terms = estimates
+    config evolves within its evolve term too."""
+    potential = {"a": -9.0, "segments": [[2.0 / segments, 1.0]] * segments}
+    cfg = parse_config_text(json.dumps(dict(CANONICAL, potential=potential, n_k=n_k)))
 
-    def traced_peak(command):
+    def traced_peak(command, cfg):
         tracemalloc.start()
         try:
             command(cfg, tmp_path)
@@ -219,29 +222,51 @@ def test_diagnostics_stay_within_the_estimate(monkeypatch, tmp_path):
         finally:
             tracemalloc.stop()
 
-    peaks = {"diagnostics": traced_peak(cli.cmd_diagnostics),
-             "evolve": traced_peak(cli.cmd_evolve)}
-    propagate = cli.crank_nicolson_propagate
+    peaks = {"diagnostics": traced_peak(cli.cmd_diagnostics, cfg)}
+    if segments < 400:
+        peaks["evolve"] = traced_peak(cli.cmd_evolve, cfg)
+        propagate = cli.crank_nicolson_propagate
 
-    def phases(*args, **kwargs):
-        # the synthesis ends where the propagation starts
-        peaks["oracle-check synthesis"] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        result = propagate(*args, **kwargs)
-        peaks["oracle-check propagation"] = tracemalloc.get_traced_memory()[1]
-        return result
+        def phases(*args, **kwargs):
+            # the synthesis ends where the propagation starts
+            peaks["oracle-check synthesis"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            result = propagate(*args, **kwargs)
+            peaks["oracle-check propagation"] = tracemalloc.get_traced_memory()[1]
+            return result
 
-    monkeypatch.setattr(cli, "crank_nicolson_propagate", phases)
-    traced_peak(cli.cmd_oracle_check)
-    assert peaks.keys() == terms.keys()
+        monkeypatch.setattr(cli, "crank_nicolson_propagate", phases)
+        traced_peak(cli.cmd_oracle_check, cfg)
+    terms = {name: cfg.estimated_bytes[name] for name in peaks}
     for name, term in terms.items():
         assert peaks[name] <= term, (name, peaks, terms)
-    tracemalloc.start()
-    try:
-        cli.cmd_evolve(small, tmp_path)
-        assert tracemalloc.get_traced_memory()[1] <= small_terms["evolve"]
-    finally:
-        tracemalloc.stop()
+    if segments == 1:
+        small = parse_config_text(json.dumps(FAST))
+        assert traced_peak(cli.cmd_evolve, small) <= small.estimated_bytes["evolve"]
+
+
+@pytest.mark.parametrize("width, energies, rows", [
+    (2.0, (0.3, 0.7), 16),  # evanescent pieces
+    (2.0, (1.2, 1.8), 16),  # oscillating pieces
+    (0.2, (0.3, 0.7), 16),  # pieces in the pair form, the costliest in decompose_block
+    (2.0, (0.3, 0.7), 1),  # one row: each segment's Python objects dominate
+])
+def test_block_kernels_stay_within_their_stated_bytes(width, energies, rows):
+    """solve_block, decompose_block and clock_block on 80 segments peak
+    within block_bytes of their own module's bytes per row and per row and
+    segment, and SEGMENT_BYTES a segment. Below about 40 segments on one
+    row, fixed costs of some 10 kB show too, which no budget needs."""
+    spec = make_piecewise(-1.0, [[width / 80, 1.0]] * 80)
+    for kernel, per in ((solve_block, SOLVE_BYTES), (decompose_block, DECOMPOSE_BYTES),
+                        (clock_block, CLOCK_BYTES)):
+        problems = ProblemBlock.of(spec, np.linspace(*energies, rows))
+        tracemalloc.start()
+        try:
+            kernel(problems)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= block_bytes(rows, 80, per), (kernel.__name__, peak)
 
 
 def test_fine_grid_fits_without_a_whole_grid_table():
