@@ -3,9 +3,10 @@ synthesis; never part of the main pipeline.
 
 Unitary stepping of i d_t psi = H psi, H = -1/2 d_xx + V, on a hard-walled
 box (van Dijk & Toyama, Phys. Rev. E 75, 036707, 2007): eighth order in dt;
-in dx fourth order where V is smooth and second at its piecewise-constant
-edges. A step applies the (4,4) Pade approximant of exp(-i H dt),
-Q(-z) / Q(z) with z = H dt and
+in dx fourth order where V is smooth and third at its piecewise-constant
+edges, whose two neighbouring points carry a symmetric correction of V
+(`edge_potential`; second order without it). A step applies the (4,4)
+Pade approximant of exp(-i H dt), Q(-z) / Q(z) with z = H dt and
 
     Q(z) = 1 + iz/2 - 3z^2/28 - iz^3/84 + z^4/1680,
 
@@ -18,21 +19,22 @@ approximant, w = 2i; this step keeps its Cayley form and its name.
 
 In space, H is Numerov's compact operator H = -1/2 B^-1 D2 + V, with D2 the
 three-point second difference and B = I + (dx^2/12) D2. H is real symmetric
-because B and D2 commute, so the discrete norm is conserved. A factor
-solves (B - (dt/w) BH) y = B psi, where BH = -1/2 D2 + B V is tridiagonal.
-The roots come in exact pairs w, -conj(w), whose r multiply to 1, so a step
-is also the product of each factor divided by its r: psi + A^-1 S psi, with
-A = (i / (2 Im w)) (w S - dt K), S = 12 B the integer stencil (1, 10, 1)
-and K = 12 BH. (An odd order has a purely imaginary root, r = -1, which
-pairs with no other.) A's real part is exactly -S/2, so rounding A's
-entries does not break its match with S psi, and the norm drifts at
-roundoff on fine grids too. A is factored once per factor (LAPACK zgttrf,
-in place); each factor of each step is one three-point sum for S psi, one
-tridiagonal solve and an add. Where zgttrf interchanged no row (on every
-barrier tried; a deep well can pivot) the solve is two banded sweeps (BLAS
-ztbsv) around one multiply, with no division (`_solver`); else zgttrs. The
-box must be oversized: a BoundaryContamination error reports probability
-reaching the walls instead of silently absorbing it.
+because B and D2 commute and V is diagonal, so the discrete norm is
+conserved. A factor solves (B - (dt/w) BH) y = B psi, where BH = -1/2 D2
++ B V is tridiagonal. The roots come in exact pairs w, -conj(w), whose r
+multiply to 1, so a step is also the product of each factor divided by
+its r: psi + A^-1 S psi, with A = (i / (2 Im w)) (w S - dt K), S = 12 B
+the integer stencil (1, 10, 1) and K = 12 BH. (An odd order has a purely
+imaginary root, r = -1, which pairs with no other.) A's real part is
+exactly -S/2, so rounding A's entries does not break its match with S psi,
+and the norm drifts at roundoff on fine grids too. A is factored once per
+factor (LAPACK zgttrf, in place); each factor of each step is one
+three-point sum for S psi, one tridiagonal solve and an add. Where zgttrf
+interchanged no row (on every barrier tried; a deep well can pivot) the
+solve is two banded sweeps (BLAS ztbsv) around one multiply, with no
+division (`_solver`); else zgttrs. The box must be oversized: a
+BoundaryContamination error reports probability reaching the walls
+instead of silently absorbing it.
 
 The routines are the objects `scipy.linalg.lapack` and `scipy.linalg.blas`
 re-export, loaded from the files of scipy's compiled `_flapack` and
@@ -49,7 +51,7 @@ import numpy as np
 from .errors import BoundaryContamination, GridMismatch, SolveSingular
 from .potential import PotentialSpec, evaluate
 from .stationary import ComponentField
-from .tolerances import CN_NORM_DRIFT, CN_WALL_MASS
+from .tolerances import CN_NORM_DRIFT, CN_WALL_MASS, ORACLE_L2
 
 _WALL_POINTS = 5
 
@@ -99,9 +101,13 @@ def step_index(t: float, dt: float) -> int | None:
 
 
 # Largest E dt of the default step, E the top of the packet's spectrum:
-# the (4,4) step's phase error there is 1.8e-5 rad per step (6.3e-3 at
-# E dt = 4). Canonical's top, k = 1.4, takes dt 2.0 to t = 80.
-DEFAULT_PHASE_STEP = 2.0
+# the (4,4) step's phase error per step grows as (E dt)^9, so the move of
+# l2 when dt halves grows as (E dt)^8. On canonical's default grid (dx
+# 0.08, corrected edges) halving dt moves the t = 40 / 80 l2 by 1.9 % /
+# 25 % at E dt 1.96 (dt 2.0), 0.04 % / 1.4 % at 1.40 (dt 80/56), 0.02 % /
+# 0.37 % at 1.19 (dt 80/66, this default) and 0.03 % / 0.09 % at 0.98
+# (dt 1.0), against the 1 % that says the oracle measures its space error.
+DEFAULT_PHASE_STEP = 1.2
 
 
 def _denominator(r: float) -> int | None:
@@ -121,23 +127,79 @@ def _denominator(r: float) -> int | None:
     return None
 
 
+def _period(ratios, most: float = math.inf) -> int | None:
+    """The least common multiple of the denominators (_denominator) of
+    `ratios`, each in [0, 1], or None when one has none or it exceeds
+    `most`."""
+    period = 1
+    for r in ratios:
+        q = _denominator(r)
+        if q is None or (period := math.lcm(period, q)) > most:
+            return None
+    return period
+
+
 def default_step(times, e_max: float) -> float | None:
     """The largest dt with e_max dt <= DEFAULT_PHASE_STEP on which each of
     `times` (>= 0, the last > 0) falls: t_last / m for the least whole m
     that is at least t_last e_max / DEFAULT_PHASE_STEP and a multiple of
     the denominator of each t / t_last. None when no such dt is found."""
     t_last = max(times)
-    period = 1
-    for t in times:
-        q = _denominator(t / t_last)
-        if q is None:
-            return None
-        period = math.lcm(period, q)
+    period = _period(t / t_last for t in times)
     need = t_last * e_max / DEFAULT_PHASE_STEP
-    if not math.isfinite(need):
+    if period is None or not math.isfinite(need):
         return None
     dt = t_last / (period * max(1, math.ceil(need / period)))
     return dt if dt > 0 and all(step_index(t, dt) is not None for t in times) else None
+
+
+# Points per shortest local wavelength of the default oracle.dx. With the
+# edges corrected to third order, canonical at 56 (dx 0.08, K = k_max =
+# 1.4) reads l2 6.7e-6 / 5.6e-6 at t = 40 / 80 at its default step and
+# margins, against ORACLE_L2 = 1e-3 and 3.7e-5 / 3.1e-5 at the second-order
+# edges' dx 0.02. Numerov's phase error at the shortest wavelength is then
+# 3.3e-7 K^2 t rad (k^6 dx^4 t / 480).
+DEFAULT_POINTS_PER_WAVELENGTH = 56
+
+
+def default_spacing(spec: PotentialSpec, k_min: float, k_max: float) -> float:
+    """The default oracle.dx: the largest dx that puts every edge on the
+    half-cell grid (misaligned_edges), leaves every segment at least two
+    cells wide, and gives the shortest local wavelength 2 pi / K at least
+    DEFAULT_POINTS_PER_WAVELENGTH points. K^2 is the largest |k^2 - 2 V|
+    for k in [k_min, k_max] and V a segment's height or 0 outside: the
+    fastest wave or the steepest evanescent decay. When no aligning dx lies
+    between half that bound and the bound, the bound itself, which
+    oracle-check then rejects with the nearest aligning dx, if any."""
+    heights = np.append(spec.heights(), 0.0)
+    wavenumber = math.sqrt(max(np.abs(k * k - 2.0 * heights).max() for k in (k_min, k_max)))
+    bound = min(2.0 * math.pi / (DEFAULT_POINTS_PER_WAVELENGTH * wavenumber),
+                0.5 * min(w for w, _ in spec.segments))
+    if not bound > 0.0 or (unit := _alignment_unit(spec, 0.5 * bound)) is None:
+        return bound
+    dx = unit / math.ceil(unit / bound - 1e-9)  # within rounding of the bound is on it
+    return dx if _cells_off(spec, dx).max() <= 1e-9 else bound
+
+
+# Position widths of the packet that the default margins keep inside the
+# box: beyond z widths a Gaussian |psi|^2 holds at most exp(-z^2/2) / 2, so
+# z = 7.34 leaves at most 1e-12 of probability, an l2 of 1e-6 or
+# ORACLE_L2 / 1000, beyond a wall.
+_TAIL_SIGMAS = math.sqrt(2.0 * math.log(0.5 / (1e-3 * ORACLE_L2) ** 2))
+
+
+def default_margins(spec: PotentialSpec, x0: float, sigma_x: float, k0: float,
+                    t_last: float) -> tuple[float, float]:
+    """The default oracle.margin_left and margin_right: _TAIL_SIGMAS
+    position widths of the packet launched at x0 with width sigma_x on the
+    left at t = 0, and on the right those of the free packet at t_last,
+    moved on by the barrier's width (a transmitted packet leads the free
+    one by at most about that). The left margin also holds that front
+    mirrored in a, the reflected packet's reach."""
+    spread = sigma_x * math.hypot(1.0, t_last / (2.0 * sigma_x * sigma_x))
+    front = x0 + k0 * t_last + _TAIL_SIGMAS * spread
+    left = max(_TAIL_SIGMAS * sigma_x, x0 + front - 2.0 * spec.a)
+    return left, front - spec.a
 
 
 @dataclass
@@ -239,13 +301,44 @@ def _factor_solvers(V, dx, dt):
     return solvers
 
 
+def edge_potential(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
+    """V on the grid x, each edge's two neighbouring points moved by 1/24
+    of its jump [V] = V_R - V_L toward the far side: V[j] += [V]/24 and
+    V[j+1] -= [V]/24, x[j] < edge <= x[j+1]. A point beside two edges (a
+    segment one cell wide) takes both moves.
+
+    With the edge half a cell from each point (staggered_grid), psi and
+    psi' continuous and g = 2 (V - E), so that [psi''] = [g] psi and
+    [psi'''] = [g] psi', Taylor expansion across the edge leaves Numerov's
+    rows j and j+1 (D2 psi - B g psi, times dx^2) with the defects
+    +/- dx^2 [g] psi / 24 - dx^3 [g] psi' / 48, psi and psi' at the edge:
+    a dipole -dx^3 [g] psi / 24 about the edge and a monopole
+    -dx^3 [g] psi' / 24, both O(dx^3), which make a second-order error.
+    Moving V by +d at x[j] and -d at x[j+1] changes those rows by dx^2
+    times B's (1, 10, 1)/12 applied to -2 d psi, spread over rows j-1 to
+    j+2: a dipole 2 d dx^3 psi and, as psi[j+1] - psi[j] = dx psi', a
+    monopole 2 d dx^3 psi'. At d = [V]/24 = [g]/48 both cancel, and the
+    error at the edges is third order. V stays diagonal, so H stays real
+    symmetric and every Cayley factor unitary: an immersed-interface
+    correction (Li & Ito, The Immersed Interface Method, SIAM, 2006) that
+    keeps the operator symmetric."""
+    V = evaluate(spec, x)
+    jumps = np.diff(np.concatenate(([0.0], spec.heights(), [0.0]))) / 24.0
+    left = np.searchsorted(x, spec.edges()) - 1
+    inside = (left >= 0) & (left + 1 < x.size)
+    np.add.at(V, left[inside], jumps[inside])
+    np.add.at(V, left[inside] + 1, -jumps[inside])
+    return V
+
+
 def propagation_bytes(n_x, fields: int) -> float:
     """Bytes of crank_nicolson_propagate on n_x points, `fields` complex
     fields of the grid held: eleven complex vectors' worth (psi, the
     right-hand side, x, V and K's three diagonals, real, the three that
-    zgttrf factors, du2, ipiv and two temporaries), and a factor's band and
-    1/d, three a factor (_solver)."""
-    return 16.0 * (fields + 11 + 3 * SOLVES_PER_STEP) * n_x
+    zgttrf factors, du2, ipiv and two temporaries), a factor's band and
+    1/d, three a factor (_solver), and the first load of LAPACK and BLAS in
+    a process (_tridiagonal_lapack; 0.35 MB traced)."""
+    return 16.0 * (fields + 11 + 3 * SOLVES_PER_STEP) * n_x + 4e5
 
 
 def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
@@ -269,7 +362,7 @@ def crank_nicolson_propagate(spec: PotentialSpec, initial: ComponentField,
 
     psi = initial.values.astype(complex)
     psi[0] = psi[-1] = 0.0
-    solvers = _factor_solvers(evaluate(spec, x), dx, grid.dt)
+    solvers = _factor_solvers(edge_potential(spec, x), dx, grid.dt)
 
     def norm_of(arr):
         return math.sqrt(dx * np.vdot(arr, arr).real)
@@ -324,8 +417,9 @@ def staggered_grid(spec: PotentialSpec, x_min_target: float, x_max_target: float
     between two grid points.
 
     Pointwise sampling then sees each step centered on a cell boundary,
-    which restores second-order accuracy at the potential jumps; an edge
-    off the half-cell grid loses it (see `misaligned_edges`).
+    where the corrected potential (edge_potential) makes the error at the
+    jumps third order in dx; an edge off the half-cell grid is first order
+    (see `misaligned_edges`).
     """
     n_left = int(math.ceil((spec.a - x_min_target) / dx - 0.5))
     x_min = spec.a - dx * (n_left + 0.5)
@@ -346,30 +440,36 @@ def _cells_off(spec: PotentialSpec, dx: float) -> np.ndarray:
     return np.abs(cells - np.round(cells))
 
 
+def _alignment_unit(spec: PotentialSpec, least: float) -> float | None:
+    """The largest g of which each edge's distance from `a` is a whole
+    multiple, as far as _denominator finds: d_max / lcm(q_i), where
+    d_i / d_max = p_i / q_i; None when some ratio has no such fraction or
+    g would be less than `least` (> 0). Only a g/m for a whole m aligns
+    every edge on the half-cell grid."""
+    distances = spec.edges()[1:] - spec.a
+    d_max = float(distances.max())
+    if not d_max > 0.0:  # the edges are one float
+        return None
+    period = _period((float(d) / d_max for d in distances), d_max / least)
+    return None if period is None else d_max / period
+
+
 def misaligned_edges(spec: PotentialSpec, dx: float) -> str | None:
     """None when every edge lies within 1e-9 of a cell of the half-cell
     grid; else which edge is off, and the nearest dx between dx/2 and
-    2 dx that aligns every edge. Such a dx divides each edge's distance
-    d_i from `a`: it is g/m for a whole m, where g = d_min / lcm(q_i) and
-    d_i/d_min = p_i/q_i in lowest terms."""
+    2 dx that aligns every edge (one g/m, _alignment_unit)."""
     off = _cells_off(spec, dx)
     if off.max() <= 1e-9:
         return None
-    from fractions import Fraction  # imported here: it loads decimal, 0.4 MB of RSS
     edge = spec.edges()[int(np.argmax(off))]
     problem = (f"the edge at x = {edge:.10g} lies {(edge - spec.a) / dx:.6g} cells of "
                f"dx = {dx:.10g} from a = {spec.a:.10g}, off the half-cell grid")
-    distances = spec.edges()[1:] - spec.a
-    d_min = float(distances.min())
-    lcm = 1
-    for d in distances:
-        ratio = Fraction(float(d) / d_min).limit_denominator(math.ceil(2.0 * d_min / dx))
-        lcm = math.lcm(lcm, ratio.denominator)
-    g = d_min / lcm
-    nearest = min((g / m for m in (max(1, math.floor(g / dx)), math.ceil(g / dx))),
-                  key=lambda c: abs(c - dx))
-    if 0.5 * dx <= nearest <= 2.0 * dx and _cells_off(spec, nearest).max() <= 1e-9:
-        return f"{problem}; the nearest dx that aligns every edge is {nearest:.12g}"
+    g = _alignment_unit(spec, 0.5 * dx)
+    if g is not None:
+        nearest = min((g / m for m in (max(1, math.floor(g / dx)), math.ceil(g / dx))),
+                      key=lambda c: abs(c - dx))
+        if 0.5 * dx <= nearest <= 2.0 * dx and _cells_off(spec, nearest).max() <= 1e-9:
+            return f"{problem}; the nearest dx that aligns every edge is {nearest:.12g}"
     return f"{problem}; no dx between {0.5 * dx:.6g} and {2.0 * dx:.6g} aligns every edge"
 
 

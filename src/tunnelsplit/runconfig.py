@@ -20,6 +20,7 @@ for a block kernel's rows and segments, from `stationary.SOLVE_BYTES`,
 
 import copy
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -27,8 +28,8 @@ from typing import Any
 import numpy as np
 
 from .clocks import CLOCK_BYTES, sweep_bytes
-from .cranknicolson import (SOLVES_PER_STEP, GridSpec, default_step, propagation_bytes,
-                            staggered_grid, step_index)
+from .cranknicolson import (SOLVES_PER_STEP, GridSpec, default_margins, default_spacing,
+                            default_step, propagation_bytes, staggered_grid, step_index)
 from .errors import SchemaError, TunnelSplitError
 from .packets import (DEFAULT_N_K, DEFAULT_SPAN_SIGMAS, PacketSpec, default_grid_step,
                       diagnostics_bytes, span_covers, spectral_span, states_bytes,
@@ -42,9 +43,9 @@ from .stationary import EnergyMode, block_bytes
 MEMORY_BUDGET = 2e9
 
 # Largest Crank-Nicolson work, grid points times steps times tridiagonal
-# solves per step, that an oracle config may ask for: about 5900 times
-# canonical's 1.7e6 (10652 points, 40 steps, 4 solves), or about 3 minutes
-# at canonical's 16 ns per point and solve (one Xeon core and BLAS thread).
+# solves per step, that an oracle config may ask for: about 12900 times
+# canonical's 7.7e5 (2933 points, 66 steps, 4 solves), or about 3 minutes
+# at 16 ns per point and solve (10652 points; one Xeon core and BLAS thread).
 CN_WORK_BUDGET = 1e10
 
 # Largest packet work, modes times table-grid points times diagnostics
@@ -146,11 +147,13 @@ _SCHEMA = {
     "snapshot_times": ([0.0, 20.0, 40.0, 60.0, 80.0], _list_of(_number, 1)),
     "decompose_grid": ({}, {"pad": (5.0, _number), "n": (2001, _AT_LEAST_TWO)}),
     "oracle": ({}, {
-        "dx": (0.02, _POSITIVE),
-        # by default the step that the packet's spectrum allows (default_step)
+        # by default the packet's: the spacing its spectrum and the barrier
+        # ask for (default_spacing), the step its spectrum allows
+        # (default_step) and the margins that hold it (default_margins)
+        "dx": (_OMITTED, _POSITIVE),
         "dt": (_OMITTED, _POSITIVE),
-        "margin_left": (60.0, _number),
-        "margin_right": (100.0, _number),
+        "margin_left": (_OMITTED, _number),
+        "margin_right": (_OMITTED, _number),
         "checkpoints": ([0.0, 40.0, 80.0], _list_of(_number, 1)),
     }),
     "sweep": ({}, {
@@ -245,7 +248,7 @@ class RunConfig:
     n_k: int
     k_span_sigmas: float
     x_grid: np.ndarray | None
-    times: np.ndarray
+    times: np.ndarray | None  # None without a packet
     snapshot_times: list[float]
     decompose_grid: dict  # pad (float), n (int)
     oracle_grid: GridSpec | None  # None without a packet
@@ -289,21 +292,29 @@ def parse_config_text(text: str) -> RunConfig:
     if "packet" in cfg:
         packet = _build("packet", PacketSpec, **cfg["packet"])
         _build("packet", packet.check_separation, spec)
-        _, k_max = _build("k_span_sigmas", spectral_span, packet, span)
+        k_min, k_max = _build("k_span_sigmas", spectral_span, packet, span)
 
     oracle = cfg["oracle"]
     for i, t in enumerate(oracle["checkpoints"]):
         if t < 0:
             raise SchemaError(f"oracle.checkpoints[{i}]", f"must be >= 0, got {t}")
     checkpoints = sorted(oracle["checkpoints"])
-    if "dt" not in oracle and packet is not None and checkpoints[-1] > 0:
-        # the largest step that the top of the packet's spectrum allows,
-        # echoed so that the run replays
-        dt = default_step(checkpoints, 0.5 * k_max * k_max)
-        if dt is None:
-            raise SchemaError("oracle.dt", "no step on which every checkpoint falls is a "
-                                           "positive float; set oracle.dt")
-        oracle["dt"] = raw["oracle"]["dt"] = dt
+    if packet is not None:
+        # the packet's spacing, margins and step where the config leaves
+        # them out, echoed so that the run replays
+        left, right = default_margins(spec, packet.x0, packet.position_sigma(), packet.k0,
+                                      checkpoints[-1])
+        derived = {"dx": default_spacing(spec, k_min, k_max),
+                   "margin_left": left, "margin_right": right}
+        if checkpoints[-1] > 0:
+            derived["dt"] = default_step(checkpoints, 0.5 * k_max * k_max)
+        for key, value in derived.items():
+            if key not in oracle:
+                if value is None or not 0.0 < value < math.inf:
+                    what = "step on which every checkpoint falls" if key == "dt" else key
+                    raise SchemaError(f"oracle.{key}", f"no {what} that the packet gives is a "
+                                                       f"positive float; set oracle.{key}")
+                oracle[key] = raw["oracle"][key] = value
     # without a packet there is no oracle, and no default step
     dt = oracle.get("dt")
     for i, t in enumerate(oracle["checkpoints"]):
@@ -316,7 +327,8 @@ def parse_config_text(text: str) -> RunConfig:
                                                 f"the oracle would compare nothing after launch")
 
     times = cfg["times"]
-    n_times = len(times) if isinstance(times, list) else times["num"]
+    # only a packet run makes the times' array, where PACKET_WORK_BUDGET bounds it
+    n_times = 0 if packet is None else len(times) if isinstance(times, list) else times["num"]
     table_grid = grid = None
     if packet is not None:
         # the table grid's spacing and size; an x_grid's size stays a float,
@@ -336,7 +348,7 @@ def parse_config_text(text: str) -> RunConfig:
         space = np.geomspace if energy_grid["scale"] == "log" else np.linspace
         energy_grid = space(energy_grid["min"], energy_grid["max"], n_energies)
 
-    x_grid = oracle_grid = None
+    x_grid = oracle_grid = time_grid = None
     if packet is not None:
         work = n_k * table_grid[1] * n_times
         if work > PACKET_WORK_BUDGET:
@@ -355,13 +367,13 @@ def parse_config_text(text: str) -> RunConfig:
                                         f"{SOLVES_PER_STEP} solves on {oracle_grid.n_x} "
                                         f"points ({work:.3g} point-solves) exceed the "
                                         f"budget of {CN_WORK_BUDGET:.3g}")
-    times = (np.array(times) if isinstance(times, list)
-             else np.linspace(times["start"], times["stop"], n_times))
+        time_grid = (np.array(times) if isinstance(times, list)
+                     else np.linspace(times["start"], times["stop"], n_times))
 
     return RunConfig(
         raw=raw, potential=spec, mode=mode, energy_grid=energy_grid, packet=packet,
-        n_k=n_k, k_span_sigmas=span, x_grid=x_grid, times=times, oracle_grid=oracle_grid,
-        checkpoints=checkpoints, estimated_bytes=terms,
+        n_k=n_k, k_span_sigmas=span, x_grid=x_grid, times=time_grid,
+        oracle_grid=oracle_grid, checkpoints=checkpoints, estimated_bytes=terms,
         # keys whose typed value needs no other key pass through as they are
         **{key: cfg[key] for key in ("snapshot_times", "decompose_grid", "sweep",
                                      "evolve_x_stride", "out_dir", "workers")},

@@ -219,8 +219,10 @@ def test_criterion_5_cross_method_oracle(canonical_oracle):
         f"l2 = {distances} (bound 1e-3), norm drift = {result.norm_drift:.3e} (bound 1e-10)",
     )
     assert ok
-    # the defaults (dx 0.02, dt 2.0, eighth order in dt) stay within the l2
-    # distances that second-order stepping at dx = dt = 0.01 reached
+    # the defaults that follow the packet (dx 0.08 with the edges at third
+    # order, dt 80/66 at eighth order, margins 73.4 / 108.1; l2 6.7e-6 and
+    # 5.6e-6) stay within the l2 distances that second-order stepping at
+    # dx = dt = 0.01 reached
     assert distances[40.0] <= 5.65e-5 and distances[80.0] <= 9.71e-5, distances
 
 

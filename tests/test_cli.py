@@ -180,6 +180,21 @@ class TestExitCodes:
         assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
         assert peak < 10_000_000
 
+    def test_times_without_a_packet_make_no_array(self, tmp_path):
+        # only a packet run reads the times, so 2e8 of them, 1.6 GB as an
+        # array, cost a packet-less stationary run nothing
+        path = tmp_path / "config.json"
+        times = {"start": 0.0, "stop": 80.0, "num": 2 * 10**8}
+        path.write_text(json.dumps({key: CANONICAL[key] for key in ("potential", "energy")}
+                                   | {"times": times}))
+        tracemalloc.start()
+        try:
+            code = run_cli("stationary", str(path), tmp_path / "out")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 10_000_000, peak
+
     @staticmethod
     def rejected_before_any_work(tmp_path, monkeypatch, subcommand, override):
         def no_work(*args, **kwargs):
@@ -274,27 +289,43 @@ class TestExitCodes:
     def test_packet_reaching_the_wall_is_3_at_the_default_step(self, tmp_path):
         # canonical with the right wall 20 from b: the transmitted packet
         # reaches it before t = 80. The wall mass is sampled once per step
-        # of the default dt 2.0, so a step this long still catches it
+        # of the default dt 80/66 over the five points next to each wall,
+        # 0.4 wide at the default dx 0.08, where it passes CN_WALL_MASS at
+        # t = 40 (dt 2.0 trips there too; dx 0.02's 0.1 trips at t = 58.2)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(CANONICAL, oracle={"margin_right": 20.0})))
         out = tmp_path / "out"
         assert run_cli("oracle-check", str(path), out) == 3
         record = json.loads((out / "error.json").read_text())
         assert (record["error"], record["exit_code"]) == ("BoundaryContamination", 3)
-        assert record["message"].endswith("at step 29 (t = 58.000)"), record
+        assert record["message"].endswith("at step 33 (t = 40.000)"), record
         assert not (out / "oracle_check.csv").exists()
 
     def test_fast_packet_passes_at_its_default_step(self, tmp_path):
         # its spectrum reaches k = 2.575 (E 3.32), so the default step is
-        # 20/34 = 0.588, not canonical's 2.0: l2 7.0e-5, where dt 2.0 read
+        # 20/56 = 0.357, not canonical's 80/66, and the default dx 1/23:
+        # l2 3.3e-5 (3.4e-5 at dt 20/34), where dt 2.0 at dx 0.02 read
         # 6.9e-2 and the (2,2) step at its default 0.2 read 8.0e-4
         packet = {"k0": 2.0, "sigma_k": 0.1, "x0": -30.0}
         code, out = fast_packet_oracle(tmp_path, "run", packet, margin_right=100.0)
         assert code == 0
-        assert json.loads((out / "config_echo.json").read_text())["oracle"]["dt"] == 20.0 / 34
+        assert json.loads((out / "config_echo.json").read_text())["oracle"]["dt"] == 20.0 / 56
         meta = json.loads((out / "run_metadata.json").read_text())
-        assert meta["pass"] and meta["cn_steps"] == 34
+        assert meta["pass"] and meta["cn_steps"] == 56
         assert meta["per_checkpoint"]["20.0"]["l2"] < 1e-4, meta
+
+    def test_resonant_double_barrier_passes_at_the_default_grid(self, tmp_path):
+        # height 1, widths 0.6 on either side of a 3.0-wide well: four edges,
+        # 0.6 apart at the least, so the default dx is 0.6 / 8 = 0.075; l2
+        # reads 8.4e-6 and 1.5e-5 at t = 40 and 80
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(CANONICAL, potential={
+            "a": -9.0, "segments": [[0.6, 1.0], [3.0, 0.0], [0.6, 1.0]]})))
+        out = tmp_path / "out"
+        assert run_cli("oracle-check", str(path), out) == 0
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert meta["pass"] and meta["dx"] == pytest.approx(0.075, rel=1e-12), meta
+        assert max(c["l2"] for c in meta["per_checkpoint"].values()) < 3e-5, meta
 
     @pytest.mark.parametrize("packet, margin_right", [
         ({"k0": 2.0, "sigma_k": 0.1, "x0": -30.0}, 15.0),
@@ -304,9 +335,9 @@ class TestExitCodes:
                                                                       margin_right):
         # the wall mass is sampled once per step, and the default step is
         # short enough that it slows no packet: the run stops within one
-        # step of where dt 0.04 stops it (t = 13.53 against 13.40 at dt
-        # 0.588, 7.86 against 7.80 at dt 0.116; the (2,2) step at its
-        # default 0.2 stopped the second at 8.80)
+        # step of where dt 0.04 stops it (at the default dx, t = 12.14
+        # against 11.84 at dt 20/56, 7.85 against 7.84 at dt 20/288; the
+        # (2,2) step at its default 0.2 stopped the second at 8.80)
         trips = {}
         for name, oracle in (("default", {}), ("fine", {"dt": 0.04})):
             code, out = fast_packet_oracle(tmp_path, name, packet, margin_right=margin_right,

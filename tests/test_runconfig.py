@@ -1,7 +1,10 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from tunnelsplit import cli
 from tunnelsplit.cli import main
 from tunnelsplit.clocks import CLOCK_BYTES, clock_block
+from tunnelsplit.cranknicolson import misaligned_edges
 from tunnelsplit.errors import SchemaError
 from tunnelsplit.potential import make_piecewise
 from tunnelsplit.runconfig import parse_config, parse_config_text
@@ -42,7 +46,9 @@ def test_minimal_defaults_materialized():
     assert "clock" not in cfg.raw
     assert cfg.raw["oracle"]["checkpoints"] == [0.0, 40.0, 80.0]
     assert cfg.potential.x_c == 0.0
-    assert cfg.times.size == 81
+    # the times' default is echoed, but only a packet run makes their array
+    assert cfg.raw["times"] == {"start": 0.0, "stop": 80.0, "num": 81} and cfg.times is None
+    assert parse(packet=CANONICAL["packet"]).times.size == 81
 
 
 def test_unknown_top_key_rejected():
@@ -106,7 +112,7 @@ def test_energy_grid_spacings():
 
 
 def test_times_as_list():
-    cfg = parse(times=[0.0, 40.0, 80.0])
+    cfg = parse(packet=CANONICAL["packet"], times=[0.0, 40.0, 80.0])
     assert list(cfg.times) == [0.0, 40.0, 80.0]
 
 
@@ -158,7 +164,8 @@ def test_oracle_work_counts_four_solves_per_step():
     canonical at oracle.dx = dt = 0.0025 is 85202 points times 32000
     steps, 1.09e10 point-solves, over the budget (5.5e9 at two solves per
     step); at dt 0.005 it is 5.5e9."""
-    fine = {"dx": 0.0025, "checkpoints": [0.0, 40.0, 80.0]}
+    fine = {"dx": 0.0025, "margin_left": 60.0, "margin_right": 100.0,
+            "checkpoints": [0.0, 40.0, 80.0]}
     grid = parse_config_text(json.dumps(dict(CANONICAL, oracle=dict(fine, dt=0.005)))).oracle_grid
     assert (grid.n_x, grid.n_t) == (85202, 16000)
     with pytest.raises(SchemaError, match=r"32000 Crank-Nicolson steps of 4 solves .*1\.09e\+10"):
@@ -166,16 +173,16 @@ def test_oracle_work_counts_four_solves_per_step():
 
 
 @pytest.mark.parametrize("k0, checkpoints, dt", [
-    (1.0, [0.0, 40.0, 80.0], 2.0),  # canonical: k up to 1.4, E dt 1.96
-    (2.0, [0.0, 40.0, 80.0], 80.0 / 116),  # k up to 2.4: 116 steps keep E dt <= 2
-    (0.95, [0.0, 40.0, 80.0], 80.0 / 38),  # a slower packet takes a longer step
+    (1.0, [0.0, 40.0, 80.0], 80.0 / 66),  # canonical: k up to 1.4, E dt 1.19
+    (2.0, [0.0, 40.0, 80.0], 80.0 / 192),  # k up to 2.4: 192 steps keep E dt <= 1.2
+    (0.95, [0.0, 40.0, 80.0], 80.0 / 62),  # a slower packet takes a longer step
     (1.0, [0.0, 0.3, 40.0], 0.1),  # every checkpoint falls on a step
     (1.0, [0.0, 1.0 / 3.0, 80.0], 1.0 / 3.0),
     (1.0, [0.0, 0.7, 80.0, 1000.1], 0.1),
 ])
 def test_default_oracle_step_follows_the_packet_spectrum(k0, checkpoints, dt):
     """Without oracle.dt the step is the largest on which every checkpoint
-    falls with E dt <= DEFAULT_PHASE_STEP (2), E = k_max^2 / 2 the top of
+    falls with E dt <= DEFAULT_PHASE_STEP (1.2), E = k_max^2 / 2 the top of
     the packet's spectrum; the echo holds it, so that the run replays."""
     cfg = parse_config_text(json.dumps(dict(CANONICAL, packet=dict(CANONICAL["packet"], k0=k0),
                                             oracle={"checkpoints": checkpoints})))
@@ -192,6 +199,54 @@ def test_default_oracle_step_needs_a_packet_and_a_common_step():
     # no whole number of steps reaches both 1 and sqrt(2)
     with pytest.raises(SchemaError, match=r"oracle\.dt: no step .*; set oracle\.dt"):
         parse_config_text(json.dumps(dict(CANONICAL, oracle={"checkpoints": [1.0, math.sqrt(2)]})))
+
+
+@pytest.mark.parametrize("segments, dx", [
+    ([[2.0, 1.0]], 0.08),  # canonical: K = k_max = 1.4, 56 points a wavelength bound 0.0801
+    ([[0.6, 1.0], [3.0, 0.0], [0.6, 1.0]], 0.075),  # edges 0.6 apart: 0.6 / 8
+    ([[0.1, 1.0], [0.1, 0.0], [0.1, 1.0]], 0.05),  # every segment two cells wide
+    ([[2.0, 50.0]], 2.0 / 178),  # the evanescent wave's kappa = 9.98 sets K
+])
+def test_default_oracle_grid_follows_the_packet_and_the_barrier(segments, dx):
+    """Without oracle.dx and margins the oracle grid is the packet's: the
+    largest dx that aligns every edge on the half-cell grid with 56 points
+    a shortest local wavelength and every segment two cells wide, and the
+    margins that hold 7.34 position widths of the packet (sigma_x 10) at
+    launch on the left and at the last checkpoint on the right, the barrier's
+    width ahead. The echo holds them, so that the run replays; given keys
+    are kept."""
+    potential = {"a": -9.0, "segments": segments}
+    cfg = parse_config_text(json.dumps(dict(CANONICAL, potential=potential)))
+    oracle, width = cfg.raw["oracle"], cfg.potential.width
+    assert oracle["dx"] == pytest.approx(dx, rel=1e-12)
+    assert oracle["dx"] == pytest.approx(cfg.oracle_grid.dx, rel=1e-12)
+    assert misaligned_edges(cfg.potential, oracle["dx"]) is None
+    assert min(w for w, _ in segments) / oracle["dx"] >= 2.0 - 1e-9
+    spread = 10.0 * math.hypot(1.0, 80.0 / 200.0)
+    assert oracle["margin_left"] == pytest.approx(7.34 * 10.0, rel=1e-3)
+    assert oracle["margin_right"] == pytest.approx(-60.0 + 80.0 + 7.34 * spread + 9.0,
+                                                   rel=1e-3)
+    assert cfg.oracle_grid.x_min <= -60.0 - oracle["margin_left"]
+    assert cfg.oracle_grid.x_max >= -9.0 + width + oracle["margin_right"]
+    assert parse_config_text(json.dumps(cfg.echo())).oracle_grid == cfg.oracle_grid
+    given = {"dx": 0.02, "margin_left": 60.0, "margin_right": 100.0}
+    kept = parse_config_text(json.dumps(dict(CANONICAL, oracle=given))).raw["oracle"]
+    assert {key: kept[key] for key in given} == given
+
+
+def test_parsing_leaves_fractions_and_decimal_unloaded():
+    """The default oracle.dx is derived while every packet config parses,
+    with no fractions.Fraction, which loads decimal and about 0.4 MB."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from tunnelsplit.runconfig import parse_config; "
+         "parse_config(sys.argv[1]); "
+         "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))",
+         str(ROOT / "configs" / "canonical.json")],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("segments, n_k", [(1, 513), (100, 513), (400, 65)])
