@@ -195,11 +195,13 @@ def default_margins(spec: PotentialSpec, x0: float, sigma_x: float, k0: float,
     left at t = 0, and on the right those of the free packet at t_last,
     moved on by the barrier's width (a transmitted packet leads the free
     one by at most about that). The left margin also holds that front
-    mirrored in a, the reflected packet's reach."""
+    mirrored in a, the reflected packet's reach. Where that front is still
+    left of a at t_last (a packet launched far off, or a short last
+    checkpoint), nothing of the packet passes b and the right margin is 0."""
     spread = sigma_x * math.hypot(1.0, t_last / (2.0 * sigma_x * sigma_x))
     front = x0 + k0 * t_last + _TAIL_SIGMAS * spread
     left = max(_TAIL_SIGMAS * sigma_x, x0 + front - 2.0 * spec.a)
-    return left, front - spec.a
+    return left, max(0.0, front - spec.a)
 
 
 @dataclass

@@ -40,10 +40,9 @@ exp(-i k^2 t / 2) (`_phases`).
 every integral is a quadratic form in the coefficient rows, against
 Toeplitz and Hankel kernels in k that do not depend on t: each kernel is
 made once per part of the grid by chirp z-transforms, and each form is a
-sum over the bins of a circulant of at least 2 n_k - 1 (`_bins`; see the
-diagnostics comment). The series evaluates fields only on the sampled
-points, for the integrals inside the barrier, continuity, the cut flux and
-the identity.
+sum over the bins of a circulant of 2 n_k - 1 (see the diagnostics
+comment). The series evaluates fields only on the sampled points, for the
+integrals inside the barrier, continuity, the cut flux and the identity.
 """
 
 import math
@@ -182,25 +181,12 @@ def _phases(k: np.ndarray, times) -> np.ndarray:
     return np.exp(phase, out=phase)
 
 
-def _bins(n_k: int) -> int:
-    """The bins of the diagnostics' circulant: the least 2^i 3^j that is at
-    least 2 n_k - 1, so that no lag of n_k modes wraps around and the FFTs
-    factor into twos and threes (1152 for 513 modes, where 1025 = 5^2 41
-    took 1.05 ms an (81, n) FFT against 0.62 ms)."""
-    least, bins, threes = 2 * n_k - 1, math.inf, 1
-    while threes < 2 * least:
-        # threes times the least power of two that reaches `least`
-        bins = min(bins, threes << (-(-least // threes) - 1).bit_length())
-        threes *= 3
-    return bins
-
-
 def _batch_size(n_t: int, n_k: int) -> int:
     """Times per batch, for n_t times in batches of equal size: a
     diagnostics batch's phases and spectra, at most eighteen complex arrays
-    of (n_t, _bins(n_k)) at once, take at most about SPECTRA_BYTES.
+    of (n_t, 2 n_k - 1) at once, take at most about SPECTRA_BYTES.
     `ModeTable.states` batches its times the same way."""
-    most = max(1, int(SPECTRA_BYTES // (18 * 16 * _bins(n_k))))
+    most = max(1, int(SPECTRA_BYTES // (18 * 16 * (2 * n_k - 1))))
     return max(1, -(-n_t // max(1, -(-n_t // most))))
 
 
@@ -412,9 +398,8 @@ def synthesize(spec: PotentialSpec, packet: PacketSpec, component: str, times,
 #
 # over the part's points: a quadratic form in the coefficients. On the
 # uniform k grid its kernels are Toeplitz (n - m) and Hankel (m + n), the
-# same at every time; in a circulant of at least 2 n_k - 1 bins (_bins)
-# each form is a sum over bins of the coefficient rows' spectra times the
-# kernel's (_form).
+# same at every time; in a circulant of 2 n_k - 1 bins each form is a sum
+# over bins of the coefficient rows' spectra times the kernel's (_form).
 # Each kernel is made by chirp z-transforms over the part (_kernels). Inside
 # [a, b) the fields come from the table's `inner` rows; they, the continuity
 # residual, the cut flux and the identity are evaluated on the table's
@@ -448,7 +433,7 @@ def _weights(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _kernels(w: np.ndarray, x0: float, dx: float, k: np.ndarray, dk: float, hankel: bool):
     """The kernels of the weight rows w on the points x0 + j dx, as bins of
-    a circulant of _bins(n_k) (see _form): the Toeplitz kernel g(k_n - k_m)
+    a circulant of 2 n_k - 1 (see _form): the Toeplitz kernel g(k_n - k_m)
     and, if `hankel`, the Hankel kernel g(-(k_m + k_n)), for the uniform k
     grid of spacing dk; the Hankel bins come conjugated, as np.vecdot takes
     them (_form). Each is a sum of chirp
@@ -458,17 +443,16 @@ def _kernels(w: np.ndarray, x0: float, dx: float, k: np.ndarray, dk: float, hank
     n_k = k.size
     size = 2 * n_k - 1
     block = (1 << (2 * size - 2).bit_length()) - size + 1
-    toeplitz = np.zeros((w.shape[0], _bins(n_k)), dtype=complex)
+    toeplitz = np.zeros((w.shape[0], size), dtype=complex)
     hankel = np.zeros_like(toeplitz) if hankel else None
     for lo in range(0, w.shape[-1], block):
         rows = w[:, lo:lo + block]
-        # lags -(n_k - 1) .. n_k - 1, and m + n = 0 .. 2 n_k - 2; the bins
-        # past them stay zero
-        toeplitz[:, :size] += _chirp_z(rows, x0 + lo * dx, dx, -(n_k - 1) * dk, dk, size)
+        # lags -(n_k - 1) .. n_k - 1, and m + n = 0 .. 2 n_k - 2
+        toeplitz += _chirp_z(rows, x0 + lo * dx, dx, -(n_k - 1) * dk, dk, size)
         if hankel is not None:
-            hankel[:, :size] += _chirp_z(rows, x0 + lo * dx, dx, -2.0 * k[0], -dk, size)
-    # the lag of bin i is i mod the bins; g(-theta) = conj g(theta) makes it real
-    toeplitz = np.fft.ifft(np.roll(toeplitz, 1 - n_k, axis=-1)).real
+            hankel += _chirp_z(rows, x0 + lo * dx, dx, -2.0 * k[0], -dk, size)
+    # the lag of bin i is i mod size; g(-theta) = conj g(theta) makes it real
+    toeplitz = np.fft.ifft(np.roll(toeplitz, n_k, axis=-1)).real
     return toeplitz, None if hankel is None else np.conj(np.fft.ifft(hankel))
 
 
@@ -476,7 +460,7 @@ def _form(one, two, kernels) -> np.ndarray:
     """sum_j w_j conj(psi1(x_j)) psi2(x_j) over a part of the grid, for each
     weight row w of its `kernels` (_kernels) and each time, as (n_t, rows).
     psi = a e + b conj(e) is given by the spectra (A, B) of its coefficient
-    rows, fft(a) and fft(b) over the kernels' bins (_bins), with B None
+    rows, fft(a) and fft(b) over the kernels' 2 n_k - 1 bins, with B None
     for b = 0. With X' the bins of X at -f, the four terms of the form
     (see the diagnostics comment) are
         Toeplitz   conj(A1) A2,  conj(B1') B2'
@@ -611,8 +595,8 @@ def diagnostics_bytes(spec: PotentialSpec, n_k: int, n_x, dx: float, n_t) -> flo
     """Bytes of diagnostics_series at n_t times on a table of n_x points dx
     apart, the table aside: quadrature and weight rows, the kernels, 64
     floats a time of sums and columns, and one batch's spectra (eighteen
-    arrays of _bins(n_k) a time) and fields at the sampled points."""
-    bins = _bins(n_k)
+    arrays of 2 n_k - 1 bins a time) and fields at the sampled points."""
+    bins = 2 * n_k - 1
     return 16.0 * (4 * n_x + 40 * bins + 32 * n_t
                    + _batch_size(n_t, n_k) * (18 * bins + 9 * _n_sampled(spec, dx)))
 
@@ -648,7 +632,7 @@ def diagnostics_series(table: ModeTable, times) -> DiagnosticsSeries:
     left_modes = np.stack((table.full_left[0], table.full_left[1], table.tr_in,
                            k * table.full_left[0], -k * table.full_left[1], k * table.tr_in))
     right_modes = np.stack((table.A_T, k * table.A_T))
-    bins = _bins(k.size)
+    bins = 2 * k.size - 1
 
     band = slice(max(i_a - BAND, 0), min(i_b + BAND, x.size))
     ext = table._sampled

@@ -86,6 +86,7 @@ def _rule(convert, ok, rule: str):
 
 
 _POSITIVE = _rule(_number, lambda x: x > 0, "> 0")
+_NON_NEGATIVE = _rule(_number, lambda x: x >= 0, ">= 0")
 _AT_LEAST_ONE = _rule(_integer, lambda n: n >= 1, ">= 1")
 _AT_LEAST_TWO = _rule(_integer, lambda n: n >= 2, ">= 2")
 
@@ -152,8 +153,9 @@ _SCHEMA = {
         # (default_step) and the margins that hold it (default_margins)
         "dx": (_OMITTED, _POSITIVE),
         "dt": (_OMITTED, _POSITIVE),
-        "margin_left": (_OMITTED, _number),
-        "margin_right": (_OMITTED, _number),
+        # a negative margin puts a wall inside the packet or the barrier
+        "margin_left": (_OMITTED, _NON_NEGATIVE),
+        "margin_right": (_OMITTED, _NON_NEGATIVE),
         "checkpoints": ([0.0, 40.0, 80.0], _list_of(_number, 1)),
     }),
     "sweep": ({}, {
@@ -310,7 +312,9 @@ def parse_config_text(text: str) -> RunConfig:
             derived["dt"] = default_step(checkpoints, 0.5 * k_max * k_max)
         for key, value in derived.items():
             if key not in oracle:
-                if value is None or not 0.0 < value < math.inf:
+                # a margin may be 0 (nothing of the packet passes b); dx and dt may not
+                zero_ok = key.startswith("margin")
+                if value is None or not (0.0 < value < math.inf or zero_ok and value == 0.0):
                     what = "step on which every checkpoint falls" if key == "dt" else key
                     raise SchemaError(f"oracle.{key}", f"no {what} that the packet gives is a "
                                                        f"positive float; set oracle.{key}")

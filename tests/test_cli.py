@@ -222,6 +222,9 @@ class TestExitCodes:
         # 1e6 steps on 7852 points is 7.9e9 point-steps, inside the budget as
         # points times steps, but each step makes four solves: 3.1e10
         ("oracle-check", {"oracle": dict(FAST["oracle"], checkpoints=[0.0, 40000.0])}),
+        # a wall inside the barrier, or right of the packet's centre
+        ("oracle-check", {"oracle": dict(FAST["oracle"], margin_right=-0.5)}),
+        ("oracle-check", {"oracle": dict(FAST["oracle"], margin_left=-1.0)}),
     ])
     def test_bad_oracle_or_clock_setting_is_2_before_any_work(self, tmp_path, monkeypatch,
                                                               subcommand, override):
@@ -285,6 +288,17 @@ class TestExitCodes:
         # is roundoff; the parity checks are not scaled by the grid
         cfg = write_config(tmp_path, energy={"E": E}, decompose_grid={"pad": -0.5})
         assert run_cli("decompose", cfg, tmp_path / "out") == 0
+
+    def test_packet_short_of_the_barrier_passes_with_no_right_margin(self, tmp_path):
+        # canonical launched at -200: its front at t = 80 is still left of
+        # a, so the default right margin is 0 and the wall sits at b
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(CANONICAL, packet=dict(CANONICAL["packet"], x0=-200.0))))
+        out = tmp_path / "out"
+        assert run_cli("oracle-check", str(path), out) == 0
+        assert json.loads((out / "config_echo.json").read_text())["oracle"]["margin_right"] == 0.0
+        _, l2, _, passed, _ = (out / "oracle_check.csv").read_text().splitlines()[1].split(",")
+        assert passed == "1" and float(l2) < ORACLE_L2
 
     def test_packet_reaching_the_wall_is_3_at_the_default_step(self, tmp_path):
         # canonical with the right wall 20 from b: the transmitted packet

@@ -392,12 +392,11 @@ def test_chirp_z_kernels_match_the_direct_sums(canonical_table, kind):
     n_k, dk, dx = k.size, (k[-1] - k[0]) / (k.size - 1), x[1] - x[0]
     w, _ = packets._weights(x, packets._quadrature(table.x)[:, :x.size])
     toeplitz, hankel = packets._kernels(w, x[0], dx, k, dk, hankel=True)
-    # the circulant's bins (packets._bins) hold the 2 n_k - 1 angles first
     if kind == "toeplitz":
-        got = np.roll(np.fft.fft(toeplitz), n_k - 1, axis=-1)[:, :2 * n_k - 1]
+        got = np.roll(np.fft.fft(toeplitz), -n_k, axis=-1)
         theta = -(n_k - 1) * dk + dk * np.arange(2 * n_k - 1)
     else:
-        got = np.fft.fft(np.conj(hankel))[:, :2 * n_k - 1]
+        got = np.fft.fft(np.conj(hankel))
         theta = -2.0 * k[0] - dk * np.arange(2 * n_k - 1)
     got, theta = got[:, ::4], theta[::4]  # every fourth angle, lag 0 among them
     angle = np.multiply.outer(x.astype(np.longdouble), theta.astype(np.longdouble))
@@ -470,7 +469,7 @@ def test_diagnostics_series_makes_each_batch_phase_once(monkeypatch):
     band's values, rates and derivatives and by the forms: batches of at
     most 3 of 7 times make three phase tables, not nine."""
     table = _small_table()
-    per_time = 18 * 16 * packets._bins(table.k.size)  # see _batch_size
+    per_time = 18 * 16 * (2 * table.k.size - 1)  # see _batch_size
     monkeypatch.setattr(packets, "SPECTRA_BYTES", 3 * per_time)
     made = []
     phases = packets._phases

@@ -234,6 +234,23 @@ def test_default_oracle_grid_follows_the_packet_and_the_barrier(segments, dx):
     assert {key: kept[key] for key in given} == given
 
 
+@pytest.mark.parametrize("packet, oracle, sigma_x", [
+    ({"x0": -200.0}, {}, 10.0),  # the front at t = 80 is at -40.95, left of a = -9
+    ({"k0": 5.0, "sigma_k": 0.5}, {"checkpoints": [0.0, 2.0]}, 1.0),  # front at -39.6
+])
+def test_default_margins_hold_a_packet_that_stays_left_of_the_barrier(packet, oracle, sigma_x):
+    """A packet whose 7.34-width front is still left of a at the last
+    checkpoint parses: nothing of it passes b, so the right margin is 0,
+    not negative, and the left one holds 7.34 position widths at launch."""
+    cfg = parse_config_text(json.dumps(dict(CANONICAL, packet=dict(CANONICAL["packet"], **packet),
+                                            oracle=oracle)))
+    echoed = cfg.raw["oracle"]
+    assert echoed["margin_left"] == pytest.approx(7.34 * sigma_x, rel=1e-3)
+    assert echoed["margin_right"] == 0.0
+    assert cfg.oracle_grid.x_max >= cfg.potential.b
+    assert parse_config_text(json.dumps(cfg.echo())).oracle_grid == cfg.oracle_grid
+
+
 def test_parsing_leaves_fractions_and_decimal_unloaded():
     """The default oracle.dx is derived while every packet config parses,
     with no fractions.Fraction, which loads decimal and about 0.4 MB."""
